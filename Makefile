@@ -3,9 +3,9 @@ GO ?= go
 # get a second pass under the race detector.
 RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
 
-.PHONY: check fmt vet build test race bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare
+.PHONY: check fmt vet build test benchtest race bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare
 
-check: fmt vet build test race benchsmoke perfsmoke tracesmoke comparesmoke partsmoke
+check: fmt vet build test benchtest race benchsmoke perfsmoke tracesmoke comparesmoke partsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -19,6 +19,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark (acnload) is a Go module of its own under benchmark/, so
+# `go test ./...` at the root does not reach its tests.
+benchtest:
+	cd benchmark && $(GO) test ./...
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -35,7 +40,7 @@ benchsmoke:
 # b.RunParallel and the batch/pooled paths race real goroutines, so this
 # catches data races the correctness tests' schedules might miss.
 perfsmoke:
-	$(GO) test -race -bench 'TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
+	$(GO) test -race -bench 'TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistTCPBatch|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
 
 # Re-verify the newest checked-in pre/post baseline against itself (first
 # run vs last run): an edit that regresses the recorded post numbers — or

@@ -28,6 +28,9 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== go test (benchmark module) =="
+(cd benchmark && go test ./...)
+
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
 
@@ -35,7 +38,7 @@ echo "== benchmark smoke (1 iteration each) =="
 go test -bench . -benchtime 1x -run '^$' ./...
 
 echo "== perf smoke (hot-path benchmarks under -race) =="
-go test -race -bench 'TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$' .
+go test -race -bench 'TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistTCPBatch|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$' .
 
 echo "== compare smoke (checked-in pre/post baseline gates itself) =="
 go run ./cmd/acnbench -compare -maxregress 25 BENCH_9.json

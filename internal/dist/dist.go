@@ -151,14 +151,15 @@ type Cluster struct {
 	groupLimit atomic.Int64
 	adapt      *adapt.Controller
 
-	// topo is the epoch-snapshot topology: an immutable path→component map
-	// published via atomic pointer. Tokens resolve against whatever
-	// snapshot is current when they look — no read lock, no blocking on an
-	// in-flight Split/Merge. Reconfigurations (serialized by reconfig)
-	// clone the map, mutate the clone, and publish it; the freeze protocol
-	// already handles tokens that resolved against the older snapshot (the
-	// dead incarnation answers statusDead and the token re-resolves).
-	topo atomic.Pointer[map[tree.Path]*comp]
+	// topo is the epoch-snapshot topology: the live incarnations of the
+	// current cut and its compiled routing (see topology), published via
+	// atomic pointer. Tokens route against whatever snapshot is current when
+	// they look — no read lock, no blocking on an in-flight Split/Merge.
+	// Reconfigurations (serialized by reconfig) build a new snapshot and
+	// publish it; the freeze protocol already handles tokens that routed
+	// against the older one (the dead incarnation answers statusDead and the
+	// token re-resolves).
+	topo atomic.Pointer[topology]
 
 	out      []atomic.Uint64 // per-output-wire emission counters
 	injected []atomic.Uint64 // per-input-wire injection counters
@@ -169,6 +170,9 @@ type Cluster struct {
 	// across tokens. A channel (not sync.Pool) so endpoints are never
 	// dropped by GC while still bound in the fabric.
 	eps chan *tokenEP
+
+	// scratch recycles InjectBatch's per-batch working memory.
+	scratch sync.Pool
 
 	reconfig sync.Mutex // serializes Split/Merge against each other only
 }
@@ -236,15 +240,18 @@ func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[tree.Path]*comp, len(cut))
-	for _, c := range comps {
-		cm := &comp{c: c, state: stateActive, arrived: make([]uint64, c.Width)}
-		if err := cl.bind(cm); err != nil {
+	live := make([]*comp, len(comps))
+	for i, c := range comps {
+		live[i] = &comp{c: c, state: stateActive, arrived: make([]uint64, c.Width)}
+		if err := cl.bind(live[i]); err != nil {
 			return nil, err
 		}
-		m[c.Path] = cm
 	}
-	cl.topo.Store(&m)
+	tp, err := newTopology(w, live)
+	if err != nil {
+		return nil, err
+	}
+	cl.topo.Store(tp)
 	return cl, nil
 }
 
@@ -380,19 +387,6 @@ func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
 	}
 }
 
-// publish installs a new topology snapshot: clone the current map, apply
-// mutate, store. Only reconfigurations call it (serialized by reconfig),
-// so clone-and-swap cannot lose concurrent updates.
-func (cl *Cluster) publish(mutate func(map[tree.Path]*comp)) {
-	old := *cl.topo.Load()
-	m := make(map[tree.Path]*comp, len(old)+2)
-	for p, cm := range old {
-		m[p] = cm
-	}
-	mutate(m)
-	cl.topo.Store(&m)
-}
-
 // signalDrain wakes a merge waiting on the conservation invariant.
 func (cl *Cluster) signalDrain() {
 	select {
@@ -406,15 +400,15 @@ func (cl *Cluster) Width() int { return cl.w }
 
 // Size returns the number of live components.
 func (cl *Cluster) Size() int {
-	return len(*cl.topo.Load())
+	return len(cl.topo.Load().live)
 }
 
 // Cut returns the current cut.
 func (cl *Cluster) Cut() tree.Cut {
-	comps := *cl.topo.Load()
+	comps := cl.topo.Load().rt.Components()
 	cut := make(tree.Cut, len(comps))
-	for p := range comps {
-		cut[p] = true
+	for _, c := range comps {
+		cut[c.Path] = true
 	}
 	return cut
 }
@@ -571,255 +565,6 @@ func (cl *Cluster) Inject(in int) (int, error) {
 	return cl.injectOn(ep, in)
 }
 
-// InjectBatch routes len(ins) tokens as a group: at every round, tokens
-// sitting at the same live component are delivered together in ONE group
-// arrive RPC (wire.GroupArrive) instead of one RPC each — on a k-component
-// cut a batch costs one RPC per component visit, not one per token per hop.
-// When a group-size cap is active (SetGroupLimit, or an adapt controller
-// installed with UseAdapt), a visit by more tokens than the cap is split
-// into ceil(n/cap) consecutive RPCs with identical counting output.
-// The counting output is byte-identical to routing the same tokens
-// sequentially (InjectBatchSeq): a component's per-output-wire counts
-// depend only on how many tokens arrived on each input wire, never on
-// their arrival interleaving, so delivering a group in one message is
-// count-for-count the same as delivering it one message at a time.
-//
-// The batch shares one pooled token endpoint whose resume window [lo, hi]
-// covers the whole claimed sequence range: tokens stored by a frozen
-// component re-enter the round loop when their individual resume control
-// messages land. Group routing reorders token *completion* within the
-// batch (a queued token finishes after its groupmates), but per-wire
-// counts — the network's observable output — are unaffected. It returns
-// the output wire of each token.
-func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
-	for _, in := range ins {
-		if in < 0 || in >= cl.w {
-			return nil, fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
-		}
-	}
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	ep, err := cl.getEP()
-	if err != nil {
-		return nil, err
-	}
-	defer cl.putEP(ep) // clears the window and drains stragglers, once per batch
-	// One sampling decision per batch: a sampled batch's root span carries
-	// every group RPC of the batch, and its context rides each group
-	// arrive so receiving fabrics stitch server-side rpc:agroup spans to
-	// this one timeline.
-	sp := cl.tracer.Start("batch")
-	defer sp.Finish()
-	sp.Event("inject", "", int64(len(ins)))
-	hi := cl.tokSeq.Add(uint64(len(ins)))
-	base := hi - uint64(len(ins)) + 1
-	// Publish the resume window: hi first, so the endpoint handler never
-	// observes a half-open window accepting seqs above hi.
-	ep.hi.Store(hi)
-	ep.lo.Store(base)
-	// One injected-counter add per run of equal wires, all counted before
-	// the batch routes (count-then-route, as the sequential paths do).
-	for i := 0; i < len(ins); {
-		j := i
-		for j < len(ins) && ins[j] == ins[i] {
-			j++
-		}
-		cl.injected[ins[i]].Add(uint64(j - i))
-		i = j
-	}
-
-	outs := make([]int, len(ins))
-	// pos[i] is token i's current network position; tokens in `active` are
-	// routable now, tokens in `waiting` are stored at a frozen component
-	// keyed by their sequence number until a resume arrives.
-	type tokenPos struct {
-		path tree.Path
-		wire int
-	}
-	pos := make([]tokenPos, len(ins))
-	active := make([]int, len(ins))
-	for i, in := range ins {
-		pos[i] = tokenPos{path: "", wire: in}
-		active[i] = i
-	}
-	waiting := make(map[uint64]int)
-
-	// drainResumes moves resumed tokens back to the active set: always
-	// everything already buffered, and — when nothing is routable — blocking
-	// until at least one token is. Resumes outside `waiting` are stragglers
-	// (duplicated deliveries); the window filter made them rare and this
-	// makes them inert.
-	drainResumes := func() {
-		for len(waiting) > 0 {
-			var rm wire.Resume
-			if len(active) == 0 {
-				rm = <-ep.resume
-			} else {
-				select {
-				case rm = <-ep.resume:
-				default:
-					return
-				}
-			}
-			if idx, ok := waiting[rm.Seq]; ok {
-				delete(waiting, rm.Seq)
-				pos[idx] = tokenPos{path: tree.Path(rm.Path), wire: rm.Wire}
-				active = append(active, idx)
-			}
-		}
-	}
-
-	type group struct {
-		cm    *comp
-		idxs  []int
-		wires []int
-		seqs  []uint64
-	}
-	for len(active) > 0 || len(waiting) > 0 {
-		drainResumes()
-		// Group the routable tokens by the live component covering their
-		// position, in first-seen order.
-		var groups []*group
-		byComp := make(map[*comp]*group)
-		for _, idx := range active {
-			cm, rwire, err := cl.findLive(pos[idx].path, pos[idx].wire)
-			if err != nil {
-				return nil, err
-			}
-			g := byComp[cm]
-			if g == nil {
-				g = &group{cm: cm}
-				byComp[cm] = g
-				groups = append(groups, g)
-			}
-			g.idxs = append(g.idxs, idx)
-			g.wires = append(g.wires, rwire)
-			g.seqs = append(g.seqs, base+uint64(idx))
-		}
-		active = active[:0]
-		// One cap read per round: the adapt controller (or an explicit
-		// SetGroupLimit) bounds how many tokens each group arrive RPC
-		// carries, so a component visit by more tokens than the cap costs
-		// ceil(len/cap) RPCs. The chunks are count-equivalent to the whole
-		// group (per-wire counts depend only on arrival counts), so the
-		// cap changes RPC accounting and wire pressure, never outputs.
-		limit := cl.groupCap()
-		for _, g := range groups {
-			for off := 0; off < len(g.idxs); {
-				end := len(g.idxs)
-				if limit > 0 && end-off > limit {
-					end = off + limit
-				}
-				idxs, wires, seqs := g.idxs[off:end], g.wires[off:end], g.seqs[off:end]
-				off = end
-				var hopStart time.Time
-				if cl.hHop != nil {
-					hopStart = time.Now()
-				}
-				reply, err := cl.rc.CallSpan(ep.addr, g.cm.addr, kindGroupArrive,
-					wire.GroupArrive{Token: string(ep.addr), Wires: wires, Seqs: seqs}, sp)
-				if err != nil {
-					return nil, fmt.Errorf("dist: group arrive at %v: %w", g.cm.c, err)
-				}
-				cl.hHop.Since(hopStart)
-				res, ok := reply.(wire.GroupArriveRes)
-				if !ok {
-					return nil, fmt.Errorf("dist: group arrive reply %T", reply)
-				}
-				switch res.Status {
-				case wire.StatusDead:
-					// The component was replaced between resolution and delivery;
-					// the whole group re-resolves against the current cut.
-					if sp != nil {
-						sp.Event("dead", string(g.cm.c.Path), int64(len(idxs)))
-					}
-					for k, idx := range idxs {
-						pos[idx] = tokenPos{path: g.cm.c.Path, wire: wires[k]}
-						active = append(active, idx)
-					}
-				case wire.StatusQueued:
-					if sp != nil {
-						sp.Event("queued", string(g.cm.c.Path), int64(len(idxs)))
-					}
-					for k, idx := range idxs {
-						waiting[seqs[k]] = idx
-					}
-				case wire.StatusProcessed:
-					if sp != nil {
-						sp.Event("group", string(g.cm.c.Path), int64(len(idxs)))
-					}
-					if len(res.Outs) != len(idxs) {
-						return nil, fmt.Errorf("dist: group arrive reply %d outs for %d tokens", len(res.Outs), len(idxs))
-					}
-					for k, idx := range idxs {
-						next, exited, netOut, err := cl.resolveNext(g.cm.c, res.Outs[k])
-						if err != nil {
-							return nil, err
-						}
-						if exited {
-							cl.out[netOut].Add(1)
-							outs[idx] = netOut
-						} else {
-							pos[idx] = tokenPos{path: next.path, wire: next.wire}
-							active = append(active, idx)
-						}
-					}
-				default:
-					return nil, fmt.Errorf("dist: group arrive status %d", res.Status)
-				}
-			}
-		}
-	}
-	return outs, nil
-}
-
-// InjectBatchSeq routes len(ins) tokens one at a time, reusing one pooled
-// token endpoint and one claimed sequence range for the whole batch. This
-// is the pre-group-message batching path — setup amortized, but still one
-// arrive RPC per token per component visit; InjectBatch collapses those
-// into one group RPC per component visit with identical counting output.
-// Kept as the reference and comparison path (experiment E28 measures the
-// two against each other on both fabrics).
-func (cl *Cluster) InjectBatchSeq(ins []int) ([]int, error) {
-	for _, in := range ins {
-		if in < 0 || in >= cl.w {
-			return nil, fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
-		}
-	}
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	ep, err := cl.getEP()
-	if err != nil {
-		return nil, err
-	}
-	defer cl.putEP(ep) // clears the window and drains stragglers, once per batch
-	hi := cl.tokSeq.Add(uint64(len(ins)))
-	base := hi - uint64(len(ins)) + 1
-	outs := make([]int, len(ins))
-	for i := 0; i < len(ins); {
-		// One injected-counter add per run of equal wires, counted before
-		// the run routes (the same count-then-route order injectOn uses).
-		j := i
-		for j < len(ins) && ins[j] == ins[i] {
-			j++
-		}
-		cl.injected[ins[i]].Add(uint64(j - i))
-		for ; i < j; i++ {
-			seq := base + uint64(i)
-			ep.hi.Store(seq)
-			ep.lo.Store(seq)
-			out, err := cl.injectOnSeq(ep, ins[i], seq)
-			if err != nil {
-				return outs[:i], err
-			}
-			outs[i] = out
-		}
-	}
-	return outs, nil
-}
-
 // injectOn routes one token using the given (checked-out) endpoint.
 func (cl *Cluster) injectOn(ep *tokenEP, in int) (int, error) {
 	if in < 0 || in >= cl.w {
@@ -848,14 +593,13 @@ func (cl *Cluster) injectOnSeq(ep *tokenEP, in int, seq uint64) (int, error) {
 		begin = time.Now()
 	}
 
-	// The network input wire belongs to whatever live component covers the
-	// root's input descent; delivery re-resolves as needed.
-	path, w := tree.Path(""), in
+	// The token steps through its snapshot's compiled table; only a bounce
+	// off a dead incarnation, a resume, or a snapshot swap between hops
+	// sends it through findLive.
+	tp := cl.topo.Load()
+	at := tp.rt.Entry(in)
 	for {
-		cm, rwire, err := cl.findLive(path, w)
-		if err != nil {
-			return 0, err
-		}
+		cm, rwire := tp.live[at.Comp], int(at.Wire)
 		var hopStart time.Time
 		if cl.hHop != nil {
 			hopStart = time.Now()
@@ -876,7 +620,9 @@ func (cl *Cluster) injectOnSeq(ep *tokenEP, in int, seq uint64) (int, error) {
 			if sp != nil {
 				sp.Event("dead", string(cm.c.Path), int64(rwire))
 			}
-			path, w = cm.c.Path, rwire
+			if tp, at, err = cl.findLive(cm.c.Path, rwire); err != nil {
+				return 0, err
+			}
 			continue
 		case wire.StatusQueued:
 			if sp != nil {
@@ -894,17 +640,20 @@ func (cl *Cluster) injectOnSeq(ep *tokenEP, in int, seq uint64) (int, error) {
 			if sp != nil {
 				sp.Event("resume", string(rt.Path), int64(rt.Wire))
 			}
-			path, w = tree.Path(rt.Path), rt.Wire
+			if tp, at, err = cl.findLive(tree.Path(rt.Path), rt.Wire); err != nil {
+				return 0, err
+			}
 			continue
 		}
 		if sp != nil {
 			sp.Event("hop", string(cm.c.Path), int64(res.Out))
 		}
-		next, exited, netOut, err := cl.resolveNext(cm.c, res.Out)
-		if err != nil {
-			return 0, err
+		if res.Out < 0 || res.Out >= cm.c.Width {
+			return 0, fmt.Errorf("dist: arrive reply from %v names output wire %d", cm.c, res.Out)
 		}
-		if exited {
+		at = tp.rt.Next(at.Comp, res.Out)
+		if at.Exited() {
+			netOut := int(at.Wire)
 			cl.out[netOut].Add(1)
 			if cl.hTok != nil {
 				cl.hTok.Observe(time.Since(begin).Seconds())
@@ -915,90 +664,9 @@ func (cl *Cluster) injectOnSeq(ep *tokenEP, in int, seq uint64) (int, error) {
 			}
 			return netOut, nil
 		}
-		path, w = next.path, next.wire
-	}
-}
-
-// findLive resolves the live component covering (path, wire): path itself,
-// a descendant (after a split: descend through input maps), or an ancestor
-// (after a merge: ascend through the entry-child inverse). This is local
-// address resolution — the analogue of core's cached out-neighbor
-// directory — not a message.
-func (cl *Cluster) findLive(path tree.Path, wire int) (*comp, int, error) {
-	comps := *cl.topo.Load()
-	// Exact or descend.
-	cur, err := tree.ComponentAt(cl.w, path)
-	if err != nil {
-		return nil, 0, err
-	}
-	w := wire
-	for {
-		if cm := comps[cur.Path]; cm != nil {
-			return cm, w, nil
+		if tp, at, err = cl.follow(tp, at); err != nil {
+			return 0, err
 		}
-		if cur.IsLeaf() {
-			break
-		}
-		ci, cin := tree.ChildInput(cur.Kind, cur.Width, w)
-		child, cerr := cur.Child(ci)
-		if cerr != nil {
-			return nil, 0, cerr
-		}
-		cur, w = child, cin
-	}
-	// Ascend: valid only along entry children (post-merge stragglers).
-	cur, err = tree.ComponentAt(cl.w, path)
-	if err != nil {
-		return nil, 0, err
-	}
-	w = wire
-	for {
-		pp, idx, ok := cur.Path.Parent()
-		if !ok {
-			return nil, 0, fmt.Errorf("dist: no live component covers %q wire %d", path, wire)
-		}
-		parent, perr := tree.ComponentAt(cl.w, pp)
-		if perr != nil {
-			return nil, 0, perr
-		}
-		pin, isEntry := tree.InvChildInput(parent.Kind, parent.Width, idx, w)
-		if !isEntry {
-			return nil, 0, fmt.Errorf("dist: token stranded at non-entry %q wire %d", path, wire)
-		}
-		cur, w = parent, pin
-		if cm := comps[cur.Path]; cm != nil {
-			return cm, w, nil
-		}
-	}
-}
-
-// nextHop is a resolved forwarding target.
-type nextHop struct {
-	path tree.Path
-	wire int
-}
-
-// resolveNext computes where a token leaving component c on output wire o
-// goes under the current cut.
-func (cl *Cluster) resolveNext(c tree.Component, o int) (nextHop, bool, int, error) {
-	node, wire := c, o
-	for {
-		parent, idx, ok := node.Parent(cl.w)
-		if !ok {
-			return nextHop{}, true, wire, nil
-		}
-		d := tree.ChildNext(parent.Kind, parent.Width, idx, wire)
-		if !d.ToChild {
-			node, wire = parent, d.ParentOut
-			continue
-		}
-		target, err := parent.Child(d.Child)
-		if err != nil {
-			return nextHop{}, false, 0, err
-		}
-		// Deliver at the coarsest level; findLive descends as needed when
-		// the token lands.
-		return nextHop{path: target.Path, wire: d.ChildIn}, false, 0, nil
 	}
 }
 
@@ -1060,7 +728,7 @@ func (cl *Cluster) Split(p tree.Path) error {
 	defer sp.Finish()
 	sp.Event("target", string(p), 0)
 
-	cm := (*cl.topo.Load())[p]
+	cm := cl.topo.Load().at(p)
 	if cm == nil {
 		return fmt.Errorf("dist: split: no live component at %q", p)
 	}
@@ -1100,12 +768,9 @@ func (cl *Cluster) Split(p tree.Path) error {
 	// Publish a fresh snapshot with the children in place of the parent.
 	// In-flight tokens holding the old snapshot hit the dead incarnation
 	// and re-resolve; tokens resolving from here on see the children.
-	cl.publish(func(m map[tree.Path]*comp) {
-		delete(m, p)
-		for i, child := range children {
-			m[child.Path] = newComps[i]
-		}
-	})
+	if err := cl.publish([]*comp{cm}, newComps); err != nil {
+		return err
+	}
 
 	if sp != nil {
 		sp.Event("publish", string(p), int64(len(children)))
@@ -1140,7 +805,7 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 	sp := cl.tracer.Start("merge")
 	defer sp.Finish()
 	sp.Event("target", string(p), 0)
-	if (*cl.topo.Load())[p] != nil {
+	if cl.topo.Load().at(p) != nil {
 		return fmt.Errorf("dist: merge: %q is already live", p)
 	}
 
@@ -1155,7 +820,7 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 
 	// Recursively merge children that are split further.
 	for _, child := range children {
-		if (*cl.topo.Load())[child.Path] == nil {
+		if cl.topo.Load().at(child.Path) == nil {
 			if err := cl.mergeLocked(child.Path); err != nil {
 				return fmt.Errorf("dist: recursive merge of %v: %w", child, err)
 			}
@@ -1163,7 +828,7 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 	}
 	cms := make([]*comp, len(children))
 	for i, child := range children {
-		cms[i] = (*cl.topo.Load())[child.Path]
+		cms[i] = cl.topo.Load().at(child.Path)
 	}
 	for i, cm := range cms {
 		if cm == nil {
@@ -1255,12 +920,9 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 
 	// Phase 4: publish a fresh snapshot with the parent in place of the
 	// children.
-	cl.publish(func(m map[tree.Path]*comp) {
-		for _, child := range children {
-			delete(m, child.Path)
-		}
-		m[p] = merged
-	})
+	if err := cl.publish(cms, []*comp{merged}); err != nil {
+		return err
+	}
 
 	if sp != nil {
 		sp.Event("publish", string(p), int64(len(children)))

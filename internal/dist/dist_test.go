@@ -309,14 +309,14 @@ func TestFindLiveAscendAfterMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "00" was an entry child of "0", which was an entry child of the root.
-	cm, wire, err := cl.findLive("00", 1)
+	tp, at, err := cl.findLive("00", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cm.c.Path != "" {
+	if cm := tp.live[at.Comp]; cm.c.Path != "" {
 		t.Fatalf("resolved to %v, want the root", cm.c)
 	}
-	if wire != 1 {
+	if wire := at.Wire; wire != 1 {
 		t.Fatalf("wire = %d, want 1 (B8 input 1 feeds B4@0 input 1 feeds B2@00 input 1)", wire)
 	}
 	// A non-entry child has no upward wire mapping; such tokens can only
@@ -337,13 +337,13 @@ func TestFindLiveDescendsAfterSplit(t *testing.T) {
 	if err := cl.Split(""); err != nil {
 		t.Fatal(err)
 	}
-	cm, wire, err := cl.findLive("", 5)
+	tp, at, err := cl.findLive("", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Input 5 of B8 feeds B4@1 input 1.
-	if cm.c.Path != "1" || wire != 1 {
-		t.Fatalf("resolved to %v wire %d, want B4@1 wire 1", cm.c, wire)
+	if cm := tp.live[at.Comp]; cm.c.Path != "1" || at.Wire != 1 {
+		t.Fatalf("resolved to %v wire %d, want B4@1 wire 1", cm.c, at.Wire)
 	}
 }
 

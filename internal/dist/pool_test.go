@@ -68,7 +68,9 @@ func TestInjectBatchDuringReconfig(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			var count uint64
-			defer injected.Store(g, count)
+			// A closure, so the count is read when the goroutine ends: a
+			// plain deferred Store would capture the 0 it holds here.
+			defer func() { injected.Store(g, count) }()
 			batch := make([]int, 16)
 			for {
 				select {

@@ -151,6 +151,50 @@ func (c *Client) Call(from, to Addr, kind string, body any) (any, error) {
 func (c *Client) CallSpan(from, to Addr, kind string, body any, sp *obs.Span) (any, error) {
 	req := Request{ID: c.next.Add(1), From: from, To: to, Kind: kind, Trace: sp.Context(), Body: body}
 	c.calls.Add(1)
+	ins, start := c.begin()
+	reply, err := c.tr.Send(req, c.cfg.Timeout)
+	return c.settle(req, sp, ins, start, reply, err)
+}
+
+// CallBatch issues len(reqs) independent reliable calls and returns when
+// every one has settled: replies[i] and errs[i] are what Call would have
+// returned for reqs[i]. The caller fills From, To, Kind and Body; each
+// request gets a fresh ID and sp's trace context here, and counts as one
+// logical call.
+//
+// On a fabric that implements BatchSender the first attempts leave as one
+// SendBatch, so requests bound for one destination share a flush; a
+// request whose first attempt times out is then retried on its own, with
+// the same ID, exactly as Call retries. On any other fabric the requests
+// are sent one after another on the caller's goroutine, each settled
+// before the next leaves — the requests of one batch never overlap in
+// time there, which callers that interpose on Send may rely on.
+func (c *Client) CallBatch(reqs []Request, replies []any, errs []error, sp *obs.Span) {
+	trace := sp.Context()
+	for i := range reqs {
+		reqs[i].ID = c.next.Add(1)
+		reqs[i].Trace = trace
+	}
+	c.calls.Add(uint64(len(reqs)))
+	bs, ok := c.tr.(BatchSender)
+	if !ok || len(reqs) < 2 {
+		for i, req := range reqs {
+			ins, start := c.begin()
+			reply, err := c.tr.Send(req, c.cfg.Timeout)
+			replies[i], errs[i] = c.settle(req, sp, ins, start, reply, err)
+		}
+		return
+	}
+	ins, start := c.begin()
+	bs.SendBatch(reqs, c.cfg.Timeout, replies, errs)
+	for i, req := range reqs {
+		replies[i], errs[i] = c.settle(req, sp, ins, start, replies[i], errs[i])
+	}
+}
+
+// begin loads the instrument handles and, when call latency is observed,
+// the call's start time.
+func (c *Client) begin() (*clientInstruments, time.Time) {
 	ins := c.instr.Load()
 	if ins == nil {
 		ins = noClientInstr
@@ -159,10 +203,16 @@ func (c *Client) CallSpan(from, to Addr, kind string, body any, sp *obs.Span) (a
 	if ins.rtt != nil {
 		start = time.Now()
 	}
+	return ins, start
+}
 
+// settle finishes a logical call whose first attempt returned (reply,
+// err): anything but ErrTimeout is final; a timeout re-sends the same
+// request — same ID, so receiver dedup keeps its effect at-most-once —
+// with capped exponential backoff until the retry budget is spent.
+func (c *Client) settle(req Request, sp *obs.Span, ins *clientInstruments, start time.Time, reply any, err error) (any, error) {
 	backoff := c.cfg.Backoff
 	for attempt := 0; ; attempt++ {
-		reply, err := c.tr.Send(req, c.cfg.Timeout)
 		if err == nil || !errors.Is(err, ErrTimeout) {
 			ins.attempts.Observe(float64(attempt + 1))
 			ins.rtt.Since(start)
@@ -173,17 +223,18 @@ func (c *Client) CallSpan(from, to Addr, kind string, body any, sp *obs.Span) (a
 			c.failures.Add(1)
 			ins.attempts.Observe(float64(attempt + 1))
 			return nil, fmt.Errorf("transport: call %q to %q failed after %d attempts: %w",
-				kind, to, attempt+1, err)
+				req.Kind, req.To, attempt+1, err)
 		}
 		c.retries.Add(1)
 		if sp != nil {
-			sp.Event("retry", kind+" to "+string(to), int64(attempt+1))
+			sp.Event("retry", req.Kind+" to "+string(req.To), int64(attempt+1))
 		}
 		ins.backoff.ObserveDuration(backoff)
 		time.Sleep(backoff)
 		if backoff *= 2; backoff > c.cfg.BackoffCap {
 			backoff = c.cfg.BackoffCap
 		}
+		reply, err = c.tr.Send(req, c.cfg.Timeout)
 	}
 }
 

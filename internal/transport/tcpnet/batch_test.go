@@ -1,0 +1,154 @@
+package tcpnet
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// TestSendBatchMatchesSend: a batch is len(reqs) Sends — typed replies,
+// application errors and unreachable destinations come back per request.
+func TestSendBatchMatchesSend(t *testing.T) {
+	n := newNet(t)
+	if err := n.Bind("n:inc", func(req transport.Request) (any, error) {
+		return req.Body.(uint64) + 1, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reqs := []transport.Request{
+		{ID: 1, From: "x", To: "n:inc", Kind: wire.KindCPF, Body: uint64(10)},
+		{ID: 2, From: "x", To: "n:gone", Kind: wire.KindCPF, Body: uint64(0)},
+		{ID: 3, From: "x", To: "n:inc", Kind: wire.KindCPF, Body: "not a uint64"},
+		{ID: 4, From: "x", To: "n:inc", Kind: wire.KindCPF, Body: uint64(40)},
+	}
+	replies, errs := make([]any, len(reqs)), make([]error, len(reqs))
+	n.SendBatch(reqs, time.Second, replies, errs)
+	for i, req := range reqs {
+		want, wantErr := n.Send(req, time.Second)
+		if replies[i] != want || (errs[i] == nil) != (wantErr == nil) {
+			t.Errorf("request %d: batch (%v, %v), Send (%v, %v)", i, replies[i], errs[i], want, wantErr)
+		}
+	}
+	if errs[0] != nil || replies[0].(uint64) != 11 || errs[3] != nil || replies[3].(uint64) != 41 {
+		t.Fatalf("replies %v errs %v", replies, errs)
+	}
+	if st := n.Stats(); st.Sent != 8 {
+		t.Fatalf("Sent = %d after a 4-request batch and 4 Sends, want 8", st.Sent)
+	}
+}
+
+// TestSendBatchOneFlushPerDestination: requests bound for two routed
+// fabrics leave the sender as exactly one write per destination, however
+// many frames each carries.
+func TestSendBatchOneFlushPerDestination(t *testing.T) {
+	a, b, c := newNet(t), newNet(t), newNet(t)
+	echo := func(req transport.Request) (any, error) { return req.Body, nil }
+	for _, bind := range []struct {
+		n    *Net
+		addr transport.Addr
+	}{{b, "b:1"}, {b, "b:2"}, {c, "c:1"}} {
+		if err := bind.n.Bind(bind.addr, echo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Route("b:", b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Route("c:", c.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	var reqs []transport.Request
+	for i, to := range []transport.Addr{"b:1", "c:1", "b:2", "b:1", "c:1"} {
+		reqs = append(reqs, transport.Request{ID: uint64(i + 1), From: "x", To: to, Kind: wire.KindCPF, Body: uint64(i)})
+	}
+	replies, errs := make([]any, len(reqs)), make([]error, len(reqs))
+	a.SendBatch(reqs, time.Second, replies, errs)
+	for i := range reqs {
+		if errs[i] != nil || replies[i].(uint64) != uint64(i) {
+			t.Fatalf("request %d: (%v, %v)", i, replies[i], errs[i])
+		}
+	}
+	// a serves nothing, so everything it wrote is this batch.
+	if ws := a.WireStats(); ws.Writes != 2 || ws.Frames != uint64(len(reqs)) {
+		t.Fatalf("sender wrote %d frames in %d writes, want %d frames in 2 writes (one per destination)", ws.Frames, ws.Writes, len(reqs))
+	}
+	if ws := a.WireStats(); ws.QueueDepth != 0 {
+		t.Fatalf("queue depth %d after the flush", ws.QueueDepth)
+	}
+	if got := b.Stats().Delivered + c.Stats().Delivered; got != uint64(len(reqs)) {
+		t.Fatalf("%d handler runs for %d requests", got, len(reqs))
+	}
+}
+
+// TestCallBatchRetriesTimedOutAlone: against a handler slower than the
+// reply deadline, the requests of a batch that time out are each retried on
+// their own with their original ID — the receiver's dedup table answers the
+// re-send, so every handler effect happens exactly once — and the requests
+// that were answered in time are not retried at all.
+func TestCallBatchRetriesTimedOutAlone(t *testing.T) {
+	n := newNet(t)
+	n.EnableDedup()
+	const timeout = 40 * time.Millisecond
+	var mu sync.Mutex
+	runs := make(map[uint64]int) // request ID -> handler executions
+	handler := func(d time.Duration) transport.Handler {
+		return func(req transport.Request) (any, error) {
+			mu.Lock()
+			runs[req.ID]++
+			mu.Unlock()
+			time.Sleep(d)
+			return req.Body, nil
+		}
+	}
+	if err := n.Bind("n:fast", handler(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Bind("n:slow", handler(3*timeout)); err != nil {
+		t.Fatal(err)
+	}
+	c := transport.NewClient(n, transport.RetryConfig{
+		Timeout: timeout, MaxRetries: 10, Backoff: time.Millisecond, BackoffCap: 5 * time.Millisecond,
+	})
+	var reqs []transport.Request
+	slow := 0
+	for i, to := range []transport.Addr{"n:fast", "n:slow", "n:fast", "n:slow", "n:fast"} {
+		reqs = append(reqs, transport.Request{From: "x", To: to, Kind: wire.KindCPF, Body: uint64(100 + i)})
+		if to == "n:slow" {
+			slow++
+		}
+	}
+	replies, errs := make([]any, len(reqs)), make([]error, len(reqs))
+	c.CallBatch(reqs, replies, errs, nil)
+	for i := range reqs {
+		if errs[i] != nil || replies[i].(uint64) != uint64(100+i) {
+			t.Fatalf("request %d: (%v, %v)", i, replies[i], errs[i])
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(runs) != len(reqs) {
+		t.Fatalf("handlers saw %d distinct request IDs for %d logical calls: a retry changed its ID", len(runs), len(reqs))
+	}
+	for id, k := range runs {
+		if k != 1 {
+			t.Fatalf("request %d ran its handler %d times", id, k)
+		}
+	}
+	cs, st := c.Stats(), n.Stats()
+	if cs.Calls != uint64(len(reqs)) || cs.Failures != 0 {
+		t.Fatalf("client stats %+v", cs)
+	}
+	if cs.Timeouts < uint64(slow) || cs.Retries < uint64(slow) {
+		t.Fatalf("client stats %+v: the %d slow requests were not retried", cs, slow)
+	}
+	if st.DedupHits < uint64(slow) {
+		t.Fatalf("%d dedup hits: the retries did not reuse their IDs", st.DedupHits)
+	}
+	// Every attempt beyond the batch is one Send for one slow request.
+	if st.Sent != uint64(len(reqs))+cs.Retries {
+		t.Fatalf("Sent = %d, want %d batch requests + %d retries", st.Sent, len(reqs), cs.Retries)
+	}
+}

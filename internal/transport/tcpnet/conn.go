@@ -167,10 +167,8 @@ func (cn *conn) send(of outFrame, timeout time.Duration) error {
 	cn.qmu.Lock()
 	if cn.writing {
 		cn.queue = append(cn.queue, of)
-		depth := len(cn.queue)
+		cn.publishDepthLocked()
 		cn.qmu.Unlock()
-		cn.n.qdepth.Store(int64(depth))
-		cn.n.ins().gQueue.Set(int64(depth))
 		return nil
 	}
 	cn.writing = true
@@ -183,6 +181,35 @@ func (cn *conn) send(of outFrame, timeout time.Duration) error {
 	return err
 }
 
+// sendBatch enqueues frames as one unit, taking ownership of their
+// encoders, and makes sure they get drained: by the write token's holder
+// if there is one, otherwise by this caller, whose first drain round then
+// carries the whole batch in one vectored write. As with a queued send, a
+// flush failure surfaces through the callers' pending slots.
+func (cn *conn) sendBatch(frames []outFrame) {
+	cn.qmu.Lock()
+	cn.queue = append(cn.queue, frames...)
+	cn.publishDepthLocked()
+	if cn.writing {
+		cn.qmu.Unlock()
+		return
+	}
+	cn.writing = true
+	cn.qmu.Unlock()
+	cn.drain()
+}
+
+// publishDepthLocked mirrors the queue's depth into the fabric's gauge and
+// its registry-free twin. Caller holds qmu: publishing inside the section
+// that changed the queue orders the stores like the changes, so an
+// enqueuer's depth can never land after, and overwrite, the zero of the
+// drain round that took its frame.
+func (cn *conn) publishDepthLocked() {
+	depth := int64(len(cn.queue))
+	cn.n.qdepth.Store(depth)
+	cn.n.ins().gQueue.Set(depth)
+}
+
 // sendCorked enqueues of without claiming the write token: the corking
 // handler worker batches consecutive replies into one flush instead of
 // paying a write syscall each. It reports whether the caller now owes the
@@ -191,11 +218,9 @@ func (cn *conn) send(of outFrame, timeout time.Duration) error {
 func (cn *conn) sendCorked(of outFrame) bool {
 	cn.qmu.Lock()
 	cn.queue = append(cn.queue, of)
-	depth := len(cn.queue)
+	cn.publishDepthLocked()
 	owed := !cn.writing
 	cn.qmu.Unlock()
-	cn.n.qdepth.Store(int64(depth))
-	cn.n.ins().gQueue.Set(int64(depth))
 	return owed
 }
 
@@ -230,6 +255,7 @@ func (cn *conn) drain() {
 		batch := cn.queue
 		cn.queue = cn.spare[:0]
 		cn.spare = batch
+		cn.publishDepthLocked()
 		iov := cn.iov[:0]
 		cn.qmu.Unlock()
 
@@ -246,10 +272,7 @@ func (cn *conn) drain() {
 		} else {
 			cn.wrote(total, len(batch))
 		}
-		cn.n.qdepth.Store(0)
-		ins := cn.n.ins()
-		ins.hFlush.Observe(float64(len(batch)))
-		ins.gQueue.Set(0)
+		cn.n.ins().hFlush.Observe(float64(len(batch)))
 		for _, of := range batch {
 			if of.enc != nil {
 				putEncoder(of.enc)

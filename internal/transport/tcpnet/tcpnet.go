@@ -426,32 +426,11 @@ func (n *Net) Send(req transport.Request, timeout time.Duration) (any, error) {
 		return nil, err
 	}
 
-	ins := n.ins()
-	var encStart time.Time
-	if ins.hEnc != nil {
-		encStart = time.Now()
-	}
-	mux := c.nextMux.Add(1)
-	enc := getEncoder()
-	enc.Pad(wire.FrameOverhead)
-	if err := wire.EncodeRequest(enc, mux, req); err != nil {
-		putEncoder(enc)
-		return nil, err
-	}
-	frame, err := wire.FinishFrame(enc.Bytes())
+	of, mux, ch, err := n.frameRequest(c, req)
 	if err != nil {
-		putEncoder(enc)
 		return nil, err
 	}
-	ins.hEnc.Since(encStart)
-
-	ch := callSlots.Get().(chan *wire.Reply)
-	if !c.addPending(mux, ch) {
-		putEncoder(enc)
-		callSlots.Put(ch)
-		return nil, fmt.Errorf("%w: connection lost", transport.ErrTimeout)
-	}
-	if err := c.send(outFrame{enc: enc, b: frame}, timeout); err != nil {
+	if err := c.send(of, timeout); err != nil {
 		// The conn died under us (die has already swept pending, depositing
 		// into our slot); it is already retired from the pool. The request
 		// may or may not have left — indistinguishable from a lost leg, so
@@ -465,19 +444,57 @@ func (n *Net) Send(req transport.Request, timeout time.Duration) (any, error) {
 	case rep := <-ch:
 		putTimer(t)
 		callSlots.Put(ch)
-		if rep == nil {
-			// die's deposit: the connection failed while we waited, the
-			// reply can never arrive. Retryable, same as a lost reply leg.
-			return nil, fmt.Errorf("%w: connection lost", transport.ErrTimeout)
-		}
-		v, err := replyValue(rep)
-		replies.Put(rep)
-		return v, err
+		return takeReply(rep)
 	case <-t.C:
 		putTimer(t)
 		c.reclaim(mux, ch)
 		return nil, transport.ErrTimeout
 	}
+}
+
+// frameRequest encodes req into a pooled frame for conn c and registers
+// the pooled slot its reply will be deposited in under a fresh mux ID. On
+// error nothing is left registered or checked out.
+func (n *Net) frameRequest(c *conn, req transport.Request) (of outFrame, mux uint64, ch chan *wire.Reply, err error) {
+	ins := n.ins()
+	var encStart time.Time
+	if ins.hEnc != nil {
+		encStart = time.Now()
+	}
+	mux = c.nextMux.Add(1)
+	enc := getEncoder()
+	enc.Pad(wire.FrameOverhead)
+	if err := wire.EncodeRequest(enc, mux, req); err != nil {
+		putEncoder(enc)
+		return outFrame{}, 0, nil, err
+	}
+	frame, err := wire.FinishFrame(enc.Bytes())
+	if err != nil {
+		putEncoder(enc)
+		return outFrame{}, 0, nil, err
+	}
+	ins.hEnc.Since(encStart)
+
+	ch = callSlots.Get().(chan *wire.Reply)
+	if !c.addPending(mux, ch) {
+		putEncoder(enc)
+		callSlots.Put(ch)
+		return outFrame{}, 0, nil, fmt.Errorf("%w: connection lost", transport.ErrTimeout)
+	}
+	return outFrame{enc: enc, b: frame}, mux, ch, nil
+}
+
+// takeReply turns what a reply slot held into the Send return contract and
+// recycles the envelope. A nil deposit is die's: the connection failed
+// while the call waited and its reply can never arrive — retryable, same
+// as a lost reply leg.
+func takeReply(rep *wire.Reply) (any, error) {
+	if rep == nil {
+		return nil, fmt.Errorf("%w: connection lost", transport.ErrTimeout)
+	}
+	v, err := replyValue(rep)
+	replies.Put(rep)
+	return v, err
 }
 
 // replyValue maps a decoded reply envelope to the Send return contract.

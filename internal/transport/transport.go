@@ -83,6 +83,18 @@ type RPCInstrumenter interface {
 	InstrumentRPC(*obs.RPCObs)
 }
 
+// BatchSender is implemented by fabrics that can put several independent
+// requests on the wire together (tcpnet: one vectored write per
+// destination) and wait for their replies under one deadline. SendBatch
+// is len(reqs) Sends issued at once: replies[i] and errs[i] receive what
+// Send(reqs[i], timeout) would have returned, a late reply is that
+// request's ErrTimeout alone, and the slices all have the same length.
+// Client.CallBatch uses it when present and falls back to sequential
+// Sends otherwise, so wrappers need not forward it.
+type BatchSender interface {
+	SendBatch(reqs []Request, timeout time.Duration, replies []any, errs []error)
+}
+
 // ErrTimeout is returned by Send when no reply arrived within the deadline
 // (the request or the reply was lost or excessively delayed).
 var ErrTimeout = errors.New("transport: timed out waiting for reply")

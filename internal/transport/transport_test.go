@@ -391,3 +391,116 @@ func TestInstrumentedSendUnsampledAllocFree(t *testing.T) {
 		t.Fatalf("unsampled instrumented Send allocates %v per op", allocs)
 	}
 }
+
+// TestCallBatchSequentialFallback: on a fabric without BatchSender a batch
+// is plain Sends, one after another in request order, each a logical call
+// with its own fresh ID.
+func TestCallBatchSequentialFallback(t *testing.T) {
+	n := NewMem()
+	var order []uint64
+	var ids []uint64
+	if err := n.Bind("a", func(req Request) (any, error) {
+		order = append(order, req.Body.(uint64))
+		ids = append(ids, req.ID)
+		if req.Body.(uint64) == 2 {
+			return nil, errors.New("boom")
+		}
+		return req.Body.(uint64) * 10, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(n, RetryConfig{IDBase: 1000})
+	reqs := []Request{
+		{From: "x", To: "a", Kind: "k", Body: uint64(1)},
+		{From: "x", To: "a", Kind: "k", Body: uint64(2)},
+		{From: "x", To: "nowhere", Kind: "k", Body: uint64(3)},
+		{From: "x", To: "a", Kind: "k", Body: uint64(4)},
+	}
+	replies, errs := make([]any, len(reqs)), make([]error, len(reqs))
+	c.CallBatch(reqs, replies, errs, nil)
+	if errs[0] != nil || replies[0] != uint64(10) || errs[3] != nil || replies[3] != uint64(40) {
+		t.Fatalf("replies %v errs %v", replies, errs)
+	}
+	if errs[1] == nil || errs[1].Error() != "boom" {
+		t.Fatalf("application error = %v", errs[1])
+	}
+	if !errors.Is(errs[2], ErrUnreachable) {
+		t.Fatalf("err = %v, want ErrUnreachable", errs[2])
+	}
+	if fmt.Sprint(order) != "[1 2 4]" || fmt.Sprint(ids) != "[1001 1002 1004]" {
+		t.Fatalf("handler saw bodies %v with IDs %v", order, ids)
+	}
+	if cs, st := c.Stats(), n.Stats(); cs.Calls != 4 || cs.Retries != 0 || st.Sent != 4 {
+		t.Fatalf("client %+v fabric %+v", cs, st)
+	}
+}
+
+// lossyBatcher is a BatchSender whose SendBatch loses the replies of the
+// requests addressed to "late"; plain Sends always get through.
+type lossyBatcher struct {
+	*Net
+	batches [][]uint64 // request IDs of every SendBatch
+	sends   []uint64   // request IDs of every Send
+}
+
+func (l *lossyBatcher) Send(req Request, timeout time.Duration) (any, error) {
+	l.sends = append(l.sends, req.ID)
+	return l.Net.Send(req, timeout)
+}
+
+func (l *lossyBatcher) SendBatch(reqs []Request, timeout time.Duration, replies []any, errs []error) {
+	var ids []uint64
+	for i, req := range reqs {
+		ids = append(ids, req.ID)
+		replies[i], errs[i] = l.Net.Send(req, timeout)
+		if req.To == "late" {
+			replies[i], errs[i] = nil, ErrTimeout
+		}
+	}
+	l.batches = append(l.batches, ids)
+}
+
+// TestCallBatchUsesCapability: a batch-capable fabric gets the whole batch
+// in one SendBatch; only the requests that timed out are re-sent, alone,
+// under the ID they had in the batch, so dedup answers them.
+func TestCallBatchUsesCapability(t *testing.T) {
+	l := &lossyBatcher{Net: NewMem()}
+	l.EnableDedup()
+	var runs atomic.Int64
+	for _, a := range []Addr{"ok", "late"} {
+		if err := l.Bind(a, func(req Request) (any, error) {
+			runs.Add(1)
+			return req.Body, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewClient(l, RetryConfig{Backoff: time.Microsecond})
+	reqs := []Request{
+		{From: "x", To: "ok", Kind: "k", Body: 1},
+		{From: "x", To: "late", Kind: "k", Body: 2},
+		{From: "x", To: "ok", Kind: "k", Body: 3},
+	}
+	replies, errs := make([]any, len(reqs)), make([]error, len(reqs))
+	c.CallBatch(reqs, replies, errs, nil)
+	for i := range reqs {
+		if errs[i] != nil || replies[i] != i+1 {
+			t.Fatalf("request %d: (%v, %v)", i, replies[i], errs[i])
+		}
+	}
+	if fmt.Sprint(l.batches) != "[[1 2 3]]" || fmt.Sprint(l.sends) != "[2]" {
+		t.Fatalf("fabric saw batches %v and sends %v, want one batch [1 2 3] and a lone re-send of 2", l.batches, l.sends)
+	}
+	if runs.Load() != 3 || l.Stats().DedupHits != 1 {
+		t.Fatalf("%d handler runs, %d dedup hits: the re-send was not at-most-once", runs.Load(), l.Stats().DedupHits)
+	}
+	if cs := c.Stats(); cs.Calls != 3 || cs.Retries != 1 || cs.Timeouts != 1 {
+		t.Fatalf("client stats %+v", cs)
+	}
+
+	// A batch of one has nothing to share a flush with: it is a Send.
+	c.CallBatch(reqs[:1], replies[:1], errs[:1], nil)
+	if len(l.batches) != 1 || len(l.sends) != 2 {
+		t.Fatalf("single-request batch went through SendBatch: batches %v sends %v", l.batches, l.sends)
+	}
+}

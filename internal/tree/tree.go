@@ -172,12 +172,14 @@ func ComponentAt(w int, p Path) (Component, error) {
 	if err != nil {
 		return Component{}, err
 	}
-	for _, b := range []byte(p) {
-		i := int(b - '0')
-		c, err = c.Child(i)
-		if err != nil {
-			return Component{}, fmt.Errorf("tree: invalid path %q: %w", p, err)
+	for i := 0; i < len(p); i++ {
+		kinds, ci := childKinds[c.Kind], int(p[i]-'0')
+		if c.IsLeaf() || ci < 0 || ci >= len(kinds) {
+			return Component{}, fmt.Errorf("tree: invalid path %q: tree: %v has no child %d", p, c, ci)
 		}
+		// A child's path is a prefix of p: share p's bytes (Child would
+		// concatenate a new string per level), so resolving allocates nothing.
+		c = Component{Kind: kinds[ci], Width: c.Width / 2, Path: p[:i+1]}
 	}
 	return c, nil
 }
