@@ -68,20 +68,26 @@ tracesmoke:
 # merged Perfetto export is then re-validated through the CLI. This is
 # the only gate that exercises real process isolation — separate dedup
 # ID spaces, readiness handshakes, the ctl protocol over real sockets.
+# It runs twice: group mode (batched RPCs), then seq mode, where each
+# token's chain of co-located steps stops at a real process boundary and
+# the reply sends it across.
 partsmoke:
-	@tmp="$$(mktemp /tmp/acn-part-XXXXXX.json)"; \
-	$(GO) run ./cmd/acnnode -coord -width 16 -level 2 -parts 2 -tokens 1024 -traceevery 4 -tracefile "$$tmp" && \
-	$(GO) run ./cmd/acnbench -validatetrace "$$tmp" && rm -f "$$tmp"
+	@for mode in group seq; do \
+		tmp="$$(mktemp /tmp/acn-part-XXXXXX.json)"; \
+		$(GO) run ./cmd/acnnode -coord -width 16 -level 2 -parts 2 -tokens 1024 -mode $$mode -traceevery 4 -tracefile "$$tmp" && \
+		$(GO) run ./cmd/acnbench -validatetrace "$$tmp" && rm -f "$$tmp" || exit 1; \
+	done
 
 # Refresh the machine-readable benchmark baseline (BENCH_4.json keeps the
 # checked-in PR-4 pre/post numbers; this writes a fresh run to compare
 # against — override LABEL to stamp the run, e.g. `make bench-baseline
 # LABEL=post`).
+# acnbench refuses to write a baseline from a 1-CPU host; FORCE=1 overrides.
 LABEL ?= local
 bench-baseline:
 	$(GO) test -bench 'Token|ChordLookup|SizeEstimate|MaintainFixpoint|EffectiveWidth|SplitMergeCycle|TransportDedup|WorkloadBursty|WireCodec|E31AdaptiveBatch' \
 		-benchmem -benchtime 1s -run '^$$' . \
-		| $(GO) run ./cmd/acnbench -json -label $(LABEL) > BENCH_$(LABEL).json
+		| $(GO) run ./cmd/acnbench -json -label $(LABEL) $(if $(FORCE),-force) > BENCH_$(LABEL).json
 	@echo wrote BENCH_$(LABEL).json
 
 # Compare two baseline files and fail on ns/op regressions beyond

@@ -49,10 +49,12 @@ go run ./cmd/acnsim -width 64 -nodes 16 -tokens 200 -trace 8 -tracefile "$tracet
 go run ./cmd/acnbench -validatetrace "$tracetmp"
 rm -f "$tracetmp"
 
-echo "== partition smoke (2-process acnnode run, conservation + merged trace) =="
-parttmp="$(mktemp /tmp/acn-part-XXXXXX.json)"
-go run ./cmd/acnnode -coord -width 16 -level 2 -parts 2 -tokens 1024 -traceevery 4 -tracefile "$parttmp"
-go run ./cmd/acnbench -validatetrace "$parttmp"
-rm -f "$parttmp"
+echo "== partition smoke (2-process acnnode runs, group then seq: conservation + merged trace) =="
+for mode in group seq; do
+    parttmp="$(mktemp /tmp/acn-part-XXXXXX.json)"
+    go run ./cmd/acnnode -coord -width 16 -level 2 -parts 2 -tokens 1024 -mode "$mode" -traceevery 4 -tracefile "$parttmp"
+    go run ./cmd/acnbench -validatetrace "$parttmp"
+    rm -f "$parttmp"
+done
 
 echo "OK"

@@ -38,8 +38,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -73,6 +75,17 @@ func serveMetrics(addr string, reg *obs.Registry) (string, error) {
 	return ln.Addr().String(), nil
 }
 
+// writeBenchRun writes one run in the BENCH_*.json baseline format. A run
+// stamped num_cpu 1 is refused unless forced, as acnload --out refuses it:
+// on such a host nothing ran in parallel, and every baseline file written
+// from one so far hid what the concurrent paths cost on real cores.
+func writeBenchRun(w io.Writer, run stats.BenchRun, force bool) error {
+	if run.NumCPU == 1 && !force {
+		return errors.New("refusing to write a BENCH file from a 1-CPU host (nothing in it ran in parallel); pass -force to override")
+	}
+	return stats.WriteBenchJSON(w, []stats.BenchRun{run})
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("acnbench", flag.ContinueOnError)
 	var (
@@ -83,6 +96,7 @@ func run(args []string) error {
 		httpAddr   = fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
 		jsonOut    = fs.Bool("json", false, "convert `go test -bench` output on stdin to BENCH_*.json format on stdout")
 		label      = fs.String("label", "", "run label for -json output (e.g. pre, post, a git revision)")
+		force      = fs.Bool("force", false, "with -json, write the baseline even on a 1-CPU host")
 		cpuProf    = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf    = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		valTrace   = fs.String("validatetrace", "", "validate a trace-event JSON file (as written by acnsim -tracefile or /debug/acn/trace) and exit")
@@ -128,7 +142,7 @@ func run(args []string) error {
 		}
 		run.Label = *label
 		run.StampHost()
-		return stats.WriteBenchJSON(os.Stdout, []stats.BenchRun{run})
+		return writeBenchRun(os.Stdout, run, *force)
 	}
 
 	if *cpuProf != "" {

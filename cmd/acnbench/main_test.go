@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"os"
@@ -71,6 +72,25 @@ func TestServeMetrics(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+// TestJSONRefusesOneCPUHost: a baseline from a host with one CPU measured
+// nothing running in parallel, so -json writes it only when forced.
+func TestJSONRefusesOneCPUHost(t *testing.T) {
+	run := stats.BenchRun{Label: "x", NumCPU: 1, GoMaxProcs: 1,
+		Results: []stats.BenchResult{{Name: "BenchmarkTokenDist", Procs: 1, N: 10, NsPerOp: 500}}}
+	var buf bytes.Buffer
+	if err := writeBenchRun(&buf, run, false); err == nil || buf.Len() != 0 {
+		t.Fatalf("1-CPU run written without -force (err %v, %d bytes)", err, buf.Len())
+	}
+	if err := writeBenchRun(&buf, run, true); err != nil || !strings.Contains(buf.String(), `"num_cpu": 1`) {
+		t.Fatalf("forced 1-CPU run: err %v, output %q", err, buf.String())
+	}
+	buf.Reset()
+	run.NumCPU = 2
+	if err := writeBenchRun(&buf, run, false); err != nil || buf.Len() == 0 {
+		t.Fatalf("2-CPU run refused: %v", err)
 	}
 }
 

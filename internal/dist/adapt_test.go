@@ -168,35 +168,17 @@ func TestAdaptiveBatchDuringReconfig(t *testing.T) {
 	ctrl := adapt.New(adapt.Config{Min: 1, Max: 16, Initial: 4, Step: 4, Backoff: 0.5, Hysteresis: 1})
 	cl.UseAdapt(ctrl)
 
-	stop := make(chan struct{})
-	done := make(chan struct{}, 3)
-	for g := 0; g < 2; g++ {
-		go func(seed int64) {
-			defer func() { done <- struct{}{} }()
-			rng := rand.New(rand.NewSource(seed))
-			batch := make([]int, 24)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for i := range batch {
-					batch[i] = rng.Intn(w)
-				}
-				if _, err := cl.InjectBatch(batch); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(int64(g))
-	}
-	go func() {
-		defer func() { done <- struct{}{} }()
+	stop := startLoad(t, cl, 2, func(_ int, rng *rand.Rand) error {
+		_, err := cl.InjectBatch(randomBatch(rng, 24, w))
+		return err
+	})
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() { // drives the controller between sizes while batches flow
+		defer close(done)
 		samples := []adapt.Sample{{}, {Latency: time.Second}, {Frames: 3, Writes: 1}}
 		for i := 0; ; i++ {
 			select {
-			case <-stop:
+			case <-quit:
 				return
 			default:
 				ctrl.Observe(samples[i%len(samples)])
@@ -211,10 +193,9 @@ func TestAdaptiveBatchDuringReconfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	for i := 0; i < 3; i++ {
-		<-done
-	}
+	stop()
+	close(quit)
+	<-done
 	if err := cl.CheckStep(); err != nil {
 		t.Fatal(err)
 	}

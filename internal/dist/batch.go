@@ -339,12 +339,12 @@ func (cl *Cluster) countInjected(ins []int) {
 }
 
 // InjectBatchSeq routes len(ins) tokens one at a time, reusing one pooled
-// token endpoint and one claimed sequence range for the whole batch. This
-// is the pre-group-message batching path — setup amortized, but still one
-// arrive RPC per token per component visit; InjectBatch collapses those
-// into one group RPC per component visit with identical counting output.
-// Kept as the reference and comparison path (experiment E28 measures the
-// two against each other on both fabrics).
+// token endpoint and one claimed sequence range for the whole batch: the
+// single-token path with its setup amortized, so each token still pays its
+// own arrive RPCs (one, plus one per fabric crossing on its path), where
+// InjectBatch pays one group RPC per component visit for the whole batch,
+// with identical counting output. Kept as the reference and comparison path
+// (experiment E28 measures the two against each other on both fabrics).
 func (cl *Cluster) InjectBatchSeq(ins []int) ([]int, error) {
 	for _, in := range ins {
 		if in < 0 || in >= cl.w {

@@ -30,7 +30,11 @@ func (f *flushCounter) SendBatch(reqs []transport.Request, timeout time.Duration
 var patient = transport.RetryConfig{Timeout: time.Second, MaxRetries: 3}
 
 func randomWires(seed int64, n, w int) []int {
-	rng := rand.New(rand.NewSource(seed))
+	return randomBatch(rand.New(rand.NewSource(seed)), n, w)
+}
+
+// randomBatch draws the input wires of one n-token batch.
+func randomBatch(rng *rand.Rand, n, w int) []int {
 	ins := make([]int, n)
 	for i := range ins {
 		ins[i] = rng.Intn(w)

@@ -13,13 +13,16 @@
 //     the parent.
 //
 // Every cross-component interaction is a message on an internal/transport
-// fabric: token hops are "arrive" RPCs, the freeze protocol's freeze /
-// total / kill exchanges are control RPCs, and a frozen component releases
-// its stored tokens by sending each one a "resume" control message. On the
-// default ideal in-memory fabric this is exactly as deterministic as the
-// old direct calls; built over transport.Faulty (NewOn), every one of
-// those messages can be delayed, lost, duplicated or reordered, and the
-// retry + at-most-once layer must keep counting exact (experiment E24).
+// fabric: token hops are "arrive" RPCs (a hop between two components the
+// same fabric instance serves is a hand-over inside the serving handler,
+// not a message, as the paper charges only node-to-node moves), the freeze
+// protocol's freeze / total / kill exchanges are control RPCs, and a frozen
+// component releases its stored tokens by sending each one a "resume"
+// control message. On the default ideal in-memory fabric this is exactly as
+// deterministic as the old direct calls; built over transport.Faulty
+// (NewOn), every hop is a message again and every one of those messages
+// can be delayed, lost, duplicated or reordered, and the retry +
+// at-most-once layer must keep counting exact (experiment E24).
 //
 // Each component incarnation binds its own transport address ("c:<path>#
 // <generation>"), and dead incarnations stay bound: a straggling retry of
@@ -88,10 +91,10 @@ type comp struct {
 	c    tree.Component
 	addr transport.Addr
 
-	// resProcessed[out] is the pre-boxed arrive reply for output wire out:
-	// the arrive RPC is the hottest message in the system, and returning a
-	// shared immutable boxed value instead of boxing a fresh arriveRes per
-	// hop removes one allocation per token per component.
+	// resProcessed[out] is the pre-boxed arrive reply for a single step to
+	// output wire out: every hop that is a message of its own ends in one,
+	// and returning a shared immutable boxed value instead of boxing a fresh
+	// one removes an allocation per message.
 	resProcessed []any
 
 	mu      sync.Mutex
@@ -117,6 +120,11 @@ type Cluster struct {
 	w  int
 	tr transport.Transport
 	rc *transport.Client
+	// colo is the fabric's placement knowledge, nil when it offers none: an
+	// arrive handler steps a token on through the components colo says are
+	// served by this same fabric, and replies only when the next one is
+	// served elsewhere (see arrive). Nil means every hop is a message.
+	colo transport.Colocator
 
 	gen    atomic.Uint64 // component incarnation counter (address suffix)
 	tokSeq atomic.Uint64 // token endpoint counter
@@ -132,7 +140,7 @@ type Cluster struct {
 	tracer *obs.Tracer
 	reg    *obs.Registry
 	hTok   *obs.Hist // per-token injection-to-exit seconds
-	hHop   *obs.Hist // per-hop arrive RPC seconds
+	hHop   *obs.Hist // seconds per arrive RPC (single token) or per round (batch)
 	hQueue *obs.Hist // freeze-queue wait seconds (stored token until resume)
 	hDrain *obs.Hist // merge phase-2 drain-wait seconds
 	hSplit *obs.Hist // split reconfiguration seconds
@@ -236,6 +244,7 @@ func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 		injected:  make([]atomic.Uint64, w),
 		eps:       make(chan *tokenEP, 256),
 	}
+	cl.colo, _ = tr.(transport.Colocator)
 	comps, err := cut.Components(w)
 	if err != nil {
 		return nil, err
@@ -284,31 +293,7 @@ var (
 func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
 	switch req.Kind {
 	case kindArrive:
-		ar, ok := req.Body.(wire.Arrive)
-		if !ok {
-			return nil, fmt.Errorf("dist: arrive body %T", req.Body)
-		}
-		if ar.Wire < 0 || ar.Wire >= cm.c.Width {
-			return nil, fmt.Errorf("dist: arrive wire %d out of range [0,%d)", ar.Wire, cm.c.Width)
-		}
-		cm.mu.Lock()
-		switch cm.state {
-		case stateDead:
-			cm.mu.Unlock()
-			return resDead, nil
-		case stateFrozen:
-			cm.arrived[ar.Wire]++
-			cm.queue = append(cm.queue, queuedToken{wire: ar.Wire, tok: transport.Addr(ar.Token), seq: ar.Seq})
-			cm.mu.Unlock()
-			return resQueued, nil
-		default:
-			cm.arrived[ar.Wire]++
-			out := int(cm.total % uint64(cm.c.Width))
-			cm.total++
-			cm.mu.Unlock()
-			cl.signalDrain()
-			return cm.resProcessed[out], nil
-		}
+		return cl.arrive(cm, req)
 	case kindGroupArrive:
 		// The batched hop: one RPC delivers a whole group of tokens to this
 		// component. The reply is group-wide — a frozen component stores the
@@ -553,9 +538,11 @@ func (cl *Cluster) putEP(ep *tokenEP) {
 
 // Inject routes one token in from network input wire in, concurrently with
 // any other tokens and any reconfiguration, and returns the output wire.
-// Every hop is an arrive RPC issued from the token's own endpoint, which
+// The token's messages are arrive RPCs issued from its own endpoint, which
 // also receives resume control messages when a frozen component stores and
-// later releases the token.
+// later releases the token. It pays one RPC to enter the network and one
+// more each time its path crosses to a component the serving fabric does
+// not host (see arrive.go).
 func (cl *Cluster) Inject(in int) (int, error) {
 	ep, err := cl.getEP()
 	if err != nil {
@@ -580,94 +567,6 @@ func (cl *Cluster) injectOn(ep *tokenEP, in int) (int, error) {
 		ep.hi.Store(0)
 	}()
 	return cl.injectOnSeq(ep, in, seq)
-}
-
-// injectOnSeq routes one token whose sequence number has been claimed and
-// published to the endpoint's resume window by the caller; in has been
-// validated and counted.
-func (cl *Cluster) injectOnSeq(ep *tokenEP, in int, seq uint64) (int, error) {
-
-	sp := cl.tracer.Start("token")
-	var begin time.Time
-	if sp != nil || cl.hTok != nil {
-		begin = time.Now()
-	}
-
-	// The token steps through its snapshot's compiled table; only a bounce
-	// off a dead incarnation, a resume, or a snapshot swap between hops
-	// sends it through findLive.
-	tp := cl.topo.Load()
-	at := tp.rt.Entry(in)
-	for {
-		cm, rwire := tp.live[at.Comp], int(at.Wire)
-		var hopStart time.Time
-		if cl.hHop != nil {
-			hopStart = time.Now()
-		}
-		reply, err := cl.rc.CallSpan(ep.addr, cm.addr, kindArrive, wire.Arrive{Wire: rwire, Token: string(ep.addr), Seq: seq}, sp)
-		if err != nil {
-			return 0, fmt.Errorf("dist: arrive at %v: %w", cm.c, err)
-		}
-		cl.hHop.Since(hopStart)
-		res, ok := reply.(wire.ArriveRes)
-		if !ok {
-			return 0, fmt.Errorf("dist: arrive reply %T", reply)
-		}
-		switch res.Status {
-		case wire.StatusDead:
-			// The component was replaced between resolution and delivery;
-			// re-resolve against the current cut.
-			if sp != nil {
-				sp.Event("dead", string(cm.c.Path), int64(rwire))
-			}
-			if tp, at, err = cl.findLive(cm.c.Path, rwire); err != nil {
-				return 0, err
-			}
-			continue
-		case wire.StatusQueued:
-			if sp != nil {
-				sp.Event("queued", string(cm.c.Path), int64(rwire))
-			}
-			var qStart time.Time
-			if cl.hQueue != nil {
-				qStart = time.Now()
-			}
-			rt := <-ep.resume
-			for rt.Seq != seq {
-				rt = <-ep.resume // straggler for a previous occupant
-			}
-			cl.hQueue.Since(qStart)
-			if sp != nil {
-				sp.Event("resume", string(rt.Path), int64(rt.Wire))
-			}
-			if tp, at, err = cl.findLive(tree.Path(rt.Path), rt.Wire); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if sp != nil {
-			sp.Event("hop", string(cm.c.Path), int64(res.Out))
-		}
-		if res.Out < 0 || res.Out >= cm.c.Width {
-			return 0, fmt.Errorf("dist: arrive reply from %v names output wire %d", cm.c, res.Out)
-		}
-		at = tp.rt.Next(at.Comp, res.Out)
-		if at.Exited() {
-			netOut := int(at.Wire)
-			cl.out[netOut].Add(1)
-			if cl.hTok != nil {
-				cl.hTok.Observe(time.Since(begin).Seconds())
-			}
-			if sp != nil {
-				sp.Event("exit", "", int64(netOut))
-				sp.Finish()
-			}
-			return netOut, nil
-		}
-		if tp, at, err = cl.follow(tp, at); err != nil {
-			return 0, err
-		}
-	}
 }
 
 // OutCounts returns the per-output-wire emission counts.

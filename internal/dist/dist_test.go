@@ -11,6 +11,58 @@ import (
 	"repro/internal/wire"
 )
 
+// startLoad runs n injector goroutines against cl until the returned stop
+// function is called; stop waits for them to finish their token in hand.
+// Every injector has completed one injection by the time startLoad returns,
+// and only then are they all released to loop, so what the caller does next
+// runs against a network that has counted tokens on any host, and against
+// live traffic wherever there is a second CPU to run it. (Left to the
+// scheduler, a one-CPU run finishes its reconfigurations before the first
+// injector is ever scheduled, and the test's final checks hold vacuously;
+// stop fails the test if nothing was injected.)
+func startLoad(t *testing.T, cl *Cluster, n int, inject func(g int, rng *rand.Rand) error) (stop func()) {
+	t.Helper()
+	var started, running sync.WaitGroup
+	release, quit := make(chan struct{}), make(chan struct{})
+	for g := 0; g < n; g++ {
+		started.Add(1)
+		running.Add(1)
+		go func(g int) {
+			defer running.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			err := inject(g, rng)
+			started.Done()
+			<-release
+			for err == nil {
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				err = inject(g, rng)
+			}
+			t.Error(err)
+		}(g)
+	}
+	started.Wait()
+	close(release)
+	return func() {
+		close(quit)
+		running.Wait()
+		if cl.InCounts().Total() == 0 {
+			t.Error("no token was injected: the test ran without load")
+		}
+	}
+}
+
+// injectOne is the startLoad body of the single-token tests.
+func injectOne(cl *Cluster) func(int, *rand.Rand) error {
+	return func(_ int, rng *rand.Rand) error {
+		_, err := cl.Inject(rng.Intn(cl.Width()))
+		return err
+	}
+}
+
 func TestValidation(t *testing.T) {
 	if _, err := New(8, tree.Cut{"0": true}); err == nil {
 		t.Fatal("incomplete cut accepted")
@@ -111,26 +163,7 @@ func TestSplitUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := cl.Inject(rng.Intn(w)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(int64(g))
-	}
+	stop := startLoad(t, cl, 4, injectOne(cl))
 	// Split everything down to leaves while traffic flows.
 	rng := rand.New(rand.NewSource(42))
 	for {
@@ -151,8 +184,7 @@ func TestSplitUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 	if err := cl.CheckStep(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,32 +201,12 @@ func TestMergeUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := cl.Inject(rng.Intn(w)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(int64(g))
-	}
+	stop := startLoad(t, cl, 4, injectOne(cl))
 	// One recursive merge of the root does it all.
 	if err := cl.Merge(""); err != nil {
 		t.Fatal(err)
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 	if cl.Size() != 1 {
 		t.Fatalf("size = %d, want 1", cl.Size())
 	}
@@ -211,26 +223,7 @@ func TestOscillationUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := cl.Inject(rng.Intn(w)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(int64(g))
-	}
+	stop := startLoad(t, cl, 4, injectOne(cl))
 	for cycle := 0; cycle < 10; cycle++ {
 		if err := cl.Split(""); err != nil {
 			t.Fatal(err)
@@ -245,8 +238,7 @@ func TestOscillationUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 	if err := cl.CheckStep(); err != nil {
 		t.Fatal(err)
 	}
@@ -425,26 +417,7 @@ func TestInstrumentedUnderReconfig(t *testing.T) {
 	cl.Instrument(reg)
 	tr := cl.Trace(1, 32)
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := cl.Inject(rng.Intn(w)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(int64(g))
-	}
+	stop := startLoad(t, cl, 4, injectOne(cl))
 	if err := cl.Split(""); err != nil {
 		t.Fatal(err)
 	}
@@ -458,8 +431,7 @@ func TestInstrumentedUnderReconfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 	if err := cl.CheckStep(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func mustCut(t *testing.T, w, level int) tree.Cut {
 
 // TestGroupBatchMatchesSequentialCounts is the group-routing exactness
 // contract: for the same token multiset on the same cut, the group-routed
-// InjectBatch and the one-RPC-per-token InjectBatchSeq produce identical
+// InjectBatch and the token-by-token InjectBatchSeq produce identical
 // per-output-wire counts. A balancer component's per-wire output depends
 // only on how many tokens arrived, never on their interleaving, so
 // delivering a group in one message must be count-for-count the same.
@@ -71,8 +71,7 @@ func TestGroupBatchMatchesSequentialCounts(t *testing.T) {
 // TestGroupBatchOneRPCPerComponentVisit is the batching cost contract: on
 // a root-only cut every token's traversal is one visit to one component,
 // so a whole batch must cost exactly ONE group arrive RPC — not one per
-// token. On a finer cut the exact count depends on routing, but it must
-// stay strictly below one RPC per token per visit (the sequential cost).
+// token. On a finer cut it is one per component visited.
 func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 	w := 8
 	cl, err := NewRootOnly(w)
@@ -92,9 +91,12 @@ func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 		t.Fatalf("root-only batch of %d tokens issued %d RPCs, want exactly 1", len(ins), got)
 	}
 
-	// Finer cut: the batch fans out across components round by round, but
-	// the RPC count is per component visit, so it stays far below the
-	// sequential one-per-token-per-visit cost.
+	// Finer cut: the batch fans out across components round by round, and
+	// its RPC count is per component visit — on this uniform cut every
+	// component is visited in one round, so at most one RPC each, whatever
+	// the batch size. The sequential path is priced by a different model:
+	// over one fabric a token is one RPC however many components it passes
+	// (TestTokenPaysCrossings), so there the count is the batch size.
 	cl2, err := New(w, tree.LeafCut(w))
 	if err != nil {
 		t.Fatal(err)
@@ -108,19 +110,17 @@ func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, after = cl2.NetStats()
-	groupCalls := after.Sub(before).Calls
+	if got := after.Sub(before).Calls; got != uint64(cl2.Size()) {
+		t.Fatalf("group batch issued %d RPCs on a leaf cut of %d balancers, want one per component visit", got, cl2.Size())
+	}
 
 	_, before = seq.NetStats()
 	if _, err := seq.InjectBatchSeq(ins); err != nil {
 		t.Fatal(err)
 	}
 	_, after = seq.NetStats()
-	seqCalls := after.Sub(before).Calls
-	if groupCalls >= seqCalls {
-		t.Fatalf("group batch issued %d RPCs, sequential %d: grouping saved nothing", groupCalls, seqCalls)
-	}
-	if groupCalls > seqCalls/4 {
-		t.Fatalf("group batch issued %d RPCs vs sequential %d: expected at least 4x fewer on a leaf cut", groupCalls, seqCalls)
+	if got := after.Sub(before).Calls; got != uint64(len(ins)) {
+		t.Fatalf("sequential batch of %d tokens issued %d RPCs on one fabric, want one per token", len(ins), got)
 	}
 }
 
@@ -205,30 +205,10 @@ func TestGroupBatchDuringReconfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			batch := make([]int, 16)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for i := range batch {
-					batch[i] = rng.Intn(w)
-				}
-				if _, err := cl.InjectBatch(batch); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(int64(g))
-	}
+	stop := startLoad(t, cl, 3, func(_ int, rng *rand.Rand) error {
+		_, err := cl.InjectBatch(randomBatch(rng, 16, w))
+		return err
+	})
 	for cycle := 0; cycle < 4; cycle++ {
 		if err := cl.Split(""); err != nil {
 			t.Fatal(err)
@@ -240,8 +220,7 @@ func TestGroupBatchDuringReconfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 	if err := cl.CheckStep(); err != nil {
 		t.Fatal(err)
 	}

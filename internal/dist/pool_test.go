@@ -2,7 +2,7 @@ package dist
 
 import (
 	"math/rand"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/tree"
@@ -58,46 +58,18 @@ func TestInjectBatchDuringReconfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var injected sync.Map // goroutine -> count
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			var count uint64
-			// A closure, so the count is read when the goroutine ends: a
-			// plain deferred Store would capture the 0 it holds here.
-			defer func() { injected.Store(g, count) }()
-			batch := make([]int, 16)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if g%2 == 0 {
-					for i := range batch {
-						batch[i] = rng.Intn(w)
-					}
-					outs, err := cl.InjectBatch(batch)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					count += uint64(len(outs))
-				} else {
-					if _, err := cl.Inject(rng.Intn(w)); err != nil {
-						t.Error(err)
-						return
-					}
-					count++
-				}
-			}
-		}()
-	}
+	// Even injectors send batches, odd ones single tokens.
+	var injected atomic.Int64
+	stop := startLoad(t, cl, 4, func(g int, rng *rand.Rand) error {
+		if g%2 == 1 {
+			_, err := cl.Inject(rng.Intn(w))
+			injected.Add(1)
+			return err
+		}
+		outs, err := cl.InjectBatch(randomBatch(rng, 16, w))
+		injected.Add(int64(len(outs)))
+		return err
+	})
 	for cycle := 0; cycle < 6; cycle++ {
 		if err := cl.Split(""); err != nil {
 			t.Fatal(err)
@@ -109,16 +81,11 @@ func TestInjectBatchDuringReconfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 	if err := cl.CheckStep(); err != nil {
 		t.Fatal(err)
 	}
-	var want int64
-	injected.Range(func(_, v any) bool {
-		want += int64(v.(uint64))
-		return true
-	})
+	want := injected.Load()
 	var got int64
 	for _, n := range cl.OutCounts() {
 		got += n

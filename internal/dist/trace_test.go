@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/tree"
 )
 
@@ -159,6 +160,63 @@ func TestBatchTraceStitchingOverTCP(t *testing.T) {
 		}
 		if s.ParentID != root.SpanID {
 			t.Fatalf("span %q parent %x, want batch span %x", s.Name, s.ParentID, root.SpanID)
+		}
+	}
+}
+
+// TestHopEventsSumToDepth pins what a sampled token's span shows: one hop
+// event per arrive RPC, carrying the number of components that RPC stepped,
+// so a token's hop events always sum to the components on its path. On one
+// fabric that is a single hop event of 6 (and one server-side rpc:arrive
+// span) at the level-2 cut of BITONIC[64]; behind a wrapper that hides the
+// fabric's placement knowledge it is six events of 1.
+func TestHopEventsSumToDepth(t *testing.T) {
+	const w, tokens = 64, 40
+	cut := mustCut(t, w, 2)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		rpcs int // per token
+	}{
+		{"one fabric", nil, 1},
+		{"placement hidden", []Option{WithTransport(hideCaps{transport.NewMem()})}, 6},
+	} {
+		cl, err := New(w, cut, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := cl.Trace(1, 8*tokens)
+		if tc.opts == nil && !cl.InstrumentRPC(obs.NewRPCObs(obs.RPCObsConfig{Tracer: tr})) {
+			t.Fatal("fabric does not support InstrumentRPC")
+		}
+		for _, in := range randomWires(23, tokens, w) {
+			if _, err := cl.Inject(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		roots, served := 0, 0
+		for _, s := range tr.Spans() {
+			if s.Name == "rpc:"+kindArrive {
+				served++
+				continue
+			}
+			roots++
+			hops, steps := 0, int64(0)
+			for _, e := range s.Events {
+				if e.Kind == "hop" {
+					hops++
+					steps += e.V
+				}
+			}
+			if hops != tc.rpcs || steps != 6 {
+				t.Fatalf("%s: a token span has %d hop events summing to %d steps, want %d summing to 6", tc.name, hops, steps, tc.rpcs)
+			}
+		}
+		if roots != tokens {
+			t.Fatalf("%s: %d token spans for %d tokens", tc.name, roots, tokens)
+		}
+		if tc.opts == nil && served != tokens {
+			t.Fatalf("%s: %d server-side arrive spans for %d tokens, want one each", tc.name, served, tokens)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/tree"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -210,5 +211,92 @@ func TestSeqAndAdaptiveModes(t *testing.T) {
 				t.Fatalf("mode %s: step property violated: %v", mode, res.Out)
 			}
 		})
+	}
+}
+
+// TestSeqModePaysCrossings: in a partitioned run a token costs its entry
+// message plus one message each time its path moves to a component another
+// worker owns — a run of consecutive components on one worker is stepped
+// inside one handler. The expected total is computed here from the spec's
+// ownership map and the compiled routes alone: the number of tokens over
+// every wire of the cut depends only on how many tokens entered on each
+// network input, not on how the two workers' senders interleaved, so a
+// sequential walk of the same inputs counts the same crossings.
+func TestSeqModePaysCrossings(t *testing.T) {
+	spec, err := AutoSpec(16, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Workload = Workload{Tokens: 384, Burst: 32, Senders: 2, Mode: "seq"}
+	coord, workers, err := StartInProc(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = coord.Close()
+		for _, w := range workers {
+			_ = w.Close()
+		}
+	}()
+	if _, err := coord.Run(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Gather()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Conserved || res.In.Total() != 384 {
+		t.Fatalf("in %d out %d", res.In.Total(), res.Out.Total())
+	}
+	if !res.StepOK {
+		t.Fatalf("step property violated: %v", res.Out)
+	}
+
+	owner := map[tree.Path]string{}
+	for _, p := range spec.Partitions {
+		for _, c := range p.Components {
+			owner[tree.Path(c)] = p.Name
+		}
+	}
+	cut, err := spec.Cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := tree.CompileRoutes(spec.Width, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := rt.Components()
+	totals := make([]int, len(comps))
+	var want, crossings, visits uint64
+	for in, n := range res.In {
+		for ; n > 0; n-- {
+			want++ // the token's own message into the network
+			prev := ""
+			for at := rt.Entry(in); !at.Exited(); {
+				c := comps[at.Comp]
+				if prev != "" && owner[c.Path] != prev {
+					crossings++
+				}
+				prev = owner[c.Path]
+				visits++
+				out := totals[at.Comp] % c.Width
+				totals[at.Comp]++
+				at = rt.Next(at.Comp, out)
+			}
+		}
+	}
+	want += crossings
+	if crossings == 0 || want >= visits {
+		t.Fatalf("%d crossings over %d component visits: the partition map does not exercise both cases", crossings, visits)
+	}
+	var got uint64
+	for _, w := range workers {
+		_, cs := w.Cluster.NetStats()
+		got += cs.Calls
+	}
+	if got != want {
+		t.Fatalf("%d arrive RPCs for %d tokens with %d crossings (%d component visits), want tokens + crossings = %d",
+			got, res.In.Total(), crossings, visits, want)
 	}
 }

@@ -43,8 +43,9 @@ type Workload struct {
 	// Senders is the number of concurrent injecting goroutines per
 	// partition. Zero means 1.
 	Senders int `json:"senders"`
-	// Mode selects the injection path: "seq" (one arrive RPC per token
-	// per visit), "group" (group-batched RPCs, the default), or
+	// Mode selects the injection path: "seq" (token by token: one arrive
+	// RPC per run of consecutive components on one worker), "group"
+	// (group-batched RPCs, the default), or
 	// "adaptive" (group-batched with the AIMD controller sizing groups
 	// from live wire feedback).
 	Mode string `json:"mode"`

@@ -222,6 +222,7 @@ func (c *Client) settle(req Request, sp *obs.Span, ins *clientInstruments, start
 		if attempt >= c.cfg.MaxRetries {
 			c.failures.Add(1)
 			ins.attempts.Observe(float64(attempt + 1))
+			ins.rtt.Since(start) // the slowest calls are the ones that fail
 			return nil, fmt.Errorf("transport: call %q to %q failed after %d attempts: %w",
 				req.Kind, req.To, attempt+1, err)
 		}

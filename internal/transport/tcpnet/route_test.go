@@ -91,6 +91,42 @@ func TestRoutePrecedence(t *testing.T) {
 	}
 }
 
+// TestColocatedFollowsRoutes: an address is co-located exactly when it
+// resolves to this fabric's own listener, and the answer is read when
+// asked — a route installed after construction (as launch does once every
+// listener's address is known) moves the addresses under its prefix
+// elsewhere, longest prefix first.
+func TestColocatedFollowsRoutes(t *testing.T) {
+	a, b := newNet(t), newNet(t)
+	var co transport.Colocator = a
+	for _, addr := range []transport.Addr{"c:01#3", "c:2#7", "t:p0:1"} {
+		if !co.Colocated(addr) {
+			t.Fatalf("%q not co-located on a fabric with no routes", addr)
+		}
+	}
+	if err := a.Route("c:01#", b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if co.Colocated("c:01#3") {
+		t.Fatal("an address routed to another fabric is still co-located")
+	}
+	if !co.Colocated("c:2#7") || !co.Colocated("c:011#1") {
+		t.Fatal("a route moved addresses outside its prefix")
+	}
+	if err := a.RouteDefault(b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if co.Colocated("c:2#7") {
+		t.Fatal("an address that falls to a rewired default is still co-located")
+	}
+	if err := a.Route("c:2#", a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if !co.Colocated("c:2#7") {
+		t.Fatal("an address routed back to this fabric's own listener is not co-located")
+	}
+}
+
 // TestRouteUnknownPrefix: an address routed at a fabric that never bound
 // it is ErrUnreachable from the remote endpoint table, and a prefix
 // pointed at a dead port is ErrUnreachable from the dialer — both the

@@ -331,6 +331,12 @@ func (n *Net) resolve(a transport.Addr) string {
 	return n.addr
 }
 
+// Colocated implements transport.Colocator: a is served here when its
+// route resolves to this fabric's own listener. Read per call, because
+// routes are installed after construction (launch wires them once every
+// listener's address is known).
+func (n *Net) Colocated(a transport.Addr) bool { return n.resolve(a) == n.addr }
+
 // Instrument routes the fabric's socket-level distributions and counters
 // into reg: per-message encode/decode seconds, frame bytes in/out, and
 // open connections. Safe to call while traffic flows; the handle set

@@ -228,6 +228,20 @@ func TestFaultDecisionsDeterministic(t *testing.T) {
 	}
 }
 
+// TestColocatorIsOptIn: the in-memory switch answers the placement
+// question; the fault injector does not forward it, so everything built
+// over Faulty keeps every hop a message that can be lost.
+func TestColocatorIsOptIn(t *testing.T) {
+	var mem Transport = NewMem()
+	if c, ok := mem.(Colocator); !ok || !c.Colocated("c:0#1") {
+		t.Fatal("the in-memory switch does not report its addresses as co-located")
+	}
+	var faulty Transport = NewFaulty(NewMem(), FaultConfig{})
+	if _, ok := faulty.(Colocator); ok {
+		t.Fatal("Faulty forwards Colocator: hops behind the fault injector would stop being messages")
+	}
+}
+
 func TestClientBackoffCap(t *testing.T) {
 	cfg := RetryConfig{Timeout: time.Millisecond, MaxRetries: 3,
 		Backoff: 100 * time.Microsecond, BackoffCap: 150 * time.Microsecond}.withDefaults()
@@ -282,6 +296,23 @@ func TestClientInstrumented(t *testing.T) {
 	}
 	if got := snap.Histograms["transport.retry.backoff.seconds"].Count; got != 0 {
 		t.Fatalf("backoff samples = %d on a reliable fabric, want 0", got)
+	}
+
+	// A call that exhausts its retry budget is a call too — the slowest one
+	// there is — and its round-trip time must be observed like any other.
+	lossy := NewClient(NewFaulty(mem, FaultConfig{Seed: 7, DropRate: 1}), RetryConfig{
+		Timeout: 200 * time.Microsecond, MaxRetries: 2,
+		Backoff: 50 * time.Microsecond, BackoffCap: 100 * time.Microsecond})
+	lossy.Instrument(reg)
+	if _, err := lossy.Call("x", "a", "k", nil); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("call through a fully lossy fabric: %v, want ErrTimeout", err)
+	}
+	rtt := reg.Snapshot().Histograms["transport.call.seconds"]
+	if rtt.Count != 6 {
+		t.Fatalf("RTT samples = %d after a failed call, want 6", rtt.Count)
+	}
+	if rtt.Max < (3 * 200 * time.Microsecond).Seconds() {
+		t.Fatalf("slowest RTT %.6fs is under the failed call's three timeouts", rtt.Max)
 	}
 }
 

@@ -182,6 +182,9 @@ func (t *RouteTable) Next(comp int32, out int) Hop { return t.next[int(t.off[com
 // different cut (it was stored by a frozen component, or its destination
 // was replaced while it travelled).
 func (t *RouteTable) Locate(p Path, wire int) (Hop, error) {
+	if i, ok := t.index[p]; ok { // p is a member of this cut: nothing to walk
+		return Hop{Comp: i, Wire: int32(wire)}, nil
+	}
 	live := func(q Path) bool { _, ok := t.index[q]; return ok }
 	c, in, err := Locate(t.w, live, p, wire)
 	if err != nil {

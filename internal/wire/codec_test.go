@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -136,6 +137,86 @@ func TestRoundTripAllKinds(t *testing.T) {
 	// nil, so nil is the canonical empty form.
 	roundTripEnvelopes(t, KindGroupArrive, 1, GroupArrive{Token: "t:0"}, GroupArriveRes{Status: StatusDead})
 	roundTripEnvelopes(t, KindFreeze, 2, nil, FreezeRes{Total: 0})
+	// The two arrive replies that cover a chain of steps.
+	for i, reply := range chainReplies {
+		roundTripEnvelopes(t, KindArrive, uint64(3+i), Arrive{Wire: 1, Token: "t:1", Seq: 9}, reply)
+	}
+}
+
+// chainReplies are the arrive replies that say more than one component was
+// stepped: the token left the network, or stands at (path, wire).
+var chainReplies = []ArriveRes{
+	{Status: StatusExited, Out: 41, Steps: 6},
+	{Status: StatusForward, Steps: 2, Path: "201", Wire: 5},
+	{Status: StatusForward, Steps: 1, Path: "", Wire: 0}, // the root
+}
+
+// TestArriveResKeepsItsShortForm pins the wire format of the three
+// single-step outcomes at what it was before the reply grew: status byte
+// then output wire, nothing after, so every frame written by or for an
+// older peer — and every such frame in the fuzz corpus — decodes to the
+// value it always has. The chain statuses are new bytes (4, 5), which no
+// older encoder could produce and the group reply still refuses.
+func TestArriveResKeepsItsShortForm(t *testing.T) {
+	c, _ := ByKind(KindArrive)
+	for _, st := range []Status{StatusProcessed, StatusQueued, StatusDead} {
+		e := NewEncoder(8)
+		// Steps, Path and Wire mean nothing under these statuses and do not
+		// travel.
+		if err := c.EncodeRes(e, ArriveRes{Status: st, Out: -3, Steps: 9, Path: "1", Wire: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []byte{byte(st), 5}; !bytes.Equal(e.Bytes(), want) { // zigzag(-3) = 5
+			t.Fatalf("status %d encodes as %v, want %v", st, e.Bytes(), want)
+		}
+		got, err := c.DecodeRes(NewDecoder(e.Bytes()))
+		if err != nil || got != (ArriveRes{Status: st, Out: -3}) {
+			t.Fatalf("status %d decodes as (%#v, %v)", st, got, err)
+		}
+	}
+	gc, _ := ByKind(KindGroupArrive)
+	for _, st := range []Status{StatusExited, StatusForward, StatusForward + 1} {
+		if _, err := gc.DecodeRes(NewDecoder([]byte{byte(st), 0})); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("group reply with status %d: %v, want ErrCorrupt", st, err)
+		}
+	}
+	if _, err := c.DecodeRes(NewDecoder([]byte{byte(StatusForward + 1), 0})); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("arrive reply with status %d: %v, want ErrCorrupt", StatusForward+1, err)
+	}
+}
+
+// TestForwardReplyDecodesThroughInternTable: component paths are a small
+// closed set, so the path in an early-stop reply decodes to the interned
+// copy and a warm decode allocates what the short reply does — the boxed
+// body — and nothing for the string.
+func TestForwardReplyDecodesThroughInternTable(t *testing.T) {
+	c, _ := ByKind(KindArrive)
+	frame := func(r ArriveRes) []byte {
+		b, err := AppendReply(nil, 3, c.Code, ReplyOK, r, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	short := frame(ArriveRes{Status: StatusProcessed, Out: 3})
+	forward := frame(ArriveRes{Status: StatusForward, Steps: 3, Path: "2011", Wire: 7})
+	var rep Reply
+	decode := func(b []byte) func() {
+		return func() {
+			if err := DecodeReplyFrame(b, &rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decode(forward)() // first sight interns the path
+	first := rep.Body.(ArriveRes).Path
+	base, got := testing.AllocsPerRun(200, decode(short)), testing.AllocsPerRun(200, decode(forward))
+	if got > base {
+		t.Fatalf("a warm early-stop reply decodes with %.0f allocations, the short reply with %.0f", got, base)
+	}
+	if again := rep.Body.(ArriveRes).Path; unsafe.StringData(again) != unsafe.StringData(first) {
+		t.Fatal("the path was copied again instead of coming out of the intern table")
+	}
 }
 
 func TestEncodeRejectsWrongBody(t *testing.T) {

@@ -41,6 +41,21 @@ func FuzzArrive(f *testing.F) {
 	})
 }
 
+// FuzzArriveRes covers the arrive replies FuzzArrive's signature cannot
+// reach: the two that report a chain of steps.
+func FuzzArriveRes(f *testing.F) {
+	f.Add(true, 41, 6, "", 0)
+	f.Add(false, 0, 2, "201", 5)
+	f.Add(false, -1, -7, "", 1<<40)
+	f.Fuzz(func(t *testing.T, exited bool, out, steps int, path string, w int) {
+		reply := ArriveRes{Status: StatusForward, Steps: steps, Path: clampToken(path), Wire: w}
+		if exited {
+			reply = ArriveRes{Status: StatusExited, Out: out, Steps: steps}
+		}
+		roundTripEnvelopes(t, KindArrive, uint64(uint(steps)), Arrive{Wire: w, Token: "t:1", Seq: 1}, reply)
+	})
+}
+
 func FuzzGroupArrive(f *testing.F) {
 	f.Add("t:1", []byte{1, 2, 3}, byte(0), []byte{9, 8, 7})
 	f.Add("t:44#9", []byte{}, byte(1), []byte{})
@@ -155,6 +170,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), e.Bytes()...))
+	for _, reply := range chainReplies {
+		e.Reset()
+		if err := EncodeReply(e, 3, 1, ReplyOK, reply, ""); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), e.Bytes()...))
+	}
 	// One request carrying a sampled trace context, so mutation explores
 	// the two trace-ID varints the envelope gained (the kindCases seeds
 	// above all encode the unsampled two-zero-byte form).

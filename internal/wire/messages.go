@@ -46,8 +46,9 @@ const (
 type Status uint8
 
 const (
-	// StatusProcessed: the token(s) were routed; the reply carries output
-	// wires.
+	// StatusProcessed: the addressed component routed the token(s); the
+	// reply carries that component's output wires, which the sender maps
+	// onward with its own routing table.
 	StatusProcessed Status = 1
 	// StatusQueued: the component is frozen; the token(s) are stored and
 	// will be released by resume messages.
@@ -55,15 +56,24 @@ const (
 	// StatusDead: the component incarnation was replaced; re-resolve
 	// against the current cut and retry.
 	StatusDead Status = 3
+	// StatusExited (arrive only): the receiver routed the token through
+	// Steps components in a row and it left the network on output wire Out.
+	StatusExited Status = 4
+	// StatusForward (arrive only): the receiver routed the token through
+	// Steps components in a row; it now stands at input wire Wire of the
+	// component at Path, which the receiver could not step (it is served
+	// elsewhere, or is not active) and the sender must deliver it to.
+	StatusForward Status = 5
 )
 
-func decodeStatus(d *Decoder) (Status, error) {
+// decodeStatus consumes a status byte in [StatusProcessed, max].
+func decodeStatus(d *Decoder, max Status) (Status, error) {
 	b, err := d.Byte()
 	if err != nil {
 		return 0, err
 	}
 	s := Status(b)
-	if s < StatusProcessed || s > StatusDead {
+	if s < StatusProcessed || s > max {
 		return 0, fmt.Errorf("%w: arrive status %d", ErrCorrupt, b)
 	}
 	return s, nil
@@ -78,10 +88,25 @@ type Arrive struct {
 	Seq   uint64
 }
 
-// ArriveRes is the reply to an Arrive.
+// ArriveRes is the reply to an Arrive: what became of the token and where
+// it is now, in terms that hold whatever cut the reader routes against.
+// The receiver may have stepped the token through several components it
+// serves before replying. Which fields carry meaning depends on Status
+// (the rest are zero, on the wire and after decoding):
+//
+//   - StatusProcessed: exactly the addressed component was stepped; Out is
+//     the output wire the token left it on.
+//   - StatusExited: Steps components were stepped; Out is the network
+//     output wire.
+//   - StatusForward: Steps components were stepped; the token is at input
+//     wire Wire of the component at Path.
+//   - StatusQueued, StatusDead: nothing was stepped.
 type ArriveRes struct {
 	Status Status
 	Out    int
+	Steps  int
+	Path   string
+	Wire   int
 }
 
 // GroupArrive asks a component to accept a whole token group: token i of
@@ -236,17 +261,47 @@ var _ = register(&Codec{
 		if !ok {
 			return badBody(KindArrive, body)
 		}
+		// The three single-step outcomes keep the two-field form they have
+		// always had; only a reply that covers a chain of steps carries more.
 		e.Byte(byte(r.Status))
-		e.Int(r.Out)
+		switch r.Status {
+		case StatusExited:
+			e.Int(r.Out)
+			e.Int(r.Steps)
+		case StatusForward:
+			e.Int(r.Steps)
+			e.String(r.Path)
+			e.Int(r.Wire)
+		default:
+			e.Int(r.Out)
+		}
 		return nil
 	},
 	DecodeRes: func(d *Decoder) (any, error) {
 		var r ArriveRes
 		var err error
-		if r.Status, err = decodeStatus(d); err != nil {
+		if r.Status, err = decodeStatus(d, StatusForward); err != nil {
 			return nil, err
 		}
-		if r.Out, err = d.Int(); err != nil {
+		switch r.Status {
+		case StatusExited:
+			if r.Out, err = d.Int(); err != nil {
+				return nil, err
+			}
+			r.Steps, err = d.Int()
+		case StatusForward:
+			if r.Steps, err = d.Int(); err != nil {
+				return nil, err
+			}
+			// Component paths are a small closed set, like addresses.
+			if r.Path, err = d.InternedString(); err != nil {
+				return nil, err
+			}
+			r.Wire, err = d.Int()
+		default:
+			r.Out, err = d.Int()
+		}
+		if err != nil {
 			return nil, err
 		}
 		return r, nil
@@ -297,7 +352,7 @@ var _ = register(&Codec{
 	DecodeRes: func(d *Decoder) (any, error) {
 		var r GroupArriveRes
 		var err error
-		if r.Status, err = decodeStatus(d); err != nil {
+		if r.Status, err = decodeStatus(d, StatusDead); err != nil {
 			return nil, err
 		}
 		if r.Outs, err = d.Ints(); err != nil {
