@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/tree"
 )
 
 // BatchTrace reports the aggregate protocol costs of one InjectBatch call.
@@ -56,19 +54,10 @@ func (bt *BatchTrace) add(w BatchTrace) {
 	bt.LCacheMisses += w.LCacheMisses
 }
 
-// batchGroup is one wavefront entry: count tokens sitting at a component.
-// lc is the component resolved against the batch's snapshot when the group
-// was enqueued, so processing a group costs no directory probe.
+// batchGroup is one wavefront entry: count tokens sitting at component lc.
 type batchGroup struct {
-	path  tree.Path
 	lc    *liveComp
 	count uint64
-}
-
-// wireCnt is one output-wire subgroup awaiting cold resolution.
-type wireCnt struct {
-	o   int
-	cnt uint64
 }
 
 // batchState is the reusable scratch of one InjectBatch call. Pooled so a
@@ -78,15 +67,14 @@ type batchState struct {
 	wires  []int          // distinct input wires, first-seen order
 	wcount map[int]uint64 // tokens per distinct input wire
 	queue  []batchGroup   // FIFO wavefront of token groups
-	qidx   map[tree.Path]int
-	cold   []wireCnt // output-wire subgroups missing a warm memo
+	qidx   map[*liveComp]int
 }
 
 var batchPool = sync.Pool{
 	New: func() any {
 		return &batchState{
 			wcount: make(map[int]uint64, 8),
-			qidx:   make(map[tree.Path]int, 32),
+			qidx:   make(map[*liveComp]int, 32),
 		}
 	},
 }
@@ -94,21 +82,20 @@ var batchPool = sync.Pool{
 func (bs *batchState) reset() {
 	bs.wires = bs.wires[:0]
 	bs.queue = bs.queue[:0]
-	bs.cold = bs.cold[:0]
 	clear(bs.wcount)
 	clear(bs.qidx)
 }
 
-// enqueue adds count tokens at path to the wavefront, coalescing into a
+// enqueue adds count tokens at lc to the wavefront, coalescing into a
 // pending (not yet processed) group for the same component; head is the
 // index of the group currently being processed (-1 during entry).
-func (bs *batchState) enqueue(path tree.Path, lc *liveComp, count uint64, head int) {
-	if j, ok := bs.qidx[path]; ok && j > head {
+func (bs *batchState) enqueue(lc *liveComp, count uint64, head int) {
+	if j, ok := bs.qidx[lc]; ok && j > head {
 		bs.queue[j].count += count
 		return
 	}
-	bs.queue = append(bs.queue, batchGroup{path: path, lc: lc, count: count})
-	bs.qidx[path] = len(bs.queue) - 1
+	bs.queue = append(bs.queue, batchGroup{lc: lc, count: count})
+	bs.qidx[lc] = len(bs.queue) - 1
 }
 
 // InjectBatch sends len(ins) tokens into the network, one per entry of
@@ -118,11 +105,12 @@ func (bs *batchState) enqueue(path tree.Path, lc *liveComp, count uint64, head i
 // distinct input wire's entry component is located once, and the tokens
 // traverse as coalescing groups — every component visited claims all of
 // the batch's tokens that reached it in one lock-free atomic add
-// (component.TryStepN) and forwards the per-output-wire subgroups using a
-// single out-neighbor cache consultation each. The result is
-// indistinguishable from len(ins) sequential InjectAt calls (a counting
-// network admits every interleaving) at a fraction of the per-token cost;
-// the step property and token conservation hold exactly as for Inject.
+// (component.TryStepN) and forwards the per-output-wire subgroups with one
+// hop resolution each (the same Network.hop a single token takes). The
+// result is indistinguishable from len(ins) sequential InjectAt calls (a
+// counting network admits every interleaving) at a fraction of the
+// per-token cost; the step property and token conservation hold exactly as
+// for Inject.
 //
 // Per-token values and traces are not materialized — callers that need a
 // counter value per token should use Inject/InjectAt. Tracing spans are
@@ -182,13 +170,8 @@ func (c *Client) injectBatchWindow(ins []int) (BatchTrace, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	t := n.topo.Load()
-
-	if !n.ring.Contains(c.at) {
-		at, err := n.ring.RandomNode(c.rng)
-		if err != nil {
-			return BatchTrace{}, err
-		}
-		c.at = at
+	if err := c.reattach(); err != nil {
+		return BatchTrace{}, err
 	}
 
 	var start time.Time
@@ -212,14 +195,13 @@ func (c *Client) injectBatchWindow(ins []int) (BatchTrace, error) {
 	var tr TokenTrace // accumulates entry/lookup/cache costs across groups
 	for _, in := range bs.wires {
 		k := bs.wcount[in]
-		entry, err := n.findEntry(t, c, in, &tr, nil)
+		entry, err := n.enter(t, c, in, &tr, nil)
 		if err != nil {
 			return BatchTrace{}, err
 		}
 		n.injected[in].Add(k)
-		bs.enqueue(entry.Path, t.comps[entry.Path], k, -1)
+		bs.enqueue(entry, k, -1)
 	}
-	n.metrics.tokens.Add(uint64(len(ins)))
 
 	bt := BatchTrace{Tokens: len(ins)}
 	for head := 0; head < len(bs.queue); head++ {
@@ -227,72 +209,28 @@ func (c *Client) injectBatchWindow(ins []int) (BatchTrace, error) {
 		lc := g.lc
 		bt.GroupHops++
 		bt.WireHops += int(g.count)
-		if host := n.nodes[lc.host]; host != nil {
-			host.tokens.Add(g.count)
-		}
+		lc.node.tokens.Add(g.count)
 		base, ok := lc.st.TryStepN(g.count)
 		if !ok {
 			// Unreachable for the same reason as in InjectAt: core freezes
 			// components only under the exclusive structural lock.
-			return BatchTrace{}, fmt.Errorf("core: component %q frozen mid-route", g.path)
+			return BatchTrace{}, fmt.Errorf("core: component %v frozen mid-route", lc.st.Comp)
 		}
 		// The group's tokens exit on the min(count, width) consecutive
 		// wires starting at base: wire (base+i) mod w receives every token
-		// whose batch offset is congruent to i. The per-wire destination
-		// memos for the whole group are probed under one acquisition of the
-		// component's stripe lock; only wires without a warm memo fall back
-		// to the per-wire resolution (which meters its own lookups).
+		// whose batch offset is congruent to i.
 		w := uint64(lc.st.Comp.Width)
-		span := g.count
-		if span > w {
-			span = w
-		}
-		bs.cold = bs.cold[:0]
-		if n.cfg.DisableCache {
-			for i := uint64(0); i < span; i++ {
-				o := int((base + i) % w)
-				bs.cold = append(bs.cold, wireCnt{o: o, cnt: (g.count - i + w - 1) / w})
-			}
-		} else {
-			lc.nbrsMu.Lock()
-			for i := uint64(0); i < span; i++ {
-				o := int((base + i) % w)
-				cnt := (g.count - i + w - 1) / w
-				d, memo := lc.wires[o]
-				if !memo {
-					bs.cold = append(bs.cold, wireCnt{o: o, cnt: cnt})
-					continue
-				}
-				if d.exit {
-					n.out[d.netOut].Add(cnt)
-					continue
-				}
-				if host, cached := lc.nbrs[d.path]; cached {
-					if got := t.comps[d.path]; got != nil && got.host == host {
-						tr.CacheHits++
-						bs.enqueue(d.path, got, cnt, head)
-						continue
-					}
-					// Stale: the direct send bounces, exactly as on the
-					// per-token path; drop the entry and re-resolve cold.
-					tr.CacheMisses++
-					delete(lc.nbrs, d.path)
-				}
-				delete(lc.wires, o)
-				bs.cold = append(bs.cold, wireCnt{o: o, cnt: cnt})
-			}
-			lc.nbrsMu.Unlock()
-		}
-		for _, cw := range bs.cold {
-			next, exited, netOut, err := n.resolveNext(t, lc, lc.st.Comp, cw.o, &tr, nil)
+		for i := uint64(0); i < min(g.count, w); i++ {
+			cnt := (g.count - i + w - 1) / w
+			next, netOut, err := n.hop(t, lc, int((base+i)%w), &tr, nil)
 			if err != nil {
 				return BatchTrace{}, err
 			}
-			if exited {
-				n.out[netOut].Add(cw.cnt)
+			if next == nil {
+				n.out[netOut].Add(cnt)
 				continue
 			}
-			bs.enqueue(next.Path, t.comps[next.Path], cw.cnt, head)
+			bs.enqueue(next, cnt, head)
 		}
 	}
 
@@ -304,8 +242,8 @@ func (c *Client) injectBatchWindow(ins []int) (BatchTrace, error) {
 	bt.CacheMisses = tr.CacheMisses
 	bt.LCacheHits = tr.LCacheHits
 	bt.LCacheMisses = tr.LCacheMisses
-	n.metrics.wireHops.Add(uint64(bt.WireHops))
-	n.mergeTrace(tr) // tr.WireHops is zero: group traversal meters hops above
+	tr.WireHops = bt.WireHops // group traversal meters token×component hops
+	c.stripe.add(bt.Tokens, &tr)
 	if n.hBatchSec != nil {
 		n.hBatchSec.Observe(time.Since(start).Seconds())
 		n.hBatchTok.Observe(float64(bt.Tokens))

@@ -14,20 +14,29 @@
 // value.
 //
 // Concurrency model. The paper's whole point (Sections 1 and 2) is that a
-// counting network's throughput scales with its width, so the token path
-// is engineered to be contention-free: components assign wires with a
-// lock-free atomic fetch-add (internal/component), per-wire and protocol
-// counters are atomics, out-neighbor caches take only a per-component
-// (striped) lock, DHT lookups are absorbed by a bounded churn-invalidated
-// cache (internal/chord.LookupCache), and the topology is read through an
-// immutable epoch snapshot published via an atomic pointer — a token never
-// blocks on, or is blocked by, another token. Structural operations
-// (split/merge/churn/repair) are the only writers: they take the
-// network's structural lock exclusively, which drains in-flight tokens
-// (tokens hold it in read mode), mutate the authoritative component
-// directory, and publish a fresh snapshot. This matches the engine's
-// discrete-simulation semantics — every structural operation sees a
-// quiescent network, the freeze protocol of Section 2.2 collapsed to a
+// counting network's throughput scales with its width, so between churn
+// events a warm token does exactly what Section 3.5 describes — a direct
+// send to a cached out-neighbor address: each hop follows one atomically
+// published per-output-wire memo to the next component and claims its wire
+// with one lock-free compare-and-swap (internal/component); entry is one
+// per-input-wire memo. No map is probed, no mutex is taken and no
+// process-wide counter is bumped. The writes tokens still share are the
+// protocol itself or its drain: the structural lock's reader count (taken
+// and released once per token), the CAS word of every component the token
+// passes, the per-node token-load counter of that component's host, and
+// the per-wire injected/out counters; the per-token protocol counters
+// live on a cache-line-padded stripe chosen per Client. Cold or stale
+// hops fall back to the metered resolution (per-component neighbor cache
+// under a per-component mutex, DHT lookups absorbed by the bounded
+// churn-invalidated internal/chord.LookupCache). Structural operations
+// (split/merge/churn/repair) are the only writers of the topology: they
+// take the network's structural lock exclusively, which drains in-flight
+// tokens (tokens hold it in read mode; a token held back by a structural
+// operation yields its processor rather than parking, see structLock),
+// mutate the authoritative component directory, and publish a fresh
+// immutable epoch snapshot. This matches the
+// engine's discrete-simulation semantics — every structural operation sees
+// a quiescent network, the freeze protocol of Section 2.2 collapsed to a
 // reader/writer drain. The message-level asynchronous protocol (freeze
 // queues, in-flight draining, non-blocking reconfiguration) is exercised
 // separately in internal/dist.
@@ -163,72 +172,125 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 	}
 }
 
-// counters is the all-atomic internal representation of Metrics: tokens
-// bump these concurrently without any lock.
+// counters holds the structural-operation counters of Metrics; the
+// per-token counters live on tokenStripes.
 type counters struct {
-	tokens       atomic.Uint64
 	splits       atomic.Uint64
 	merges       atomic.Uint64
-	wireHops     atomic.Uint64
-	nameLookups  atomic.Uint64
-	lookupHops   atomic.Uint64
-	entryTries   atomic.Uint64
-	cacheHits    atomic.Uint64
-	cacheMisses  atomic.Uint64
-	lcacheHits   atomic.Uint64
-	lcacheMisses atomic.Uint64
 	moves        atomic.Uint64
 	repairs      atomic.Uint64
 	maintainRuns atomic.Uint64
 }
 
-func (c *counters) snapshot() Metrics {
-	return Metrics{
-		Tokens:       c.tokens.Load(),
-		Splits:       c.splits.Load(),
-		Merges:       c.merges.Load(),
-		WireHops:     c.wireHops.Load(),
-		NameLookups:  c.nameLookups.Load(),
-		LookupHops:   c.lookupHops.Load(),
-		EntryTries:   c.entryTries.Load(),
-		CacheHits:    c.cacheHits.Load(),
-		CacheMisses:  c.cacheMisses.Load(),
-		LCacheHits:   c.lcacheHits.Load(),
-		LCacheMisses: c.lcacheMisses.Load(),
-		Moves:        c.moves.Load(),
-		Repairs:      c.repairs.Load(),
-		MaintainRuns: c.maintainRuns.Load(),
+// numStripes bounds the per-token counter stripes: clients are dealt
+// stripes round-robin, so up to numStripes concurrent clients never share
+// a counter cache line.
+const numStripes = 64
+
+// tokenStripe is one stripe of the per-token protocol counters. Every
+// Client adds to the stripe it was dealt at NewClient and Metrics sums
+// them, so concurrent clients do not bounce one counter block between
+// cores. entryMemoHits counts the lookup-cache hits the entry memo
+// answered without consulting the LookupCache (see LookupCacheStats). The
+// padding rounds a stripe up to two cache lines, keeping adjacent-line
+// prefetch from coupling neighbours.
+type tokenStripe struct {
+	tokens        atomic.Uint64
+	wireHops      atomic.Uint64
+	nameLookups   atomic.Uint64
+	lookupHops    atomic.Uint64
+	entryTries    atomic.Uint64
+	cacheHits     atomic.Uint64
+	cacheMisses   atomic.Uint64
+	lcacheHits    atomic.Uint64
+	lcacheMisses  atomic.Uint64
+	entryMemoHits atomic.Uint64
+	_             [128 - 10*8]byte
+}
+
+// add folds the costs tr sums over tokens tokens into the stripe.
+func (s *tokenStripe) add(tokens int, tr *TokenTrace) {
+	addNonZero(&s.tokens, tokens)
+	addNonZero(&s.wireHops, tr.WireHops)
+	addNonZero(&s.nameLookups, tr.NameLookups)
+	addNonZero(&s.lookupHops, tr.LookupHops)
+	addNonZero(&s.entryTries, tr.EntryTries)
+	addNonZero(&s.cacheHits, tr.CacheHits)
+	addNonZero(&s.cacheMisses, tr.CacheMisses)
+	addNonZero(&s.lcacheHits, tr.LCacheHits)
+	addNonZero(&s.lcacheMisses, tr.LCacheMisses)
+}
+
+// addNonZero spares a warm token the atomics of the meters it left at zero
+// (lookups, lookup hops and both miss counters).
+func addNonZero(c *atomic.Uint64, v int) {
+	if v != 0 {
+		c.Add(uint64(v))
 	}
 }
 
-// liveComp is a component currently in the network.
+// liveComp is a component currently in the network. host, node and removed
+// are written only under the exclusive structural lock, so tokens (which
+// hold it in read mode) read them plainly.
 type liveComp struct {
-	st   *component.State
-	host chord.NodeID
+	st      *component.State
+	host    chord.NodeID
+	node    *nodeInfo // the per-node view of host
+	removed bool      // left the directory: split, merged away, or crashed
 
-	// nbrs caches the addresses of resolved out-neighbor components
-	// (Section 3.5: "the addresses of the out-neighbors can be cached").
-	// A component has O(1) distinct out-neighbors, so the cache stays
-	// constant-sized; entries are validated on use and dropped when the
-	// neighbor splits, merges or moves. wires additionally memoizes, per
-	// output wire, where the wire leads (network exit, or the path of the
-	// last-resolved neighbor), so a warm forward is two map probes and a
-	// snapshot liveness check — no tree algebra, no allocation. The guard
-	// is per-component — the topology's lock striping — so concurrent
-	// tokens contend only when they leave the same component at the same
-	// instant.
+	// resolvedAt is the ring membership version at which an entry search
+	// last resolved this component's name (Network.enter).
+	resolvedAt atomic.Uint64
+
+	// slots memoizes, per output wire, where the wire leads: the network
+	// exit, or lc's address record of the next live component (Section
+	// 3.5's cached out-neighbor address, held as the pointer a direct send
+	// would reach). A warm forward is one atomic load and the validity check
+	// of Network.hop — no map, no lock, no tree algebra. The array is
+	// allocated by the first token that leaves the component, so splits and
+	// merges do not pay for wires no token uses, and dropped together with
+	// nbrs when the component is removed, so a stale memo retains one dead
+	// component, never a chain.
+	slots atomic.Pointer[[]atomic.Pointer[nbrAddr]]
+
+	// nbrs is the out-neighbor address cache, keyed by path (Section 3.5:
+	// "the addresses of the out-neighbors can be cached"): one record per
+	// out-neighbor, shared by every wire that leads to it. The map itself
+	// is consulted only on the cold path: a wire whose memo is missing or
+	// stale is re-resolved through it, which is where cache hits after a
+	// re-resolution, misses and evictions are metered. A component has O(1)
+	// distinct out-neighbors, so it stays constant-sized; records are
+	// validated on use and dropped when the neighbor splits or merges.
+	// Created on first use.
 	nbrsMu sync.Mutex
-	nbrs   map[tree.Path]chord.NodeID
-	wires  map[int]wireDst
+	nbrs   map[tree.Path]*nbrAddr
 }
 
-// wireDst is one memoized output-wire destination: either a network exit
-// (pure wire algebra, never stale) or the candidate-chain component the
-// wire last resolved to (validated against the snapshot on every use).
-type wireDst struct {
-	exit   bool
+// nbrAddr is what one component remembers about one out-neighbor: the
+// neighbor and the host it was last resolved on. next and netOut never
+// change; host is rewritten in place when a token bounces off the old
+// address and re-resolves the neighbor, which revalidates every wire that
+// shares the record at once, as a per-component address cache does. A
+// record with next == nil stands for the network exit wire netOut (pure
+// wire algebra, never stale; Network.exits holds one per wire).
+type nbrAddr struct {
+	next   *liveComp
+	host   atomic.Uint64 // a chord.NodeID
 	netOut int
-	path   tree.Path
+}
+
+// memoize publishes where output wire o of lc leads.
+func (lc *liveComp) memoize(o int, m *nbrAddr) {
+	slots := lc.slots.Load()
+	if slots == nil {
+		fresh := make([]atomic.Pointer[nbrAddr], lc.st.Comp.Width)
+		if lc.slots.CompareAndSwap(nil, &fresh) {
+			slots = &fresh
+		} else {
+			slots = lc.slots.Load() // a concurrent token installed the array
+		}
+	}
+	(*slots)[o].Store(m)
 }
 
 // nodeInfo is the per-node view. comps, level and estimate are structural
@@ -261,6 +323,12 @@ type Network struct {
 	// function of the width, so it is precomputed once instead of being
 	// re-derived (with per-level path allocations) on every injection.
 	entryLeaf []tree.Path
+	// entry[in] memoizes the component input wire `in` last entered
+	// through (see Network.enter); nil when the lookup cache is disabled.
+	entry []atomic.Pointer[liveComp]
+	// exits[j] is the memo of every wire that leaves the network on output
+	// wire j; nil when the out-neighbor cache is disabled.
+	exits []nbrAddr
 
 	// Observability handles, fixed at construction (nil when cfg.Obs is
 	// nil); safe to read without the lock.
@@ -274,13 +342,16 @@ type Network struct {
 	hSplit    *obs.Hist // per-split seconds
 	hMerge    *obs.Hist // per-merge seconds
 	hRepair   *obs.Hist // per-component repair seconds
+	// cLCHits is the registry's chord.lcache.hits counter, so entry-memo
+	// hits show where the LookupCache's own hits do.
+	cLCHits *obs.Counter
 
 	// mu is the structural lock. Tokens hold it in read mode for their
 	// whole traversal (concurrent with each other); structural operations
 	// hold it exclusively, so they always observe a quiescent network.
 	// comps is the authoritative directory, mutated only under the write
 	// lock; topo is its published epoch snapshot, readable lock-free.
-	mu    sync.RWMutex
+	mu    structLock
 	topo  atomic.Pointer[topology]
 	comps map[tree.Path]*liveComp
 	nodes map[chord.NodeID]*nodeInfo
@@ -292,6 +363,11 @@ type Network struct {
 	injected []atomic.Uint64
 	out      []atomic.Uint64
 	metrics  counters
+
+	// stripes is allocated on its own (numStripes × 128 bytes) so that it
+	// starts on a cache-line boundary and no two stripes share a line.
+	stripes    []tokenStripe
+	nextStripe atomic.Uint32 // deals stripes to new clients
 }
 
 // New creates an adaptive network of the given width with
@@ -319,9 +395,17 @@ func New(cfg Config) (*Network, error) {
 		lost:     make(map[tree.Path]bool),
 		injected: make([]atomic.Uint64, cfg.Width),
 		out:      make([]atomic.Uint64, cfg.Width),
+		stripes:  make([]tokenStripe, numStripes),
 	}
 	if !cfg.DisableCache && cfg.LookupCacheSize >= 0 {
 		n.lcache = chord.NewLookupCache(n.ring, cfg.LookupCacheSize)
+		n.entry = make([]atomic.Pointer[liveComp], cfg.Width)
+	}
+	if !cfg.DisableCache {
+		n.exits = make([]nbrAddr, cfg.Width)
+		for j := range n.exits {
+			n.exits[j].netOut = j
+		}
 	}
 	n.entryLeaf = make([]tree.Path, cfg.Width)
 	for in := 0; in < cfg.Width; in++ {
@@ -339,6 +423,7 @@ func New(cfg Config) (*Network, error) {
 	if reg := cfg.Obs; reg != nil {
 		n.ring.Instrument(reg)
 		n.lcache.Instrument(reg)
+		n.cLCHits = reg.Counter("chord.lcache.hits")
 		n.hTokE2E = reg.Histogram("core.token.seconds", 0, 0.01, 1000)
 		n.hBatchSec = reg.Histogram("core.batch.seconds", 0, 0.05, 500)
 		n.hBatchTok = reg.Histogram("core.batch.tokens", 0, 1024, 256)
@@ -405,7 +490,25 @@ func (n *Network) NumComponents() int {
 // Metrics returns a snapshot of the cumulative counters, including the
 // overlay transport's message-level counters.
 func (n *Network) Metrics() Metrics {
-	m := n.metrics.snapshot()
+	m := Metrics{
+		Splits:       n.metrics.splits.Load(),
+		Merges:       n.metrics.merges.Load(),
+		Moves:        n.metrics.moves.Load(),
+		Repairs:      n.metrics.repairs.Load(),
+		MaintainRuns: n.metrics.maintainRuns.Load(),
+	}
+	for i := range n.stripes {
+		s := &n.stripes[i]
+		m.Tokens += s.tokens.Load()
+		m.WireHops += s.wireHops.Load()
+		m.NameLookups += s.nameLookups.Load()
+		m.LookupHops += s.lookupHops.Load()
+		m.EntryTries += s.entryTries.Load()
+		m.CacheHits += s.cacheHits.Load()
+		m.CacheMisses += s.cacheMisses.Load()
+		m.LCacheHits += s.lcacheHits.Load()
+		m.LCacheMisses += s.lcacheMisses.Load()
+	}
 	st, cs := n.ring.NetStats()
 	m.MsgsSent = st.Sent
 	m.MsgsDropped = st.Dropped
@@ -415,9 +518,14 @@ func (n *Network) Metrics() Metrics {
 }
 
 // LookupCacheStats returns the DHT lookup cache's hit/miss/flush counters
-// (all zero when the cache is disabled).
+// (all zero when the cache is disabled). Hits include the entry
+// resolutions the per-input-wire memo answered in the cache's stead.
 func (n *Network) LookupCacheStats() chord.LookupCacheStats {
-	return n.lcache.Stats()
+	st := n.lcache.Stats()
+	for i := range n.stripes {
+		st.Hits += n.stripes[i].entryMemoHits.Load()
+	}
+	return st
 }
 
 // Nodes returns the current overlay node identifiers.
@@ -429,25 +537,30 @@ func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 
 // placeLocked inserts a component on a host.
 func (n *Network) placeLocked(p tree.Path, st *component.State, host chord.NodeID) {
-	n.comps[p] = &liveComp{
-		st:    st,
-		host:  host,
-		nbrs:  make(map[tree.Path]chord.NodeID),
-		wires: make(map[int]wireDst),
-	}
-	n.nodes[host].comps[p] = true
+	lc := &liveComp{st: st}
+	n.comps[p] = lc
+	n.rehostLocked(p, lc, host)
 }
 
-// removeCompLocked removes a live component from the directory.
+// rehostLocked puts lc (the component at p) on host; the caller has
+// already taken it off its previous host's books, if it had one.
+func (n *Network) rehostLocked(p tree.Path, lc *liveComp, host chord.NodeID) {
+	lc.host, lc.node = host, n.nodes[host]
+	lc.node.comps[p] = true
+}
+
+// removeCompLocked removes a live component from the directory and marks
+// it removed, which is what invalidates every memo that points at it.
 func (n *Network) removeCompLocked(p tree.Path) {
 	lc := n.comps[p]
 	if lc == nil {
 		return
 	}
-	if node := n.nodes[lc.host]; node != nil {
-		delete(node.comps, p)
-	}
+	delete(lc.node.comps, p)
 	delete(n.comps, p)
+	lc.removed = true
+	lc.slots.Store(nil)
+	lc.nbrs = nil
 }
 
 // AddNode joins one node to the overlay and migrates the components whose
@@ -496,8 +609,7 @@ func (n *Network) RemoveNode(id chord.NodeID) error {
 		if err != nil {
 			return err
 		}
-		lc.host = host
-		n.nodes[host].comps[p] = true
+		n.rehostLocked(p, lc, host)
 		n.metrics.moves.Add(1)
 	}
 	n.reconcileOwnersLocked()
@@ -532,7 +644,7 @@ func (n *Network) CrashNode(id chord.NodeID) error {
 	}
 	delete(n.nodes, id)
 	for p := range node.comps {
-		delete(n.comps, p)
+		n.removeCompLocked(p)
 		n.lost[p] = true
 	}
 	n.reconcileOwnersLocked()
@@ -566,11 +678,8 @@ func (n *Network) reconcileOwnersLocked() {
 		if host == lc.host {
 			continue
 		}
-		if old := n.nodes[lc.host]; old != nil {
-			delete(old.comps, p)
-		}
-		lc.host = host
-		n.nodes[host].comps[p] = true
+		delete(lc.node.comps, p)
+		n.rehostLocked(p, lc, host)
 		n.metrics.moves.Add(1)
 	}
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"runtime"
 	"time"
 
 	"repro/internal/adapt"
@@ -47,11 +47,21 @@ type TokenTrace struct {
 // its own with NewClient, and their injections proceed in parallel (tokens
 // hold the network's structural lock only in read mode).
 type Client struct {
-	net       *Network
-	rng       *rand.Rand
-	at        chord.NodeID
-	lastEntry tree.Path
+	net *Network
+	rng *rand.Rand
+	at  chord.NodeID
+	// atVersion is the ring membership version at was last checked
+	// against: the access point can only have left if it moved since.
+	atVersion uint64
+	// lastLevel is the tree level of the input component the previous
+	// token entered through; hasLast is false until there was one.
+	lastLevel int
 	hasLast   bool
+	// stripe receives this client's per-token protocol counters.
+	stripe *tokenStripe
+	// sinceYield counts InjectAt calls since the client last yielded its
+	// processor (see yieldEvery).
+	sinceYield int
 	// adapt, when set by UseAdapt, sizes InjectBatch's sub-batch windows
 	// from the controller's live recommendation.
 	adapt *adapt.Controller
@@ -73,7 +83,8 @@ func (n *Network) NewClient() (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{net: n, rng: rand.New(rand.NewSource(seed)), at: at}, nil
+	stripe := &n.stripes[n.nextStripe.Add(1)%numStripes]
+	return &Client{net: n, rng: rand.New(rand.NewSource(seed)), at: at, stripe: stripe}, nil
 }
 
 // Inject sends one token into a random input wire and returns its trace.
@@ -81,30 +92,40 @@ func (c *Client) Inject() (TokenTrace, error) {
 	return c.InjectAt(c.rng.Intn(c.net.cfg.Width))
 }
 
+// yieldEvery is how many tokens a client injects between two yields of its
+// processor. A warm InjectAt never blocks, so a client that injects back to
+// back never enters the scheduler, and with as many such clients as
+// processors nothing else does either: timers fire when the runtime's
+// 10 ms preemption tick comes round, and the membership and maintenance
+// goroutines they wake run late and bunched. One yield per 256 tokens (a
+// few hundred microseconds of warm injection, under a nanosecond per token)
+// keeps those wake-ups on time.
+const yieldEvery = 256
+
 // InjectAt sends one token into the given network input wire.
 //
 // The traversal is designed to run concurrently with other tokens: the
 // structural lock is held in read mode (tokens never exclude each other),
-// the topology is resolved against the current epoch snapshot, wire
-// assignment is the component's lock-free fetch-add, and all counters are
-// atomics. The only cross-token write contention is CAS retries on shared
-// balancers and the per-component out-neighbor cache stripe.
+// entry and every hop follow a memo (Network.enter, Network.hop), wire
+// assignment is the component's lock-free compare-and-swap, and the
+// protocol counters go to the client's own stripe. What a warm token still
+// writes to memory other tokens write is the structural lock's reader
+// count, the CAS word and the host's token-load counter of each component
+// it passes, and the injected/out counters of its two network wires.
 func (c *Client) InjectAt(in int) (TokenTrace, error) {
 	n := c.net
 	if in < 0 || in >= n.cfg.Width {
 		return TokenTrace{}, fmt.Errorf("core: input wire %d out of range [0,%d)", in, n.cfg.Width)
 	}
+	if c.sinceYield++; c.sinceYield == yieldEvery {
+		c.sinceYield = 0
+		runtime.Gosched()
+	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	t := n.topo.Load()
-
-	if !n.ring.Contains(c.at) {
-		// The client's access point left; reattach to a random node.
-		at, err := n.ring.RandomNode(c.rng)
-		if err != nil {
-			return TokenTrace{}, err
-		}
-		c.at = at
+	if err := c.reattach(); err != nil {
+		return TokenTrace{}, err
 	}
 
 	sp := n.tracer.Start("token")
@@ -114,41 +135,33 @@ func (c *Client) InjectAt(in int) (TokenTrace, error) {
 	}
 
 	var tr TokenTrace
-	entry, err := n.findEntry(t, c, in, &tr, sp)
+	lc, err := n.enter(t, c, in, &tr, sp)
 	if err != nil {
 		return TokenTrace{}, err
 	}
 	n.injected[in].Add(1)
-	n.metrics.tokens.Add(1)
 
-	cur := entry
 	for {
-		lc := t.comps[cur.Path]
-		if lc == nil {
-			return TokenTrace{}, fmt.Errorf("core: component %v vanished mid-route", cur)
-		}
 		tr.WireHops++
-		if host := n.nodes[lc.host]; host != nil {
-			host.tokens.Add(1)
-		}
+		lc.node.tokens.Add(1)
 		o, ok := lc.st.TryStep()
 		if !ok {
 			// Unreachable: core freezes components only under the exclusive
 			// structural lock, which cannot be held while tokens traverse.
-			return TokenTrace{}, fmt.Errorf("core: component %v frozen mid-route", cur)
+			return TokenTrace{}, fmt.Errorf("core: component %v frozen mid-route", lc.st.Comp)
 		}
 		if sp != nil {
-			sp.Event("comp", string(cur.Path), int64(o))
+			sp.Event("comp", string(lc.st.Comp.Path), int64(o))
 		}
-		next, exited, netOut, err := n.resolveNext(t, lc, cur, o, &tr, sp)
+		next, netOut, err := n.hop(t, lc, o, &tr, sp)
 		if err != nil {
 			return TokenTrace{}, err
 		}
-		if exited {
+		if next == nil {
 			tr.OutWire = netOut
 			m := n.out[netOut].Add(1) - 1
 			tr.Value = m*uint64(n.cfg.Width) + uint64(netOut)
-			n.mergeTrace(tr)
+			c.stripe.add(1, &tr)
 			if n.hTokE2E != nil {
 				n.hTokE2E.Observe(time.Since(start).Seconds())
 				n.hTokWire.Observe(float64(tr.WireHops))
@@ -161,48 +174,93 @@ func (c *Client) InjectAt(in int) (TokenTrace, error) {
 			}
 			return tr, nil
 		}
-		cur = next
+		lc = next
 	}
 }
 
-// mergeTrace folds a token trace into the cumulative metrics.
-func (n *Network) mergeTrace(tr TokenTrace) {
-	n.metrics.wireHops.Add(uint64(tr.WireHops))
-	n.metrics.nameLookups.Add(uint64(tr.NameLookups))
-	n.metrics.lookupHops.Add(uint64(tr.LookupHops))
-	n.metrics.entryTries.Add(uint64(tr.EntryTries))
-	n.metrics.cacheHits.Add(uint64(tr.CacheHits))
-	n.metrics.cacheMisses.Add(uint64(tr.CacheMisses))
-	n.metrics.lcacheHits.Add(uint64(tr.LCacheHits))
-	n.metrics.lcacheMisses.Add(uint64(tr.LCacheMisses))
+// reattach moves the client to a random access point if its own left the
+// ring. Membership is re-read only when the ring's version moved since the
+// last check. The caller holds the structural lock (read mode suffices:
+// membership changes only under the exclusive lock).
+func (c *Client) reattach() error {
+	ring := c.net.ring
+	v := ring.Version()
+	if v == c.atVersion {
+		return nil
+	}
+	if !ring.Contains(c.at) {
+		at, err := ring.RandomNode(c.rng)
+		if err != nil {
+			return err
+		}
+		c.at = at
+	}
+	c.atVersion = v
+	return nil
+}
+
+// enter locates the live input component covering input wire in. Warm, it
+// is answered by the wire's entry memo: the remembered component is still
+// live, its name has been resolved since the ring last changed (so the
+// lookup cache would answer for it), and it sits at the level this client
+// would try first — exactly the case in which findEntry would spend one try
+// and one lookup-cache hit, which is how the memo hit is metered. Anything
+// else is findEntry's metered search, whose result refreshes the memo.
+func (n *Network) enter(t *topology, c *Client, in int, tr *TokenTrace, sp *obs.Span) (*liveComp, error) {
+	if n.entry == nil {
+		return n.findEntry(t, c, in, tr, sp)
+	}
+	// The structural read lock pins the membership version for the whole
+	// injection, so v is also the version findEntry resolves at.
+	v := n.ring.Version()
+	m := n.entry[in].Load()
+	if m != nil && !m.removed && m.resolvedAt.Load() == v && c.hasLast && c.lastLevel == m.st.Comp.Level() {
+		tr.EntryTries++
+		tr.LCacheHits++
+		c.stripe.entryMemoHits.Add(1)
+		n.cLCHits.Inc()
+		if sp != nil {
+			key := string(m.st.Comp.Path)
+			sp.Event("entry-try", key, 0)
+			sp.Event("lookup-cached", key, 0)
+		}
+		return m, nil
+	}
+	lc, err := n.findEntry(t, c, in, tr, sp)
+	if err != nil {
+		return nil, err
+	}
+	if lc.resolvedAt.Load() != v {
+		lc.resolvedAt.Store(v)
+	}
+	if m != lc {
+		n.entry[in].Store(lc)
+	}
+	return lc, nil
 }
 
 // lookup meters one DHT lookup for the component name at path p issued
-// from node at, and reports whether the component is live in snapshot t
-// (and where it is hosted). The lookup cache absorbs repeat resolutions: a
-// hit costs zero overlay messages and is excluded from the
-// NameLookups/LookupHops meters, which count only lookups the ring
-// actually performed.
-func (n *Network) lookup(t *topology, at chord.NodeID, p tree.Path, tr *TokenTrace, sp *obs.Span) (chord.NodeID, bool, error) {
+// from node at, and returns the component if it is live in snapshot t (nil
+// if not). The lookup cache absorbs repeat resolutions: a hit costs zero
+// overlay messages and is excluded from the NameLookups/LookupHops meters,
+// which count only lookups the ring actually performed.
+func (n *Network) lookup(t *topology, at chord.NodeID, p tree.Path, tr *TokenTrace, sp *obs.Span) (*liveComp, error) {
 	key := string(p)
-	cached, v, ok := n.lcache.Get(key)
+	_, v, ok := n.lcache.Get(key)
 	if ok {
 		tr.LCacheHits++
 		if sp != nil {
 			sp.Event("lookup-cached", key, 0)
 		}
-		if lc := t.comps[p]; lc != nil {
-			return lc.host, true, nil
-		}
-		return cached, false, nil
+		return t.comps[p], nil
 	}
 	c, err := tree.ComponentAt(n.cfg.Width, p)
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
 	owner, hops, err := n.ring.Lookup(at, chord.Hash(c.Name()))
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
 	tr.NameLookups++
 	tr.LookupHops += hops
@@ -215,34 +273,29 @@ func (n *Network) lookup(t *topology, at chord.NodeID, p tree.Path, tr *TokenTra
 	if sp != nil {
 		sp.Event("lookup", key, int64(hops))
 	}
-	if lc := t.comps[p]; lc != nil {
-		return lc.host, true, nil
-	}
-	return owner, false, nil
+	return t.comps[p], nil
 }
 
 // findEntry locates the live input component covering input wire in by
 // trying names on the input balancer's ancestor chain (Section 3.5 bounds
 // this by the chain length).
-func (n *Network) findEntry(t *topology, c *Client, in int, tr *TokenTrace, sp *obs.Span) (tree.Component, error) {
+func (n *Network) findEntry(t *topology, c *Client, in int, tr *TokenTrace, sp *obs.Span) (*liveComp, error) {
 	// The input balancer for wire in is a pure function of the width,
 	// precomputed at construction.
 	leaf := n.entryLeaf[in]
 	maxLevel := len(leaf)
 
-	try := func(p tree.Path) (bool, error) {
+	try := func(lvl int) (*liveComp, error) {
+		p := leaf[:lvl]
 		tr.EntryTries++
 		if sp != nil {
 			sp.Event("entry-try", string(p), 0)
 		}
-		_, live, err := n.lookup(t, c.at, p, tr, sp)
-		if err != nil {
-			return false, err
+		lc, err := n.lookup(t, c.at, p, tr, sp)
+		if lc != nil {
+			c.lastLevel, c.hasLast = lvl, true
 		}
-		if live {
-			c.lastEntry, c.hasLast = p, true
-		}
-		return live, nil
+		return lc, err
 	}
 
 	// The unique live component covering the leaf is at exactly one level
@@ -252,7 +305,7 @@ func (n *Network) findEntry(t *topology, c *Client, in int, tr *TokenTrace, sp *
 	// the leaf upward (at most log(w) tries, Section 3.5). The tried-set
 	// is a bitmask: levels are < 64 for any realizable width.
 	if c.hasLast {
-		last := len(c.lastEntry)
+		last := c.lastLevel
 		var tried uint64
 		for delta := 0; delta <= maxLevel; delta++ {
 			for _, lvl := range []int{last + delta, last - delta} {
@@ -260,96 +313,74 @@ func (n *Network) findEntry(t *topology, c *Client, in int, tr *TokenTrace, sp *
 					continue
 				}
 				tried |= 1 << uint(lvl)
-				live, err := try(leaf[:lvl])
-				if err != nil {
-					return tree.Component{}, err
-				}
-				if live {
-					return t.comps[leaf[:lvl]].st.Comp, nil
+				if lc, err := try(lvl); lc != nil || err != nil {
+					return lc, err
 				}
 				if delta == 0 {
 					break // the two candidates coincide
 				}
 			}
 		}
-		return tree.Component{}, fmt.Errorf("core: no input component covers wire %d", in)
+		return nil, fmt.Errorf("core: no input component covers wire %d", in)
 	}
 
 	for lvl := maxLevel; lvl >= 0; lvl-- {
-		live, err := try(leaf[:lvl])
-		if err != nil {
-			return tree.Component{}, err
-		}
-		if live {
-			return t.comps[leaf[:lvl]].st.Comp, nil
+		if lc, err := try(lvl); lc != nil || err != nil {
+			return lc, err
 		}
 	}
-	return tree.Component{}, fmt.Errorf("core: no input component covers wire %d", in)
+	return nil, fmt.Errorf("core: no input component covers wire %d", in)
 }
 
-// chainPool recycles the candidate-chain scratch slices of resolveNext:
-// forwarding is the hottest loop in the system and the chain is the only
-// per-hop slice it needs.
-var chainPool = sync.Pool{
-	New: func() any {
-		s := make([]tree.Component, 0, 16)
-		return &s
-	},
+// hop resolves where a token leaving component lc on output wire o goes:
+// the next live component, or (next == nil) the network exit wire netOut.
+// It is the one forwarding step of both InjectAt and InjectBatch.
+//
+// Warm, it is the Section 3.5 direct send: the wire's memo is lc's address
+// record of the next component, and the send succeeds if that component is
+// still in the network on the host the record names — fields only
+// structural operations and bounced tokens write. A network exit is pure
+// wire algebra and never goes stale. A missing or stale memo falls through
+// to resolveNext, which meters the bounce and memoizes the fresh
+// resolution; with DisableCache no memo is ever published, so every hop
+// takes that path.
+func (n *Network) hop(t *topology, lc *liveComp, o int, tr *TokenTrace, sp *obs.Span) (next *liveComp, netOut int, err error) {
+	if slots := lc.slots.Load(); slots != nil {
+		if m := (*slots)[o].Load(); m != nil {
+			if m.next == nil {
+				return nil, m.netOut, nil
+			}
+			if !m.next.removed && uint64(m.next.host) == m.host.Load() {
+				tr.CacheHits++
+				if sp != nil {
+					sp.Event("cache-hit", string(m.next.st.Comp.Path), 0)
+				}
+				return m.next, 0, nil
+			}
+		}
+	}
+	return n.resolveNext(t, lc, o, tr, sp)
 }
 
-// resolveNext resolves where a token leaving component cur on output wire
-// o goes, using and maintaining cur's out-neighbor address cache.
+// resolveNext is hop's cold path: it resolves output wire o of lc from the
+// wire algebra and lc's out-neighbor address cache, and memoizes the
+// answer.
 //
 // The wire algebra (climbing out of parents, descending into the sibling
 // subtree) is pure local computation; the DHT is needed only to learn
 // which component of the candidate chain is live and where it is hosted. A
-// warm cache therefore forwards with zero lookups: the sender computes the
-// candidate chain, finds a cached neighbor on it, and sends directly; a
+// cached neighbor on the chain therefore forwards with zero lookups; a
 // stale entry bounces (metered as a cache miss) and triggers a fresh
 // resolution.
-func (n *Network) resolveNext(t *topology, lc *liveComp, cur tree.Component, o int, tr *TokenTrace, sp *obs.Span) (next tree.Component, exited bool, netOut int, err error) {
-	// Fast path: the per-wire destination memo. A network exit is pure
-	// wire algebra and never goes stale; a memoized neighbor is used only
-	// if it is still live on the snapshot at the cached host (the §3.5
-	// "direct send" succeeding), otherwise it bounces like any stale
-	// cache entry and the wire is re-resolved below.
-	if !n.cfg.DisableCache {
-		lc.nbrsMu.Lock()
-		if d, ok := lc.wires[o]; ok {
-			if d.exit {
-				lc.nbrsMu.Unlock()
-				return tree.Component{}, true, d.netOut, nil
-			}
-			if host, cached := lc.nbrs[d.path]; cached {
-				if got := t.comps[d.path]; got != nil && got.host == host {
-					lc.nbrsMu.Unlock()
-					tr.CacheHits++
-					if sp != nil {
-						sp.Event("cache-hit", string(d.path), 0)
-					}
-					return got.st.Comp, false, 0, nil
-				}
-				tr.CacheMisses++
-				if sp != nil {
-					sp.Event("cache-miss", string(d.path), 0)
-				}
-				delete(lc.nbrs, d.path)
-			}
-			delete(lc.wires, o)
-		}
-		lc.nbrsMu.Unlock()
-	}
-
-	node, wire := cur, o
+func (n *Network) resolveNext(t *topology, lc *liveComp, o int, tr *TokenTrace, sp *obs.Span) (next *liveComp, netOut int, err error) {
+	node, wire := lc.st.Comp, o
 	for {
 		parent, idx, ok := node.Parent(n.cfg.Width)
 		if !ok {
 			if !n.cfg.DisableCache {
-				lc.nbrsMu.Lock()
-				lc.wires[o] = wireDst{exit: true, netOut: wire}
-				lc.nbrsMu.Unlock()
+				lc.memoize(o, &n.exits[wire])
 			}
-			return tree.Component{}, true, wire, nil
+			return nil, wire, nil
 		}
 		d := tree.ChildNext(parent.Kind, parent.Width, idx, wire)
 		if !d.ToChild {
@@ -358,81 +389,103 @@ func (n *Network) resolveNext(t *topology, lc *liveComp, cur tree.Component, o i
 		}
 		target, cerr := parent.Child(d.Child)
 		if cerr != nil {
-			return tree.Component{}, false, 0, cerr
+			return nil, 0, cerr
 		}
-		wire = d.ChildIn
-		next, exited, netOut, err = n.descendToLive(t, lc, target, wire, tr, sp)
-		if err == nil && !exited && !n.cfg.DisableCache {
-			lc.nbrsMu.Lock()
-			lc.wires[o] = wireDst{path: next.Path}
-			lc.nbrsMu.Unlock()
-		}
-		return next, exited, netOut, err
+		return n.descendToLive(t, lc, o, target, d.ChildIn, tr, sp)
 	}
 }
 
-// descendToLive finds the live component covering (target, wire),
-// consulting the sender's neighbor cache before issuing DHT lookups. The
-// neighbor cache is guarded by the sending component's own mutex (lock
-// striping): tokens leaving different components never contend.
-func (n *Network) descendToLive(t *topology, lc *liveComp, target tree.Component, wire int, tr *TokenTrace, sp *obs.Span) (tree.Component, bool, int, error) {
-	// Compute the candidate chain locally (free).
-	chainp := chainPool.Get().(*[]tree.Component)
-	chain := append((*chainp)[:0], target)
-	defer func() {
-		*chainp = chain[:0]
-		chainPool.Put(chainp)
-	}()
-	cwire := wire
-	for cur := target; !cur.IsLeaf(); {
-		ci, cin := tree.ChildInput(cur.Kind, cur.Width, cwire)
-		child, err := cur.Child(ci)
-		if err != nil {
-			return tree.Component{}, false, 0, err
-		}
-		chain = append(chain, child)
-		cur, cwire = child, cin
+// maxPathLen bounds a component path: one byte per level, and levels are
+// < 64 for any realizable width.
+const maxPathLen = 64
+
+// descendToLive finds the live component covering (target, wire) for
+// output wire o of lc, consulting the sender's neighbor cache before
+// issuing DHT lookups, and memoizes it. The neighbor cache is guarded by
+// the sending component's own mutex (lock striping): tokens leaving
+// different components never contend.
+func (n *Network) descendToLive(t *topology, lc *liveComp, o int, target tree.Component, wire int, tr *TokenTrace, sp *obs.Span) (*liveComp, int, error) {
+	// Compute the candidate chain locally (free): target and the component
+	// under it at every level that covers the wire, down to the balancer.
+	// Input wires only ever feed a component's entry children, which are of
+	// its own kind, so the chain is leaf[:top], leaf[:top+1], ..., leaf.
+	var buf [maxPathLen]byte
+	leaf, top := append(buf[:0], target.Path...), len(target.Path)
+	for width := target.Width; width > 2; width /= 2 {
+		var ci int
+		ci, wire = tree.ChildInput(target.Kind, width, wire)
+		leaf = append(leaf, byte('0'+ci))
 	}
 
+	// moved is the record of a neighbor that is live but no longer where
+	// lc remembers it; re-resolving it rewrites the record in place.
+	var moved *nbrAddr
 	if !n.cfg.DisableCache {
 		lc.nbrsMu.Lock()
-		for _, cand := range chain {
-			host, cached := lc.nbrs[cand.Path]
-			if !cached {
+		for k := top; k <= len(leaf); k++ {
+			m := lc.nbrs[tree.Path(leaf[:k])]
+			if m == nil {
 				continue
 			}
-			if got := t.comps[cand.Path]; got != nil && got.host == host {
+			got := t.comps[tree.Path(leaf[:k])]
+			if got != nil && uint64(got.host) == m.host.Load() {
+				if m.next != got { // removed and re-created at the same path
+					m = newNbrAddr(got)
+					lc.nbrs[got.st.Comp.Path] = m
+				}
 				lc.nbrsMu.Unlock()
 				tr.CacheHits++
 				if sp != nil {
-					sp.Event("cache-hit", string(cand.Path), 0)
+					sp.Event("cache-hit", string(leaf[:k]), 0)
 				}
-				return cand, false, 0, nil
+				lc.memoize(o, m)
+				return got, 0, nil
 			}
 			// Stale: the direct send bounces; re-resolve below.
 			tr.CacheMisses++
 			if sp != nil {
-				sp.Event("cache-miss", string(cand.Path), 0)
+				sp.Event("cache-miss", string(leaf[:k]), 0)
 			}
-			delete(lc.nbrs, cand.Path)
+			delete(lc.nbrs, tree.Path(leaf[:k]))
+			if m.next == got {
+				moved = m
+			}
 		}
 		lc.nbrsMu.Unlock()
 	}
 
 	// Cold or stale: walk the chain with metered DHT lookups.
-	for _, cand := range chain {
-		host, live, err := n.lookup(t, lc.host, cand.Path, tr, sp)
+	for k := top; k <= len(leaf); k++ {
+		got, err := n.lookup(t, lc.host, tree.Path(leaf[:k]), tr, sp)
 		if err != nil {
-			return tree.Component{}, false, 0, err
+			return nil, 0, err
 		}
-		if live {
-			if !n.cfg.DisableCache {
-				lc.nbrsMu.Lock()
-				lc.nbrs[cand.Path] = host
-				lc.nbrsMu.Unlock()
+		if got == nil {
+			continue
+		}
+		if !n.cfg.DisableCache {
+			m := moved
+			if m != nil && m.next == got {
+				m.host.Store(uint64(got.host))
+			} else {
+				m = newNbrAddr(got)
 			}
-			return cand, false, 0, nil
+			lc.nbrsMu.Lock()
+			if lc.nbrs == nil {
+				lc.nbrs = make(map[tree.Path]*nbrAddr)
+			}
+			lc.nbrs[got.st.Comp.Path] = m
+			lc.nbrsMu.Unlock()
+			lc.memoize(o, m)
 		}
+		return got, 0, nil
 	}
-	return tree.Component{}, false, 0, fmt.Errorf("core: no live component covers %v", target)
+	return nil, 0, fmt.Errorf("core: no live component covers %v", target)
+}
+
+// newNbrAddr records that lc sits on its current host.
+func newNbrAddr(lc *liveComp) *nbrAddr {
+	m := &nbrAddr{next: lc}
+	m.host.Store(uint64(lc.host))
+	return m
 }
