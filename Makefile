@@ -3,9 +3,9 @@ GO ?= go
 # get a second pass under the race detector.
 RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
 
-.PHONY: check fmt vet build test multicore benchtest race bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare
+.PHONY: check fmt vet build test multicore distalone benchtest race bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare
 
-check: fmt vet build test multicore benchtest race benchsmoke perfsmoke tracesmoke comparesmoke partsmoke
+check: fmt vet build test multicore distalone benchtest race benchsmoke perfsmoke tracesmoke comparesmoke partsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -23,10 +23,17 @@ test:
 # core's warm token path is lock-free (memo loads, a CAS per component) and
 # chord's lookup cache sits under it: such code is only exercised when its
 # goroutines really run on more than one P, so these two packages are run
-# again at GOMAXPROCS 1, 2 and 4, twice each. (dist joins them once ROADMAP
-# item 1a is fixed; it fails on >= 2 CPUs today.)
+# again at GOMAXPROCS 1, 2 and 4, twice each.
 multicore:
 	$(GO) test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/
+
+# dist on its own, so that the other packages' tests do not starve it down to
+# one CPU and hide a failure (ROADMAP item 1e). The four skipped tests are
+# the live-reconfiguration miscount of ROADMAP item 1, which fails at every
+# commit so far on >= 2 CPUs; they still run in `test` and `race`.
+DIST_KNOWN_FLAKY = TestSplitUnderLoad|TestMergeUnderLoad|TestOscillationUnderLoad|TestAsyncAdaptiveEndToEnd
+distalone:
+	$(GO) test -count=2 -cpu 1,2,4 -skip '$(DIST_KNOWN_FLAKY)' ./internal/dist/
 
 # The benchmark (acnload) is a Go module of its own under benchmark/, so
 # `go test ./...` at the root does not reach its tests.
@@ -48,7 +55,7 @@ benchsmoke:
 # b.RunParallel and the batch/pooled paths race real goroutines, so this
 # catches data races the correctness tests' schedules might miss.
 perfsmoke:
-	$(GO) test -race -bench 'TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistTCPBatch|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
+	$(GO) test -race -bench 'TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
 
 # Re-verify the newest checked-in pre/post baseline against itself (first
 # run vs last run): an edit that regresses the recorded post numbers — or

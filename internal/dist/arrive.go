@@ -26,6 +26,17 @@ import (
 // reply names. A fabric that knows no placement makes every chain one step
 // long: that is the one-message-per-hop behaviour, not a second code path.
 
+// routeLocked counts one token in on input wire w of an active component and
+// returns the output wire the component's round-robin sends it to. The
+// caller holds cm.mu. It is the one place a token is stepped: the single-
+// token path, a group's visit and a chain of either all come through here.
+func (cm *comp) routeLocked(w int) int {
+	cm.arrived[w]++
+	out := int(cm.total % uint64(cm.c.Width))
+	cm.total++
+	return out
+}
+
 // step delivers one token to input wire w under the component's lock. An
 // active component routes it and returns its output wire. A frozen one
 // stores it if the caller brought a stored-token record (only the handler
@@ -37,9 +48,7 @@ func (cm *comp) step(w int, store *queuedToken) (out int, st compState) {
 	st = cm.state
 	switch {
 	case st == stateActive:
-		cm.arrived[w]++
-		out = int(cm.total % uint64(cm.c.Width))
-		cm.total++
+		out = cm.routeLocked(w)
 	case st == stateFrozen && store != nil:
 		cm.arrived[w]++
 		cm.queue = append(cm.queue, *store)

@@ -72,7 +72,7 @@ func requireEvents(t *testing.T, got []obs.Event, want ...obs.Event) {
 // wrapper that hides the fabric's placement knowledge leaves every token on
 // the same output wire, for one RPC per token on the first (one fabric, no
 // crossings) and one per component on the second (effective depth: 6 at the
-// level-2 cut of BITONIC[64]). The sibling of TestBurstPaysEffectiveDepth.
+// level-2 cut of BITONIC[64]). The sibling of TestBurstPaysCrossings.
 func TestTokenPaysCrossings(t *testing.T) {
 	const w = 64
 	for _, tc := range []struct {
@@ -374,8 +374,8 @@ func TestChainStaleIncarnationOneStep(t *testing.T) {
 }
 
 // slowArrive is a tcpnet fabric whose component endpoints take their time
-// over every arrive, so the caller's deadline passes while the handler —
-// the whole chain — is still running.
+// over every arrive, single or group, so the caller's deadline passes while
+// the handler — the whole chain — is still running.
 type slowArrive struct {
 	*tcpnet.Net
 	delay time.Duration
@@ -383,7 +383,7 @@ type slowArrive struct {
 
 func (s *slowArrive) Bind(a transport.Addr, h transport.Handler) error {
 	return s.Net.Bind(a, func(req transport.Request) (any, error) {
-		if req.Kind == kindArrive {
+		if req.Kind == kindArrive || req.Kind == kindGroupArrive {
 			time.Sleep(s.delay)
 		}
 		return h(req)

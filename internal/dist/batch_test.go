@@ -45,21 +45,21 @@ func randomBatch(rng *rand.Rand, n, w int) []int {
 // TestBatchFlushMatchesSequential: over a fabric that flushes a round as
 // one batch, InjectBatch stays count-for-count equal to InjectBatchSeq on
 // the ideal fabric, with and without a group cap, and keeps the RPC
-// accounting: an RPC is one component visit (or one cap-sized slice of
-// one), whatever shares its flush.
+// accounting: on one fabric an RPC is one entry component's visit (or one
+// cap-sized slice of one — the cap splits the entry visit only, each slice
+// then chains on its own), and the whole batch is one round.
 func TestBatchFlushMatchesSequential(t *testing.T) {
 	const w, tokens = 16, 200
 	ins := randomWires(31, tokens, w)
 	for _, tc := range []struct {
-		name    string
-		cut     tree.Cut
-		uniform bool // every path crosses equally many components
+		name string
+		cut  tree.Cut
 	}{
-		{"root", tree.RootCut(), true},
-		{"uniform1", mustCut(t, w, 1), true},
-		{"uniform2", mustCut(t, w, 2), true},
-		{"leaf", tree.LeafCut(w), true},
-		{"random", tree.RandomCut(w, 0.5, rand.New(rand.NewSource(8))), false},
+		{"root", tree.RootCut()},
+		{"uniform1", mustCut(t, w, 1)},
+		{"uniform2", mustCut(t, w, 2)},
+		{"leaf", tree.LeafCut(w)},
+		{"random", tree.RandomCut(w, 0.5, rand.New(rand.NewSource(8)))},
 	} {
 		for _, limit := range []int{0, 7} {
 			tn, err := tcpnet.New(tcpnet.Config{})
@@ -105,30 +105,27 @@ func TestBatchFlushMatchesSequential(t *testing.T) {
 					t.Fatalf("%s limit %d: returned outputs %v disagree with the counters %v", tc.name, limit, perOut, g)
 				}
 			}
-			calls := after.Sub(before).Calls
-			depth, err := grp.EffectiveDepth()
-			if err != nil {
-				t.Fatal(err)
+			entered := make(map[int32]uint64) // tokens by entry component
+			rt := grp.topo.Load().rt
+			for _, in := range ins {
+				entered[rt.Entry(in).Comp]++
 			}
-			if tc.name == "root" {
-				want := uint64(1)
+			var want uint64
+			for _, n := range entered {
 				if limit > 0 {
-					want = (tokens + uint64(limit) - 1) / uint64(limit)
+					n = (n + uint64(limit) - 1) / uint64(limit)
+				} else {
+					n = 1
 				}
-				if calls != want {
-					t.Fatalf("root limit %d: %d RPCs for one component visit by %d tokens, want %d", limit, calls, tokens, want)
-				}
+				want += n
 			}
-			// On a uniform cut a component sits at one depth, so the whole
-			// batch visits it in one round: at most one RPC per component.
-			if tc.uniform && limit == 0 && calls > uint64(grp.Size()) {
-				t.Fatalf("%s: %d RPCs on a cut of %d components: more than one per component visit", tc.name, calls, grp.Size())
+			if calls := after.Sub(before).Calls; calls != want {
+				t.Fatalf("%s limit %d: %d RPCs for %d tokens entering at %d components, want %d", tc.name, limit, calls, tokens, len(entered), want)
 			}
-			// A round with a single RPC is a plain Send, so flushes can fall
-			// short of the depth, but a batch never takes more rounds than
-			// the cut is deep.
-			if n := fc.batches.Load(); n > int64(depth) {
-				t.Fatalf("%s limit %d: %d flushes on a cut of effective depth %d", tc.name, limit, n, depth)
+			// One round, so at most one flush (a round with a single RPC is a
+			// plain Send).
+			if n := fc.batches.Load(); n > 1 {
+				t.Fatalf("%s limit %d: %d flushes for a batch that never leaves its fabric", tc.name, limit, n)
 			}
 			if err := tn.Close(); err != nil {
 				t.Fatal(err)
@@ -137,36 +134,63 @@ func TestBatchFlushMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBurstPaysEffectiveDepth is the PR's headline as a count: a 128-token
-// burst on the level-2 cut of BITONIC[64] visits each of the 24 components
-// once (24 RPCs, 0.1875 per token) and needs 6 flushes, the cut's effective
-// depth (Definition 1.2) — not 24 round trips.
-func TestBurstPaysEffectiveDepth(t *testing.T) {
-	tn, err := tcpnet.New(tcpnet.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = tn.Close() })
-	fc := &flushCounter{Net: tn}
-	cl, err := New(64, mustCut(t, 64, 2), WithTransport(fc), WithRetry(patient))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := int64(1); round <= 3; round++ {
-		_, before := cl.NetStats()
-		if _, err := cl.InjectBatch(randomWires(round, 128, 64)); err != nil {
+// noPlacement is a batch-capable fabric that answers no placement question:
+// it forwards BatchSender and hides Colocator, so a round's groups still
+// share a flush but every group handler's chain is one step long.
+type noPlacement struct {
+	transport.Transport
+	transport.BatchSender
+}
+
+// TestBurstPaysCrossings is the batch path's model as counts. A 128-token
+// burst on the level-2 cut of BITONIC[64] enters at 4 components, and on
+// one fabric that is all it pays: 4 group RPCs in 1 flush, each handler
+// stepping its group through the other 5 layers in place. On a fabric that
+// knows no placement every component visit is a message again: 24 RPCs, and
+// 6 flushes, the cut's effective depth (Definition 1.2). The sibling of
+// TestTokenPaysCrossings.
+func TestBurstPaysCrossings(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		hide           bool
+		calls, flushes int64
+	}{
+		{"one fabric", false, 4, 1},
+		{"placement hidden", true, 24, 6},
+	} {
+		tn, err := tcpnet.New(tcpnet.Config{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, after := cl.NetStats()
-		if calls := after.Sub(before).Calls; calls != 24 {
-			t.Fatalf("burst %d: %d RPCs, want 24", round, calls)
+		t.Cleanup(func() { _ = tn.Close() })
+		fc := &flushCounter{Net: tn}
+		var fabric transport.Transport = fc
+		if tc.hide {
+			fabric = noPlacement{Transport: fc, BatchSender: fc}
+			if _, ok := fabric.(transport.Colocator); ok {
+				t.Fatal("the wrapper forwards Colocator; it is meant to hide it")
+			}
 		}
-		if n := fc.batches.Load(); n != 6*round {
-			t.Fatalf("burst %d: %d flushes so far, want %d", round, n, 6*round)
+		cl, err := New(64, mustCut(t, 64, 2), WithTransport(fabric), WithRetry(patient))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := cl.CheckStep(); err != nil {
-		t.Fatal(err)
+		for round := int64(1); round <= 3; round++ {
+			_, before := cl.NetStats()
+			if _, err := cl.InjectBatch(randomWires(round, 128, 64)); err != nil {
+				t.Fatal(err)
+			}
+			_, after := cl.NetStats()
+			if calls := after.Sub(before).Calls; calls != uint64(tc.calls) {
+				t.Fatalf("%s: burst %d: %d RPCs, want %d", tc.name, round, calls, tc.calls)
+			}
+			if n := fc.batches.Load(); n != tc.flushes*round {
+				t.Fatalf("%s: burst %d: %d flushes so far, want %d", tc.name, round, n, tc.flushes*round)
+			}
+		}
+		if err := cl.CheckStep(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -241,16 +265,17 @@ func TestBatchSendsSequentialWithoutCapability(t *testing.T) {
 	}
 }
 
-// TestBatchAllocs pins what a warm 128-token burst at the level-2 cut of
-// BITONIC[64] allocates over the ideal fabric, so the batch bookkeeping
+// TestInjectBatchAllocs pins what a warm 128-token burst at the level-2 cut
+// of BITONIC[64] allocates over the ideal fabric, so the batch bookkeeping
 // cannot silently regrow (it was about 3500 when every round re-walked the
-// tree and rebuilt its groups in maps). What is left is per RPC or per
-// round, not per token: each of the 24 group RPCs boxes its request body,
-// and its handler allocates the reply's output-wire slice and boxes the
-// reply (72); each of the 6 rounds allocates its two payload slices, which
-// must stay untouched after the round because a fabric may keep a request
-// (12); and the batch returns one result slice.
-func TestBatchAllocs(t *testing.T) {
+// tree and rebuilt its groups in maps, and 85 when every component visit
+// was an RPC). What is left is per RPC or per round, not per token: each of
+// the 4 group RPCs boxes its request body, and its handler allocates the
+// reply's output-wire slice and boxes the reply (12); the one round
+// allocates its two payload slices, which must stay untouched after the
+// round because a fabric may keep a request (2); and the batch returns one
+// result slice.
+func TestInjectBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -269,7 +294,7 @@ func TestBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 85 {
-		t.Fatalf("a warm 128-token batch allocates %.0f times, pinned at 85", allocs)
+	if allocs > 15 {
+		t.Fatalf("a warm 128-token batch allocates %.0f times, pinned at 15", allocs)
 	}
 }

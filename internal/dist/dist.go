@@ -20,8 +20,8 @@
 // component releases its stored tokens by sending each one a "resume"
 // control message. On the default ideal in-memory fabric this is exactly as
 // deterministic as the old direct calls; built over transport.Faulty
-// (NewOn), every hop is a message again and every one of those messages
-// can be delayed, lost, duplicated or reordered, and the retry +
+// (WithTransport), every hop is a message again and every one of those
+// messages can be delayed, lost, duplicated or reordered, and the retry +
 // at-most-once layer must keep counting exact (experiment E24).
 //
 // Each component incarnation binds its own transport address ("c:<path>#
@@ -72,7 +72,7 @@ const (
 // and over tcpnet (bodies pass through the binary codec).
 const (
 	kindArrive      = wire.KindArrive      // token delivery to an input wire
-	kindGroupArrive = wire.KindGroupArrive // batched token delivery, one RPC per component visit
+	kindGroupArrive = wire.KindGroupArrive // batched token delivery, one RPC per group and fabric it visits
 	kindFreeze      = wire.KindFreeze      // control: stop processing, snapshot state
 	kindTotal       = wire.KindTotal       // control: report the processed-token total
 	kindKill        = wire.KindKill        // control: die and release stored tokens
@@ -155,7 +155,7 @@ type Cluster struct {
 	// groupLimit caps how many tokens one wire.GroupArrive RPC carries in
 	// InjectBatch. Priority: an explicit SetGroupLimit wins; otherwise the
 	// adapt controller's live recommendation (when UseAdapt installed one);
-	// otherwise unlimited (one RPC per component visit, however large).
+	// otherwise unlimited (one RPC per group, however large).
 	groupLimit atomic.Int64
 	adapt      *adapt.Controller
 
@@ -179,8 +179,10 @@ type Cluster struct {
 	// dropped by GC while still bound in the fabric.
 	eps chan *tokenEP
 
-	// scratch recycles InjectBatch's per-batch working memory.
+	// scratch recycles InjectBatch's per-batch working memory, chains a group
+	// arrive handler's (groupChain).
 	scratch sync.Pool
+	chains  sync.Pool
 
 	reconfig sync.Mutex // serializes Split/Merge against each other only
 }
@@ -295,48 +297,7 @@ func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
 	case kindArrive:
 		return cl.arrive(cm, req)
 	case kindGroupArrive:
-		// The batched hop: one RPC delivers a whole group of tokens to this
-		// component. The reply is group-wide — a frozen component stores the
-		// entire group (each token resumes individually), an active one
-		// routes every token in arrival order under one lock acquisition.
-		// Per-output-wire counts depend only on how many tokens arrived, not
-		// on their interleaving with other senders, so a group visit is
-		// count-for-count identical to the same tokens arriving one by one.
-		ga, ok := req.Body.(wire.GroupArrive)
-		if !ok {
-			return nil, fmt.Errorf("dist: group arrive body %T", req.Body)
-		}
-		if len(ga.Wires) == 0 || len(ga.Wires) != len(ga.Seqs) {
-			return nil, fmt.Errorf("dist: group arrive %d wires, %d seqs", len(ga.Wires), len(ga.Seqs))
-		}
-		for _, w := range ga.Wires {
-			if w < 0 || w >= cm.c.Width {
-				return nil, fmt.Errorf("dist: group arrive wire %d out of range [0,%d)", w, cm.c.Width)
-			}
-		}
-		cm.mu.Lock()
-		switch cm.state {
-		case stateDead:
-			cm.mu.Unlock()
-			return wire.GroupArriveRes{Status: wire.StatusDead}, nil
-		case stateFrozen:
-			for i, w := range ga.Wires {
-				cm.arrived[w]++
-				cm.queue = append(cm.queue, queuedToken{wire: w, tok: transport.Addr(ga.Token), seq: ga.Seqs[i]})
-			}
-			cm.mu.Unlock()
-			return wire.GroupArriveRes{Status: wire.StatusQueued}, nil
-		default:
-			outs := make([]int, len(ga.Wires))
-			for i, w := range ga.Wires {
-				cm.arrived[w]++
-				outs[i] = int(cm.total % uint64(cm.c.Width))
-				cm.total++
-			}
-			cm.mu.Unlock()
-			cl.signalDrain()
-			return wire.GroupArriveRes{Status: wire.StatusProcessed, Outs: outs}, nil
-		}
+		return cl.groupArrive(cm, req)
 	case kindFreeze:
 		cm.mu.Lock()
 		defer cm.mu.Unlock()

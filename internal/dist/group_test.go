@@ -71,7 +71,10 @@ func TestGroupBatchMatchesSequentialCounts(t *testing.T) {
 // TestGroupBatchOneRPCPerComponentVisit is the batching cost contract: on
 // a root-only cut every token's traversal is one visit to one component,
 // so a whole batch must cost exactly ONE group arrive RPC — not one per
-// token. On a finer cut it is one per component visited.
+// token. On a finer cut over one fabric it is one per component the batch
+// enters at, each handler stepping its group on in place; behind a wrapper
+// that hides the fabric's placement knowledge it is one per component
+// visited.
 func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 	w := 8
 	cl, err := NewRootOnly(w)
@@ -91,13 +94,16 @@ func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 		t.Fatalf("root-only batch of %d tokens issued %d RPCs, want exactly 1", len(ins), got)
 	}
 
-	// Finer cut: the batch fans out across components round by round, and
-	// its RPC count is per component visit — on this uniform cut every
-	// component is visited in one round, so at most one RPC each, whatever
-	// the batch size. The sequential path is priced by a different model:
-	// over one fabric a token is one RPC however many components it passes
-	// (TestTokenPaysCrossings), so there the count is the batch size.
+	// Finer cut. On this uniform cut every component is visited in one
+	// round, so behind the wrapper it is one RPC each, whatever the batch
+	// size. The sequential path is priced per token: over one fabric a token
+	// is one RPC however many components it passes (TestTokenPaysCrossings),
+	// so there the count is the batch size.
 	cl2, err := New(w, tree.LeafCut(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden, err := New(w, tree.LeafCut(w), WithTransport(hideCaps{transport.NewMem()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +111,26 @@ func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	entries := map[int32]bool{}
+	for _, in := range ins {
+		entries[cl2.topo.Load().rt.Entry(in).Comp] = true
+	}
 	_, before = cl2.NetStats()
 	if _, err := cl2.InjectBatch(ins); err != nil {
 		t.Fatal(err)
 	}
 	_, after = cl2.NetStats()
-	if got := after.Sub(before).Calls; got != uint64(cl2.Size()) {
-		t.Fatalf("group batch issued %d RPCs on a leaf cut of %d balancers, want one per component visit", got, cl2.Size())
+	if got := after.Sub(before).Calls; got != uint64(len(entries)) || len(entries) != w/2 {
+		t.Fatalf("group batch issued %d RPCs on one fabric, want one per entry balancer (%d)", got, len(entries))
+	}
+
+	_, before = hidden.NetStats()
+	if _, err := hidden.InjectBatch(ins); err != nil {
+		t.Fatal(err)
+	}
+	_, after = hidden.NetStats()
+	if got := after.Sub(before).Calls; got != uint64(hidden.Size()) {
+		t.Fatalf("group batch issued %d RPCs with placement hidden on a leaf cut of %d balancers, want one per component visit", got, hidden.Size())
 	}
 
 	_, before = seq.NetStats()

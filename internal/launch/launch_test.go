@@ -300,3 +300,152 @@ func TestSeqModePaysCrossings(t *testing.T) {
 			got, res.In.Total(), crossings, visits, want)
 	}
 }
+
+// TestGroupModePaysCrossings is TestSeqModePaysCrossings for group
+// injection: a burst costs one group RPC per component its tokens stand at
+// when a round starts, and as many rounds as 1 + the most partition
+// crossings on any of its tokens' paths — a handler steps its group through
+// every component its own worker owns and reports the rest by position.
+// The expected total is computed here from the spec's ownership map and the
+// compiled routes alone. Every burst carries the same number of tokens on
+// every network input wire, so every visit below is by a multiple of the
+// component's width and leaves equally many tokens on each of its output
+// wires whatever the component's state: the count does not depend on how
+// the two workers' bursts interleaved (the model checks that premise).
+// AutoSpec deals components out round-robin, about the worst ownership map
+// there is: nearly every hop crosses, the tokens of a burst fall out of step
+// with each other, and a component is visited in several rounds.
+func TestGroupModePaysCrossings(t *testing.T) {
+	const burst, bursts = 512, 3 // per worker
+	spec, err := AutoSpec(16, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Workload = Workload{Tokens: 2 * bursts * burst, Burst: burst, Senders: 1, Mode: "group"}
+	coord, workers, err := StartInProc(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = coord.Close()
+		for _, w := range workers {
+			_ = w.Close()
+		}
+	}()
+	if _, err := coord.Run(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Gather()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Conserved || res.In.Total() != 2*bursts*burst {
+		t.Fatalf("in %d out %d", res.In.Total(), res.Out.Total())
+	}
+	if !res.StepOK {
+		t.Fatalf("step property violated: %v", res.Out)
+	}
+	for in, n := range res.In {
+		if n != 2*bursts*burst/16 {
+			t.Fatalf("%d tokens entered on wire %d: the bursts are not uniform over the input wires", n, in)
+		}
+	}
+
+	owner := map[tree.Path]string{}
+	for _, p := range spec.Partitions {
+		for _, c := range p.Components {
+			owner[tree.Path(c)] = p.Name
+		}
+	}
+	cut, err := spec.Cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := tree.CompileRoutes(spec.Width, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := rt.Components()
+
+	// standing[c][w] is how many of one burst's tokens stand at input wire w
+	// of component c when a round starts; each such component is one RPC.
+	standing := map[int32][]int{}
+	stand := func(at map[int32][]int, h tree.Hop, n int) {
+		if at[h.Comp] == nil {
+			at[h.Comp] = make([]int, comps[h.Comp].Width)
+		}
+		at[h.Comp][h.Wire] += n
+	}
+	for in := 0; in < spec.Width; in++ {
+		stand(standing, rt.Entry(in), burst/spec.Width)
+	}
+	var perRound []int
+	for len(standing) > 0 {
+		perRound = append(perRound, len(standing))
+		forwarded := map[int32][]int{}
+		for entry, wires := range standing {
+			// One handler: wave after wave through the components its worker
+			// owns. On a uniform cut all of a handler's tokens through one
+			// component reach it in the same wave.
+			here := owner[comps[entry].Path]
+			wave := map[int32][]int{entry: wires}
+			for len(wave) > 0 {
+				next := map[int32][]int{}
+				for ci, in := range wave {
+					n, width := 0, comps[ci].Width
+					for _, k := range in {
+						n += k
+					}
+					if n%width != 0 {
+						t.Fatalf("a visit of %v by %d tokens: its outputs depend on its state, pick another burst size", comps[ci], n)
+					}
+					for out := 0; out < width; out++ {
+						switch h := rt.Next(ci, out); {
+						case h.Exited():
+						case owner[comps[h.Comp].Path] == here:
+							stand(next, h, n/width)
+						default:
+							stand(forwarded, h, n/width)
+						}
+					}
+				}
+				wave = next
+			}
+		}
+		standing = forwarded
+	}
+	// The most crossings on any path through the cut, from the routes alone.
+	var crossings func(ci int32) int
+	crossings = func(ci int32) int {
+		most := 0
+		for out := 0; out < comps[ci].Width; out++ {
+			if h := rt.Next(ci, out); !h.Exited() {
+				n := crossings(h.Comp)
+				if owner[comps[h.Comp].Path] != owner[comps[ci].Path] {
+					n++
+				}
+				most = max(most, n)
+			}
+		}
+		return most
+	}
+	most := 0
+	for in := 0; in < spec.Width; in++ {
+		most = max(most, crossings(rt.Entry(in).Comp))
+	}
+	if most == 0 || len(perRound) != 1+most {
+		t.Fatalf("the model takes %d rounds %v for paths of at most %d crossings", len(perRound), perRound, most)
+	}
+	want := uint64(0)
+	for _, groups := range perRound {
+		want += uint64(2 * bursts * groups)
+	}
+	var got uint64
+	for _, w := range workers {
+		_, cs := w.Cluster.NetStats()
+		got += cs.Calls
+	}
+	if got != want {
+		t.Fatalf("%d group RPCs for %d bursts, want %d (groups per round %v)", got, 2*bursts, want, perRound)
+	}
+}

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -138,9 +139,12 @@ type Net struct {
 	eps   map[transport.Addr]*endpoint
 	dedup bool
 
-	routeMu   sync.RWMutex
-	routes    []route // longest-prefix destination routes
-	defTarget string  // fallback for unmatched addresses; "" = own listener
+	// routes is the current routing snapshot. Every Send, every SendBatch
+	// request and every step of a dist handler chain resolves against it, so
+	// readers take no lock: writers (serialized by routeMu) publish a fresh
+	// immutable table.
+	routeMu sync.Mutex
+	routes  atomic.Pointer[routeTable]
 
 	poolMu   sync.Mutex
 	pools    map[string]*pool
@@ -218,6 +222,12 @@ type route struct {
 	target string // host:port
 }
 
+// routeTable is one immutable routing snapshot.
+type routeTable struct {
+	routes    []route // longest prefix first
+	defTarget string  // fallback for unmatched addresses; "" = own listener
+}
+
 // New creates a Net listening per cfg and starts serving.
 func New(cfg Config) (*Net, error) {
 	cfg = cfg.withDefaults()
@@ -234,6 +244,7 @@ func New(cfg Config) (*Net, error) {
 		closeCh: make(chan struct{}),
 		work:    make(chan srvTask, cfg.HandlerQueue),
 	}
+	n.routes.Store(new(routeTable))
 	n.loops.Add(1)
 	go n.acceptLoop()
 	for i := 0; i < cfg.Handlers; i++ {
@@ -265,19 +276,21 @@ func (n *Net) Route(prefix, hostport string) error {
 	}
 	n.routeMu.Lock()
 	defer n.routeMu.Unlock()
-	for i := range n.routes {
-		if n.routes[i].prefix == prefix {
-			if n.routes[i].target == hostport {
+	old := n.routes.Load()
+	for _, r := range old.routes {
+		if r.prefix == prefix {
+			if r.target == hostport {
 				return nil
 			}
 			return fmt.Errorf("tcpnet: route %q already targets %q (refusing to shadow it with %q)",
-				prefix, n.routes[i].target, hostport)
+				prefix, r.target, hostport)
 		}
 	}
-	n.routes = append(n.routes, route{prefix: prefix, target: hostport})
-	sort.Slice(n.routes, func(i, j int) bool {
-		return len(n.routes[i].prefix) > len(n.routes[j].prefix)
+	routes := append(slices.Clone(old.routes), route{prefix: prefix, target: hostport})
+	sort.SliceStable(routes, func(i, j int) bool {
+		return len(routes[i].prefix) > len(routes[j].prefix)
 	})
+	n.routes.Store(&routeTable{routes: routes, defTarget: old.defTarget})
 	return nil
 }
 
@@ -291,7 +304,7 @@ func (n *Net) RouteDefault(hostport string) error {
 	}
 	n.routeMu.Lock()
 	defer n.routeMu.Unlock()
-	n.defTarget = hostport
+	n.routes.Store(&routeTable{routes: n.routes.Load().routes, defTarget: hostport})
 	return nil
 }
 
@@ -304,29 +317,27 @@ type RouteEntry struct {
 // Routes snapshots the routing table in resolution precedence order
 // (longest prefix first), with the rewired default — if any — last.
 func (n *Net) Routes() []RouteEntry {
-	n.routeMu.RLock()
-	defer n.routeMu.RUnlock()
-	out := make([]RouteEntry, 0, len(n.routes)+1)
-	for _, r := range n.routes {
+	t := n.routes.Load()
+	out := make([]RouteEntry, 0, len(t.routes)+1)
+	for _, r := range t.routes {
 		out = append(out, RouteEntry{Prefix: r.prefix, Target: r.target})
 	}
-	if n.defTarget != "" {
-		out = append(out, RouteEntry{Target: n.defTarget})
+	if t.defTarget != "" {
+		out = append(out, RouteEntry{Target: t.defTarget})
 	}
 	return out
 }
 
 // resolve maps a destination address to the host:port serving it.
 func (n *Net) resolve(a transport.Addr) string {
-	n.routeMu.RLock()
-	defer n.routeMu.RUnlock()
-	for _, r := range n.routes {
+	t := n.routes.Load()
+	for _, r := range t.routes {
 		if strings.HasPrefix(string(a), r.prefix) {
 			return r.target
 		}
 	}
-	if n.defTarget != "" {
-		return n.defTarget
+	if t.defTarget != "" {
+		return t.defTarget
 	}
 	return n.addr
 }

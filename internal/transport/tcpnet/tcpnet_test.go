@@ -280,6 +280,70 @@ func TestRouteBetweenFabrics(t *testing.T) {
 	}
 }
 
+// TestRouteWhileResolving: Send, SendBatch and Colocated resolve against an
+// immutable route snapshot without a lock, so installing routes while they
+// run must be race-free (this test earns its keep under -race) and must
+// never misroute: an address that no installed prefix matches stays served
+// here throughout, and each new prefix resolves to its target as soon as
+// Route returns.
+func TestRouteWhileResolving(t *testing.T) {
+	a, b := newNet(t), newNet(t)
+	double := func(req transport.Request) (any, error) { return req.Body.(uint64) * 2, nil }
+	if err := a.Bind("n:local", double); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reqs := make([]transport.Request, 2)
+			outs, errs := make([]any, 2), make([]error, 2)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !a.Colocated("n:local") {
+					t.Error("an unrouted address stopped being colocated")
+					return
+				}
+				reply, err := a.Send(transport.Request{ID: nextID(), To: "n:local", Kind: wire.KindCPF, Body: uint64(4)}, time.Second)
+				if err != nil || reply.(uint64) != 8 {
+					t.Errorf("Send: %v, %v", reply, err)
+					return
+				}
+				for i := range reqs {
+					reqs[i] = transport.Request{ID: nextID(), To: "n:local", Kind: wire.KindCPF, Body: uint64(i)}
+				}
+				a.SendBatch(reqs, time.Second, outs, errs)
+				for i := range reqs {
+					if errs[i] != nil || outs[i].(uint64) != uint64(2*i) {
+						t.Errorf("SendBatch request %d: %v, %v", i, outs[i], errs[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		prefix := fmt.Sprintf("c:%d#", i)
+		if err := a.Route(prefix, b.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if a.Colocated(transport.Addr(prefix + "1")) {
+			t.Fatalf("%q is still colocated after its route was installed", prefix)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := len(a.Routes()); got != 200 {
+		t.Fatalf("%d routes installed, want 200", got)
+	}
+}
+
 // TestAtMostOnceOverSocket is the E24 property over a real socket: the
 // retry client hammers tcpnet through the fault injector (drops, dups,
 // jitter), and receiver-side dedup must keep handler executions exactly

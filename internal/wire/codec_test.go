@@ -141,6 +141,40 @@ func TestRoundTripAllKinds(t *testing.T) {
 	for i, reply := range chainReplies {
 		roundTripEnvelopes(t, KindArrive, uint64(3+i), Arrive{Wire: 1, Token: "t:1", Seq: 9}, reply)
 	}
+	for i, reply := range groupChainReplies {
+		roundTripEnvelopes(t, KindGroupArrive, uint64(10+i), GroupArrive{Token: "t:1", Wires: []int{0, 1, 2}, Seqs: []uint64{7, 8, 9}}, reply)
+	}
+}
+
+// groupChainReplies are group arrive replies in the chained form: every
+// token left the network; some are forwarded, several to one component; a
+// whole group is forwarded at a partition boundary.
+var groupChainReplies = []GroupArriveRes{
+	{Status: StatusExited, Outs: []int{41, 0, 7}, Steps: 18},
+	{Status: StatusExited, Outs: []int{-1, 12, -2, -1}, Steps: 9, Paths: []string{"201", ""}, Wires: []int{5, 0, 3}},
+	{Status: StatusExited, Outs: []int{-1, -1}, Steps: 2, Paths: []string{"13"}, Wires: []int{1, 1}},
+}
+
+// TestGroupChainReplyRejectsImpossible: the decoder refuses a chained group
+// reply that no handler can have produced, each as ErrCorrupt.
+func TestGroupChainReplyRejectsImpossible(t *testing.T) {
+	c, _ := ByKind(KindGroupArrive)
+	for name, r := range map[string]GroupArriveRes{
+		"forward index out of range":    {Status: StatusExited, Outs: []int{3, -2}, Steps: 2, Paths: []string{"1"}, Wires: []int{0}},
+		"forwards without wires":        {Status: StatusExited, Outs: []int{-1, -1}, Steps: 2, Paths: []string{"1"}, Wires: []int{0}},
+		"wires without forwards":        {Status: StatusExited, Outs: []int{3, 4}, Steps: 2, Wires: []int{0}},
+		"more components than forwards": {Status: StatusExited, Outs: []int{-1, 4}, Steps: 2, Paths: []string{"1", "2"}, Wires: []int{0}},
+		"negative input wire":           {Status: StatusExited, Outs: []int{-1}, Steps: 1, Paths: []string{"1"}, Wires: []int{-4}},
+		"fewer steps than tokens":       {Status: StatusExited, Outs: []int{3, 4}, Steps: 1},
+	} {
+		e := NewEncoder(32)
+		if err := c.EncodeRes(e, r); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.DecodeRes(NewDecoder(e.Bytes())); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
 }
 
 // chainReplies are the arrive replies that say more than one component was
@@ -156,7 +190,9 @@ var chainReplies = []ArriveRes{
 // then output wire, nothing after, so every frame written by or for an
 // older peer — and every such frame in the fuzz corpus — decodes to the
 // value it always has. The chain statuses are new bytes (4, 5), which no
-// older encoder could produce and the group reply still refuses.
+// older encoder could produce. The group reply is held to the same rule:
+// status byte then the output wires for its three single-visit outcomes,
+// status 4 for its chained form, and status 5 still refused.
 func TestArriveResKeepsItsShortForm(t *testing.T) {
 	c, _ := ByKind(KindArrive)
 	for _, st := range []Status{StatusProcessed, StatusQueued, StatusDead} {
@@ -175,7 +211,20 @@ func TestArriveResKeepsItsShortForm(t *testing.T) {
 		}
 	}
 	gc, _ := ByKind(KindGroupArrive)
-	for _, st := range []Status{StatusExited, StatusForward, StatusForward + 1} {
+	for _, st := range []Status{StatusProcessed, StatusQueued, StatusDead} {
+		e := NewEncoder(8)
+		if err := gc.EncodeRes(e, GroupArriveRes{Status: st, Outs: []int{-3, 1}, Steps: 9, Paths: []string{"1"}, Wires: []int{2}}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []byte{byte(st), 2, 5, 2}; !bytes.Equal(e.Bytes(), want) {
+			t.Fatalf("group status %d encodes as %v, want %v", st, e.Bytes(), want)
+		}
+		got, err := gc.DecodeRes(NewDecoder(e.Bytes()))
+		if want := (GroupArriveRes{Status: st, Outs: []int{-3, 1}}); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("group status %d decodes as (%#v, %v)", st, got, err)
+		}
+	}
+	for _, st := range []Status{StatusForward, StatusForward + 1} {
 		if _, err := gc.DecodeRes(NewDecoder([]byte{byte(st), 0})); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("group reply with status %d: %v, want ErrCorrupt", st, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,6 +85,45 @@ func FuzzGroupArrive(f *testing.F) {
 		}
 		body := GroupArrive{Token: clampToken(token), Wires: wires, Seqs: seqs}
 		reply := GroupArriveRes{Status: StatusProcessed + Status(status)%3, Outs: outs}
+		roundTripEnvelopes(t, KindGroupArrive, uint64(len(raw)), body, reply)
+	})
+}
+
+// FuzzGroupArriveRes covers the group replies FuzzGroupArrive's signature
+// cannot reach: the chained form, in which a token either left the network
+// or is forwarded to one of the components the reply lists. Each byte of
+// raw is one token: an odd byte forwards it (to path or to path+"0", so
+// several tokens share a listed component), an even one is its output wire.
+func FuzzGroupArriveRes(f *testing.F) {
+	f.Add(true, []byte{0x10, 0x22, 0x7e}, 18, "")
+	f.Add(true, []byte{0x03, 0x18, 0x05, 0x07}, 9, "201")
+	f.Add(false, []byte{0x02, 0x04, 0x00}, 0, "")
+	f.Fuzz(func(t *testing.T, chained bool, raw []byte, steps int, path string) {
+		reply := GroupArriveRes{Status: StatusProcessed}
+		if chained {
+			reply.Status = StatusExited
+			reply.Steps = len(raw) + int(uint(steps)%1000)
+		}
+		if len(path) >= MaxString {
+			path = path[:MaxString-1]
+		}
+		for _, b := range raw {
+			if !chained || b&1 == 0 {
+				reply.Outs = append(reply.Outs, int(b>>1))
+				continue
+			}
+			stop := path + strings.Repeat("0", int(b>>1&1))
+			at := slices.Index(reply.Paths, stop)
+			if at < 0 {
+				at, reply.Paths = len(reply.Paths), append(reply.Paths, stop)
+			}
+			reply.Outs = append(reply.Outs, -1-at)
+			reply.Wires = append(reply.Wires, int(b>>2))
+		}
+		body := GroupArrive{Token: "t:1", Wires: make([]int, len(raw)), Seqs: make([]uint64, len(raw))}
+		if len(raw) == 0 {
+			body.Wires, body.Seqs = nil, nil
+		}
 		roundTripEnvelopes(t, KindGroupArrive, uint64(len(raw)), body, reply)
 	})
 }
@@ -192,6 +232,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{frameRequest})
 	f.Add([]byte{frameReply, 0, 9})
+	for _, reply := range groupChainReplies {
+		e.Reset()
+		if err := EncodeReply(e, 3, 2, ReplyOK, reply, ""); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), e.Bytes()...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := DecodeFrame(data)

@@ -13,7 +13,7 @@ const (
 	// KindGroupArrive delivers a whole token group to a component in one
 	// message: k tokens, each with its own input wire and sequence number,
 	// sharing one sender endpoint. This is the batched dist wire format:
-	// one RPC per component visit instead of one per token.
+	// one RPC per group instead of one per token.
 	// Body: GroupArrive. Reply: GroupArriveRes.
 	KindGroupArrive = "agroup"
 	// KindFreeze tells a component to stop routing and snapshot state.
@@ -56,8 +56,10 @@ const (
 	// StatusDead: the component incarnation was replaced; re-resolve
 	// against the current cut and retry.
 	StatusDead Status = 3
-	// StatusExited (arrive only): the receiver routed the token through
-	// Steps components in a row and it left the network on output wire Out.
+	// StatusExited: the receiver routed the token through Steps components
+	// in a row and it left the network on output wire Out. On a group arrive
+	// it marks the chained reply form, in which every token either left the
+	// network or is forwarded (see GroupArriveRes).
 	StatusExited Status = 4
 	// StatusForward (arrive only): the receiver routed the token through
 	// Steps components in a row; it now stands at input wire Wire of the
@@ -119,13 +121,30 @@ type GroupArrive struct {
 	Seqs  []uint64
 }
 
-// GroupArriveRes is the reply to a GroupArrive. The component serves the
-// whole group under one state lock, so the outcome is uniform: processed
-// (Outs[i] is token i's output wire), queued (every token stored; resumes
-// follow individually), or dead (re-resolve the whole group).
+// GroupArriveRes is the reply to a GroupArrive. The addressed component
+// serves the whole group under one state lock, so what happened there is
+// uniform; the receiver may then have stepped the tokens on through
+// further components it serves. Which fields carry meaning depends on
+// Status (the rest are zero, on the wire and after decoding):
+//
+//   - StatusProcessed: exactly the addressed component was stepped; Outs[i]
+//     is the output wire token i left it on.
+//   - StatusExited: the chained form. Steps token-steps were performed in
+//     all (a token stepped through three components counts three). Outs[i]
+//     >= 0 is the network output wire token i left on. Outs[i] < 0 forwards
+//     token i: it stands at a component the receiver could not step (served
+//     elsewhere, or not active), the one at Paths[-1-Outs[i]], and the
+//     sender must deliver it there. Paths lists each such component once,
+//     however many tokens stand at it; Wires holds the input wires the
+//     forwarded tokens stand at, one per forwarded token, in token order.
+//   - StatusQueued: every token was stored; resumes follow individually.
+//   - StatusDead: nothing was stepped; re-resolve the whole group.
 type GroupArriveRes struct {
 	Status Status
 	Outs   []int
+	Steps  int
+	Paths  []string
+	Wires  []int
 }
 
 // FreezeRes snapshots a component's state at freeze time.
@@ -345,22 +364,86 @@ var _ = register(&Codec{
 		if !ok {
 			return badBody(KindGroupArrive, body)
 		}
+		// Like ArriveRes: the single-visit outcomes keep the two-field form
+		// they have always had; only a chained reply carries more.
 		e.Byte(byte(r.Status))
 		e.Ints(r.Outs)
+		if r.Status == StatusExited {
+			e.Int(r.Steps)
+			e.Uvarint(uint64(len(r.Paths)))
+			for _, p := range r.Paths {
+				e.String(p)
+			}
+			e.Ints(r.Wires)
+		}
 		return nil
 	},
 	DecodeRes: func(d *Decoder) (any, error) {
 		var r GroupArriveRes
 		var err error
-		if r.Status, err = decodeStatus(d, StatusDead); err != nil {
+		if r.Status, err = decodeStatus(d, StatusExited); err != nil {
 			return nil, err
 		}
 		if r.Outs, err = d.Ints(); err != nil {
 			return nil, err
 		}
+		if r.Status != StatusExited {
+			return r, nil
+		}
+		if r.Steps, err = d.Int(); err != nil {
+			return nil, err
+		}
+		n, err := d.sliceLen()
+		if err != nil {
+			return nil, err
+		}
+		if n > 0 {
+			r.Paths = make([]string, n)
+		}
+		for i := range r.Paths {
+			// Component paths are a small closed set, like addresses.
+			if r.Paths[i], err = d.InternedString(); err != nil {
+				return nil, err
+			}
+		}
+		if r.Wires, err = d.Ints(); err != nil {
+			return nil, err
+		}
+		if err := r.checkChained(); err != nil {
+			return nil, err
+		}
 		return r, nil
 	},
 })
+
+// checkChained rejects a chained group reply no handler can have produced:
+// every token was stepped at least once, a forwarded token names a listed
+// component and has an input wire, and there are no more listed components
+// than forwarded tokens.
+func (r *GroupArriveRes) checkChained() error {
+	if r.Steps < len(r.Outs) {
+		return fmt.Errorf("%w: chained group reply of %d steps for %d tokens", ErrCorrupt, r.Steps, len(r.Outs))
+	}
+	forwards := 0
+	for _, out := range r.Outs {
+		if out >= 0 {
+			continue
+		}
+		forwards++
+		if stop := -1 - out; stop >= len(r.Paths) {
+			return fmt.Errorf("%w: forwarded token names component %d of %d", ErrCorrupt, stop, len(r.Paths))
+		}
+	}
+	if forwards != len(r.Wires) || len(r.Paths) > forwards {
+		return fmt.Errorf("%w: %d forwarded tokens with %d wires at %d components", ErrCorrupt, forwards, len(r.Wires), len(r.Paths))
+	}
+	for _, w := range r.Wires {
+		if w < 0 {
+			return fmt.Errorf("%w: forwarded token at input wire %d", ErrCorrupt, w)
+		}
+	}
+	return nil
+}
 
 var _ = register(&Codec{
 	Code: 3, Kind: KindFreeze,
