@@ -1,8 +1,7 @@
 #!/bin/sh
-# ci.sh — the repository's verification gate, equivalent to `make check`
-# for environments without make: formatting, vet, build, full tests, a
-# race-detector pass over the concurrent packages, and a one-iteration
-# benchmark smoke pass.
+# ci.sh — the repository's verification gate: `make check`, one target at a
+# time with a heading before each, so the two gates cannot drift — the
+# package lists, skip lists and benchmark regexes live in the Makefile only.
 #
 # Perf regressions are gated separately (baselines take minutes, not
 # seconds): `make bench-baseline LABEL=x` records a run, and
@@ -11,56 +10,23 @@
 set -eu
 cd "$(dirname "$0")"
 
-echo "== gofmt =="
-unformatted="$(gofmt -l .)"
-if [ -n "$unformatted" ]; then
-    echo "gofmt needed on:"
-    echo "$unformatted"
-    exit 1
-fi
+step() {
+    echo "== $1 =="
+    make --no-print-directory "$2"
+}
 
-echo "== go vet =="
-go vet ./...
-
-echo "== go build =="
-go build ./...
-
-echo "== go test =="
-go test ./...
-
-echo "== go test -cpu 1,2,4 (lock-free packages) =="
-go test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/
-
-echo "== go test -cpu 1,2,4 (dist alone, minus ROADMAP item 1's four known-flaky tests) =="
-go test -count=2 -cpu 1,2,4 -skip 'TestSplitUnderLoad|TestMergeUnderLoad|TestOscillationUnderLoad|TestAsyncAdaptiveEndToEnd' ./internal/dist/
-
-echo "== go test (benchmark module) =="
-(cd benchmark && go test ./...)
-
-echo "== go test -race (concurrent packages) =="
-go test -race ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
-
-echo "== benchmark smoke (1 iteration each) =="
-go test -bench . -benchtime 1x -run '^$' ./...
-
-echo "== perf smoke (hot-path benchmarks under -race) =="
-go test -race -bench 'TokenAdaptive$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$|TokenDistTCPBatch$|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$' .
-
-echo "== compare smoke (checked-in pre/post baseline gates itself) =="
-go run ./cmd/acnbench -compare -maxregress 25 BENCH_9.json
-
-echo "== trace smoke (Perfetto export through the CLI, then validate) =="
-tracetmp="$(mktemp /tmp/acn-trace-XXXXXX.json)"
-go run ./cmd/acnsim -width 64 -nodes 16 -tokens 200 -trace 8 -tracefile "$tracetmp" > /dev/null
-go run ./cmd/acnbench -validatetrace "$tracetmp"
-rm -f "$tracetmp"
-
-echo "== partition smoke (2-process acnnode runs, group then seq: conservation + merged trace) =="
-for mode in group seq; do
-    parttmp="$(mktemp /tmp/acn-part-XXXXXX.json)"
-    go run ./cmd/acnnode -coord -width 16 -level 2 -parts 2 -tokens 1024 -mode "$mode" -traceevery 4 -tracefile "$parttmp"
-    go run ./cmd/acnbench -validatetrace "$parttmp"
-    rm -f "$parttmp"
-done
+step "gofmt" fmt
+step "go vet" vet
+step "go build" build
+step "go test" test
+step "go test -cpu 1,2,4 (lock-free packages)" multicore
+step "go test -cpu 1,2,4 (dist alone, minus ROADMAP item 1's known-flaky tests)" distalone
+step "go test (benchmark module)" benchtest
+step "go test -race (concurrent packages)" race
+step "benchmark smoke (1 iteration each)" benchsmoke
+step "perf smoke (hot-path benchmarks under -race)" perfsmoke
+step "compare smoke (checked-in pre/post baseline gates itself)" comparesmoke
+step "trace smoke (Perfetto export through the CLI, then validate)" tracesmoke
+step "partition smoke (2-process acnnode runs, group then seq: conservation + merged trace)" partsmoke
 
 echo "OK"

@@ -66,7 +66,9 @@ func TestGroupLimitChunksRPCs(t *testing.T) {
 // InjectBatch with that size active produces per-output-wire counts
 // identical to the sequential reference path. A controller pinned at the
 // size (Min=Max=s) exercises the UseAdapt consultation itself, not just
-// the explicit-limit plumbing.
+// the explicit-limit plumbing. The cap counts tokens per message, not per
+// component: the batch is ceil(tokens/s) RPCs on its one fabric, most of
+// them visiting several of the entry components.
 func TestAdaptiveBatchMatchesSequential(t *testing.T) {
 	w := 8
 	cfg := adapt.Config{Min: 1, Max: 48, Initial: 5, Step: 7, Backoff: 0.4}
@@ -102,6 +104,9 @@ func TestAdaptiveBatchMatchesSequential(t *testing.T) {
 		}
 		if _, err := cl.InjectBatch(ins); err != nil {
 			t.Fatalf("size %d: %v", s, err)
+		}
+		if _, cs := cl.NetStats(); cs.Calls != uint64((len(ins)+s-1)/s) {
+			t.Fatalf("size %d: %d RPCs for %d tokens on one fabric", s, cs.Calls, len(ins))
 		}
 		got := cl.OutCounts()
 		for i := range got {

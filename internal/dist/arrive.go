@@ -20,7 +20,7 @@ import (
 // what keeps everything the handler goes on to do at-most-once. The handler
 // steps the addressed component and then, as long as the fabric says the
 // token's next component is served by this same fabric instance
-// (transport.Colocator) and that component is active, steps it in place
+// (transport.Placer) and that component is active, steps it in place
 // too. It replies when the token leaves the network or reaches a component
 // it cannot step, and the token's endpoint continues from the position the
 // reply names. A fabric that knows no placement makes every chain one step
@@ -98,7 +98,7 @@ func (cl *Cluster) arrive(cm *comp, req transport.Request) (any, error) {
 // this table says nothing about its wires.
 func (cl *Cluster) chain(cm *comp, out int) any {
 	one := cm.resProcessed[out]
-	if cl.colo == nil {
+	if cl.place == nil {
 		return one
 	}
 	tp := cl.topo.Load()
@@ -111,7 +111,7 @@ func (cl *Cluster) chain(cm *comp, out int) any {
 		var next *comp
 		st := stateDead // anything but active: the token was not stepped
 		if !at.Exited() {
-			if next = tp.live[at.Comp]; cl.colo.Colocated(next.addr) {
+			if next = tp.live[at.Comp]; cl.place.Site(next.addr) == "" {
 				out, st = next.step(int(at.Wire), nil)
 			}
 		}

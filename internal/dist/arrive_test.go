@@ -16,8 +16,8 @@ import (
 )
 
 // hideCaps wraps a fabric the way a wrapper that only interposes on the
-// Transport methods does: none of the optional capabilities — Colocator
-// among them — is forwarded, so every hop behind it is a message.
+// Transport methods does: none of the optional capabilities — Placer among
+// them — is forwarded, so every hop behind it is a message.
 type hideCaps struct{ transport.Transport }
 
 // tokenPath predicts the components the next token injected on wire in
@@ -244,9 +244,11 @@ type gatedMem struct {
 	gate func(transport.Addr)
 }
 
-func (g *gatedMem) Colocated(a transport.Addr) bool {
-	g.gate(a)
-	return g.Net.Colocated(a)
+func (g *gatedMem) Site(a transport.Addr) string {
+	if g.gate != nil {
+		g.gate(a)
+	}
+	return g.Net.Site(a)
 }
 
 // TestChainStopsAtDead: a component mid-path is split — frozen, replaced by
@@ -405,7 +407,7 @@ func TestChainAtMostOnceOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = tn.Close() })
 	fabric := &slowArrive{Net: tn, delay: 5 * timeout / 2}
-	if _, ok := transport.Transport(fabric).(transport.Colocator); !ok {
+	if _, ok := transport.Transport(fabric).(transport.Placer); !ok {
 		t.Fatal("the slow fabric lost the placement capability; the test would not chain")
 	}
 	cl, err := New(w, cut, WithTransport(fabric), WithRetry(transport.RetryConfig{

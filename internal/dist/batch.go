@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/tree"
 	"repro/internal/wire"
@@ -15,9 +17,9 @@ import (
 // and groupArrive and groupChain, the handler a component endpoint serves a
 // group with.
 
-// chunk is one group arrive RPC of a round: the tokens order[lo:hi], all
-// bound for component comp of the round's snapshot.
-type chunk struct {
+// visit is one component's share of a group arrive RPC of a round: the
+// tokens order[lo:hi], all bound for component comp of the round's snapshot.
+type visit struct {
 	comp   int32
 	lo, hi int32
 }
@@ -54,11 +56,11 @@ func (s *groupSort) reset(tokens int) {
 	s.pos, s.active = s.pos[:tokens], s.active[:0]
 }
 
-// sort orders the active tokens by the component they stand at, out of
-// comps, and returns them. The tokens at s.touched[k] are the slice that
-// ends at s.count[s.touched[k]] and starts where the slice of s.touched[k-1]
-// ended; whoever walks them zeroes the counts again.
-func (s *groupSort) sort(comps int) []int32 {
+// tally counts the active tokens by the component they stand at, out of
+// comps: s.touched lists the components with tokens and s.count[ci] says
+// how many stand at ci, first seen first. Whoever wants the groups in
+// another order reorders s.touched before place.
+func (s *groupSort) tally(comps int) {
 	if len(s.count) < comps {
 		s.count = make([]int32, comps)
 	}
@@ -70,6 +72,13 @@ func (s *groupSort) sort(comps int) []int32 {
 		}
 		s.count[ci]++
 	}
+}
+
+// place orders the tallied tokens by component, components in s.touched's
+// order, and returns them. The tokens at s.touched[k] are the slice that
+// ends at s.count[s.touched[k]] and starts where the slice of s.touched[k-1]
+// ended; whoever walks them zeroes the counts again.
+func (s *groupSort) place() []int32 {
 	var end int32
 	for _, ci := range s.touched { // count[ci]: group size -> where the group starts
 		end, s.count[ci] = end+s.count[ci], end
@@ -87,9 +96,16 @@ func (s *groupSort) sort(comps int) []int32 {
 // Cluster.scratch.
 type batchScratch struct {
 	groupSort
-	chunks []chunk
+	visits []visit  // the round's component visits, in the order of its token payload
+	ends   []int32  // request g of the round carries visits[ends[g-1]:ends[g]]
+	dest   []int64  // by index into touched: the component's destination, numbered, <<32 | the component
+	sites  []string // the round's destinations, as the fabric names them
 	strays []stray
 	exits  []uint64 // by network output wire: tokens that left, not yet added to cl.out
+	// waiting maps the sequence number of a token stored at a frozen
+	// component to its index, until its resume arrives. Made on first use:
+	// batches rarely meet a reconfiguration.
+	waiting map[uint64]int32
 
 	reqs    []transport.Request
 	replies []any
@@ -103,6 +119,7 @@ func (cl *Cluster) getScratch(tokens int) *batchScratch {
 	}
 	b.reset(tokens)
 	b.strays = b.strays[:0]
+	clear(b.waiting) // a batch that failed may have left tokens waiting
 	return b
 }
 
@@ -138,23 +155,25 @@ func (ep *tokenEP) takeResume(block bool) (wire.Resume, bool) {
 	}
 }
 
-// InjectBatch routes len(ins) tokens as a group: at every round, tokens
-// standing at the same live component are delivered together in ONE group
-// arrive RPC (wire.GroupArrive) instead of one RPC each, and the handler
-// that receives a group steps it on through every component its fabric also
+// InjectBatch routes len(ins) tokens as a group. The unit of a round is the
+// destination, not the component: the tokens standing at components one
+// fabric serves travel there in ONE group arrive RPC (wire.GroupArrive),
+// addressed to the first of those components and listing the others as
+// further visits, and the handler that receives it serves every visit and
+// then steps all of its tokens on through every component its fabric also
 // serves (groupChain), replying with each token's network output wire or
 // with the position it could not step it past. A batch therefore costs one
 // round trip per fabric its tokens visit — one on a single fabric, 1 +
-// crossings across partitions — and in each round one RPC per component its
-// tokens stand at; on a fabric that knows no placement every chain is one
-// visit long and that is one RPC per component visit, in as many rounds as
-// the cut is deep. The groups of a round target distinct components and
-// are independent of each other, so they go out through
+// crossings across partitions — and in each round one RPC per fabric its
+// tokens are bound for; on a fabric that knows no placement every component
+// is a destination of its own and every chain one visit long: one RPC per
+// component visit, in as many rounds as the cut is deep. The messages of a
+// round are independent of each other, so they go out through
 // transport.Client.CallBatch: one flush per destination on a fabric that
 // can batch, one Send after another on one that cannot.
 // When a group-size cap is active (SetGroupLimit, or an adapt controller
-// installed with UseAdapt), a group of more tokens than the cap is split
-// into ceil(n/cap) RPCs with identical counting output.
+// installed with UseAdapt), a destination with more tokens than the cap
+// gets ceil(n/cap) RPCs, with identical counting output.
 // The counting output is byte-identical to routing the same tokens
 // sequentially (InjectBatchSeq): a component's per-output-wire counts
 // depend only on how many tokens arrived on each input wire, never on
@@ -205,23 +224,19 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 		b.pos[i] = tp.rt.Entry(in)
 		b.active = append(b.active, int32(i))
 	}
-	// waiting maps the sequence number of a token stored at a frozen
-	// component to its index, until its resume arrives. Made on first use:
-	// batches rarely meet a reconfiguration.
-	var waiting map[uint64]int32
 
-	for len(b.active) > 0 || len(b.strays) > 0 || len(waiting) > 0 {
+	for len(b.active) > 0 || len(b.strays) > 0 || len(b.waiting) > 0 {
 		// Move resumed tokens to the strays: always everything already
 		// buffered, and — when nothing is routable — blocking until at least
 		// one token is. Resumes outside waiting are duplicated deliveries;
 		// the window filter made them rare and this makes them inert.
-		for len(waiting) > 0 {
+		for len(b.waiting) > 0 {
 			rm, ok := ep.takeResume(len(b.active)+len(b.strays) == 0)
 			if !ok {
 				break
 			}
-			if idx, ok := waiting[rm.Seq]; ok {
-				delete(waiting, rm.Seq)
+			if idx, ok := b.waiting[rm.Seq]; ok {
+				delete(b.waiting, rm.Seq)
 				b.strays = append(b.strays, stray{idx: idx, path: tree.Path(rm.Path), wire: rm.Wire})
 			}
 		}
@@ -249,102 +264,148 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 		}
 		cl.rc.CallBatch(b.reqs, b.replies, b.errs, sp)
 		b.active = b.active[:0]
-		for g, ch := range b.chunks {
-			cm := tp.live[ch.comp]
+		var start int32
+		for g, end := range b.ends {
+			visits := b.visits[start:end]
+			start = end
 			if err := b.errs[g]; err != nil {
-				return nil, fmt.Errorf("dist: group arrive at %v: %w", cm.c, err)
+				return nil, fmt.Errorf("dist: group arrive at %v: %w", tp.live[visits[0].comp].c, err)
 			}
-			// A round's groups share its flushes, so each one's hop time is
+			// A round's messages share its flushes, so each one's hop time is
 			// the round's.
 			cl.hHop.Since(roundStart)
 			res, ok := b.replies[g].(wire.GroupArriveRes)
 			if !ok {
 				return nil, fmt.Errorf("dist: group arrive reply %T", b.replies[g])
 			}
-			idxs := b.order[ch.lo:ch.hi]
-			switch res.Status {
-			case wire.StatusDead:
-				// The component was replaced between resolution and delivery;
-				// the whole group re-resolves against the current cut.
-				if sp != nil {
-					sp.Event("dead", string(cm.c.Path), int64(len(idxs)))
-				}
-				for _, idx := range idxs {
-					b.strays = append(b.strays, stray{idx: idx, path: cm.c.Path, wire: int(b.pos[idx].Wire)})
-				}
-			case wire.StatusQueued:
-				if sp != nil {
-					sp.Event("queued", string(cm.c.Path), int64(len(idxs)))
-				}
-				if waiting == nil {
-					waiting = make(map[uint64]int32)
-				}
-				for _, idx := range idxs {
-					waiting[base+uint64(idx)] = idx
-				}
-			case wire.StatusProcessed:
-				if sp != nil {
-					sp.Event("group", string(cm.c.Path), int64(len(idxs)))
-				}
-				if len(res.Outs) != len(idxs) {
-					return nil, fmt.Errorf("dist: group arrive reply %d outs for %d tokens", len(res.Outs), len(idxs))
-				}
-				for k, idx := range idxs {
-					out := res.Outs[k]
-					if out < 0 || out >= cm.c.Width {
-						return nil, fmt.Errorf("dist: group arrive reply from %v names output wire %d", cm.c, out)
-					}
-					at := tp.rt.Next(ch.comp, out)
-					if at.Exited() {
-						b.exits[at.Wire]++
-						outs[idx] = int(at.Wire)
-					} else {
-						b.pos[idx] = at
-						b.active = append(b.active, idx)
-					}
-				}
-			case wire.StatusExited:
-				// The handler stepped the group on through the components its
-				// fabric serves: a token has left the network, or stands at a
-				// position named against the handler's snapshot and re-enters
-				// through Locate like any other stray.
-				if sp != nil {
-					sp.Event("group", string(cm.c.Path), int64(res.Steps))
-				}
-				if len(res.Outs) != len(idxs) {
-					return nil, fmt.Errorf("dist: group arrive reply %d outs for %d tokens", len(res.Outs), len(idxs))
-				}
-				forwards := 0
-				for k, idx := range idxs {
-					out := res.Outs[k]
-					if out >= 0 {
-						if out >= cl.w {
-							return nil, fmt.Errorf("dist: group arrive reply from %v names network output wire %d", cm.c, out)
-						}
-						b.exits[out]++
-						outs[idx] = out
-						continue
-					}
-					if stop := -1 - out; stop >= len(res.Paths) || forwards >= len(res.Wires) {
-						return nil, fmt.Errorf("dist: group arrive reply from %v forwards token %d nowhere", cm.c, k)
-					}
-					b.strays = append(b.strays, stray{idx: idx, path: tree.Path(res.Paths[-1-out]), wire: res.Wires[forwards]})
-					forwards++
-				}
-			default:
-				return nil, fmt.Errorf("dist: group arrive status %d", res.Status)
+			if err := cl.groupReply(b, tp, visits, res, base, outs, sp); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return outs, nil
 }
 
+// groupReply moves the tokens of one group arrive RPC — the visits it made,
+// the reply it got — to where the reply says they are: out of the network
+// (outs), at their next component (b.active), somewhere to be located
+// (b.strays) or stored until resumed (b.waiting). A reply without a visit
+// list says the same of every visit, in its own status.
+func (cl *Cluster) groupReply(b *batchScratch, tp *topology, visits []visit, res wire.GroupArriveRes, base uint64, outs []int, sp *obs.Span) error {
+	head, first := tp.live[visits[0].comp].c, visits[0].lo
+	tokens := int(visits[len(visits)-1].hi - first)
+	if n := len(res.Visits); n > 0 && (n != len(visits) || res.Status != wire.StatusExited) {
+		return fmt.Errorf("dist: group arrive reply from %v covers %d visits of %d", head, n, len(visits))
+	}
+	if stepped := res.Status == wire.StatusProcessed || res.Status == wire.StatusExited; stepped && len(res.Outs) != tokens {
+		return fmt.Errorf("dist: group arrive reply %d outs for %d tokens", len(res.Outs), tokens)
+	}
+	// One group event per RPC, carrying the token-steps it performed: a
+	// batch's group events sum to the components on its tokens' paths.
+	steps := res.Steps
+	if res.Status == wire.StatusProcessed {
+		steps = tokens
+	}
+	if sp != nil && steps > 0 {
+		sp.Event("group", string(head.Path), int64(steps))
+	}
+	forwards := 0 // the reply's forwarded tokens so far, across its visits
+	for v, vis := range visits {
+		cm, st, idxs := tp.live[vis.comp].c, res.Status, b.order[vis.lo:vis.hi]
+		if len(res.Visits) > 0 {
+			st = res.Visits[v]
+		}
+		off := int(vis.lo - first) // where the visit's share of res.Outs starts
+		switch st {
+		case wire.StatusDead:
+			// The component was replaced between resolution and delivery;
+			// the whole visit re-resolves against the current cut.
+			if sp != nil {
+				sp.Event("dead", string(cm.Path), int64(len(idxs)))
+			}
+			for _, idx := range idxs {
+				b.strays = append(b.strays, stray{idx: idx, path: cm.Path, wire: int(b.pos[idx].Wire)})
+			}
+		case wire.StatusQueued:
+			if sp != nil {
+				sp.Event("queued", string(cm.Path), int64(len(idxs)))
+			}
+			if b.waiting == nil {
+				b.waiting = make(map[uint64]int32)
+			}
+			for _, idx := range idxs {
+				b.waiting[base+uint64(idx)] = idx
+			}
+		case wire.StatusProcessed:
+			for k, idx := range idxs {
+				out := res.Outs[off+k]
+				if out < 0 || out >= cm.Width {
+					return fmt.Errorf("dist: group arrive reply from %v names output wire %d", cm, out)
+				}
+				at := tp.rt.Next(vis.comp, out)
+				if at.Exited() {
+					b.exits[at.Wire]++
+					outs[idx] = int(at.Wire)
+				} else {
+					b.pos[idx] = at
+					b.active = append(b.active, idx)
+				}
+			}
+		case wire.StatusExited:
+			// The handler stepped the visit's tokens on through the components
+			// its fabric serves: a token has left the network, or stands at a
+			// position named against the handler's snapshot and re-enters
+			// through Locate like any other stray.
+			for k, idx := range idxs {
+				out := res.Outs[off+k]
+				if out >= 0 {
+					if out >= cl.w {
+						return fmt.Errorf("dist: group arrive reply from %v names network output wire %d", head, out)
+					}
+					b.exits[out]++
+					outs[idx] = out
+					continue
+				}
+				if stop := -1 - out; stop >= len(res.Paths) || forwards >= len(res.Wires) {
+					return fmt.Errorf("dist: group arrive reply from %v forwards token %d of its visit to %v nowhere", head, k, cm)
+				}
+				b.strays = append(b.strays, stray{idx: idx, path: tree.Path(res.Paths[-1-out]), wire: res.Wires[forwards]})
+				forwards++
+			}
+		default:
+			return fmt.Errorf("dist: group arrive status %d", st)
+		}
+	}
+	if forwards != len(res.Wires) {
+		return fmt.Errorf("dist: group arrive reply from %v places %d forwarded tokens, %d taken", head, len(res.Wires), forwards)
+	}
+	return nil
+}
+
 // groupRound turns the round's routable tokens into group arrive requests:
-// sorted by component index, groups in first-seen order, each split by the
-// group cap into b.chunks. Request b.reqs[g] carries the tokens of
-// b.chunks[g]; b.replies and b.errs are sized to match.
+// sorted by component, components by destination (the fabric that serves
+// them; each its own on a fabric that knows no placement), each
+// destination's tokens cut into messages of at most the group cap. Request
+// b.reqs[g] carries the visits b.visits[b.ends[g-1]:b.ends[g]], addressed to
+// the first one's component; b.replies and b.errs are sized to match.
 func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base uint64) {
-	order := b.sort(len(tp.live))
+	b.tally(len(tp.live))
+	b.dest, b.sites = b.dest[:0], b.sites[:0]
+	for k, ci := range b.touched {
+		d := k
+		if cl.place != nil {
+			site := cl.place.Site(tp.live[ci].addr)
+			if d = slices.Index(b.sites, site); d < 0 {
+				d, b.sites = len(b.sites), append(b.sites, site)
+			}
+		}
+		b.dest = append(b.dest, int64(d)<<32|int64(ci))
+	}
+	slices.Sort(b.dest) // by destination, then by component index
+	for k, key := range b.dest {
+		b.touched[k] = int32(key)
+	}
+	order := b.place()
 	// The payload slices are the one thing not recycled: a fabric may hold
 	// on to a request after Send returns (Faulty delivers its duplicates
 	// late), so the slices a request body points into are never rewritten.
@@ -357,28 +418,50 @@ func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base u
 
 	// One cap read per round: the adapt controller (or an explicit
 	// SetGroupLimit) bounds how many tokens each group arrive RPC carries,
-	// so a group of more tokens than the cap costs ceil(len/cap) RPCs, each
-	// chained on by its handler on its own. The chunks are count-equivalent
-	// to the whole group (per-wire counts depend only on arrival counts), so
+	// so a destination with more tokens than the cap costs ceil(n/cap) RPCs,
+	// each chained on by its handler on its own. A message may end inside a
+	// component's tokens: the pieces are count-equivalent to the whole, so
 	// the cap changes RPC accounting and wire pressure, never outputs.
 	limit := int32(len(order))
 	if n := cl.groupCap(); n > 0 && n < len(order) {
 		limit = int32(n)
 	}
-	b.chunks, b.reqs = b.chunks[:0], b.reqs[:0]
-	var lo int32
-	for _, ci := range b.touched {
+	b.visits, b.ends, b.reqs = b.visits[:0], b.ends[:0], b.reqs[:0]
+	var lo, room int32 // room: the tokens the open message still takes
+	for k, ci := range b.touched {
 		hi := b.count[ci] // by now the group's end
 		b.count[ci] = 0
-		for lo < hi {
-			next := min(hi, lo+limit)
-			b.chunks = append(b.chunks, chunk{comp: ci, lo: lo, hi: next})
-			b.reqs = append(b.reqs, transport.Request{
-				From: ep.addr, To: tp.live[ci].addr, Kind: kindGroupArrive,
-				Body: wire.GroupArrive{Token: string(ep.addr), Wires: wires[lo:next:next], Seqs: seqs[lo:next:next]},
-			})
-			lo = next
+		if k > 0 && b.dest[k]>>32 != b.dest[k-1]>>32 {
+			room = 0
 		}
+		for lo < hi {
+			if room == 0 {
+				if len(b.visits) > 0 {
+					b.ends = append(b.ends, int32(len(b.visits)))
+				}
+				room = limit
+			}
+			n := min(hi-lo, room)
+			b.visits = append(b.visits, visit{comp: ci, lo: lo, hi: lo + n})
+			lo, room = lo+n, room-n
+		}
+	}
+	b.ends = append(b.ends, int32(len(b.visits)))
+
+	// The round's visit lists share one allocation, like its wires and seqs.
+	further := make([]wire.Visit, 0, len(b.visits)-len(b.ends))
+	var start int32
+	for _, end := range b.ends {
+		visits := b.visits[start:end]
+		start = end
+		lo, hi, listed := visits[0].lo, visits[len(visits)-1].hi, len(further)
+		for _, v := range visits[1:] {
+			further = append(further, wire.Visit{Addr: string(tp.live[v.comp].addr), Tokens: int(v.hi - v.lo)})
+		}
+		b.reqs = append(b.reqs, transport.Request{
+			From: ep.addr, To: tp.live[visits[0].comp].addr, Kind: kindGroupArrive,
+			Body: wire.GroupArrive{Token: string(ep.addr), Wires: wires[lo:hi:hi], Seqs: seqs[lo:hi:hi], Visits: further[listed:len(further):len(further)]},
+		})
 	}
 	if cap(b.replies) < len(b.reqs) {
 		b.replies = make([]any, len(b.reqs))
@@ -387,142 +470,221 @@ func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base u
 	b.replies, b.errs = b.replies[:len(b.reqs)], b.errs[:len(b.reqs)]
 }
 
-// groupArrive serves one group arrive RPC at cm: the group's visit to cm and
-// to every component after it that this fabric also serves. The reply is
-// group-wide at cm — a dead incarnation took nothing, a frozen one stores
-// the entire group (each token resumes individually), an active one routes
-// every token in arrival order under one lock acquisition. Per-output-wire
-// counts depend only on how many tokens arrived, not on their interleaving
-// with other senders, so a group visit is count-for-count identical to the
-// same tokens arriving one by one.
+// ErrBadGroup is wrapped by every error with which a group arrive handler
+// refuses a message — whole, before serving any visit of it.
+var ErrBadGroup = errors.New("dist: malformed group arrive")
+
+// chainScratch is the working memory of one group arrive handler, recycled
+// through Cluster.chains: the chain's sort, and the message's visits.
+type chainScratch struct {
+	groupSort
+	visits []served
+}
+
+// served is one visit: the tokens ga.Wires[lo:hi] at the incarnation cm.
+type served struct {
+	cm     *comp
+	lo, hi int32
+	st     wire.Status // what became of it; StatusExited once a chain took its tokens on
+	ci     int32       // cm's index in the chain's snapshot; negative: not in it
+}
+
+// groupArrive serves one group arrive RPC addressed to cm: the group's visit
+// to cm, its further visits to the incarnations the message names by address
+// (the dead stay listed, as they stay bound), and then its tokens' visits to
+// every component after those that this fabric also serves. Once every visit
+// has been checked — an error means nothing was touched — each is served as a
+// message addressed to that incarnation alone would have been: a dead one
+// takes nothing, a frozen one stores the visit's tokens (each resumes
+// individually), an active one routes them in arrival order under one
+// acquisition of its lock, one lock at a time. Per-output-wire counts depend
+// only on how many tokens arrived, not on their interleaving, so a group
+// visit is count-for-count identical to the same tokens arriving one by one.
+// The request ID, deduplicated at cm's endpoint, keeps it all at-most-once.
 func (cl *Cluster) groupArrive(cm *comp, req transport.Request) (any, error) {
 	ga, ok := req.Body.(wire.GroupArrive)
 	if !ok {
 		return nil, fmt.Errorf("dist: group arrive body %T", req.Body)
 	}
-	if len(ga.Wires) == 0 || len(ga.Wires) != len(ga.Seqs) {
-		return nil, fmt.Errorf("dist: group arrive %d wires, %d seqs", len(ga.Wires), len(ga.Seqs))
+	first := len(ga.Wires) // the further visits' tokens are the last of the group
+	if first == 0 || first != len(ga.Seqs) {
+		return nil, fmt.Errorf("%w: %d wires, %d seqs", ErrBadGroup, first, len(ga.Seqs))
 	}
-	for _, w := range ga.Wires {
-		if w < 0 || w >= cm.c.Width {
-			return nil, fmt.Errorf("dist: group arrive wire %d out of range [0,%d)", w, cm.c.Width)
+	for _, v := range ga.Visits {
+		if v.Tokens <= 0 || v.Tokens >= first {
+			return nil, fmt.Errorf("%w: visit of %d tokens in what is left of a group of %d", ErrBadGroup, v.Tokens, first)
 		}
+		first -= v.Tokens
 	}
-	cm.mu.Lock()
-	switch cm.state {
-	case stateDead:
-		cm.mu.Unlock()
-		return wire.GroupArriveRes{Status: wire.StatusDead}, nil
-	case stateFrozen:
-		for i, w := range ga.Wires {
-			cm.arrived[w]++
-			cm.queue = append(cm.queue, queuedToken{wire: w, tok: transport.Addr(ga.Token), seq: ga.Seqs[i]})
+	s, _ := cl.chains.Get().(*chainScratch)
+	if s == nil {
+		s = new(chainScratch)
+	}
+	defer cl.chains.Put(s)
+	s.visits = append(s.visits[:0], served{cm: cm, hi: int32(first), ci: -1})
+	cl.compMu.RLock()
+	for _, v := range ga.Visits {
+		lo := s.visits[len(s.visits)-1].hi
+		s.visits = append(s.visits, served{cm: cl.comps[transport.Addr(v.Addr)], lo: lo, hi: lo + int32(v.Tokens), ci: -1})
+	}
+	cl.compMu.RUnlock()
+	for i, v := range s.visits {
+		// The fabric vouches for cm; a listed address is the sender's word.
+		if i > 0 && (v.cm == nil || cl.place != nil && cl.place.Site(v.cm.addr) != "") {
+			return nil, fmt.Errorf("%w: visit to %q, which is not served here", ErrBadGroup, ga.Visits[i-1].Addr)
 		}
-		cm.mu.Unlock()
-		return wire.GroupArriveRes{Status: wire.StatusQueued}, nil
+		for _, w := range ga.Wires[v.lo:v.hi] {
+			if w < 0 || w >= v.cm.c.Width {
+				return nil, fmt.Errorf("%w: wire %d out of range [0,%d) at %v", ErrBadGroup, w, v.cm.c.Width, v.cm.c)
+			}
+		}
 	}
 	// The reply's slices belong to whoever receives it — the endpoint's dedup
 	// table keeps the reply for retries — so they are never pooled.
-	outs := make([]int, len(ga.Wires))
-	for i, w := range ga.Wires {
-		outs[i] = cm.routeLocked(w)
+	var outs []int
+	stepped := 0
+	for i := range s.visits {
+		v := &s.visits[i]
+		v.cm.mu.Lock()
+		switch v.cm.state {
+		case stateDead:
+			v.st = wire.StatusDead
+		case stateFrozen:
+			v.st = wire.StatusQueued
+			for k := v.lo; k < v.hi; k++ {
+				v.cm.arrived[ga.Wires[k]]++
+				v.cm.queue = append(v.cm.queue, queuedToken{wire: ga.Wires[k], tok: transport.Addr(ga.Token), seq: ga.Seqs[k]})
+			}
+		default:
+			v.st = wire.StatusProcessed
+			if outs == nil {
+				outs = make([]int, len(ga.Wires))
+			}
+			for k := v.lo; k < v.hi; k++ {
+				outs[k] = v.cm.routeLocked(ga.Wires[k])
+			}
+			stepped += int(v.hi - v.lo)
+		}
+		v.cm.mu.Unlock()
 	}
-	cm.mu.Unlock()
-	reply := cl.groupChain(cm, outs)
-	cl.signalDrain()
+	reply := cl.groupChain(s, outs, stepped)
+	if stepped > 0 {
+		cl.signalDrain()
+	}
 	return reply, nil
 }
 
-// groupChain is chain for a group: it takes the tokens that have just left
-// cm, token i on output wire outs[i], through the components that follow
-// for as long as they are served by this fabric and active, and returns the
-// group arrive reply, which takes over outs. It moves the group one wave at
-// a time: the tokens still moving are sorted by the component they stand
-// at, and each such component gets one visit — one placement question, one
-// acquisition of its lock for all of its tokens — so the cost of a chain is
-// per visit, not per token. As in chain, one lock is held at a time and no
-// token is ever stored here: between visits the group is in flight exactly
-// as it is between two messages, and the tokens standing at a component
-// that is served elsewhere or is not active — frozen, dead, replaced since
-// the snapshot was taken — stop there and are reported by position, to
-// arrive by a message from their own endpoint like any first hop.
+// groupChain is chain for a group: it takes the stepped tokens of s.visits,
+// token i having just left its visit's component on output wire outs[i],
+// through the components that follow for as long as they are served by this
+// fabric and active, and returns the group arrive reply, which takes over
+// outs. It moves them all together, one wave at a time: the tokens still
+// moving are sorted by the component they stand at, and each such component
+// gets one visit — one placement question, one acquisition of its lock for
+// all of its tokens — so the cost of a chain is per visit, not per token. As
+// in chain, one lock is held at a time and no token is ever stored here:
+// between visits the group is in flight exactly as it is between two
+// messages, and the tokens standing at a component that is served elsewhere
+// or is not active — frozen, dead, replaced since the snapshot was taken —
+// stop there and are reported by position, to arrive by a message from
+// their own endpoint like any first hop.
 //
-// When no visit after cm's succeeds the reply is the one the handler has
-// always given, cm's output wires (the sender's table knows where they
-// lead): on a fabric without placement knowledge, and when the snapshot no
-// longer holds cm.
-func (cl *Cluster) groupChain(cm *comp, outs []int) wire.GroupArriveRes {
-	one := wire.GroupArriveRes{Status: wire.StatusProcessed, Outs: outs}
-	if cl.colo == nil {
-		return one
-	}
-	tp := cl.topo.Load()
-	ci, ok := tp.rt.Index(cm.c.Path)
-	if !ok || tp.live[ci] != cm {
-		return one
-	}
-	s, _ := cl.chains.Get().(*groupSort)
-	if s == nil {
-		s = new(groupSort)
-	}
-	defer cl.chains.Put(s)
-	s.reset(len(outs))
-	for i, out := range outs {
-		if s.pos[i] = tp.rt.Next(ci, out); !s.pos[i].Exited() {
-			s.active = append(s.active, int32(i))
-		}
-	}
-	steps := len(outs)
-	for len(s.active) > 0 {
-		order := s.sort(len(tp.live))
-		s.active = s.active[:0]
-		var lo int32
-		for _, ci := range s.touched {
-			visit := order[lo:s.count[ci]]
-			lo, s.count[ci] = s.count[ci], 0
-			next := tp.live[ci]
-			if !cl.colo.Colocated(next.addr) {
+// A visit's tokens keep the reply the handler has always given, their
+// component's output wires (the sender's table knows where they lead), when
+// the chain stepped nothing further — so on a fabric without placement
+// knowledge — and when the snapshot no longer holds their component. The
+// reply lists what became of each visit only when they fared differently.
+func (cl *Cluster) groupChain(s *chainScratch, outs []int, stepped int) wire.GroupArriveRes {
+	res := wire.GroupArriveRes{Outs: outs, Steps: stepped}
+	if cl.place != nil && stepped > 0 {
+		tp := cl.topo.Load()
+		s.reset(len(outs))
+		for v := range s.visits {
+			vis := &s.visits[v]
+			ci, ok := tp.rt.Index(vis.cm.c.Path)
+			if vis.st != wire.StatusProcessed || !ok || tp.live[ci] != vis.cm {
 				continue
 			}
-			next.mu.Lock()
-			active := next.state == stateActive
-			if active {
-				for _, i := range visit {
-					s.pos[i].Wire = int32(next.routeLocked(int(s.pos[i].Wire)))
-				}
-			}
-			next.mu.Unlock()
-			if !active {
-				continue
-			}
-			steps += len(visit)
-			for _, i := range visit {
-				if s.pos[i] = tp.rt.Next(ci, int(s.pos[i].Wire)); !s.pos[i].Exited() {
+			vis.ci = ci
+			for i := vis.lo; i < vis.hi; i++ {
+				if s.pos[i] = tp.rt.Next(ci, outs[i]); !s.pos[i].Exited() {
 					s.active = append(s.active, i)
 				}
 			}
 		}
-	}
-	if steps == len(outs) {
-		return one
-	}
-	// Forwards are positions, not indices into this snapshot's table: the
-	// sender may route by another snapshot. s.touched lists the components
-	// forwarded to, in the order of res.Paths; they are few.
-	res := wire.GroupArriveRes{Status: wire.StatusExited, Outs: outs, Steps: steps}
-	s.touched = s.touched[:0]
-	for i, at := range s.pos {
-		if at.Exited() {
-			outs[i] = int(at.Wire)
-			continue
+		for len(s.active) > 0 {
+			s.tally(len(tp.live))
+			order := s.place()
+			s.active = s.active[:0]
+			var lo int32
+			for _, ci := range s.touched {
+				visit := order[lo:s.count[ci]]
+				lo, s.count[ci] = s.count[ci], 0
+				next := tp.live[ci]
+				if cl.place.Site(next.addr) != "" {
+					continue
+				}
+				next.mu.Lock()
+				active := next.state == stateActive
+				if active {
+					for _, i := range visit {
+						s.pos[i].Wire = int32(next.routeLocked(int(s.pos[i].Wire)))
+					}
+				}
+				next.mu.Unlock()
+				if !active {
+					continue
+				}
+				res.Steps += len(visit)
+				for _, i := range visit {
+					if s.pos[i] = tp.rt.Next(ci, int(s.pos[i].Wire)); !s.pos[i].Exited() {
+						s.active = append(s.active, i)
+					}
+				}
+			}
 		}
-		stop := slices.Index(s.touched, at.Comp)
-		if stop < 0 {
-			stop, s.touched = len(s.touched), append(s.touched, at.Comp)
-			res.Paths = append(res.Paths, string(tp.live[at.Comp].c.Path))
+		// Forwards are positions, not indices into this snapshot's table: the
+		// sender may route by another snapshot. s.touched lists the components
+		// forwarded to, in the order of res.Paths; they are few.
+		s.touched = s.touched[:0]
+		for v := range s.visits {
+			vis := &s.visits[v]
+			if vis.ci < 0 || res.Steps == stepped {
+				continue
+			}
+			vis.st = wire.StatusExited
+			for i := vis.lo; i < vis.hi; i++ {
+				at := s.pos[i]
+				if at.Exited() {
+					outs[i] = int(at.Wire)
+					continue
+				}
+				stop := slices.Index(s.touched, at.Comp)
+				if stop < 0 {
+					stop, s.touched = len(s.touched), append(s.touched, at.Comp)
+					res.Paths = append(res.Paths, string(tp.live[at.Comp].c.Path))
+				}
+				outs[i] = -1 - stop
+				res.Wires = append(res.Wires, int(at.Wire))
+			}
 		}
-		outs[i] = -1 - stop
-		res.Wires = append(res.Wires, int(at.Wire))
+	}
+	res.Status = s.visits[0].st
+	mixed := false
+	for _, vis := range s.visits[1:] {
+		mixed = mixed || vis.st != res.Status
+	}
+	switch {
+	case mixed:
+		res.Status, res.Visits = wire.StatusExited, make([]wire.Status, len(s.visits))
+		for v, vis := range s.visits {
+			res.Visits[v] = vis.st
+		}
+		if outs == nil {
+			res.Outs = make([]int, s.visits[len(s.visits)-1].hi)
+		}
+	case res.Status != wire.StatusExited:
+		res.Steps = 0 // the short forms do not carry it
 	}
 	return res
 }
@@ -544,8 +706,8 @@ func (cl *Cluster) countInjected(ins []int) {
 // token endpoint and one claimed sequence range for the whole batch: the
 // single-token path with its setup amortized, so each token still pays its
 // own arrive RPCs (one, plus one per fabric crossing on its path), where
-// InjectBatch pays one group RPC per component a round finds its tokens at,
-// with identical counting output. Kept as the reference and comparison path
+// InjectBatch pays one group RPC per fabric a round finds its tokens bound
+// for, with identical counting output. Kept as the reference and comparison path
 // (experiment E28 measures the two against each other on both fabrics).
 func (cl *Cluster) InjectBatchSeq(ins []int) ([]int, error) {
 	for _, in := range ins {

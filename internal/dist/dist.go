@@ -72,7 +72,7 @@ const (
 // and over tcpnet (bodies pass through the binary codec).
 const (
 	kindArrive      = wire.KindArrive      // token delivery to an input wire
-	kindGroupArrive = wire.KindGroupArrive // batched token delivery, one RPC per group and fabric it visits
+	kindGroupArrive = wire.KindGroupArrive // batched token delivery, one RPC per round and fabric the group visits
 	kindFreeze      = wire.KindFreeze      // control: stop processing, snapshot state
 	kindTotal       = wire.KindTotal       // control: report the processed-token total
 	kindKill        = wire.KindKill        // control: die and release stored tokens
@@ -120,11 +120,19 @@ type Cluster struct {
 	w  int
 	tr transport.Transport
 	rc *transport.Client
-	// colo is the fabric's placement knowledge, nil when it offers none: an
-	// arrive handler steps a token on through the components colo says are
+	// place is the fabric's placement knowledge, nil when it offers none: an
+	// arrive handler steps a token on through the components place says are
 	// served by this same fabric, and replies only when the next one is
-	// served elsewhere (see arrive). Nil means every hop is a message.
-	colo transport.Colocator
+	// served elsewhere (see arrive); a batch round sends the tokens bound
+	// for components place puts on one fabric in one message (see
+	// groupRound). Nil means every hop is a message of its own.
+	place transport.Placer
+
+	// comps is every incarnation ever bound, by address — like their
+	// endpoints, dead ones stay: a group arrive names the further
+	// incarnations it visits by address (see groupArrive).
+	compMu sync.RWMutex
+	comps  map[transport.Addr]*comp
 
 	gen    atomic.Uint64 // component incarnation counter (address suffix)
 	tokSeq atomic.Uint64 // token endpoint counter
@@ -155,7 +163,7 @@ type Cluster struct {
 	// groupLimit caps how many tokens one wire.GroupArrive RPC carries in
 	// InjectBatch. Priority: an explicit SetGroupLimit wins; otherwise the
 	// adapt controller's live recommendation (when UseAdapt installed one);
-	// otherwise unlimited (one RPC per group, however large).
+	// otherwise unlimited (one RPC per round and fabric, however large).
 	groupLimit atomic.Int64
 	adapt      *adapt.Controller
 
@@ -245,8 +253,9 @@ func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 		out:       make([]atomic.Uint64, w),
 		injected:  make([]atomic.Uint64, w),
 		eps:       make(chan *tokenEP, 256),
+		comps:     make(map[transport.Addr]*comp),
 	}
-	cl.colo, _ = tr.(transport.Colocator)
+	cl.place, _ = tr.(transport.Placer)
 	comps, err := cut.Components(w)
 	if err != nil {
 		return nil, err
@@ -280,6 +289,9 @@ func (cl *Cluster) bind(cm *comp) error {
 	for out := range cm.resProcessed {
 		cm.resProcessed[out] = wire.ArriveRes{Status: wire.StatusProcessed, Out: out}
 	}
+	cl.compMu.Lock()
+	cl.comps[cm.addr] = cm
+	cl.compMu.Unlock()
 	return cl.tr.Bind(cm.addr, func(req transport.Request) (any, error) {
 		return cl.compRPC(cm, req)
 	})
@@ -430,7 +442,7 @@ func (cl *Cluster) SetGroupLimit(n int) error {
 }
 
 // UseAdapt installs a batch-size controller: InjectBatch consults its
-// live recommendation when splitting a component visit into group arrive
+// live recommendation when cutting a round's tokens into group arrive
 // RPCs (unless an explicit SetGroupLimit overrides it). Install before
 // traffic starts, like Instrument and Trace; pass nil to detach.
 func (cl *Cluster) UseAdapt(c *adapt.Controller) { cl.adapt = c }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/transport/tcpnet"
@@ -109,8 +110,8 @@ func TestGroupChainStopsAtFrozen(t *testing.T) {
 			t.Fatalf("%d tokens stored at the frozen component, want %d", len(queue), stopped)
 		}
 	}
-	if _, mid := cl.NetStats(); mid.Sub(before).Calls != 5 {
-		t.Fatalf("%d RPCs until the tokens were stored, want 5 (4 entry groups, then the group they were told to send)", mid.Sub(before).Calls)
+	if _, mid := cl.NetStats(); mid.Sub(before).Calls != 2 {
+		t.Fatalf("%d RPCs until the tokens were stored, want 2: one fabric, so one message a round (the burst, then the group it was told to send)", mid.Sub(before).Calls)
 	}
 	for _, q := range queue {
 		if !strings.HasPrefix(string(q.tok), "t:") || q.tok != queue[0].tok {
@@ -137,29 +138,23 @@ func TestGroupChainStopsAtFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Events: the burst, four entry groups whose chains step 6 components
-	// for a token that misses the frozen one and 2 for one that meets it,
-	// the group stored whole, then the resumed tokens — in as many groups as
+	// Events: the burst, its one message whose chain steps 6 components for
+	// a token that misses the frozen one and 2 for one that meets it, the
+	// group stored whole, then the resumed tokens — in as many groups as
 	// their resumes happened to arrive in — stepping the 4 components left.
 	evs := batchEvents(t, tr)
 	p := string(frozen.c.Path)
-	if len(evs) < 7 || evs[0].Kind != "inject" || evs[0].V != tokens {
+	if len(evs) < 4 || evs[0].Kind != "inject" || evs[0].V != tokens {
 		t.Fatalf("batch span events %+v", evs)
 	}
-	var early, late int64
-	for _, e := range evs[1:5] {
-		if e.Kind != "group" || e.Detail == p {
-			t.Fatalf("event %+v, want an entry group", e)
-		}
-		early += e.V
+	var late int64
+	if e, want := evs[1], int64(6*(tokens-stopped)+2*stopped); e.Kind != "group" || e.Detail == p || e.V != want {
+		t.Fatalf("event %+v, want the burst's message stepping %d components", e, want)
 	}
-	if want := int64(6*(tokens-stopped) + 2*stopped); early != want {
-		t.Fatalf("the entry groups stepped %d components, want %d", early, want)
-	}
-	if e := evs[5]; e.Kind != "queued" || e.Detail != p || e.V != int64(stopped) {
+	if e := evs[2]; e.Kind != "queued" || e.Detail != p || e.V != int64(stopped) {
 		t.Fatalf("event %+v, want %d tokens queued at %q", e, stopped, p)
 	}
-	for _, e := range evs[6:] {
+	for _, e := range evs[3:] {
 		if e.Kind != "group" || e.Detail != p {
 			t.Fatalf("event %+v, want a group of resumed tokens at %q", e, p)
 		}
@@ -310,12 +305,14 @@ func TestGroupChainStaleIncarnationOneStep(t *testing.T) {
 	}
 }
 
-// TestGroupChainAtMostOnceOverTCP: a group's chain is one request. When
-// every group handler is slower than the retry deadline, each re-sent group
-// arrive is answered from the entry incarnation's dedup table — it waits
-// for the original to finish and gets its reply — so every chain runs once:
-// as many handler runs as logical calls, and every component ends with the
-// total it has after the same bursts on the ideal fabric.
+// TestGroupChainAtMostOnceOverTCP: a burst on one fabric is one request —
+// RPCs per round = destination fabrics — whose handler serves four visits
+// and one chain. When every group handler is slower than the retry
+// deadline, each re-sent group arrive is answered from the dedup table of
+// the incarnation it is addressed to, the first visit's — it waits for the
+// original to finish and gets its reply — so no visit and no chain runs
+// twice: as many handler runs as logical calls, and every component ends
+// with the total it has after the same bursts on the ideal fabric.
 func TestGroupChainAtMostOnceOverTCP(t *testing.T) {
 	const w, bursts = 64, 2
 	const timeout = 30 * time.Millisecond
@@ -326,7 +323,7 @@ func TestGroupChainAtMostOnceOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = tn.Close() })
 	fabric := &slowArrive{Net: tn, delay: 5 * timeout / 2}
-	if _, ok := transport.Transport(fabric).(transport.Colocator); !ok {
+	if _, ok := transport.Transport(fabric).(transport.Placer); !ok {
 		t.Fatal("the slow fabric lost the placement capability; the test would not chain")
 	}
 	cl, err := New(w, cut, WithTransport(fabric), WithRetry(transport.RetryConfig{
@@ -349,8 +346,8 @@ func TestGroupChainAtMostOnceOverTCP(t *testing.T) {
 		}
 	}
 	st, cs := cl.NetStats()
-	if cs.Calls != 4*bursts || cs.Failures != 0 {
-		t.Fatalf("client stats %+v, want %d calls, none failed", cs, 4*bursts)
+	if cs.Calls != bursts || cs.Failures != 0 {
+		t.Fatalf("client stats %+v, want %d calls, none failed", cs, bursts)
 	}
 	if cs.Retries < cs.Calls || st.DedupHits < cs.Calls {
 		t.Fatalf("client %+v, fabric %+v: the slow chains were not retried into the dedup table", cs, st)
@@ -373,7 +370,9 @@ func TestGroupChainAtMostOnceOverTCP(t *testing.T) {
 // that hides the fabric's placement knowledge (every chain one visit long)
 // and through the sequential path leave the same count on every output wire
 // and the same total at every component, on the uniform cuts and on 20
-// random ones.
+// random ones — and so do clusters under every group cap an adapt controller
+// can reach, whose messages end and begin in the middle of a component's
+// tokens.
 func TestGroupChainMatchesOracles(t *testing.T) {
 	const w = 32
 	cuts := map[string]tree.Cut{"root": tree.RootCut(), "leaf": tree.LeafCut(w)}
@@ -383,6 +382,7 @@ func TestGroupChainMatchesOracles(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		cuts["random"+string(rune('a'+seed))] = tree.RandomCut(w, 0.5, rand.New(rand.NewSource(seed)))
 	}
+	caps := adapt.Config{Min: 1, Max: 48, Initial: 5, Step: 7, Backoff: 0.4}.Sizes()
 	for name, cut := range cuts {
 		chained, err := New(w, cut)
 		if err != nil {
@@ -396,11 +396,31 @@ func TestGroupChainMatchesOracles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		capped := map[int]*Cluster{}
+		for _, limit := range caps {
+			if capped[limit], err = New(w, cut); err != nil {
+				t.Fatal(err)
+			}
+			if err := capped[limit].SetGroupLimit(limit); err != nil {
+				t.Fatal(err)
+			}
+		}
 		rng := rand.New(rand.NewSource(int64(len(cut))))
 		for burst := 0; burst < 6; burst++ {
 			ins := randomBatch(rng, 1+rng.Intn(200), w)
 			if _, err := chained.InjectBatch(ins); err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+			for limit, cl := range capped {
+				_, before := cl.NetStats()
+				if _, err := cl.InjectBatch(ins); err != nil {
+					t.Fatalf("%s cap %d: %v", name, limit, err)
+				}
+				// One fabric, one round: a message per cap's worth of tokens,
+				// whatever components they stand at.
+				if _, after := cl.NetStats(); after.Sub(before).Calls != uint64((len(ins)+limit-1)/limit) {
+					t.Fatalf("%s cap %d: %d RPCs for %d tokens", name, limit, after.Sub(before).Calls, len(ins))
+				}
 			}
 			if _, err := perVisit.InjectBatch(ins); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -414,6 +434,12 @@ func TestGroupChainMatchesOracles(t *testing.T) {
 				t.Fatalf("%s: output counts %v chained, %v %s", name, got, want, oracle)
 			}
 			requireSameTotals(t, chained, ref)
+		}
+		for limit, cl := range capped {
+			if got, want := cl.OutCounts(), seq.OutCounts(); !slices.Equal(got, want) {
+				t.Fatalf("%s: output counts %v under cap %d, %v sequential", name, got, limit, want)
+			}
+			requireSameTotals(t, cl, seq)
 		}
 		if err := chained.CheckStep(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -430,7 +456,7 @@ func TestGroupChainMatchesOracles(t *testing.T) {
 // group event per group RPC, carrying the token-steps that RPC performed,
 // so a burst's group events always sum to the components on its tokens'
 // paths — 128 x 6 at the level-2 cut of BITONIC[64]. On one fabric that is
-// 4 events (and 4 server-side rpc:agroup spans); behind a wrapper that
+// 1 event of 768 (and 1 server-side rpc:agroup span); behind a wrapper that
 // hides the fabric's placement knowledge it is one event per component
 // visit, each of the size of its group.
 func TestGroupHopEventsSumToDepth(t *testing.T) {
@@ -441,7 +467,7 @@ func TestGroupHopEventsSumToDepth(t *testing.T) {
 		opts []Option
 		rpcs int
 	}{
-		{"one fabric", nil, 4},
+		{"one fabric", nil, 1},
 		{"placement hidden", []Option{WithTransport(hideCaps{transport.NewMem()})}, 24},
 	} {
 		cl, err := New(w, cut, tc.opts...)

@@ -27,7 +27,7 @@ func E32Partitioned(opts Options) (*Table, error) {
 		Title: "Partitioned multi-process runtime vs single-process (mem and tcp)",
 		Claim: "spreading the cut across partitioned worker runtimes preserves exact counting and the step property; cross-partition routing is the dominant cost and group batching pays it once per group",
 		Headers: []string{"topology", "mode", "tokens", "ms", "us/tok",
-			"wire KB", "conserved", "step"},
+			"rpc/burst", "wire KB", "conserved", "step"},
 	}
 	const (
 		w       = 1 << 6
@@ -80,8 +80,9 @@ func E32Partitioned(opts Options) (*Table, error) {
 			}
 			conserved := env.Cluster.OutCounts().Total() == env.Cluster.InCounts().Total()
 			stepErr := env.Cluster.CheckStep()
+			_, cs := env.Cluster.NetStats()
 			t.AddRow("1proc/"+fabric, mode, tokens, ms, ms*1000/float64(tokens),
-				wireKB, conserved, stepErr == nil)
+				float64(cs.Calls)*float64(burst)/float64(tokens), wireKB, conserved, stepErr == nil)
 			if err := env.Close(); err != nil {
 				return nil, err
 			}
@@ -105,6 +106,7 @@ func E32Partitioned(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			var calls uint64 // arrive RPCs, single and group: a worker's cluster sends nothing else
 			ms, res, err := func() (float64, *launch.Result, error) {
 				defer func() {
 					_ = coord.Close()
@@ -120,6 +122,10 @@ func E32Partitioned(opts Options) (*Table, error) {
 				if err != nil {
 					return 0, nil, err
 				}
+				for _, wk := range workers {
+					_, cs := wk.Cluster.NetStats()
+					calls += cs.Calls
+				}
 				return ms, res, coord.Shutdown()
 			}()
 			if err != nil {
@@ -130,11 +136,12 @@ func E32Partitioned(opts Options) (*Table, error) {
 				wireBytes += rep.Wire.BytesIn + rep.Wire.BytesOut
 			}
 			t.AddRow(fmt.Sprintf("%dproc/tcp", parts), mode, tokens, ms,
-				ms*1000/float64(tokens), fmt.Sprintf("%.1f", float64(wireBytes)/1024),
-				res.Conserved, res.StepOK)
+				ms*1000/float64(tokens), float64(calls)*float64(burst)/float64(tokens),
+				fmt.Sprintf("%.1f", float64(wireBytes)/1024), res.Conserved, res.StepOK)
 		}
 	}
 	t.Note("every cell drives the identical %d-token arrival sequence through the same level-%d cut (%d components) with %d senders in %d-token bursts; the Nproc rows run the real partitioned worker runtime (per-partition fabrics, namespaced token endpoints, routed cross-partition visits) in one process — the same code path cmd/acnnode runs as separate OS processes", tokens, level, len(cut), senders, burst)
+	t.Note("rpc/burst is the arrive RPCs (single-token and group) the injecting clusters issued, per %d tokens: a group burst pays one per round and destination fabric, a sequential one 1 + crossings per token", burst)
 	t.Note("wire KB for Nproc rows sums every partition's fabric bytes, so it includes the coordinator's control plane; the mem baseline has no wire at all")
 	return t, nil
 }

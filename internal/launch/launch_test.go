@@ -302,10 +302,12 @@ func TestSeqModePaysCrossings(t *testing.T) {
 }
 
 // TestGroupModePaysCrossings is TestSeqModePaysCrossings for group
-// injection: a burst costs one group RPC per component its tokens stand at
-// when a round starts, and as many rounds as 1 + the most partition
-// crossings on any of its tokens' paths — a handler steps its group through
-// every component its own worker owns and reports the rest by position.
+// injection: a burst costs one group RPC per worker that owns a component
+// its tokens stand at when a round starts, and as many rounds as 1 + the
+// most partition crossings on any of its tokens' paths — a handler serves
+// the message's visit to each of those components, steps the whole group on
+// through every component its own worker owns and reports the rest by
+// position.
 // The expected total is computed here from the spec's ownership map and the
 // compiled routes alone. Every burst carries the same number of tokens on
 // every network input wire, so every visit below is by a multiple of the
@@ -314,7 +316,9 @@ func TestSeqModePaysCrossings(t *testing.T) {
 // the two workers' bursts interleaved (the model checks that premise).
 // AutoSpec deals components out round-robin, about the worst ownership map
 // there is: nearly every hop crosses, the tokens of a burst fall out of step
-// with each other, and a component is visited in several rounds.
+// with each other, and a component is visited in several rounds — which
+// costs rounds, but no longer RPCs per round: there are only two workers to
+// send to.
 func TestGroupModePaysCrossings(t *testing.T) {
 	const burst, bursts = 512, 3 // per worker
 	spec, err := AutoSpec(16, 2, 2)
@@ -368,7 +372,8 @@ func TestGroupModePaysCrossings(t *testing.T) {
 	comps := rt.Components()
 
 	// standing[c][w] is how many of one burst's tokens stand at input wire w
-	// of component c when a round starts; each such component is one RPC.
+	// of component c when a round starts; each worker that owns such a
+	// component is one RPC.
 	standing := map[int32][]int{}
 	stand := func(at map[int32][]int, h tree.Hop, n int) {
 		if at[h.Comp] == nil {
@@ -381,14 +386,20 @@ func TestGroupModePaysCrossings(t *testing.T) {
 	}
 	var perRound []int
 	for len(standing) > 0 {
-		perRound = append(perRound, len(standing))
+		bound := map[string]map[int32][]int{} // by owner: the standing tokens it is sent
+		for ci, wires := range standing {
+			here := owner[comps[ci].Path]
+			if bound[here] == nil {
+				bound[here] = map[int32][]int{}
+			}
+			bound[here][ci] = wires
+		}
+		perRound = append(perRound, len(bound))
 		forwarded := map[int32][]int{}
-		for entry, wires := range standing {
-			// One handler: wave after wave through the components its worker
-			// owns. On a uniform cut all of a handler's tokens through one
-			// component reach it in the same wave.
-			here := owner[comps[entry].Path]
-			wave := map[int32][]int{entry: wires}
+		for here, wave := range bound {
+			// One handler: the message's visits, then wave after wave through
+			// the components its worker owns. On a uniform cut all of a
+			// handler's tokens through one component reach it in the same wave.
 			for len(wave) > 0 {
 				next := map[int32][]int{}
 				for ci, in := range wave {
@@ -446,6 +457,6 @@ func TestGroupModePaysCrossings(t *testing.T) {
 		got += cs.Calls
 	}
 	if got != want {
-		t.Fatalf("%d group RPCs for %d bursts, want %d (groups per round %v)", got, 2*bursts, want, perRound)
+		t.Fatalf("%d group RPCs for %d bursts, want %d (destination workers per round %v)", got, 2*bursts, want, perRound)
 	}
 }

@@ -90,12 +90,12 @@ func (n *Net) Unbind(a Addr) {
 	delete(n.eps, a)
 }
 
-// Colocated implements Colocator: the switch is one fabric instance, so
-// whatever is bound at a is served here, in the caller's own goroutine. It
-// does not look a up: the question is where a request to a would be
-// served, not whether anything is bound there, and a handler asks it once
-// per component it steps.
-func (n *Net) Colocated(Addr) bool { return true }
+// Site implements Placer: the switch is one fabric instance, so whatever is
+// bound at a is served here, in the caller's own goroutine. It does not
+// look a up: the question is where a request to a would be served, not
+// whether anything is bound there, and a handler asks it once per component
+// it steps.
+func (n *Net) Site(Addr) string { return "" }
 
 // Send implements Transport. On the ideal fabric the timeout is never
 // exercised: the handler runs inline and its reply returns immediately.

@@ -91,39 +91,50 @@ func TestRoutePrecedence(t *testing.T) {
 	}
 }
 
-// TestColocatedFollowsRoutes: an address is co-located exactly when it
-// resolves to this fabric's own listener, and the answer is read when
-// asked — a route installed after construction (as launch does once every
-// listener's address is known) moves the addresses under its prefix
-// elsewhere, longest prefix first.
-func TestColocatedFollowsRoutes(t *testing.T) {
-	a, b := newNet(t), newNet(t)
-	var co transport.Colocator = a
+// TestSiteFollowsRoutes: an address is served here ("") exactly when it
+// resolves to this fabric's own listener, addresses that resolve to one
+// other listener share its site and those that resolve to different ones do
+// not, and the answer is read when asked — a route installed after
+// construction (as launch does once every listener's address is known)
+// moves the addresses under its prefix elsewhere, longest prefix first.
+func TestSiteFollowsRoutes(t *testing.T) {
+	a, b, c := newNet(t), newNet(t), newNet(t)
+	var pl transport.Placer = a
 	for _, addr := range []transport.Addr{"c:01#3", "c:2#7", "t:p0:1"} {
-		if !co.Colocated(addr) {
-			t.Fatalf("%q not co-located on a fabric with no routes", addr)
+		if pl.Site(addr) != "" {
+			t.Fatalf("%q not served here on a fabric with no routes", addr)
 		}
 	}
 	if err := a.Route("c:01#", b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if co.Colocated("c:01#3") {
-		t.Fatal("an address routed to another fabric is still co-located")
+	if pl.Site("c:01#3") != b.Addr() {
+		t.Fatal("an address routed to another fabric is still served here")
 	}
-	if !co.Colocated("c:2#7") || !co.Colocated("c:011#1") {
+	if pl.Site("c:2#7") != "" || pl.Site("c:011#1") != "" {
 		t.Fatal("a route moved addresses outside its prefix")
+	}
+	if err := a.Route("c:3#", b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Route("c:4#", c.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if pl.Site("c:3#1") != pl.Site("c:01#3") || pl.Site("c:4#1") == pl.Site("c:3#1") {
+		t.Fatalf("sites %q, %q, %q: want the first two on one fabric and the third on another",
+			pl.Site("c:01#3"), pl.Site("c:3#1"), pl.Site("c:4#1"))
 	}
 	if err := a.RouteDefault(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if co.Colocated("c:2#7") {
-		t.Fatal("an address that falls to a rewired default is still co-located")
+	if pl.Site("c:2#7") != b.Addr() {
+		t.Fatal("an address that falls to a rewired default is still served here")
 	}
 	if err := a.Route("c:2#", a.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if !co.Colocated("c:2#7") {
-		t.Fatal("an address routed back to this fabric's own listener is not co-located")
+	if pl.Site("c:2#7") != "" {
+		t.Fatal("an address routed back to this fabric's own listener is not served here")
 	}
 }
 

@@ -342,11 +342,16 @@ func (n *Net) resolve(a transport.Addr) string {
 	return n.addr
 }
 
-// Colocated implements transport.Colocator: a is served here when its
-// route resolves to this fabric's own listener. Read per call, because
-// routes are installed after construction (launch wires them once every
-// listener's address is known).
-func (n *Net) Colocated(a transport.Addr) bool { return n.resolve(a) == n.addr }
+// Site implements transport.Placer: a is served by the fabric its route
+// resolves to, which is this one ("") when that is its own listener. Read
+// per call, because routes are installed after construction (launch wires
+// them once every listener's address is known).
+func (n *Net) Site(a transport.Addr) string {
+	if target := n.resolve(a); target != n.addr {
+		return target
+	}
+	return ""
+}
 
 // Instrument routes the fabric's socket-level distributions and counters
 // into reg: per-message encode/decode seconds, frame bytes in/out, and

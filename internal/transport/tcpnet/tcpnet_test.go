@@ -280,7 +280,7 @@ func TestRouteBetweenFabrics(t *testing.T) {
 	}
 }
 
-// TestRouteWhileResolving: Send, SendBatch and Colocated resolve against an
+// TestRouteWhileResolving: Send, SendBatch and Site resolve against an
 // immutable route snapshot without a lock, so installing routes while they
 // run must be race-free (this test earns its keep under -race) and must
 // never misroute: an address that no installed prefix matches stays served
@@ -306,8 +306,8 @@ func TestRouteWhileResolving(t *testing.T) {
 					return
 				default:
 				}
-				if !a.Colocated("n:local") {
-					t.Error("an unrouted address stopped being colocated")
+				if a.Site("n:local") != "" {
+					t.Error("an unrouted address stopped being served here")
 					return
 				}
 				reply, err := a.Send(transport.Request{ID: nextID(), To: "n:local", Kind: wire.KindCPF, Body: uint64(4)}, time.Second)
@@ -333,8 +333,8 @@ func TestRouteWhileResolving(t *testing.T) {
 		if err := a.Route(prefix, b.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		if a.Colocated(transport.Addr(prefix + "1")) {
-			t.Fatalf("%q is still colocated after its route was installed", prefix)
+		if a.Site(transport.Addr(prefix+"1")) != b.Addr() {
+			t.Fatalf("%q is still served here after its route was installed", prefix)
 		}
 	}
 	close(stop)

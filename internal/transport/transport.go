@@ -95,18 +95,21 @@ type BatchSender interface {
 	SendBatch(reqs []Request, timeout time.Duration, replies []any, errs []error)
 }
 
-// Colocator is implemented by fabrics that know placement: Colocated
-// reports whether a request addressed to a would be served by this same
-// fabric instance, with no socket or process in between (the in-memory
-// switch: always; tcpnet: when its routes resolve a to its own listener).
-// A handler may then hand work to the endpoint at a directly instead of
-// sending it a message. The answer is read per request, since routes can be
-// installed after construction. A fabric or wrapper without the capability
-// answers nothing, which callers must take as "served elsewhere": hiding it
-// can cost speed, never correctness. Faulty deliberately does not forward
-// it — a fault injector exists to put every message at risk.
-type Colocator interface {
-	Colocated(a Addr) bool
+// Placer is implemented by fabrics that know placement: Site names the
+// fabric instance a request addressed to a would be served by. The empty
+// string is this same instance, with no socket or process in between (the
+// in-memory switch: always; tcpnet: when its routes resolve a to its own
+// listener) — a handler may then hand work to the endpoint at a directly
+// instead of sending it a message. Two addresses with the same Site are
+// served by the same instance, so work for both can travel there in one
+// message. The answer is read per request, since routes can be installed
+// after construction. A fabric or wrapper without the capability answers
+// nothing, which callers must take as "each address is served somewhere
+// else again": hiding it can cost speed, never correctness. Faulty
+// deliberately does not forward it — a fault injector exists to put every
+// message at risk.
+type Placer interface {
+	Site(a Addr) string
 }
 
 // ErrTimeout is returned by Send when no reply arrived within the deadline

@@ -228,17 +228,17 @@ func TestFaultDecisionsDeterministic(t *testing.T) {
 	}
 }
 
-// TestColocatorIsOptIn: the in-memory switch answers the placement
-// question; the fault injector does not forward it, so everything built
-// over Faulty keeps every hop a message that can be lost.
-func TestColocatorIsOptIn(t *testing.T) {
+// TestPlacerIsOptIn: the in-memory switch answers the placement question;
+// the fault injector does not forward it, so everything built over Faulty
+// keeps every hop a message that can be lost.
+func TestPlacerIsOptIn(t *testing.T) {
 	var mem Transport = NewMem()
-	if c, ok := mem.(Colocator); !ok || !c.Colocated("c:0#1") {
-		t.Fatal("the in-memory switch does not report its addresses as co-located")
+	if p, ok := mem.(Placer); !ok || p.Site("c:0#1") != "" {
+		t.Fatal("the in-memory switch does not report its addresses as served here")
 	}
 	var faulty Transport = NewFaulty(NewMem(), FaultConfig{})
-	if _, ok := faulty.(Colocator); ok {
-		t.Fatal("Faulty forwards Colocator: hops behind the fault injector would stop being messages")
+	if _, ok := faulty.(Placer); ok {
+		t.Fatal("Faulty forwards Placer: hops behind the fault injector would stop being messages")
 	}
 }
 

@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -144,6 +148,22 @@ func TestRoundTripAllKinds(t *testing.T) {
 	for i, reply := range groupChainReplies {
 		roundTripEnvelopes(t, KindGroupArrive, uint64(10+i), GroupArrive{Token: "t:1", Wires: []int{0, 1, 2}, Seqs: []uint64{7, 8, 9}}, reply)
 	}
+	// A message of three visits, and the replies to one.
+	visits := GroupArrive{Token: "t:1", Wires: []int{0, 1, 2, 0, 5, 5}, Seqs: []uint64{7, 8, 9, 10, 11, 12},
+		Visits: []Visit{{Addr: "c:01#3", Tokens: 1}, {Addr: "c:2#9", Tokens: 3}}}
+	for i, reply := range groupVisitReplies {
+		roundTripEnvelopes(t, KindGroupArrive, uint64(20+i), visits, reply)
+	}
+}
+
+// groupVisitReplies are replies to a group arrive whose three visits fared
+// differently: one stepped and not chained beside one stored and one dead;
+// none stepped; forwards on both sides of a visit that was not stepped.
+var groupVisitReplies = []GroupArriveRes{
+	{Status: StatusExited, Outs: []int{1, 0, 0, 0, 0, 0}, Steps: 2, Visits: []Status{StatusProcessed, StatusQueued, StatusDead}},
+	{Status: StatusExited, Outs: []int{0, 0, 0, 0, 0, 0}, Visits: []Status{StatusDead, StatusQueued, StatusQueued}},
+	{Status: StatusExited, Outs: []int{-1, -2, 0, -1, 3, -2}, Steps: 9, Paths: []string{"13", ""}, Wires: []int{1, 0, 1, 2},
+		Visits: []Status{StatusExited, StatusDead, StatusExited}},
 }
 
 // groupChainReplies are group arrive replies in the chained form: every
@@ -166,6 +186,12 @@ func TestGroupChainReplyRejectsImpossible(t *testing.T) {
 		"more components than forwards": {Status: StatusExited, Outs: []int{-1, 4}, Steps: 2, Paths: []string{"1", "2"}, Wires: []int{0}},
 		"negative input wire":           {Status: StatusExited, Outs: []int{-1}, Steps: 1, Paths: []string{"1"}, Wires: []int{-4}},
 		"fewer steps than tokens":       {Status: StatusExited, Outs: []int{3, 4}, Steps: 1},
+		"one visit listed":              {Status: StatusExited, Outs: []int{3, 4}, Steps: 2, Visits: []Status{StatusExited}},
+		"more visits than tokens":       {Status: StatusExited, Outs: []int{3, 4}, Steps: 2, Visits: []Status{StatusExited, StatusDead, StatusDead}},
+		"visit with status 5":           {Status: StatusExited, Outs: []int{3, 4}, Steps: 2, Visits: []Status{StatusExited, StatusForward}},
+		"visit with status 0":           {Status: StatusExited, Outs: []int{3, 4}, Steps: 2, Visits: []Status{StatusExited, 0}},
+		"negative steps":                {Status: StatusExited, Outs: []int{3, 0}, Steps: -1, Visits: []Status{StatusExited, StatusDead}},
+		"forwards short across visits":  {Status: StatusExited, Outs: []int{-1, 0, -1}, Steps: 2, Paths: []string{"1"}, Wires: []int{0}, Visits: []Status{StatusExited, StatusQueued, StatusExited}},
 	} {
 		e := NewEncoder(32)
 		if err := c.EncodeRes(e, r); err != nil {
@@ -174,6 +200,151 @@ func TestGroupChainReplyRejectsImpossible(t *testing.T) {
 		if _, err := c.DecodeRes(NewDecoder(e.Bytes())); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// TestGroupVisitsRejectImpossible: the decoder refuses a visit list no
+// sender can have produced, each as ErrCorrupt — a visit of no tokens or of
+// a negative number, visits that leave the addressed component nothing, and
+// the non-canonical empty list.
+func TestGroupVisitsRejectImpossible(t *testing.T) {
+	c, _ := ByKind(KindGroupArrive)
+	group := func(visits ...Visit) GroupArrive {
+		return GroupArrive{Token: "t:1", Wires: []int{0, 1, 2, 3}, Seqs: []uint64{1, 2, 3, 4}, Visits: visits}
+	}
+	for name, g := range map[string]GroupArrive{
+		"visit of no tokens":        group(Visit{"c:1#2", 1}, Visit{"c:2#3", 0}),
+		"visit of negative tokens":  group(Visit{"c:1#2", -2}),
+		"visits of the whole group": group(Visit{"c:1#2", 1}, Visit{"c:2#3", 3}),
+		"visits of more":            group(Visit{"c:1#2", 9}),
+	} {
+		e := NewEncoder(32)
+		if err := c.EncodeReq(e, g); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.DecodeReq(NewDecoder(e.Bytes())); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
+	e := NewEncoder(32)
+	if err := c.EncodeReq(e, group()); err != nil {
+		t.Fatal(err)
+	}
+	single := len(e.Bytes())
+	e.Uvarint(0) // a visit tail that lists nothing
+	if _, err := c.DecodeReq(NewDecoder(e.Bytes())); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("empty visit list: %v, want ErrCorrupt", err)
+	}
+	// The tail is all a visit list adds: the bytes before it are the
+	// single-visit message, as every older frame has them.
+	e.Reset()
+	if err := c.EncodeReq(e, group(Visit{"c:1#2", 1})); err != nil {
+		t.Fatal(err)
+	}
+	alone := NewEncoder(32)
+	if err := c.EncodeReq(alone, group()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(e.Bytes()[:single], alone.Bytes()) || !bytes.Equal(e.Bytes()[single:], []byte{1, 5, 'c', ':', '1', '#', '2', 2}) {
+		t.Fatalf("a one-visit list encodes as %v after %v", e.Bytes()[single:], e.Bytes()[:single])
+	}
+}
+
+// TestVisitAddressesDecodeThroughInternTable: the addresses a group arrive
+// lists are component endpoints like the one it is addressed to, so a warm
+// decode of a message with visits allocates for its slices and its boxed
+// body and nothing per address.
+func TestVisitAddressesDecodeThroughInternTable(t *testing.T) {
+	frame := func(g GroupArrive) []byte {
+		b, err := AppendRequest(nil, 3, transport.Request{ID: 4, From: "t:a", To: "c:0#1", Kind: KindGroupArrive, Body: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	g := GroupArrive{Token: "t:a", Wires: []int{0, 1, 2, 3}, Seqs: []uint64{1, 2, 3, 4}}
+	alone := frame(g)
+	g.Visits = []Visit{{"c:100#7", 1}, {"c:101#8", 1}, {"c:110#9", 1}}
+	listed := frame(g)
+	var req Request
+	decode := func(b []byte) func() {
+		return func() {
+			if err := DecodeRequestFrame(b, &req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decode(listed)() // first sight interns the addresses
+	first := req.Req.Body.(GroupArrive).Visits[2].Addr
+	base, got := testing.AllocsPerRun(200, decode(alone)), testing.AllocsPerRun(200, decode(listed))
+	if got > base+1 { // the visit slice
+		t.Fatalf("a warm group arrive of three further visits decodes with %.0f allocations, one of none with %.0f", got, base)
+	}
+	if again := req.Req.Body.(GroupArrive).Visits[2].Addr; unsafe.StringData(again) != unsafe.StringData(first) {
+		t.Fatal("the address was copied again instead of coming out of the intern table")
+	}
+}
+
+// TestFuzzCorpusFramesAreByteStable: every frame checked in under
+// testdata/fuzz — the FuzzDecodeFrame corpus, whose inputs are frame
+// payloads — still decodes to what it did (or is still refused, typed), and
+// what it decodes to encodes back to the same bytes: optional tails added to
+// a message since the frame was written have not moved a byte of it. The
+// other corpora hold fuzz-function arguments, which their fuzz functions
+// replay on every `go test`.
+func TestFuzzCorpusFramesAreByteStable(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/*/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fuzz corpus found: %v", err)
+	}
+	frames := 0
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if lines[0] != "go test fuzz v1" || len(lines) < 2 {
+			t.Fatalf("%s: not a fuzz corpus file", file)
+		}
+		if filepath.Base(filepath.Dir(file)) != "FuzzDecodeFrame" {
+			continue
+		}
+		lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+		if !ok || len(lines) != 2 {
+			t.Fatalf("%s: want one []byte argument", file)
+		}
+		quoted, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		payload := []byte(quoted)
+		frames++
+		v, err := DecodeFrame(payload)
+		if err != nil {
+			if !typedDecodeErr(err) {
+				t.Fatalf("%s: %v is not a typed decode error", file, err)
+			}
+			continue
+		}
+		e := NewEncoder(len(payload))
+		switch m := v.(type) {
+		case *Request:
+			err = EncodeRequest(e, m.Mux, m.Req)
+		case *Reply:
+			// The envelope does not say which kind replied; the body's type does.
+			code := map[string]byte{"wire.ArriveRes": 1, "wire.GroupArriveRes": 2, "uint64": 4}[fmt.Sprintf("%T", m.Body)]
+			err = EncodeReply(e, m.Mux, code, m.Status, m.Body, m.ErrText)
+		}
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", file, err)
+		}
+		if !bytes.Equal(e.Bytes(), payload) {
+			t.Fatalf("%s: decodes to %#v, which encodes as\n%q, the file holds\n%q", file, v, e.Bytes(), payload)
+		}
+	}
+	if frames < 10 {
+		t.Fatalf("%d frames checked, the corpus held 10 when this test was written", frames)
 	}
 }
 

@@ -57,6 +57,13 @@ func FuzzArriveRes(f *testing.F) {
 	})
 }
 
+// FuzzGroupArrive also covers the request's visit tail. The upper bits of
+// status say how many further visits the message lists (none for the seeds
+// that predate the tail) and rawOut, read as signed bytes, how many tokens
+// each takes — so zero and negative counts, and counts that leave the
+// addressed component nothing, are all within reach. A list every visit of
+// which takes a token and leaves the addressed component one must round-trip;
+// any other must be refused as corrupt by the decoder.
 func FuzzGroupArrive(f *testing.F) {
 	f.Add("t:1", []byte{1, 2, 3}, byte(0), []byte{9, 8, 7})
 	f.Add("t:44#9", []byte{}, byte(1), []byte{})
@@ -70,6 +77,13 @@ func FuzzGroupArrive(f *testing.F) {
 		maxGroup[i] = byte(i * 37)
 	}
 	f.Add("t:max", maxGroup, byte(0), maxGroup[:8])
+	f.Add("t:1", []byte{1, 2, 3, 4, 5, 6, 7}, byte(3<<2), []byte{2, 1, 3})    // 1 + 2 + 1 + 3 tokens
+	f.Add("t:1", []byte{1, 2, 3, 4, 5, 6}, byte(3<<2|1), []byte{2, 1, 3})     // visits of the whole group
+	f.Add("t:1", []byte{1, 2, 3, 4, 5, 6}, byte(2<<2), []byte{4, 4})          // visits of more than the group
+	f.Add("t:1", []byte{1, 2, 3, 4, 5, 6}, byte(2<<2|2), []byte{1, 0})        // a visit of no tokens
+	f.Add("t:1", []byte{1, 2, 3, 4, 5, 6}, byte(1<<2), []byte{0xfd})          // a visit of -3
+	f.Add("t:max", maxGroup, byte(3<<2), []byte{100, 27, 1})                  // a full group, four visits
+	f.Add("t:1", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, byte(3<<2), []byte{2, 6}) // counts reused: 2 + 6 + 2 > 9
 	f.Fuzz(func(t *testing.T, token string, raw []byte, status byte, rawOut []byte) {
 		// Derive the parallel wires/seqs slices from one byte string so the
 		// decode invariant len(Wires) == len(Seqs) holds by construction.
@@ -84,8 +98,25 @@ func FuzzGroupArrive(f *testing.F) {
 			outs = append(outs, int(b))
 		}
 		body := GroupArrive{Token: clampToken(token), Wires: wires, Seqs: seqs}
+		left, valid := len(raw), true
+		for k := 0; k < int(status>>2)%4 && len(rawOut) > 0; k++ {
+			v := Visit{Addr: "c:" + strings.Repeat("1", k) + "#7", Tokens: int(int8(rawOut[k%len(rawOut)]))}
+			body.Visits = append(body.Visits, v)
+			valid = valid && v.Tokens > 0 && v.Tokens < left
+			left -= v.Tokens
+		}
 		reply := GroupArriveRes{Status: StatusProcessed + Status(status)%3, Outs: outs}
-		roundTripEnvelopes(t, KindGroupArrive, uint64(len(raw)), body, reply)
+		if valid {
+			roundTripEnvelopes(t, KindGroupArrive, uint64(len(raw)), body, reply)
+			return
+		}
+		e := NewEncoder(64)
+		if err := EncodeRequest(e, 1, transport.Request{ID: 2, From: "t:src", To: "c:dst#1", Kind: KindGroupArrive, Body: body}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeFrame(e.Bytes()); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("visits %+v of a group of %d decode with err=%v, want ErrCorrupt", body.Visits, len(raw), err)
+		}
 	})
 }
 
@@ -94,21 +125,42 @@ func FuzzGroupArrive(f *testing.F) {
 // or is forwarded to one of the components the reply lists. Each byte of
 // raw is one token: an odd byte forwards it (to path or to path+"0", so
 // several tokens share a listed component), an even one is its output wire.
+// steps/1000 says how many visits a chained reply lists (fewer than two: it
+// has no visit tail, as in the seeds that predate it) and steps/4000 what
+// became of each, two bits a visit; the tokens are dealt out evenly, and
+// those of a visit that was stepped once or not at all say so.
 func FuzzGroupArriveRes(f *testing.F) {
 	f.Add(true, []byte{0x10, 0x22, 0x7e}, 18, "")
 	f.Add(true, []byte{0x03, 0x18, 0x05, 0x07}, 9, "201")
 	f.Add(false, []byte{0x02, 0x04, 0x00}, 0, "")
+	f.Add(true, []byte{0x03, 0x18, 0x05, 0x07, 0x11, 0x20, 0x09}, 3000+4000*0b111111+5, "201")  // three chained visits
+	f.Add(true, []byte{0x03, 0x18, 0x05, 0x07, 0x11, 0x20, 0x09}, 3000+4000*0b110100+11, "20")  // stepped once, stored, chained
+	f.Add(true, []byte{0x03, 0x18, 0x05, 0x07, 0x11, 0x20}, 2000+4000*0b1001, "")               // stored, dead: nothing stepped
+	f.Add(true, []byte{0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07}, 3000+4000*0b111011, "") // forwards either side of a dead visit
 	f.Fuzz(func(t *testing.T, chained bool, raw []byte, steps int, path string) {
 		reply := GroupArriveRes{Status: StatusProcessed}
 		if chained {
 			reply.Status = StatusExited
 			reply.Steps = len(raw) + int(uint(steps)%1000)
+			if n := int(uint(steps) / 1000 % 4); n >= 2 && len(raw) >= n {
+				for v, how := 0, uint(steps)/4000; v < n; v, how = v+1, how>>2 {
+					reply.Visits = append(reply.Visits, StatusProcessed+Status(how%4))
+				}
+			}
 		}
 		if len(path) >= MaxString {
 			path = path[:MaxString-1]
 		}
-		for _, b := range raw {
-			if !chained || b&1 == 0 {
+		for i, b := range raw {
+			st := reply.Status // of the visit token i belongs to
+			if n := len(reply.Visits); n > 0 {
+				st = reply.Visits[min(i/(len(raw)/n), n-1)]
+			}
+			switch {
+			case st == StatusQueued || st == StatusDead:
+				reply.Outs = append(reply.Outs, 0)
+				continue
+			case st == StatusProcessed || b&1 == 0:
 				reply.Outs = append(reply.Outs, int(b>>1))
 				continue
 			}
@@ -232,13 +284,21 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{frameRequest})
 	f.Add([]byte{frameReply, 0, 9})
-	for _, reply := range groupChainReplies {
+	for _, reply := range slices.Concat(groupChainReplies, groupVisitReplies) {
 		e.Reset()
 		if err := EncodeReply(e, 3, 2, ReplyOK, reply, ""); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(append([]byte(nil), e.Bytes()...))
 	}
+	e.Reset()
+	if err := EncodeRequest(e, 3, transport.Request{
+		ID: 4, From: "t:a", To: "c:00#1", Kind: KindGroupArrive,
+		Body: GroupArrive{Token: "t:a", Wires: []int{0, 1, 1, 0}, Seqs: []uint64{5, 6, 7, 8}, Visits: []Visit{{"c:01#2", 1}, {"c:10#3", 2}}},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), e.Bytes()...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := DecodeFrame(data)

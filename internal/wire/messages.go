@@ -10,10 +10,11 @@ const (
 	// KindArrive delivers one token to a component input wire.
 	// Body: Arrive. Reply: ArriveRes.
 	KindArrive = "arrive"
-	// KindGroupArrive delivers a whole token group to a component in one
-	// message: k tokens, each with its own input wire and sequence number,
-	// sharing one sender endpoint. This is the batched dist wire format:
-	// one RPC per group instead of one per token.
+	// KindGroupArrive delivers a whole token group in one message: k tokens,
+	// each with its own input wire and sequence number, sharing one sender
+	// endpoint, to the addressed component and any further ones the body
+	// lists. This is the batched dist wire format: one RPC per round and
+	// destination fabric instead of one per token.
 	// Body: GroupArrive. Reply: GroupArriveRes.
 	KindGroupArrive = "agroup"
 	// KindFreeze tells a component to stop routing and snapshot state.
@@ -115,10 +116,24 @@ type ArriveRes struct {
 // the group arrives on Wires[i] with sequence number Seqs[i]. All tokens
 // share the sender endpoint Token. len(Wires) == len(Seqs) is a decode
 // invariant.
+//
+// Visits hands the tail of the group to further incarnations the addressed
+// one's fabric serves: the last run of tokens to the last visit, and so on
+// back; the addressed component keeps at least one token (a decode
+// invariant). The list is an optional tail on the wire: without it a
+// message is byte for byte the single-component message it has always been.
 type GroupArrive struct {
-	Token string
-	Wires []int
-	Seqs  []uint64
+	Token  string
+	Wires  []int
+	Seqs   []uint64
+	Visits []Visit
+}
+
+// Visit is one further visit of a GroupArrive: Tokens tokens for the
+// component incarnation bound at Addr.
+type Visit struct {
+	Addr   string
+	Tokens int
 }
 
 // GroupArriveRes is the reply to a GroupArrive. The addressed component
@@ -139,12 +154,19 @@ type GroupArrive struct {
 //     forwarded tokens stand at, one per forwarded token, in token order.
 //   - StatusQueued: every token was stored; resumes follow individually.
 //   - StatusDead: nothing was stepped; re-resolve the whole group.
+//
+// When a message's visits fared differently the reply is in the chained
+// form and adds Visits, an optional tail on the wire: the status a reply to
+// each visit alone would have had, the addressed component's first, by
+// which that visit's share of Outs is read as above (a stored or dead
+// visit's says nothing); Steps, Paths and Wires are the message's.
 type GroupArriveRes struct {
 	Status Status
 	Outs   []int
 	Steps  int
 	Paths  []string
 	Wires  []int
+	Visits []Status
 }
 
 // FreezeRes snapshots a component's state at freeze time.
@@ -340,6 +362,13 @@ var _ = register(&Codec{
 		e.String(g.Token)
 		e.Ints(g.Wires)
 		e.Uint64s(g.Seqs)
+		if len(g.Visits) > 0 {
+			e.Uvarint(uint64(len(g.Visits)))
+			for _, v := range g.Visits {
+				e.String(v.Addr)
+				e.Int(v.Tokens)
+			}
+		}
 		return nil
 	},
 	DecodeReq: func(d *Decoder) (any, error) {
@@ -356,6 +385,11 @@ var _ = register(&Codec{
 		}
 		if len(g.Wires) != len(g.Seqs) {
 			return nil, fmt.Errorf("%w: group with %d wires, %d seqs", ErrCorrupt, len(g.Wires), len(g.Seqs))
+		}
+		if d.Remaining() > 0 {
+			if g.Visits, err = decodeVisits(d, len(g.Wires)); err != nil {
+				return nil, err
+			}
 		}
 		return g, nil
 	},
@@ -375,6 +409,12 @@ var _ = register(&Codec{
 				e.String(p)
 			}
 			e.Ints(r.Wires)
+			if len(r.Visits) > 0 {
+				e.Uvarint(uint64(len(r.Visits)))
+				for _, st := range r.Visits {
+					e.Byte(byte(st))
+				}
+			}
 		}
 		return nil
 	},
@@ -409,6 +449,11 @@ var _ = register(&Codec{
 		if r.Wires, err = d.Ints(); err != nil {
 			return nil, err
 		}
+		if d.Remaining() > 0 {
+			if r.Visits, err = decodeVisitRes(d, len(r.Outs)); err != nil {
+				return nil, err
+			}
+		}
 		if err := r.checkChained(); err != nil {
 			return nil, err
 		}
@@ -416,12 +461,62 @@ var _ = register(&Codec{
 	},
 })
 
+// decodeVisits consumes the visit tail of a GroupArrive of tokens tokens. An
+// encoder writes it only for a visit or more, every visit takes at least one
+// token, and the addressed component is left one.
+func decodeVisits(d *Decoder, tokens int) ([]Visit, error) {
+	n, err := d.sliceLen()
+	if err == nil && n == 0 {
+		err = fmt.Errorf("%w: empty visit list", ErrCorrupt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	visits := make([]Visit, n)
+	for i := range visits {
+		v := &visits[i]
+		// Component addresses are a small closed set, like To and From.
+		if v.Addr, err = d.InternedString(); err != nil {
+			return nil, err
+		}
+		if v.Tokens, err = d.Int(); err != nil {
+			return nil, err
+		}
+		if v.Tokens <= 0 || v.Tokens >= tokens {
+			return nil, fmt.Errorf("%w: visit of %d tokens in what is left of a group of %d", ErrCorrupt, v.Tokens, tokens)
+		}
+		tokens -= v.Tokens
+	}
+	return visits, nil
+}
+
+// decodeVisitRes consumes the visit tail of a chained GroupArriveRes over
+// tokens tokens, which an encoder writes only for two visits or more, each
+// of at least one token.
+func decodeVisitRes(d *Decoder, tokens int) ([]Status, error) {
+	n, err := d.sliceLen()
+	if err == nil && (n < 2 || n > tokens) {
+		err = fmt.Errorf("%w: %d visits by %d tokens", ErrCorrupt, n, tokens)
+	}
+	if err != nil {
+		return nil, err
+	}
+	visits := make([]Status, n)
+	for i := range visits {
+		if visits[i], err = decodeStatus(d, StatusExited); err != nil {
+			return nil, err
+		}
+	}
+	return visits, nil
+}
+
 // checkChained rejects a chained group reply no handler can have produced:
-// every token was stepped at least once, a forwarded token names a listed
-// component and has an input wire, and there are no more listed components
-// than forwarded tokens.
+// every token was stepped at least once (unless visits fared differently:
+// only the sender knows which tokens were whose), a forwarded token names a
+// listed component and has an input wire, and there are no more listed
+// components than forwarded tokens.
 func (r *GroupArriveRes) checkChained() error {
-	if r.Steps < len(r.Outs) {
+	if r.Steps < 0 || r.Visits == nil && r.Steps < len(r.Outs) {
 		return fmt.Errorf("%w: chained group reply of %d steps for %d tokens", ErrCorrupt, r.Steps, len(r.Outs))
 	}
 	forwards := 0
