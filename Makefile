@@ -55,7 +55,7 @@ benchsmoke:
 # b.RunParallel and the batch/pooled paths race real goroutines, so this
 # catches data races the correctness tests' schedules might miss.
 perfsmoke:
-	$(GO) test -race -bench 'TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
+	$(GO) test -race -bench 'TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
 
 # Re-verify the newest checked-in pre/post baseline against itself (first
 # run vs last run): an edit that regresses the recorded post numbers — or

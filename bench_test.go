@@ -5,6 +5,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -488,12 +490,12 @@ func distClusterTCP(b *testing.B, w int) *dist.Cluster {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = tn.Close() })
-	cl, err := dist.NewOn(w, tree.RootCut(), tn, transport.RetryConfig{
+	cl, err := dist.New(w, tree.RootCut(), dist.WithTransport(tn), dist.WithRetry(transport.RetryConfig{
 		Timeout:    25 * time.Millisecond,
 		MaxRetries: 8,
 		Backoff:    100 * time.Microsecond,
 		BackoffCap: 2 * time.Millisecond,
-	})
+	}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -542,6 +544,51 @@ func BenchmarkTokenDistTCPParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTokenDistTCPCallers is BenchmarkTokenDistTCP with 1, 2 and 4
+// closed-loop callers on one fabric — the benchmark's tcp-token shape. Each
+// token is one RPC to the same destination, so with more callers than
+// pooled connections (PoolSize 2) calls share a socket; p95-us is the
+// per-token tail that sharing costs, which ns/op (a mean over all callers)
+// does not show. An untimed warm-up of 64 tokens per caller fills the pool,
+// and makes a -benchtime 1x run under -race still cross the shared path.
+func BenchmarkTokenDistTCPCallers(b *testing.B) {
+	for _, callers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			w := 64
+			cl := distClusterTCP(b, w)
+			// run injects len(lats) tokens from the callers, which claim
+			// token indices until none are left.
+			run := func(lats []time.Duration) {
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				for g := 0; g < callers; g++ {
+					wg.Add(1)
+					go func(seed int64) {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(seed))
+						for i := next.Add(1) - 1; i < int64(len(lats)); i = next.Add(1) - 1 {
+							start := time.Now()
+							if _, err := cl.Inject(rng.Intn(w)); err != nil {
+								b.Error(err)
+								return
+							}
+							lats[i] = time.Since(start)
+						}
+					}(int64(g + 1))
+				}
+				wg.Wait()
+			}
+			run(make([]time.Duration, 64*callers))
+			lats := make([]time.Duration, b.N)
+			b.ResetTimer()
+			run(lats)
+			b.StopTimer()
+			slices.Sort(lats)
+			b.ReportMetric(float64(lats[len(lats)*95/100].Nanoseconds())/1e3, "p95-us")
+		})
+	}
 }
 
 // BenchmarkTokenDistTCPBatch drives the same TCP fabric through the group

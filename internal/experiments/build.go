@@ -22,6 +22,7 @@ type clusterCell struct {
 	Retry  transport.RetryConfig
 	Fault  transport.FaultConfig // knobs for the "faulty" fabric
 	Obs    *obs.Registry         // instruments a tcp fabric when non-nil
+	Pool   int                   // tcp fabric's PoolSize; 0 = its default
 }
 
 // fabricEnv is a built cell: the cluster plus whichever concrete fabric
@@ -61,7 +62,7 @@ func buildCluster(c clusterCell) (*fabricEnv, error) {
 	case "", "mem":
 		tr = transport.NewMem()
 	case "tcp":
-		tn, err := tcpnet.New(tcpnet.Config{})
+		tn, err := tcpnet.New(tcpnet.Config{PoolSize: c.Pool})
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -22,13 +23,15 @@ import (
 // above 1.0: concurrent senders that collide on a connection have their
 // frames coalesced into single vectored writes, so the syscall count
 // grows sublinearly in the RPC count. Counting stays exact in every cell.
+// shared/call is the fraction of calls that found every connection of their
+// destination's pool busy; the closing rows sweep the pool at two senders.
 func E30RPCFastPath(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E30",
 		Title: "RPC fast path under concurrency (coalesced writes, pooled frames, bounded handlers)",
 		Claim: "concurrent senders amortize syscalls via write coalescing; the request path stays allocation-free and counting stays exact",
-		Headers: []string{"fabric", "senders", "tokens", "ms", "us/tok", "rpcs",
-			"us/rpc", "frames/write", "spills", "conserved"},
+		Headers: []string{"fabric", "pool", "senders", "tokens", "ms", "us/tok", "p50 us", "p95 us",
+			"rpcs", "us/rpc", "frames/write", "shared/call", "spills", "conserved"},
 	}
 	const (
 		w     = 1 << 10
@@ -52,83 +55,101 @@ func E30RPCFastPath(opts Options) (*Table, error) {
 		BackoffCap: 2 * time.Millisecond,
 	}
 
-	for _, fabric := range []string{"mem", "tcp"} {
+	type cell struct {
+		fabric        string
+		pool, senders int // pool 0: the fabric has none (mem)
+	}
+	var cells []cell
+	for _, f := range []cell{{fabric: "mem"}, {fabric: "tcp", pool: 2}} {
 		for _, s := range senders {
-			env, err := buildCluster(clusterCell{
-				Fabric: fabric, Width: w, Cut: cut, Retry: retry, Obs: opts.Obs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cl, tn := env.Cluster, env.TCP
-			ins := make([]int, tokens)
-			for i := range ins {
-				ins[i] = (i * 2654435761) % w
-			}
-			var preWS tcpnet.WireStats
-			if tn != nil {
-				preWS = tn.WireStats()
-			}
-			_, preCS := cl.NetStats()
-
-			// Each sender injects a disjoint contiguous share of the same
-			// arrival sequence; the union is identical in every cell, so
-			// the conservation check pins exactness under concurrency.
-			share := (tokens + s - 1) / s
-			var wg sync.WaitGroup
-			errCh := make(chan error, s)
-			start := time.Now()
-			for g := 0; g < s; g++ {
-				lo := g * share
-				hi := lo + share
-				if hi > tokens {
-					hi = tokens
-				}
-				if lo >= hi {
-					continue
-				}
-				wg.Add(1)
-				go func(part []int) {
-					defer wg.Done()
-					for _, in := range part {
-						if _, err := cl.Inject(in); err != nil {
-							errCh <- err
-							return
-						}
-					}
-				}(ins[lo:hi])
-			}
-			wg.Wait()
-			ms := float64(time.Since(start).Nanoseconds()) / 1e6
-			select {
-			case err := <-errCh:
-				return nil, err
-			default:
-			}
-
-			_, postCS := cl.NetStats()
-			rpcs := postCS.Sub(preCS).Calls
-			usPerRPC := 0.0
-			if rpcs > 0 {
-				usPerRPC = ms * 1000 / float64(rpcs)
-			}
-			framesPerWrite := "-"
-			spills := "-"
-			if tn != nil {
-				ws := tn.WireStats()
-				if dw := ws.Writes - preWS.Writes; dw > 0 {
-					framesPerWrite = fmt.Sprintf("%.2f", float64(ws.Frames-preWS.Frames)/float64(dw))
-				}
-				spills = fmt.Sprintf("%d", ws.Spills-preWS.Spills)
-			}
-			conserved := cl.OutCounts().Total() == cl.InCounts().Total()
-			t.AddRow(fabric, s, tokens, ms, ms*1000/float64(tokens), rpcs,
-				usPerRPC, framesPerWrite, spills, conserved)
-			if err := env.Close(); err != nil {
-				return nil, err
-			}
+			cells = append(cells, cell{f.fabric, f.pool, s})
 		}
 	}
-	t.Note("every cell injects the identical %d-token arrival sequence through the same cut (%d components at level %d), split across the senders, so conservation holds in all of them; the frames/write column only exceeds 1.0 when frames share a vectored syscall — senders colliding on a pooled connection fold their requests into one writev, and handler workers cork consecutive replies into one flush — while at senders=1 it pins to 1.00, the uncontended direct-write fast path", tokens, len(cut), level)
+	cells = append(cells, cell{"tcp", 1, 2}, cell{"tcp", 4, 2}, cell{"tcp", 8, 2})
+	for _, c := range cells {
+		fabric, s := c.fabric, c.senders
+		env, err := buildCluster(clusterCell{
+			Fabric: fabric, Width: w, Cut: cut, Retry: retry, Obs: opts.Obs, Pool: c.pool,
+		})
+		if err != nil {
+			return nil, err
+		}
+		cl, tn := env.Cluster, env.TCP
+		ins := make([]int, tokens)
+		for i := range ins {
+			ins[i] = (i * 2654435761) % w
+		}
+		var preWS tcpnet.WireStats
+		if tn != nil {
+			preWS = tn.WireStats()
+		}
+		_, preCS := cl.NetStats()
+
+		// Each sender injects a disjoint contiguous share of the same
+		// arrival sequence; the union is identical in every cell, so
+		// the conservation check pins exactness under concurrency.
+		share := (tokens + s - 1) / s
+		var wg sync.WaitGroup
+		errCh := make(chan error, s)
+		lats := make([]float64, tokens) // per-token wall us, each sender its own share
+		start := time.Now()
+		for g := 0; g < s; g++ {
+			lo := g * share
+			hi := lo + share
+			if hi > tokens {
+				hi = tokens
+			}
+			if lo >= hi {
+				continue
+			}
+			wg.Add(1)
+			go func(part []int, lat []float64) {
+				defer wg.Done()
+				for i, in := range part {
+					t0 := time.Now()
+					if _, err := cl.Inject(in); err != nil {
+						errCh <- err
+						return
+					}
+					lat[i] = float64(time.Since(t0).Nanoseconds()) / 1e3
+				}
+			}(ins[lo:hi], lats[lo:hi])
+		}
+		wg.Wait()
+		ms := float64(time.Since(start).Nanoseconds()) / 1e6
+		select {
+		case err := <-errCh:
+			return nil, err
+		default:
+		}
+
+		_, postCS := cl.NetStats()
+		rpcs := postCS.Sub(preCS).Calls
+		usPerRPC := 0.0
+		if rpcs > 0 {
+			usPerRPC = ms * 1000 / float64(rpcs)
+		}
+		sort.Float64s(lats)
+		framesPerWrite, shared, spills, pool := "-", "-", "-", "-"
+		if tn != nil {
+			ws := tn.WireStats()
+			if dw := ws.Writes - preWS.Writes; dw > 0 {
+				framesPerWrite = fmt.Sprintf("%.2f", float64(ws.Frames-preWS.Frames)/float64(dw))
+			}
+			if rpcs > 0 {
+				shared = fmt.Sprintf("%.2f", float64(ws.Shared-preWS.Shared)/float64(rpcs))
+			}
+			spills = fmt.Sprintf("%d", ws.Spills-preWS.Spills)
+			pool = fmt.Sprintf("%d", c.pool)
+		}
+		conserved := cl.OutCounts().Total() == cl.InCounts().Total()
+		t.AddRow(fabric, pool, s, tokens, ms, ms*1000/float64(tokens),
+			lats[tokens/2], lats[tokens*95/100], rpcs,
+			usPerRPC, framesPerWrite, shared, spills, conserved)
+		if err := env.Close(); err != nil {
+			return nil, err
+		}
+	}
+	t.Note("every cell injects the identical %d-token arrival sequence through the same cut (%d components at level %d), split across the senders, so conservation holds in all of them; the frames/write column only exceeds 1.0 when frames share a vectored syscall — senders colliding on a pooled connection fold their requests into one writev, and handler workers cork consecutive replies into one flush — while at senders=1 it pins to 1.00, the uncontended direct-write fast path; shared/call is the fraction of calls that found every pooled connection of their destination busy and had to multiplex (0 while senders <= pool), p50/p95 are per-token wall times, and the last three rows sweep the pool size at 2 senders", tokens, len(cut), level)
 	return t, nil
 }

@@ -151,4 +151,7 @@ func TestCallBatchRetriesTimedOutAlone(t *testing.T) {
 	if st.Sent != uint64(len(reqs))+cs.Retries {
 		t.Fatalf("Sent = %d, want %d batch requests + %d retries", st.Sent, len(reqs), cs.Retries)
 	}
+	// The timed-out members gave their slots back; the late replies to them
+	// found nothing to release twice.
+	checkInflight(t, n, 0)
 }

@@ -53,11 +53,14 @@ type conn struct {
 	// field, not a local, because WriteTo's pointer receiver would force a
 	// local slice header to escape — one heap allocation per flush.
 	iovw net.Buffers
+	wdl  time.Time // write deadline armed on the socket; the token holder's
 
 	pmu     sync.Mutex
 	pending map[uint64]chan *wire.Reply
 	pdead   bool // die ran; no new pending entries may be added
-	nextMux atomic.Uint64
+	// inflight mirrors len(pending) for the pool's checkout, which holds no pmu.
+	inflight atomic.Int64
+	nextMux  atomic.Uint64
 
 	dead     chan struct{}
 	dieOnce  sync.Once
@@ -103,6 +106,7 @@ func (cn *conn) die() {
 		cn.pdead = true
 		pend := cn.pending
 		cn.pending = nil
+		cn.noteInflight(-int64(len(pend)))
 		cn.pmu.Unlock()
 		for _, ch := range pend {
 			ch <- nil // buffered and empty: entry present means no deposit yet
@@ -125,8 +129,15 @@ func (cn *conn) addPending(mux uint64, ch chan *wire.Reply) bool {
 		return false
 	}
 	cn.pending[mux] = ch
+	cn.noteInflight(1)
 	cn.pmu.Unlock()
 	return true
+}
+
+// noteInflight moves len(pending)'s mirror and its gauge; caller holds pmu.
+func (cn *conn) noteInflight(d int64) {
+	cn.inflight.Add(d)
+	cn.ins.gFlight.Add(d)
 }
 
 // takePending removes and returns mux's waiter, or nil when another party
@@ -136,7 +147,10 @@ func (cn *conn) addPending(mux uint64, ch chan *wire.Reply) bool {
 func (cn *conn) takePending(mux uint64) chan *wire.Reply {
 	cn.pmu.Lock()
 	ch := cn.pending[mux]
-	delete(cn.pending, mux)
+	if ch != nil {
+		delete(cn.pending, mux)
+		cn.noteInflight(-1)
+	}
 	cn.pmu.Unlock()
 	return ch
 }
@@ -240,10 +254,10 @@ func (cn *conn) flushCorked() {
 }
 
 // drain flushes the coalescing queue until it is empty, then releases the
-// write token. Each round is one vectored write for the whole batch. A
-// failed flush kills the conn but keeps draining: writes on the dead
-// socket fail fast, and every queued frame's encoder still returns to the
-// pool.
+// write token. Each round is one write for the whole batch, vectored when
+// it carries more than one frame. A failed flush kills the conn but keeps
+// draining: writes on the dead socket fail fast, and every queued frame's
+// encoder still returns to the pool.
 func (cn *conn) drain() {
 	for {
 		cn.qmu.Lock()
@@ -267,7 +281,13 @@ func (cn *conn) drain() {
 		cn.iov = iov // keep the grown backing array; WriteTo consumes iovw
 		cn.iovw = iov
 		cn.setWriteDeadline(flushWriteTimeout)
-		if _, err := cn.iovw.WriteTo(cn.c); err != nil {
+		var err error
+		if len(batch) == 1 {
+			_, err = cn.c.Write(batch[0].b) // a lone frame needs no writev
+		} else {
+			_, err = cn.iovw.WriteTo(cn.c)
+		}
+		if err != nil {
 			cn.die()
 		} else {
 			cn.wrote(total, len(batch))
@@ -294,16 +314,25 @@ func (cn *conn) write(frame []byte, timeout time.Duration) error {
 	return nil
 }
 
-// setWriteDeadline applies timeout as an absolute write deadline, and —
-// crucially — clears any previous deadline when timeout is not positive:
-// deadlines are connection state, not per-write state, so an unbounded
-// write after a bounded one must reset it or inherit a stale (possibly
-// already-expired) deadline.
+// setWriteDeadline bounds the next write by timeout, and — crucially —
+// clears any previous deadline when timeout is not positive: deadlines are
+// connection state, not per-write state, so an unbounded write after a
+// bounded one must reset it or inherit a stale (possibly already-expired)
+// deadline. Arming is a runtime-timer update, so a bounded write re-arms (to
+// now+2*timeout) only when the armed deadline is nearer than now+timeout or
+// further than that: a write is bounded by at most twice its timeout, not
+// exactly by it. Caller holds the write token, which owns wdl.
 func (cn *conn) setWriteDeadline(timeout time.Duration) {
-	if timeout > 0 {
-		_ = cn.c.SetWriteDeadline(time.Now().Add(timeout))
-	} else {
-		_ = cn.c.SetWriteDeadline(time.Time{})
+	if timeout <= 0 {
+		if !cn.wdl.IsZero() {
+			cn.wdl = time.Time{}
+			_ = cn.c.SetWriteDeadline(time.Time{})
+		}
+		return
+	}
+	if lo := time.Now().Add(timeout); cn.wdl.Before(lo) || cn.wdl.After(lo.Add(timeout)) {
+		cn.wdl = lo.Add(timeout)
+		_ = cn.c.SetWriteDeadline(cn.wdl)
 	}
 }
 
@@ -601,7 +630,7 @@ func setNoDelay(c net.Conn) {
 }
 
 // pool is the per-destination connection set: up to cfg.PoolSize conns,
-// dialed on demand, picked round-robin, with exponential backoff after
+// dialed on demand, checked out by idleness, with exponential backoff after
 // dial failures (a destination that refused recently fails fast instead of
 // hammering).
 type pool struct {
@@ -611,8 +640,8 @@ type pool struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // lazily created; signals dial completion
 	conns    []*conn
-	dialing  int // dials in progress, holding pool slots
-	rr       uint64
+	dialing  int    // dials in progress, holding pool slots
+	rr       uint64 // rotation point: breaks ties between equally loaded conns
 	backoff  time.Duration
 	coolDown time.Time
 }
@@ -629,15 +658,20 @@ func (n *Net) pool(target string) *pool {
 }
 
 // conn returns a healthy pooled connection, dialing when the pool is not
-// full. Dials in progress hold pool slots, so concurrent first callers
-// cannot race the pool past PoolSize; callers finding every slot mid-dial
-// wait for one to resolve. Within a post-failure cooldown window the pool
-// fails fast with ErrUnreachable rather than re-dialing a destination that
-// just refused.
+// full. A full pool hands out the live conn with the fewest calls in flight,
+// rotating among equals: a call gets a socket nobody else is using when one
+// exists, a lone sequential caller still spreads over the pool, and calls
+// multiplex only when every conn is busy (WireStats.Shared). The load is read
+// before the caller's request registers, so two racing callers may still
+// pick one conn; the rotation starts them at different ones. Dials in
+// progress hold pool slots, so concurrent first callers cannot race the pool
+// past PoolSize; callers finding every slot mid-dial wait for one to
+// resolve. Within a post-failure cooldown window the pool fails fast with
+// ErrUnreachable rather than re-dialing a destination that just refused.
 func (p *pool) conn() (*conn, error) {
 	p.mu.Lock()
 	for {
-		// Sweep dead conns so round-robin only sees live ones (die() retires
+		// Sweep dead conns so the checkout only sees live ones (die() retires
 		// asynchronously; a conn can break between retirement and this pick).
 		live := p.conns[:0]
 		for _, c := range p.conns {
@@ -658,7 +692,18 @@ func (p *pool) conn() (*conn, error) {
 		if len(p.conns) > 0 && (len(p.conns)+p.dialing >= p.n.cfg.PoolSize || cooling) {
 			p.rr++
 			c := p.conns[p.rr%uint64(len(p.conns))]
+			load := c.inflight.Load()
+			for i := 1; i < len(p.conns) && load > 0; i++ {
+				o := p.conns[(p.rr+uint64(i))%uint64(len(p.conns))]
+				if l := o.inflight.Load(); l < load {
+					c, load = o, l
+				}
+			}
 			p.mu.Unlock()
+			if load > 0 {
+				p.n.shared.Add(1)
+				p.n.ins().cShared.Inc()
+			}
 			return c, nil
 		}
 		if cooling {

@@ -1,6 +1,10 @@
 package tcpnet
 
 import (
+	"errors"
+	"net"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,6 +68,287 @@ func TestWriteDeadlineCleared(t *testing.T) {
 	case <-c.dead:
 		t.Fatal("conn died from a stale deadline")
 	default:
+	}
+}
+
+// pooledConns snapshots every outbound pooled conn of n.
+func pooledConns(n *Net) []*conn {
+	n.poolMu.Lock()
+	defer n.poolMu.Unlock()
+	var out []*conn
+	for _, p := range n.pools {
+		p.mu.Lock()
+		out = append(out, p.conns...)
+		p.mu.Unlock()
+	}
+	return out
+}
+
+// checkInflight asserts, at a quiescent point, that every pooled conn's
+// in-flight count equals len(pending) and that they sum to want — in the
+// conns themselves and in PoolStats. It returns the per-conn loads, sorted.
+func checkInflight(t *testing.T, n *Net, want int) []int {
+	t.Helper()
+	var loads []int
+	sum := 0
+	for _, c := range pooledConns(n) {
+		c.pmu.Lock()
+		pend, mirror := len(c.pending), c.inflight.Load()
+		c.pmu.Unlock()
+		if int64(pend) != mirror {
+			t.Fatalf("conn has %d pending calls but an in-flight count of %d", pend, mirror)
+		}
+		loads = append(loads, pend)
+		sum += pend
+	}
+	if got := n.PoolStats().InFlight; sum != want || got != want {
+		t.Fatalf("in flight: %d pending over the conns, PoolStats %d, want %d", sum, got, want)
+	}
+	slices.Sort(loads)
+	return loads
+}
+
+// holdNet returns a fabric a with the given PoolSize whose every address is
+// served by b, where "hold" blocks until release is called (announcing each
+// entry on started) and "echo" answers at once.
+func holdNet(t *testing.T, poolSize int) (a *Net, started chan struct{}, release func()) {
+	t.Helper()
+	a, err := New(Config{PoolSize: poolSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() })
+	b, err := New(Config{Handlers: 8}) // a worker per call the tests hold at once
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	if err := a.RouteDefault(b.Addr()); err != nil {
+		t.Fatalf("RouteDefault: %v", err)
+	}
+	started = make(chan struct{}, 64)
+	held := make(chan struct{})
+	release = sync.OnceFunc(func() { close(held) })
+	t.Cleanup(release) // before b's Close, which waits for its handlers
+	if err := b.Bind("hold", func(req transport.Request) (any, error) {
+		started <- struct{}{}
+		<-held
+		return uint64(0), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Bind("echo", func(req transport.Request) (any, error) { return uint64(1), nil }); err != nil {
+		t.Fatal(err)
+	}
+	return a, started, release
+}
+
+// TestCheckoutByIdleness pins the pool's selection rule. A lone sequential
+// caller rotates over the pool (ties break by rotation, and the pool fills
+// to PoolSize before any conn is reused); k <= PoolSize concurrent calls
+// occupy k distinct conns and none counts as Shared; every further call
+// shares the least-loaded conn and counts; the in-flight counts return to 0
+// once the replies are in.
+func TestCheckoutByIdleness(t *testing.T) {
+	const poolSize = 3
+	a, started, release := holdNet(t, poolSize)
+
+	// used reports which conn a sequential call rode: the one whose mux
+	// counter it advanced.
+	before := map[*conn]uint64{}
+	used := func() *conn {
+		t.Helper()
+		if _, err := a.Send(transport.Request{To: "echo", Kind: wire.KindTotal}, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		var hit *conn
+		for _, c := range pooledConns(a) {
+			if m := c.nextMux.Load(); m != before[c] {
+				if hit != nil || m != before[c]+1 {
+					t.Fatalf("one call advanced more than one mux counter")
+				}
+				hit, before[c] = c, m
+			}
+		}
+		if hit == nil {
+			t.Fatal("call rode no pooled conn")
+		}
+		return hit
+	}
+	var seq []*conn
+	for i := 0; i < 3*poolSize; i++ {
+		seq = append(seq, used())
+	}
+	if len(pooledConns(a)) != poolSize {
+		t.Fatalf("pool holds %d conns after %d sequential calls, want %d", len(pooledConns(a)), len(seq), poolSize)
+	}
+	fill, rot := seq[:poolSize], seq[poolSize:]
+	for i, c := range fill {
+		if slices.Contains(fill[:i], c) {
+			t.Fatalf("sequential call %d reused a conn before the pool was full", i)
+		}
+	}
+	for i := poolSize - 1; i < len(rot); i++ {
+		if slices.Contains(rot[i-poolSize+1:i], rot[i]) {
+			t.Fatalf("call %d on the full pool reused a conn of the previous %d calls: no rotation among idle conns", i, poolSize-1)
+		}
+	}
+	if sh := a.WireStats().Shared; sh != 0 {
+		t.Fatalf("Shared = %d after sequential calls, want 0", sh)
+	}
+
+	var wg sync.WaitGroup
+	hold := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := a.Send(transport.Request{To: "hold", Kind: wire.KindTotal}, time.Minute); err != nil {
+				t.Error(err)
+			}
+		}()
+		<-started // in the handler: the call is registered on its conn
+	}
+	want := [][]int{ // sorted per-conn loads after each held call
+		{0, 0, 1}, {0, 1, 1}, {1, 1, 1}, // a conn each
+		{1, 1, 2}, {1, 2, 2}, {2, 2, 2}, // then always the least loaded
+	}
+	for k, w := range want {
+		hold()
+		if got := checkInflight(t, a, k+1); !slices.Equal(got, w) {
+			t.Fatalf("with %d calls in flight the conns carry %v, want %v", k+1, got, w)
+		}
+		if sh, wantSh := a.WireStats().Shared, uint64(max(0, k+1-poolSize)); sh != wantSh {
+			t.Fatalf("with %d calls in flight Shared = %d, want %d", k+1, sh, wantSh)
+		}
+	}
+	release()
+	wg.Wait()
+	checkInflight(t, a, 0)
+}
+
+// TestInflightZeroAfterFailures: the two Send failure paths that own a
+// registered slot — reply timeout and failed write — leave nothing in
+// flight behind.
+func TestInflightZeroAfterFailures(t *testing.T) {
+	a, started, _ := holdNet(t, 1)
+	_, err := a.Send(transport.Request{To: "hold", Kind: wire.KindTotal}, 20*time.Millisecond)
+	if !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("call into a wedged handler: %v, want ErrTimeout", err)
+	}
+	<-started
+	checkInflight(t, a, 0) // the handler is still wedged: reclaim released it
+
+	// Send's write-failure path, step by step: register, lose the socket,
+	// fail the write, reclaim.
+	c := pooledConns(a)[0]
+	of, mux, ch, err := a.frameRequest(c, transport.Request{To: "echo", Kind: wire.KindTotal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInflight(t, a, 1)
+	_ = c.c.Close()
+	if err := c.send(of, time.Second); err == nil {
+		t.Fatal("write on a closed socket succeeded")
+	}
+	c.reclaim(mux, ch)
+	if got := c.inflight.Load(); got != 0 {
+		t.Fatalf("in-flight count %d after a failed write, want 0", got)
+	}
+	checkInflight(t, a, 0)
+}
+
+// deadlineConn counts SetWriteDeadline calls on the socket it wraps.
+type deadlineConn struct {
+	net.Conn
+	arms int
+}
+
+func (d *deadlineConn) SetWriteDeadline(t time.Time) error {
+	d.arms++
+	return d.Conn.SetWriteDeadline(t)
+}
+
+// stalledConn returns a conn of n to a peer that accepted the connection
+// and never reads. No read loop runs on it: the test owns the write token.
+func stalledConn(t *testing.T, n *Net) (*conn, *deadlineConn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	sock, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = peer.Close() })
+	dc := &deadlineConn{Conn: sock}
+	c := n.newConn(dc)
+	t.Cleanup(c.die)
+	return c, dc
+}
+
+// TestWriteDeadlineRearm pins when a write touches the socket's deadline:
+// bounded writes ride an armed deadline that still leaves them between one
+// and two timeouts, and re-arm only outside that window; an unbounded write
+// clears an armed deadline once.
+func TestWriteDeadlineRearm(t *testing.T) {
+	c, dc := stalledConn(t, newNet(t))
+	frame := frameFor(t, 1, "nowhere")
+	step := func(what string, timeout time.Duration, wantArms int) {
+		t.Helper()
+		if err := c.write(frame, timeout); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if dc.arms != wantArms {
+			t.Fatalf("%s: deadline set %d times so far, want %d", what, dc.arms, wantArms)
+		}
+	}
+	step("unbounded on a fresh conn", 0, 0)
+	for i := 0; i < 100; i++ {
+		step("bounded, back to back", time.Minute, 1)
+	}
+	step("unbounded after bounded clears", 0, 2)
+	step("unbounded again", 0, 2)
+	step("short bound", 20*time.Millisecond, 3)
+	time.Sleep(25 * time.Millisecond) // less than one timeout now remains
+	step("short bound, armed deadline too near", 20*time.Millisecond, 4)
+	step("long bound, armed deadline too near", time.Minute, 5)
+	step("short bound, armed deadline too far", 20*time.Millisecond, 6)
+}
+
+// TestStalledPeerFailsBoundedWrite: against a peer that stops reading, a
+// bounded write fails with a deadline error within twice its timeout, and
+// kills the conn.
+func TestStalledPeerFailsBoundedWrite(t *testing.T) {
+	c, _ := stalledConn(t, newNet(t))
+	const timeout = 100 * time.Millisecond
+	chunk := make([]byte, 1<<20)
+	for i := 0; ; i++ {
+		if i == 256 {
+			t.Fatal("wrote 256 MiB to a peer that never reads")
+		}
+		start := time.Now()
+		err := c.write(chunk, timeout)
+		if err == nil {
+			continue // still filling the socket buffers
+		}
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("stalled write failed with %v, want a deadline error", err)
+		}
+		if took := time.Since(start); took > 2*timeout+timeout/2 {
+			t.Fatalf("stalled write took %v, bound is 2 x %v", took, timeout)
+		}
+		break
+	}
+	select {
+	case <-c.dead:
+	default:
+		t.Fatal("conn survived a failed write")
 	}
 }
 
@@ -139,10 +424,11 @@ func TestPendingReleasedOnDie(t *testing.T) {
 		c.pmu.Lock()
 		n := len(c.pending)
 		c.pmu.Unlock()
-		if n != 0 {
-			t.Fatalf("dead conn holds %d pending entries", n)
+		if n != 0 || c.inflight.Load() != 0 {
+			t.Fatalf("dead conn holds %d pending entries, in-flight count %d", n, c.inflight.Load())
 		}
 	}
+	checkInflight(t, a, 0)
 	// The sender recovers: the same fabric, with its recycled slots and
 	// pools, completes a fresh call to a healthy destination.
 	c2 := newNet(t)

@@ -14,7 +14,7 @@
 //   - Connections multiplex: every request frame carries a per-attempt mux
 //     ID, replies come back tagged with it, so many concurrent calls share
 //     a few connections in both directions. A small per-destination pool
-//     (PoolSize conns, dialed on demand with exponential backoff) keeps
+//     (PoolSize conns, dialed on demand with backoff, idlest one first) keeps
 //     head-of-line blocking bounded without a conn per call.
 //   - Per-call deadlines map to the transport error vocabulary: no reply
 //     within the timeout is ErrTimeout (retried by Client), an
@@ -55,7 +55,9 @@ type Config struct {
 	Listen string
 	// PoolSize is the number of connections kept per destination. 0 means
 	// 2: one is enough for correctness, a second keeps a large group
-	// message from head-of-line blocking small control traffic.
+	// message from head-of-line blocking small control traffic: a call takes
+	// the idlest connection, so only calls beyond PoolSize concurrent ones to
+	// a destination share a socket (WireStats.Shared counts them).
 	PoolSize int
 	// DialBackoff is the wait after a failed dial before the next attempt;
 	// it doubles per consecutive failure up to DialBackoffCap. Zero means
@@ -121,6 +123,9 @@ type WireStats struct {
 	Writes    uint64 // write syscalls issued (direct or coalesced flush)
 	Frames    uint64 // frames those writes carried; Frames/Writes is the coalescing factor
 	Spills    uint64 // inbound requests served past the worker pool on spillover goroutines
+	// Shared counts calls handed a connection already carrying one (its whole
+	// pool was busy): against Sent, whether PoolSize covers the concurrency.
+	Shared uint64
 	// QueueDepth mirrors the tcpnet.flush.queue gauge without requiring a
 	// registry: the depth of a conn's coalescing write queue at the last
 	// enqueue or flush (0 when senders are uncontended). The adapt
@@ -180,6 +185,7 @@ type Net struct {
 	writes    atomic.Uint64
 	frames    atomic.Uint64
 	spills    atomic.Uint64
+	shared    atomic.Uint64
 	qdepth    atomic.Int64
 
 	// Observability handles, swapped in atomically by Instrument (the
@@ -202,9 +208,11 @@ type instruments struct {
 	cIn      *obs.Counter
 	cOut     *obs.Counter
 	gConn    *obs.Gauge
-	gDialing *obs.Gauge // dial slots currently held by in-progress dials
-	gCooling *obs.Gauge // destination pools inside a post-failure cooldown
-	gQueue   *obs.Gauge // depth of a conn's write queue at last enqueue
+	gDialing *obs.Gauge   // dial slots currently held by in-progress dials
+	gCooling *obs.Gauge   // destination pools inside a post-failure cooldown
+	gQueue   *obs.Gauge   // depth of a conn's write queue at last enqueue
+	gFlight  *obs.Gauge   // calls awaiting a reply on conns opened under this handle set
+	cShared  *obs.Counter // calls handed an already busy conn
 }
 
 var noInstr = &instruments{}
@@ -372,6 +380,8 @@ func (n *Net) Instrument(reg *obs.Registry) {
 		gDialing: reg.Gauge("tcpnet.pool.dialing"),
 		gCooling: reg.Gauge("tcpnet.pool.cooldown"),
 		gQueue:   reg.Gauge("tcpnet.flush.queue"),
+		gFlight:  reg.Gauge("tcpnet.pool.inflight"),
+		cShared:  reg.Counter("tcpnet.pool.shared"),
 	})
 }
 
@@ -589,6 +599,7 @@ func (n *Net) WireStats() WireStats {
 		Writes:     n.writes.Load(),
 		Frames:     n.frames.Load(),
 		Spills:     n.spills.Load(),
+		Shared:     n.shared.Load(),
 		QueueDepth: n.qdepth.Load(),
 	}
 }
@@ -597,10 +608,11 @@ func (n *Net) WireStats() WireStats {
 // connection pools: the transport-health view behind the
 // tcpnet.pool.* gauges.
 type PoolStats struct {
-	Pools   int // destinations with a pool
-	Conns   int // live pooled outbound connections
-	Dialing int // dial slots currently held by in-progress dials
-	Cooling int // pools inside a post-failure dial cooldown window
+	Pools    int // destinations with a pool
+	Conns    int // live pooled outbound connections
+	Dialing  int // dial slots currently held by in-progress dials
+	Cooling  int // pools inside a post-failure dial cooldown window
+	InFlight int // calls awaiting a reply on those connections
 }
 
 // PoolStats walks every destination pool and returns exact counts
@@ -622,6 +634,7 @@ func (n *Net) PoolStats() PoolStats {
 			case <-c.dead:
 			default:
 				ps.Conns++
+				ps.InFlight += int(c.inflight.Load())
 			}
 		}
 		ps.Dialing += p.dialing

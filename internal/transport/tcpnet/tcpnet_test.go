@@ -461,7 +461,8 @@ func TestDedupBoundOverSocket(t *testing.T) {
 
 // TestPoolHealthStats: PoolStats is an exact walk of the outbound pools,
 // and the tcpnet.pool.* gauges surface the same health transitions —
-// live conns after traffic, a cooldown entry after a dead dial.
+// live conns after traffic, calls in flight and calls that had to share a
+// busy conn, a cooldown entry after a dead dial.
 func TestPoolHealthStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	n, err := New(Config{DialBackoff: 300 * time.Millisecond, DialBackoffCap: time.Second})
@@ -491,6 +492,45 @@ func TestPoolHealthStats(t *testing.T) {
 	}
 	if v := reg.Gauge("tcpnet.pool.dialing").Value(); v != 0 {
 		t.Fatalf("pool.dialing gauge %d after dial completed", v)
+	}
+
+	// "Is my pool too small?": PoolSize+1 calls held in their handlers are
+	// all in flight, and exactly the one past PoolSize had to share a conn.
+	started, held := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	t.Cleanup(release) // a failure below must not leave Close waiting on held handlers
+	if err := n.Bind("n:hold", func(req transport.Request) (any, error) {
+		started <- struct{}{}
+		<-held
+		return uint64(0), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	calls := n.cfg.PoolSize + 1
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := n.Send(transport.Request{ID: nextID(), To: "n:hold", Kind: wire.KindTotal}, time.Minute); err != nil {
+				t.Error(err)
+			}
+		}()
+		<-started
+	}
+	if ps := n.PoolStats(); ps.InFlight != calls || ps.Conns != n.cfg.PoolSize {
+		t.Fatalf("with %d calls held: %+v", calls, ps)
+	}
+	if v := reg.Gauge("tcpnet.pool.inflight").Value(); v != int64(calls) {
+		t.Fatalf("pool.inflight gauge %d, want %d", v, calls)
+	}
+	if ws, c := n.WireStats(), reg.Counter("tcpnet.pool.shared").Value(); ws.Shared != 1 || c != 1 {
+		t.Fatalf("Shared = %d, pool.shared counter %d, want 1 and 1", ws.Shared, c)
+	}
+	release()
+	wg.Wait()
+	if ps, v := n.PoolStats(), reg.Gauge("tcpnet.pool.inflight").Value(); ps.InFlight != 0 || v != 0 {
+		t.Fatalf("after the replies: %+v, pool.inflight gauge %d", ps, v)
 	}
 
 	// A dead destination fails its dial attempts and leaves the pool in a

@@ -27,6 +27,7 @@ package tree
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -187,7 +188,8 @@ func ComponentAt(w int, p Path) (Component, error) {
 // Name returns the component's DHT name, e.g. "B16@021" for a BITONIC[16]
 // at path "021" in T_w. Names are unique within a tree.
 func (c Component) Name() string {
-	return fmt.Sprintf("%s%d@%s", c.Kind, c.Width, c.Path)
+	var w [20]byte // called per component per membership operation: no fmt
+	return c.Kind.String() + string(strconv.AppendInt(w[:0], int64(c.Width), 10)) + "@" + string(c.Path)
 }
 
 func (c Component) String() string { return c.Name() }

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -223,6 +224,28 @@ func TestNamesAreUnique(t *testing.T) {
 		}
 	}
 	walk(MustRoot(w))
+}
+
+// TestNameFormat pins Name to the string its fmt-based predecessor built
+// ("%s%d@%s" of kind, width, path), for every kind — the zero one included —
+// over a spread of widths and paths.
+func TestNameFormat(t *testing.T) {
+	for _, k := range []Kind{0, KindBitonic, KindMerger, KindMix, 9} {
+		for _, w := range []int{0, 2, 8, 64, 1024, 1 << 20, -4} {
+			for _, p := range []Path{"", "0", "021", "5432105432"} {
+				c := Component{Kind: k, Width: w, Path: p}
+				if got, want := c.Name(), fmt.Sprintf("%s%d@%s", c.Kind, c.Width, c.Path); got != want {
+					t.Errorf("Name() = %q, want %q", got, want)
+				}
+				if c.String() != c.Name() {
+					t.Errorf("String() = %q, Name() = %q", c.String(), c.Name())
+				}
+			}
+		}
+	}
+	if got := (Component{Kind: KindBitonic, Width: 16, Path: "021"}).Name(); got != "B16@021" {
+		t.Errorf("Name() = %q, want the documented %q", got, "B16@021")
+	}
 }
 
 func TestDegree(t *testing.T) {
