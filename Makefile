@@ -1,7 +1,7 @@
 GO ?= go
 # Packages with real concurrency (goroutine tokens, shared fabrics, rings)
 # get a second pass under the race detector.
-RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
+RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/tree/... ./internal/cutnet/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
 
 .PHONY: check fmt vet build test multicore distalone benchtest race bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare
 
@@ -23,9 +23,11 @@ test:
 # core's warm token path is lock-free (memo loads, a CAS per component) and
 # chord's lookup cache sits under it: such code is only exercised when its
 # goroutines really run on more than one P, so these two packages are run
-# again at GOMAXPROCS 1, 2 and 4, twice each.
+# again at GOMAXPROCS 1, 2 and 4, twice each — and with them tree, whose
+# chain walks every structural operation and cold hop of core now goes
+# through.
 multicore:
-	$(GO) test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/
+	$(GO) test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/ ./internal/tree/
 
 # dist on its own, so that the other packages' tests do not starve it down to
 # one CPU and hide a failure (ROADMAP item 1e). The four skipped tests are
@@ -53,9 +55,11 @@ benchsmoke:
 
 # The hot-path benchmarks one iteration each UNDER THE RACE DETECTOR:
 # b.RunParallel and the batch/pooled paths race real goroutines, so this
-# catches data races the correctness tests' schedules might miss.
+# catches data races the correctness tests' schedules might miss. ColdWarmup
+# is the cold token path (entry search, chain walk, neighbor records) right
+# after a convergence.
 perfsmoke:
-	$(GO) test -race -bench 'TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
+	$(GO) test -race -bench 'ColdWarmup|TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
 
 # Re-verify the newest checked-in pre/post baseline against itself (first
 # run vs last run): an edit that regresses the recorded post numbers — or

@@ -361,14 +361,74 @@ func BenchmarkSizeEstimate(b *testing.B) {
 	}
 }
 
+// BenchmarkMaintainFixpoint times the cold convergence of a freshly built
+// network (construction is outside the timer) at three sizes, and reports
+// the cut it converges to and the cost per component of that cut and per
+// input wire the splits reconstructed (every split component's width). A
+// structural operation should cost what it touches: ns/wire should stay
+// flat as the network grows, while us/comp follows the wires a split
+// touches per component (512 at w4096n128, about 2000 at w65536n2048).
 func BenchmarkMaintainFixpoint(b *testing.B) {
+	for _, size := range []struct{ width, nodes int }{{1 << 12, 128}, {1 << 14, 512}, {1 << 16, 2048}} {
+		b.Run(fmt.Sprintf("w%dn%d", size.width, size.nodes), func(b *testing.B) {
+			if size.width > 1<<14 && testing.Short() {
+				b.Skip("large network; skipped under -short")
+			}
+			comps, wires := 0, 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				net, err := core.New(core.Config{Width: size.width, Seed: int64(i), InitialNodes: size.nodes})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := net.MaintainToFixpoint(200); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				comps += net.NumComponents()
+				split := map[tree.Path]bool{}
+				for p := range net.Cut() {
+					for l := 0; l < len(p); l++ {
+						if !split[p[:l]] {
+							split[p[:l]] = true
+							wires += size.width >> l
+						}
+					}
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(comps)/float64(b.N), "comps")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(comps), "us/comp")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(wires), "ns/wire")
+		})
+	}
+}
+
+// BenchmarkColdWarmup is the first 10 000 tokens through a freshly
+// converged network: every entry and every hop starts cold (no entry memo,
+// no wire memo, an empty lookup cache), so one op is dominated by
+// findEntry, resolveNext and descendToLive — the path a token takes after
+// any structural change.
+func BenchmarkColdWarmup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		net, err := core.New(core.Config{Width: 1 << 12, Seed: int64(i), InitialNodes: 64})
+		b.StopTimer()
+		net, err := core.New(core.Config{Width: 1 << 12, Seed: int64(i), InitialNodes: 128})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := net.MaintainToFixpoint(200); err != nil {
 			b.Fatal(err)
+		}
+		client, err := net.NewClient()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for k := 0; k < 10000; k++ {
+			if _, err := client.InjectAt(k * 2654435761 % (1 << 12)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -177,8 +177,7 @@ func (s *State) EmittedOn(out int) uint64 {
 // from the in-neighbors' states, which is what internal/cutnet and
 // internal/core do.
 func SplitTotalsFromInputs(c tree.Component, inputs []uint64) ([]uint64, error) {
-	totals, _, err := SplitFlows(c, inputs)
-	return totals, err
+	return split(c, inputs, nil)
 }
 
 // SplitFlows is SplitTotalsFromInputs, additionally returning each child's
@@ -187,50 +186,66 @@ func SplitTotalsFromInputs(c tree.Component, inputs []uint64) ([]uint64, error) 
 // needs the per-wire breakdown so that the children can themselves split
 // later.
 func SplitFlows(c tree.Component, inputs []uint64) (totals []uint64, flows [][]uint64, err error) {
+	if !c.IsLeaf() {
+		flows = make([][]uint64, tree.Degree(c.Kind))
+		for j := range flows {
+			flows[j] = make([]uint64, c.Width/2)
+		}
+	}
+	if totals, err = split(c, inputs, flows); err != nil {
+		return nil, nil, err
+	}
+	return totals, flows, nil
+}
+
+// split pushes the cumulative input counts of c through its decomposition
+// and returns each child's total; when flows is non-nil it also adds every
+// child's per-input-wire arrivals into it. The totals alone need no
+// per-wire state, which is what a split of a wide component is spared.
+func split(c tree.Component, inputs []uint64, flows [][]uint64) ([]uint64, error) {
 	if c.IsLeaf() {
-		return nil, nil, fmt.Errorf("component: cannot split leaf %v", c)
+		return nil, fmt.Errorf("component: cannot split leaf %v", c)
 	}
 	if len(inputs) != c.Width {
-		return nil, nil, fmt.Errorf("component: %v needs %d input counts, got %d", c, c.Width, len(inputs))
+		return nil, fmt.Errorf("component: %v needs %d input counts, got %d", c, c.Width, len(inputs))
 	}
 	deg := tree.Degree(c.Kind)
 	h := c.Width / 2
-	// flows[j][i]: cumulative tokens into input wire i of child j.
-	flows = make([][]uint64, deg)
-	for j := range flows {
-		flows[j] = make([]uint64, h)
-	}
+	totals := make([]uint64, deg)
 	for in, cnt := range inputs {
 		j, ci := tree.ChildInput(c.Kind, c.Width, in)
-		flows[j][ci] += cnt
-	}
-	totals = make([]uint64, deg)
-	// Children are staged: 0,1 then 2,3 then 4,5 (as present). Process in
-	// index order; ChildNext only ever feeds strictly later stages.
-	for j := 0; j < deg; j++ {
-		var total uint64
-		for _, cnt := range flows[j] {
-			total += cnt
+		totals[j] += cnt
+		if flows != nil {
+			flows[j][ci] += cnt
 		}
-		totals[j] = total
-		// Push this child's cumulative output distribution downstream.
-		base := total / uint64(h)
-		rem := int(total % uint64(h))
+	}
+	// Children are staged: 0,1 then 2,3 then 4,5 (as present). Process in
+	// index order; ChildNext only ever feeds strictly later stages, so a
+	// child's total is final when its turn comes.
+	for j := 0; j < deg; j++ {
+		// Push this child's cumulative output distribution — the step
+		// sequence of its total — downstream.
+		base := totals[j] / uint64(h)
+		rem := int(totals[j] % uint64(h))
 		for o := 0; o < h; o++ {
 			emitted := base
 			if o < rem {
 				emitted++
 			}
 			if emitted == 0 {
-				continue
+				break // a step sequence: the wires after this one are empty too
 			}
 			d := tree.ChildNext(c.Kind, c.Width, j, o)
-			if d.ToChild {
+			if !d.ToChild {
+				continue
+			}
+			totals[d.Child] += emitted
+			if flows != nil {
 				flows[d.Child][d.ChildIn] += emitted
 			}
 		}
 	}
-	return totals, flows, nil
+	return totals, nil
 }
 
 // SplitTotalsSequential computes child totals by replaying total mod width

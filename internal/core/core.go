@@ -51,6 +51,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/chord"
 	"repro/internal/component"
@@ -135,6 +136,14 @@ type Metrics struct {
 	Repairs      uint64 // components reconstructed after crashes
 	MaintainRuns uint64 // maintenance rounds executed
 
+	// StructHolds counts exclusive acquisitions of the structural lock by
+	// membership, maintenance and repair operations; StructHoldNanos sums
+	// how long they held it — from acquisition, so what tokens wait for,
+	// not the operation's own wait — and is measured only when Config.Obs
+	// is set (histogram core.struct.hold.seconds).
+	StructHolds     uint64
+	StructHoldNanos uint64
+
 	// Message-level counters from the overlay's transport fabric, filled
 	// from the ring's NetStats when the snapshot is taken. On the default
 	// ideal fabric MsgsSent tracks LookupHops + estimate probes and the
@@ -165,10 +174,14 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 		Moves:        m.Moves - prev.Moves,
 		Repairs:      m.Repairs - prev.Repairs,
 		MaintainRuns: m.MaintainRuns - prev.MaintainRuns,
-		MsgsSent:     m.MsgsSent - prev.MsgsSent,
-		MsgsDropped:  m.MsgsDropped - prev.MsgsDropped,
-		MsgsRetried:  m.MsgsRetried - prev.MsgsRetried,
-		MsgsDeduped:  m.MsgsDeduped - prev.MsgsDeduped,
+
+		StructHolds:     m.StructHolds - prev.StructHolds,
+		StructHoldNanos: m.StructHoldNanos - prev.StructHoldNanos,
+
+		MsgsSent:    m.MsgsSent - prev.MsgsSent,
+		MsgsDropped: m.MsgsDropped - prev.MsgsDropped,
+		MsgsRetried: m.MsgsRetried - prev.MsgsRetried,
+		MsgsDeduped: m.MsgsDeduped - prev.MsgsDeduped,
 	}
 }
 
@@ -180,6 +193,9 @@ type counters struct {
 	moves        atomic.Uint64
 	repairs      atomic.Uint64
 	maintainRuns atomic.Uint64
+
+	structHolds     atomic.Uint64
+	structHoldNanos atomic.Uint64
 }
 
 // numStripes bounds the per-token counter stripes: clients are dealt
@@ -234,6 +250,7 @@ func addNonZero(c *atomic.Uint64, v int) {
 // hold it in read mode) read them plainly.
 type liveComp struct {
 	st      *component.State
+	hash    chord.NodeID // chord.Hash of the component's name: its ring position
 	host    chord.NodeID
 	node    *nodeInfo // the per-node view of host
 	removed bool      // left the directory: split, merged away, or crashed
@@ -253,17 +270,16 @@ type liveComp struct {
 	// component, never a chain.
 	slots atomic.Pointer[[]atomic.Pointer[nbrAddr]]
 
-	// nbrs is the out-neighbor address cache, keyed by path (Section 3.5:
-	// "the addresses of the out-neighbors can be cached"): one record per
-	// out-neighbor, shared by every wire that leads to it. The map itself
-	// is consulted only on the cold path: a wire whose memo is missing or
-	// stale is re-resolved through it, which is where cache hits after a
-	// re-resolution, misses and evictions are metered. A component has O(1)
-	// distinct out-neighbors, so it stays constant-sized; records are
-	// validated on use and dropped when the neighbor splits or merges.
-	// Created on first use.
+	// nbrs is the out-neighbor address cache (Section 3.5: "the addresses
+	// of the out-neighbors can be cached"): one record per out-neighbor
+	// path, shared by every wire that leads to it. It is consulted only on
+	// the cold path: a wire whose memo is missing or stale is re-resolved
+	// through it, which is where cache hits after a re-resolution, misses
+	// and evictions are metered. A component has O(1) distinct
+	// out-neighbors, so it is a short list; records are validated on use
+	// and dropped when the neighbor splits or merges.
 	nbrsMu sync.Mutex
-	nbrs   map[tree.Path]*nbrAddr
+	nbrs   []*nbrAddr
 }
 
 // nbrAddr is what one component remembers about one out-neighbor: the
@@ -342,6 +358,7 @@ type Network struct {
 	hSplit    *obs.Hist // per-split seconds
 	hMerge    *obs.Hist // per-merge seconds
 	hRepair   *obs.Hist // per-component repair seconds
+	hHold     *obs.Hist // per-structural-operation exclusive hold seconds
 	// cLCHits is the registry's chord.lcache.hits counter, so entry-memo
 	// hits show where the LookupCache's own hits do.
 	cLCHits *obs.Counter
@@ -351,11 +368,16 @@ type Network struct {
 	// hold it exclusively, so they always observe a quiescent network.
 	// comps is the authoritative directory, mutated only under the write
 	// lock; topo is its published epoch snapshot, readable lock-free.
-	mu    structLock
-	topo  atomic.Pointer[topology]
-	comps map[tree.Path]*liveComp
-	nodes map[chord.NodeID]*nodeInfo
-	lost  map[tree.Path]bool // components destroyed by crashes, pending repair
+	// compsChanged: a component appeared or vanished since that snapshot.
+	// inner maps the split-but-unmerged components (the internal nodes of
+	// the cut) to their name hashes.
+	mu           structLock
+	topo         atomic.Pointer[topology]
+	comps        map[tree.Path]*liveComp
+	compsChanged bool
+	inner        map[tree.Path]chord.NodeID
+	nodes        map[chord.NodeID]*nodeInfo
+	lost         map[tree.Path]bool // components destroyed by crashes, pending repair
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -391,6 +413,7 @@ func New(cfg Config) (*Network, error) {
 		ring:     chord.NewRingOn(cfg.Seed, tr, cfg.Retry),
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 		comps:    make(map[tree.Path]*liveComp),
+		inner:    make(map[tree.Path]chord.NodeID),
 		nodes:    make(map[chord.NodeID]*nodeInfo),
 		lost:     make(map[tree.Path]bool),
 		injected: make([]atomic.Uint64, cfg.Width),
@@ -408,17 +431,9 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	n.entryLeaf = make([]tree.Path, cfg.Width)
-	for in := 0; in < cfg.Width; in++ {
-		cur, wire := root, in
-		for !cur.IsLeaf() {
-			ci, cin := tree.ChildInput(cur.Kind, cur.Width, wire)
-			child, err := cur.Child(ci)
-			if err != nil {
-				return nil, err
-			}
-			cur, wire = child, cin
-		}
-		n.entryLeaf[in] = cur.Path
+	var buf [tree.MaxPathLen]byte
+	for in := range n.entryLeaf {
+		n.entryLeaf[in] = tree.Path(tree.InputLeaf(cfg.Width, in, buf[:]))
 	}
 	if reg := cfg.Obs; reg != nil {
 		n.ring.Instrument(reg)
@@ -433,6 +448,7 @@ func New(cfg Config) (*Network, error) {
 		n.hSplit = reg.Histogram("core.split.seconds", 0, 0.01, 200)
 		n.hMerge = reg.Histogram("core.merge.seconds", 0, 0.01, 200)
 		n.hRepair = reg.Histogram("core.repair.seconds", 0, 0.01, 200)
+		n.hHold = reg.Histogram("core.struct.hold.seconds", 0, 0.01, 1000)
 	}
 	if cfg.TraceEvery > 0 {
 		n.tracer = obs.NewTracer(cfg.TraceEvery, cfg.TraceRetain)
@@ -444,34 +460,61 @@ func New(cfg Config) (*Network, error) {
 		id := n.ring.Join()
 		n.nodes[id] = &nodeInfo{comps: make(map[tree.Path]bool)}
 	}
-	host, err := n.ring.Owner(root.Name())
-	if err != nil {
+	if err := n.placeLocked(component.New(root)); err != nil {
 		return nil, err
 	}
-	n.placeLocked(root.Path, component.New(root), host)
 	n.publishLocked()
 	return n, nil
+}
+
+// lockStruct takes the structural lock exclusively for one membership,
+// maintenance or repair operation; unlockStruct releases it and accounts
+// the hold. Use as `defer n.unlockStruct(n.lockStruct())`. The clock is
+// read only when a registry was configured.
+func (n *Network) lockStruct() (acquired time.Time) {
+	n.mu.Lock()
+	n.metrics.structHolds.Add(1)
+	if n.hHold != nil {
+		acquired = time.Now()
+	}
+	return acquired
+}
+
+func (n *Network) unlockStruct(acquired time.Time) {
+	if n.hHold != nil {
+		held := time.Since(acquired)
+		n.hHold.Observe(held.Seconds())
+		n.metrics.structHoldNanos.Add(uint64(held))
+	}
+	n.mu.Unlock()
 }
 
 // publishLocked publishes a fresh immutable snapshot of the authoritative
 // component directory. Called at the end of every structural operation
 // (under the write lock); tokens pick up the new epoch on their next
-// injection.
+// injection. After an operation that created and removed no component (a
+// join, a leave, an idle maintenance round) the new snapshot shares the
+// last one's map instead of copying the directory.
 func (n *Network) publishLocked() {
-	comps := make(map[tree.Path]*liveComp, len(n.comps))
-	for p, lc := range n.comps {
-		comps[p] = lc
+	old := n.topo.Load()
+	t := &topology{epoch: 1}
+	if old != nil {
+		t.epoch, t.comps = old.epoch+1, old.comps
 	}
-	epoch := uint64(1)
-	if old := n.topo.Load(); old != nil {
-		epoch = old.epoch + 1
+	if old == nil || n.compsChanged {
+		t.comps = make(map[tree.Path]*liveComp, len(n.comps))
+		for p, lc := range n.comps {
+			t.comps[p] = lc
+		}
+		n.compsChanged = false
 	}
-	n.topo.Store(&topology{epoch: epoch, comps: comps})
+	n.topo.Store(t)
 }
 
 // TopologyEpoch returns the current snapshot epoch: it increases by one
-// per published structural change batch and is the version the routing
-// path resolves against.
+// per structural operation — one epoch per batch, however many nodes an
+// AddNodes joined or rounds a MaintainToFixpoint ran — and is the version
+// the routing path resolves against.
 func (n *Network) TopologyEpoch() uint64 {
 	return n.topo.Load().epoch
 }
@@ -496,6 +539,9 @@ func (n *Network) Metrics() Metrics {
 		Moves:        n.metrics.moves.Load(),
 		Repairs:      n.metrics.repairs.Load(),
 		MaintainRuns: n.metrics.maintainRuns.Load(),
+
+		StructHolds:     n.metrics.structHolds.Load(),
+		StructHoldNanos: n.metrics.structHoldNanos.Load(),
 	}
 	for i := range n.stripes {
 		s := &n.stripes[i]
@@ -535,11 +581,17 @@ func (n *Network) Nodes() []chord.NodeID { return n.ring.Nodes() }
 // was zero. All Tracer methods are nil-safe.
 func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 
-// placeLocked inserts a component on a host.
-func (n *Network) placeLocked(p tree.Path, st *component.State, host chord.NodeID) {
-	lc := &liveComp{st: st}
-	n.comps[p] = lc
-	n.rehostLocked(p, lc, host)
+// placeLocked inserts a component on the owner of its name.
+func (n *Network) placeLocked(st *component.State) error {
+	lc := &liveComp{st: st, hash: chord.Hash(st.Comp.Name())}
+	host, err := n.ring.Successor(lc.hash)
+	if err != nil {
+		return err
+	}
+	n.comps[st.Comp.Path] = lc
+	n.compsChanged = true
+	n.rehostLocked(st.Comp.Path, lc, host)
+	return nil
 }
 
 // rehostLocked puts lc (the component at p) on host; the caller has
@@ -558,6 +610,7 @@ func (n *Network) removeCompLocked(p tree.Path) {
 	}
 	delete(lc.node.comps, p)
 	delete(n.comps, p)
+	n.compsChanged = true
 	lc.removed = true
 	lc.slots.Store(nil)
 	lc.nbrs = nil
@@ -567,54 +620,52 @@ func (n *Network) removeCompLocked(p tree.Path) {
 // names it now owns (standard Chord key hand-off; the counting network
 // state itself needs no change, Section 3.4).
 func (n *Network) AddNode() chord.NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	id := n.ring.Join()
-	n.nodes[id] = &nodeInfo{comps: make(map[tree.Path]bool)}
-	n.reconcileOwnersLocked()
-	n.publishLocked()
-	return id
+	return n.AddNodes(1)[0]
 }
 
-// AddNodes joins k nodes.
+// AddNodes joins k nodes one after the other as one structural operation:
+// one exclusive acquisition of the structural lock and one epoch per batch.
 func (n *Network) AddNodes(k int) []chord.NodeID {
+	defer n.unlockStruct(n.lockStruct())
+	defer n.publishLocked()
 	out := make([]chord.NodeID, k)
 	for i := range out {
-		out[i] = n.AddNode()
+		id := n.ring.Join()
+		n.nodes[id] = &nodeInfo{comps: make(map[tree.Path]bool)}
+		// Consistent hashing: the joiner takes over an arc that its
+		// successor owned, so only the successor's components can move.
+		if succ, err := n.ring.Successor(id + 1); err == nil {
+			n.reconcileLocked(succ)
+		}
+		out[i] = id
 	}
 	return out
 }
 
 // RemoveNode gracefully removes a node: its components move to their new
-// owners (the successor), per Section 3.4.
+// owners (the successor), per Section 3.4. Nothing else moves: the leaver's
+// arc is the only one whose owner changed.
 func (n *Network) RemoveNode(id chord.NodeID) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	node := n.nodes[id]
-	if node == nil {
+	defer n.unlockStruct(n.lockStruct())
+	if err := n.dropNodeLocked(id, "remove"); err != nil {
+		return err
+	}
+	defer n.publishLocked()
+	n.reconcileLocked(id)
+	delete(n.nodes, id)
+	return nil
+}
+
+// dropNodeLocked takes node id out of the ring. Its nodeInfo stays in
+// n.nodes until the caller has dealt with its components.
+func (n *Network) dropNodeLocked(id chord.NodeID, verb string) error {
+	if n.nodes[id] == nil {
 		return fmt.Errorf("core: node %d not in network", id)
 	}
 	if n.ring.Size() == 1 {
-		return fmt.Errorf("core: cannot remove the last node")
+		return fmt.Errorf("core: cannot %s the last node", verb)
 	}
-	if err := n.ring.Remove(id); err != nil {
-		return err
-	}
-	delete(n.nodes, id)
-	// Graceful leave: the departing node hands its components to the new
-	// owners before going.
-	for p := range node.comps {
-		lc := n.comps[p]
-		host, err := n.ring.Owner(lc.st.Comp.Name())
-		if err != nil {
-			return err
-		}
-		n.rehostLocked(p, lc, host)
-		n.metrics.moves.Add(1)
-	}
-	n.reconcileOwnersLocked()
-	n.publishLocked()
-	return nil
+	return n.ring.Remove(id)
 }
 
 // RemoveRandomNode removes a uniformly random node gracefully.
@@ -630,25 +681,17 @@ func (n *Network) RemoveRandomNode() (chord.NodeID, error) {
 // lost. The components are reconstructed by Stabilize (Section 3.4,
 // "recovering from such faults through self-stabilization").
 func (n *Network) CrashNode(id chord.NodeID) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	node := n.nodes[id]
-	if node == nil {
-		return fmt.Errorf("core: node %d not in network", id)
-	}
-	if n.ring.Size() == 1 {
-		return fmt.Errorf("core: cannot crash the last node")
-	}
-	if err := n.ring.Remove(id); err != nil {
+	defer n.unlockStruct(n.lockStruct())
+	if err := n.dropNodeLocked(id, "crash"); err != nil {
 		return err
 	}
-	delete(n.nodes, id)
-	for p := range node.comps {
+	defer n.publishLocked()
+	for p := range n.nodes[id].comps {
 		n.removeCompLocked(p)
 		n.lost[p] = true
 	}
+	delete(n.nodes, id)
 	n.reconcileOwnersLocked()
-	n.publishLocked()
 	return nil
 }
 
@@ -667,19 +710,30 @@ func (n *Network) randomNode() (chord.NodeID, error) {
 	return n.ring.RandomNode(n.rng)
 }
 
-// reconcileOwnersLocked migrates every component whose name's owner changed
-// (Chord key ownership transfer after churn).
+// reconcileLocked migrates the components on node id whose names id no
+// longer owns (Chord key ownership transfer after churn).
+func (n *Network) reconcileLocked(id chord.NodeID) {
+	for p := range n.nodes[id].comps {
+		n.reownLocked(p, n.comps[p])
+	}
+}
+
+// reconcileOwnersLocked is reconcileLocked over the whole directory, for
+// membership changes that are not one join or one graceful leave.
 func (n *Network) reconcileOwnersLocked() {
 	for p, lc := range n.comps {
-		host, err := n.ring.Owner(lc.st.Comp.Name())
-		if err != nil {
-			continue
-		}
-		if host == lc.host {
-			continue
-		}
-		delete(lc.node.comps, p)
-		n.rehostLocked(p, lc, host)
-		n.metrics.moves.Add(1)
+		n.reownLocked(p, lc)
 	}
+}
+
+// reownLocked moves lc (the component at p) to the owner of its name if
+// that is not where it is.
+func (n *Network) reownLocked(p tree.Path, lc *liveComp) {
+	host, err := n.ring.Successor(lc.hash)
+	if err != nil || host == lc.host {
+		return
+	}
+	delete(lc.node.comps, p)
+	n.rehostLocked(p, lc, host)
+	n.metrics.moves.Add(1)
 }

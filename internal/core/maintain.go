@@ -31,8 +31,7 @@ func (n *Network) refreshEstimatesLocked() error {
 // Section 3.2 to the components it is responsible for. It reports whether
 // any structural change happened.
 func (n *Network) Maintain() (bool, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlockStruct(n.lockStruct())
 	defer n.publishLocked()
 	return n.maintainLocked()
 }
@@ -41,8 +40,7 @@ func (n *Network) Maintain() (bool, error) {
 // changes (or maxRounds is hit) and returns the number of rounds that made
 // changes.
 func (n *Network) MaintainToFixpoint(maxRounds int) (int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlockStruct(n.lockStruct())
 	defer n.publishLocked()
 	for round := 0; round < maxRounds; round++ {
 		changed, err := n.maintainLocked()
@@ -125,35 +123,20 @@ func (n *Network) maintainLocked() (bool, error) {
 }
 
 // splitResponsibilitiesLocked returns the split-but-unmerged components
-// (the internal nodes of the current cut), grouped by the node that owns
-// each one's name. The paper has each node remember the components it
-// split; deriving the set from name ownership is equivalent under Chord's
+// (n.inner, the internal nodes of the current cut), grouped by the node
+// that owns each one's name. The paper has each node remember the
+// components it split; keeping the set with the network and deriving the
+// responsible node from name ownership is equivalent under Chord's
 // hand-off rule (the successor inherits both the name and the merge
 // responsibility, Section 3.4) and additionally survives crashes.
 func (n *Network) splitResponsibilitiesLocked() map[chord.NodeID][]tree.Path {
-	seen := make(map[tree.Path]bool)
 	out := make(map[chord.NodeID][]tree.Path, len(n.nodes))
-	for p := range n.comps {
-		for {
-			pp, _, ok := p.Parent()
-			if !ok {
-				break
-			}
-			p = pp
-			if seen[p] {
-				break
-			}
-			seen[p] = true
-			c, err := tree.ComponentAt(n.cfg.Width, p)
-			if err != nil {
-				continue
-			}
-			owner, err := n.ring.Owner(c.Name())
-			if err != nil {
-				continue
-			}
-			out[owner] = append(out[owner], p)
+	for p, hash := range n.inner {
+		owner, err := n.ring.Successor(hash)
+		if err != nil {
+			continue
 		}
+		out[owner] = append(out[owner], p)
 	}
 	// Merge bottom-up: deepest parents first, so a recursive merge of an
 	// ancestor sees already-merged children when both are due.
@@ -215,12 +198,11 @@ func (n *Network) splitLocked(p tree.Path) error {
 		return err
 	}
 	n.removeCompLocked(p)
+	n.inner[p] = lc.hash
 	for i, child := range c.Children() {
-		host, err := n.ring.Owner(child.Name())
-		if err != nil {
+		if err := n.placeLocked(component.NewWithTotal(child, totals[i])); err != nil {
 			return err
 		}
-		n.placeLocked(child.Path, component.NewWithTotal(child, totals[i]), host)
 	}
 	n.metrics.splits.Add(1)
 	n.hSplit.Since(start)
@@ -265,11 +247,10 @@ func (n *Network) mergeLocked(p tree.Path) error {
 	for _, child := range children {
 		n.removeCompLocked(child.Path)
 	}
-	host, err := n.ring.Owner(c.Name())
-	if err != nil {
+	delete(n.inner, p)
+	if err := n.placeLocked(component.NewWithTotal(c, total)); err != nil {
 		return err
 	}
-	n.placeLocked(p, component.NewWithTotal(c, total), host)
 	n.metrics.merges.Add(1)
 	n.hMerge.Since(start)
 	return nil
@@ -277,41 +258,21 @@ func (n *Network) mergeLocked(p tree.Path) error {
 
 // inputCountsLocked computes component c's cumulative per-input-wire token
 // counts from its in-neighbors' states (and the per-network-input
-// injection counters for input-layer wires).
+// injection counters for input-layer wires): tree.InputCounts over the
+// live directory. A wire whose producer was lost to a crash is an error
+// wrapping tree.ErrNoProducer.
 func (n *Network) inputCountsLocked(c tree.Component) ([]uint64, error) {
 	inputs := make([]uint64, c.Width)
-	for in := 0; in < c.Width; in++ {
-		src, srcOut, fromNet, netIn, err := tree.SourceOf(n.cfg.Width, c.Path, in)
-		if err != nil {
-			return nil, err
-		}
-		if fromNet {
-			inputs[in] = n.injected[netIn].Load()
-			continue
-		}
-		cnt, err := n.emittedOnLocked(src, srcOut)
-		if err != nil {
-			return nil, err
-		}
-		inputs[in] = cnt
+	err := tree.InputCounts(n.cfg.Width, c.Path, inputs,
+		func(netIn int) uint64 { return n.injected[netIn].Load() },
+		func(path []byte) tree.Producer {
+			if lc := n.comps[tree.Path(path)]; lc != nil {
+				return lc.st
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return inputs, nil
-}
-
-// emittedOnLocked returns the cumulative tokens emitted on output wire out
-// of the (possibly non-live) component c by descending to the live
-// component that produces the wire.
-func (n *Network) emittedOnLocked(c tree.Component, out int) (uint64, error) {
-	for n.comps[c.Path] == nil {
-		if c.IsLeaf() {
-			return 0, fmt.Errorf("core: no live component produces output %d of %v", out, c)
-		}
-		ci, co := tree.OutputSource(c.Kind, c.Width, out)
-		child, err := c.Child(ci)
-		if err != nil {
-			return 0, err
-		}
-		c, out = child, co
-	}
-	return n.comps[c.Path].st.EmittedOn(out), nil
 }

@@ -389,6 +389,7 @@ func TestMemosUnderConcurrentChurn(t *testing.T) {
 		t.Fatalf("churn drove no splits or moves: %+v", got)
 	}
 	got.Splits, got.Merges, got.Moves, got.MaintainRuns = 0, 0, 0, 0
+	got.StructHolds, got.StructHoldNanos = 0, 0
 	got.MsgsSent, got.MsgsDropped, got.MsgsRetried, got.MsgsDeduped = 0, 0, 0, 0
 	if got != want {
 		t.Fatalf("Metrics %+v, sum of traces %+v", got, want)

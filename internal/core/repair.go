@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -19,8 +20,7 @@ import (
 // components heal in O(depth) passes. It returns the number of components
 // reconstructed.
 func (n *Network) Stabilize() (int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlockStruct(n.lockStruct())
 	defer n.publishLocked()
 
 	repaired := 0
@@ -40,10 +40,10 @@ func (n *Network) Stabilize() (int, error) {
 			if err != nil {
 				return repaired, err
 			}
-			if !n.sourcesLiveLocked(c) {
-				continue // heal upstream first
-			}
 			inputs, err := n.inputCountsLocked(c)
+			if errors.Is(err, tree.ErrNoProducer) {
+				continue // an in-neighbor is lost too: heal upstream first
+			}
 			if err != nil {
 				return repaired, err
 			}
@@ -51,11 +51,9 @@ func (n *Network) Stabilize() (int, error) {
 			for _, cnt := range inputs {
 				total += cnt
 			}
-			host, err := n.ring.Owner(c.Name())
-			if err != nil {
+			if err := n.placeLocked(component.NewWithTotal(c, total)); err != nil {
 				return repaired, err
 			}
-			n.placeLocked(p, component.NewWithTotal(c, total), host)
 			delete(n.lost, p)
 			n.metrics.repairs.Add(1)
 			n.hRepair.Since(begin)
@@ -67,24 +65,6 @@ func (n *Network) Stabilize() (int, error) {
 		}
 	}
 	return repaired, nil
-}
-
-// sourcesLiveLocked reports whether every in-neighbor of c is live, i.e.
-// whether c's inputs can be reconstructed right now.
-func (n *Network) sourcesLiveLocked(c tree.Component) bool {
-	for in := 0; in < c.Width; in++ {
-		src, srcOut, fromNet, _, err := tree.SourceOf(n.cfg.Width, c.Path, in)
-		if err != nil {
-			return false
-		}
-		if fromNet {
-			continue
-		}
-		if _, err := n.emittedOnLocked(src, srcOut); err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // Lost returns the number of components currently lost to crashes.

@@ -367,76 +367,57 @@ func (n *Network) hop(t *topology, lc *liveComp, o int, tr *TokenTrace, sp *obs.
 // answer.
 //
 // The wire algebra (climbing out of parents, descending into the sibling
-// subtree) is pure local computation; the DHT is needed only to learn
-// which component of the candidate chain is live and where it is hosted. A
-// cached neighbor on the chain therefore forwards with zero lookups; a
-// stale entry bounces (metered as a cache miss) and triggers a fresh
-// resolution.
+// subtree: tree.Chain) is pure local computation on a stack buffer; the DHT
+// is needed only to learn which component of the candidate chain is live
+// and where it is hosted. A cached neighbor on the chain therefore forwards
+// with zero lookups; a stale entry bounces (metered as a cache miss) and
+// triggers a fresh resolution.
 func (n *Network) resolveNext(t *topology, lc *liveComp, o int, tr *TokenTrace, sp *obs.Span) (next *liveComp, netOut int, err error) {
-	node, wire := lc.st.Comp, o
-	for {
-		parent, idx, ok := node.Parent(n.cfg.Width)
-		if !ok {
-			if !n.cfg.DisableCache {
-				lc.memoize(o, &n.exits[wire])
-			}
-			return nil, wire, nil
-		}
-		d := tree.ChildNext(parent.Kind, parent.Width, idx, wire)
-		if !d.ToChild {
-			node, wire = parent, d.ParentOut
-			continue
-		}
-		target, cerr := parent.Child(d.Child)
-		if cerr != nil {
-			return nil, 0, cerr
-		}
-		return n.descendToLive(t, lc, o, target, d.ChildIn, tr, sp)
+	var ch tree.Chain
+	if err := ch.Resolve(n.cfg.Width, lc.st.Comp.Path); err != nil {
+		return nil, 0, err
 	}
+	var buf [tree.MaxPathLen]byte
+	leaf, top, exit, netOut := ch.OutChain(o, buf[:])
+	if exit {
+		if !n.cfg.DisableCache {
+			lc.memoize(o, &n.exits[netOut])
+		}
+		return nil, netOut, nil
+	}
+	return n.descendToLive(t, lc, o, leaf, top, tr, sp)
 }
 
-// maxPathLen bounds a component path: one byte per level, and levels are
-// < 64 for any realizable width.
-const maxPathLen = 64
-
-// descendToLive finds the live component covering (target, wire) for
-// output wire o of lc, consulting the sender's neighbor cache before
-// issuing DHT lookups, and memoizes it. The neighbor cache is guarded by
-// the sending component's own mutex (lock striping): tokens leaving
-// different components never contend.
-func (n *Network) descendToLive(t *topology, lc *liveComp, o int, target tree.Component, wire int, tr *TokenTrace, sp *obs.Span) (*liveComp, int, error) {
-	// Compute the candidate chain locally (free): target and the component
-	// under it at every level that covers the wire, down to the balancer.
-	// Input wires only ever feed a component's entry children, which are of
-	// its own kind, so the chain is leaf[:top], leaf[:top+1], ..., leaf.
-	var buf [maxPathLen]byte
-	leaf, top := append(buf[:0], target.Path...), len(target.Path)
-	for width := target.Width; width > 2; width /= 2 {
-		var ci int
-		ci, wire = tree.ChildInput(target.Kind, width, wire)
-		leaf = append(leaf, byte('0'+ci))
-	}
-
+// descendToLive finds the live component on the candidate chain leaf[:top],
+// ..., leaf (see tree.Chain.OutChain) of output wire o of lc, consulting the
+// sender's neighbor cache before issuing DHT lookups, and memoizes it. The
+// neighbor cache is guarded by the sending component's own mutex (lock
+// striping): tokens leaving different components never contend.
+func (n *Network) descendToLive(t *topology, lc *liveComp, o int, leaf []byte, top int, tr *TokenTrace, sp *obs.Span) (*liveComp, int, error) {
 	// moved is the record of a neighbor that is live but no longer where
 	// lc remembers it; re-resolving it rewrites the record in place.
 	var moved *nbrAddr
 	if !n.cfg.DisableCache {
 		lc.nbrsMu.Lock()
-		for k := top; k <= len(leaf); k++ {
-			m := lc.nbrs[tree.Path(leaf[:k])]
-			if m == nil {
-				continue
+		// Try the records on the chain from the top down, as a probe of
+		// every chain level would meet them.
+		for from := top; ; {
+			i := lc.nbrOnChainLocked(leaf, from)
+			if i < 0 {
+				break
 			}
-			got := t.comps[tree.Path(leaf[:k])]
+			m := lc.nbrs[i]
+			p := m.next.st.Comp.Path
+			got := t.comps[p]
 			if got != nil && uint64(got.host) == m.host.Load() {
 				if m.next != got { // removed and re-created at the same path
 					m = newNbrAddr(got)
-					lc.nbrs[got.st.Comp.Path] = m
+					lc.nbrs[i] = m
 				}
 				lc.nbrsMu.Unlock()
 				tr.CacheHits++
 				if sp != nil {
-					sp.Event("cache-hit", string(leaf[:k]), 0)
+					sp.Event("cache-hit", string(p), 0)
 				}
 				lc.memoize(o, m)
 				return got, 0, nil
@@ -444,19 +425,24 @@ func (n *Network) descendToLive(t *topology, lc *liveComp, o int, target tree.Co
 			// Stale: the direct send bounces; re-resolve below.
 			tr.CacheMisses++
 			if sp != nil {
-				sp.Event("cache-miss", string(leaf[:k]), 0)
+				sp.Event("cache-miss", string(p), 0)
 			}
-			delete(lc.nbrs, tree.Path(leaf[:k]))
+			last := len(lc.nbrs) - 1
+			lc.nbrs[i], lc.nbrs[last] = lc.nbrs[last], nil
+			lc.nbrs = lc.nbrs[:last]
 			if m.next == got {
 				moved = m
 			}
+			from = len(p) + 1
 		}
 		lc.nbrsMu.Unlock()
 	}
 
-	// Cold or stale: walk the chain with metered DHT lookups.
-	for k := top; k <= len(leaf); k++ {
-		got, err := n.lookup(t, lc.host, tree.Path(leaf[:k]), tr, sp)
+	// Cold or stale: walk the chain with metered DHT lookups. The lookup
+	// cache keeps the keys it is given, so the chain becomes a string here.
+	chain := tree.Path(leaf)
+	for k := top; k <= len(chain); k++ {
+		got, err := n.lookup(t, lc.host, chain[:k], tr, sp)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -471,16 +457,39 @@ func (n *Network) descendToLive(t *topology, lc *liveComp, o int, target tree.Co
 				m = newNbrAddr(got)
 			}
 			lc.nbrsMu.Lock()
-			if lc.nbrs == nil {
-				lc.nbrs = make(map[tree.Path]*nbrAddr)
-			}
-			lc.nbrs[got.st.Comp.Path] = m
+			lc.setNbrLocked(m)
 			lc.nbrsMu.Unlock()
 			lc.memoize(o, m)
 		}
 		return got, 0, nil
 	}
-	return nil, 0, fmt.Errorf("core: no live component covers %v", target)
+	return nil, 0, fmt.Errorf("core: no live component covers %q", chain[:top])
+}
+
+// nbrOnChainLocked returns the index in lc.nbrs of the record of the
+// shallowest component on the chain leaf[:from], ..., leaf, or -1 if lc
+// remembers none of them.
+func (lc *liveComp) nbrOnChainLocked(leaf []byte, from int) int {
+	best, bestLen := -1, len(leaf)+1
+	for i, m := range lc.nbrs {
+		p := m.next.st.Comp.Path
+		if from <= len(p) && len(p) < bestLen && string(leaf[:len(p)]) == string(p) {
+			best, bestLen = i, len(p)
+		}
+	}
+	return best
+}
+
+// setNbrLocked records m, replacing lc's record of the same neighbor path
+// if a concurrent token has left one.
+func (lc *liveComp) setNbrLocked(m *nbrAddr) {
+	for i, old := range lc.nbrs {
+		if old.next.st.Comp.Path == m.next.st.Comp.Path {
+			lc.nbrs[i] = m
+			return
+		}
+	}
+	lc.nbrs = append(lc.nbrs, m)
 }
 
 // newNbrAddr records that lc sits on its current host.

@@ -235,46 +235,24 @@ func (n *Net) Split(p tree.Path) error {
 // inputCountsLocked computes the cumulative number of tokens that have
 // entered each input wire of component c, from the states of its
 // in-neighbors (and, for input-layer wires, the per-network-input injection
-// counters). In quiescence this determines the internal state of c's
-// decomposition exactly. Caller holds the write lock.
+// counters): tree.InputCounts over this network's cut. Caller holds the
+// write lock.
 func (n *Net) inputCountsLocked(c tree.Component) ([]uint64, error) {
 	inputs := make([]uint64, c.Width)
-	for in := 0; in < c.Width; in++ {
-		src, srcOut, fromNet, netIn, err := tree.SourceOf(n.width, c.Path, in)
-		if err != nil {
-			return nil, err
-		}
-		if fromNet {
-			n.cmu.Lock()
-			inputs[in] = uint64(n.injected[netIn])
-			n.cmu.Unlock()
-			continue
-		}
-		cnt, err := n.emittedOnLocked(src, srcOut)
-		if err != nil {
-			return nil, err
-		}
-		inputs[in] = cnt
+	n.cmu.Lock()
+	defer n.cmu.Unlock()
+	err := tree.InputCounts(n.width, c.Path, inputs,
+		func(netIn int) uint64 { return uint64(n.injected[netIn]) },
+		func(path []byte) tree.Producer {
+			if st := n.comps[tree.Path(path)]; st != nil {
+				return st
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("cutnet: %w", err)
 	}
 	return inputs, nil
-}
-
-// emittedOnLocked returns the cumulative tokens emitted on output wire out
-// of the (possibly non-live) component c, by descending to the live cut
-// member that actually produces the wire. Caller holds a lock.
-func (n *Net) emittedOnLocked(c tree.Component, out int) (uint64, error) {
-	for n.comps[c.Path] == nil {
-		if c.IsLeaf() {
-			return 0, fmt.Errorf("cutnet: no cut member produces output %d of %v", out, c)
-		}
-		ci, co := tree.OutputSource(c.Kind, c.Width, out)
-		child, err := c.Child(ci)
-		if err != nil {
-			return 0, err
-		}
-		c, out = child, co
-	}
-	return n.comps[c.Path].EmittedOn(out), nil
 }
 
 // Merge reforms the component at path p from its children, recursively

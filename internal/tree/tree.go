@@ -61,16 +61,27 @@ func (k Kind) String() string {
 // 0=MIX top, 1=MIX bottom. In every case children 0 and 1 are the entry
 // children: the parent's own input wires feed only them.
 
-// childKinds[kind] lists the kinds of the children of a component.
-var childKinds = map[Kind][]Kind{
+// childKindTable[kind] lists the kinds of the children of a component. It
+// is indexed on every level of every climb and descent, so it is an array,
+// read only through childKinds.
+var childKindTable = [...][]Kind{
 	KindBitonic: {KindBitonic, KindBitonic, KindMerger, KindMerger, KindMix, KindMix},
 	KindMerger:  {KindMerger, KindMerger, KindMix, KindMix},
 	KindMix:     {KindMix, KindMix},
 }
 
+// childKinds returns the kinds of the children of a component of kind k;
+// a value that is not a component kind has no children.
+func childKinds(k Kind) []Kind {
+	if int(k) >= len(childKindTable) {
+		return nil
+	}
+	return childKindTable[k]
+}
+
 // Degree returns the number of children of a component of the given kind
 // (6 for BITONIC, 4 for MERGER, 2 for MIX).
-func Degree(k Kind) int { return len(childKinds[k]) }
+func Degree(k Kind) int { return len(childKinds(k)) }
 
 // Path identifies a component by the sequence of child indices from the
 // root; the root's path is the empty string. Each index is one byte
@@ -92,7 +103,7 @@ func (p Path) Parent() (Path, int, bool) {
 
 // Child returns the path of the i-th child.
 func (p Path) Child(i int) Path {
-	return p + Path(rune('0'+i))
+	return p + Path([]byte{byte('0' + i)})
 }
 
 // IsAncestorOf reports whether p is a strict ancestor of q.
@@ -137,7 +148,7 @@ func (c Component) Children() []Component {
 	if c.IsLeaf() {
 		return nil
 	}
-	kinds := childKinds[c.Kind]
+	kinds := childKinds(c.Kind)
 	out := make([]Component, len(kinds))
 	for i, k := range kinds {
 		out[i] = Component{Kind: k, Width: c.Width / 2, Path: c.Path.Child(i)}
@@ -147,7 +158,7 @@ func (c Component) Children() []Component {
 
 // Child returns the i-th child of the component.
 func (c Component) Child(i int) (Component, error) {
-	kinds := childKinds[c.Kind]
+	kinds := childKinds(c.Kind)
 	if c.IsLeaf() || i < 0 || i >= len(kinds) {
 		return Component{}, fmt.Errorf("tree: %v has no child %d", c, i)
 	}
@@ -167,22 +178,14 @@ func (c Component) Parent(rootWidth int) (Component, int, bool) {
 	return p, idx, true
 }
 
-// ComponentAt resolves the component at the given path in T_w.
+// ComponentAt resolves the component at the given path in T_w. The
+// component's path is p itself, so resolving allocates nothing.
 func ComponentAt(w int, p Path) (Component, error) {
-	c, err := Root(w)
-	if err != nil {
+	var ch Chain
+	if err := ch.Resolve(w, p); err != nil {
 		return Component{}, err
 	}
-	for i := 0; i < len(p); i++ {
-		kinds, ci := childKinds[c.Kind], int(p[i]-'0')
-		if c.IsLeaf() || ci < 0 || ci >= len(kinds) {
-			return Component{}, fmt.Errorf("tree: invalid path %q: tree: %v has no child %d", p, c, ci)
-		}
-		// A child's path is a prefix of p: share p's bytes (Child would
-		// concatenate a new string per level), so resolving allocates nothing.
-		c = Component{Kind: kinds[ci], Width: c.Width / 2, Path: p[:i+1]}
-	}
-	return c, nil
+	return ch.Component(), nil
 }
 
 // Name returns the component's DHT name, e.g. "B16@021" for a BITONIC[16]
@@ -221,7 +224,7 @@ func SubtreeSize(k Kind, width int) int64 {
 		return 1
 	}
 	var total int64 = 1
-	for _, ck := range childKinds[k] {
+	for _, ck := range childKinds(k) {
 		total += SubtreeSize(ck, width/2)
 	}
 	return total
@@ -235,7 +238,7 @@ func (c Component) PreorderIndex(rootWidth int) int64 {
 	for _, b := range []byte(c.Path) {
 		target := int(b - '0')
 		idx++ // step into the children
-		kinds := childKinds[cur.Kind]
+		kinds := childKinds(cur.Kind)
 		for i := 0; i < target; i++ {
 			idx += SubtreeSize(kinds[i], cur.Width/2)
 		}

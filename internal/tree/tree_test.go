@@ -253,3 +253,39 @@ func TestDegree(t *testing.T) {
 		t.Fatal("degrees wrong")
 	}
 }
+
+// TestUnknownKindsHaveNoChildren: the child-kind table is an array, and a
+// Kind is a byte anyone can convert into; every accessor that reads the
+// table answers "no children" for the 253 values that are not component
+// kinds (as the map it replaced did), and never indexes past it.
+func TestUnknownKindsHaveNoChildren(t *testing.T) {
+	degree := map[Kind]int{KindBitonic: 6, KindMerger: 4, KindMix: 2}
+	for v := 0; v <= 255; v++ {
+		k := Kind(v)
+		if got := Degree(k); got != degree[k] {
+			t.Fatalf("Degree(%v) = %d, want %d", k, got, degree[k])
+		}
+		c := Component{Kind: k, Width: 8}
+		if got := len(c.Children()); got != degree[k] {
+			t.Fatalf("%v has %d children, want %d", c, got, degree[k])
+		}
+		for _, i := range []int{-1, 0, 1, 5, 6, 255} {
+			_, err := c.Child(i)
+			if ok := i >= 0 && i < degree[k]; ok != (err == nil) {
+				t.Fatalf("%v.Child(%d): error %v", c, i, err)
+			}
+		}
+		if got := SubtreeSize(k, 8); degree[k] == 0 && got != 1 {
+			t.Fatalf("SubtreeSize(%v, 8) = %d for a kind without children", k, got)
+		}
+		// A path is bytes from outside too: only '0'..'5' can name a child.
+		p := Path([]byte{byte(v)})
+		_, err := ComponentAt(8, p)
+		if ok := v >= '0' && v <= '5'; ok != (err == nil) {
+			t.Fatalf("ComponentAt(8, %q): error %v", p, err)
+		}
+		if got := Path("01").Child(v); len(got) != 3 || got[:2] != "01" || got[2] != byte('0'+v) {
+			t.Fatalf("Path.Child(%d) = %q", v, got)
+		}
+	}
+}

@@ -247,8 +247,10 @@ func ChildInputProse(kind Kind, width, in int) (child, childIn int) {
 // output wire it is connected to in the decomposition containing it.
 //
 // The returned source component is expressed at the coarsest level at which
-// the connection appears; callers resolving against a cut should descend
-// from it with OutputOwner.
+// the connection appears; a caller resolving against a cut descends from it
+// with OutputSource. The engines reconstruct inputs with InputCounts, which
+// does both without allocating; SourceOf is the reference the tests compare
+// it against.
 func SourceOf(w int, p Path, in int) (src Component, srcOut int, fromNetwork bool, netIn int, err error) {
 	cur, err := ComponentAt(w, p)
 	if err != nil {
