@@ -1,7 +1,7 @@
 GO ?= go
 # Packages with real concurrency (goroutine tokens, shared fabrics, rings)
 # get a second pass under the race detector.
-RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/tree/... ./internal/cutnet/... ./internal/obs/... ./internal/match/... ./internal/adapt/... ./internal/launch/... .
+RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/tree/... ./internal/cutnet/... ./internal/obs/... ./internal/match/... ./internal/launch/... .
 
 .PHONY: check fmt vet build test multicore distalone benchtest race bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare
 
@@ -59,7 +59,7 @@ benchsmoke:
 # is the cold token path (entry search, chain walk, neighbor records) right
 # after a convergence.
 perfsmoke:
-	$(GO) test -race -bench 'ColdWarmup|TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec|E31AdaptiveBatch' -benchtime 1x -run '^$$' .
+	$(GO) test -race -bench 'ColdWarmup|TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec' -benchtime 1x -run '^$$' .
 
 # Re-verify the newest checked-in pre/post baseline against itself (first
 # run vs last run): an edit that regresses the recorded post numbers — or
@@ -104,7 +104,7 @@ partsmoke:
 # acnbench refuses to write a baseline from a 1-CPU host; FORCE=1 overrides.
 LABEL ?= local
 bench-baseline:
-	$(GO) test -bench 'Token|ChordLookup|SizeEstimate|MaintainFixpoint|EffectiveWidth|SplitMergeCycle|TransportDedup|WorkloadBursty|WireCodec|E31AdaptiveBatch' \
+	$(GO) test -bench 'Token|ChordLookup|SizeEstimate|MaintainFixpoint|EffectiveWidth|SplitMergeCycle|TransportDedup|WorkloadBursty|WireCodec' \
 		-benchmem -benchtime 1s -run '^$$' . \
 		| $(GO) run ./cmd/acnbench -json -label $(LABEL) $(if $(FORCE),-force) > BENCH_$(LABEL).json
 	@echo wrote BENCH_$(LABEL).json

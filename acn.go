@@ -34,9 +34,7 @@ package acn
 
 import (
 	"io"
-	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/balancer"
 	"repro/internal/baseline"
 	"repro/internal/bitonic"
@@ -49,6 +47,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/tree"
+	"repro/internal/workload"
 )
 
 // Config configures an adaptive counting network. See core.Config.
@@ -169,8 +168,8 @@ func LeafCut(width int) Cut { return tree.LeafCut(width) }
 type Cluster = dist.Cluster
 
 // Option configures NewCluster and NewRing. One option set serves both
-// constructors; options that do not apply to a constructor (WithAdapt
-// and WithTrace on a Ring) are ignored by it.
+// constructors; an option that does not apply to a constructor (WithTrace
+// on a Ring) is ignored by it.
 type Option func(*options)
 
 type options struct {
@@ -179,7 +178,6 @@ type options struct {
 	retry      RetryConfig
 	haveRetry  bool
 	reg        *ObsRegistry
-	ctrl       *AdaptController
 	traceEvery int
 	traceKeep  int
 }
@@ -204,12 +202,6 @@ func WithObs(reg *ObsRegistry) Option {
 	return func(o *options) { o.reg = reg }
 }
 
-// WithAdapt installs the AIMD batch-sizing controller: the cluster's
-// InjectBatch consults it for group and chunk sizes. Cluster-only.
-func WithAdapt(ctrl *AdaptController) Option {
-	return func(o *options) { o.ctrl = ctrl }
-}
-
 // WithTrace samples one injected batch in every `every` (1 traces all)
 // and retains up to keep finished spans (zero or negative keep uses the
 // tracer default). Cluster-only.
@@ -219,7 +211,7 @@ func WithTrace(every, keep int) Option {
 
 // NewCluster builds an asynchronous cluster from a cut. With no options
 // it runs on a private in-memory fabric; compose WithTransport,
-// WithRetry, WithObs, WithAdapt and WithTrace to change that:
+// WithRetry, WithObs and WithTrace to change that:
 //
 //	cl, err := acn.NewCluster(w, cut,
 //		acn.WithTransport(tr), acn.WithRetry(rc), acn.WithObs(reg))
@@ -235,22 +227,10 @@ func NewCluster(width int, cut Cut, opts ...Option) (*Cluster, error) {
 	if o.reg != nil {
 		dopts = append(dopts, dist.WithObs(o.reg))
 	}
-	if o.ctrl != nil {
-		dopts = append(dopts, dist.WithAdapt(o.ctrl))
-	}
 	if o.traceEvery > 0 {
 		dopts = append(dopts, dist.WithTrace(o.traceEvery, o.traceKeep))
 	}
 	return dist.New(width, cut, dopts...)
-}
-
-// NewClusterOn builds an asynchronous cluster whose token hops and
-// freeze-protocol control messages travel over the given transport with
-// the given retry policy.
-//
-// Deprecated: use NewCluster with WithTransport and WithRetry.
-func NewClusterOn(width int, cut Cut, tr Transport, retry RetryConfig) (*Cluster, error) {
-	return NewCluster(width, cut, WithTransport(tr), WithRetry(retry))
 }
 
 // Ring is a simulated Chord overlay ring.
@@ -272,14 +252,6 @@ func NewRing(seed int64, opts ...Option) *Ring {
 		r.Instrument(o.reg)
 	}
 	return r
-}
-
-// NewRingOn creates an empty Chord ring whose cross-node RPCs travel
-// over the given transport.
-//
-// Deprecated: use NewRing with WithTransport and WithRetry.
-func NewRingOn(seed int64, tr Transport, retry RetryConfig) *Ring {
-	return NewRing(seed, WithTransport(tr), WithRetry(retry))
 }
 
 func applyOptions(opts []Option) options {
@@ -402,43 +374,9 @@ func NewController(cl *Cluster, ring *Ring) *Controller {
 	return dist.NewController(cl, ring)
 }
 
-// AdaptController is the AIMD batch-sizing control loop: it consumes
-// wire-level feedback windows (coalescing factor, flush-queue depth,
-// handler-latency EWMA, handler-pool spills) and recommends the group/chunk
-// size that dist.Cluster.InjectBatch, core.Client.InjectBatch and
-// workload.RunAdaptive consult. Install with Cluster.UseAdapt or
-// Client.UseAdapt.
-type AdaptController = adapt.Controller
-
-// AdaptConfig sets the controller's bounds, step sizes and feedback
-// thresholds; the zero value is usable (DefaultAdaptConfig documents the
-// resolved defaults).
-type AdaptConfig = adapt.Config
-
-// AdaptSample is one feedback window handed to AdaptController.Observe.
-type AdaptSample = adapt.Sample
-
-// AdaptPoller drives a controller from a sampling closure on a fixed
-// interval.
-type AdaptPoller = adapt.Poller
-
-// SizeError reports an invalid batch/group size passed to a sizing API
-// (workload.RunBatched, Cluster.SetGroupLimit, ...).
-type SizeError = adapt.SizeError
-
-// NewAdaptController builds a controller from cfg (zero fields take the
-// defaults).
-func NewAdaptController(cfg AdaptConfig) *AdaptController { return adapt.New(cfg) }
-
-// DefaultAdaptConfig returns the fully-resolved default controller
-// configuration.
-func DefaultAdaptConfig() AdaptConfig { return adapt.DefaultConfig() }
-
-// NewAdaptPoller starts a sampling loop feeding ctrl every interval; stop
-// it with AdaptPoller.Stop.
-func NewAdaptPoller(ctrl *AdaptController, interval time.Duration, sample func() AdaptSample) *AdaptPoller {
-	return adapt.NewPoller(ctrl, interval, sample)
-}
+// SizeError reports a non-positive batch or share size passed to
+// workload.RunBatched or workload.InjectShares.
+type SizeError = workload.SizeError
 
 // SimConfig configures a discrete-event simulation of the network (node
 // queueing, link delays, Poisson arrivals).

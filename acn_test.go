@@ -172,16 +172,14 @@ func TestFacadeControllerAndSim(t *testing.T) {
 }
 
 // TestFacadeOptions builds a cluster and a ring through the functional
-// options path: transport, retry, observability, adaptive sizing and
-// tracing composed in one constructor call.
+// options path: transport, retry, observability and tracing composed in
+// one constructor call.
 func TestFacadeOptions(t *testing.T) {
 	reg := acn.NewObsRegistry()
-	ctrl := acn.NewAdaptController(acn.AdaptConfig{})
 	cl, err := acn.NewCluster(8, acn.RootCut(),
 		acn.WithTransport(acn.NewMemTransport()),
 		acn.WithRetry(acn.RetryConfig{MaxRetries: 2}),
 		acn.WithObs(reg),
-		acn.WithAdapt(ctrl),
 		acn.WithTrace(1, 128),
 	)
 	if err != nil {
@@ -230,7 +228,7 @@ func TestFacadeFaultyTransport(t *testing.T) {
 		LatencyJitter: 10 * time.Microsecond,
 	})
 	retry := acn.RetryConfig{Timeout: 500 * time.Microsecond, MaxRetries: 12, Backoff: 20 * time.Microsecond}
-	cl, err := acn.NewClusterOn(8, acn.RootCut(), f, retry)
+	cl, err := acn.NewCluster(8, acn.RootCut(), acn.WithTransport(f), acn.WithRetry(retry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +249,7 @@ func TestFacadeFaultyTransport(t *testing.T) {
 		t.Fatalf("faults not exercised: %+v", st)
 	}
 
-	ring := acn.NewRingOn(3, acn.NewFaultyTransport(acn.FaultConfig{Seed: 4, DropRate: 0.1}), retry)
+	ring := acn.NewRing(3, acn.WithTransport(acn.NewFaultyTransport(acn.FaultConfig{Seed: 4, DropRate: 0.1})), acn.WithRetry(retry))
 	ids := ring.JoinN(32)
 	if _, _, err := ring.Lookup(ids[0], chord.Hash("x")); err != nil {
 		t.Fatal(err)

@@ -467,8 +467,6 @@ func BenchmarkE29TraceBreakdown(b *testing.B) { benchExperiment(b, "E29") }
 
 func BenchmarkE30RPCFastPath(b *testing.B) { benchExperiment(b, "E30") }
 
-func BenchmarkE31AdaptiveBatch(b *testing.B) { benchExperiment(b, "E31") }
-
 func BenchmarkE32Partitioned(b *testing.B) { benchExperiment(b, "E32") }
 
 // BenchmarkE25Observability prints its table unconditionally (not just

@@ -18,7 +18,7 @@
 // Without -spec, coordinator mode builds an automatic topology from
 // -width/-level/-parts and the workload flags:
 //
-//	acnnode -coord -width 16 -level 2 -parts 2 -tokens 2048 -mode adaptive
+//	acnnode -coord -width 16 -level 2 -parts 2 -tokens 2048 -mode seq
 //
 // The coordinator exits nonzero when conservation or the step property
 // fails, or when tracing was on but no trace stitched across processes —
@@ -61,7 +61,7 @@ func run(args []string) error {
 		tokens     = fs.Int("tokens", 1024, "without -spec: total tokens to inject")
 		burst      = fs.Int("burst", 128, "without -spec: tokens per injection call")
 		senders    = fs.Int("senders", 2, "without -spec: concurrent senders per worker")
-		mode       = fs.String("mode", "group", "without -spec: injection mode (seq, group, adaptive)")
+		mode       = fs.String("mode", "group", "without -spec: injection mode (seq, group)")
 		traceEvery = fs.Int("traceevery", 16, "without -spec: sample one batch trace in every N (0 disables)")
 
 		tracefile   = fs.String("tracefile", "", "coordinator: write the merged Perfetto trace here")

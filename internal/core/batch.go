@@ -34,24 +34,6 @@ type BatchTrace struct {
 	CacheHits, CacheMisses int
 	// LCacheHits and LCacheMisses count DHT lookup-cache use (per group).
 	LCacheHits, LCacheMisses int
-	// GroupSize is the sub-batch window the call actually used: the adapt
-	// controller's recommendation at entry when one is installed
-	// (Client.UseAdapt), otherwise len(ins) — the whole batch as one group.
-	GroupSize int
-}
-
-// add folds one window's trace into the aggregate.
-func (bt *BatchTrace) add(w BatchTrace) {
-	bt.Tokens += w.Tokens
-	bt.GroupHops += w.GroupHops
-	bt.WireHops += w.WireHops
-	bt.EntryTries += w.EntryTries
-	bt.NameLookups += w.NameLookups
-	bt.LookupHops += w.LookupHops
-	bt.CacheHits += w.CacheHits
-	bt.CacheMisses += w.CacheMisses
-	bt.LCacheHits += w.LCacheHits
-	bt.LCacheMisses += w.LCacheMisses
 }
 
 // batchGroup is one wavefront entry: count tokens sitting at component lc.
@@ -117,13 +99,6 @@ func (bs *batchState) enqueue(lc *liveComp, count uint64, head int) {
 // not sampled on the batch path; the Obs histograms record one
 // core.batch.seconds / core.batch.tokens observation per call.
 //
-// With an adapt controller installed (UseAdapt), the batch is processed
-// in consecutive windows of the controller's recommended size — each
-// window a full wavefront of its own — and the returned trace aggregates
-// the windows, with GroupSize recording the window size used. Counting
-// output is identical either way: per-wire counts depend only on arrival
-// counts, so windowing changes cost accounting, never results.
-//
 // Like every Client method, InjectBatch is not safe for concurrent use on
 // one Client; concurrent batches come from one Client per goroutine.
 func (c *Client) InjectBatch(ins []int) (BatchTrace, error) {
@@ -136,37 +111,6 @@ func (c *Client) InjectBatch(ins []int) (BatchTrace, error) {
 			return BatchTrace{}, fmt.Errorf("core: input wire %d out of range [0,%d)", in, n.cfg.Width)
 		}
 	}
-	window := len(ins)
-	if c.adapt != nil {
-		if s := c.adapt.Size(); s > 0 && s < window {
-			window = s
-		}
-	}
-	if window == len(ins) {
-		bt, err := c.injectBatchWindow(ins)
-		bt.GroupSize = window
-		return bt, err
-	}
-	agg := BatchTrace{GroupSize: window}
-	for off := 0; off < len(ins); off += window {
-		end := off + window
-		if end > len(ins) {
-			end = len(ins)
-		}
-		bt, err := c.injectBatchWindow(ins[off:end])
-		agg.add(bt)
-		if err != nil {
-			return agg, err
-		}
-	}
-	return agg, nil
-}
-
-// injectBatchWindow routes one window of validated input wires as a
-// single wavefront; InjectBatch handles sizing, validation and trace
-// aggregation around it.
-func (c *Client) injectBatchWindow(ins []int) (BatchTrace, error) {
-	n := c.net
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	t := n.topo.Load()

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/adapt"
 )
 
 // twinNets builds two identically-configured, identically-seeded networks
@@ -82,75 +80,6 @@ func TestInjectBatchMatchesSequential(t *testing.T) {
 		}
 		if err := bat.CheckStep(); err != nil {
 			t.Fatalf("nodes=%d: %v", nodes, err)
-		}
-	}
-}
-
-// TestInjectBatchAdaptiveMatchesSequential extends the oracle across the
-// adapt controller: for EVERY window size a controller config can emit
-// (adapt.Config.Sizes), a client with that size active must produce
-// exactly the per-call results — identical out counts, token counters and
-// wire-hop totals — while its BatchTrace reports the window used.
-func TestInjectBatchAdaptiveMatchesSequential(t *testing.T) {
-	cfg := adapt.Config{Min: 1, Max: 96, Initial: 6, Step: 13, Backoff: 0.45}
-	sizes := cfg.Sizes()
-	if len(sizes) < 5 {
-		t.Fatalf("degenerate size set %v", sizes)
-	}
-	for _, s := range sizes {
-		seq, bat := twinNets(t, 8)
-		seqClient, err := seq.NewClient()
-		if err != nil {
-			t.Fatal(err)
-		}
-		batClient, err := bat.NewClient()
-		if err != nil {
-			t.Fatal(err)
-		}
-		batClient.UseAdapt(adapt.New(adapt.Config{Min: s, Max: s, Initial: s}))
-		rng := rand.New(rand.NewSource(int64(s)))
-		for round := 0; round < 6; round++ {
-			var ins []int
-			if round%2 == 0 { // burst crossing several window boundaries
-				wire := rng.Intn(256)
-				for i := 0; i < 3*s+1; i++ {
-					ins = append(ins, wire)
-				}
-			} else { // scatter smaller than one window
-				for i := 0; i < (s+1)/2; i++ {
-					ins = append(ins, rng.Intn(256))
-				}
-			}
-			for _, in := range ins {
-				if _, err := seqClient.InjectAt(in); err != nil {
-					t.Fatal(err)
-				}
-			}
-			bt, err := batClient.InjectBatch(ins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bt.Tokens != len(ins) {
-				t.Fatalf("size %d: trace counted %d tokens, injected %d", s, bt.Tokens, len(ins))
-			}
-			want := s
-			if len(ins) < s {
-				want = len(ins)
-			}
-			if bt.GroupSize != want {
-				t.Fatalf("size %d: trace GroupSize %d, want %d", s, bt.GroupSize, want)
-			}
-		}
-		if got, want := bat.OutCounts(), seq.OutCounts(); !equalSeq(got, want) {
-			t.Fatalf("size %d: out counts %v != sequential %v", s, got, want)
-		}
-		sm, bm := seq.Metrics(), bat.Metrics()
-		if sm.Tokens != bm.Tokens || sm.WireHops != bm.WireHops {
-			t.Fatalf("size %d: metrics diverge: tokens %d/%d hops %d/%d",
-				s, sm.Tokens, bm.Tokens, sm.WireHops, bm.WireHops)
-		}
-		if err := bat.CheckStep(); err != nil {
-			t.Fatalf("size %d: %v", s, err)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/chord"
 	"repro/internal/obs"
 	"repro/internal/tree"
@@ -62,17 +61,7 @@ type Client struct {
 	// sinceYield counts InjectAt calls since the client last yielded its
 	// processor (see yieldEvery).
 	sinceYield int
-	// adapt, when set by UseAdapt, sizes InjectBatch's sub-batch windows
-	// from the controller's live recommendation.
-	adapt *adapt.Controller
 }
-
-// UseAdapt installs a batch-size controller: InjectBatch consults its
-// recommendation on entry and processes the batch in windows of that
-// size, so a long burst adapts at window granularity instead of routing
-// as one monolithic group. Pass nil to detach. Like every Client method
-// this is not safe for concurrent use on one Client.
-func (c *Client) UseAdapt(ctrl *adapt.Controller) { c.adapt = ctrl }
 
 // NewClient creates a client whose lookups start at a random overlay node.
 func (n *Network) NewClient() (*Client, error) {

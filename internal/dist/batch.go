@@ -171,9 +171,8 @@ func (ep *tokenEP) takeResume(block bool) (wire.Resume, bool) {
 // round are independent of each other, so they go out through
 // transport.Client.CallBatch: one flush per destination on a fabric that
 // can batch, one Send after another on one that cannot.
-// When a group-size cap is active (SetGroupLimit, or an adapt controller
-// installed with UseAdapt), a destination with more tokens than the cap
-// gets ceil(n/cap) RPCs, with identical counting output.
+// A destination with more tokens than one message may carry (wire.MaxSlice)
+// gets ceil(n/MaxSlice) RPCs, with identical counting output.
 // The counting output is byte-identical to routing the same tokens
 // sequentially (InjectBatchSeq): a component's per-output-wire counts
 // depend only on how many tokens arrived on each input wire, never on
@@ -385,7 +384,7 @@ func (cl *Cluster) groupReply(b *batchScratch, tp *topology, visits []visit, res
 // groupRound turns the round's routable tokens into group arrive requests:
 // sorted by component, components by destination (the fabric that serves
 // them; each its own on a fabric that knows no placement), each
-// destination's tokens cut into messages of at most the group cap. Request
+// destination's tokens cut into messages of at most wire.MaxSlice. Request
 // b.reqs[g] carries the visits b.visits[b.ends[g-1]:b.ends[g]], addressed to
 // the first one's component; b.replies and b.errs are sized to match.
 func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base uint64) {
@@ -416,16 +415,11 @@ func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base u
 		seqs[k] = base + uint64(idx)
 	}
 
-	// One cap read per round: the adapt controller (or an explicit
-	// SetGroupLimit) bounds how many tokens each group arrive RPC carries,
-	// so a destination with more tokens than the cap costs ceil(n/cap) RPCs,
-	// each chained on by its handler on its own. A message may end inside a
-	// component's tokens: the pieces are count-equivalent to the whole, so
-	// the cap changes RPC accounting and wire pressure, never outputs.
-	limit := int32(len(order))
-	if n := cl.groupCap(); n > 0 && n < len(order) {
-		limit = int32(n)
-	}
+	// The codec bounds a message's slices at wire.MaxSlice, so a destination
+	// with more tokens costs ceil(n/MaxSlice) RPCs, each chained on by its
+	// handler on its own. A message may end inside a component's tokens: the
+	// pieces are count-equivalent to the whole, so the cut changes RPC
+	// accounting, never outputs.
 	b.visits, b.ends, b.reqs = b.visits[:0], b.ends[:0], b.reqs[:0]
 	var lo, room int32 // room: the tokens the open message still takes
 	for k, ci := range b.touched {
@@ -439,7 +433,7 @@ func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base u
 				if len(b.visits) > 0 {
 					b.ends = append(b.ends, int32(len(b.visits)))
 				}
-				room = limit
+				room = wire.MaxSlice
 			}
 			n := min(hi-lo, room)
 			b.visits = append(b.visits, visit{comp: ci, lo: lo, hi: lo + n})

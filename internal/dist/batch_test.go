@@ -10,6 +10,7 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/tcpnet"
 	"repro/internal/tree"
+	"repro/internal/wire"
 )
 
 // flushCounter is a batch-capable fabric that counts the flushes of group
@@ -53,11 +54,10 @@ func randomBatch(rng *rand.Rand, n, w int) []int {
 
 // TestBatchFlushMatchesSequential: over a fabric that flushes a round as
 // one batch, InjectBatch stays count-for-count equal to InjectBatchSeq on
-// the ideal fabric, with and without a group cap, and keeps the RPC
-// accounting: RPCs per round = destination fabrics, times the cap-sized
-// slices of each one's tokens. Here that is one fabric and one round, so
-// one RPC whatever the cut — or ceil(tokens/cap), each slice visiting the
-// entry components its tokens stand at and then chaining on its own.
+// the ideal fabric and keeps the RPC accounting: RPCs per round =
+// destination fabrics. Here that is one fabric and one round, so one RPC
+// whatever the cut, visiting the entry components its tokens stand at and
+// then chaining on.
 func TestBatchFlushMatchesSequential(t *testing.T) {
 	const w, tokens = 16, 200
 	ins := randomWires(31, tokens, w)
@@ -71,64 +71,87 @@ func TestBatchFlushMatchesSequential(t *testing.T) {
 		{"leaf", tree.LeafCut(w)},
 		{"random", tree.RandomCut(w, 0.5, rand.New(rand.NewSource(8)))},
 	} {
-		for _, limit := range []int{0, 7} {
-			tn, err := tcpnet.New(tcpnet.Config{})
-			if err != nil {
-				t.Fatal(err)
+		tn, err := tcpnet.New(tcpnet.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := &flushCounter{Net: tn}
+		grp, err := New(w, tc.cut, WithTransport(fc), WithRetry(patient))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := New(w, tc.cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, before := grp.NetStats()
+		got, err := grp.InjectBatch(ins)
+		if err != nil {
+			t.Fatalf("%s: group batch: %v", tc.name, err)
+		}
+		_, after := grp.NetStats()
+		if _, err := seq.InjectBatchSeq(ins); err != nil {
+			t.Fatal(err)
+		}
+		g, s := grp.OutCounts(), seq.OutCounts()
+		for i := range g {
+			if g[i] != s[i] {
+				t.Fatalf("%s: output counts diverge: batch %v vs sequential %v", tc.name, g, s)
 			}
-			fc := &flushCounter{Net: tn}
-			grp, err := New(w, tc.cut, WithTransport(fc), WithRetry(patient))
-			if err != nil {
-				t.Fatal(err)
+		}
+		if err := grp.CheckStep(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		perOut := make([]int64, w)
+		for _, o := range got {
+			perOut[o]++
+		}
+		for i := range g {
+			if perOut[i] != g[i] {
+				t.Fatalf("%s: returned outputs %v disagree with the counters %v", tc.name, perOut, g)
 			}
-			if err := grp.SetGroupLimit(limit); err != nil {
-				t.Fatal(err)
-			}
-			seq, err := New(w, tc.cut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, before := grp.NetStats()
-			got, err := grp.InjectBatch(ins)
-			if err != nil {
-				t.Fatalf("%s limit %d: group batch: %v", tc.name, limit, err)
-			}
-			_, after := grp.NetStats()
-			if _, err := seq.InjectBatchSeq(ins); err != nil {
-				t.Fatal(err)
-			}
-			g, s := grp.OutCounts(), seq.OutCounts()
-			for i := range g {
-				if g[i] != s[i] {
-					t.Fatalf("%s limit %d: output counts diverge: batch %v vs sequential %v", tc.name, limit, g, s)
-				}
-			}
-			if err := grp.CheckStep(); err != nil {
-				t.Fatalf("%s limit %d: %v", tc.name, limit, err)
-			}
-			perOut := make([]int64, w)
-			for _, o := range got {
-				perOut[o]++
-			}
-			for i := range g {
-				if perOut[i] != g[i] {
-					t.Fatalf("%s limit %d: returned outputs %v disagree with the counters %v", tc.name, limit, perOut, g)
-				}
-			}
-			want := uint64(1)
-			if limit > 0 {
-				want = (tokens + uint64(limit) - 1) / uint64(limit)
-			}
-			if calls := after.Sub(before).Calls; calls != want {
-				t.Fatalf("%s limit %d: %d RPCs for %d tokens on one fabric, want %d", tc.name, limit, calls, tokens, want)
-			}
-			// One round, so one flush.
-			if n := fc.batches.Load(); n != 1 {
-				t.Fatalf("%s limit %d: %d flushes for a batch that never leaves its fabric", tc.name, limit, n)
-			}
-			if err := tn.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if calls := after.Sub(before).Calls; calls != 1 {
+			t.Fatalf("%s: %d RPCs for %d tokens on one fabric, want 1", tc.name, calls, tokens)
+		}
+		// One round, so one flush.
+		if n := fc.batches.Load(); n != 1 {
+			t.Fatalf("%s: %d flushes for a batch that never leaves its fabric", tc.name, n)
+		}
+		if err := tn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBatchCutAtMaxSlice: a batch bound for one fabric with more tokens than
+// the codec takes in one slice (wire.MaxSlice) goes out as ceil(n/MaxSlice)
+// group RPCs in one round over a real socket, and counts exactly. Sent
+// whole, the receiver's decoder would refuse the message and drop the
+// connection.
+func TestBatchCutAtMaxSlice(t *testing.T) {
+	const w = 64
+	for _, tokens := range []int{1 << 17, 1 << 19} {
+		tn, err := tcpnet.New(tcpnet.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = tn.Close() })
+		cl, err := New(w, mustCut(t, w, 2), WithTransport(tn), WithRetry(patient))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.InjectBatch(randomWires(int64(tokens), tokens, w)); err != nil {
+			t.Fatalf("%d tokens: %v", tokens, err)
+		}
+		if in, out := cl.InCounts().Total(), cl.OutCounts().Total(); in != int64(tokens) || out != in {
+			t.Fatalf("%d tokens: %d in, %d out", tokens, in, out)
+		}
+		if err := cl.CheckStep(); err != nil {
+			t.Fatalf("%d tokens: %v", tokens, err)
+		}
+		if _, cs := cl.NetStats(); cs.Calls != uint64((tokens+wire.MaxSlice-1)/wire.MaxSlice) {
+			t.Fatalf("%d tokens: client stats %+v, want one group RPC per %d tokens", tokens, cs, wire.MaxSlice)
 		}
 	}
 }

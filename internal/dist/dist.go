@@ -42,11 +42,11 @@ package dist
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/balancer"
 	"repro/internal/component"
 	"repro/internal/cutnet"
@@ -160,13 +160,6 @@ type Cluster struct {
 	// stale signal costs one extra check, never a missed one.
 	drainCh chan struct{}
 
-	// groupLimit caps how many tokens one wire.GroupArrive RPC carries in
-	// InjectBatch. Priority: an explicit SetGroupLimit wins; otherwise the
-	// adapt controller's live recommendation (when UseAdapt installed one);
-	// otherwise unlimited (one RPC per round and fabric, however large).
-	groupLimit atomic.Int64
-	adapt      *adapt.Controller
-
 	// topo is the epoch-snapshot topology: the live incarnations of the
 	// current cut and its compiled routing (see topology), published via
 	// atomic pointer. Tokens route against whatever snapshot is current when
@@ -208,25 +201,21 @@ type tokenEP struct {
 	lo, hi atomic.Uint64
 }
 
-// New creates a cluster implementing BITONIC[w] with the given cut over an
-// ideal (reliable, zero-latency) in-memory fabric. Options select other
-// fabrics, retry policies, observability and namespacing; with none it
-// keeps its historical ideal-fabric behavior.
+// New creates a cluster implementing BITONIC[w] with the given cut. With no
+// options it runs over an ideal (reliable, zero-latency) in-memory fabric;
+// options select other fabrics, retry policies, observability and
+// namespacing.
 func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
-	return NewWith(w, cut, opts...)
-}
-
-// NewOn creates a cluster whose token and control messages travel over tr
-// with the given retry policy. Pass a transport.Faulty to exercise the
-// freeze protocol under message loss, delay, duplication and reordering.
-//
-// Deprecated: use New(w, cut, WithTransport(tr), WithRetry(retry)).
-func NewOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryConfig) (*Cluster, error) {
-	return New(w, cut, WithTransport(tr), WithRetry(retry))
-}
-
-// newOn is the real constructor behind NewWith.
-func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryConfig, ns string) (*Cluster, error) {
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.tr == nil {
+		o.tr = transport.NewMem()
+	}
+	if strings.Contains(o.ns, ":") {
+		return nil, fmt.Errorf("dist: namespace %q contains ':'", o.ns)
+	}
 	if err := cut.Validate(w); err != nil {
 		return nil, err
 	}
@@ -237,17 +226,17 @@ func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 	// invariant merges drain on. Only fabrics that can actually time out a
 	// delivered call need this — the ideal in-memory switch runs handlers
 	// inline and never retries, so taxing it with dedup would be waste.
-	if d, ok := tr.(transport.Redeliverer); ok && d.CanRedeliver() {
+	if d, ok := o.tr.(transport.Redeliverer); ok && d.CanRedeliver() {
 		d.EnableDedup()
 	}
 	tokPrefix := "t:"
-	if ns != "" {
-		tokPrefix = "t:" + ns + ":"
+	if o.ns != "" {
+		tokPrefix = "t:" + o.ns + ":"
 	}
 	cl := &Cluster{
 		w:         w,
-		tr:        tr,
-		rc:        transport.NewClient(tr, retry),
+		tr:        o.tr,
+		rc:        transport.NewClient(o.tr, o.retry),
 		tokPrefix: tokPrefix,
 		drainCh:   make(chan struct{}, 1),
 		out:       make([]atomic.Uint64, w),
@@ -255,7 +244,7 @@ func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 		eps:       make(chan *tokenEP, 256),
 		comps:     make(map[transport.Addr]*comp),
 	}
-	cl.place, _ = tr.(transport.Placer)
+	cl.place, _ = o.tr.(transport.Placer)
 	comps, err := cut.Components(w)
 	if err != nil {
 		return nil, err
@@ -272,6 +261,14 @@ func newOn(w int, cut tree.Cut, tr transport.Transport, retry transport.RetryCon
 		return nil, err
 	}
 	cl.topo.Store(tp)
+	// Observability wiring in dependency order: registry first so the
+	// tracer can register as a trace source on it.
+	if o.reg != nil {
+		cl.Instrument(o.reg)
+	}
+	if o.traceEvery > 0 {
+		cl.Trace(o.traceEvery, o.traceRetain)
+	}
 	return cl, nil
 }
 
@@ -426,39 +423,6 @@ func (cl *Cluster) InstrumentRPC(o *obs.RPCObs) bool {
 		ri.InstrumentRPC(o)
 	}
 	return ok
-}
-
-// SetGroupLimit caps the number of tokens one group arrive RPC may carry
-// in InjectBatch. An explicit limit always wins over an installed adapt
-// controller; 0 removes the cap (restoring controller or unlimited
-// sizing). Negative values are rejected with an *adapt.SizeError. Safe to
-// call while batches are in flight: each send-round reads the limit once.
-func (cl *Cluster) SetGroupLimit(n int) error {
-	if n < 0 {
-		return &adapt.SizeError{Op: "dist: SetGroupLimit", Size: n}
-	}
-	cl.groupLimit.Store(int64(n))
-	return nil
-}
-
-// UseAdapt installs a batch-size controller: InjectBatch consults its
-// live recommendation when cutting a round's tokens into group arrive
-// RPCs (unless an explicit SetGroupLimit overrides it). Install before
-// traffic starts, like Instrument and Trace; pass nil to detach.
-func (cl *Cluster) UseAdapt(c *adapt.Controller) { cl.adapt = c }
-
-// groupCap resolves the current per-RPC token cap for one send round:
-// explicit limit first, controller recommendation second, 0 = unlimited.
-func (cl *Cluster) groupCap() int {
-	if n := cl.groupLimit.Load(); n > 0 {
-		return int(n)
-	}
-	if cl.adapt != nil {
-		if n := cl.adapt.Size(); n > 0 {
-			return n
-		}
-	}
-	return 0
 }
 
 // getEP takes a token endpoint from the free-list, binding a fresh one

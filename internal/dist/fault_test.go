@@ -22,12 +22,12 @@ func faultyCluster(t *testing.T, w int, cut tree.Cut, drop float64) *Cluster {
 		LatencyBase:   time.Microsecond,
 		LatencyJitter: 10 * time.Microsecond,
 	})
-	cl, err := NewOn(w, cut, f, transport.RetryConfig{
+	cl, err := New(w, cut, WithTransport(f), WithRetry(transport.RetryConfig{
 		Timeout:    500 * time.Microsecond,
 		MaxRetries: 16,
 		Backoff:    20 * time.Microsecond,
 		BackoffCap: 200 * time.Microsecond,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

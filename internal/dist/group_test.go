@@ -269,12 +269,12 @@ func tcpCluster(t *testing.T, w int, cut tree.Cut, drop float64) (*Cluster, *tcp
 			LatencyJitter: 50 * time.Microsecond,
 		})
 	}
-	cl, err := NewOn(w, cut, tr, transport.RetryConfig{
+	cl, err := New(w, cut, WithTransport(tr), WithRetry(transport.RetryConfig{
 		Timeout:    25 * time.Millisecond,
 		MaxRetries: 12,
 		Backoff:    100 * time.Microsecond,
 		BackoffCap: 2 * time.Millisecond,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestCountingOverTCP(t *testing.T) {
 	}
 }
 
-// TestNewOnEnablesDedup pins the at-most-once wiring: NewOn must switch on
+// TestNewEnablesDedup pins the at-most-once wiring: New must switch on
 // receiver-side dedup when the fabric can time out a delivered call
 // (transport.Redeliverer), because the retry client re-sends past its
 // deadline and a re-executed arrive handler double-counts the token — a
@@ -339,14 +339,14 @@ func TestCountingOverTCP(t *testing.T) {
 // (Observed as a rare TestCountingOverTCP hang under -race, where handler
 // latency can exceed the 25ms retry deadline.) The in-memory fabric is
 // deliberately exempt: its Send never times out, so retries cannot occur.
-func TestNewOnEnablesDedup(t *testing.T) {
+func TestNewEnablesDedup(t *testing.T) {
 	w := 8
 	cl, tn := tcpCluster(t, w, tree.RootCut(), 0)
 	if _, err := cl.Inject(3); err != nil {
 		t.Fatal(err)
 	}
 	if tn.DedupEntries() == 0 {
-		t.Fatal("NewOn left receiver-side dedup off: retried calls would re-execute handlers")
+		t.Fatal("New left receiver-side dedup off: retried calls would re-execute handlers")
 	}
 }
 

@@ -1,13 +1,8 @@
 package dist
 
 import (
-	"fmt"
-	"strings"
-
-	"repro/internal/adapt"
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/tree"
 )
 
 // Option configures a Cluster at construction. Options compose left to
@@ -21,7 +16,6 @@ type options struct {
 	tr          transport.Transport
 	retry       transport.RetryConfig
 	reg         *obs.Registry
-	adapt       *adapt.Controller
 	ns          string
 	traceEvery  int
 	traceRetain int
@@ -49,12 +43,6 @@ func WithObs(reg *obs.Registry) Option {
 	return func(o *options) { o.reg = reg }
 }
 
-// WithAdapt drives group-RPC sizing from the controller's live
-// recommendation, like a post-construction UseAdapt call.
-func WithAdapt(c *adapt.Controller) Option {
-	return func(o *options) { o.adapt = c }
-}
-
 // WithTrace installs a span sampler (1-in-every stride, bounded retain),
 // like a post-construction Trace call; combine with WithObs to export
 // the spans through the registry's trace sources.
@@ -72,36 +60,4 @@ func WithTrace(every, retain int) Option {
 // contain ':'.
 func WithNamespace(ns string) Option {
 	return func(o *options) { o.ns = ns }
-}
-
-// NewWith creates a cluster implementing BITONIC[w] with the given cut,
-// configured by opts. This is the construction path everything else
-// funnels into: New and NewOn are thin wrappers over it.
-func NewWith(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
-	o := options{tr: nil}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.tr == nil {
-		o.tr = transport.NewMem()
-	}
-	if strings.Contains(o.ns, ":") {
-		return nil, fmt.Errorf("dist: namespace %q contains ':'", o.ns)
-	}
-	cl, err := newOn(w, cut, o.tr, o.retry, o.ns)
-	if err != nil {
-		return nil, err
-	}
-	// Observability wiring in dependency order: registry first so the
-	// tracer can register as a trace source on it.
-	if o.reg != nil {
-		cl.Instrument(o.reg)
-	}
-	if o.traceEvery > 0 {
-		cl.Trace(o.traceEvery, o.traceRetain)
-	}
-	if o.adapt != nil {
-		cl.UseAdapt(o.adapt)
-	}
-	return cl, nil
 }

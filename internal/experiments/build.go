@@ -12,7 +12,7 @@ import (
 
 // clusterCell describes one experiment cell's fabric and cluster; the
 // zero Fabric is "mem". Every dist-over-a-fabric experiment (E24, E28,
-// E30, E31, E32) builds its cells through buildCluster so the
+// E30, E32) builds its cells through buildCluster so the
 // mem/tcp/faulty setup — construction order, instrumentation, teardown —
 // is one shared path instead of a switch block per experiment.
 type clusterCell struct {

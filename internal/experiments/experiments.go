@@ -159,7 +159,6 @@ func registerAll() map[string]Func {
 		"E28": E28WireTransport,
 		"E29": E29TraceBreakdown,
 		"E30": E30RPCFastPath,
-		"E31": E31AdaptiveBatch,
 		"E32": E32Partitioned,
 	}
 }

@@ -47,10 +47,10 @@ func TestUnknownExperiment(t *testing.T) {
 
 func TestIDsOrdered(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 32 {
-		t.Fatalf("got %d experiments, want 32", len(ids))
+	if len(ids) != 31 {
+		t.Fatalf("got %d experiments, want 31", len(ids))
 	}
-	if ids[0] != "E1" || ids[9] != "E10" || ids[31] != "E32" {
+	if ids[0] != "E1" || ids[9] != "E10" || ids[30] != "E32" {
 		t.Fatalf("IDs not numerically ordered: %v", ids)
 	}
 }

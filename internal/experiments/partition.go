@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/launch"
 	"repro/internal/transport"
 	"repro/internal/tree"
@@ -18,8 +17,7 @@ import (
 // worker runtime on its own fabric and every cross-partition component
 // visit is a routed RPC (internal/launch — exactly what cmd/acnnode runs
 // as separate processes, here in-process so the experiment stays
-// hermetic). Each topology runs sequential, group-batched and adaptive
-// injection. Counting must stay exact in every cell: partitioning moves
+// hermetic). Each topology runs sequential and group-batched injection. Counting must stay exact in every cell: partitioning moves
 // components between owners but never changes what the network counts.
 func E32Partitioned(opts Options) (*Table, error) {
 	t := &Table{
@@ -36,11 +34,10 @@ func E32Partitioned(opts Options) (*Table, error) {
 	)
 	tokens, burst := 2048, 128
 	partsSweep := []int{2, 4}
-	modes := []string{"seq", "group", "adaptive"}
+	modes := []string{"seq", "group"}
 	if opts.Quick {
 		tokens, burst = 512, 64
 		partsSweep = []int{2}
-		modes = []string{"seq", "group"}
 	}
 
 	ins := make([]int, tokens)
@@ -66,9 +63,6 @@ func E32Partitioned(opts Options) (*Table, error) {
 			})
 			if err != nil {
 				return nil, err
-			}
-			if mode == "adaptive" {
-				env.Cluster.UseAdapt(adapt.New(adapt.DefaultConfig()))
 			}
 			ms, err := injectShared(env, ins, burst, senders, mode)
 			if err != nil {

@@ -66,7 +66,7 @@ func E29TraceBreakdown(opts Options) (*Table, error) {
 		} else {
 			tr = transport.NewMem()
 		}
-		cl, err := dist.NewOn(w, cut, tr, retry)
+		cl, err := dist.New(w, cut, dist.WithTransport(tr), dist.WithRetry(retry))
 		if err != nil {
 			return nil, err
 		}

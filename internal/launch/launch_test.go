@@ -176,42 +176,52 @@ func TestTwoPartitionConservation(t *testing.T) {
 	}
 }
 
-// TestSeqAndAdaptiveModes drives the two non-default injection paths
-// through a small 2-partition launch: both must conserve.
+// TestSeqAndAdaptiveModes drives the seq injection path through a small
+// 2-partition launch, which must conserve, and checks that a spec asking for
+// the retired adaptive mode is refused by Validate, which names the modes
+// there are.
 func TestSeqAndAdaptiveModes(t *testing.T) {
-	for _, mode := range []string{"seq", "adaptive"} {
-		mode := mode
-		t.Run(mode, func(t *testing.T) {
-			spec, err := AutoSpec(8, 1, 2)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("seq", func(t *testing.T) {
+		spec, err := AutoSpec(8, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Workload = Workload{Tokens: 128, Burst: 32, Senders: 2, Mode: "seq"}
+		coord, workers, err := StartInProc(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			_ = coord.Close()
+			for _, w := range workers {
+				_ = w.Close()
 			}
-			spec.Workload = Workload{Tokens: 128, Burst: 32, Senders: 2, Mode: mode}
-			coord, workers, err := StartInProc(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				_ = coord.Close()
-				for _, w := range workers {
-					_ = w.Close()
-				}
-			}()
-			if _, err := coord.Run(); err != nil {
-				t.Fatal(err)
-			}
-			res, err := coord.Gather()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Conserved || res.In.Total() != 128 {
-				t.Fatalf("mode %s: in %d out %d", mode, res.In.Total(), res.Out.Total())
-			}
-			if !res.StepOK {
-				t.Fatalf("mode %s: step property violated: %v", mode, res.Out)
-			}
-		})
-	}
+		}()
+		if _, err := coord.Run(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := coord.Gather()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Conserved || res.In.Total() != 128 {
+			t.Fatalf("in %d out %d", res.In.Total(), res.Out.Total())
+		}
+		if !res.StepOK {
+			t.Fatalf("step property violated: %v", res.Out)
+		}
+	})
+	t.Run("adaptive", func(t *testing.T) {
+		spec, err := AutoSpec(8, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Workload = Workload{Tokens: 128, Burst: 32, Senders: 2, Mode: "adaptive"}
+		want := `launch: workload mode "adaptive" (want seq or group)`
+		if err := spec.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("Validate = %v, want %q", err, want)
+		}
+	})
 }
 
 // TestSeqModePaysCrossings: in a partitioned run a token costs its entry

@@ -44,10 +44,8 @@ type Workload struct {
 	// partition. Zero means 1.
 	Senders int `json:"senders"`
 	// Mode selects the injection path: "seq" (token by token: one arrive
-	// RPC per run of consecutive components on one worker), "group"
-	// (group-batched RPCs, the default), or
-	// "adaptive" (group-batched with the AIMD controller sizing groups
-	// from live wire feedback).
+	// RPC per run of consecutive components on one worker) or "group"
+	// (group-batched RPCs, the default).
 	Mode string `json:"mode"`
 }
 
@@ -164,8 +162,8 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
-	if w := s.Workload; w.Mode != "" && w.Mode != "seq" && w.Mode != "group" && w.Mode != "adaptive" {
-		return fmt.Errorf("launch: workload mode %q (want seq, group or adaptive)", w.Mode)
+	if w := s.Workload; w.Mode != "" && w.Mode != "seq" && w.Mode != "group" {
+		return fmt.Errorf("launch: workload mode %q (want seq or group)", w.Mode)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -85,10 +84,7 @@ type Worker struct {
 	Cluster *dist.Cluster
 	Reg     *obs.Registry
 
-	spec   *Spec
-	rpcObs *obs.RPCObs
-	ctrl   *adapt.Controller
-	poller *adapt.Poller
+	spec *Spec
 
 	shutOnce sync.Once
 	shutCh   chan struct{}
@@ -136,11 +132,6 @@ func StartWorker(spec *Spec, name string) (*Worker, error) {
 		opts = append(opts, dist.WithTrace(spec.TraceEvery, retain))
 	}
 	w := &Worker{Name: name, Net: tn, Reg: reg, spec: spec, shutCh: make(chan struct{})}
-	if spec.Workload.withDefaults().Mode == "adaptive" {
-		w.ctrl = adapt.New(adapt.DefaultConfig())
-		w.ctrl.Instrument(reg)
-		opts = append(opts, dist.WithAdapt(w.ctrl))
-	}
 	cl, err := dist.New(spec.Width, cut, opts...)
 	if err != nil {
 		_ = tn.Close()
@@ -150,24 +141,8 @@ func StartWorker(spec *Spec, name string) (*Worker, error) {
 
 	// Server-side RPC observation stitches remote callers' sampled trace
 	// contexts into rpc:agroup child spans on this worker's tracer — the
-	// cross-process edges of the merged Perfetto timeline — and feeds the
-	// handler-latency EWMA the adaptive mode consumes.
-	w.rpcObs = obs.NewRPCObs(obs.RPCObsConfig{Tracer: cl.Tracer(), Registry: reg})
-	cl.InstrumentRPC(w.rpcObs)
-
-	if w.ctrl != nil {
-		var last tcpnet.WireStats
-		w.poller = adapt.NewPoller(w.ctrl, 200*time.Microsecond, func() adapt.Sample {
-			smp := adapt.Sample{Latency: w.rpcObs.LatencyEWMA(wire.KindGroupArrive)}
-			ws := tn.WireStats()
-			smp.Frames = ws.Frames - last.Frames
-			smp.Writes = ws.Writes - last.Writes
-			smp.QueueDepth = int(ws.QueueDepth)
-			smp.Spills = ws.Spills - last.Spills
-			last = ws
-			return smp
-		})
-	}
+	// cross-process edges of the merged Perfetto timeline.
+	cl.InstrumentRPC(obs.NewRPCObs(obs.RPCObsConfig{Tracer: cl.Tracer(), Registry: reg}))
 
 	if err := tn.Bind(ctlAddr(name), w.handleCtl); err != nil {
 		_ = tn.Close()
@@ -187,13 +162,9 @@ func (w *Worker) Wait() {
 	time.Sleep(100 * time.Millisecond)
 }
 
-// Close stops the adaptive poller and the fabric. Safe after Wait or on
-// construction-failure cleanup paths.
+// Close stops the fabric. Safe after Wait or on construction-failure
+// cleanup paths.
 func (w *Worker) Close() error {
-	if w.poller != nil {
-		w.poller.Stop()
-		w.poller = nil
-	}
 	return w.Net.Close()
 }
 

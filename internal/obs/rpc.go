@@ -39,8 +39,7 @@ type rpcKind struct {
 	errs     *Counter
 	spanName string
 	// ewmaNs holds the float64 bits of the handler-latency EWMA in
-	// nanoseconds, updated lock-free by End and read by LatencyEWMA — the
-	// responsiveness signal the adapt controller consumes.
+	// nanoseconds, updated lock-free by End and read by LatencyEWMA.
 	ewmaNs atomic.Uint64
 }
 
@@ -94,10 +93,9 @@ func (o *RPCObs) kind(name string) *rpcKind {
 }
 
 // LatencyEWMA returns the exponentially-weighted moving average of the
-// handler latency for one message kind — the adapt controller's overload
-// signal. It returns zero on a nil observer or a kind no End call has
-// observed yet, and never creates per-kind state (a read-only probe of a
-// quiet endpoint stays free).
+// handler latency for one message kind. It returns zero on a nil observer
+// or a kind no End call has observed yet, and never creates per-kind state
+// (a read-only probe of a quiet endpoint stays free).
 func (o *RPCObs) LatencyEWMA(kindName string) time.Duration {
 	if o == nil {
 		return 0

@@ -588,8 +588,8 @@ func TestCoalescedWrites(t *testing.T) {
 		ws.Frames, ws.Writes, float64(ws.Frames)/float64(ws.Writes))
 }
 
-// TestCoalescerSignals pins the observables the adapt controller consumes
-// as its inputs: under N concurrent senders the tcpnet.flush.batch
+// TestCoalescerSignals pins the write coalescer's observables: under N
+// concurrent senders the tcpnet.flush.batch
 // histogram must record the coalesced flush rounds (each carrying >= 1
 // frame), the Frames >= Writes invariant must hold on both sides of the
 // connection, and the WireStats.QueueDepth mirror of tcpnet.flush.queue

@@ -128,8 +128,7 @@ type WireStats struct {
 	Shared uint64
 	// QueueDepth mirrors the tcpnet.flush.queue gauge without requiring a
 	// registry: the depth of a conn's coalescing write queue at the last
-	// enqueue or flush (0 when senders are uncontended). The adapt
-	// controller samples it as a wire-contention signal.
+	// enqueue or flush (0 when senders are uncontended).
 	QueueDepth int64
 }
 

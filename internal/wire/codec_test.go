@@ -470,6 +470,45 @@ func TestEncodeRejectsWrongBody(t *testing.T) {
 	}
 }
 
+// TestEncodeRefusesSlicesPastMaxSlice: a message with a slice no decoder
+// takes fails at the encoder with ErrTooLarge and leaves no frame, while one
+// at the bound still round-trips.
+func TestEncodeRefusesSlicesPastMaxSlice(t *testing.T) {
+	group := func(n int) transport.Request {
+		g := GroupArrive{Token: "t:1", Wires: make([]int, n), Seqs: make([]uint64, n)}
+		return transport.Request{ID: 2, From: "t:1", To: "c:0#1", Kind: KindGroupArrive, Body: g}
+	}
+	prefix := []byte{0xaa}
+	got, err := AppendRequest(prefix, 1, group(MaxSlice+1))
+	if !errors.Is(err, ErrTooLarge) || !bytes.Equal(got, prefix) {
+		t.Fatalf("AppendRequest(%d wires) = %d bytes, %v; want the prefix alone and ErrTooLarge", MaxSlice+1, len(got), err)
+	}
+	b, err := AppendRequest(nil, 1, group(MaxSlice))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFrame(b); err != nil {
+		t.Fatalf("a group of MaxSlice tokens does not decode: %v", err)
+	}
+
+	long := make([]int, MaxSlice+1)
+	replies := []struct {
+		kind string
+		body any
+	}{
+		{KindGroupArrive, GroupArriveRes{Status: StatusProcessed, Outs: long}},
+		{KindGroupArrive, GroupArriveRes{Status: StatusExited, Outs: []int{-1}, Paths: []string{"0"}, Wires: long}},
+		{KindFreeze, FreezeRes{Total: 1, Processed: make([]uint64, MaxSlice+1)}},
+	}
+	for _, r := range replies {
+		c, _ := ByKind(r.kind)
+		e := NewEncoder(0)
+		if err := c.EncodeRes(e, r.body); !errors.Is(err, ErrTooLarge) || e.Len() != 0 {
+			t.Errorf("%s reply %T: %d bytes, %v; want none and ErrTooLarge", r.kind, r.body, e.Len(), err)
+		}
+	}
+}
+
 // typedDecodeErr reports whether err wraps one of the codec's typed decode
 // errors — the contract is that DecodeFrame fails only through these.
 func typedDecodeErr(err error) bool {

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -68,11 +67,10 @@ func FuzzGroupArrive(f *testing.F) {
 	f.Add("t:1", []byte{1, 2, 3}, byte(0), []byte{9, 8, 7})
 	f.Add("t:44#9", []byte{}, byte(1), []byte{})
 	f.Add("", []byte{255, 0, 128, 64, 17}, byte(2), []byte{0})
-	// Seed a frame at the adapt controller's maximum group size: the
-	// largest group-arrive the control loop can legally emit must stay
-	// round-trippable, so a codec limit and adapt.DefaultMax can never
-	// drift apart silently.
-	maxGroup := make([]byte, adapt.DefaultMax)
+	// Seed a 512-token group arrive, well past the small seeds: a group of
+	// that size must stay round-trippable.
+	const maxGroupTokens = 512
+	maxGroup := make([]byte, maxGroupTokens)
 	for i := range maxGroup {
 		maxGroup[i] = byte(i * 37)
 	}

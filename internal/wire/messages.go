@@ -359,6 +359,9 @@ var _ = register(&Codec{
 		if len(g.Wires) != len(g.Seqs) {
 			return fmt.Errorf("wire: %s: %d wires, %d seqs", KindGroupArrive, len(g.Wires), len(g.Seqs))
 		}
+		if err := checkSlices(KindGroupArrive, len(g.Wires), len(g.Visits)); err != nil {
+			return err
+		}
 		e.String(g.Token)
 		e.Ints(g.Wires)
 		e.Uint64s(g.Seqs)
@@ -397,6 +400,9 @@ var _ = register(&Codec{
 		r, ok := body.(GroupArriveRes)
 		if !ok {
 			return badBody(KindGroupArrive, body)
+		}
+		if err := checkSlices(KindGroupArrive, len(r.Outs), len(r.Paths), len(r.Wires), len(r.Visits)); err != nil {
+			return err
 		}
 		// Like ArriveRes: the single-visit outcomes keep the two-field form
 		// they have always had; only a chained reply carries more.
@@ -548,6 +554,9 @@ var _ = register(&Codec{
 		f, ok := body.(FreezeRes)
 		if !ok {
 			return badBody(KindFreeze, body)
+		}
+		if err := checkSlices(KindFreeze, len(f.Processed)); err != nil {
+			return err
 		}
 		e.Uvarint(f.Total)
 		e.Uint64s(f.Processed)

@@ -48,7 +48,8 @@ var (
 	// ErrUnknownKind means a message kind code or string missing from the
 	// registry.
 	ErrUnknownKind = errors.New("wire: unknown message kind")
-	// ErrTooLarge means an encoded frame exceeds MaxFrame.
+	// ErrTooLarge means an encoded frame exceeds MaxFrame, or a message
+	// holds a slice longer than a decoder takes.
 	ErrTooLarge = errors.New("wire: frame exceeds size limit")
 )
 
@@ -141,6 +142,19 @@ func (e *Encoder) BlobBytes(b []byte) error {
 	}
 	e.Uvarint(uint64(len(b)))
 	e.buf = append(e.buf, b...)
+	return nil
+}
+
+// checkSlices returns ErrTooLarge when one of a kind's slices, given by
+// length, is longer than MaxSlice, which every decoder refuses. Message
+// encoders call it before writing anything, so a mis-sized message fails
+// at its sender, typed, instead of costing the receiver its connection.
+func checkSlices(kind string, lens ...int) error {
+	for _, n := range lens {
+		if n > MaxSlice {
+			return fmt.Errorf("%w: %s: slice of %d > %d", ErrTooLarge, kind, n, MaxSlice)
+		}
+	}
 	return nil
 }
 

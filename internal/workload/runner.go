@@ -3,14 +3,24 @@ package workload
 import (
 	"fmt"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
 )
+
+// SizeError reports a non-positive batch or share size handed to RunBatched
+// or InjectShares. Callers detect it with errors.As.
+type SizeError struct {
+	Op   string // the API that rejected the size, e.g. "workload: RunBatched"
+	Size int    // the offending value
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("%s: invalid size %d (must be >= 1)", e.Op, e.Size)
+}
 
 // RunStats summarizes a trace execution.
 type RunStats struct {
 	Tokens     int
-	Batches    int // InjectBatch calls issued (RunBatched/RunAdaptive only)
+	Batches    int // InjectBatch calls issued (RunBatched only)
 	Joins      int
 	Leaves     int
 	Crashes    int
@@ -19,17 +29,13 @@ type RunStats struct {
 	MaxRounds  int // largest fixpoint-convergence round count observed
 	FinalNodes int
 	FinalComps int
-	// MinChunk and MaxChunk are the smallest and largest chunk handed to
-	// InjectBatch (0/0 when no batch was issued): under RunAdaptive their
-	// spread shows how far the controller moved during the trace.
-	MinChunk, MaxChunk int
 }
 
 // Run applies a churn trace to an adaptive network, drawing token input
 // wires from the given arrival generator, and verifies the step property
 // at the end.
 func Run(n *core.Network, client *core.Client, events []Event, arrivals Arrivals) (RunStats, error) {
-	return run(n, client, events, arrivals, 1, nil)
+	return run(n, client, events, arrivals, 1)
 }
 
 // RunBatched is Run with burst-shaped injection: each inject event's tokens
@@ -37,29 +43,16 @@ func Run(n *core.Network, client *core.Client, events []Event, arrivals Arrivals
 // in chunks of batchSize, so bursty generators (workload.Bursty,
 // workload.SingleWire) reach the network as the bursts they model instead of
 // being serialized into per-token calls. batchSize == 1 degenerates to Run;
-// a zero or negative batchSize is rejected with an *adapt.SizeError (it used
+// a zero or negative batchSize is rejected with a *SizeError (it used
 // to degenerate silently, hiding caller bugs).
 func RunBatched(n *core.Network, client *core.Client, events []Event, arrivals Arrivals, batchSize int) (RunStats, error) {
 	if batchSize < 1 {
-		return RunStats{}, &adapt.SizeError{Op: "workload: RunBatched", Size: batchSize}
+		return RunStats{}, &SizeError{Op: "workload: RunBatched", Size: batchSize}
 	}
-	return run(n, client, events, arrivals, batchSize, nil)
+	return run(n, client, events, arrivals, batchSize)
 }
 
-// RunAdaptive is RunBatched with the chunk size driven live by an adapt
-// controller: every chunk consults ctrl.Size() before drawing arrivals, so
-// a trace long enough for the control loop to move adapts its injection
-// granularity per window. The controller's sampling loop (adapt.Poller or
-// manual Observe calls) runs outside this function; a nil ctrl is rejected
-// with an *adapt.SizeError.
-func RunAdaptive(n *core.Network, client *core.Client, events []Event, arrivals Arrivals, ctrl *adapt.Controller) (RunStats, error) {
-	if ctrl == nil {
-		return RunStats{}, &adapt.SizeError{Op: "workload: RunAdaptive", Size: 0}
-	}
-	return run(n, client, events, arrivals, 0, ctrl)
-}
-
-func run(n *core.Network, client *core.Client, events []Event, arrivals Arrivals, batchSize int, ctrl *adapt.Controller) (RunStats, error) {
+func run(n *core.Network, client *core.Client, events []Event, arrivals Arrivals, batchSize int) (RunStats, error) {
 	var st RunStats
 	for i, ev := range events {
 		switch ev.Kind {
@@ -81,20 +74,10 @@ func run(n *core.Network, client *core.Client, events []Event, arrivals Arrivals
 				st.Crashes++
 			}
 		case EventInject:
-			if batchSize > 1 || ctrl != nil {
+			if batchSize > 1 {
 				var buf []int
 				for left := ev.Count; left > 0; {
-					// Adaptive runs re-consult the controller per chunk, so
-					// the size can move mid-event as windows of feedback land.
-					sz := batchSize
-					if ctrl != nil {
-						if sz = ctrl.Size(); sz < 1 {
-							sz = 1
-						}
-					}
-					if left < sz {
-						sz = left
-					}
+					sz := min(batchSize, left)
 					buf = buf[:0]
 					for k := 0; k < sz; k++ {
 						buf = append(buf, arrivals.Next())
@@ -104,12 +87,6 @@ func run(n *core.Network, client *core.Client, events []Event, arrivals Arrivals
 					}
 					st.Tokens += sz
 					st.Batches++
-					if st.MinChunk == 0 || sz < st.MinChunk {
-						st.MinChunk = sz
-					}
-					if sz > st.MaxChunk {
-						st.MaxChunk = sz
-					}
 					left -= sz
 				}
 				break

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
 )
 
@@ -170,65 +168,12 @@ func TestRunBatchedRejectsBadSize(t *testing.T) {
 	for _, bad := range []int{0, -5} {
 		n, c := newNet(t, 9, 2)
 		_, err := RunBatched(n, c, []Event{{Kind: EventInject, Count: 4}}, NewUniform(n.Width(), 1), bad)
-		var se *adapt.SizeError
+		var se *SizeError
 		if !errors.As(err, &se) || se.Size != bad {
-			t.Fatalf("RunBatched(size=%d) = %v, want *adapt.SizeError", bad, err)
+			t.Fatalf("RunBatched(size=%d) = %v, want *SizeError", bad, err)
 		}
 		if got := n.Metrics().Tokens; got != 0 {
 			t.Fatalf("rejected run still injected %d tokens", got)
-		}
-	}
-	n, c := newNet(t, 9, 2)
-	if _, err := RunAdaptive(n, c, nil, NewUniform(n.Width(), 1), nil); err == nil {
-		t.Fatal("RunAdaptive accepted a nil controller")
-	}
-}
-
-// TestRunAdaptiveMatchesRun: chunk sizes drawn live from a moving
-// controller change cost accounting only — network state matches the
-// per-token runner exactly, and the chunk-spread stats show the
-// controller actually moved during the trace.
-func TestRunAdaptiveMatchesRun(t *testing.T) {
-	trace := append(Grow(8, 2, 40), FlashCrowd(4, 2, 30)...)
-	nP, cP := newNet(t, 9, 4)
-	stP, err := Run(nP, cP, trace, NewBursty(nP.Width(), 16, 21))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	nA, cA := newNet(t, 9, 4)
-	ctrl := adapt.New(adapt.Config{Min: 2, Max: 32, Initial: 4, Step: 6, Backoff: 0.5, Hysteresis: 1})
-	cA.UseAdapt(ctrl) // both the runner chunks AND the client windows adapt
-	// Drive the controller from a background sampler alternating stretches
-	// of quiet (probe up) and overload (back off), so chunk sizes move
-	// while the trace runs; network state must not care.
-	var windows int
-	p := adapt.NewPoller(ctrl, 100*time.Microsecond, func() adapt.Sample {
-		windows++ // single poller goroutine owns this counter
-		if windows/4%2 == 1 {
-			return adapt.Sample{Latency: time.Second} // overloaded stretch
-		}
-		return adapt.Sample{} // quiet stretch
-	})
-	defer p.Stop()
-	stA, err := RunAdaptive(nA, cA, trace, NewBursty(nA.Width(), 16, 21), ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stA.Tokens != stP.Tokens || stA.FinalNodes != stP.FinalNodes {
-		t.Fatalf("stats diverged: %+v vs %+v", stA, stP)
-	}
-	if stA.Batches == 0 || stA.MinChunk < 2 || stA.MaxChunk > 32 {
-		t.Fatalf("chunking out of controller bounds: %+v", stA)
-	}
-	mA, mP := nA.Metrics(), nP.Metrics()
-	if mA.Tokens != mP.Tokens || mA.WireHops != mP.WireHops {
-		t.Fatalf("tokens/hops diverged: %d/%d vs %d/%d", mA.Tokens, mA.WireHops, mP.Tokens, mP.WireHops)
-	}
-	outA, outP := nA.OutCounts(), nP.OutCounts()
-	for i := range outP {
-		if outA[i] != outP[i] {
-			t.Fatalf("output histograms diverged at wire %d", i)
 		}
 	}
 }

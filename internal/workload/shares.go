@@ -3,8 +3,6 @@ package workload
 import (
 	"sync"
 	"time"
-
-	"repro/internal/adapt"
 )
 
 // Inject is one burst-injection call into a counting engine — typically
@@ -22,13 +20,13 @@ type Inject func(ins []int) error
 // This is the shared injection loop of the partitioned worker runtime
 // (launch.Worker), the coordinator's single-process baselines and the
 // E30-E32 experiment cells. burst < 1 or senders < 1 is rejected with an
-// *adapt.SizeError.
+// *SizeError.
 func InjectShares(fn Inject, ins []int, burst, senders int) (float64, error) {
 	if burst < 1 {
-		return 0, &adapt.SizeError{Op: "workload: InjectShares burst", Size: burst}
+		return 0, &SizeError{Op: "workload: InjectShares burst", Size: burst}
 	}
 	if senders < 1 {
-		return 0, &adapt.SizeError{Op: "workload: InjectShares senders", Size: senders}
+		return 0, &SizeError{Op: "workload: InjectShares senders", Size: senders}
 	}
 	share := (len(ins) + senders - 1) / senders
 	var wg sync.WaitGroup

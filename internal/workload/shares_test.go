@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"repro/internal/adapt"
 )
 
 // TestInjectSharesCoversAllTokens checks the union of injected bursts is
@@ -56,11 +54,22 @@ func TestInjectSharesPropagatesError(t *testing.T) {
 }
 
 func TestInjectSharesRejectsBadSizes(t *testing.T) {
-	var se *adapt.SizeError
+	var se *SizeError
 	if _, err := InjectShares(func([]int) error { return nil }, []int{1}, 0, 1); !errors.As(err, &se) {
 		t.Fatalf("burst=0: %v", err)
 	}
 	if _, err := InjectShares(func([]int) error { return nil }, []int{1}, 1, 0); !errors.As(err, &se) {
 		t.Fatalf("senders=0: %v", err)
+	}
+}
+
+func TestSizeErrorMessage(t *testing.T) {
+	err := error(&SizeError{Op: "x: Y", Size: -3})
+	var se *SizeError
+	if !errors.As(err, &se) || se.Size != -3 {
+		t.Fatalf("errors.As failed on %v", err)
+	}
+	if want := "x: Y: invalid size -3 (must be >= 1)"; err.Error() != want {
+		t.Fatalf("message %q, want %q", err.Error(), want)
 	}
 }
