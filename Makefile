@@ -3,9 +3,9 @@ GO ?= go
 # get a second pass under the race detector.
 RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/tree/... ./internal/cutnet/... ./internal/obs/... ./internal/match/... ./internal/launch/... .
 
-.PHONY: check fmt vet build test multicore distalone benchtest race bench benchsmoke perfsmoke tracesmoke comparesmoke partsmoke bench-baseline bench-compare
+.PHONY: check fmt vet build test multicore distalone benchtest race bench benchsmoke perfsmoke tracesmoke partsmoke
 
-check: fmt vet build test multicore distalone benchtest race benchsmoke perfsmoke tracesmoke comparesmoke partsmoke
+check: fmt vet build test multicore distalone benchtest race benchsmoke perfsmoke tracesmoke partsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -61,16 +61,6 @@ benchsmoke:
 perfsmoke:
 	$(GO) test -race -bench 'ColdWarmup|TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec' -benchtime 1x -run '^$$' .
 
-# Re-verify the newest checked-in pre/post baseline against itself (first
-# run vs last run): an edit that regresses the recorded post numbers — or
-# a bad merge of BENCH_9.json — fails the gate. COMPARE_BASELINE points at
-# the file; COMPARE_MAXREGRESS is looser than the live-run gate because
-# both runs are frozen in the file and only file edits can move them.
-COMPARE_BASELINE ?= BENCH_9.json
-COMPARE_MAXREGRESS ?= 25
-comparesmoke:
-	$(GO) run ./cmd/acnbench -compare -maxregress $(COMPARE_MAXREGRESS) $(COMPARE_BASELINE)
-
 # End-to-end trace export: a small sim writes sampled spans as Perfetto
 # trace-event JSON, and the validator re-parses the file and checks its
 # structural invariants. Catches exporter drift the unit tests can't (the
@@ -96,24 +86,3 @@ partsmoke:
 		$(GO) run ./cmd/acnnode -coord -width 16 -level 2 -parts 2 -tokens 1024 -mode $$mode -traceevery 4 -tracefile "$$tmp" && \
 		$(GO) run ./cmd/acnbench -validatetrace "$$tmp" && rm -f "$$tmp" || exit 1; \
 	done
-
-# Refresh the machine-readable benchmark baseline (BENCH_4.json keeps the
-# checked-in PR-4 pre/post numbers; this writes a fresh run to compare
-# against — override LABEL to stamp the run, e.g. `make bench-baseline
-# LABEL=post`).
-# acnbench refuses to write a baseline from a 1-CPU host; FORCE=1 overrides.
-LABEL ?= local
-bench-baseline:
-	$(GO) test -bench 'Token|ChordLookup|SizeEstimate|MaintainFixpoint|EffectiveWidth|SplitMergeCycle|TransportDedup|WorkloadBursty|WireCodec' \
-		-benchmem -benchtime 1s -run '^$$' . \
-		| $(GO) run ./cmd/acnbench -json -label $(LABEL) $(if $(FORCE),-force) > BENCH_$(LABEL).json
-	@echo wrote BENCH_$(LABEL).json
-
-# Compare two baseline files and fail on ns/op regressions beyond
-# MAXREGRESS percent — the perf-regression CI gate, e.g.
-# `make bench-compare OLD=BENCH_pre.json NEW=BENCH_post.json`.
-OLD ?= BENCH_pre.json
-NEW ?= BENCH_post.json
-MAXREGRESS ?= 10
-bench-compare:
-	$(GO) run ./cmd/acnbench -compare -maxregress $(MAXREGRESS) $(OLD) $(NEW)

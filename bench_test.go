@@ -584,7 +584,7 @@ func BenchmarkTokenDistTCP(b *testing.B) {
 // concurrent senders: 8x GOMAXPROCS injector goroutines share the same
 // pooled TCP fabric, so connection write contention, reply demultiplexing
 // and handler dispatch are all on the measured path — the workload the
-// coalesced-write and pooled-frame fast path exists for. ns/op is per
+// pooled-frame fast path and idle-socket checkout exist for. ns/op is per
 // token across all senders.
 func BenchmarkTokenDistTCPParallel(b *testing.B) {
 	w := 64

@@ -3,10 +3,8 @@
 # time with a heading before each, so the two gates cannot drift — the
 # package lists, skip lists and benchmark regexes live in the Makefile only.
 #
-# Perf regressions are gated separately (baselines take minutes, not
-# seconds): `make bench-baseline LABEL=x` records a run, and
-# `make bench-compare OLD=a.json NEW=b.json` (acnbench -compare) fails
-# when any shared benchmark's ns/op regresses beyond MAXREGRESS percent.
+# Perf comparisons between commits are not a gate here: run acnload
+# (benchmark/README.md) on both checkouts, alternated.
 set -eu
 cd "$(dirname "$0")"
 
@@ -25,7 +23,6 @@ step "go test (benchmark module)" benchtest
 step "go test -race (concurrent packages)" race
 step "benchmark smoke (1 iteration each)" benchsmoke
 step "perf smoke (hot-path benchmarks under -race)" perfsmoke
-step "compare smoke (checked-in pre/post baseline gates itself)" comparesmoke
 step "trace smoke (Perfetto export through the CLI, then validate)" tracesmoke
 step "partition smoke (2-process acnnode runs, group then seq: conservation + merged trace)" partsmoke
 

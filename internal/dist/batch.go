@@ -169,8 +169,8 @@ func (ep *tokenEP) takeResume(block bool) (wire.Resume, bool) {
 // is a destination of its own and every chain one visit long: one RPC per
 // component visit, in as many rounds as the cut is deep. The messages of a
 // round are independent of each other, so they go out through
-// transport.Client.CallBatch: one flush per destination on a fabric that
-// can batch, one Send after another on one that cannot.
+// transport.Client.CallBatch: all of them leave before any reply is awaited
+// on a fabric that can batch, one Send after another on one that cannot.
 // A destination with more tokens than one message may carry (wire.MaxSlice)
 // gets ceil(n/MaxSlice) RPCs, with identical counting output.
 // The counting output is byte-identical to routing the same tokens

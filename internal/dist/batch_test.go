@@ -114,9 +114,9 @@ func TestBatchFlushMatchesSequential(t *testing.T) {
 		if calls := after.Sub(before).Calls; calls != 1 {
 			t.Fatalf("%s: %d RPCs for %d tokens on one fabric, want 1", tc.name, calls, tokens)
 		}
-		// One round, so one flush.
+		// One round, so one SendBatch.
 		if n := fc.batches.Load(); n != 1 {
-			t.Fatalf("%s: %d flushes for a batch that never leaves its fabric", tc.name, n)
+			t.Fatalf("%s: %d SendBatch calls for a batch that never leaves its fabric", tc.name, n)
 		}
 		if err := tn.Close(); err != nil {
 			t.Fatal(err)
@@ -158,7 +158,7 @@ func TestBatchCutAtMaxSlice(t *testing.T) {
 
 // noPlacement is a batch-capable fabric that answers no placement question:
 // it forwards BatchSender and hides Placer, so a round's groups still
-// share a flush but every group handler's chain is one step long.
+// leave in one SendBatch but every group handler's chain is one step long.
 type noPlacement struct {
 	transport.Transport
 	transport.BatchSender

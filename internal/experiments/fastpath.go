@@ -12,26 +12,22 @@ import (
 	"repro/internal/tree"
 )
 
-// E30RPCFastPath measures the zero-alloc RPC fast path under sender
-// concurrency: the same token stream injected by 1..N concurrent senders
-// through the dist engine, over the in-process fabric and over TCP
-// loopback. Two effects should appear as senders grow. First, wall-clock
-// per token falls (or at least does not collapse) because concurrent
-// senders no longer serialize on per-call locks or goroutine churn —
-// replies demultiplex to pooled slots and inbound requests run on the
-// bounded handler pool. Second, on TCP the frames/write column rises
-// above 1.0: concurrent senders that collide on a connection have their
-// frames coalesced into single vectored writes, so the syscall count
-// grows sublinearly in the RPC count. Counting stays exact in every cell.
-// shared/call is the fraction of calls that found every connection of their
+// E30RPCFastPath measures the RPC fast path under sender concurrency: the
+// same token stream injected by 1..N concurrent senders through the dist
+// engine, over the in-process fabric and over TCP loopback. Wall-clock per
+// token should fall (or at least not collapse) as senders grow, because
+// concurrent senders do not serialize on per-call locks: frames and reply
+// slots come from pools, each call takes the idlest pooled connection, and
+// every frame is one write. Counting stays exact in every cell. shared/call
+// is the fraction of calls that found every connection of their
 // destination's pool busy; the closing rows sweep the pool at two senders.
 func E30RPCFastPath(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E30",
-		Title: "RPC fast path under concurrency (coalesced writes, pooled frames, bounded handlers)",
-		Claim: "concurrent senders amortize syscalls via write coalescing; the request path stays allocation-free and counting stays exact",
+		Title: "RPC fast path under concurrency (pooled frames, idle-socket checkout)",
+		Claim: "concurrent senders do not serialize: each call takes an idle pooled socket while the pool covers the senders, and counting stays exact",
 		Headers: []string{"fabric", "pool", "senders", "tokens", "ms", "us/tok", "p50 us", "p95 us",
-			"rpcs", "us/rpc", "frames/write", "shared/call", "spills", "conserved"},
+			"rpcs", "us/rpc", "shared/call", "conserved"},
 	}
 	const (
 		w     = 1 << 10
@@ -130,26 +126,21 @@ func E30RPCFastPath(opts Options) (*Table, error) {
 			usPerRPC = ms * 1000 / float64(rpcs)
 		}
 		sort.Float64s(lats)
-		framesPerWrite, shared, spills, pool := "-", "-", "-", "-"
+		shared, pool := "-", "-"
 		if tn != nil {
-			ws := tn.WireStats()
-			if dw := ws.Writes - preWS.Writes; dw > 0 {
-				framesPerWrite = fmt.Sprintf("%.2f", float64(ws.Frames-preWS.Frames)/float64(dw))
-			}
 			if rpcs > 0 {
-				shared = fmt.Sprintf("%.2f", float64(ws.Shared-preWS.Shared)/float64(rpcs))
+				shared = fmt.Sprintf("%.2f", float64(tn.WireStats().Shared-preWS.Shared)/float64(rpcs))
 			}
-			spills = fmt.Sprintf("%d", ws.Spills-preWS.Spills)
 			pool = fmt.Sprintf("%d", c.pool)
 		}
 		conserved := cl.OutCounts().Total() == cl.InCounts().Total()
 		t.AddRow(fabric, pool, s, tokens, ms, ms*1000/float64(tokens),
 			lats[tokens/2], lats[tokens*95/100], rpcs,
-			usPerRPC, framesPerWrite, shared, spills, conserved)
+			usPerRPC, shared, conserved)
 		if err := env.Close(); err != nil {
 			return nil, err
 		}
 	}
-	t.Note("every cell injects the identical %d-token arrival sequence through the same cut (%d components at level %d), split across the senders, so conservation holds in all of them; the frames/write column only exceeds 1.0 when frames share a vectored syscall — senders colliding on a pooled connection fold their requests into one writev, and handler workers cork consecutive replies into one flush — while at senders=1 it pins to 1.00, the uncontended direct-write fast path; shared/call is the fraction of calls that found every pooled connection of their destination busy and had to multiplex (0 while senders <= pool), p50/p95 are per-token wall times, and the last three rows sweep the pool size at 2 senders", tokens, len(cut), level)
+	t.Note("every cell injects the identical %d-token arrival sequence through the same cut (%d components at level %d), split across the senders, so conservation holds in all of them; shared/call is the fraction of calls that found every pooled connection of their destination busy and had to multiplex (0 while senders <= pool), p50/p95 are per-token wall times, and the last three rows sweep the pool size at 2 senders", tokens, len(cut), level)
 	return t, nil
 }

@@ -168,9 +168,9 @@ func (w *Worker) Close() error {
 	return w.Net.Close()
 }
 
-// handleCtl serves one control command. It runs on the fabric's handler
-// pool; the long-running "run" op ties up one pool slot, which the
-// bounded pool's spillover absorbs.
+// handleCtl serves one control command. Like every inbound request it runs
+// on a goroutine of its own, so the long-running "run" op holds up no other
+// request.
 func (w *Worker) handleCtl(req transport.Request) (any, error) {
 	blob, ok := req.Body.(wire.Blob)
 	if !ok {

@@ -3,9 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -38,15 +36,7 @@ type rpcKind struct {
 	slow     *Counter
 	errs     *Counter
 	spanName string
-	// ewmaNs holds the float64 bits of the handler-latency EWMA in
-	// nanoseconds, updated lock-free by End and read by LatencyEWMA.
-	ewmaNs atomic.Uint64
 }
-
-// ewmaAlpha weights the newest handler latency in the per-kind EWMA: high
-// enough that an overload shows within a handful of RPCs, low enough that
-// one outlier does not flip a control decision.
-const ewmaAlpha = 0.2
 
 // RPCObs observes the server side of RPC dispatch for a transport
 // endpoint: per-kind latency histograms, child spans stitched to the
@@ -92,23 +82,6 @@ func (o *RPCObs) kind(name string) *rpcKind {
 	return k
 }
 
-// LatencyEWMA returns the exponentially-weighted moving average of the
-// handler latency for one message kind. It returns zero on a nil observer
-// or a kind no End call has observed yet, and never creates per-kind state
-// (a read-only probe of a quiet endpoint stays free).
-func (o *RPCObs) LatencyEWMA(kindName string) time.Duration {
-	if o == nil {
-		return 0
-	}
-	o.mu.RLock()
-	k := o.kinds[kindName]
-	o.mu.RUnlock()
-	if k == nil {
-		return 0
-	}
-	return time.Duration(math.Float64frombits(k.ewmaNs.Load()))
-}
-
 // Begin starts observing one inbound RPC: it stamps the start time and,
 // when the caller's context is sampled, opens a server-side child span
 // named "rpc:<kind>". Pass both returns to End. A nil observer returns
@@ -136,16 +109,6 @@ func (o *RPCObs) End(kindName, endpoint string, sp *Span, start time.Time, err e
 	d := time.Since(start)
 	k := o.kind(kindName)
 	k.hist.Observe(d.Seconds())
-	for {
-		old := k.ewmaNs.Load()
-		next := float64(d.Nanoseconds())
-		if old != 0 {
-			next = (1-ewmaAlpha)*math.Float64frombits(old) + ewmaAlpha*next
-		}
-		if k.ewmaNs.CompareAndSwap(old, math.Float64bits(next)) {
-			break
-		}
-	}
 	slow := o.cfg.SlowThreshold > 0 && d >= o.cfg.SlowThreshold
 	if slow {
 		k.slow.Inc()

@@ -161,46 +161,6 @@ func TestRPCObsEnd(t *testing.T) {
 	nilObs.End("arrive", "c/00", nsp, nstart, nil)
 }
 
-func TestRPCObsLatencyEWMA(t *testing.T) {
-	o := NewRPCObs(RPCObsConfig{})
-
-	// Unseen kind and nil observer read as zero without creating state.
-	if got := o.LatencyEWMA("arrive"); got != 0 {
-		t.Fatalf("unseen kind EWMA = %v, want 0", got)
-	}
-	var nilObs *RPCObs
-	if got := nilObs.LatencyEWMA("arrive"); got != 0 {
-		t.Fatalf("nil observer EWMA = %v, want 0", got)
-	}
-
-	// First observation seeds the EWMA at the observed latency; End
-	// measures time.Since(start), so a backdated start pins the duration.
-	o.End("arrive", "c/00", nil, time.Now().Add(-10*time.Millisecond), nil)
-	first := o.LatencyEWMA("arrive")
-	if first < 10*time.Millisecond || first > 15*time.Millisecond {
-		t.Fatalf("seeded EWMA = %v, want ~10ms", first)
-	}
-
-	// Subsequent observations move it by alpha toward the new latency:
-	// after a run of ~0ms handlers the average must decay but stay positive.
-	for i := 0; i < 8; i++ {
-		o.End("arrive", "c/00", nil, time.Now(), nil)
-	}
-	decayed := o.LatencyEWMA("arrive")
-	if decayed <= 0 || decayed >= first {
-		t.Fatalf("EWMA did not decay: %v -> %v", first, decayed)
-	}
-	// 8 windows of alpha=0.2 leave (0.8)^8 ~ 17% of the seed.
-	if decayed > first/3 {
-		t.Fatalf("EWMA decayed too slowly: %v -> %v", first, decayed)
-	}
-
-	// Kinds are independent.
-	if got := o.LatencyEWMA("freeze"); got != 0 {
-		t.Fatalf("other kind EWMA = %v, want 0", got)
-	}
-}
-
 func TestWriteTraceEventsRoundTrip(t *testing.T) {
 	tr := NewTracer(1, 16)
 	root := tr.Start("token")

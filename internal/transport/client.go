@@ -163,7 +163,7 @@ func (c *Client) CallSpan(from, to Addr, kind string, body any, sp *obs.Span) (a
 // logical call.
 //
 // On a fabric that implements BatchSender the first attempts leave as one
-// SendBatch, so requests bound for one destination share a flush; a
+// SendBatch, so every request leaves before any reply is awaited; a
 // request whose first attempt times out is then retried on its own, with
 // the same ID, exactly as Call retries. On any other fabric the requests
 // are sent one after another on the caller's goroutine, each settled

@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -40,19 +41,30 @@ func TestSendBatchMatchesSend(t *testing.T) {
 	}
 }
 
-// TestSendBatchOneFlushPerDestination: requests bound for two routed
-// fabrics leave the sender as exactly one write per destination, however
-// many frames each carries.
-func TestSendBatchOneFlushPerDestination(t *testing.T) {
+// TestSendBatchSendsBeforeWaiting pins the transport.BatchSender contract
+// partitioned rounds depend on: every request of a batch leaves before any
+// reply is awaited. Each of two destinations answers only once the other's
+// request has arrived, so a batch that waited for one reply before sending
+// the next request would see that destination give up.
+func TestSendBatchSendsBeforeWaiting(t *testing.T) {
 	a, b, c := newNet(t), newNet(t), newNet(t)
-	echo := func(req transport.Request) (any, error) { return req.Body, nil }
-	for _, bind := range []struct {
-		n    *Net
-		addr transport.Addr
-	}{{b, "b:1"}, {b, "b:2"}, {c, "c:1"}} {
-		if err := bind.n.Bind(bind.addr, echo); err != nil {
-			t.Fatal(err)
+	arrived := map[*Net]chan struct{}{b: make(chan struct{}), c: make(chan struct{})}
+	meet := func(self, other *Net) transport.Handler {
+		return func(req transport.Request) (any, error) {
+			close(arrived[self])
+			select {
+			case <-arrived[other]:
+				return req.Body, nil
+			case <-time.After(5 * time.Second):
+				return nil, errors.New("the other destination's request never arrived")
+			}
 		}
+	}
+	if err := b.Bind("b:1", meet(b, c)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Bind("c:1", meet(c, b)); err != nil {
+		t.Fatal(err)
 	}
 	if err := a.Route("b:", b.Addr()); err != nil {
 		t.Fatal(err)
@@ -60,26 +72,20 @@ func TestSendBatchOneFlushPerDestination(t *testing.T) {
 	if err := a.Route("c:", c.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	var reqs []transport.Request
-	for i, to := range []transport.Addr{"b:1", "c:1", "b:2", "b:1", "c:1"} {
-		reqs = append(reqs, transport.Request{ID: uint64(i + 1), From: "x", To: to, Kind: wire.KindCPF, Body: uint64(i)})
+	reqs := []transport.Request{
+		{ID: 1, From: "x", To: "b:1", Kind: wire.KindCPF, Body: uint64(0)},
+		{ID: 2, From: "x", To: "c:1", Kind: wire.KindCPF, Body: uint64(1)},
 	}
 	replies, errs := make([]any, len(reqs)), make([]error, len(reqs))
-	a.SendBatch(reqs, time.Second, replies, errs)
+	a.SendBatch(reqs, 10*time.Second, replies, errs)
 	for i := range reqs {
 		if errs[i] != nil || replies[i].(uint64) != uint64(i) {
 			t.Fatalf("request %d: (%v, %v)", i, replies[i], errs[i])
 		}
 	}
-	// a serves nothing, so everything it wrote is this batch.
-	if ws := a.WireStats(); ws.Writes != 2 || ws.Frames != uint64(len(reqs)) {
-		t.Fatalf("sender wrote %d frames in %d writes, want %d frames in 2 writes (one per destination)", ws.Frames, ws.Writes, len(reqs))
-	}
-	if ws := a.WireStats(); ws.QueueDepth != 0 {
-		t.Fatalf("queue depth %d after the flush", ws.QueueDepth)
-	}
-	if got := b.Stats().Delivered + c.Stats().Delivered; got != uint64(len(reqs)) {
-		t.Fatalf("%d handler runs for %d requests", got, len(reqs))
+	// a serves nothing, so everything it wrote is this batch: a write each.
+	if ws := a.WireStats(); ws.Writes != uint64(len(reqs)) || ws.Frames != ws.Writes {
+		t.Fatalf("sender wrote %d frames in %d writes, want %d of each", ws.Frames, ws.Writes, len(reqs))
 	}
 }
 

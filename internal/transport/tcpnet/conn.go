@@ -13,18 +13,12 @@ import (
 )
 
 // replyWriteTimeout bounds a handler-side reply write: a peer that stops
-// reading cannot wedge a handler goroutine forever.
+// reading cannot wedge a request goroutine forever.
 const replyWriteTimeout = 5 * time.Second
-
-// flushWriteTimeout bounds one coalesced queue flush. Queued frames come
-// from callers with heterogeneous deadlines, so the flush uses a single
-// generous bound; a caller whose own deadline is tighter times out on its
-// reply channel as usual.
-const flushWriteTimeout = 5 * time.Second
 
 // outFrame is one framed message awaiting transmission. b is the wire
 // bytes; enc, when non-nil, is the pooled encoder whose buffer backs b,
-// returned to the pool by whoever writes (or abandons) the frame.
+// returned to the pool by send once the bytes are written or abandoned.
 type outFrame struct {
 	enc *wire.Encoder
 	b   []byte
@@ -32,28 +26,14 @@ type outFrame struct {
 
 // conn is one TCP connection, usable in both roles at once: the read loop
 // dispatches reply frames to this side's pending calls and serves request
-// frames with this side's handlers.
-//
-// Writes go through a coalescing queue: the first sender claims the write
-// token and writes its frame directly (the uncontended fast path is one
-// syscall, no handoff), then drains whatever frames other senders appended
-// while it held the token — each drain round is ONE vectored write
-// (net.Buffers / writev) covering the whole batch, so under contention the
-// syscall count amortizes across senders instead of serializing them.
+// frames with this side's handlers. Every frame, request or reply, is
+// written whole by the goroutine that has it, under wmu.
 type conn struct {
 	n *Net
 	c net.Conn
 
-	qmu     sync.Mutex
-	writing bool       // a sender holds the write token and will drain
-	queue   []outFrame // frames awaiting the holder's next drain round
-	spare   []outFrame // previous batch slice, recycled to swap with queue
-	iov     net.Buffers
-	// iovw is the working copy WriteTo consumes each drain round. It is a
-	// field, not a local, because WriteTo's pointer receiver would force a
-	// local slice header to escape — one heap allocation per flush.
-	iovw net.Buffers
-	wdl  time.Time // write deadline armed on the socket; the token holder's
+	wmu sync.Mutex
+	wdl time.Time // write deadline armed on the socket; owned by wmu
 
 	pmu     sync.Mutex
 	pending map[uint64]chan *wire.Reply
@@ -171,146 +151,25 @@ func (cn *conn) reclaim(mux uint64, ch chan *wire.Reply) {
 	callSlots.Put(ch)
 }
 
-// send transmits one framed message, taking ownership of of.enc (returned
-// to the encoder pool once the bytes are on the wire or abandoned).
-// Uncontended, it writes directly under the caller's deadline; when
-// another sender holds the write token it enqueues instead and returns nil
-// — a later flush failure kills the conn, which releases the caller via
-// its pending slot, so per-frame write errors are not reported from here.
+// send writes one framed message whole under the connection's write mutex
+// and the caller's deadline, then returns of.enc to the encoder pool. A
+// failed write kills the connection: frame boundaries cannot be trusted
+// after a partial write.
 func (cn *conn) send(of outFrame, timeout time.Duration) error {
-	cn.qmu.Lock()
-	if cn.writing {
-		cn.queue = append(cn.queue, of)
-		cn.publishDepthLocked()
-		cn.qmu.Unlock()
-		return nil
-	}
-	cn.writing = true
-	cn.qmu.Unlock()
-	err := cn.write(of.b, timeout)
+	cn.wmu.Lock()
+	cn.setWriteDeadline(timeout)
+	_, err := cn.c.Write(of.b)
+	cn.wmu.Unlock()
 	if of.enc != nil {
 		putEncoder(of.enc)
 	}
-	cn.drain()
-	return err
-}
-
-// sendBatch enqueues frames as one unit, taking ownership of their
-// encoders, and makes sure they get drained: by the write token's holder
-// if there is one, otherwise by this caller, whose first drain round then
-// carries the whole batch in one vectored write. As with a queued send, a
-// flush failure surfaces through the callers' pending slots.
-func (cn *conn) sendBatch(frames []outFrame) {
-	cn.qmu.Lock()
-	cn.queue = append(cn.queue, frames...)
-	cn.publishDepthLocked()
-	if cn.writing {
-		cn.qmu.Unlock()
-		return
-	}
-	cn.writing = true
-	cn.qmu.Unlock()
-	cn.drain()
-}
-
-// publishDepthLocked mirrors the queue's depth into the fabric's gauge and
-// its registry-free twin. Caller holds qmu: publishing inside the section
-// that changed the queue orders the stores like the changes, so an
-// enqueuer's depth can never land after, and overwrite, the zero of the
-// drain round that took its frame.
-func (cn *conn) publishDepthLocked() {
-	depth := int64(len(cn.queue))
-	cn.n.qdepth.Store(depth)
-	cn.n.ins().gQueue.Set(depth)
-}
-
-// sendCorked enqueues of without claiming the write token: the corking
-// handler worker batches consecutive replies into one flush instead of
-// paying a write syscall each. It reports whether the caller now owes the
-// conn a flushCorked — true when no writer held the token, so nobody else
-// is guaranteed to drain the queue.
-func (cn *conn) sendCorked(of outFrame) bool {
-	cn.qmu.Lock()
-	cn.queue = append(cn.queue, of)
-	cn.publishDepthLocked()
-	owed := !cn.writing
-	cn.qmu.Unlock()
-	return owed
-}
-
-// flushCorked claims the write token if it is free and drains the queue.
-// If a writer took over since the cork, the queue is already theirs (drain
-// releases the token only after finding the queue empty), so there is
-// nothing left to owe.
-func (cn *conn) flushCorked() {
-	cn.qmu.Lock()
-	if cn.writing || len(cn.queue) == 0 {
-		cn.qmu.Unlock()
-		return
-	}
-	cn.writing = true
-	cn.qmu.Unlock()
-	cn.drain()
-}
-
-// drain flushes the coalescing queue until it is empty, then releases the
-// write token. Each round is one write for the whole batch, vectored when
-// it carries more than one frame. A failed flush kills the conn but keeps
-// draining: writes on the dead socket fail fast, and every queued frame's
-// encoder still returns to the pool.
-func (cn *conn) drain() {
-	for {
-		cn.qmu.Lock()
-		if len(cn.queue) == 0 {
-			cn.writing = false
-			cn.qmu.Unlock()
-			return
-		}
-		batch := cn.queue
-		cn.queue = cn.spare[:0]
-		cn.spare = batch
-		cn.publishDepthLocked()
-		iov := cn.iov[:0]
-		cn.qmu.Unlock()
-
-		total := 0
-		for _, of := range batch {
-			iov = append(iov, of.b)
-			total += len(of.b)
-		}
-		cn.iov = iov // keep the grown backing array; WriteTo consumes iovw
-		cn.iovw = iov
-		cn.setWriteDeadline(flushWriteTimeout)
-		var err error
-		if len(batch) == 1 {
-			_, err = cn.c.Write(batch[0].b) // a lone frame needs no writev
-		} else {
-			_, err = cn.iovw.WriteTo(cn.c)
-		}
-		if err != nil {
-			cn.die()
-		} else {
-			cn.wrote(total, len(batch))
-		}
-		cn.n.ins().hFlush.Observe(float64(len(batch)))
-		for _, of := range batch {
-			if of.enc != nil {
-				putEncoder(of.enc)
-			}
-		}
-	}
-}
-
-// write sends one pre-framed message under the write token with the
-// caller's deadline. A failed write kills the connection: frame boundaries
-// cannot be trusted after a partial write.
-func (cn *conn) write(frame []byte, timeout time.Duration) error {
-	cn.setWriteDeadline(timeout)
-	if _, err := cn.c.Write(frame); err != nil {
+	if err != nil {
 		cn.die()
 		return err
 	}
-	cn.wrote(len(frame), 1)
+	cn.n.bytesOut.Add(uint64(len(of.b)))
+	cn.n.writes.Add(1)
+	cn.n.ins().cOut.Add(uint64(len(of.b)))
 	return nil
 }
 
@@ -321,7 +180,7 @@ func (cn *conn) write(frame []byte, timeout time.Duration) error {
 // deadline. Arming is a runtime-timer update, so a bounded write re-arms (to
 // now+2*timeout) only when the armed deadline is nearer than now+timeout or
 // further than that: a write is bounded by at most twice its timeout, not
-// exactly by it. Caller holds the write token, which owns wdl.
+// exactly by it. Caller holds wmu, which owns wdl.
 func (cn *conn) setWriteDeadline(timeout time.Duration) {
 	if timeout <= 0 {
 		if !cn.wdl.IsZero() {
@@ -336,20 +195,11 @@ func (cn *conn) setWriteDeadline(timeout time.Duration) {
 	}
 }
 
-// wrote records one write syscall carrying frames messages of bytes total.
-func (cn *conn) wrote(bytes, frames int) {
-	cn.n.bytesOut.Add(uint64(bytes))
-	cn.n.writes.Add(1)
-	cn.n.frames.Add(uint64(frames))
-	cn.n.ins().cOut.Add(uint64(bytes))
-}
-
 // readLoop decodes frames until the connection dies. Replies release their
-// pending callers; requests go to the bounded handler pool (spilling to
-// fresh goroutines past its queue, so one slow handler never blocks the
-// demultiplexer). Decoded envelopes come from and return to the message
-// pools: the read loop hands each reply payload's decoded form to exactly
-// one consumer, which recycles it.
+// pending callers; each request runs on a goroutine of its own, so a slow
+// handler never blocks the demultiplexer. Decoded envelopes come from and
+// return to the message pools: the read loop hands each reply payload's
+// decoded form to exactly one consumer, which recycles it.
 func (cn *conn) readLoop() {
 	defer cn.n.loops.Done()
 	defer cn.die()
@@ -397,141 +247,31 @@ func (cn *conn) readLoop() {
 	}
 }
 
-// serveRequest routes one inbound request to the handler worker pool.
-// Requests arriving after Close has begun are dropped (the peer's retry
-// will fail on the closed listener), which is what lets Close wait for a
-// quiesced in-flight set. When the pool's queue is full — every worker
-// stuck in a slow handler — the request spills to a fresh goroutine: the
-// pool bounds goroutine churn in the common case, the spillover preserves
-// the old goroutine-per-request liveness guarantee in the worst case.
-func (n *Net) serveRequest(cn *conn, wreq *wire.Request) {
+// serveRequest runs one inbound request on a goroutine of its own, which
+// writes the reply; Close waits for it. The goroutines are bounded by the
+// peers' calls in flight. Requests arriving after Close has begun are
+// dropped (the peer's retry will fail on the closed listener), which is what
+// lets Close wait for a quiesced in-flight set.
+func (n *Net) serveRequest(cn *conn, req *wire.Request) {
 	n.flightMu.Lock()
 	if n.closed.Load() {
 		n.flightMu.Unlock()
-		requests.Put(wreq)
+		requests.Put(req)
 		return
 	}
 	n.inflight.Add(1)
-	t := srvTask{cn: cn, req: wreq}
-	select {
-	case n.work <- t:
-		n.flightMu.Unlock()
-	default:
-		n.flightMu.Unlock()
-		n.spills.Add(1)
-		go n.serveTask(t)
-	}
+	n.flightMu.Unlock()
+	go n.serve(cn, req)
 }
 
-// srvTask is one inbound request bound to the connection its reply goes
-// back on.
-type srvTask struct {
-	cn  *conn
-	req *wire.Request
-}
-
-// corkBurst bounds how many replies a handler worker corks before it must
-// flush, and corkBudget bounds how long the oldest corked reply may wait
-// (checked between tasks — a running handler cannot be preempted, so the
-// true bound is one handler duration past the budget). Together they keep
-// reply latency tight while consecutive fast handlers share flushes.
-const (
-	corkBurst  = 32
-	corkBudget = 100 * time.Microsecond
-)
-
-// handlerLoop is one worker in the bounded handler pool. It exits when
-// Close closes the work channel, after draining it.
-//
-// The loop corks replies: each task's reply frame is queued on its
-// connection without an immediate write, and the worker flushes every
-// corked connection before it would block for more work, when corkBurst
-// replies accumulate, or when corkBudget expires. Back-to-back requests — the
-// shape a loaded server actually sees — then share one vectored write
-// syscall per connection per burst instead of paying one syscall per
-// reply. A task's in-flight count is released only after its reply is
-// flushed, so Close's drain still guarantees replies hit the wire before
-// the connections die.
-func (n *Net) handlerLoop() {
-	defer n.loops.Done()
-	var (
-		corked []*conn // conns owed a flush, deduped, in cork order
-		owed   int     // tasks whose inflight release awaits the flush
-		first  time.Time
-	)
-	flush := func() {
-		for i, cn := range corked {
-			cn.flushCorked()
-			corked[i] = nil
-		}
-		corked = corked[:0]
-		if owed > 0 {
-			n.inflight.Add(-owed)
-			owed = 0
-		}
-	}
-	for {
-		var t srvTask
-		var live bool
-		select {
-		case t, live = <-n.work:
-		default:
-			// Nothing immediately available: flush before blocking, so a
-			// corked reply can never wait on traffic that may go to
-			// another worker.
-			flush()
-			t, live = <-n.work
-		}
-		if !live {
-			flush()
-			return
-		}
-		cn := t.cn
-		if of, ok := n.buildReply(t); ok {
-			if cn.sendCorked(of) && !corkedHas(corked, cn) {
-				if len(corked) == 0 {
-					first = time.Now()
-				}
-				corked = append(corked, cn)
-			}
-		}
-		owed++
-		if owed >= corkBurst || (len(corked) > 0 && time.Since(first) > corkBudget) {
-			flush()
-		}
-	}
-}
-
-// corkedHas reports whether cn is already in the worker's corked set (a
-// handful of entries at most — workers talk to few conns per burst).
-func corkedHas(corked []*conn, cn *conn) bool {
-	for _, c := range corked {
-		if c == cn {
-			return true
-		}
-	}
-	return false
-}
-
-// serveTask runs one inbound request and sends the reply immediately —
-// the spillover path, where no worker continuation exists to cork
-// against. The reply frame still rides the connection's coalescing queue
-// like any other write.
-func (n *Net) serveTask(t srvTask) {
+// serve dispatches one inbound request and writes its reply frame on cn.
+// The pooled request is recycled as soon as its fields are consumed.
+func (n *Net) serve(cn *conn, req *wire.Request) {
 	defer n.inflight.Done()
-	if of, ok := n.buildReply(t); ok {
-		_ = t.cn.send(of, replyWriteTimeout)
-	}
-}
-
-// buildReply dispatches one inbound request and encodes its reply frame.
-// The pooled request is recycled as soon as its fields are consumed. ok is
-// false only when the reply cannot be framed at all.
-func (n *Net) buildReply(t srvTask) (of outFrame, ok bool) {
-	status, body, errText := n.dispatch(t.req.Req)
-	mux := t.req.Mux
-	codec, _ := wire.ByKind(t.req.Req.Kind)
-	requests.Put(t.req)
+	status, body, errText := n.dispatch(req.Req)
+	mux := req.Mux
+	codec, _ := wire.ByKind(req.Req.Kind)
+	requests.Put(req)
 
 	ins := n.ins()
 	var encStart time.Time
@@ -550,10 +290,11 @@ func (n *Net) buildReply(t srvTask) (of outFrame, ok bool) {
 	frame, err := wire.FinishFrame(enc.Bytes())
 	ins.hEnc.Since(encStart)
 	if err != nil {
-		putEncoder(enc)
-		return outFrame{}, false
+		putEncoder(enc) // a reply that cannot be framed at all
+		return
 	}
-	return outFrame{enc: enc, b: frame}, true
+	// A failed write has killed cn; the caller sees its call lost.
+	_ = cn.send(outFrame{enc: enc, b: frame}, replyWriteTimeout)
 }
 
 // dispatch executes a request against the local endpoint table, applying
@@ -621,13 +362,22 @@ func (n *Net) acceptLoop() {
 }
 
 // setNoDelay disables Nagle: the fabric's messages are small
-// request/reply frames where coalescing delay is pure latency (the write
-// coalescer already batches at the sender where it can).
+// request/reply frames where coalescing delay is pure latency.
 func setNoDelay(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
 }
+
+// A Send dials a destination up to dialAttempts times, waiting dialBackoff
+// after the first failure and doubling the wait up to dialBackoffCap. A pool
+// whose dials all failed then refuses calls for its cooldown, which starts
+// at dialBackoff and doubles per consecutive failed round up to the same cap.
+const (
+	dialBackoff    = time.Millisecond
+	dialBackoffCap = 50 * time.Millisecond
+	dialAttempts   = 3
+)
 
 // pool is the per-destination connection set: up to cfg.PoolSize conns,
 // dialed on demand, checked out by idleness, with exponential backoff after
@@ -651,7 +401,7 @@ func (n *Net) pool(target string) *pool {
 	defer n.poolMu.Unlock()
 	p := n.pools[target]
 	if p == nil {
-		p = &pool{n: n, target: target, backoff: n.cfg.DialBackoff}
+		p = &pool{n: n, target: target, backoff: dialBackoff}
 		n.pools[target] = p
 	}
 	return p
@@ -740,13 +490,13 @@ func (p *pool) conn() (*conn, error) {
 
 // dial attempts to connect with exponential backoff between attempts.
 func (p *pool) dial() (*conn, error) {
-	wait := p.n.cfg.DialBackoff
+	wait := dialBackoff
 	var lastErr error
-	for attempt := 0; attempt < p.n.cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(wait)
-			if wait *= 2; wait > p.n.cfg.DialBackoffCap {
-				wait = p.n.cfg.DialBackoffCap
+			if wait *= 2; wait > dialBackoffCap {
+				wait = dialBackoffCap
 			}
 		}
 		c, err := net.DialTimeout("tcp", p.target, time.Second)
@@ -754,7 +504,7 @@ func (p *pool) dial() (*conn, error) {
 			p.n.dials.Add(1)
 			setNoDelay(c)
 			p.mu.Lock()
-			p.backoff = p.n.cfg.DialBackoff
+			p.backoff = dialBackoff
 			if !p.coolDown.IsZero() {
 				p.coolDown = time.Time{}
 				p.n.ins().gCooling.Add(-1)
@@ -773,8 +523,8 @@ func (p *pool) dial() (*conn, error) {
 		p.n.ins().gCooling.Add(1)
 	}
 	p.coolDown = time.Now().Add(p.backoff)
-	if p.backoff *= 2; p.backoff > p.n.cfg.DialBackoffCap {
-		p.backoff = p.n.cfg.DialBackoffCap
+	if p.backoff *= 2; p.backoff > dialBackoffCap {
+		p.backoff = dialBackoffCap
 	}
 	p.mu.Unlock()
 	return nil, fmt.Errorf("%w: dial %s: %v", transport.ErrUnreachable, p.target, lastErr)

@@ -6,11 +6,9 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -51,17 +49,17 @@ func TestWriteDeadlineCleared(t *testing.T) {
 	frame := frameFor(t, 1, "nowhere") // peer replies unreachable; no waiter, harmless
 
 	// Unbounded first: must work on a fresh conn.
-	if err := c.write(frame, 0); err != nil {
+	if err := c.send(outFrame{b: frame}, 0); err != nil {
 		t.Fatalf("unbounded write: %v", err)
 	}
 	// Bounded write arms a deadline...
-	if err := c.write(frame, 20*time.Millisecond); err != nil {
+	if err := c.send(outFrame{b: frame}, 20*time.Millisecond); err != nil {
 		t.Fatalf("bounded write: %v", err)
 	}
 	// ...which expires while the conn is idle...
 	time.Sleep(50 * time.Millisecond)
 	// ...and must NOT apply to the next unbounded write.
-	if err := c.write(frame, 0); err != nil {
+	if err := c.send(outFrame{b: frame}, 0); err != nil {
 		t.Fatalf("unbounded write after bounded inherited a stale deadline: %v", err)
 	}
 	select {
@@ -118,11 +116,7 @@ func holdNet(t *testing.T, poolSize int) (a *Net, started chan struct{}, release
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = a.Close() })
-	b, err := New(Config{Handlers: 8}) // a worker per call the tests hold at once
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = b.Close() })
+	b := newNet(t)
 	if err := a.RouteDefault(b.Addr()); err != nil {
 		t.Fatalf("RouteDefault: %v", err)
 	}
@@ -269,7 +263,7 @@ func (d *deadlineConn) SetWriteDeadline(t time.Time) error {
 }
 
 // stalledConn returns a conn of n to a peer that accepted the connection
-// and never reads. No read loop runs on it: the test owns the write token.
+// and never reads. No read loop runs on it: the test is its only writer.
 func stalledConn(t *testing.T, n *Net) (*conn, *deadlineConn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -301,7 +295,7 @@ func TestWriteDeadlineRearm(t *testing.T) {
 	frame := frameFor(t, 1, "nowhere")
 	step := func(what string, timeout time.Duration, wantArms int) {
 		t.Helper()
-		if err := c.write(frame, timeout); err != nil {
+		if err := c.send(outFrame{b: frame}, timeout); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		if dc.arms != wantArms {
@@ -333,7 +327,7 @@ func TestStalledPeerFailsBoundedWrite(t *testing.T) {
 			t.Fatal("wrote 256 MiB to a peer that never reads")
 		}
 		start := time.Now()
-		err := c.write(chunk, timeout)
+		err := c.send(outFrame{b: chunk}, timeout)
 		if err == nil {
 			continue // still filling the socket buffers
 		}
@@ -443,31 +437,21 @@ func TestPendingReleasedOnDie(t *testing.T) {
 	}
 }
 
-// TestHandlerPoolSpillover pins the worker-pool liveness guarantee: with
-// every worker wedged in a slow handler and the queue full, a further
-// request spills to a fresh goroutine and completes — slow handlers cannot
-// wedge the demultiplexer.
-func TestHandlerPoolSpillover(t *testing.T) {
-	a := newNet(t)
-	b, err := New(Config{Handlers: 1, HandlerQueue: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = b.Close() })
+// TestRequestsLiveBehindWedgedHandlers: every inbound request runs on a
+// goroutine of its own, so 64 requests wedged in a slow handler at once
+// neither bound the fabric's concurrency nor delay a fast call behind them.
+func TestRequestsLiveBehindWedgedHandlers(t *testing.T) {
+	a, b := newNet(t), newNet(t)
 	if err := a.RouteDefault(b.Addr()); err != nil {
 		t.Fatalf("RouteDefault: %v", err)
 	}
-	release := make(chan struct{})
-	released := false
-	t.Cleanup(func() {
-		if !released {
-			close(release)
-		}
-	})
-	var wedged atomic.Int32
+	const wedged = 64
+	started, held := make(chan struct{}, wedged), make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	t.Cleanup(release) // before b's Close, which waits for its handlers
 	if err := b.Bind("slow", func(req transport.Request) (any, error) {
-		wedged.Add(1)
-		<-release
+		started <- struct{}{}
+		<-held
 		return uint64(0), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -476,11 +460,8 @@ func TestHandlerPoolSpillover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Three slow calls: one runs on the single worker, one parks in the
-	// single queue slot, one spills. wedged==2 proves the queue is full
-	// (the parked one is the only request not yet in a handler).
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	for i := 0; i < wedged; i++ {
 		wg.Add(1)
 		go func(id uint64) {
 			defer wg.Done()
@@ -489,28 +470,23 @@ func TestHandlerPoolSpillover(t *testing.T) {
 			}
 		}(uint64(i + 1))
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for wedged.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if wedged.Load() < 2 {
-		t.Fatalf("only %d handlers wedged; spillover did not spawn", wedged.Load())
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < wedged; i++ {
+		select {
+		case <-started:
+		case <-timeout:
+			t.Fatalf("only %d of %d slow requests reached their handler", i, wedged)
+		}
 	}
 
-	// Worker wedged, queue full: this call must still complete via spill.
-	reply, err := a.Send(transport.Request{ID: 10, To: "fast", Kind: wire.KindTotal}, 10*time.Second)
+	reply, err := a.Send(transport.Request{ID: 1000, To: "fast", Kind: wire.KindTotal}, 10*time.Second)
 	if err != nil {
-		t.Fatalf("call behind a wedged worker pool: %v", err)
+		t.Fatalf("call behind %d wedged handlers: %v", wedged, err)
 	}
 	if reply.(uint64) != 1 {
 		t.Fatalf("reply %v, want 1", reply)
 	}
-	if s := b.WireStats().Spills; s < 2 {
-		t.Fatalf("Spills = %d, want >= 2 (one slow spill + the fast call)", s)
-	}
-
-	close(release)
-	released = true
+	release()
 	wg.Wait()
 }
 
@@ -550,107 +526,56 @@ func TestUnsampledRequestPathAllocs(t *testing.T) {
 	t.Logf("unsampled request path: %.2f allocs/op", avg)
 }
 
-// TestCoalescedWrites drives many concurrent senders through one
-// destination and checks the write-coalescing accounting: every frame is
-// counted, and frames never undercount writes (each write carries >= 1
-// frame; under contention, more).
-func TestCoalescedWrites(t *testing.T) {
-	a, b := newNet(t), newNet(t)
+// TestOneWritePerFrame drives 8 concurrent callers through a one-socket
+// pool: every call gets its own reply back, and each side issues exactly
+// one write per frame it sends — a request each on the caller's side, a
+// reply each on the server's.
+func TestOneWritePerFrame(t *testing.T) {
+	a, err := New(Config{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() })
+	b := newNet(t)
 	if err := a.RouteDefault(b.Addr()); err != nil {
 		t.Fatalf("RouteDefault: %v", err)
 	}
-	if err := b.Bind("t", func(req transport.Request) (any, error) { return uint64(1), nil }); err != nil {
+	if err := b.Bind("t", func(req transport.Request) (any, error) { return req.Body, nil }); err != nil {
 		t.Fatal(err)
 	}
-	const callers, each = 16, 25
+	const callers, each = 8, 40
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(base uint64) {
 			defer wg.Done()
-			for j := 0; j < each; j++ {
-				if _, err := a.Send(transport.Request{ID: base + uint64(j), To: "t", Kind: wire.KindTotal}, 10*time.Second); err != nil {
+			for j := base; j < base+each; j++ {
+				reply, err := a.Send(transport.Request{ID: j, To: "t", Kind: wire.KindCPF, Body: j}, 10*time.Second)
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if reply.(uint64) != j {
+					t.Errorf("call %d got reply %v", j, reply)
 					return
 				}
 			}
 		}(uint64(i * 1000))
 	}
 	wg.Wait()
-	ws := a.WireStats()
-	if ws.Frames != callers*each {
-		t.Fatalf("sender counted %d frames, want %d", ws.Frames, callers*each)
+	if sent, ran := a.Stats().Sent, b.Stats().Delivered; sent != callers*each || ran != callers*each {
+		t.Fatalf("%d calls sent and %d handled, want %d of each", sent, ran, callers*each)
 	}
-	if ws.Writes == 0 || ws.Frames < ws.Writes {
-		t.Fatalf("accounting: %d frames across %d writes", ws.Frames, ws.Writes)
+	if c := a.WireStats().Dials; c != 1 {
+		t.Fatalf("%d dials for a one-socket pool", c)
 	}
-	t.Logf("coalescing: %d frames in %d writes (%.2f frames/write)",
-		ws.Frames, ws.Writes, float64(ws.Frames)/float64(ws.Writes))
-}
-
-// TestCoalescerSignals pins the write coalescer's observables: under N
-// concurrent senders the tcpnet.flush.batch
-// histogram must record the coalesced flush rounds (each carrying >= 1
-// frame), the Frames >= Writes invariant must hold on both sides of the
-// connection, and the WireStats.QueueDepth mirror of tcpnet.flush.queue
-// must have settled back to zero once all traffic has drained.
-func TestCoalescerSignals(t *testing.T) {
-	a, b := newNet(t), newNet(t)
-	reg := obs.NewRegistry()
-	a.Instrument(reg)
-	b.Instrument(reg)
-	if err := a.RouteDefault(b.Addr()); err != nil {
-		t.Fatalf("RouteDefault: %v", err)
-	}
-	// A handler slow enough that concurrent requests pile replies into the
-	// corked flush path, guaranteeing coalesced rounds to observe.
-	if err := b.Bind("t", func(req transport.Request) (any, error) {
-		time.Sleep(50 * time.Microsecond)
-		return uint64(1), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	const senders, each = 8, 40
-	var wg sync.WaitGroup
-	for i := 0; i < senders; i++ {
-		wg.Add(1)
-		go func(base uint64) {
-			defer wg.Done()
-			for j := 0; j < each; j++ {
-				if _, err := a.Send(transport.Request{ID: base + uint64(j), To: "t", Kind: wire.KindTotal}, 10*time.Second); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(uint64(i * 1000))
-	}
-	wg.Wait()
-
 	for _, side := range []struct {
 		name string
 		ws   WireStats
-	}{{"sender", a.WireStats()}, {"receiver", b.WireStats()}} {
-		if side.ws.Writes == 0 || side.ws.Frames < side.ws.Writes {
-			t.Fatalf("%s: %d frames across %d writes, want frames >= writes > 0",
-				side.name, side.ws.Frames, side.ws.Writes)
-		}
-		if side.ws.QueueDepth != 0 {
-			t.Fatalf("%s: queue depth %d after drain, want 0", side.name, side.ws.QueueDepth)
+	}{{"caller", a.WireStats()}, {"server", b.WireStats()}} {
+		if side.ws.Writes != callers*each || side.ws.Frames != side.ws.Writes {
+			t.Fatalf("%s: %d frames in %d writes, want %d of each",
+				side.name, side.ws.Frames, side.ws.Writes, callers*each)
 		}
 	}
-
-	h, ok := reg.Snapshot().Histograms["tcpnet.flush.batch"]
-	if !ok || h.Count == 0 {
-		t.Fatalf("tcpnet.flush.batch = %+v, want recorded flush rounds", h)
-	}
-	if h.Mean < 1 {
-		t.Fatalf("tcpnet.flush.batch mean %.2f, want >= 1 frame per flush round", h.Mean)
-	}
-	// Every histogram entry is one coalesced flush round; the two sides
-	// together cannot have flushed more rounds than they issued writes.
-	total := a.WireStats().Writes + b.WireStats().Writes
-	if uint64(h.Count) > total {
-		t.Fatalf("%d flush rounds recorded but only %d writes issued", h.Count, total)
-	}
-	t.Logf("flush rounds: %d (mean %.2f frames, max %.0f), queue drained", h.Count, h.Mean, h.Max)
 }

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -48,7 +47,7 @@ import (
 )
 
 // Config shapes a Net. The zero value works: listen on a loopback port
-// chosen by the kernel, PoolSize 2, default dial backoff.
+// chosen by the kernel, PoolSize 2.
 type Config struct {
 	// Listen is the listen address (host:port). Empty means
 	// "127.0.0.1:0": loopback, kernel-assigned port.
@@ -59,23 +58,6 @@ type Config struct {
 	// the idlest connection, so only calls beyond PoolSize concurrent ones to
 	// a destination share a socket (WireStats.Shared counts them).
 	PoolSize int
-	// DialBackoff is the wait after a failed dial before the next attempt;
-	// it doubles per consecutive failure up to DialBackoffCap. Zero means
-	// 1ms / 50ms.
-	DialBackoff    time.Duration
-	DialBackoffCap time.Duration
-	// DialAttempts is the number of dial tries per Send before giving up
-	// with ErrUnreachable. 0 means 3.
-	DialAttempts int
-	// Handlers is the size of the bounded worker pool serving inbound
-	// requests. 0 means max(4, GOMAXPROCS). Requests arriving when every
-	// worker is busy and the queue is full spill to fresh goroutines, so
-	// slow handlers degrade to goroutine-per-request instead of wedging
-	// the connection read loops.
-	Handlers int
-	// HandlerQueue is the buffered depth of the worker pool's queue. 0
-	// means 4x Handlers.
-	HandlerQueue int
 }
 
 func (c Config) withDefaults() Config {
@@ -84,24 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 2
-	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = time.Millisecond
-	}
-	if c.DialBackoffCap < c.DialBackoff {
-		c.DialBackoffCap = 50 * time.Millisecond
-	}
-	if c.DialAttempts <= 0 {
-		c.DialAttempts = 3
-	}
-	if c.Handlers <= 0 {
-		c.Handlers = runtime.GOMAXPROCS(0)
-		if c.Handlers < 4 {
-			c.Handlers = 4
-		}
-	}
-	if c.HandlerQueue <= 0 {
-		c.HandlerQueue = 4 * c.Handlers
 	}
 	return c
 }
@@ -120,16 +84,11 @@ type WireStats struct {
 	Dials     uint64 // outbound connections established
 	DialFails uint64 // dial attempts that failed
 	ConnsOpen int64  // currently open connections (both directions)
-	Writes    uint64 // write syscalls issued (direct or coalesced flush)
-	Frames    uint64 // frames those writes carried; Frames/Writes is the coalescing factor
-	Spills    uint64 // inbound requests served past the worker pool on spillover goroutines
+	Writes    uint64 // write syscalls issued, one per frame
+	Frames    uint64 // frames written: always equal to Writes
 	// Shared counts calls handed a connection already carrying one (its whole
 	// pool was busy): against Sent, whether PoolSize covers the concurrency.
 	Shared uint64
-	// QueueDepth mirrors the tcpnet.flush.queue gauge without requiring a
-	// registry: the depth of a conn's coalescing write queue at the last
-	// enqueue or flush (0 when senders are uncontended).
-	QueueDepth int64
 }
 
 // Net is a TCP fabric. It implements transport.Transport and
@@ -169,10 +128,6 @@ type Net struct {
 	// loops counts the accept loop and per-connection read loops.
 	loops sync.WaitGroup
 
-	// work feeds the bounded handler worker pool; closed by Close after
-	// the flightMu/closed barrier guarantees no further sends to it.
-	work chan srvTask
-
 	sent      atomic.Uint64
 	delivered atomic.Uint64
 	dedupHits atomic.Uint64
@@ -182,10 +137,7 @@ type Net struct {
 	dialFails atomic.Uint64
 	connsOpen atomic.Int64
 	writes    atomic.Uint64
-	frames    atomic.Uint64
-	spills    atomic.Uint64
 	shared    atomic.Uint64
-	qdepth    atomic.Int64
 
 	// Observability handles, swapped in atomically by Instrument (the
 	// accept and read loops are already running by then). All handles are
@@ -203,13 +155,11 @@ type Net struct {
 type instruments struct {
 	hEnc     *obs.Hist // encode seconds per message
 	hDec     *obs.Hist // decode seconds per message
-	hFlush   *obs.Hist // frames per coalesced flush round
 	cIn      *obs.Counter
 	cOut     *obs.Counter
 	gConn    *obs.Gauge
 	gDialing *obs.Gauge   // dial slots currently held by in-progress dials
 	gCooling *obs.Gauge   // destination pools inside a post-failure cooldown
-	gQueue   *obs.Gauge   // depth of a conn's write queue at last enqueue
 	gFlight  *obs.Gauge   // calls awaiting a reply on conns opened under this handle set
 	cShared  *obs.Counter // calls handed an already busy conn
 }
@@ -249,15 +199,10 @@ func New(cfg Config) (*Net, error) {
 		eps:     make(map[transport.Addr]*endpoint),
 		pools:   make(map[string]*pool),
 		closeCh: make(chan struct{}),
-		work:    make(chan srvTask, cfg.HandlerQueue),
 	}
 	n.routes.Store(new(routeTable))
 	n.loops.Add(1)
 	go n.acceptLoop()
-	for i := 0; i < cfg.Handlers; i++ {
-		n.loops.Add(1)
-		go n.handlerLoop()
-	}
 	return n, nil
 }
 
@@ -372,13 +317,11 @@ func (n *Net) Instrument(reg *obs.Registry) {
 	n.instr.Store(&instruments{
 		hEnc:     reg.Histogram("tcpnet.encode.seconds", 0, 0.001, 200),
 		hDec:     reg.Histogram("tcpnet.decode.seconds", 0, 0.001, 200),
-		hFlush:   reg.Histogram("tcpnet.flush.batch", 0, 64, 64),
 		cIn:      reg.Counter("tcpnet.bytes.in"),
 		cOut:     reg.Counter("tcpnet.bytes.out"),
 		gConn:    reg.Gauge("tcpnet.conns.open"),
 		gDialing: reg.Gauge("tcpnet.pool.dialing"),
 		gCooling: reg.Gauge("tcpnet.pool.cooldown"),
-		gQueue:   reg.Gauge("tcpnet.flush.queue"),
 		gFlight:  reg.Gauge("tcpnet.pool.inflight"),
 		cShared:  reg.Counter("tcpnet.pool.shared"),
 	})
@@ -451,15 +394,41 @@ func (n *Net) Send(req transport.Request, timeout time.Duration) (any, error) {
 	n.outcalls.Add(1)
 	n.flightMu.Unlock()
 	defer n.outcalls.Done()
-	p := n.pool(n.resolve(req.To))
-	c, err := p.conn()
+	pc, err := n.issue(req, timeout)
 	if err != nil {
 		return nil, err
 	}
+	t := getTimer(timeout)
+	select {
+	case rep := <-pc.ch:
+		putTimer(t)
+		callSlots.Put(pc.ch)
+		return takeReply(rep)
+	case <-t.C:
+		putTimer(t)
+		pc.c.reclaim(pc.mux, pc.ch)
+		return nil, transport.ErrTimeout
+	}
+}
 
+// pendingCall is a request that has left on c and awaits its reply in ch
+// under mux.
+type pendingCall struct {
+	c   *conn
+	mux uint64
+	ch  chan *wire.Reply
+}
+
+// issue checks out a connection to req's destination, frames req on it and
+// writes it with the caller's deadline. On error nothing is left registered.
+func (n *Net) issue(req transport.Request, timeout time.Duration) (pendingCall, error) {
+	c, err := n.pool(n.resolve(req.To)).conn()
+	if err != nil {
+		return pendingCall{}, err
+	}
 	of, mux, ch, err := n.frameRequest(c, req)
 	if err != nil {
-		return nil, err
+		return pendingCall{}, err
 	}
 	if err := c.send(of, timeout); err != nil {
 		// The conn died under us (die has already swept pending, depositing
@@ -467,20 +436,9 @@ func (n *Net) Send(req transport.Request, timeout time.Duration) (any, error) {
 		// may or may not have left — indistinguishable from a lost leg, so
 		// surface the retryable class.
 		c.reclaim(mux, ch)
-		return nil, fmt.Errorf("%w: %v", transport.ErrTimeout, err)
+		return pendingCall{}, fmt.Errorf("%w: %v", transport.ErrTimeout, err)
 	}
-
-	t := getTimer(timeout)
-	select {
-	case rep := <-ch:
-		putTimer(t)
-		callSlots.Put(ch)
-		return takeReply(rep)
-	case <-t.C:
-		putTimer(t)
-		c.reclaim(mux, ch)
-		return nil, transport.ErrTimeout
-	}
+	return pendingCall{c: c, mux: mux, ch: ch}, nil
 }
 
 // frameRequest encodes req into a pooled frame for conn c and registers
@@ -589,17 +547,16 @@ func (n *Net) Stats() transport.Stats {
 
 // WireStats returns the socket-level counters.
 func (n *Net) WireStats() WireStats {
+	writes := n.writes.Load()
 	return WireStats{
-		BytesIn:    n.bytesIn.Load(),
-		BytesOut:   n.bytesOut.Load(),
-		Dials:      n.dials.Load(),
-		DialFails:  n.dialFails.Load(),
-		ConnsOpen:  n.connsOpen.Load(),
-		Writes:     n.writes.Load(),
-		Frames:     n.frames.Load(),
-		Spills:     n.spills.Load(),
-		Shared:     n.shared.Load(),
-		QueueDepth: n.qdepth.Load(),
+		BytesIn:   n.bytesIn.Load(),
+		BytesOut:  n.bytesOut.Load(),
+		Dials:     n.dials.Load(),
+		DialFails: n.dialFails.Load(),
+		ConnsOpen: n.connsOpen.Load(),
+		Writes:    writes,
+		Frames:    writes,
+		Shared:    n.shared.Load(),
 	}
 }
 
@@ -671,11 +628,8 @@ func (n *Net) Close() error {
 	}
 	close(n.closeCh)
 	err := n.ln.Close()
-	// The flightMu barrier above guarantees no serveRequest will enqueue
-	// after this point, so closing the work channel is race-free; workers
-	// drain what is already queued and exit.
-	close(n.work)
-	// Drain: handlers that already accepted a request run to completion and
+	// The flightMu barrier above guarantees no serveRequest starts a request
+	// after this point. Drain: handlers that already accepted a request run to completion and
 	// write their replies, and Sends in progress consume those replies (or
 	// hit their own deadlines), before the conns go away.
 	n.inflight.Wait()

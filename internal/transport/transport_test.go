@@ -529,7 +529,7 @@ func TestCallBatchUsesCapability(t *testing.T) {
 		t.Fatalf("client stats %+v", cs)
 	}
 
-	// A batch of one has nothing to share a flush with: it is a Send.
+	// A batch of one has nothing to overlap with: it is a Send.
 	c.CallBatch(reqs[:1], replies[:1], errs[:1], nil)
 	if len(l.batches) != 1 || len(l.sends) != 2 {
 		t.Fatalf("single-request batch went through SendBatch: batches %v sends %v", l.batches, l.sends)

@@ -867,9 +867,9 @@ func TestDecodeIntoReuse(t *testing.T) {
 }
 
 // TestReadFrameCoalesced reads back-to-back frames from one stream — the
-// on-the-wire shape a write coalescer produces — reusing the shared read
-// buffer between frames, and checks each decode is self-contained. The
-// final frame sits exactly on the MaxFrame boundary.
+// shape one read-buffer fill takes when several writes arrive together —
+// reusing the shared read buffer between frames, and checks each decode is
+// self-contained. The final frame sits exactly on the MaxFrame boundary.
 func TestReadFrameCoalesced(t *testing.T) {
 	e := NewEncoder(64)
 	if err := EncodeRequest(e, 21, transport.Request{

@@ -332,14 +332,14 @@ func FuzzDecodeFrame(f *testing.F) {
 // FuzzReadFrameStream treats the input as a raw connection byte stream
 // and reads frames off it the way a conn read loop does: ReadFrame into a
 // buffer that is reused for the next frame, DecodeFrame on each payload.
-// This is the surface the write coalescer leans on — many frames landing
+// This is the surface a busy connection exercises — many frames landing
 // back to back in one read-buffer fill — so the seeds pin that shape plus
 // the MaxFrame boundary, and the invariants are: no panic, every payload
 // within MaxFrame, every decode either total or a typed error, and
 // decoded values independent of the shared buffer's reuse.
 func FuzzReadFrameStream(f *testing.F) {
-	// Seed: two coalesced frames (a request then its reply, exactly what a
-	// flushed write batch produces) back to back in one stream.
+	// Seed: two frames (a request then its reply) back to back in one
+	// stream.
 	e := NewEncoder(64)
 	if err := EncodeRequest(e, 5, transport.Request{
 		ID: 6, From: "t:a", To: "c:b", Kind: KindArrive, Body: Arrive{Wire: 1, Token: "t:a", Seq: 2},
