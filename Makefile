@@ -25,9 +25,9 @@ test:
 # goroutines really run on more than one P, so these two packages are run
 # again at GOMAXPROCS 1, 2 and 4, twice each — and with them tree, whose
 # chain walks every structural operation and cold hop of core now goes
-# through.
+# through, and cutnet, whose Inject is a CAS walk through tree's route table.
 multicore:
-	$(GO) test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/ ./internal/tree/
+	$(GO) test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/ ./internal/tree/ ./internal/cutnet/
 
 # dist on its own, so that the other packages' tests do not starve it down to
 # one CPU and hide a failure (ROADMAP item 1e). The four skipped tests are
@@ -57,9 +57,9 @@ benchsmoke:
 # b.RunParallel and the batch/pooled paths race real goroutines, so this
 # catches data races the correctness tests' schedules might miss. ColdWarmup
 # is the cold token path (entry search, chain walk, neighbor records) right
-# after a convergence.
+# after a convergence; TokenFullyExpanded is cutnet's route-table walk.
 perfsmoke:
-	$(GO) test -race -bench 'ColdWarmup|TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec' -benchtime 1x -run '^$$' .
+	$(GO) test -race -bench 'ColdWarmup|TokenFullyExpanded|TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|WorkloadBursty|ChordLookupCached|WireCodec' -benchtime 1x -run '^$$' .
 
 # End-to-end trace export: a small sim writes sampled spans as Perfetto
 # trace-event JSON, and the validator re-parses the file and checks its

@@ -38,11 +38,11 @@ func (n *Network) EffectiveDepth() (int, error) {
 }
 
 func (n *Network) analyzeCut() (*cutnet.DAG, error) {
-	ref, err := cutnet.New(n.cfg.Width, n.Cut())
+	rt, err := tree.CompileRoutes(n.cfg.Width, n.Cut())
 	if err != nil {
 		return nil, err
 	}
-	return ref.Analyze()
+	return cutnet.NewDAG(rt), nil
 }
 
 // ComponentsPerNode returns, for every overlay node, the number of

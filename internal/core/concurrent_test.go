@@ -205,33 +205,26 @@ func TestLookupCacheInvalidationOnChurn(t *testing.T) {
 	}
 }
 
-// TestLookupCacheDisabled checks the two opt-outs: DisableCache (the E13
-// ablation must keep paying full lookups) and a negative LookupCacheSize.
+// TestLookupCacheDisabled checks the opt-out: with DisableCache (the E13
+// ablation) every token keeps paying full lookups.
 func TestLookupCacheDisabled(t *testing.T) {
-	for _, cfg := range []Config{
-		{Width: 16, Seed: 5, InitialNodes: 4, DisableCache: true},
-		{Width: 16, Seed: 5, InitialNodes: 4, LookupCacheSize: -1},
-	} {
-		n, err := New(cfg)
-		if err != nil {
+	n, err := New(Config{Width: 16, Seed: 5, InitialNodes: 4, DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := n.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := client.Inject(); err != nil {
 			t.Fatal(err)
 		}
-		client, err := n.NewClient()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 50; i++ {
-			if _, err := client.Inject(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := n.LookupCacheStats()
-		if st.Hits != 0 || st.Misses != 0 {
-			t.Fatalf("disabled lookup cache saw traffic: %+v (config %+v)", st, cfg)
-		}
-		m := n.Metrics()
-		if m.LCacheHits != 0 || m.NameLookups == 0 {
-			t.Fatalf("disabled cache metrics: %+v", m)
-		}
+	}
+	if st := n.LookupCacheStats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("disabled lookup cache saw traffic: %+v", st)
+	}
+	if m := n.Metrics(); m.LCacheHits != 0 || m.NameLookups == 0 {
+		t.Fatalf("disabled cache metrics: %+v", m)
 	}
 }

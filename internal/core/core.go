@@ -74,11 +74,6 @@ type Config struct {
 	// out-neighbor address cache and the DHT lookup cache — so every token
 	// forwarding and entry try pays a fresh DHT lookup (E13 ablation).
 	DisableCache bool
-	// LookupCacheSize bounds the churn-invalidated DHT lookup cache used
-	// on the entry and forwarding paths. Zero means
-	// chord.DefaultLookupCacheSize; negative disables the lookup cache
-	// only (the out-neighbor cache stays on).
-	LookupCacheSize int
 	// DisableMerge turns off the merge rule (E18 ablation).
 	DisableMerge bool
 	// InitialNodes is the number of nodes at construction time (>= 1).
@@ -420,11 +415,9 @@ func New(cfg Config) (*Network, error) {
 		out:      make([]atomic.Uint64, cfg.Width),
 		stripes:  make([]tokenStripe, numStripes),
 	}
-	if !cfg.DisableCache && cfg.LookupCacheSize >= 0 {
-		n.lcache = chord.NewLookupCache(n.ring, cfg.LookupCacheSize)
-		n.entry = make([]atomic.Pointer[liveComp], cfg.Width)
-	}
 	if !cfg.DisableCache {
+		n.lcache = chord.NewLookupCache(n.ring, chord.DefaultLookupCacheSize)
+		n.entry = make([]atomic.Pointer[liveComp], cfg.Width)
 		n.exits = make([]nbrAddr, cfg.Width)
 		for j := range n.exits {
 			n.exits[j].netOut = j

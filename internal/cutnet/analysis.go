@@ -18,51 +18,28 @@ type DAG struct {
 	Outputs []int    // indices of output-layer components
 }
 
-// Analyze extracts the component DAG of the current cut.
-func (n *Net) Analyze() (*DAG, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-
-	comps := make([]tree.Component, 0, len(n.comps))
-	for _, st := range n.comps {
-		comps = append(comps, st.Comp)
+// NewDAG extracts the component DAG of the cut rt was compiled from: the
+// input layer from rt.Entry, edges and the output layer from rt.Next.
+// Vertices are numbered like rt.Components().
+func NewDAG(rt *tree.RouteTable) *DAG {
+	comps := append([]tree.Component(nil), rt.Components()...)
+	d := &DAG{Comps: comps, Index: make(map[tree.Path]int, len(comps))}
+	in, out := make([]bool, len(comps)), make([]bool, len(comps))
+	for wire := 0; wire < rt.Width(); wire++ {
+		in[rt.Entry(wire).Comp] = true
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i].Path < comps[j].Path })
-	idx := make(map[tree.Path]int, len(comps))
 	for i, c := range comps {
-		idx[c.Path] = i
-	}
-
-	d := &DAG{Comps: comps, Index: idx}
-
-	// Input layer: follow each network input wire down to its cut member.
-	inSet := make(map[int]bool)
-	for in := 0; in < n.width; in++ {
-		c, _, err := n.entryLocked(in)
-		if err != nil {
-			return nil, err
-		}
-		inSet[idx[c.Path]] = true
-	}
-
-	// Edges and output layer: resolve every output wire of every component.
-	edgeSet := make(map[[2]int]bool)
-	outSet := make(map[int]bool)
-	for i, c := range comps {
+		d.Index[c.Path] = i
+		seen := make(map[int32]bool)
 		for o := 0; o < c.Width; o++ {
-			dst, _, exited, _, err := n.resolveOutLocked(c, o)
-			if err != nil {
-				return nil, err
+			h := rt.Next(int32(i), o)
+			if h.Exited() {
+				out[i] = true
+			} else if !seen[h.Comp] {
+				seen[h.Comp] = true
+				d.Edges = append(d.Edges, [2]int{i, int(h.Comp)})
 			}
-			if exited {
-				outSet[i] = true
-				continue
-			}
-			edgeSet[[2]int{i, idx[dst.Path]}] = true
 		}
-	}
-	for e := range edgeSet {
-		d.Edges = append(d.Edges, e)
 	}
 	sort.Slice(d.Edges, func(a, b int) bool {
 		if d.Edges[a][0] != d.Edges[b][0] {
@@ -71,36 +48,26 @@ func (n *Net) Analyze() (*DAG, error) {
 		return d.Edges[a][1] < d.Edges[b][1]
 	})
 	for i := range comps {
-		if inSet[i] {
+		if in[i] {
 			d.Inputs = append(d.Inputs, i)
 		}
-		if outSet[i] {
+		if out[i] {
 			d.Outputs = append(d.Outputs, i)
 		}
 	}
-	sort.Ints(d.Inputs)
-	sort.Ints(d.Outputs)
-	return d, nil
+	return d
 }
 
 // EffectiveWidth computes Definition 1.1: the maximum number of
 // vertex-disjoint paths from the input layer to the output layer.
 func (n *Net) EffectiveWidth() (int, error) {
-	d, err := n.Analyze()
-	if err != nil {
-		return 0, err
-	}
-	return d.EffectiveWidth(), nil
+	return NewDAG(n.routes()).EffectiveWidth(), nil
 }
 
 // EffectiveDepth computes Definition 1.2: the number of components on the
 // longest input-layer-to-output-layer path.
 func (n *Net) EffectiveDepth() (int, error) {
-	d, err := n.Analyze()
-	if err != nil {
-		return 0, err
-	}
-	return d.EffectiveDepth(), nil
+	return NewDAG(n.routes()).EffectiveDepth(), nil
 }
 
 // EffectiveWidth computes the maximum number of vertex-disjoint

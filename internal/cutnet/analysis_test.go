@@ -143,11 +143,11 @@ func TestDAGShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := mustNet(t, 8, cut)
-	d, err := n.Analyze()
+	rt, err := tree.CompileRoutes(8, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := NewDAG(rt)
 	if len(d.Comps) != 6 {
 		t.Fatalf("comps = %d, want 6", len(d.Comps))
 	}
@@ -167,35 +167,5 @@ func TestDAGShape(t *testing.T) {
 	// Each BITONIC feeds both MERGERs, each MERGER feeds both MIXes: 8 edges.
 	if len(d.Edges) != 8 {
 		t.Fatalf("edges = %d, want 8", len(d.Edges))
-	}
-}
-
-// TestProseWiringViolatesStep is the E17 erratum regression: the literal
-// prose wiring of Section 2.1 fails the step property on the counterexample
-// from DESIGN.md, while the AHS94 cross wiring counts.
-func TestProseWiringViolatesStep(t *testing.T) {
-	w := 4
-	cut := tree.LeafCut(w)
-
-	prose := mustNet(t, w, cut, WithProseWiring())
-	if _, err := prose.Inject(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prose.Inject(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := prose.CheckStep(); err == nil {
-		t.Fatalf("prose wiring unexpectedly satisfied the step property: out=%v", prose.OutCounts())
-	}
-
-	correct := mustNet(t, w, cut)
-	if _, err := correct.Inject(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := correct.Inject(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := correct.CheckStep(); err != nil {
-		t.Fatalf("cross wiring failed: %v", err)
 	}
 }

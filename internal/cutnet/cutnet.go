@@ -5,86 +5,62 @@
 //
 // The engine in this package is single-process and synchronous: a token
 // fully traverses the network inside Inject, so the network is quiescent
-// between calls and Split/Merge need no freeze protocol. The distributed,
-// message-passing engine that maps components onto Chord nodes lives in
-// internal/core and reuses the same wire algebra.
+// between calls and Split/Merge need no freeze protocol. A token steps
+// through the cut's compiled tree.RouteTable, the routing kernel shared
+// with internal/sim and internal/dist; the engine that maps components
+// onto Chord nodes lives in internal/core and reuses the same wire algebra.
 package cutnet
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/balancer"
 	"repro/internal/component"
 	"repro/internal/tree"
 )
 
-// WiringFunc resolves a child's output wire inside its parent's
-// decomposition; it is tree.ChildNext for the correct AHS94 wiring.
-type WiringFunc func(kind tree.Kind, width, child, out int) tree.Dest
-
-// InputFunc resolves a component's input wire to a child; it is
-// tree.ChildInput for the correct AHS94 wiring.
-type InputFunc func(kind tree.Kind, width, in int) (child, childIn int)
-
-// Option configures a Net.
-type Option func(*Net)
-
-// WithProseWiring switches the network to the paper's literal prose wiring
-// (see the erratum in DESIGN.md). Used only by the E17 experiment.
-func WithProseWiring() Option {
-	return func(n *Net) {
-		n.next = tree.ChildNextProse
-		n.input = tree.ChildInputProse
-	}
-}
-
 // Net is a counting network over a cut of T_w.
 type Net struct {
 	width int
-	next  WiringFunc
-	input InputFunc
 
-	mu     sync.RWMutex
-	comps  map[tree.Path]*component.State
+	mu     sync.RWMutex // Inject reads; Split, Merge and Restore write
+	rt     *tree.RouteTable
+	live   []*component.State // live[i] is the state of rt.Components()[i]
 	splits int64
 	merges int64
 
-	cmu      sync.Mutex // guards the token counters below
-	out      []int64
-	injected []int64
+	out      []atomic.Int64
+	injected []atomic.Int64
 }
 
 // New builds the network for the given cut of T_w.
-func New(w int, cut tree.Cut, opts ...Option) (*Net, error) {
+func New(w int, cut tree.Cut) (*Net, error) {
 	if err := cut.Validate(w); err != nil {
+		return nil, err
+	}
+	rt, err := tree.CompileRoutes(w, cut)
+	if err != nil {
 		return nil, err
 	}
 	n := &Net{
 		width:    w,
-		next:     tree.ChildNext,
-		input:    tree.ChildInput,
-		comps:    make(map[tree.Path]*component.State, len(cut)),
-		out:      make([]int64, w),
-		injected: make([]int64, w),
+		rt:       rt,
+		live:     make([]*component.State, len(rt.Components())),
+		out:      make([]atomic.Int64, w),
+		injected: make([]atomic.Int64, w),
 	}
-	for _, o := range opts {
-		o(n)
-	}
-	comps, err := cut.Components(w)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range comps {
-		n.comps[c.Path] = component.New(c)
+	for i, c := range rt.Components() {
+		n.live[i] = component.New(c)
 	}
 	return n, nil
 }
 
 // NewRootOnly builds the network implemented by a single component (the
 // initial state of the adaptive network: the whole BITONIC[w] on one node).
-func NewRootOnly(w int, opts ...Option) (*Net, error) {
-	return New(w, tree.RootCut(), opts...)
+func NewRootOnly(w int) (*Net, error) {
+	return New(w, tree.RootCut())
 }
 
 // Width returns the network width w.
@@ -106,92 +82,44 @@ func (n *Net) InjectTrace(in int) (out, hops int, err error) {
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	n.cmu.Lock()
-	n.injected[in]++
-	n.cmu.Unlock()
-
-	cur, wire, err := n.entryLocked(in)
-	if err != nil {
-		return 0, 0, err
-	}
-	_ = wire // components ignore the input wire they receive tokens on
-	for {
-		st := n.comps[cur.Path]
-		if st == nil {
-			return 0, 0, fmt.Errorf("cutnet: component %v missing from cut", cur)
-		}
+	n.injected[in].Add(1)
+	at := n.rt.Entry(in)
+	for !at.Exited() {
+		at = n.rt.Next(at.Comp, n.live[at.Comp].Step())
 		hops++
-		o := st.Step()
-		nextComp, nextWire, exited, netOut, rerr := n.resolveOutLocked(cur, o)
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-		if exited {
-			n.recordOut(netOut)
-			return netOut, hops, nil
-		}
-		cur, wire = nextComp, nextWire
 	}
+	n.out[at.Wire].Add(1)
+	return int(at.Wire), hops, nil
 }
 
-func (n *Net) recordOut(wire int) {
-	n.cmu.Lock()
-	n.out[wire]++
-	n.cmu.Unlock()
+// statesLocked returns the live states by path, for a structural operation
+// to edit and install. Caller holds the write lock.
+func (n *Net) statesLocked() map[tree.Path]*component.State {
+	comps := make(map[tree.Path]*component.State, len(n.live))
+	for _, st := range n.live {
+		comps[st.Comp.Path] = st
+	}
+	return comps
 }
 
-// entryLocked descends from the root to the cut member receiving network
-// input wire in. Caller holds at least a read lock.
-func (n *Net) entryLocked(in int) (tree.Component, int, error) {
-	cur := tree.MustRoot(n.width)
-	wire := in
-	for n.comps[cur.Path] == nil {
-		if cur.IsLeaf() {
-			return tree.Component{}, 0, fmt.Errorf("cutnet: no cut member covers input %d", in)
-		}
-		ci, cin := n.input(cur.Kind, cur.Width, wire)
-		child, err := cur.Child(ci)
-		if err != nil {
-			return tree.Component{}, 0, err
-		}
-		cur, wire = child, cin
+// installLocked makes comps the network's cut: it compiles the cut's
+// routing and indexes the states like the table. Caller holds the write
+// lock.
+func (n *Net) installLocked(comps map[tree.Path]*component.State) error {
+	cut := make(tree.Cut, len(comps))
+	for p := range comps {
+		cut[p] = true
 	}
-	return cur, wire, nil
-}
-
-// resolveOutLocked resolves where a token leaving component c on output
-// wire o goes: either into another cut member (with its input wire) or out
-// of the network. Caller holds at least a read lock.
-func (n *Net) resolveOutLocked(c tree.Component, o int) (dst tree.Component, dstWire int, exited bool, netOut int, err error) {
-	node, wire := c, o
-	for {
-		parent, idx, ok := node.Parent(n.width)
-		if !ok {
-			return tree.Component{}, 0, true, wire, nil
-		}
-		d := n.next(parent.Kind, parent.Width, idx, wire)
-		if !d.ToChild {
-			node, wire = parent, d.ParentOut
-			continue
-		}
-		target, cerr := parent.Child(d.Child)
-		if cerr != nil {
-			return tree.Component{}, 0, false, 0, cerr
-		}
-		wire = d.ChildIn
-		for n.comps[target.Path] == nil {
-			if target.IsLeaf() {
-				return tree.Component{}, 0, false, 0, fmt.Errorf("cutnet: no cut member covers %v", target)
-			}
-			ci, cin := n.input(target.Kind, target.Width, wire)
-			target, cerr = target.Child(ci)
-			if cerr != nil {
-				return tree.Component{}, 0, false, 0, cerr
-			}
-			wire = cin
-		}
-		return target, wire, false, 0, nil
+	rt, err := tree.CompileRoutes(n.width, cut)
+	if err != nil {
+		return err
 	}
+	live := make([]*component.State, len(comps))
+	for i, c := range rt.Components() {
+		live[i] = comps[c.Path]
+	}
+	n.rt, n.live = rt, live
+	return nil
 }
 
 // Split replaces the component at path p by its six (or four, or two)
@@ -200,10 +128,11 @@ func (n *Net) resolveOutLocked(c tree.Component, o int) (dst tree.Component, dst
 func (n *Net) Split(p tree.Path) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	st := n.comps[p]
-	if st == nil {
+	i, ok := n.rt.Index(p)
+	if !ok {
 		return fmt.Errorf("cutnet: split: no component at %q", p)
 	}
+	st := n.live[i]
 	c := st.Comp
 	if c.IsLeaf() {
 		return fmt.Errorf("cutnet: split: %v is an individual balancer", c)
@@ -224,9 +153,13 @@ func (n *Net) Split(p tree.Path) error {
 	if err != nil {
 		return err
 	}
-	delete(n.comps, p)
+	comps := n.statesLocked()
+	delete(comps, p)
 	for i, child := range c.Children() {
-		n.comps[child.Path] = component.NewWithTotal(child, totals[i])
+		comps[child.Path] = component.NewWithTotal(child, totals[i])
+	}
+	if err := n.installLocked(comps); err != nil {
+		return err
 	}
 	n.splits++
 	return nil
@@ -239,13 +172,11 @@ func (n *Net) Split(p tree.Path) error {
 // write lock.
 func (n *Net) inputCountsLocked(c tree.Component) ([]uint64, error) {
 	inputs := make([]uint64, c.Width)
-	n.cmu.Lock()
-	defer n.cmu.Unlock()
 	err := tree.InputCounts(n.width, c.Path, inputs,
-		func(netIn int) uint64 { return uint64(n.injected[netIn]) },
+		func(netIn int) uint64 { return uint64(n.injected[netIn].Load()) },
 		func(path []byte) tree.Producer {
-			if st := n.comps[tree.Path(path)]; st != nil {
-				return st
+			if i, ok := n.rt.Index(tree.Path(path)); ok {
+				return n.live[i]
 			}
 			return nil
 		})
@@ -256,81 +187,97 @@ func (n *Net) inputCountsLocked(c tree.Component) ([]uint64, error) {
 }
 
 // Merge reforms the component at path p from its children, recursively
-// merging any child that has itself been split.
+// merging any child that has itself been split. On error the network is
+// unchanged.
 func (n *Net) Merge(p tree.Path) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.mergeLocked(p)
+	comps := n.statesLocked()
+	merges, err := n.merge(comps, p)
+	if err != nil {
+		return err
+	}
+	if err := n.installLocked(comps); err != nil {
+		return err
+	}
+	n.merges += merges
+	return nil
 }
 
-func (n *Net) mergeLocked(p tree.Path) error {
-	if n.comps[p] != nil {
-		return fmt.Errorf("cutnet: merge: %q is already a live component", p)
+// merge replaces p's descendants in comps by p and returns the number of
+// merges that took.
+func (n *Net) merge(comps map[tree.Path]*component.State, p tree.Path) (int64, error) {
+	if comps[p] != nil {
+		return 0, fmt.Errorf("cutnet: merge: %q is already a live component", p)
 	}
 	c, err := tree.ComponentAt(n.width, p)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if c.IsLeaf() {
-		return fmt.Errorf("cutnet: merge: %v has no children", c)
+		return 0, fmt.Errorf("cutnet: merge: %v has no children", c)
 	}
 	children := c.Children()
 	totals := make([]uint64, len(children))
+	merges := int64(1)
 	for i, child := range children {
-		if n.comps[child.Path] == nil {
-			if err := n.mergeLocked(child.Path); err != nil {
-				return fmt.Errorf("cutnet: recursive merge of %v: %w", child, err)
+		if comps[child.Path] == nil {
+			m, err := n.merge(comps, child.Path)
+			if err != nil {
+				return 0, fmt.Errorf("cutnet: recursive merge of %v: %w", child, err)
 			}
+			merges += m
 		}
-		totals[i] = n.comps[child.Path].Total()
+		totals[i] = comps[child.Path].Total()
 	}
 	if err := component.CheckConservation(c, totals); err != nil {
-		return err
+		return 0, err
 	}
 	total, err := component.MergeTotal(c, totals)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for _, child := range children {
-		delete(n.comps, child.Path)
+		delete(comps, child.Path)
 	}
-	n.comps[p] = component.NewWithTotal(c, total)
-	n.merges++
-	return nil
+	comps[p] = component.NewWithTotal(c, total)
+	return merges, nil
+}
+
+// routes returns the compiled routing of the current cut.
+func (n *Net) routes() *tree.RouteTable {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.rt
 }
 
 // Cut returns the current cut.
 func (n *Net) Cut() tree.Cut {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	cut := make(tree.Cut, len(n.comps))
-	for p := range n.comps {
-		cut[p] = true
+	comps := n.routes().Components()
+	cut := make(tree.Cut, len(comps))
+	for _, c := range comps {
+		cut[c.Path] = true
 	}
 	return cut
 }
 
 // Components returns the live components in deterministic order.
 func (n *Net) Components() []tree.Component {
-	cut := n.Cut()
-	comps, _ := cut.Components(n.width)
-	return comps
+	return append([]tree.Component(nil), n.routes().Components()...)
 }
 
 // State returns the component state at path p, if live.
 func (n *Net) State(p tree.Path) (*component.State, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	st, ok := n.comps[p]
-	return st, ok
+	if i, ok := n.rt.Index(p); ok {
+		return n.live[i], true
+	}
+	return nil, false
 }
 
 // Size returns the number of live components.
-func (n *Net) Size() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.comps)
-}
+func (n *Net) Size() int { return len(n.routes().Components()) }
 
 // Splits and Merges return the number of structural operations performed.
 func (n *Net) Splits() int64 { n.mu.RLock(); defer n.mu.RUnlock(); return n.splits }
@@ -338,23 +285,20 @@ func (n *Net) Splits() int64 { n.mu.RLock(); defer n.mu.RUnlock(); return n.spli
 // Merges returns the number of merge operations performed.
 func (n *Net) Merges() int64 { n.mu.RLock(); defer n.mu.RUnlock(); return n.merges }
 
-// OutCounts returns the per-output-wire token counts.
-func (n *Net) OutCounts() balancer.Seq {
-	n.cmu.Lock()
-	defer n.cmu.Unlock()
-	s := make(balancer.Seq, len(n.out))
-	copy(s, n.out)
+// loadCounts copies per-wire token counters.
+func loadCounts(c []atomic.Int64) balancer.Seq {
+	s := make(balancer.Seq, len(c))
+	for i := range c {
+		s[i] = c[i].Load()
+	}
 	return s
 }
 
+// OutCounts returns the per-output-wire token counts.
+func (n *Net) OutCounts() balancer.Seq { return loadCounts(n.out) }
+
 // InCounts returns the per-input-wire injection counts.
-func (n *Net) InCounts() balancer.Seq {
-	n.cmu.Lock()
-	defer n.cmu.Unlock()
-	s := make(balancer.Seq, len(n.injected))
-	copy(s, n.injected)
-	return s
-}
+func (n *Net) InCounts() balancer.Seq { return loadCounts(n.injected) }
 
 // CheckStep verifies the quiescent step property of the network's outputs
 // and token conservation. The caller must ensure no Inject is in flight.

@@ -10,9 +10,9 @@ import (
 )
 
 // mustNet builds a cut network or fails the test.
-func mustNet(t *testing.T, w int, cut tree.Cut, opts ...Option) *Net {
+func mustNet(t *testing.T, w int, cut tree.Cut) *Net {
 	t.Helper()
-	n, err := New(w, cut, opts...)
+	n, err := New(w, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +132,22 @@ func TestLeafCutHopsMatchBitonicDepth(t *testing.T) {
 		if want := bitonic.LayerDepth(w); hops != want {
 			t.Fatalf("w=%d hops = %d, want %d", w, hops, want)
 		}
+	}
+}
+
+// TestInjectAllocatesNothing: a warm token steps through the compiled table
+// and the live states by index, so it allocates nothing, even through the
+// 1024 balancers of the fully expanded width-256 network.
+func TestInjectAllocatesNothing(t *testing.T) {
+	n := mustNet(t, 256, tree.LeafCut(256))
+	in := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := n.Inject(in); err != nil {
+			t.Fatal(err)
+		}
+		in = (in + 7) % 256
+	}); allocs != 0 {
+		t.Fatalf("Inject allocates %.1f times per token, want 0", allocs)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/component"
 	"repro/internal/tree"
 )
 
@@ -27,18 +26,16 @@ func (n *Net) Snapshot() Snapshot {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	s := Snapshot{
-		Width:  n.width,
-		Totals: make(map[string]uint64, len(n.comps)),
-		Splits: n.splits,
-		Merges: n.merges,
+		Width:    n.width,
+		Totals:   make(map[string]uint64, len(n.live)),
+		Injected: n.InCounts(),
+		Out:      n.OutCounts(),
+		Splits:   n.splits,
+		Merges:   n.merges,
 	}
-	for p, st := range n.comps {
-		s.Totals[string(p)] = st.Total()
+	for _, st := range n.live {
+		s.Totals[string(st.Comp.Path)] = st.Total()
 	}
-	n.cmu.Lock()
-	s.Injected = append(s.Injected, n.injected...)
-	s.Out = append(s.Out, n.out...)
-	n.cmu.Unlock()
 	return s
 }
 
@@ -60,15 +57,13 @@ func Restore(s Snapshot) (*Net, error) {
 	if len(s.Injected) != s.Width || len(s.Out) != s.Width {
 		return nil, fmt.Errorf("cutnet: snapshot counters have wrong width")
 	}
-	for p, total := range s.Totals {
-		c, err := tree.ComponentAt(s.Width, tree.Path(p))
-		if err != nil {
-			return nil, err
-		}
-		n.comps[tree.Path(p)] = component.NewWithTotal(c, total)
+	for _, st := range n.live {
+		st.SetTotal(s.Totals[string(st.Comp.Path)])
 	}
-	copy(n.injected, s.Injected)
-	copy(n.out, s.Out)
+	for i := range n.injected {
+		n.injected[i].Store(s.Injected[i])
+		n.out[i].Store(s.Out[i])
+	}
 	n.splits, n.merges = s.Splits, s.Merges
 	return n, nil
 }

@@ -781,18 +781,10 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 
 // EffectiveWidth computes Definition 1.1 for the cluster's current cut.
 func (cl *Cluster) EffectiveWidth() (int, error) {
-	d, err := cutnet.New(cl.w, cl.Cut())
-	if err != nil {
-		return 0, err
-	}
-	return d.EffectiveWidth()
+	return cutnet.NewDAG(cl.topo.Load().rt).EffectiveWidth(), nil
 }
 
 // EffectiveDepth computes Definition 1.2 for the cluster's current cut.
 func (cl *Cluster) EffectiveDepth() (int, error) {
-	d, err := cutnet.New(cl.w, cl.Cut())
-	if err != nil {
-		return 0, err
-	}
-	return d.EffectiveDepth()
+	return cutnet.NewDAG(cl.topo.Load().rt).EffectiveDepth(), nil
 }

@@ -312,17 +312,13 @@ func E17Erratum(opts Options) (*Table, error) {
 		Headers: []string{"variant", "scenario", "violation found"},
 	}
 	// (a) Prose wiring: two tokens on wires 0 and 2 of the fully expanded
-	// width-4 network yield output (1,0,1,0).
-	prose, err := cutnet.New(4, tree.LeafCut(4), cutnet.WithProseWiring())
-	if err != nil {
-		return nil, err
-	}
-	for _, in := range []int{0, 2} {
-		if _, err := prose.Inject(in); err != nil {
-			return nil, err
-		}
-	}
-	t.AddRow("prose wiring (even+even to top merger)", "w=4, tokens on wires 0,2", prose.CheckStep() != nil)
+	// width-4 network yield output (1,0,1,0). The engines know only the
+	// AHS94 wiring, so the prose network is walked here, balancer by
+	// balancer.
+	bitonic4 := tree.MustRoot(4)
+	proseBreaks := assemblyBreaks(bitonic4, tree.ChildInputProse, tree.ChildNextProse,
+		make([]uint64, tree.Degree(bitonic4.Kind)), 0, []int{0, 2})
+	t.AddRow("prose wiring (even+even to top merger)", "w=4, tokens on wires 0,2", proseBreaks)
 
 	correct, err := cutnet.New(4, tree.LeafCut(4))
 	if err != nil {
@@ -355,8 +351,8 @@ func E17Erratum(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	seqBreaks := mergerContinuationBreaks(merger, seqTotals, 7, continuation)
-	wireBreaks := mergerContinuationBreaks(merger, wireTotals, 7, continuation)
+	seqBreaks := assemblyBreaks(merger, tree.ChildInput, tree.ChildNext, seqTotals, 7, continuation)
+	wireBreaks := assemblyBreaks(merger, tree.ChildInput, tree.ChildNext, wireTotals, 7, continuation)
 	t.AddRow("state-only split init (paper Section 2.2)",
 		"MERGER[4], history (3,2,1,1)", seqBreaks)
 	t.AddRow("per-input-wire split init (implemented)", "same", wireBreaks)
@@ -364,21 +360,22 @@ func E17Erratum(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// mergerContinuationBreaks builds the child assembly of a merger with the
-// given initial child totals, feeds the continuation arrivals, and reports
-// whether any output deviates from the correct counter sequence
+// assemblyBreaks builds the child assembly of component c under the given
+// wiring with the given initial child totals, feeds the arrivals, and
+// reports whether any output deviates from the correct counter sequence
 // (emitted, emitted+1, ... mod width).
-func mergerContinuationBreaks(c tree.Component, childTotals []uint64, emitted int, arrivals []int) bool {
+func assemblyBreaks(c tree.Component, input func(tree.Kind, int, int) (int, int),
+	next func(tree.Kind, int, int, int) tree.Dest, childTotals []uint64, emitted int, arrivals []int) bool {
 	h := uint64(c.Width / 2)
 	totals := make([]uint64, len(childTotals))
 	copy(totals, childTotals)
 	for i, in := range arrivals {
-		ci, _ := tree.ChildInput(c.Kind, c.Width, in)
+		ci, _ := input(c.Kind, c.Width, in)
 		out := 0
 		for {
 			out = int(totals[ci] % h)
 			totals[ci]++
-			d := tree.ChildNext(c.Kind, c.Width, ci, out)
+			d := next(c.Kind, c.Width, ci, out)
 			if !d.ToChild {
 				out = d.ParentOut
 				break

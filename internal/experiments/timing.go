@@ -16,11 +16,10 @@ import (
 // a depth's worth of latency per token.
 func E23Saturation(opts Options) (*Table, error) {
 	t := &Table{
-		ID:    "E23",
-		Title: "Latency/throughput saturation (discrete-event simulation)",
-		Claim: "depth O(log^2 N) costs latency; width Omega(N/log^2 N) buys capacity (Theorem 3.6 in time units)",
-		Headers: []string{"system", "cores/node", "steal cost", "steal", "offered load", "throughput", "latency p50",
-			"latency p99", "max node util", "steals"},
+		ID:      "E23",
+		Title:   "Latency/throughput saturation (discrete-event simulation)",
+		Claim:   "depth O(log^2 N) costs latency; width Omega(N/log^2 N) buys capacity (Theorem 3.6 in time units)",
+		Headers: []string{"system", "offered load", "throughput", "latency p50", "latency p99", "max node util"},
 	}
 	const (
 		w       = 1 << 12
@@ -46,15 +45,12 @@ func E23Saturation(opts Options) (*Table, error) {
 			name  string
 			cut   tree.Cut
 			nodes int
-			cores int
 		}{
-			{"centralized", tree.RootCut(), 1, 1},
-			{"centralized", tree.RootCut(), 1, 4},
-			{fmt.Sprintf("adaptive (N=%d)", nodes), cut, nodes, 1},
-			{fmt.Sprintf("adaptive (N=%d)", nodes), cut, nodes, 4},
+			{"centralized", tree.RootCut(), 1},
+			{fmt.Sprintf("adaptive (N=%d)", nodes), cut, nodes},
 		} {
 			s, err := sim.New(sim.Config{
-				Width: w, Cut: sys.cut, Nodes: sys.nodes, CoresPerNode: sys.cores,
+				Width: w, Cut: sys.cut, Nodes: sys.nodes,
 				ServiceTime: service, LinkDelay: link,
 				ArrivalRate: load, Tokens: tokens, Seed: opts.Seed,
 			})
@@ -65,54 +61,9 @@ func E23Saturation(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(sys.name, sys.cores, 0.0, "one", load, res.Throughput, res.LatencyP50, res.LatencyP99,
-				res.MaxNodeBusy, res.Steals)
+			t.AddRow(sys.name, load, res.Throughput, res.LatencyP50, res.LatencyP99, res.MaxNodeBusy)
 		}
 	}
-
-	// Steal-cost sweep: the same saturated multi-core systems with an
-	// increasing migration penalty, under both steal policies — take-one
-	// (migrate the triggering token) and take-half (migrate half the
-	// victim's backlog along with it). Free stealing is the upper bound on
-	// how much intra-node parallelism helps; a prohibitive penalty
-	// collapses to affine-only scheduling either way.
-	stealCosts := []float64{0.5, 2, 8}
-	if opts.Quick {
-		stealCosts = []float64{2}
-	}
-	sweepLoad := loads[len(loads)-1]
-	for _, cost := range stealCosts {
-		for _, half := range []bool{false, true} {
-			for _, sys := range []struct {
-				name  string
-				cut   tree.Cut
-				nodes int
-			}{
-				{"centralized", tree.RootCut(), 1},
-				{fmt.Sprintf("adaptive (N=%d)", nodes), cut, nodes},
-			} {
-				s, err := sim.New(sim.Config{
-					Width: w, Cut: sys.cut, Nodes: sys.nodes, CoresPerNode: 4,
-					StealCost: cost, StealHalf: half,
-					ServiceTime: service, LinkDelay: link,
-					ArrivalRate: sweepLoad, Tokens: tokens, Seed: opts.Seed,
-				})
-				if err != nil {
-					return nil, err
-				}
-				res, err := s.Run()
-				if err != nil {
-					return nil, err
-				}
-				mode := "one"
-				if half {
-					mode = "half"
-				}
-				t.AddRow(sys.name, 4, cost, mode, sweepLoad, res.Throughput, res.LatencyP50, res.LatencyP99,
-					res.MaxNodeBusy, res.Steals)
-			}
-		}
-	}
-	t.Note("the centralized counter's throughput pins at its node's aggregate service rate (cores/node) regardless of offered load; the adaptive cut (%d components at level %d) keeps p50 near its depth-determined floor, and per-core work stealing shows the same intra-node scaling axis the E26 GOMAXPROCS sweep measures on real cores; the steal-cost rows show the penalty throttling migrations (steals fall as the cost rises) until scheduling is effectively affine-only, and the take-half rows reach the same balance with far fewer steal events because each migration moves half a backlog", len(cut), level)
+	t.Note("the centralized counter's throughput pins at its node's service rate regardless of offered load; the adaptive cut (%d components at level %d) keeps p50 near its depth-determined floor", len(cut), level)
 	return t, nil
 }

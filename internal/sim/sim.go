@@ -1,7 +1,7 @@
 // Package sim is a discrete-event simulator for the counting network:
-// overlay nodes are banks of per-core FIFO queues with work stealing (one
-// single-server queue by default), inter-component wires have link latency,
-// and tokens are events flowing through the current cut.
+// overlay nodes are single-server FIFO queues, inter-component wires have
+// link latency, and tokens are events stepping through the current cut's
+// compiled tree.RouteTable.
 //
 // The paper argues latency through effective depth and throughput through
 // effective width; this simulator turns those structural quantities into
@@ -13,6 +13,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -32,29 +33,8 @@ type Config struct {
 	// ServiceTime is the time a node takes to process one token at one
 	// component (arbitrary time units).
 	ServiceTime float64
-	// CoresPerNode partitions each node's single FIFO into that many
-	// per-core queues with work stealing: a component's tokens have an
-	// affine core (components are hashed onto cores the way they are hashed
-	// onto nodes), and a token arriving while its affine core is backlogged
-	// is stolen by the core that would start serving it earliest. 0 or 1
-	// keeps the single-server behavior exactly.
-	CoresPerNode int
-	// StealCost is the migration penalty a stolen token pays (same time
-	// units as ServiceTime): cache and state movement off the affine core.
-	// A steal only happens when the thief still wins after the penalty —
-	// its effective start (busyUntil + StealCost) beats the affine core's —
-	// and a stolen token occupies the thief for StealCost + ServiceTime.
-	// Zero reproduces the free-stealing behavior exactly. Must be >= 0.
-	StealCost float64
-	// StealHalf switches the steal policy from take-one to take-half: the
-	// thief migrates half the affine core's remaining backlog along with
-	// the triggering token, serving the moved work (plus one StealCost
-	// penalty) before the token. The steal decision accounts for the moved
-	// work — a thief must still start the token strictly earlier than the
-	// affine core would with its full backlog. False keeps the
-	// one-token-steal behavior bit-identical.
-	StealHalf bool
 	// LinkDelay is the one-way latency of a component-to-component wire.
+	// Must be finite and >= 0.
 	LinkDelay float64
 	// ArrivalRate is the Poisson token arrival rate (tokens per time unit).
 	ArrivalRate float64
@@ -68,7 +48,7 @@ type Config struct {
 	// transport layer's retry semantics in time units). Must be in [0, 1).
 	DropRate float64
 	// RetryTimeout is the time a sender waits before re-sending a lost
-	// message. Zero means 4 * LinkDelay.
+	// message. Zero means 4 * LinkDelay. Must be finite and >= 0.
 	RetryTimeout float64
 }
 
@@ -80,8 +60,7 @@ type Result struct {
 	LatencyMean float64 // token injection-to-exit latency
 	LatencyP50  float64
 	LatencyP99  float64
-	MaxNodeBusy float64 // utilization of the busiest node (busy time / (makespan * cores))
-	Steals      int     // tokens served by a non-affine core (work stealing)
+	MaxNodeBusy float64 // utilization of the busiest node (busy time / makespan)
 	Resends     int     // message re-sends forced by link loss
 	Out         []int64 // per-output-wire emissions
 }
@@ -118,15 +97,10 @@ type token struct {
 	start float64
 }
 
-// coreState is one simulated core: a single-server FIFO queue.
-type coreState struct {
+// node is one overlay node: a single-server FIFO queue.
+type node struct {
 	busyUntil float64
 	busyTotal float64
-}
-
-// nodeState is one overlay node: CoresPerNode independent core queues.
-type nodeState struct {
-	cores []coreState
 }
 
 // Sim is one simulation instance.
@@ -137,20 +111,20 @@ type Sim struct {
 	seq   int
 	now   float64
 
-	comps map[tree.Path]*component.State
-	host  map[tree.Path]int
-	core  map[tree.Path]int // affine core of a component on its host
-	nodes []nodeState
+	rt    *tree.RouteTable
+	comps []*component.State // by member index of rt
+	host  []int              // overlay node of each member
+	nodes []node
 
 	out       []int64
 	latencies []float64
 	completed int
 	lastDone  float64
 	resends   int
-	steals    int
 }
 
-// New builds a simulation.
+// New builds a simulation. Times and rates must be real numbers: a NaN,
+// an infinity or a negative delay would report impossible latencies.
 func New(cfg Config) (*Sim, error) {
 	if cfg.Cut == nil {
 		cfg.Cut = tree.RootCut()
@@ -158,47 +132,37 @@ func New(cfg Config) (*Sim, error) {
 	if err := cfg.Cut.Validate(cfg.Width); err != nil {
 		return nil, err
 	}
-	if cfg.Nodes < 1 || cfg.ServiceTime <= 0 || cfg.ArrivalRate <= 0 || cfg.Tokens < 1 {
-		return nil, fmt.Errorf("sim: need Nodes>=1, ServiceTime>0, ArrivalRate>0, Tokens>=1")
+	inf := math.Inf(1)
+	if cfg.Nodes < 1 || cfg.Tokens < 1 || !(cfg.ServiceTime > 0 && cfg.ServiceTime < inf) ||
+		!(cfg.ArrivalRate > 0 && cfg.ArrivalRate < inf) {
+		return nil, fmt.Errorf("sim: need Nodes>=1, Tokens>=1, finite ServiceTime>0 and ArrivalRate>0")
 	}
-	if cfg.DropRate < 0 || cfg.DropRate >= 1 {
+	if !(cfg.LinkDelay >= 0 && cfg.LinkDelay < inf) || !(cfg.RetryTimeout >= 0 && cfg.RetryTimeout < inf) {
+		return nil, fmt.Errorf("sim: LinkDelay %v and RetryTimeout %v must be finite and >= 0", cfg.LinkDelay, cfg.RetryTimeout)
+	}
+	if !(cfg.DropRate >= 0 && cfg.DropRate < 1) {
 		return nil, fmt.Errorf("sim: DropRate %v outside [0, 1)", cfg.DropRate)
 	}
 	if cfg.RetryTimeout == 0 {
 		cfg.RetryTimeout = 4 * cfg.LinkDelay
 	}
-	if cfg.CoresPerNode < 0 {
-		return nil, fmt.Errorf("sim: CoresPerNode %d must be >= 0", cfg.CoresPerNode)
-	}
-	if cfg.StealCost < 0 {
-		return nil, fmt.Errorf("sim: StealCost %v must be >= 0", cfg.StealCost)
-	}
-	if cfg.CoresPerNode == 0 {
-		cfg.CoresPerNode = 1
-	}
-	s := &Sim{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		comps: make(map[tree.Path]*component.State),
-		host:  make(map[tree.Path]int),
-		core:  make(map[tree.Path]int),
-		nodes: make([]nodeState, cfg.Nodes),
-		out:   make([]int64, cfg.Width),
-	}
-	for i := range s.nodes {
-		s.nodes[i].cores = make([]coreState, cfg.CoresPerNode)
-	}
-	comps, err := cfg.Cut.Components(cfg.Width)
+	rt, err := tree.CompileRoutes(cfg.Width, cfg.Cut)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range comps {
-		s.comps[c.Path] = component.New(c)
-		h := uint64(chord.Hash(c.Name()))
-		s.host[c.Path] = int(h % uint64(cfg.Nodes))
-		// Affinity reuses the placement hash's remaining entropy so the
-		// same components always meet the same core between arrivals.
-		s.core[c.Path] = int(h / uint64(cfg.Nodes) % uint64(cfg.CoresPerNode))
+	comps := rt.Components()
+	s := &Sim{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rt:    rt,
+		comps: make([]*component.State, len(comps)),
+		host:  make([]int, len(comps)),
+		nodes: make([]node, cfg.Nodes),
+		out:   make([]int64, cfg.Width),
+	}
+	for i, c := range comps {
+		s.comps[i] = component.New(c)
+		s.host[i] = int(uint64(chord.Hash(c.Name())) % uint64(cfg.Nodes))
 	}
 	return s, nil
 }
@@ -211,7 +175,7 @@ func (s *Sim) Run() (Result, error) {
 		at += s.rng.ExpFloat64() / s.cfg.ArrivalRate
 		tok := &token{id: i, start: at}
 		in := s.rng.Intn(s.cfg.Width)
-		s.schedule(at, func() { s.arriveAtEntry(tok, in) })
+		s.schedule(at, func() { s.arriveAt(tok, s.rt.Entry(in).Comp) })
 	}
 	for s.queue.Len() > 0 {
 		ev := heap.Pop(&s.queue).(*event)
@@ -226,111 +190,34 @@ func (s *Sim) schedule(at float64, fn func()) {
 	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn})
 }
 
-// arriveAtEntry routes a new token to the input component covering wire in.
-func (s *Sim) arriveAtEntry(tok *token, in int) {
-	cur := tree.MustRoot(s.cfg.Width)
-	wire := in
-	for s.comps[cur.Path] == nil {
-		ci, cin := tree.ChildInput(cur.Kind, cur.Width, wire)
-		child, err := cur.Child(ci)
-		if err != nil {
-			return
-		}
-		cur, wire = child, cin
-	}
-	s.arriveAtComp(tok, cur)
-}
-
-// arriveAtComp queues the token on a core of the component's host node:
-// the component's affine core, unless that core is backlogged and another
-// core would — even after paying the StealCost migration penalty — start
-// serving the token strictly earlier (work stealing; ties keep affinity,
-// and the earliest-start scan breaks its own ties by core index, so runs
-// stay deterministic). A stolen token occupies the thief for StealCost +
-// ServiceTime: the migration is work the thief does, not elapsed-only
-// latency.
-func (s *Sim) arriveAtComp(tok *token, comp tree.Component) {
-	node := &s.nodes[s.host[comp.Path]]
-	core := &node.cores[s.core[comp.Path]]
-	cost := 0.0
-	if len(node.cores) > 1 && core.busyUntil > s.now {
-		// Under StealHalf the thief also takes half the affine core's
-		// remaining backlog, so the moved work delays the thief's start for
-		// this token; a steal must win despite it. Tokens already scheduled
-		// inside the moved window keep their completion times — the
-		// migration's effect is on subsequent arrivals, which see both
-		// queues' lengths changed.
-		moved := 0.0
-		if s.cfg.StealHalf {
-			moved = (core.busyUntil - s.now) / 2
-		}
-		best, bestEff := core, core.busyUntil
-		for i := range node.cores {
-			c := &node.cores[i]
-			eff := c.busyUntil
-			if c != core {
-				eff += s.cfg.StealCost + moved
-			}
-			if eff < bestEff {
-				best, bestEff = c, eff
-			}
-		}
-		if best != core {
-			core.busyUntil -= moved
-			core.busyTotal -= moved
-			core = best
-			cost = s.cfg.StealCost + moved
-			s.steals++
-		}
-	}
+// arriveAt queues the token at cut member comp's host node, which serves
+// its arrivals one at a time in arrival order.
+func (s *Sim) arriveAt(tok *token, comp int32) {
+	n := &s.nodes[s.host[comp]]
 	start := s.now
-	if core.busyUntil > start {
-		start = core.busyUntil
+	if n.busyUntil > start {
+		start = n.busyUntil
 	}
-	done := start + cost + s.cfg.ServiceTime
-	core.busyUntil = done
-	core.busyTotal += cost + s.cfg.ServiceTime
+	done := start + s.cfg.ServiceTime
+	n.busyUntil = done
+	n.busyTotal += s.cfg.ServiceTime
 	s.schedule(done, func() { s.processAt(tok, comp) })
 }
 
 // processAt performs the component step and forwards or completes the
 // token.
-func (s *Sim) processAt(tok *token, comp tree.Component) {
-	o := s.comps[comp.Path].Step()
-	node, wire := comp, o
-	for {
-		parent, idx, ok := node.Parent(s.cfg.Width)
-		if !ok {
-			s.out[wire]++
-			s.completed++
-			s.latencies = append(s.latencies, s.now-tok.start)
-			if s.now > s.lastDone {
-				s.lastDone = s.now
-			}
-			return
+func (s *Sim) processAt(tok *token, comp int32) {
+	at := s.rt.Next(comp, s.comps[comp].Step())
+	if at.Exited() {
+		s.out[at.Wire]++
+		s.completed++
+		s.latencies = append(s.latencies, s.now-tok.start)
+		if s.now > s.lastDone {
+			s.lastDone = s.now
 		}
-		d := tree.ChildNext(parent.Kind, parent.Width, idx, wire)
-		if !d.ToChild {
-			node, wire = parent, d.ParentOut
-			continue
-		}
-		target, err := parent.Child(d.Child)
-		if err != nil {
-			return
-		}
-		wire = d.ChildIn
-		for s.comps[target.Path] == nil {
-			ci, cin := tree.ChildInput(target.Kind, target.Width, wire)
-			target, err = target.Child(ci)
-			if err != nil {
-				return
-			}
-			wire = cin
-		}
-		next := target
-		s.schedule(s.now+s.linkTime(), func() { s.arriveAtComp(tok, next) })
 		return
 	}
+	s.schedule(s.now+s.linkTime(), func() { s.arriveAt(tok, at.Comp) })
 }
 
 // linkTime is the delivery time of one inter-component message: the link
@@ -356,16 +243,9 @@ func (s *Sim) result() (Result, error) {
 		mean += l
 	}
 	mean /= float64(len(sorted))
-	// A node's utilization is its cores' aggregate busy time over the time
-	// the cores collectively had available, so it stays in [0,1] for any
-	// CoresPerNode.
 	maxBusy := 0.0
 	for _, n := range s.nodes {
-		var busy float64
-		for _, c := range n.cores {
-			busy += c.busyTotal
-		}
-		if u := busy / (s.lastDone * float64(len(n.cores))); u > maxBusy {
+		if u := n.busyTotal / s.lastDone; u > maxBusy {
 			maxBusy = u
 		}
 	}
@@ -379,7 +259,6 @@ func (s *Sim) result() (Result, error) {
 		LatencyP50:  sorted[len(sorted)/2],
 		LatencyP99:  sorted[(len(sorted)*99)/100],
 		MaxNodeBusy: maxBusy,
-		Steals:      s.steals,
 		Resends:     s.resends,
 		Out:         out,
 	}, nil

@@ -160,6 +160,9 @@ func CompileRoutes(w int, cut Cut) (*RouteTable, error) {
 	return t, nil
 }
 
+// Width returns the network width w.
+func (t *RouteTable) Width() int { return t.w }
+
 // Components returns the cut members in index order. The slice is shared;
 // callers must not modify it.
 func (t *RouteTable) Components() []Component { return t.comps }

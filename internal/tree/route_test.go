@@ -135,8 +135,8 @@ func TestRouteTableLocate(t *testing.T) {
 }
 
 // climb is the first half of the climb-then-descend resolution the engines
-// hand-write (cutnet.resolveOutLocked, core.resolveNext, and dist's before
-// it moved onto the table): follow output wire out of c up the
+// hand-wrote before they moved onto the table (core's cold path still
+// climbs, through Chain): follow output wire out of c up the
 // decomposition until it turns into a sibling subtree (target, in) or
 // leaves the root (exited, in = network output wire). Locate is the second
 // half. The compiler never climbs, which is what makes comparing it
