@@ -25,9 +25,12 @@ test:
 # goroutines really run on more than one P, so these two packages are run
 # again at GOMAXPROCS 1, 2 and 4, twice each — and with them tree, whose
 # chain walks every structural operation and cold hop of core now goes
-# through, and cutnet, whose Inject is a CAS walk through tree's route table.
+# through, cutnet, whose Inject is a CAS walk through tree's route table,
+# and component, whose CAS word is the one line a warm token shares per hop;
+# its contended/private step probes (BenchmarkTryStep*) run there too.
 multicore:
-	$(GO) test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/ ./internal/tree/ ./internal/cutnet/
+	$(GO) test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/ ./internal/tree/ ./internal/cutnet/ ./internal/component/
+	$(GO) test -run '^$$' -bench TryStep -benchtime 1000x -cpu 1,2,4 ./internal/component/
 
 # dist on its own, so that the other packages' tests do not starve it down to
 # one CPU and hide a failure (ROADMAP item 1e). The four skipped tests are

@@ -69,7 +69,9 @@ func NewWithTotal(c tree.Component, total uint64) *State {
 // against the current topology, because this incarnation's state has been
 // captured and is being replaced.
 func (s *State) TryStep() (out int, ok bool) {
-	w := uint64(s.Comp.Width)
+	// Every width in T_w is a power of two, so "mod k" is a mask: a 64-bit
+	// divide would sit on the critical path behind every CAS result.
+	mask := uint64(s.Comp.Width - 1)
 	for {
 		cur := s.state.Load()
 		if cur&frozenBit != 0 {
@@ -77,8 +79,9 @@ func (s *State) TryStep() (out int, ok bool) {
 		}
 		// The CAS is the paper's "x := x+1 mod k" fetch-add; retrying only
 		// races other tokens on the same component, never a lock holder.
+		// (A hardware fetch-and-add measured slower: see DESIGN.md.)
 		if s.state.CompareAndSwap(cur, cur+1) {
-			return int(cur % w), true
+			return int(cur & mask), true
 		}
 	}
 }

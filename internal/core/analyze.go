@@ -59,13 +59,19 @@ func (n *Network) ComponentsPerNode() []int {
 
 // TokenLoadPerNode returns, for every overlay node, the number of
 // component-processing events it has served (the load-concentration metric
-// of the E15 comparison).
+// of the E15 comparison): the load banked from components that left it,
+// plus what each component on it has processed since it arrived.
 func (n *Network) TokenLoadPerNode() []uint64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	out := make([]uint64, 0, len(n.nodes))
 	for _, node := range n.nodes {
-		out = append(out, node.tokens.Load())
+		load := node.served
+		for p := range node.comps {
+			lc := n.comps[p]
+			load += lc.st.Total() - lc.base
+		}
+		out = append(out, load)
 	}
 	return out
 }

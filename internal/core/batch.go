@@ -111,8 +111,7 @@ func (c *Client) InjectBatch(ins []int) (BatchTrace, error) {
 			return BatchTrace{}, fmt.Errorf("core: input wire %d out of range [0,%d)", in, n.cfg.Width)
 		}
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	defer n.mu.runlockStriped(c.stripe, n.mu.rlockStriped(c.stripe))
 	t := n.topo.Load()
 	if err := c.reattach(); err != nil {
 		return BatchTrace{}, err
@@ -153,7 +152,6 @@ func (c *Client) InjectBatch(ins []int) (BatchTrace, error) {
 		lc := g.lc
 		bt.GroupHops++
 		bt.WireHops += int(g.count)
-		lc.node.tokens.Add(g.count)
 		base, ok := lc.st.TryStepN(g.count)
 		if !ok {
 			// Unreachable for the same reason as in InjectAt: core freezes
@@ -166,7 +164,7 @@ func (c *Client) InjectBatch(ins []int) (BatchTrace, error) {
 		w := uint64(lc.st.Comp.Width)
 		for i := uint64(0); i < min(g.count, w); i++ {
 			cnt := (g.count - i + w - 1) / w
-			next, netOut, err := n.hop(t, lc, int((base+i)%w), &tr, nil)
+			next, netOut, err := n.hop(t, lc, int((base+i)&(w-1)), &tr, nil)
 			if err != nil {
 				return BatchTrace{}, err
 			}

@@ -21,11 +21,11 @@
 // with one lock-free compare-and-swap (internal/component); entry is one
 // per-input-wire memo. No map is probed, no mutex is taken and no
 // process-wide counter is bumped. The writes tokens still share are the
-// protocol itself or its drain: the structural lock's reader count (taken
-// and released once per token), the CAS word of every component the token
-// passes, the per-node token-load counter of that component's host, and
-// the per-wire injected/out counters; the per-token protocol counters
-// live on a cache-line-padded stripe chosen per Client. Cold or stale
+// protocol itself: the CAS word of every component the token passes and
+// the per-wire injected/out counters. The structural lock's read mode and
+// the per-token protocol counters live on a cache-line-padded stripe
+// chosen per Client, and per-node token load is read off the component
+// totals rather than counted per hop. Cold or stale
 // hops fall back to the metered resolution (per-component neighbor cache
 // under a per-component mutex, DHT lookups absorbed by the bounded
 // churn-invalidated internal/chord.LookupCache). Structural operations
@@ -202,10 +202,12 @@ const numStripes = 64
 // Client adds to the stripe it was dealt at NewClient and Metrics sums
 // them, so concurrent clients do not bounce one counter block between
 // cores. entryMemoHits counts the lookup-cache hits the entry memo
-// answered without consulting the LookupCache (see LookupCacheStats). The
-// padding rounds a stripe up to two cache lines, keeping adjacent-line
-// prefetch from coupling neighbours.
+// answered without consulting the LookupCache (see LookupCacheStats);
+// readers counts the stripe's tokens in flight, the structural lock's
+// striped read mode. The padding rounds a stripe up to two cache lines,
+// keeping adjacent-line prefetch from coupling neighbours.
 type tokenStripe struct {
+	readers       atomic.Int64
 	tokens        atomic.Uint64
 	wireHops      atomic.Uint64
 	nameLookups   atomic.Uint64
@@ -216,7 +218,7 @@ type tokenStripe struct {
 	lcacheHits    atomic.Uint64
 	lcacheMisses  atomic.Uint64
 	entryMemoHits atomic.Uint64
-	_             [128 - 10*8]byte
+	_             [128 - 11*8]byte
 }
 
 // add folds the costs tr sums over tokens tokens into the stripe.
@@ -240,14 +242,15 @@ func addNonZero(c *atomic.Uint64, v int) {
 	}
 }
 
-// liveComp is a component currently in the network. host, node and removed
-// are written only under the exclusive structural lock, so tokens (which
-// hold it in read mode) read them plainly.
+// liveComp is a component currently in the network. host, node, base and
+// removed are written only under the exclusive structural lock, so tokens
+// (which hold it in read mode) read them plainly.
 type liveComp struct {
 	st      *component.State
 	hash    chord.NodeID // chord.Hash of the component's name: its ring position
 	host    chord.NodeID
 	node    *nodeInfo // the per-node view of host
+	base    uint64    // st's total when it came onto host (see nodeInfo.served)
 	removed bool      // left the directory: split, merged away, or crashed
 
 	// resolvedAt is the ring membership version at which an entry search
@@ -304,14 +307,17 @@ func (lc *liveComp) memoize(o int, m *nbrAddr) {
 	(*slots)[o].Store(m)
 }
 
-// nodeInfo is the per-node view. comps, level and estimate are structural
-// state (guarded by the network's structural lock); tokens is bumped
-// atomically by concurrent traversals.
+// nodeInfo is the per-node view: structural state, written only under the
+// exclusive structural lock. Tokens write none of it. A node's token load
+// (the component-processing events it served) is read off the component
+// totals instead: served banks the load of components that have left the
+// node, and each component still on it adds st.Total() - base
+// (TokenLoadPerNode).
 type nodeInfo struct {
 	comps    map[tree.Path]bool
 	level    int
 	estimate float64
-	tokens   atomic.Uint64 // component-processing events on this node
+	served   uint64
 }
 
 // topology is one immutable epoch snapshot of the cut. Tokens resolve
@@ -359,7 +365,8 @@ type Network struct {
 	cLCHits *obs.Counter
 
 	// mu is the structural lock. Tokens hold it in read mode for their
-	// whole traversal (concurrent with each other); structural operations
+	// whole traversal (concurrent with each other, counted on their
+	// client's stripe while no writer holds or waits); structural operations
 	// hold it exclusively, so they always observe a quiescent network.
 	// comps is the authoritative directory, mutated only under the write
 	// lock; topo is its published epoch snapshot, readable lock-free.
@@ -382,7 +389,8 @@ type Network struct {
 	metrics  counters
 
 	// stripes is allocated on its own (numStripes × 128 bytes) so that it
-	// starts on a cache-line boundary and no two stripes share a line.
+	// starts on a cache-line boundary and no two stripes share a line; mu
+	// holds the same slice for its striped read mode.
 	stripes    []tokenStripe
 	nextStripe atomic.Uint32 // deals stripes to new clients
 }
@@ -403,7 +411,10 @@ func New(cfg Config) (*Network, error) {
 	if tr == nil {
 		tr = transport.NewMem()
 	}
+	stripes := make([]tokenStripe, numStripes)
 	n := &Network{
+		mu:       structLock{stripes: stripes},
+		stripes:  stripes,
 		cfg:      cfg,
 		ring:     chord.NewRingOn(cfg.Seed, tr, cfg.Retry),
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
@@ -413,7 +424,6 @@ func New(cfg Config) (*Network, error) {
 		lost:     make(map[tree.Path]bool),
 		injected: make([]atomic.Uint64, cfg.Width),
 		out:      make([]atomic.Uint64, cfg.Width),
-		stripes:  make([]tokenStripe, numStripes),
 	}
 	if !cfg.DisableCache {
 		n.lcache = chord.NewLookupCache(n.ring, chord.DefaultLookupCacheSize)
@@ -590,8 +600,23 @@ func (n *Network) placeLocked(st *component.State) error {
 // rehostLocked puts lc (the component at p) on host; the caller has
 // already taken it off its previous host's books, if it had one.
 func (n *Network) rehostLocked(p tree.Path, lc *liveComp, host chord.NodeID) {
-	lc.host, lc.node = host, n.nodes[host]
+	lc.host, lc.node, lc.base = host, n.nodes[host], lc.st.Total()
 	lc.node.comps[p] = true
+}
+
+// unhostLocked takes lc (the component at p) off its host's books, banking
+// the load it served there.
+func (lc *liveComp) unhostLocked(p tree.Path) {
+	lc.node.served += lc.st.Total() - lc.base
+	delete(lc.node.comps, p)
+}
+
+// setTotalLocked overwrites lc's total (a fault, or its repair) without
+// counting the jump as load on its host.
+func (lc *liveComp) setTotalLocked(total uint64) {
+	lc.node.served += lc.st.Total() - lc.base
+	lc.st.SetTotal(total)
+	lc.base = total
 }
 
 // removeCompLocked removes a live component from the directory and marks
@@ -601,7 +626,7 @@ func (n *Network) removeCompLocked(p tree.Path) {
 	if lc == nil {
 		return
 	}
-	delete(lc.node.comps, p)
+	lc.unhostLocked(p)
 	delete(n.comps, p)
 	n.compsChanged = true
 	lc.removed = true
@@ -726,7 +751,7 @@ func (n *Network) reownLocked(p tree.Path, lc *liveComp) {
 	if err != nil || host == lc.host {
 		return
 	}
-	delete(lc.node.comps, p)
+	lc.unhostLocked(p)
 	n.rehostLocked(p, lc, host)
 	n.metrics.moves.Add(1)
 }

@@ -564,6 +564,77 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
+// TestTokenLoadSumsToWireHops pins TokenLoadPerNode as exact although no
+// token counts it: read off the component totals, the per-node loads sum to
+// the wire hops the tokens metered across joins (moves), splits, a merge
+// and both injection paths, and a fault and its repair add no load.
+func TestTokenLoadSumsToWireHops(t *testing.T) {
+	n := mustNew(t, Config{Width: 64, Seed: 31, InitialNodes: 2})
+	c := mustClient(t, n)
+	check := func(when string) {
+		t.Helper()
+		var sum uint64
+		for _, l := range n.TokenLoadPerNode() {
+			sum += l
+		}
+		if hops := n.Metrics().WireHops; sum != hops {
+			t.Fatalf("%s: per-node loads sum to %d, wire hops %d", when, sum, hops)
+		}
+	}
+	inject := func(when string) {
+		t.Helper()
+		ins := make([]int, 100)
+		for i := range ins {
+			if _, err := c.Inject(); err != nil {
+				t.Fatal(err)
+			}
+			ins[i] = 7 * i % 64
+		}
+		if _, err := c.InjectBatch(ins); err != nil {
+			t.Fatal(err)
+		}
+		check(when)
+	}
+
+	inject("root cut")
+	n.AddNodes(30)
+	inject("after joins")
+	if _, err := n.MaintainToFixpoint(100); err != nil {
+		t.Fatal(err)
+	}
+	inject("after splits")
+	n.AddNodes(10)
+	inject("after more joins")
+	// No join lowers an estimate enough to merge, so merge the deepest split
+	// component directly.
+	var deepest tree.Path
+	for p := range n.inner {
+		if len(p) > len(deepest) || len(p) == len(deepest) && p < deepest {
+			deepest = p
+		}
+	}
+	if err := structural(n, func() error { return n.mergeLocked(deepest) }); err != nil {
+		t.Fatal(err)
+	}
+	inject("after a merge")
+	if m := n.Metrics(); m.Moves == 0 || m.Splits == 0 || m.Merges == 0 {
+		t.Fatalf("vacuous: %d moves, %d splits, %d merges", m.Moves, m.Splits, m.Merges)
+	}
+
+	if err := n.InjectFault(n.Cut().Paths()[0], 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	check("after a fault")
+	if fixed, err := n.Audit(true); err != nil || fixed == 0 {
+		t.Fatalf("audit repaired %d: %v", fixed, err)
+	}
+	check("after its repair")
+	inject("after the repair")
+	if err := n.CheckStep(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWidthExhausted: when N far exceeds the parallelism the width can
 // express, levels clamp at the leaves and the network stabilizes as the
 // fully expanded cut; maintenance still converges and counting still works.

@@ -85,7 +85,7 @@ func (n *Network) InjectFault(p tree.Path, total uint64) error {
 	if lc == nil {
 		return fmt.Errorf("core: no live component at %q", p)
 	}
-	lc.st.SetTotal(total)
+	lc.setTotalLocked(total)
 	return nil
 }
 
@@ -127,7 +127,7 @@ func (n *Network) Audit(repair bool) (int, error) {
 		}
 		inconsistent++
 		if repair {
-			lc.st.SetTotal(expected)
+			lc.setTotalLocked(expected)
 			n.metrics.repairs.Add(1)
 		}
 	}

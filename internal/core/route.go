@@ -56,7 +56,8 @@ type Client struct {
 	// token entered through; hasLast is false until there was one.
 	lastLevel int
 	hasLast   bool
-	// stripe receives this client's per-token protocol counters.
+	// stripe receives this client's per-token protocol counters and holds
+	// the structural lock in read mode for its tokens.
 	stripe *tokenStripe
 	// sinceYield counts InjectAt calls since the client last yielded its
 	// processor (see yieldEvery).
@@ -94,13 +95,13 @@ const yieldEvery = 256
 // InjectAt sends one token into the given network input wire.
 //
 // The traversal is designed to run concurrently with other tokens: the
-// structural lock is held in read mode (tokens never exclude each other),
-// entry and every hop follow a memo (Network.enter, Network.hop), wire
-// assignment is the component's lock-free compare-and-swap, and the
-// protocol counters go to the client's own stripe. What a warm token still
-// writes to memory other tokens write is the structural lock's reader
-// count, the CAS word and the host's token-load counter of each component
-// it passes, and the injected/out counters of its two network wires.
+// structural lock is held in read mode on the client's own stripe (tokens
+// never exclude each other), entry and every hop follow a memo
+// (Network.enter, Network.hop), wire assignment is the component's
+// lock-free compare-and-swap, and the protocol counters go to the client's
+// stripe too. What a warm token writes that other clients' tokens also
+// write is only what counting needs: the CAS word of each component it
+// passes and the injected/out counters of its two network wires.
 func (c *Client) InjectAt(in int) (TokenTrace, error) {
 	n := c.net
 	if in < 0 || in >= n.cfg.Width {
@@ -110,8 +111,7 @@ func (c *Client) InjectAt(in int) (TokenTrace, error) {
 		c.sinceYield = 0
 		runtime.Gosched()
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	defer n.mu.runlockStriped(c.stripe, n.mu.rlockStriped(c.stripe))
 	t := n.topo.Load()
 	if err := c.reattach(); err != nil {
 		return TokenTrace{}, err
@@ -132,7 +132,6 @@ func (c *Client) InjectAt(in int) (TokenTrace, error) {
 
 	for {
 		tr.WireHops++
-		lc.node.tokens.Add(1)
 		o, ok := lc.st.TryStep()
 		if !ok {
 			// Unreachable: core freezes components only under the exclusive

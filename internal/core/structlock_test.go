@@ -8,24 +8,38 @@ import (
 )
 
 // TestStructLockExcludes hammers the lock with readers and writers: a writer
-// never overlaps a reader or another writer.
+// never overlaps a reader or another writer. Four readers take the striped
+// path on three stripes (two of them share one), two take the central one.
 func TestStructLockExcludes(t *testing.T) {
-	var l structLock
+	l := structLock{stripes: make([]tokenStripe, 3)}
 	var readers, writers atomic.Int32
 	var wg sync.WaitGroup
 	const iters = 2000
 	for g := 0; g < 6; g++ {
+		var s *tokenStripe
+		if g < 4 {
+			s = &l.stripes[g%3]
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				l.RLock()
+				striped := false
+				if s != nil {
+					striped = l.rlockStriped(s)
+				} else {
+					l.RLock()
+				}
 				readers.Add(1)
 				if writers.Load() != 0 {
 					t.Error("reader inside a writer's critical section")
 				}
 				readers.Add(-1)
-				l.RUnlock()
+				if s != nil {
+					l.runlockStriped(s, striped)
+				} else {
+					l.RUnlock()
+				}
 			}
 		}()
 	}

@@ -26,7 +26,7 @@ func (n *Network) reconcileFullSweepLocked() {
 		if err != nil || host == lc.host {
 			continue
 		}
-		delete(lc.node.comps, p)
+		lc.unhostLocked(p)
 		n.rehostLocked(p, lc, host)
 		n.metrics.moves.Add(1)
 	}

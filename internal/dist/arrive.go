@@ -32,7 +32,7 @@ import (
 // token path, a group's visit and a chain of either all come through here.
 func (cm *comp) routeLocked(w int) int {
 	cm.arrived[w]++
-	out := int(cm.total % uint64(cm.c.Width))
+	out := int(cm.total & uint64(cm.c.Width-1)) // every width is a power of two
 	cm.total++
 	return out
 }

@@ -92,7 +92,7 @@ func (o *RPCObs) Begin(kindName string, tc TraceContext) (*Span, time.Time) {
 	}
 	var sp *Span
 	if tc.Sampled() {
-		sp = o.cfg.Tracer.StartChild(o.kind(kindName).spanName, tc)
+		sp = o.cfg.Tracer.startChild(o.kind(kindName).spanName, tc)
 	}
 	return sp, time.Now()
 }

@@ -23,9 +23,9 @@ func TestTraceIdentity(t *testing.T) {
 		t.Fatalf("root span has parent %x", root.ParentID)
 	}
 
-	child := tr.StartChild("rpc:arrive", root.Context())
+	child := tr.startChild("rpc:arrive", root.Context())
 	if child == nil {
-		t.Fatal("StartChild returned nil for a sampled parent")
+		t.Fatal("startChild returned nil for a sampled parent")
 	}
 	if child.TraceID != root.TraceID {
 		t.Fatalf("child trace %x, want %x", child.TraceID, root.TraceID)
@@ -38,11 +38,11 @@ func TestTraceIdentity(t *testing.T) {
 	}
 
 	// Unsampled context and nil tracer both refuse to open children.
-	if sp := tr.StartChild("rpc:arrive", TraceContext{}); sp != nil {
-		t.Fatal("StartChild opened a span for an unsampled context")
+	if sp := tr.startChild("rpc:arrive", TraceContext{}); sp != nil {
+		t.Fatal("startChild opened a span for an unsampled context")
 	}
 	var nilTr *Tracer
-	if sp := nilTr.StartChild("rpc:arrive", root.Context()); sp != nil {
+	if sp := nilTr.startChild("rpc:arrive", root.Context()); sp != nil {
 		t.Fatal("nil tracer opened a child span")
 	}
 	if got := (TraceContext{TraceID: 1}).Sampled(); !got {
@@ -165,7 +165,7 @@ func TestWriteTraceEventsRoundTrip(t *testing.T) {
 	tr := NewTracer(1, 16)
 	root := tr.Start("token")
 	root.Event("hop", "c/00", 3)
-	child := tr.StartChild("rpc:arrive", root.Context())
+	child := tr.startChild("rpc:arrive", root.Context())
 	child.Finish()
 	root.Finish()
 	other := tr.Start("batch")
@@ -219,7 +219,7 @@ func TestWriteTraceEventsParts(t *testing.T) {
 	root := trA.Start("batch")
 	// The remote part's span carries the same trace ID, as an RPCObs
 	// server span would after the context crossed the wire.
-	remote := trB.StartChild("rpc:agroup", root.Context())
+	remote := trB.startChild("rpc:agroup", root.Context())
 	remote.Finish()
 	root.Finish()
 	local := trB.Start("local")
@@ -321,11 +321,11 @@ func TestUnsampledPathsAllocFree(t *testing.T) {
 		t.Fatalf("unsampled Start allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if sp := live.StartChild("rpc:arrive", TraceContext{}); sp != nil {
-			t.Fatal("StartChild sampled an unsampled context")
+		if sp := live.startChild("rpc:arrive", TraceContext{}); sp != nil {
+			t.Fatal("startChild sampled an unsampled context")
 		}
 	}); n != 0 {
-		t.Fatalf("unsampled StartChild allocates %v per op", n)
+		t.Fatalf("unsampled startChild allocates %v per op", n)
 	}
 
 	// RPCObs Begin/End on an unsampled context: after the per-kind state is

@@ -54,7 +54,8 @@ func splitmix64(x uint64) uint64 {
 //
 // Sampled spans carry real identity — a trace ID, a span ID and a parent
 // span ID — so spans opened on other endpoints for the same journey (via
-// StartChild and a wire-propagated TraceContext) stitch into one trace.
+// the RPC middleware and a wire-propagated TraceContext) stitch into one
+// trace.
 type Tracer struct {
 	every  uint64
 	retain int
@@ -97,13 +98,13 @@ func (t *Tracer) Start(name string) *Span {
 	}
 }
 
-// StartChild begins a span belonging to an existing trace: the child keeps
+// startChild begins a span belonging to an existing trace: the child keeps
 // the parent's trace ID and records the parent's span ID as its parent.
 // Receivers call it with a wire-propagated TraceContext to open the
 // server-side half of an RPC. Child spans follow the parent's sampling
 // decision rather than the stride: an unsampled parent context (or a nil
 // tracer) returns nil, so the unsampled path allocates nothing.
-func (t *Tracer) StartChild(name string, parent TraceContext) *Span {
+func (t *Tracer) startChild(name string, parent TraceContext) *Span {
 	if t == nil || !parent.Sampled() {
 		return nil
 	}

@@ -1,6 +1,5 @@
 // Package stats provides small statistical helpers used by the experiment
-// harness: summaries, percentiles, histograms and least-squares fits for
-// scaling-shape checks.
+// harness: summaries, percentiles and histograms.
 package stats
 
 import (
@@ -245,31 +244,6 @@ func (h *Histogram) Summarize() Summary {
 		P90:  h.Quantile(0.90),
 		P99:  h.Quantile(0.99),
 	}
-}
-
-// LinFit returns the least-squares slope and intercept of y against x.
-// It is used to check scaling shapes (e.g. depth vs. log^2 N should be
-// near-linear). Returns (0, 0) when fewer than two points are given.
-func LinFit(x, y []float64) (slope, intercept float64) {
-	n := len(x)
-	if n != len(y) || n < 2 {
-		return 0, 0
-	}
-	var sx, sy, sxx, sxy float64
-	for i := 0; i < n; i++ {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-	}
-	fn := float64(n)
-	den := fn*sxx - sx*sx
-	if den == 0 {
-		return 0, sy / fn
-	}
-	slope = (fn*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / fn
-	return slope, intercept
 }
 
 // Ratio returns a/b, or 0 when b is zero. It keeps experiment tables free

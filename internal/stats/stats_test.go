@@ -223,26 +223,6 @@ func TestHistogramSummarize(t *testing.T) {
 	}
 }
 
-func TestLinFitExact(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{5, 7, 9, 11} // y = 2x + 3
-	slope, intercept := LinFit(x, y)
-	if math.Abs(slope-2) > 1e-9 || math.Abs(intercept-3) > 1e-9 {
-		t.Fatalf("fit = (%v, %v), want (2, 3)", slope, intercept)
-	}
-}
-
-func TestLinFitDegenerate(t *testing.T) {
-	if s, i := LinFit([]float64{1}, []float64{2}); s != 0 || i != 0 {
-		t.Fatalf("single-point fit = (%v, %v), want zeros", s, i)
-	}
-	// Vertical line: all x equal.
-	s, i := LinFit([]float64{2, 2}, []float64{1, 3})
-	if s != 0 || i != 2 {
-		t.Fatalf("vertical fit = (%v, %v), want (0, 2)", s, i)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(6, 3) != 2 {
 		t.Fatal("ratio(6,3) != 2")

@@ -209,6 +209,28 @@ func TestPreorderIndexIsPreorder(t *testing.T) {
 	}
 }
 
+// TestComponentWidthsArePowersOfTwo walks T_w and checks that ComponentAt
+// resolves every path to a power-of-two width, which is what lets the
+// component step reduce "mod width" to a mask.
+func TestComponentWidthsArePowersOfTwo(t *testing.T) {
+	for _, w := range []int{2, 4, 32, 256} {
+		var walk func(c Component)
+		walk = func(c Component) {
+			got, err := ComponentAt(w, c.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Width < 2 || got.Width&(got.Width-1) != 0 {
+				t.Fatalf("ComponentAt(%d, %q) has width %d", w, c.Path, got.Width)
+			}
+			for _, ch := range c.Children() {
+				walk(ch)
+			}
+		}
+		walk(MustRoot(w))
+	}
+}
+
 func TestNamesAreUnique(t *testing.T) {
 	w := 16
 	seen := make(map[string]bool)

@@ -3,7 +3,7 @@
 //
 // Arrival generators pick network input wires: the paper's guarantees hold
 // for arbitrary input distributions, so the experiments exercise uniform,
-// single-wire, zipf-skewed and bursty patterns. Churn traces are sequences
+// single-wire and bursty patterns. Churn traces are sequences
 // of membership events (grow, shrink, flash crowd, oscillation) that the
 // harness applies to an adaptive network, interleaved with maintenance and
 // token batches.
@@ -41,23 +41,6 @@ type SingleWire struct {
 
 // Next implements Arrivals.
 func (s *SingleWire) Next() int { return s.Wire }
-
-// Zipf skews arrivals toward low-numbered wires with a Zipf distribution.
-type Zipf struct {
-	z *rand.Zipf
-}
-
-// NewZipf creates a zipf-skewed generator over w wires with exponent s>1.
-func NewZipf(w int, s float64, seed int64) (*Zipf, error) {
-	if s <= 1 {
-		return nil, fmt.Errorf("workload: zipf exponent %v must be > 1", s)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return &Zipf{z: rand.NewZipf(rng, s, 1, uint64(w-1))}, nil
-}
-
-// Next implements Arrivals.
-func (z *Zipf) Next() int { return int(z.z.Uint64()) }
 
 // Bursty alternates between hammering a random wire for a burst and
 // scattering uniformly.

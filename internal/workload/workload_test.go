@@ -24,27 +24,6 @@ func TestSingleWire(t *testing.T) {
 	}
 }
 
-func TestZipfValidationAndRange(t *testing.T) {
-	if _, err := NewZipf(8, 1.0, 1); err == nil {
-		t.Fatal("exponent 1.0 accepted")
-	}
-	z, err := NewZipf(8, 1.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 8)
-	for i := 0; i < 1000; i++ {
-		w := z.Next()
-		if w < 0 || w >= 8 {
-			t.Fatalf("wire %d out of range", w)
-		}
-		counts[w]++
-	}
-	if counts[0] <= counts[7] {
-		t.Fatalf("zipf not skewed: %v", counts)
-	}
-}
-
 func TestBurstyRepeats(t *testing.T) {
 	b := NewBursty(8, 5, 2)
 	first := b.Next()
