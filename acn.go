@@ -374,8 +374,8 @@ func NewController(cl *Cluster, ring *Ring) *Controller {
 	return dist.NewController(cl, ring)
 }
 
-// SizeError reports a non-positive batch or share size passed to
-// workload.RunBatched or workload.InjectShares.
+// SizeError reports a non-positive burst or sender count passed to
+// workload.InjectShares.
 type SizeError = workload.SizeError
 
 // SimConfig configures a discrete-event simulation of the network (node

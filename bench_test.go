@@ -22,7 +22,6 @@ import (
 	"repro/internal/transport/tcpnet"
 	"repro/internal/tree"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
 // benchExperiment runs one reproduction experiment per iteration (tables
@@ -66,7 +65,6 @@ func BenchmarkE16Matching(b *testing.B)          { benchExperiment(b, "E16") }
 func BenchmarkE17Erratum(b *testing.B)           { benchExperiment(b, "E17") }
 func BenchmarkE18AblationNoMerge(b *testing.B)   { benchExperiment(b, "E18") }
 func BenchmarkE19AblationEstimator(b *testing.B) { benchExperiment(b, "E19") }
-func BenchmarkE20Throughput(b *testing.B)        { benchExperiment(b, "E20") }
 
 // --- Micro-benchmarks of the hot operations ---
 
@@ -459,12 +457,6 @@ func BenchmarkE24FaultyTransport(b *testing.B) { benchExperiment(b, "E24") }
 
 func BenchmarkE26Multicore(b *testing.B) { benchExperiment(b, "E26") }
 
-func BenchmarkE27BatchedInjection(b *testing.B) { benchExperiment(b, "E27") }
-
-func BenchmarkE28WireTransport(b *testing.B) { benchExperiment(b, "E28") }
-
-func BenchmarkE29TraceBreakdown(b *testing.B) { benchExperiment(b, "E29") }
-
 func BenchmarkE30RPCFastPath(b *testing.B) { benchExperiment(b, "E30") }
 
 func BenchmarkE32Partitioned(b *testing.B) { benchExperiment(b, "E32") }
@@ -510,33 +502,6 @@ func BenchmarkTransportDedupParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkWorkloadBursty drives bursty arrivals through the adaptive
-// network via the workload runner — batch=1 is the per-call path, larger
-// batches hand each burst to InjectBatch. ns/op is per token.
-func BenchmarkWorkloadBursty(b *testing.B) {
-	for _, batch := range []int{1, 128} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			n, err := core.New(core.Config{Width: 1 << 12, Seed: 1, InitialNodes: 16})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := n.MaintainToFixpoint(200); err != nil {
-				b.Fatal(err)
-			}
-			client, err := n.NewClient()
-			if err != nil {
-				b.Fatal(err)
-			}
-			arrivals := workload.NewBursty(n.Width(), 128, 7)
-			events := []workload.Event{{Kind: workload.EventInject, Count: b.N}}
-			b.ResetTimer()
-			if _, err := workload.RunBatched(n, client, events, arrivals, batch); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
 }
 
 // distClusterTCP mirrors distCluster but runs the engine over a live TCP

@@ -1,4 +1,4 @@
-// Command acnbench runs the reproduction experiments (E1..E29, indexed in
+// Command acnbench runs the reproduction experiments (E1..E32, indexed in
 // DESIGN.md) and prints their tables. EXPERIMENTS.md is generated from its
 // output.
 //
@@ -10,13 +10,13 @@
 //	acnbench -seed 7         # different deterministic seed
 //	acnbench -http :8080     # also serve /metrics, /debug/vars, /debug/pprof
 //	acnbench -cpuprofile cpu.out -run E26   # write a pprof CPU profile
-//	acnbench -memprofile mem.out -run E20   # write a heap profile at exit
+//	acnbench -memprofile mem.out -run E26   # write a heap profile at exit
 //	acnbench -validatetrace out.json        # check a Perfetto trace export
 //
 // With -http, harness-level metrics (experiments completed, per-experiment
 // wall time) are served for the duration of the run, alongside the expvar
 // and pprof endpoints — attach a profiler to a long sweep by pointing it at
-// the printed address. Experiments that build a real TCP fabric (E28, E29)
+// the printed address. Experiments that build a real TCP fabric (E30, E32)
 // instrument it into the same registry, so tcpnet byte counters and
 // pool-health gauges (tcpnet.pool.dialing, tcpnet.pool.cooldown,
 // tcpnet.conns.open) are live on /metrics and /debug/vars while they run.

@@ -12,7 +12,7 @@
 //     contended root to diffract around, which is the paper's point).
 //
 // All three meter overlay hops the same way internal/core does, so the E15
-// and E20 comparisons are apples-to-apples.
+// comparison is apples-to-apples.
 package baseline
 
 import (

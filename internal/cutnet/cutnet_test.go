@@ -439,60 +439,3 @@ func TestWidthAccessor(t *testing.T) {
 		t.Fatalf("width = %d", n.Width())
 	}
 }
-
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	n, err := NewRootOnly(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 23; i++ {
-		if _, err := n.Inject(rng.Intn(16)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Split(""); err != nil {
-		t.Fatal(err)
-	}
-	for i := 23; i < 37; i++ {
-		if _, err := n.Inject(rng.Intn(16)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := n.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := RestoreJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The restored network continues the exact counter sequence.
-	for i := 37; i < 70; i++ {
-		out, err := back.Inject(rng.Intn(16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out != i%16 {
-			t.Fatalf("restored token %d exited %d, want %d", i, out, i%16)
-		}
-	}
-	if err := back.CheckStep(); err != nil {
-		t.Fatal(err)
-	}
-	if back.Splits() != 1 {
-		t.Fatalf("splits = %d, want 1", back.Splits())
-	}
-}
-
-func TestRestoreRejectsBadSnapshots(t *testing.T) {
-	if _, err := RestoreJSON([]byte("{nope")); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-	if _, err := Restore(Snapshot{Width: 8, Totals: map[string]uint64{"0": 0}}); err == nil {
-		t.Fatal("incomplete cut accepted")
-	}
-	if _, err := Restore(Snapshot{Width: 8, Totals: map[string]uint64{"": 0}}); err == nil {
-		t.Fatal("wrong counter widths accepted")
-	}
-}

@@ -173,8 +173,8 @@ func (ep *tokenEP) takeResume(block bool) (wire.Resume, bool) {
 // on a fabric that can batch, one Send after another on one that cannot.
 // A destination with more tokens than one message may carry (wire.MaxSlice)
 // gets ceil(n/MaxSlice) RPCs, with identical counting output.
-// The counting output is byte-identical to routing the same tokens
-// sequentially (InjectBatchSeq): a component's per-output-wire counts
+// The counting output is byte-identical to routing the same tokens one at
+// a time through Inject: a component's per-output-wire counts
 // depend only on how many tokens arrived on each input wire, never on
 // their arrival interleaving, so delivering a group in one message is
 // count-for-count the same as delivering it one message at a time.
@@ -694,42 +694,4 @@ func (cl *Cluster) countInjected(ins []int) {
 		cl.injected[ins[i]].Add(uint64(j - i))
 		i = j
 	}
-}
-
-// InjectBatchSeq routes len(ins) tokens one at a time, reusing one pooled
-// token endpoint and one claimed sequence range for the whole batch: the
-// single-token path with its setup amortized, so each token still pays its
-// own arrive RPCs (one, plus one per fabric crossing on its path), where
-// InjectBatch pays one group RPC per fabric a round finds its tokens bound
-// for, with identical counting output. Kept as the reference and comparison path
-// (experiment E28 measures the two against each other on both fabrics).
-func (cl *Cluster) InjectBatchSeq(ins []int) ([]int, error) {
-	for _, in := range ins {
-		if in < 0 || in >= cl.w {
-			return nil, fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
-		}
-	}
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	ep, err := cl.getEP()
-	if err != nil {
-		return nil, err
-	}
-	defer cl.putEP(ep) // clears the window and drains stragglers, once per batch
-	hi := cl.tokSeq.Add(uint64(len(ins)))
-	base := hi - uint64(len(ins)) + 1
-	cl.countInjected(ins)
-	outs := make([]int, len(ins))
-	for i, in := range ins {
-		seq := base + uint64(i)
-		ep.hi.Store(seq)
-		ep.lo.Store(seq)
-		out, err := cl.injectOnSeq(ep, in, seq)
-		if err != nil {
-			return outs[:i], err
-		}
-		outs[i] = out
-	}
-	return outs, nil
 }

@@ -52,9 +52,20 @@ func randomBatch(rng *rand.Rand, n, w int) []int {
 	return ins
 }
 
+// injectEach routes ins one token at a time through Inject: the sequential
+// oracle the group path is held to.
+func injectEach(cl *Cluster, ins []int) error {
+	for _, in := range ins {
+		if _, err := cl.Inject(in); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestBatchFlushMatchesSequential: over a fabric that flushes a round as
-// one batch, InjectBatch stays count-for-count equal to InjectBatchSeq on
-// the ideal fabric and keeps the RPC accounting: RPCs per round =
+// one batch, InjectBatch stays count-for-count equal to token-by-token
+// Inject on the ideal fabric and keeps the RPC accounting: RPCs per round =
 // destination fabrics. Here that is one fabric and one round, so one RPC
 // whatever the cut, visiting the entry components its tokens stand at and
 // then chaining on.
@@ -90,7 +101,7 @@ func TestBatchFlushMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: group batch: %v", tc.name, err)
 		}
 		_, after := grp.NetStats()
-		if _, err := seq.InjectBatchSeq(ins); err != nil {
+		if err := injectEach(seq, ins); err != nil {
 			t.Fatal(err)
 		}
 		g, s := grp.OutCounts(), seq.OutCounts()

@@ -2,8 +2,11 @@ package dist
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -239,6 +242,95 @@ func TestOscillationUnderLoad(t *testing.T) {
 		}
 	}
 	stop()
+	if err := cl.CheckStep(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitTokens blocks until cl has counted more tokens than it had when
+// called, by at least n, so the reconfiguration that follows runs against
+// traffic that really flowed since the previous one.
+func waitTokens(t *testing.T, cl *Cluster, n int64) {
+	t.Helper()
+	want := cl.InCounts().Total() + n
+	deadline := time.Now().Add(30 * time.Second)
+	for cl.InCounts().Total() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("fewer than %d tokens injected in 30 s", n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestSplitBitonicUnderLoad: splitting only BITONIC components while tokens
+// flow keeps the count exact. A BITONIC's children (B B M M X X) form a
+// counting network for any input, so replaying the frozen parent's
+// per-wire input history through them also reproduces what the parent
+// emitted. All 15 splittable BITONICs of BITONIC[32] are split, in a
+// seeded order, each after at least 64 more tokens.
+func TestSplitBitonicUnderLoad(t *testing.T) {
+	const w = 32
+	cl, err := NewRootOnly(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := startLoad(t, cl, 4, injectOne(cl))
+	rng := rand.New(rand.NewSource(42))
+	splits := 0
+	for {
+		var bitonic []tree.Path
+		for p := range cl.Cut() {
+			c, err := tree.ComponentAt(w, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Kind == tree.KindBitonic && !c.IsLeaf() {
+				bitonic = append(bitonic, p)
+			}
+		}
+		if len(bitonic) == 0 {
+			break
+		}
+		slices.Sort(bitonic)
+		waitTokens(t, cl, 64)
+		if err := cl.Split(bitonic[rng.Intn(len(bitonic))]); err != nil {
+			t.Fatal(err)
+		}
+		splits++
+	}
+	stop()
+	if splits != 15 {
+		t.Fatalf("%d BITONIC splits, want 15", splits)
+	}
+	if err := cl.CheckStep(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOscillateRootUnderLoad: the root splits into its six children and
+// merges back 30 times while tokens flow, with at least 32 more tokens
+// before every step, and the count stays exact.
+func TestOscillateRootUnderLoad(t *testing.T) {
+	const w = 16
+	cl, err := NewRootOnly(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := startLoad(t, cl, 4, injectOne(cl))
+	for cycle := 0; cycle < 30; cycle++ {
+		waitTokens(t, cl, 32)
+		if err := cl.Split(""); err != nil {
+			t.Fatal(err)
+		}
+		waitTokens(t, cl, 32)
+		if err := cl.Merge(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop()
+	if cl.Size() != 1 {
+		t.Fatalf("size = %d, want 1", cl.Size())
+	}
 	if err := cl.CheckStep(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func mustCut(t *testing.T, w, level int) tree.Cut {
 
 // TestGroupBatchMatchesSequentialCounts is the group-routing exactness
 // contract: for the same token multiset on the same cut, the group-routed
-// InjectBatch and the token-by-token InjectBatchSeq produce identical
+// InjectBatch and token-by-token Inject produce identical
 // per-output-wire counts. A balancer component's per-wire output depends
 // only on how many tokens arrived, never on their interleaving, so
 // delivering a group in one message must be count-for-count the same.
@@ -53,7 +53,7 @@ func TestGroupBatchMatchesSequentialCounts(t *testing.T) {
 		if _, err := grp.InjectBatch(ins); err != nil {
 			t.Fatalf("%s: group batch: %v", name, err)
 		}
-		if _, err := seq.InjectBatchSeq(ins); err != nil {
+		if err := injectEach(seq, ins); err != nil {
 			t.Fatalf("%s: sequential batch: %v", name, err)
 		}
 		g, s := grp.OutCounts(), seq.OutCounts()
@@ -138,7 +138,7 @@ func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 	}
 
 	_, before = seq.NetStats()
-	if _, err := seq.InjectBatchSeq(ins); err != nil {
+	if err := injectEach(seq, ins); err != nil {
 		t.Fatal(err)
 	}
 	_, after = seq.NetStats()

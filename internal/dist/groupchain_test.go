@@ -421,7 +421,7 @@ func TestGroupChainMatchesOracles(t *testing.T) {
 			if _, err := perVisit.InjectBatch(ins); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if _, err := seq.InjectBatchSeq(ins); err != nil {
+			if err := injectEach(seq, ins); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}

@@ -3,15 +3,8 @@ package experiments
 import (
 	"math/rand"
 	"sync"
-	"time"
 
-	"repro/internal/baseline"
-	"repro/internal/bitonic"
-	"repro/internal/chord"
-	"repro/internal/cutnet"
-	"repro/internal/dist"
 	"repro/internal/match"
-	"repro/internal/tree"
 )
 
 func newRand(seed int64) *rand.Rand {
@@ -100,102 +93,5 @@ func E16Matching(opts Options) (*Table, error) {
 		}
 	}
 	t.AddRow("oversupplied", prod, cons, cons, m2.Pending(), m2.Pending() == prod-cons)
-	return t, nil
-}
-
-// E20Throughput: single-machine wall-clock micro-comparison of the token
-// engines (related-work positioning). Absolute numbers are host-specific;
-// the shape of interest is the cost ordering and the serialization of the
-// centralized counter versus the per-component locking of the networks.
-func E20Throughput(opts Options) (*Table, error) {
-	t := &Table{
-		ID:      "E20",
-		Title:   "Throughput micro-benchmark (single machine)",
-		Claim:   "component networks admit concurrent token traffic; the central counter serializes",
-		Headers: []string{"engine", "workers", "tokens", "tokens/ms", "ns/token"},
-	}
-	w := 64
-	tokens := 200000
-	if opts.Quick {
-		tokens = 20000
-	}
-	workers := 4
-
-	run := func(name string, fn func(rng *rand.Rand)) {
-		per := tokens / workers
-		start := time.Now()
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := newRand(seed)
-				for i := 0; i < per; i++ {
-					fn(rng)
-				}
-			}(opts.Seed + int64(g))
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		total := per * workers
-		t.AddRow(name, workers, total,
-			float64(total)/float64(elapsed.Milliseconds()+1),
-			float64(elapsed.Nanoseconds())/float64(total))
-	}
-
-	// Adaptive cut network at a mid cut.
-	cut, err := tree.UniformCut(w, 2)
-	if err != nil {
-		return nil, err
-	}
-	cn, err := cutnet.New(w, cut)
-	if err != nil {
-		return nil, err
-	}
-	run("cutnet (uniform level-2 cut)", func(rng *rand.Rand) { _, _ = cn.Inject(rng.Intn(w)) })
-
-	leaf, err := cutnet.New(w, tree.LeafCut(w))
-	if err != nil {
-		return nil, err
-	}
-	run("cutnet (fully expanded)", func(rng *rand.Rand) { _, _ = leaf.Inject(rng.Intn(w)) })
-
-	lvl1, err := tree.UniformCut(w, 1)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := dist.New(w, lvl1)
-	if err != nil {
-		return nil, err
-	}
-	run("async cluster (level-1 cut)", func(rng *rand.Rand) { _, _ = cl.Inject(rng.Intn(w)) })
-
-	bn, err := bitonic.New(w)
-	if err != nil {
-		return nil, err
-	}
-	run("classic bitonic balancers", func(rng *rand.Rand) { bn.Traverse(rng.Intn(w)) })
-
-	pn, err := bitonic.NewPeriodic(w)
-	if err != nil {
-		return nil, err
-	}
-	run("classic periodic balancers", func(rng *rand.Rand) { pn.Traverse(rng.Intn(w)) })
-
-	dt, err := baseline.NewDiffractingTree(5)
-	if err != nil {
-		return nil, err
-	}
-	run("diffracting tree (depth 5)", func(rng *rand.Rand) { dt.Next() })
-
-	ring := chord.NewRing(opts.Seed)
-	ring.JoinN(16)
-	central, err := baseline.NewCentral(ring, "ctr")
-	if err != nil {
-		return nil, err
-	}
-	run("central counter", func(rng *rand.Rand) { central.Next() })
-
-	t.Note("wall-clock on this host; the paper makes no absolute performance claims")
 	return t, nil
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // clusterCell describes one experiment cell's fabric and cluster; the
-// zero Fabric is "mem". Every dist-over-a-fabric experiment (E24, E28,
-// E30, E32) builds its cells through buildCluster so the
+// zero Fabric is "mem". Every dist-over-a-fabric experiment (E24, E30,
+// E32) builds its cells through buildCluster so the
 // mem/tcp/faulty setup — construction order, instrumentation, teardown —
 // is one shared path instead of a switch block per experiment.
 type clusterCell struct {

@@ -148,16 +148,12 @@ func registerAll() map[string]Func {
 		"E17": E17Erratum,
 		"E18": E18AblationNoMerge,
 		"E19": E19AblationEstimator,
-		"E20": E20Throughput,
 		"E21": E21Generality,
 		"E22": E22AdaptivityAxes,
 		"E23": E23Saturation,
 		"E24": E24FaultyTransport,
 		"E25": E25Observability,
 		"E26": E26MulticoreScaling,
-		"E27": E27BatchedInjection,
-		"E28": E28WireTransport,
-		"E29": E29TraceBreakdown,
 		"E30": E30RPCFastPath,
 		"E32": E32Partitioned,
 	}

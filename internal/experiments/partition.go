@@ -64,7 +64,7 @@ func E32Partitioned(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ms, err := injectShared(env, ins, burst, senders, mode)
+			ms, err := workload.InjectShares(launch.InjectPath(env.Cluster, mode), ins, burst, senders)
 			if err != nil {
 				return nil, err
 			}
@@ -138,18 +138,4 @@ func E32Partitioned(opts Options) (*Table, error) {
 	t.Note("rpc/burst is the arrive RPCs (single-token and group) the injecting clusters issued, per %d tokens: a group burst pays one per round and destination fabric, a sequential one 1 + crossings per token", burst)
 	t.Note("wire KB for Nproc rows sums every partition's fabric bytes, so it includes the coordinator's control plane; the mem baseline has no wire at all")
 	return t, nil
-}
-
-// injectShared drives one single-process cell the same way a launch
-// worker drives its share: senders goroutines over contiguous shares,
-// burst-sized calls, through the path mode selects.
-func injectShared(env *fabricEnv, ins []int, burst, senders int, mode string) (float64, error) {
-	inject := env.Cluster.InjectBatch
-	if mode == "seq" {
-		inject = env.Cluster.InjectBatchSeq
-	}
-	return workload.InjectShares(func(part []int) error {
-		_, err := inject(part)
-		return err
-	}, ins, burst, senders)
 }

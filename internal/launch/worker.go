@@ -277,14 +277,27 @@ func (w *Worker) run(c *ctlReq) (float64, error) {
 	if senders <= 0 {
 		senders = 1
 	}
-	inject := w.Cluster.InjectBatch
-	if c.Mode == "seq" {
-		inject = w.Cluster.InjectBatchSeq
+	return workload.InjectShares(InjectPath(w.Cluster, c.Mode), c.Tokens, burst, senders)
+}
+
+// InjectPath returns the injection call for a workload mode: "seq" routes
+// a burst token by token through Cluster.Inject, any other mode hands it
+// to Cluster.InjectBatch whole. Both count the same tokens the same way.
+func InjectPath(cl *dist.Cluster, mode string) workload.Inject {
+	if mode == "seq" {
+		return func(ins []int) error {
+			for _, in := range ins {
+				if _, err := cl.Inject(in); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}
-	return workload.InjectShares(func(ins []int) error {
-		_, err := inject(ins)
+	return func(ins []int) error {
+		_, err := cl.InjectBatch(ins)
 		return err
-	}, c.Tokens, burst, senders)
+	}
 }
 
 // report snapshots this worker's observable state (spans travel

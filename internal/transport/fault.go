@@ -97,13 +97,6 @@ func (f *Faulty) Heal(a, b Addr) {
 	delete(f.parts, pairKey(a, b))
 }
 
-// HealAll removes every partition.
-func (f *Faulty) HealAll() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.parts = make(map[[2]Addr]bool)
-}
-
 func pairKey(a, b Addr) [2]Addr {
 	if b < a {
 		a, b = b, a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -106,9 +107,19 @@ func checkInflight(t *testing.T, n *Net, want int) []int {
 	return loads
 }
 
-// holdNet returns a fabric a with the given PoolSize whose every address is
-// served by b, where "hold" blocks until release is called (announcing each
-// entry on started) and "echo" answers at once.
+// routeTo sends a's traffic for each prefix to b's listener.
+func routeTo(t *testing.T, a, b *Net, prefixes ...string) {
+	t.Helper()
+	for _, p := range prefixes {
+		if err := a.Route(p, b.Addr()); err != nil {
+			t.Fatalf("Route %q: %v", p, err)
+		}
+	}
+}
+
+// holdNet returns a fabric a with the given PoolSize whose addresses "hold"
+// and "echo" are served by b, where "hold" blocks until release is called
+// (announcing each entry on started) and "echo" answers at once.
 func holdNet(t *testing.T, poolSize int) (a *Net, started chan struct{}, release func()) {
 	t.Helper()
 	a, err := New(Config{PoolSize: poolSize})
@@ -117,9 +128,7 @@ func holdNet(t *testing.T, poolSize int) (a *Net, started chan struct{}, release
 	}
 	t.Cleanup(func() { _ = a.Close() })
 	b := newNet(t)
-	if err := a.RouteDefault(b.Addr()); err != nil {
-		t.Fatalf("RouteDefault: %v", err)
-	}
+	routeTo(t, a, b, "hold", "echo")
 	started = make(chan struct{}, 64)
 	held := make(chan struct{})
 	release = sync.OnceFunc(func() { close(held) })
@@ -442,9 +451,7 @@ func TestPendingReleasedOnDie(t *testing.T) {
 // neither bound the fabric's concurrency nor delay a fast call behind them.
 func TestRequestsLiveBehindWedgedHandlers(t *testing.T) {
 	a, b := newNet(t), newNet(t)
-	if err := a.RouteDefault(b.Addr()); err != nil {
-		t.Fatalf("RouteDefault: %v", err)
-	}
+	routeTo(t, a, b, "slow", "fast")
 	const wedged = 64
 	started, held := make(chan struct{}, wedged), make(chan struct{})
 	release := sync.OnceFunc(func() { close(held) })
@@ -499,9 +506,7 @@ func TestUnsampledRequestPathAllocs(t *testing.T) {
 		t.Skip("race instrumentation defeats the allocation optimizations this test pins")
 	}
 	a, b := newNet(t), newNet(t)
-	if err := a.RouteDefault(b.Addr()); err != nil {
-		t.Fatalf("RouteDefault: %v", err)
-	}
+	routeTo(t, a, b, "t")
 	if err := b.Bind("t", func(req transport.Request) (any, error) { return uint64(7), nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -537,9 +542,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = a.Close() })
 	b := newNet(t)
-	if err := a.RouteDefault(b.Addr()); err != nil {
-		t.Fatalf("RouteDefault: %v", err)
-	}
+	routeTo(t, a, b, "t")
 	if err := b.Bind("t", func(req transport.Request) (any, error) { return req.Body, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -568,6 +571,11 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 	if c := a.WireStats().Dials; c != 1 {
 		t.Fatalf("%d dials for a one-socket pool", c)
+	}
+	// The server counts a reply's write after the write returns, by which
+	// time its caller may already have the reply: wait for the count.
+	for deadline := time.Now().Add(5 * time.Second); b.WireStats().Writes < callers*each && time.Now().Before(deadline); {
+		runtime.Gosched()
 	}
 	for _, side := range []struct {
 		name string

@@ -11,8 +11,7 @@ import (
 )
 
 // TestRouteValidation: the route table rejects inputs that used to be
-// accepted silently — empty prefixes (the default is rewired through
-// RouteDefault, not a "" route), malformed hostports, and a prefix
+// accepted silently — empty prefixes, malformed hostports, and a prefix
 // re-added with a different target (which would silently shadow the
 // earlier wiring). Re-adding the identical route stays an idempotent
 // no-op.
@@ -25,9 +24,6 @@ func TestRouteValidation(t *testing.T) {
 	if err := a.Route("c:", "not-a-hostport"); err == nil {
 		t.Fatal("Route accepted a hostport with no port")
 	}
-	if err := a.RouteDefault("also-bad"); err == nil {
-		t.Fatal("RouteDefault accepted a hostport with no port")
-	}
 	if err := a.Route("c:0", b.Addr()); err != nil {
 		t.Fatalf("Route: %v", err)
 	}
@@ -39,8 +35,8 @@ func TestRouteValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), b.Addr()) {
 		t.Fatalf("shadow error %q does not name the installed target %q", err, b.Addr())
 	}
-	if got := len(a.Routes()); got != 1 {
-		t.Fatalf("%d routes installed after rejected duplicates, want 1", got)
+	if got := a.Site("c:05"); got != b.Addr() {
+		t.Fatalf("c:05 resolves to %q after the rejected re-point, want %q", got, b.Addr())
 	}
 }
 
@@ -86,8 +82,8 @@ func TestRoutePrecedence(t *testing.T) {
 	if got := call("c:9#1"); got != 70 {
 		t.Fatalf("unmatched address: served by fabric %d, want 0 (self)", got-70)
 	}
-	if rs := a.Routes(); len(rs) != 2 || rs[0].Prefix != "c:0110#" {
-		t.Fatalf("Routes() = %+v, want longest-first order", rs)
+	if got := a.Site("c:01#1"); got != b.Addr() {
+		t.Fatalf("shorter prefix alone: c:01#1 resolves to %q, want b (%q)", got, b.Addr())
 	}
 }
 
@@ -123,12 +119,6 @@ func TestSiteFollowsRoutes(t *testing.T) {
 	if pl.Site("c:3#1") != pl.Site("c:01#3") || pl.Site("c:4#1") == pl.Site("c:3#1") {
 		t.Fatalf("sites %q, %q, %q: want the first two on one fabric and the third on another",
 			pl.Site("c:01#3"), pl.Site("c:3#1"), pl.Site("c:4#1"))
-	}
-	if err := a.RouteDefault(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if pl.Site("c:2#7") != b.Addr() {
-		t.Fatal("an address that falls to a rewired default is still served here")
 	}
 	if err := a.Route("c:2#", a.Addr()); err != nil {
 		t.Fatal(err)

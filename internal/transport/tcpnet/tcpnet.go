@@ -107,7 +107,7 @@ type Net struct {
 	// readers take no lock: writers (serialized by routeMu) publish a fresh
 	// immutable table.
 	routeMu sync.Mutex
-	routes  atomic.Pointer[routeTable]
+	routes  atomic.Pointer[[]route] // longest prefix first
 
 	poolMu   sync.Mutex
 	pools    map[string]*pool
@@ -179,12 +179,6 @@ type route struct {
 	target string // host:port
 }
 
-// routeTable is one immutable routing snapshot.
-type routeTable struct {
-	routes    []route // longest prefix first
-	defTarget string  // fallback for unmatched addresses; "" = own listener
-}
-
 // New creates a Net listening per cfg and starts serving.
 func New(cfg Config) (*Net, error) {
 	cfg = cfg.withDefaults()
@@ -200,7 +194,7 @@ func New(cfg Config) (*Net, error) {
 		pools:   make(map[string]*pool),
 		closeCh: make(chan struct{}),
 	}
-	n.routes.Store(new(routeTable))
+	n.routes.Store(new([]route))
 	n.loops.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -214,22 +208,21 @@ func (n *Net) Addr() string { return n.addr }
 // listening at hostport (its Addr). When several prefixes match an
 // address the longest one wins, so "c:0110#" beats "c:0" regardless of
 // insertion order; unmatched addresses are served by this Net's own
-// listener (or the RouteDefault target). The prefix must be non-empty —
-// use RouteDefault to rewire the fallback — and hostport must parse as
+// listener. The prefix must be non-empty and hostport must parse as
 // host:port. Re-adding a prefix with its current target is an idempotent
 // no-op; re-adding it with a different target is an error, so a topology
 // bug that would silently shadow an earlier wiring fails loudly instead.
 func (n *Net) Route(prefix, hostport string) error {
 	if prefix == "" {
-		return fmt.Errorf("tcpnet: empty route prefix (use RouteDefault to rewire the fallback)")
+		return fmt.Errorf("tcpnet: empty route prefix")
 	}
 	if _, _, err := net.SplitHostPort(hostport); err != nil {
 		return fmt.Errorf("tcpnet: route %q: bad hostport %q: %w", prefix, hostport, err)
 	}
 	n.routeMu.Lock()
 	defer n.routeMu.Unlock()
-	old := n.routes.Load()
-	for _, r := range old.routes {
+	old := *n.routes.Load()
+	for _, r := range old {
 		if r.prefix == prefix {
 			if r.target == hostport {
 				return nil
@@ -238,58 +231,20 @@ func (n *Net) Route(prefix, hostport string) error {
 				prefix, r.target, hostport)
 		}
 	}
-	routes := append(slices.Clone(old.routes), route{prefix: prefix, target: hostport})
+	routes := append(slices.Clone(old), route{prefix: prefix, target: hostport})
 	sort.SliceStable(routes, func(i, j int) bool {
 		return len(routes[i].prefix) > len(routes[j].prefix)
 	})
-	n.routes.Store(&routeTable{routes: routes, defTarget: old.defTarget})
+	n.routes.Store(&routes)
 	return nil
-}
-
-// RouteDefault rewires where addresses matching no route prefix are sent;
-// the zero value is this Net's own listener. Partitioned runs leave the
-// default alone (self-serving unmatched addresses) — the knob exists for
-// tests that funnel a whole fabric's traffic elsewhere.
-func (n *Net) RouteDefault(hostport string) error {
-	if _, _, err := net.SplitHostPort(hostport); err != nil {
-		return fmt.Errorf("tcpnet: default route: bad hostport %q: %w", hostport, err)
-	}
-	n.routeMu.Lock()
-	defer n.routeMu.Unlock()
-	n.routes.Store(&routeTable{routes: n.routes.Load().routes, defTarget: hostport})
-	return nil
-}
-
-// RouteEntry is one installed route, reported by Routes.
-type RouteEntry struct {
-	Prefix string // "" marks the rewired default target
-	Target string // host:port
-}
-
-// Routes snapshots the routing table in resolution precedence order
-// (longest prefix first), with the rewired default — if any — last.
-func (n *Net) Routes() []RouteEntry {
-	t := n.routes.Load()
-	out := make([]RouteEntry, 0, len(t.routes)+1)
-	for _, r := range t.routes {
-		out = append(out, RouteEntry{Prefix: r.prefix, Target: r.target})
-	}
-	if t.defTarget != "" {
-		out = append(out, RouteEntry{Target: t.defTarget})
-	}
-	return out
 }
 
 // resolve maps a destination address to the host:port serving it.
 func (n *Net) resolve(a transport.Addr) string {
-	t := n.routes.Load()
-	for _, r := range t.routes {
+	for _, r := range *n.routes.Load() {
 		if strings.HasPrefix(string(a), r.prefix) {
 			return r.target
 		}
-	}
-	if t.defTarget != "" {
-		return t.defTarget
 	}
 	return n.addr
 }

@@ -256,11 +256,11 @@ func TestGroupVisitsRejectImpossible(t *testing.T) {
 // body and nothing per address.
 func TestVisitAddressesDecodeThroughInternTable(t *testing.T) {
 	frame := func(g GroupArrive) []byte {
-		b, err := AppendRequest(nil, 3, transport.Request{ID: 4, From: "t:a", To: "c:0#1", Kind: KindGroupArrive, Body: g})
-		if err != nil {
+		e := NewEncoder(0)
+		if err := EncodeRequest(e, 3, transport.Request{ID: 4, From: "t:a", To: "c:0#1", Kind: KindGroupArrive, Body: g}); err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return e.Bytes()
 	}
 	g := GroupArrive{Token: "t:a", Wires: []int{0, 1, 2, 3}, Seqs: []uint64{1, 2, 3, 4}}
 	alone := frame(g)
@@ -412,11 +412,11 @@ func TestArriveResKeepsItsShortForm(t *testing.T) {
 func TestForwardReplyDecodesThroughInternTable(t *testing.T) {
 	c, _ := ByKind(KindArrive)
 	frame := func(r ArriveRes) []byte {
-		b, err := AppendReply(nil, 3, c.Code, ReplyOK, r, "")
-		if err != nil {
+		e := NewEncoder(0)
+		if err := EncodeReply(e, 3, c.Code, ReplyOK, r, ""); err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return e.Bytes()
 	}
 	short := frame(ArriveRes{Status: StatusProcessed, Out: 3})
 	forward := frame(ArriveRes{Status: StatusForward, Steps: 3, Path: "2011", Wire: 7})
@@ -474,20 +474,19 @@ func TestEncodeRejectsWrongBody(t *testing.T) {
 // takes fails at the encoder with ErrTooLarge and leaves no frame, while one
 // at the bound still round-trips.
 func TestEncodeRefusesSlicesPastMaxSlice(t *testing.T) {
-	group := func(n int) transport.Request {
-		g := GroupArrive{Token: "t:1", Wires: make([]int, n), Seqs: make([]uint64, n)}
-		return transport.Request{ID: 2, From: "t:1", To: "c:0#1", Kind: KindGroupArrive, Body: g}
+	group := func(n int) GroupArrive {
+		return GroupArrive{Token: "t:1", Wires: make([]int, n), Seqs: make([]uint64, n)}
 	}
-	prefix := []byte{0xaa}
-	got, err := AppendRequest(prefix, 1, group(MaxSlice+1))
-	if !errors.Is(err, ErrTooLarge) || !bytes.Equal(got, prefix) {
-		t.Fatalf("AppendRequest(%d wires) = %d bytes, %v; want the prefix alone and ErrTooLarge", MaxSlice+1, len(got), err)
+	gc, _ := ByKind(KindGroupArrive)
+	e := NewEncoder(0)
+	if err := gc.EncodeReq(e, group(MaxSlice+1)); !errors.Is(err, ErrTooLarge) || e.Len() != 0 {
+		t.Fatalf("group arrive of %d wires: %d bytes, %v; want none and ErrTooLarge", MaxSlice+1, e.Len(), err)
 	}
-	b, err := AppendRequest(nil, 1, group(MaxSlice))
-	if err != nil {
+	req := transport.Request{ID: 2, From: "t:1", To: "c:0#1", Kind: KindGroupArrive, Body: group(MaxSlice)}
+	if err := EncodeRequest(e, 1, req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeFrame(b); err != nil {
+	if _, err := DecodeFrame(e.Bytes()); err != nil {
 		t.Fatalf("a group of MaxSlice tokens does not decode: %v", err)
 	}
 
@@ -752,43 +751,6 @@ func TestFinishFrame(t *testing.T) {
 	}
 	if _, err := FinishFrame(make([]byte, FrameOverhead+MaxFrame+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("FinishFrame(oversize) = %v, want ErrTooLarge", err)
-	}
-}
-
-func TestAppendEnvelopes(t *testing.T) {
-	// The append-into-caller-buffer forms must produce the same bytes as
-	// the Encoder forms, after any prefix already in dst.
-	req := transport.Request{
-		ID: 4, From: "t:a", To: "c:b", Kind: KindArrive,
-		Body: Arrive{Wire: 2, Token: "t:a", Seq: 9},
-	}
-	e := NewEncoder(64)
-	if err := EncodeRequest(e, 11, req); err != nil {
-		t.Fatal(err)
-	}
-	prefix := []byte{0xfe, 0xff}
-	got, err := AppendRequest(append([]byte(nil), prefix...), 11, req)
-	if err != nil {
-		t.Fatalf("AppendRequest: %v", err)
-	}
-	if !bytes.Equal(got, append(append([]byte(nil), prefix...), e.Bytes()...)) {
-		t.Fatal("AppendRequest bytes differ from EncodeRequest")
-	}
-	if _, err := AppendRequest(nil, 1, transport.Request{Kind: "nonesuch"}); !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("AppendRequest(unknown kind) = %v, want ErrUnknownKind", err)
-	}
-
-	c, _ := ByKind(KindArrive)
-	e.Reset()
-	if err := EncodeReply(e, 11, c.Code, ReplyOK, ArriveRes{Status: StatusProcessed, Out: 3}, ""); err != nil {
-		t.Fatal(err)
-	}
-	got, err = AppendReply(nil, 11, c.Code, ReplyOK, ArriveRes{Status: StatusProcessed, Out: 3}, "")
-	if err != nil {
-		t.Fatalf("AppendReply: %v", err)
-	}
-	if !bytes.Equal(got, e.Bytes()) {
-		t.Fatal("AppendReply bytes differ from EncodeReply")
 	}
 }
 

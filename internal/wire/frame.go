@@ -97,27 +97,6 @@ func EncodeReply(e *Encoder, mux uint64, kindCode byte, status ReplyStatus, body
 	return c.EncodeRes(e, body)
 }
 
-// AppendRequest appends a request envelope (the EncodeRequest format) to
-// dst and returns the extended slice: the encode-into-caller-buffer form
-// for callers that manage their own buffers. On error the bytes past
-// len(dst) are unreliable — truncate back to the original length.
-func AppendRequest(dst []byte, mux uint64, req transport.Request) ([]byte, error) {
-	e := Encoder{buf: dst}
-	if err := EncodeRequest(&e, mux, req); err != nil {
-		return dst, err
-	}
-	return e.buf, nil
-}
-
-// AppendReply is the encode-into-caller-buffer form of EncodeReply.
-func AppendReply(dst []byte, mux uint64, kindCode byte, status ReplyStatus, body any, errText string) ([]byte, error) {
-	e := Encoder{buf: dst}
-	if err := EncodeReply(&e, mux, kindCode, status, body, errText); err != nil {
-		return dst, err
-	}
-	return e.buf, nil
-}
-
 // DecodeFrame decodes one frame payload into either a *Request or a
 // *Reply. The whole payload must be consumed: trailing bytes are corrupt.
 func DecodeFrame(payload []byte) (any, error) {

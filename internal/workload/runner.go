@@ -6,21 +6,9 @@ import (
 	"repro/internal/core"
 )
 
-// SizeError reports a non-positive batch or share size handed to RunBatched
-// or InjectShares. Callers detect it with errors.As.
-type SizeError struct {
-	Op   string // the API that rejected the size, e.g. "workload: RunBatched"
-	Size int    // the offending value
-}
-
-func (e *SizeError) Error() string {
-	return fmt.Sprintf("%s: invalid size %d (must be >= 1)", e.Op, e.Size)
-}
-
 // RunStats summarizes a trace execution.
 type RunStats struct {
 	Tokens     int
-	Batches    int // InjectBatch calls issued (RunBatched only)
 	Joins      int
 	Leaves     int
 	Crashes    int
@@ -35,24 +23,6 @@ type RunStats struct {
 // wires from the given arrival generator, and verifies the step property
 // at the end.
 func Run(n *core.Network, client *core.Client, events []Event, arrivals Arrivals) (RunStats, error) {
-	return run(n, client, events, arrivals, 1)
-}
-
-// RunBatched is Run with burst-shaped injection: each inject event's tokens
-// are drawn from the arrival generator and handed to core.Client.InjectBatch
-// in chunks of batchSize, so bursty generators (workload.Bursty,
-// workload.SingleWire) reach the network as the bursts they model instead of
-// being serialized into per-token calls. batchSize == 1 degenerates to Run;
-// a zero or negative batchSize is rejected with a *SizeError (it used
-// to degenerate silently, hiding caller bugs).
-func RunBatched(n *core.Network, client *core.Client, events []Event, arrivals Arrivals, batchSize int) (RunStats, error) {
-	if batchSize < 1 {
-		return RunStats{}, &SizeError{Op: "workload: RunBatched", Size: batchSize}
-	}
-	return run(n, client, events, arrivals, batchSize)
-}
-
-func run(n *core.Network, client *core.Client, events []Event, arrivals Arrivals, batchSize int) (RunStats, error) {
 	var st RunStats
 	for i, ev := range events {
 		switch ev.Kind {
@@ -74,23 +44,6 @@ func run(n *core.Network, client *core.Client, events []Event, arrivals Arrivals
 				st.Crashes++
 			}
 		case EventInject:
-			if batchSize > 1 {
-				var buf []int
-				for left := ev.Count; left > 0; {
-					sz := min(batchSize, left)
-					buf = buf[:0]
-					for k := 0; k < sz; k++ {
-						buf = append(buf, arrivals.Next())
-					}
-					if _, err := client.InjectBatch(buf); err != nil {
-						return st, fmt.Errorf("workload: event %d: %w", i, err)
-					}
-					st.Tokens += sz
-					st.Batches++
-					left -= sz
-				}
-				break
-			}
 			for k := 0; k < ev.Count; k++ {
 				if _, err := client.InjectAt(arrivals.Next()); err != nil {
 					return st, fmt.Errorf("workload: event %d: %w", i, err)

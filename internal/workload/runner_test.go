@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -112,68 +111,5 @@ func TestRunErrorsCarryEventIndex(t *testing.T) {
 	_, err = Run(n2, c2, []Event{{Kind: EventKind(99)}}, &SingleWire{})
 	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("err = %v, want unknown-kind failure", err)
-	}
-}
-
-// TestRunBatchedMatchesRun: the batched runner must produce exactly the
-// same network state as the per-token runner for the same trace and arrival
-// stream — batching is a transport optimization, not a semantic change.
-func TestRunBatchedMatchesRun(t *testing.T) {
-	trace := append(Grow(8, 2, 40), FlashCrowd(4, 2, 30)...)
-	per := func() (RunStats, core.Metrics, []int64) {
-		n, c := newNet(t, 9, 4)
-		st, err := Run(n, c, trace, NewBursty(n.Width(), 16, 21))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, n.Metrics(), n.OutCounts()
-	}
-	bat := func(size int) (RunStats, core.Metrics, []int64) {
-		n, c := newNet(t, 9, 4)
-		st, err := RunBatched(n, c, trace, NewBursty(n.Width(), 16, 21), size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, n.Metrics(), n.OutCounts()
-	}
-	stP, mP, outP := per()
-	for _, size := range []int{16, 64} {
-		stB, mB, outB := bat(size)
-		if stB.Tokens != stP.Tokens || stB.FinalNodes != stP.FinalNodes {
-			t.Fatalf("size=%d: stats diverged: %+v vs %+v", size, stB, stP)
-		}
-		if stB.Batches == 0 {
-			t.Fatalf("size=%d: batched runner issued no batches", size)
-		}
-		if mB.Tokens != mP.Tokens || mB.WireHops != mP.WireHops {
-			t.Fatalf("size=%d: tokens/hops diverged: %d/%d vs %d/%d",
-				size, mB.Tokens, mB.WireHops, mP.Tokens, mP.WireHops)
-		}
-		for i := range outP {
-			if outB[i] != outP[i] {
-				t.Fatalf("size=%d: output histograms diverged at wire %d", size, i)
-			}
-		}
-	}
-	// batchSize == 1 degenerates to the per-token path.
-	stD, _, _ := bat(1)
-	if stD.Batches != 0 || stD.Tokens != stP.Tokens {
-		t.Fatalf("degenerate batch size ran batched: %+v", stD)
-	}
-}
-
-// TestRunBatchedRejectsBadSize: zero and negative chunk sizes are typed
-// errors, not silent degenerations.
-func TestRunBatchedRejectsBadSize(t *testing.T) {
-	for _, bad := range []int{0, -5} {
-		n, c := newNet(t, 9, 2)
-		_, err := RunBatched(n, c, []Event{{Kind: EventInject, Count: 4}}, NewUniform(n.Width(), 1), bad)
-		var se *SizeError
-		if !errors.As(err, &se) || se.Size != bad {
-			t.Fatalf("RunBatched(size=%d) = %v, want *SizeError", bad, err)
-		}
-		if got := n.Metrics().Tokens; got != 0 {
-			t.Fatalf("rejected run still injected %d tokens", got)
-		}
 	}
 }

@@ -1,12 +1,24 @@
 package workload
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
 
+// SizeError reports a non-positive burst or sender count handed to
+// InjectShares. Callers detect it with errors.As.
+type SizeError struct {
+	Op   string // the API that rejected the size, e.g. "workload: InjectShares burst"
+	Size int    // the offending value
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("%s: invalid size %d (must be >= 1)", e.Op, e.Size)
+}
+
 // Inject is one burst-injection call into a counting engine — typically
-// a closure over dist.Cluster.InjectBatch or InjectBatchSeq. It is kept
+// launch.InjectPath's closure over a dist.Cluster. It is kept
 // as a plain function type so this package stays engine-agnostic.
 type Inject func(ins []int) error
 
