@@ -3,9 +3,9 @@ GO ?= go
 # get a second pass under the race detector.
 RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/tree/... ./internal/cutnet/... ./internal/obs/... ./internal/match/... ./internal/launch/... .
 
-.PHONY: check fmt vet build test multicore distalone benchtest race bench benchsmoke perfsmoke tracesmoke partsmoke
+.PHONY: check fmt vet build test multicore distalone benchtest race bench benchsmoke perfsmoke tracesmoke partsmoke fuzzsmoke
 
-check: fmt vet build test multicore distalone benchtest race benchsmoke perfsmoke tracesmoke partsmoke
+check: fmt vet build test multicore distalone benchtest race benchsmoke perfsmoke tracesmoke partsmoke fuzzsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -84,11 +84,19 @@ tracesmoke:
 # the only gate that exercises real process isolation — separate dedup
 # ID spaces, readiness handshakes, the ctl protocol over real sockets.
 # It runs twice: group mode (batched RPCs), then seq mode, where each
-# token's chain of co-located steps stops at a real process boundary and
-# the reply sends it across.
+# token is a batch of one whose chain of co-located steps stops at a real
+# process boundary, and the token's own endpoint sends it across.
 partsmoke:
 	@for mode in group seq; do \
 		tmp="$$(mktemp /tmp/acn-part-XXXXXX.json)"; \
 		$(GO) run ./cmd/acnnode -coord -width 16 -level 2 -parts 2 -tokens 1024 -mode $$mode -traceevery 4 -tracefile "$$tmp" && \
 		$(GO) run ./cmd/acnbench -validatetrace "$$tmp" && rm -f "$$tmp" || exit 1; \
+	done
+
+# Every internal/wire fuzz target fuzzed for 2 s, one after another (go test
+# fuzzes one target per run). `test` only replays their seed corpora; this
+# mutates past them, through the frame decoders a connection reader calls.
+fuzzsmoke:
+	@for f in $$($(GO) test -list '^Fuzz' ./internal/wire/ | grep '^Fuzz'); do \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 2s ./internal/wire/ || exit 1; \
 	done

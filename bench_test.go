@@ -654,13 +654,18 @@ func BenchmarkWireCodec(b *testing.B) {
 		Body: wire.GroupArrive{Token: "t:1", Wires: wires, Seqs: seqs},
 	}
 	enc := wire.NewEncoder(256)
+	var got wire.Request
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc.Reset()
+		enc.Pad(wire.FrameOverhead)
 		if err := wire.EncodeRequest(enc, uint64(i), req); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := wire.DecodeFrame(enc.Bytes()); err != nil {
+		if _, err := wire.FinishFrame(enc.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+		if err := wire.DecodeRequestFrame(enc.Bytes()[wire.FrameOverhead:], &got); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,5 +25,6 @@ step "benchmark smoke (1 iteration each)" benchsmoke
 step "perf smoke (hot-path benchmarks under -race)" perfsmoke
 step "trace smoke (Perfetto export through the CLI, then validate)" tracesmoke
 step "partition smoke (2-process acnnode runs, group then seq: conservation + merged trace)" partsmoke
+step "fuzz smoke (every internal/wire fuzz target, 2 s each)" fuzzsmoke
 
 echo "OK"

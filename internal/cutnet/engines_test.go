@@ -29,8 +29,8 @@ func cutnetEngine(t *testing.T, w int, cut tree.Cut) engine {
 }
 
 // distEngine runs dist over its default in-memory fabric and reads a
-// token's hop count off its span: one hop event per RPC, valued with the
-// components that RPC stepped.
+// token's hop count off its batch span: one group event per RPC, valued
+// with the components that RPC stepped.
 func distEngine(t *testing.T, w int, cut tree.Cut) engine {
 	t.Helper()
 	cl, err := dist.New(w, cut, dist.WithTrace(1, 8))
@@ -44,12 +44,12 @@ func distEngine(t *testing.T, w int, cut tree.Cut) engine {
 		}
 		spans := cl.Tracer().Spans()
 		span := spans[len(spans)-1] // a token's span finishes after its RPCs'
-		if span.Name != "token" {
+		if span.Name != "batch" {
 			return 0, 0, fmt.Errorf("newest span is %q, not the token's", span.Name)
 		}
 		hops := 0
 		for _, e := range span.Events {
-			if e.Kind == "hop" {
+			if e.Kind == "group" {
 				hops += int(e.V)
 			}
 		}

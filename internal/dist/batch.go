@@ -12,10 +12,33 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the batch path, both halves, as arrive.go is the single
-// token's: InjectBatch and groupRound, the rounds a batch's endpoint runs,
-// and groupArrive and groupChain, the handler a component endpoint serves a
-// group with.
+// This file is the injection path, both halves: Inject and InjectBatch, the
+// rounds a batch's endpoint runs (groupRound, groupReply), and groupArrive
+// and groupChain, the handler a component endpoint serves a group with. A
+// single token is a batch of one.
+//
+// A token costs one message per move between fabric instances, not one per
+// component. Its first arrive is always a message, sent from its batch's own
+// endpoint — the injector is a client of the network, not one of its nodes,
+// and that one request ID, deduplicated at the incarnation it addresses, is
+// what keeps everything the handler goes on to do at-most-once. The handler
+// steps the addressed components and then, as long as the fabric says a
+// token's next component is served by this same fabric instance
+// (transport.Placer) and that component is active, steps it in place too. It
+// replies when the tokens have left the network or reached a component it
+// cannot step, and the endpoint continues from the positions the reply
+// names. A fabric that knows no placement makes every chain one visit long:
+// that is the one-message-per-hop behaviour, not a second code path.
+
+// routeLocked counts one token in on input wire w of an active component and
+// returns the output wire the component's round-robin sends it to. The
+// caller holds cm.mu. It is the one place a token is stepped.
+func (cm *comp) routeLocked(w int) int {
+	cm.arrived[w]++
+	out := int(cm.total & uint64(cm.c.Width-1)) // every width is a power of two
+	cm.total++
+	return out
+}
 
 // visit is one component's share of a group arrive RPC of a round: the
 // tokens order[lo:hi], all bound for component comp of the round's snapshot.
@@ -102,6 +125,7 @@ type batchScratch struct {
 	sites  []string // the round's destinations, as the fabric names them
 	strays []stray
 	exits  []uint64 // by network output wire: tokens that left, not yet added to cl.out
+	exited []int32  // the output wires whose exits are not zero
 	// waiting maps the sequence number of a token stored at a frozen
 	// component to its index, until its resume arrives. Made on first use:
 	// batches rarely meet a reconfiguration.
@@ -123,17 +147,23 @@ func (cl *Cluster) getScratch(tokens int) *batchScratch {
 	return b
 }
 
+// exit counts a token out of the network on output wire w.
+func (b *batchScratch) exit(w int32) {
+	if b.exits[w] == 0 {
+		b.exited = append(b.exited, w)
+	}
+	b.exits[w]++
+}
+
 // putScratch adds the batch's exits to the cluster's output counters — one
 // add per output wire that saw tokens, whatever the batch size — and
-// recycles the scratch. It runs on every return path: tokens that left the
-// network before an error did leave it.
+// recycles the scratch.
 func (cl *Cluster) putScratch(b *batchScratch) {
-	for out, n := range b.exits {
-		if n > 0 {
-			cl.out[out].Add(n)
-			b.exits[out] = 0
-		}
+	for _, out := range b.exited {
+		cl.out[out].Add(b.exits[out])
+		b.exits[out] = 0
 	}
+	b.exited = b.exited[:0]
 	// Requests and replies reference payloads and must not outlive the batch.
 	clear(b.reqs[:cap(b.reqs)])
 	clear(b.replies[:cap(b.replies)])
@@ -153,6 +183,20 @@ func (ep *tokenEP) takeResume(block bool) (wire.Resume, bool) {
 	default:
 		return wire.Resume{}, false
 	}
+}
+
+// Inject routes one token in from network input wire in, concurrently with
+// any other tokens and any reconfiguration, and returns the output wire. It
+// is InjectBatch of one token: it pays one RPC to enter the network and one
+// more each time its path crosses to a component the serving fabric does
+// not host, and its endpoint receives the resume if a frozen component
+// stores it.
+func (cl *Cluster) Inject(in int) (int, error) {
+	ins, outs := [1]int{in}, [1]int{}
+	if err := cl.injectBatch(ins[:], outs[:]); err != nil {
+		return 0, err
+	}
+	return outs[0], nil
 }
 
 // InjectBatch routes len(ins) tokens as a group. The unit of a round is the
@@ -187,26 +231,37 @@ func (ep *tokenEP) takeResume(block bool) (wire.Resume, bool) {
 // counts — the network's observable output — are unaffected. It returns
 // the output wire of each token.
 func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
-	for _, in := range ins {
-		if in < 0 || in >= cl.w {
-			return nil, fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
-		}
-	}
 	if len(ins) == 0 {
 		return nil, nil
 	}
-	ep, err := cl.getEP()
-	if err != nil {
+	outs := make([]int, len(ins))
+	if err := cl.injectBatch(ins, outs); err != nil {
 		return nil, err
 	}
-	defer cl.putEP(ep) // clears the window and drains stragglers, once per batch
+	return outs, nil
+}
+
+// injectBatch is InjectBatch writing token i's output wire to outs[i].
+func (cl *Cluster) injectBatch(ins, outs []int) error {
+	for _, in := range ins {
+		if in < 0 || in >= cl.w {
+			return fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
+		}
+	}
+	ep, err := cl.getEP()
+	if err != nil {
+		return err
+	}
 	// One sampling decision per batch: a sampled batch's root span carries
 	// every group RPC of the batch, and its context rides each group
 	// arrive so receiving fabrics stitch server-side rpc:agroup spans to
 	// this one timeline.
 	sp := cl.tracer.Start("batch")
-	defer sp.Finish()
 	sp.Event("inject", "", int64(len(ins)))
+	var begin time.Time
+	if cl.hTok != nil {
+		begin = time.Now()
+	}
 	hi := cl.tokSeq.Add(uint64(len(ins)))
 	base := hi - uint64(len(ins)) + 1
 	// Publish the resume window: hi first, so the endpoint handler never
@@ -215,15 +270,33 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 	ep.lo.Store(base)
 	cl.countInjected(ins)
 
-	outs := make([]int, len(ins))
 	b := cl.getScratch(len(ins))
-	defer cl.putScratch(b)
+	err = cl.route(b, ep, base, ins, outs, sp)
+	// Every return of route passes here, an error's too: tokens that left the
+	// network before it did leave it.
+	cl.putScratch(b)
+	sp.Finish()
+	cl.putEP(ep) // clears the window and drains stragglers, once per batch
+	if err == nil && cl.hTok != nil {
+		// Every token of a batch returns when the call does.
+		d := time.Since(begin).Seconds()
+		for range ins {
+			cl.hTok.Observe(d)
+		}
+	}
+	return err
+}
+
+// route runs a batch's rounds: the tokens ins, numbered from sequence number
+// base, on the endpoint ep, until every one has left the network.
+func (cl *Cluster) route(b *batchScratch, ep *tokenEP, base uint64, ins, outs []int, sp *obs.Span) error {
 	tp := cl.topo.Load()
 	for i, in := range ins {
 		b.pos[i] = tp.rt.Entry(in)
 		b.active = append(b.active, int32(i))
 	}
 
+	var err error
 	for len(b.active) > 0 || len(b.strays) > 0 || len(b.waiting) > 0 {
 		// Move resumed tokens to the strays: always everything already
 		// buffered, and — when nothing is routable — blocking until at least
@@ -250,7 +323,7 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 		}
 		for _, s := range b.strays {
 			if b.pos[s.idx], err = tp.rt.Locate(s.path, s.wire); err != nil {
-				return nil, err
+				return err
 			}
 			b.active = append(b.active, s.idx)
 		}
@@ -262,27 +335,25 @@ func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 			roundStart = time.Now()
 		}
 		cl.rc.CallBatch(b.reqs, b.replies, b.errs, sp)
+		cl.hHop.Since(roundStart) // a round's messages share its flushes
 		b.active = b.active[:0]
 		var start int32
 		for g, end := range b.ends {
 			visits := b.visits[start:end]
 			start = end
 			if err := b.errs[g]; err != nil {
-				return nil, fmt.Errorf("dist: group arrive at %v: %w", tp.live[visits[0].comp].c, err)
+				return fmt.Errorf("dist: group arrive at %v: %w", tp.live[visits[0].comp].c, err)
 			}
-			// A round's messages share its flushes, so each one's hop time is
-			// the round's.
-			cl.hHop.Since(roundStart)
 			res, ok := b.replies[g].(wire.GroupArriveRes)
 			if !ok {
-				return nil, fmt.Errorf("dist: group arrive reply %T", b.replies[g])
+				return fmt.Errorf("dist: group arrive reply %T", b.replies[g])
 			}
 			if err := cl.groupReply(b, tp, visits, res, base, outs, sp); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return outs, nil
+	return nil
 }
 
 // groupReply moves the tokens of one group arrive RPC — the visits it made,
@@ -343,7 +414,7 @@ func (cl *Cluster) groupReply(b *batchScratch, tp *topology, visits []visit, res
 				}
 				at := tp.rt.Next(vis.comp, out)
 				if at.Exited() {
-					b.exits[at.Wire]++
+					b.exit(at.Wire)
 					outs[idx] = int(at.Wire)
 				} else {
 					b.pos[idx] = at
@@ -361,7 +432,7 @@ func (cl *Cluster) groupReply(b *batchScratch, tp *topology, visits []visit, res
 					if out >= cl.w {
 						return fmt.Errorf("dist: group arrive reply from %v names network output wire %d", head, out)
 					}
-					b.exits[out]++
+					b.exit(int32(out))
 					outs[idx] = out
 					continue
 				}
@@ -392,7 +463,7 @@ func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base u
 	b.dest, b.sites = b.dest[:0], b.sites[:0]
 	for k, ci := range b.touched {
 		d := k
-		if cl.place != nil {
+		if cl.place != nil && len(b.touched) > 1 { // one component is one destination
 			site := cl.place.Site(tp.live[ci].addr)
 			if d = slices.Index(b.sites, site); d < 0 {
 				d, b.sites = len(b.sites), append(b.sites, site)
@@ -495,43 +566,20 @@ type served struct {
 // only on how many tokens arrived, not on their interleaving, so a group
 // visit is count-for-count identical to the same tokens arriving one by one.
 // The request ID, deduplicated at cm's endpoint, keeps it all at-most-once.
-func (cl *Cluster) groupArrive(cm *comp, req transport.Request) (any, error) {
-	ga, ok := req.Body.(wire.GroupArrive)
-	if !ok {
-		return nil, fmt.Errorf("dist: group arrive body %T", req.Body)
-	}
-	first := len(ga.Wires) // the further visits' tokens are the last of the group
-	if first == 0 || first != len(ga.Seqs) {
-		return nil, fmt.Errorf("%w: %d wires, %d seqs", ErrBadGroup, first, len(ga.Seqs))
-	}
-	for _, v := range ga.Visits {
-		if v.Tokens <= 0 || v.Tokens >= first {
-			return nil, fmt.Errorf("%w: visit of %d tokens in what is left of a group of %d", ErrBadGroup, v.Tokens, first)
-		}
-		first -= v.Tokens
-	}
+//
+// It runs at the bottom of a fresh request goroutine, under the fabric's
+// dispatch, so its frame and groupChain's are what that goroutine's stack
+// grows by: the validation and its error formatting live in checkGroup, off
+// this frame.
+func (cl *Cluster) groupArrive(cm *comp, body any) (any, error) {
 	s, _ := cl.chains.Get().(*chainScratch)
 	if s == nil {
 		s = new(chainScratch)
 	}
-	defer cl.chains.Put(s)
-	s.visits = append(s.visits[:0], served{cm: cm, hi: int32(first), ci: -1})
-	cl.compMu.RLock()
-	for _, v := range ga.Visits {
-		lo := s.visits[len(s.visits)-1].hi
-		s.visits = append(s.visits, served{cm: cl.comps[transport.Addr(v.Addr)], lo: lo, hi: lo + int32(v.Tokens), ci: -1})
-	}
-	cl.compMu.RUnlock()
-	for i, v := range s.visits {
-		// The fabric vouches for cm; a listed address is the sender's word.
-		if i > 0 && (v.cm == nil || cl.place != nil && cl.place.Site(v.cm.addr) != "") {
-			return nil, fmt.Errorf("%w: visit to %q, which is not served here", ErrBadGroup, ga.Visits[i-1].Addr)
-		}
-		for _, w := range ga.Wires[v.lo:v.hi] {
-			if w < 0 || w >= v.cm.c.Width {
-				return nil, fmt.Errorf("%w: wire %d out of range [0,%d) at %v", ErrBadGroup, w, v.cm.c.Width, v.cm.c)
-			}
-		}
+	var ga wire.GroupArrive
+	if err := cl.checkGroup(s, cm, body, &ga); err != nil {
+		cl.chains.Put(s)
+		return nil, err
 	}
 	// The reply's slices belong to whoever receives it — the endpoint's dedup
 	// table keeps the reply for retries — so they are never pooled.
@@ -545,10 +593,7 @@ func (cl *Cluster) groupArrive(cm *comp, req transport.Request) (any, error) {
 			v.st = wire.StatusDead
 		case stateFrozen:
 			v.st = wire.StatusQueued
-			for k := v.lo; k < v.hi; k++ {
-				v.cm.arrived[ga.Wires[k]]++
-				v.cm.queue = append(v.cm.queue, queuedToken{wire: ga.Wires[k], tok: transport.Addr(ga.Token), seq: ga.Seqs[k]})
-			}
+			v.cm.storeLocked(transport.Addr(ga.Token), ga.Wires[v.lo:v.hi], ga.Seqs[v.lo:v.hi])
 		default:
 			v.st = wire.StatusProcessed
 			if outs == nil {
@@ -561,35 +606,88 @@ func (cl *Cluster) groupArrive(cm *comp, req transport.Request) (any, error) {
 		}
 		v.cm.mu.Unlock()
 	}
-	reply := cl.groupChain(s, outs, stepped)
+	res := wire.GroupArriveRes{Outs: outs, Steps: stepped}
+	cl.groupChain(s, &res)
+	cl.chains.Put(s)
 	if stepped > 0 {
 		cl.signalDrain()
 	}
-	return reply, nil
+	return res, nil
 }
 
-// groupChain is chain for a group: it takes the stepped tokens of s.visits,
-// token i having just left its visit's component on output wire outs[i],
+// storeLocked records tokens arriving at a frozen component: each is
+// counted in and kept with the endpoint its resume will go to. The caller
+// holds cm.mu.
+func (cm *comp) storeLocked(tok transport.Addr, wires []int, seqs []uint64) {
+	for k, w := range wires {
+		cm.arrived[w]++
+		cm.queue = append(cm.queue, queuedToken{wire: w, tok: tok, seq: seqs[k]})
+	}
+}
+
+// checkGroup takes a group arrive body apart into ga and s.visits, checking
+// all of it: an error means nothing has been touched.
+func (cl *Cluster) checkGroup(s *chainScratch, cm *comp, body any, ga *wire.GroupArrive) error {
+	var ok bool
+	if *ga, ok = body.(wire.GroupArrive); !ok {
+		return fmt.Errorf("dist: group arrive body %T", body)
+	}
+	first := len(ga.Wires) // the further visits' tokens are the last of the group
+	if first == 0 || first != len(ga.Seqs) {
+		return fmt.Errorf("%w: %d wires, %d seqs", ErrBadGroup, first, len(ga.Seqs))
+	}
+	for _, v := range ga.Visits {
+		if v.Tokens <= 0 || v.Tokens >= first {
+			return fmt.Errorf("%w: visit of %d tokens in what is left of a group of %d", ErrBadGroup, v.Tokens, first)
+		}
+		first -= v.Tokens
+	}
+	s.visits = append(s.visits[:0], served{cm: cm, hi: int32(first), ci: -1})
+	cl.compMu.RLock()
+	for _, v := range ga.Visits {
+		lo := s.visits[len(s.visits)-1].hi
+		s.visits = append(s.visits, served{cm: cl.comps[transport.Addr(v.Addr)], lo: lo, hi: lo + int32(v.Tokens), ci: -1})
+	}
+	cl.compMu.RUnlock()
+	for i, v := range s.visits {
+		// The fabric vouches for cm; a listed address is the sender's word.
+		if i > 0 && (v.cm == nil || cl.place != nil && cl.place.Site(v.cm.addr) != "") {
+			return fmt.Errorf("%w: visit to %q, which is not served here", ErrBadGroup, ga.Visits[i-1].Addr)
+		}
+		for _, w := range ga.Wires[v.lo:v.hi] {
+			if w < 0 || w >= v.cm.c.Width {
+				return fmt.Errorf("%w: wire %d out of range [0,%d) at %v", ErrBadGroup, w, v.cm.c.Width, v.cm.c)
+			}
+		}
+	}
+	return nil
+}
+
+// groupChain takes the stepped tokens of s.visits — res.Steps of them, token
+// i having just left its visit's component on output wire res.Outs[i] —
 // through the components that follow for as long as they are served by this
-// fabric and active, and returns the group arrive reply, which takes over
-// outs. It moves them all together, one wave at a time: the tokens still
-// moving are sorted by the component they stand at, and each such component
-// gets one visit — one placement question, one acquisition of its lock for
-// all of its tokens — so the cost of a chain is per visit, not per token. As
-// in chain, one lock is held at a time and no token is ever stored here:
-// between visits the group is in flight exactly as it is between two
-// messages, and the tokens standing at a component that is served elsewhere
-// or is not active — frozen, dead, replaced since the snapshot was taken —
-// stop there and are reported by position, to arrive by a message from
-// their own endpoint like any first hop.
+// fabric and active, and completes res as the group arrive reply. It moves
+// them all together, one wave at a time: the tokens still moving are sorted
+// by the component they stand at, and each such component gets one visit —
+// one placement question, one acquisition of its lock for all of its tokens
+// — so the cost of a chain is per visit, not per token. It routes by the
+// current snapshot's table and holds one lock at a time, never two, and no
+// token is ever stored here: between visits the group is in flight exactly
+// as it is between two messages, so a freeze or a kill can land between any
+// two visits and the merge drain sees it by the same conservation count.
+// The tokens standing at a component that is served elsewhere or is not
+// active — frozen, dead, replaced since the snapshot was taken — stop there
+// and are reported by position, to arrive by a message from their own
+// endpoint like any first hop, so a frozen one stores them under the
+// address their resume must go to.
 //
 // A visit's tokens keep the reply the handler has always given, their
 // component's output wires (the sender's table knows where they lead), when
 // the chain stepped nothing further — so on a fabric without placement
 // knowledge — and when the snapshot no longer holds their component. The
 // reply lists what became of each visit only when they fared differently.
-func (cl *Cluster) groupChain(s *chainScratch, outs []int, stepped int) wire.GroupArriveRes {
-	res := wire.GroupArriveRes{Outs: outs, Steps: stepped}
+func (cl *Cluster) groupChain(s *chainScratch, res *wire.GroupArriveRes) {
+	outs, stepped := res.Outs, res.Steps
 	if cl.place != nil && stepped > 0 {
 		tp := cl.topo.Load()
 		s.reset(len(outs))
@@ -680,7 +778,6 @@ func (cl *Cluster) groupChain(s *chainScratch, outs []int, stepped int) wire.Gro
 	case res.Status != wire.StatusExited:
 		res.Steps = 0 // the short forms do not carry it
 	}
-	return res
 }
 
 // countInjected adds a batch to the per-input-wire injection counters, one

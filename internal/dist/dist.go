@@ -13,16 +13,17 @@
 //     the parent.
 //
 // Every cross-component interaction is a message on an internal/transport
-// fabric: token hops are "arrive" RPCs (a hop between two components the
-// same fabric instance serves is a hand-over inside the serving handler,
-// not a message, as the paper charges only node-to-node moves), the freeze
-// protocol's freeze / total / kill exchanges are control RPCs, and a frozen
-// component releases its stored tokens by sending each one a "resume"
-// control message. On the default ideal in-memory fabric this is exactly as
-// deterministic as the old direct calls; built over transport.Faulty
-// (WithTransport), every hop is a message again and every one of those
-// messages can be delayed, lost, duplicated or reordered, and the retry +
-// at-most-once layer must keep counting exact (experiment E24).
+// fabric: tokens travel in group arrive RPCs, one path for a burst and for a
+// single token alike (Inject is InjectBatch of one), and a hop between two
+// components the same fabric instance serves is a hand-over inside the
+// serving handler, not a message, as the paper charges only node-to-node
+// moves; the freeze protocol's freeze / total / kill exchanges are control
+// RPCs, and a frozen component releases its stored tokens by sending each
+// one a "resume" control message. On the default ideal in-memory fabric
+// this is exactly as deterministic as the old direct calls; built over
+// transport.Faulty (WithTransport), every hop is a message again and every
+// one of those messages can be delayed, lost, duplicated or reordered, and
+// the retry + at-most-once layer must keep counting exact (experiment E24).
 //
 // Each component incarnation binds its own transport address ("c:<path>#
 // <generation>"), and dead incarnations stay bound: a straggling retry of
@@ -66,13 +67,12 @@ const (
 )
 
 // The message kinds and payload types on the component and token endpoints
-// are owned by internal/wire (kindArrive = wire.KindArrive and so on):
-// every body dist sends or serves is a wire codec type, so the same
+// are owned by internal/wire (kindGroupArrive = wire.KindGroupArrive and so
+// on): every body dist sends or serves is a wire codec type, so the same
 // protocol runs unchanged over the in-memory switch (bodies pass by value)
 // and over tcpnet (bodies pass through the binary codec).
 const (
-	kindArrive      = wire.KindArrive      // token delivery to an input wire
-	kindGroupArrive = wire.KindGroupArrive // batched token delivery, one RPC per round and fabric the group visits
+	kindGroupArrive = wire.KindGroupArrive // token delivery, one RPC per round and fabric a batch visits
 	kindFreeze      = wire.KindFreeze      // control: stop processing, snapshot state
 	kindTotal       = wire.KindTotal       // control: report the processed-token total
 	kindKill        = wire.KindKill        // control: die and release stored tokens
@@ -90,12 +90,6 @@ type queuedToken struct {
 type comp struct {
 	c    tree.Component
 	addr transport.Addr
-
-	// resProcessed[out] is the pre-boxed arrive reply for a single step to
-	// output wire out: every hop that is a message of its own ends in one,
-	// and returning a shared immutable boxed value instead of boxing a fresh
-	// one removes an allocation per message.
-	resProcessed []any
 
 	mu      sync.Mutex
 	state   compState
@@ -120,12 +114,12 @@ type Cluster struct {
 	w  int
 	tr transport.Transport
 	rc *transport.Client
-	// place is the fabric's placement knowledge, nil when it offers none: an
-	// arrive handler steps a token on through the components place says are
-	// served by this same fabric, and replies only when the next one is
-	// served elsewhere (see arrive); a batch round sends the tokens bound
-	// for components place puts on one fabric in one message (see
-	// groupRound). Nil means every hop is a message of its own.
+	// place is the fabric's placement knowledge, nil when it offers none: a
+	// round sends the tokens bound for components place puts on one fabric
+	// in one message (see groupRound), and the handler steps them on through
+	// the components place says are served by that same fabric, replying
+	// only for the tokens whose next component is served elsewhere (see
+	// groupChain). Nil means every hop is a message of its own.
 	place transport.Placer
 
 	// comps is every incarnation ever bound, by address — like their
@@ -147,15 +141,15 @@ type Cluster struct {
 	// handles are then read-only for the cluster's lifetime.
 	tracer *obs.Tracer
 	reg    *obs.Registry
-	hTok   *obs.Hist // per-token injection-to-exit seconds
-	hHop   *obs.Hist // seconds per arrive RPC (single token) or per round (batch)
+	hTok   *obs.Hist // per-token seconds: the duration of the call that returned it
+	hHop   *obs.Hist // seconds per round of a batch (one round trip of its group RPCs)
 	hQueue *obs.Hist // freeze-queue wait seconds (stored token until resume)
 	hDrain *obs.Hist // merge phase-2 drain-wait seconds
 	hSplit *obs.Hist // split reconfiguration seconds
 	hMerge *obs.Hist // merge reconfiguration seconds
 
-	// drainCh wakes a merge waiting for its assembly to drain; any arrive
-	// that processes a token signals it (capacity 1, lossy send): the
+	// drainCh wakes a merge waiting for its assembly to drain; any group
+	// arrive that processes a token signals it (capacity 1, lossy send): the
 	// waiter re-checks conservation on every wakeup, so a coalesced or
 	// stale signal costs one extra check, never a missed one.
 	drainCh chan struct{}
@@ -189,12 +183,11 @@ type Cluster struct {
 }
 
 // tokenEP is a pooled token endpoint: a bound transport address plus the
-// resume mailbox. [lo, hi] is the sequence window of the tokens currently
-// using the endpoint (lo = 0 means idle): a single token holds lo = hi =
-// seq, a batch holds its whole claimed range. The endpoint handler and the
-// resume receive paths both discard messages whose Seq is outside the
-// window, so a straggling or duplicated resume for a previous occupant is
-// inert.
+// resume mailbox. [lo, hi] is the sequence window of the batch currently
+// using the endpoint (lo = 0 means idle): its whole claimed range, lo = hi
+// for a single token. The endpoint handler and the resume receive paths
+// both discard messages whose Seq is outside the window, so a straggling or
+// duplicated resume for a previous occupant is inert.
 type tokenEP struct {
 	addr   transport.Addr
 	resume chan wire.Resume
@@ -282,10 +275,6 @@ func NewRootOnly(w int) (*Cluster, error) {
 // their dedup state rather than reaching a successor incarnation.
 func (cl *Cluster) bind(cm *comp) error {
 	cm.addr = transport.Addr(fmt.Sprintf("c:%s#%d", cm.c.Path, cl.gen.Add(1)))
-	cm.resProcessed = make([]any, cm.c.Width)
-	for out := range cm.resProcessed {
-		cm.resProcessed[out] = wire.ArriveRes{Status: wire.StatusProcessed, Out: out}
-	}
 	cl.compMu.Lock()
 	cl.comps[cm.addr] = cm
 	cl.compMu.Unlock()
@@ -294,19 +283,20 @@ func (cl *Cluster) bind(cm *comp) error {
 	})
 }
 
-// Pre-boxed arrive replies for the outcomes that carry no output wire.
-var (
-	resDead   any = wire.ArriveRes{Status: wire.StatusDead}
-	resQueued any = wire.ArriveRes{Status: wire.StatusQueued}
-)
-
-// compRPC serves one component endpoint.
+// compRPC serves one component endpoint: token delivery, or the freeze
+// protocol's control.
 func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
-	switch req.Kind {
-	case kindArrive:
-		return cl.arrive(cm, req)
-	case kindGroupArrive:
-		return cl.groupArrive(cm, req)
+	if req.Kind == kindGroupArrive {
+		return cl.groupArrive(cm, req.Body)
+	}
+	return cl.control(cm, req.Kind)
+}
+
+// control serves one control RPC of the freeze protocol at cm. It is off
+// the token path, and kept out of compRPC so the frame every group arrive's
+// request goroutine starts with stays small.
+func (cl *Cluster) control(cm *comp, kind string) (any, error) {
+	switch kind {
 	case kindFreeze:
 		cm.mu.Lock()
 		defer cm.mu.Unlock()
@@ -338,7 +328,7 @@ func (cl *Cluster) compRPC(cm *comp, req transport.Request) (any, error) {
 		}
 		return len(queue), nil
 	default:
-		return nil, fmt.Errorf("dist: unknown RPC kind %q", req.Kind)
+		return nil, fmt.Errorf("dist: unknown RPC kind %q", kind)
 	}
 }
 
@@ -375,10 +365,13 @@ func (cl *Cluster) NetStats() (transport.Stats, transport.ClientStats) {
 }
 
 // Instrument routes the engine's latency distributions — per-token and
-// per-hop seconds, freeze-queue and merge-drain waits, reconfiguration
+// per-round seconds, freeze-queue and merge-drain waits, reconfiguration
 // timing — into reg, along with the reliability client's RTT and retry
-// distributions. Call it before issuing traffic; the handles are read
-// without synchronization afterwards.
+// distributions. dist.token.seconds gets one sample per token an Inject or
+// InjectBatch returns, valued at that call's duration (a burst's tokens all
+// return together); dist.hop.seconds gets one per round of a batch, the
+// round trip of its group arrive RPCs. Call it before issuing traffic; the
+// handles are read without synchronization afterwards.
 func (cl *Cluster) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -471,39 +464,6 @@ func (cl *Cluster) putEP(ep *tokenEP) {
 	default:
 		cl.tr.Unbind(ep.addr)
 	}
-}
-
-// Inject routes one token in from network input wire in, concurrently with
-// any other tokens and any reconfiguration, and returns the output wire.
-// The token's messages are arrive RPCs issued from its own endpoint, which
-// also receives resume control messages when a frozen component stores and
-// later releases the token. It pays one RPC to enter the network and one
-// more each time its path crosses to a component the serving fabric does
-// not host (see arrive.go).
-func (cl *Cluster) Inject(in int) (int, error) {
-	ep, err := cl.getEP()
-	if err != nil {
-		return 0, err
-	}
-	defer cl.putEP(ep)
-	return cl.injectOn(ep, in)
-}
-
-// injectOn routes one token using the given (checked-out) endpoint.
-func (cl *Cluster) injectOn(ep *tokenEP, in int) (int, error) {
-	if in < 0 || in >= cl.w {
-		return 0, fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
-	}
-	cl.injected[in].Add(1)
-
-	seq := cl.tokSeq.Add(1)
-	ep.hi.Store(seq)
-	ep.lo.Store(seq)
-	defer func() {
-		ep.lo.Store(0)
-		ep.hi.Store(0)
-	}()
-	return cl.injectOnSeq(ep, in, seq)
 }
 
 // OutCounts returns the per-output-wire emission counts.
@@ -612,7 +572,7 @@ func (cl *Cluster) Split(p tree.Path) error {
 		sp.Event("publish", string(p), int64(len(children)))
 	}
 	// Kill the old incarnation; its stored tokens re-enter at (p, wire) and
-	// findLive descends into the children.
+	// tree.RouteTable.Locate descends into the children.
 	reply, err = cl.ctl(cm, kindKill, sp)
 	if err != nil {
 		return err
@@ -717,7 +677,7 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 			break
 		}
 		// Conservation not yet reached, so a token is in flight inside the
-		// assembly; its next arrive will signal. A stale or unrelated
+		// assembly; its next group arrive will signal. A stale or unrelated
 		// signal just costs one extra poll.
 		<-cl.drainCh
 	}
@@ -764,7 +724,7 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 		sp.Event("publish", string(p), int64(len(children)))
 	}
 	// Phase 5: kill the children; their stored tokens re-enter at
-	// (child, wire) and findLive ascends into the merged parent.
+	// (child, wire) and tree.RouteTable.Locate ascends into the merged parent.
 	for _, cm := range cms {
 		reply, err := cl.ctl(cm, kindKill, sp)
 		if err != nil {

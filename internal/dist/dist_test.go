@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -382,7 +383,8 @@ func TestSequentialAcrossReconfig(t *testing.T) {
 }
 
 // TestFindLiveAscendAfterMerge: a token addressed to a merged-away child
-// resolves upward through the entry-child inverse to the merged parent.
+// resolves upward through the entry-child inverse to the merged parent in
+// the cluster's current snapshot.
 func TestFindLiveAscendAfterMerge(t *testing.T) {
 	w := 8
 	cl, err := New(w, tree.LeafCut(w))
@@ -393,7 +395,8 @@ func TestFindLiveAscendAfterMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "00" was an entry child of "0", which was an entry child of the root.
-	tp, at, err := cl.findLive("00", 1)
+	tp := cl.topo.Load()
+	at, err := tp.rt.Locate("00", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,13 +408,14 @@ func TestFindLiveAscendAfterMerge(t *testing.T) {
 	}
 	// A non-entry child has no upward wire mapping; such tokens can only
 	// exist while the assembly drains, so after the merge this is an error.
-	if _, _, err := cl.findLive("2", 0); err == nil {
+	if _, err := tp.rt.Locate("2", 0); err == nil {
 		t.Fatal("stranded non-entry delivery should error")
 	}
 }
 
 // TestFindLiveDescendsAfterSplit: a token addressed to a split-away parent
-// resolves downward through the input maps.
+// resolves downward through the input maps in the cluster's current
+// snapshot.
 func TestFindLiveDescendsAfterSplit(t *testing.T) {
 	w := 8
 	cl, err := NewRootOnly(w)
@@ -421,7 +425,8 @@ func TestFindLiveDescendsAfterSplit(t *testing.T) {
 	if err := cl.Split(""); err != nil {
 		t.Fatal(err)
 	}
-	tp, at, err := cl.findLive("", 5)
+	tp := cl.topo.Load()
+	at, err := tp.rt.Locate("", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,19 +436,19 @@ func TestFindLiveDescendsAfterSplit(t *testing.T) {
 	}
 }
 
-// TestArriveOnDeadComponent: an arrive RPC at a dead incarnation is
-// answered with statusDead so the sender re-resolves.
+// TestArriveOnDeadComponent: a single token's arrive at a dead incarnation
+// is answered with statusDead so the sender re-resolves.
 func TestArriveOnDeadComponent(t *testing.T) {
 	cl, err := NewRootOnly(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cm := &comp{c: tree.MustRoot(4), state: stateDead, arrived: make([]uint64, 4)}
-	reply, err := cl.compRPC(cm, transport.Request{Kind: kindArrive, Body: wire.Arrive{Wire: 0, Token: "t:test"}})
+	reply, err := cl.compRPC(cm, transport.Request{Kind: kindGroupArrive, Body: wire.GroupArrive{Token: "t:test", Wires: []int{0}, Seqs: []uint64{1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := reply.(wire.ArriveRes); res.Status != wire.StatusDead {
+	if res := reply.(wire.GroupArriveRes); res.Status != wire.StatusDead {
 		t.Fatalf("status = %v, want statusDead", res.Status)
 	}
 	if cm.arrived[0] != 0 {
@@ -451,25 +456,26 @@ func TestArriveOnDeadComponent(t *testing.T) {
 	}
 }
 
-// TestArriveOnFrozenComponentQueues: an arrive RPC at a frozen component is
-// stored with the token's endpoint, to be released by a resume message.
+// TestArriveOnFrozenComponentQueues: a single token's arrive at a frozen
+// component is stored with the token's endpoint, to be released by a resume
+// message.
 func TestArriveOnFrozenComponentQueues(t *testing.T) {
 	cl, err := NewRootOnly(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cm := &comp{c: tree.MustRoot(4), state: stateFrozen, arrived: make([]uint64, 4)}
-	reply, err := cl.compRPC(cm, transport.Request{Kind: kindArrive, Body: wire.Arrive{Wire: 2, Token: "t:test"}})
+	reply, err := cl.compRPC(cm, transport.Request{Kind: kindGroupArrive, Body: wire.GroupArrive{Token: "t:test", Wires: []int{2}, Seqs: []uint64{1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := reply.(wire.ArriveRes); res.Status != wire.StatusQueued {
+	if res := reply.(wire.GroupArriveRes); res.Status != wire.StatusQueued {
 		t.Fatalf("status = %v, want statusQueued", res.Status)
 	}
 	if cm.arrived[2] != 1 || len(cm.queue) != 1 {
 		t.Fatalf("arrival not recorded: %+v", cm)
 	}
-	if q := cm.queue[0]; q.wire != 2 || q.tok != "t:test" {
+	if q := cm.queue[0]; q.wire != 2 || q.tok != "t:test" || q.seq != 1 {
 		t.Fatalf("queued token = %+v", q)
 	}
 	// The stored token does not count as processed.
@@ -496,9 +502,10 @@ func TestClusterEffectiveWidthDepth(t *testing.T) {
 	}
 }
 
-// TestInstrumentedUnderReconfig: the engine's histograms and token spans
-// capture hop latency, freeze-queue waits and reconfiguration timing while
-// traffic races a split and a merge.
+// TestInstrumentedUnderReconfig: the engine's histograms and batch spans
+// capture token and round latency, freeze-queue waits and reconfiguration
+// timing while traffic — single tokens and bursts — races a split and a
+// merge. Every token is a token-latency sample, whichever call returned it.
 func TestInstrumentedUnderReconfig(t *testing.T) {
 	w := 8
 	cl, err := NewRootOnly(w)
@@ -509,17 +516,27 @@ func TestInstrumentedUnderReconfig(t *testing.T) {
 	cl.Instrument(reg)
 	tr := cl.Trace(1, 32)
 
-	stop := startLoad(t, cl, 4, injectOne(cl))
+	var calls atomic.Uint64
+	inject := func(g int, rng *rand.Rand) error {
+		calls.Add(1)
+		if g%2 == 0 {
+			_, err := cl.Inject(rng.Intn(w))
+			return err
+		}
+		_, err := cl.InjectBatch(randomBatch(rng, 1+rng.Intn(16), w))
+		return err
+	}
+	stop := startLoad(t, cl, 4, inject)
 	if err := cl.Split(""); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Merge(""); err != nil {
 		t.Fatal(err)
 	}
-	// Guarantee traffic regardless of goroutine scheduling.
+	// Guarantee traffic of both kinds regardless of goroutine scheduling.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 40; i++ {
-		if _, err := cl.Inject(rng.Intn(w)); err != nil {
+		if err := inject(i, rng); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -533,8 +550,9 @@ func TestInstrumentedUnderReconfig(t *testing.T) {
 	if got := snap.Histograms["dist.token.seconds"].Count; got != tokens {
 		t.Fatalf("token latency samples = %d, want %d", got, tokens)
 	}
-	if snap.Histograms["dist.hop.seconds"].Count < tokens {
-		t.Fatalf("hop samples %d < tokens %d", snap.Histograms["dist.hop.seconds"].Count, tokens)
+	// At least one round per call.
+	if got := snap.Histograms["dist.hop.seconds"].Count; got < int(calls.Load()) {
+		t.Fatalf("round samples %d < calls %d", got, calls.Load())
 	}
 	if got := snap.Histograms["dist.split.seconds"].Count; got != 1 {
 		t.Fatalf("split timing samples = %d, want 1", got)
@@ -551,27 +569,27 @@ func TestInstrumentedUnderReconfig(t *testing.T) {
 	if cl.Tracer() != tr {
 		t.Fatal("Tracer() accessor mismatch")
 	}
-	// Every token plus the two reconfigurations (Split and Merge each open
+	// Every call plus the two reconfigurations (Split and Merge each open
 	// a span at stride 1).
-	if tr.Sampled() != uint64(tokens)+2 {
-		t.Fatalf("sampled %d spans, want tokens+reconfigs (%d)", tr.Sampled(), tokens+2)
+	if want := calls.Load() + 2; tr.Sampled() != want {
+		t.Fatalf("sampled %d spans, want calls+reconfigs (%d)", tr.Sampled(), want)
 	}
-	hops := 0
+	groups := 0
 	for _, s := range tr.Spans() {
-		if s.Name != "token" {
+		if s.Name != "batch" {
 			continue
 		}
 		for _, e := range s.Events {
 			switch e.Kind {
-			case "hop":
-				hops++
-			case "queued", "resume", "dead", "exit", "retry":
+			case "group":
+				groups++
+			case "inject", "queued", "dead", "retry":
 			default:
 				t.Fatalf("unexpected event kind %q", e.Kind)
 			}
 		}
 	}
-	if hops == 0 {
-		t.Fatal("no hop events recorded")
+	if groups == 0 {
+		t.Fatal("no group events recorded")
 	}
 }

@@ -61,26 +61,3 @@ func (cl *Cluster) publish(drop, add []*comp) error {
 	cl.topo.Store(tp)
 	return nil
 }
-
-// findLive re-enters a token at (path, wire) — a position written down
-// against some other cut — into the current snapshot: path itself, a
-// descendant after a split, an ancestor after a merge (tree.Locate). This
-// is the straggler path: a token released by a frozen component, bounced
-// by a dead incarnation, or caught mid-route by a snapshot swap.
-// Everything else steps through the snapshot's table directly. It is
-// local address resolution, not a message.
-func (cl *Cluster) findLive(path tree.Path, wire int) (*topology, tree.Hop, error) {
-	tp := cl.topo.Load()
-	at, err := tp.rt.Locate(path, wire)
-	return tp, at, err
-}
-
-// follow moves a token's position from snapshot tp to the current one if a
-// reconfiguration has published since tp was loaded, so a token never
-// knowingly sends to an incarnation that has been replaced.
-func (cl *Cluster) follow(tp *topology, at tree.Hop) (*topology, tree.Hop, error) {
-	if cl.topo.Load() == tp {
-		return tp, at, nil
-	}
-	return cl.findLive(tp.live[at.Comp].c.Path, int(at.Wire))
-}

@@ -39,9 +39,9 @@ func spansByTrace(spans []*obs.Span) map[uint64][]*obs.Span {
 	return out
 }
 
-// TestTraceStitchingOverTCP pins the tentpole property: a token injected
-// over a real socket yields exactly one trace ID, whose server-side RPC
-// spans parent directly to the injection span — the trace context survived
+// TestTraceStitchingOverTCP pins the tentpole property: a single token
+// injected over a real socket yields exactly one trace ID, whose server-side
+// RPC spans parent directly to the injection span — the trace context survived
 // the wire codec and the TCP hop. Run under -race, the client goroutine
 // and the server-side span openings also prove the spine race-clean.
 func TestTraceStitchingOverTCP(t *testing.T) {
@@ -61,7 +61,7 @@ func TestTraceStitchingOverTCP(t *testing.T) {
 	var root *obs.Span
 	var rpcs []*obs.Span
 	for _, s := range spans {
-		if s.Name == "token" {
+		if s.Name == "batch" {
 			root = s
 		} else if strings.HasPrefix(s.Name, "rpc:") {
 			rpcs = append(rpcs, s)
@@ -70,7 +70,7 @@ func TestTraceStitchingOverTCP(t *testing.T) {
 		}
 	}
 	if root == nil {
-		t.Fatal("no token root span")
+		t.Fatal("no injection root span")
 	}
 	if root.ParentID != 0 {
 		t.Fatalf("root span has parent %x", root.ParentID)
@@ -164,12 +164,12 @@ func TestBatchTraceStitchingOverTCP(t *testing.T) {
 	}
 }
 
-// TestHopEventsSumToDepth pins what a sampled token's span shows: one hop
-// event per arrive RPC, carrying the number of components that RPC stepped,
-// so a token's hop events always sum to the components on its path. On one
-// fabric that is a single hop event of 6 (and one server-side rpc:arrive
-// span) at the level-2 cut of BITONIC[64]; behind a wrapper that hides the
-// fabric's placement knowledge it is six events of 1.
+// TestHopEventsSumToDepth pins what a sampled single token's span shows: one
+// group event per group arrive RPC, carrying the number of components that
+// RPC stepped, so a token's group events always sum to the components on its
+// path. On one fabric that is a single event of 6 (and one server-side
+// rpc:agroup span) at the level-2 cut of BITONIC[64]; behind a wrapper that
+// hides the fabric's placement knowledge it is six events of 1.
 func TestHopEventsSumToDepth(t *testing.T) {
 	const w, tokens = 64, 40
 	cut := mustCut(t, w, 2)
@@ -196,20 +196,20 @@ func TestHopEventsSumToDepth(t *testing.T) {
 		}
 		roots, served := 0, 0
 		for _, s := range tr.Spans() {
-			if s.Name == "rpc:"+kindArrive {
+			if s.Name == "rpc:"+kindGroupArrive {
 				served++
 				continue
 			}
 			roots++
 			hops, steps := 0, int64(0)
 			for _, e := range s.Events {
-				if e.Kind == "hop" {
+				if e.Kind == "group" {
 					hops++
 					steps += e.V
 				}
 			}
 			if hops != tc.rpcs || steps != 6 {
-				t.Fatalf("%s: a token span has %d hop events summing to %d steps, want %d summing to 6", tc.name, hops, steps, tc.rpcs)
+				t.Fatalf("%s: a token span has %d group events summing to %d steps, want %d summing to 6", tc.name, hops, steps, tc.rpcs)
 			}
 		}
 		if roots != tokens {

@@ -100,7 +100,7 @@ func E32Partitioned(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var calls uint64 // arrive RPCs, single and group: a worker's cluster sends nothing else
+			var calls uint64 // group arrive RPCs: a worker's cluster sends nothing else
 			ms, res, err := func() (float64, *launch.Result, error) {
 				defer func() {
 					_ = coord.Close()
@@ -135,7 +135,7 @@ func E32Partitioned(opts Options) (*Table, error) {
 		}
 	}
 	t.Note("every cell drives the identical %d-token arrival sequence through the same level-%d cut (%d components) with %d senders in %d-token bursts; the Nproc rows run the real partitioned worker runtime (per-partition fabrics, namespaced token endpoints, routed cross-partition visits) in one process — the same code path cmd/acnnode runs as separate OS processes", tokens, level, len(cut), senders, burst)
-	t.Note("rpc/burst is the arrive RPCs (single-token and group) the injecting clusters issued, per %d tokens: a group burst pays one per round and destination fabric, a sequential one 1 + crossings per token", burst)
+	t.Note("rpc/burst is the group arrive RPCs the injecting clusters issued, per %d tokens: a group burst pays one per round and destination fabric, a sequential one (a batch of one token at a time) 1 + crossings per token", burst)
 	t.Note("wire KB for Nproc rows sums every partition's fabric bytes, so it includes the coordinator's control plane; the mem baseline has no wire at all")
 	return t, nil
 }

@@ -97,41 +97,10 @@ func EncodeReply(e *Encoder, mux uint64, kindCode byte, status ReplyStatus, body
 	return c.EncodeRes(e, body)
 }
 
-// DecodeFrame decodes one frame payload into either a *Request or a
-// *Reply. The whole payload must be consumed: trailing bytes are corrupt.
-func DecodeFrame(payload []byte) (any, error) {
-	d := NewDecoder(payload)
-	tag, err := d.Byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case frameRequest:
-		var r Request
-		if err := decodeRequestInto(d, &r); err != nil {
-			return nil, err
-		}
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	case frameReply:
-		var r Reply
-		if err := decodeReplyInto(d, &r); err != nil {
-			return nil, err
-		}
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	default:
-		return nil, fmt.Errorf("%w: frame tag %d", ErrCorrupt, tag)
-	}
-}
-
 // IsReply reports whether a frame payload carries a reply envelope. It
 // inspects only the tag byte; a true result does not promise the rest of
-// the payload decodes.
+// the payload decodes. A reader decodes what it says is a reply with
+// DecodeReplyFrame and anything else with DecodeRequestFrame.
 func IsReply(payload []byte) bool {
 	return len(payload) > 0 && payload[0] == frameReply
 }
@@ -144,9 +113,8 @@ func IsReply(payload []byte) bool {
 var decoders = sync.Pool{New: func() any { return new(Decoder) }}
 
 // DecodeRequestFrame decodes a request frame payload into r, overwriting
-// every field — the allocation-free counterpart of DecodeFrame for
-// callers that pool Request values. The payload must carry a request
-// envelope and must be fully consumed.
+// every field, so callers can pool Request values. The payload must carry a
+// request envelope and must be fully consumed: trailing bytes are corrupt.
 func DecodeRequestFrame(payload []byte, r *Request) error {
 	d := decoders.Get().(*Decoder)
 	d.Reset(payload)
@@ -171,9 +139,8 @@ func decodeRequestFrame(d *Decoder, r *Request) error {
 }
 
 // DecodeReplyFrame decodes a reply frame payload into r, overwriting
-// every field — the allocation-free counterpart of DecodeFrame for
-// callers that pool Reply values. The payload must carry a reply envelope
-// and must be fully consumed.
+// every field, so callers can pool Reply values. The payload must carry a
+// reply envelope and must be fully consumed: trailing bytes are corrupt.
 func DecodeReplyFrame(payload []byte, r *Reply) error {
 	d := decoders.Get().(*Decoder)
 	d.Reset(payload)
@@ -276,16 +243,6 @@ func decodeReplyInto(d *Decoder, r *Reply) error {
 	return nil
 }
 
-// AppendFrame appends a length-prefixed frame carrying payload to dst and
-// returns the extended slice. Frames above MaxFrame are refused.
-func AppendFrame(dst, payload []byte) ([]byte, error) {
-	if len(payload) > MaxFrame {
-		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...), nil
-}
-
 // FrameOverhead is the number of bytes FinishFrame needs reserved ahead
 // of the payload: the widest length prefix a MaxFrame payload can take
 // (uvarint(1<<20) is 3 bytes; MaxVarintLen32 leaves slack for a larger
@@ -293,10 +250,10 @@ func AppendFrame(dst, payload []byte) ([]byte, error) {
 const FrameOverhead = binary.MaxVarintLen32
 
 // FinishFrame frames a payload in place: buf must be FrameOverhead
-// reserved bytes (Encoder.Pad) followed by the payload. The length prefix
-// is written into the tail of the reserve and the framed message —
-// a sub-slice of buf, no copy, no allocation — is returned. Equivalent to
-// AppendFrame(nil, buf[FrameOverhead:]) without the second buffer.
+// reserved bytes (Encoder.Pad) followed by the payload. The length prefix —
+// the payload's length as a uvarint — is written into the tail of the
+// reserve and the framed message, a sub-slice of buf (no copy, no
+// allocation), is returned. Payloads above MaxFrame are refused.
 func FinishFrame(buf []byte) ([]byte, error) {
 	if len(buf) < FrameOverhead {
 		return nil, fmt.Errorf("%w: %d bytes is under the %d-byte frame reserve", ErrTruncated, len(buf), FrameOverhead)

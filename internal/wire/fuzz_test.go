@@ -41,17 +41,32 @@ func FuzzArrive(f *testing.F) {
 	})
 }
 
-// FuzzArriveRes covers the arrive replies FuzzArrive's signature cannot
-// reach: the two that report a chain of steps.
+// FuzzArriveRes holds the arrive reply to its two-field form. The chained
+// forms it once had — status 4, the token left the network on out after
+// steps components; status 5, it stands at (path, w) after steps — are
+// written as their encoder wrote them and must be refused as corrupt, and
+// the two-field reply built from the same arguments must round-trip.
 func FuzzArriveRes(f *testing.F) {
 	f.Add(true, 41, 6, "", 0)
 	f.Add(false, 0, 2, "201", 5)
 	f.Add(false, -1, -7, "", 1<<40)
+	c, _ := ByKind(KindArrive)
 	f.Fuzz(func(t *testing.T, exited bool, out, steps int, path string, w int) {
-		reply := ArriveRes{Status: StatusForward, Steps: steps, Path: clampToken(path), Wire: w}
+		e := NewEncoder(16)
 		if exited {
-			reply = ArriveRes{Status: StatusExited, Out: out, Steps: steps}
+			e.Byte(4)
+			e.Int(out)
+			e.Int(steps)
+		} else {
+			e.Byte(5)
+			e.Int(steps)
+			e.String(clampToken(path))
+			e.Int(w)
 		}
+		if _, err := c.DecodeRes(NewDecoder(e.Bytes())); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("retired arrive reply %v decodes with err=%v, want ErrCorrupt", e.Bytes(), err)
+		}
+		reply := ArriveRes{Status: StatusProcessed + Status(uint(steps)%3), Out: out}
 		roundTripEnvelopes(t, KindArrive, uint64(uint(steps)), Arrive{Wire: w, Token: "t:1", Seq: 1}, reply)
 	})
 }
@@ -112,7 +127,7 @@ func FuzzGroupArrive(f *testing.F) {
 		if err := EncodeRequest(e, 1, transport.Request{ID: 2, From: "t:src", To: "c:dst#1", Kind: KindGroupArrive, Body: body}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeFrame(e.Bytes()); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeFrame(e.Bytes()); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("visits %+v of a group of %d decode with err=%v, want ErrCorrupt", body.Visits, len(raw), err)
 		}
 	})
@@ -234,9 +249,11 @@ func FuzzProbe(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFrame feeds DecodeFrame arbitrary bytes. The decoding-is-total
-// contract: every input either fails with a typed error or decodes to a
-// value that re-encodes and decodes back to itself. No input may panic.
+// FuzzDecodeFrame feeds arbitrary bytes to the frame decoders a connection
+// reader calls, DecodeReplyFrame and DecodeRequestFrame (see decodeFrame).
+// The decoding-is-total contract: every input either fails with a typed
+// error or decodes to a value that re-encodes and decodes back to itself.
+// No input may panic.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with one well-formed frame of each shape so the fuzzer starts
 	// from valid encodings and mutates toward near-valid corruption.
@@ -260,12 +277,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), e.Bytes()...))
-	for _, reply := range chainReplies {
+	for _, body := range retiredArriveReplies {
 		e.Reset()
-		if err := EncodeReply(e, 3, 1, ReplyOK, reply, ""); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(append([]byte(nil), e.Bytes()...))
+		e.Byte(frameReply)
+		e.Uvarint(3)
+		e.Byte(byte(ReplyOK))
+		e.Byte(1) // KindArrive code
+		f.Add(append(append([]byte(nil), e.Bytes()...), body...))
 	}
 	// One request carrying a sampled trace context, so mutation explores
 	// the two trace-ID varints the envelope gained (the kindCases seeds
@@ -299,10 +317,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(append([]byte(nil), e.Bytes()...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := DecodeFrame(data)
+		v, err := decodeFrame(data)
 		if err != nil {
 			if !typedDecodeErr(err) {
-				t.Fatalf("DecodeFrame error %v is not a typed decode error", err)
+				t.Fatalf("decode error %v is not a typed decode error", err)
 			}
 			return
 		}
@@ -312,7 +330,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err := EncodeRequest(e, m.Mux, m.Req); err != nil {
 				t.Fatalf("re-encode of decoded request failed: %v", err)
 			}
-			v2, err := DecodeFrame(e.Bytes())
+			v2, err := decodeFrame(e.Bytes())
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded request failed: %v", err)
 			}
@@ -324,14 +342,15 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("no registered codec re-encodes decoded reply %#v", m)
 			}
 		default:
-			t.Fatalf("DecodeFrame returned %T", v)
+			t.Fatalf("decodeFrame returned %T", v)
 		}
 	})
 }
 
 // FuzzReadFrameStream treats the input as a raw connection byte stream
 // and reads frames off it the way a conn read loop does: ReadFrame into a
-// buffer that is reused for the next frame, DecodeFrame on each payload.
+// buffer that is reused for the next frame, and each payload decoded by
+// DecodeReplyFrame or DecodeRequestFrame into one reused Reply or Request.
 // This is the surface a busy connection exercises — many frames landing
 // back to back in one read-buffer fill — so the seeds pin that shape plus
 // the MaxFrame boundary, and the invariants are: no panic, every payload
@@ -346,7 +365,7 @@ func FuzzReadFrameStream(f *testing.F) {
 	}); err != nil {
 		f.Fatal(err)
 	}
-	coalesced, err := AppendFrame(nil, e.Bytes())
+	coalesced, err := appendFrame(nil, e.Bytes())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -355,18 +374,18 @@ func FuzzReadFrameStream(f *testing.F) {
 	if err := EncodeReply(e, 5, c.Code, ReplyOK, ArriveRes{Status: StatusProcessed, Out: 1}, ""); err != nil {
 		f.Fatal(err)
 	}
-	if coalesced, err = AppendFrame(coalesced, e.Bytes()); err != nil {
+	if coalesced, err = appendFrame(coalesced, e.Bytes()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), coalesced...))
 	// Seed: a frame exactly at the MaxFrame boundary followed by another
 	// frame, so buffer reuse after a maximal fill is exercised; and one
 	// just past the boundary, which must fail typed.
-	boundary, err := AppendFrame(nil, make([]byte, MaxFrame))
+	boundary, err := appendFrame(nil, make([]byte, MaxFrame))
 	if err != nil {
 		f.Fatal(err)
 	}
-	boundary, err = AppendFrame(boundary, []byte{frameReply, 1, byte(ReplyAppError), 0})
+	boundary, err = appendFrame(boundary, []byte{frameReply, 1, byte(ReplyAppError), 0})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -381,6 +400,8 @@ func FuzzReadFrameStream(f *testing.F) {
 		br := bufio.NewReaderSize(bytes.NewReader(data), 64)
 		var buf []byte
 		var prevFrom string
+		var req Request
+		var rep Reply
 		for {
 			payload, err := ReadFrame(br, buf)
 			if err != nil {
@@ -397,18 +418,23 @@ func FuzzReadFrameStream(f *testing.F) {
 			if len(payload) > MaxFrame {
 				t.Fatalf("ReadFrame returned %d bytes > MaxFrame", len(payload))
 			}
-			v, err := DecodeFrame(payload)
+			isReply := IsReply(payload)
+			if isReply {
+				err = DecodeReplyFrame(payload, &rep)
+			} else {
+				err = DecodeRequestFrame(payload, &req)
+			}
 			if err != nil {
 				if !typedDecodeErr(err) {
-					t.Fatalf("DecodeFrame error %v is not a typed decode error", err)
+					t.Fatalf("decode error %v is not a typed decode error", err)
 				}
-			} else if m, ok := v.(*Request); ok {
+			} else if !isReply {
 				// Values decoded from an earlier fill must not be rewritten
 				// by this one: strings copy out of the shared buffer.
 				if prevFrom != "" && len(prevFrom) > MaxString {
 					t.Fatalf("retained string grew to %d", len(prevFrom))
 				}
-				prevFrom = string(m.Req.From)
+				prevFrom = string(req.Req.From)
 			}
 			buf = payload[:0]
 		}
@@ -426,7 +452,7 @@ func reEncodableReply(t *testing.T, m *Reply, sizeHint int) bool {
 		if err := EncodeReply(e, m.Mux, 0, m.Status, nil, m.ErrText); err != nil {
 			t.Fatalf("re-encode of error reply failed: %v", err)
 		}
-		v2, err := DecodeFrame(e.Bytes())
+		v2, err := decodeFrame(e.Bytes())
 		if err != nil {
 			t.Fatalf("re-decode of error reply failed: %v", err)
 		}
@@ -441,7 +467,7 @@ func reEncodableReply(t *testing.T, m *Reply, sizeHint int) bool {
 		if err := EncodeReply(e, m.Mux, c.Code, ReplyOK, m.Body, ""); err != nil {
 			continue // this kind does not carry this body shape
 		}
-		v2, err := DecodeFrame(e.Bytes())
+		v2, err := decodeFrame(e.Bytes())
 		if err != nil {
 			continue
 		}

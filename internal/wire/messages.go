@@ -57,16 +57,11 @@ const (
 	// StatusDead: the component incarnation was replaced; re-resolve
 	// against the current cut and retry.
 	StatusDead Status = 3
-	// StatusExited: the receiver routed the token through Steps components
-	// in a row and it left the network on output wire Out. On a group arrive
-	// it marks the chained reply form, in which every token either left the
-	// network or is forwarded (see GroupArriveRes).
+	// StatusExited (group arrive only): the chained reply form, in which the
+	// receiver stepped the tokens on through further components it serves
+	// and every token either left the network or is forwarded (see
+	// GroupArriveRes).
 	StatusExited Status = 4
-	// StatusForward (arrive only): the receiver routed the token through
-	// Steps components in a row; it now stands at input wire Wire of the
-	// component at Path, which the receiver could not step (it is served
-	// elsewhere, or is not active) and the sender must deliver it to.
-	StatusForward Status = 5
 )
 
 // decodeStatus consumes a status byte in [StatusProcessed, max].
@@ -91,25 +86,14 @@ type Arrive struct {
 	Seq   uint64
 }
 
-// ArriveRes is the reply to an Arrive: what became of the token and where
-// it is now, in terms that hold whatever cut the reader routes against.
-// The receiver may have stepped the token through several components it
-// serves before replying. Which fields carry meaning depends on Status
-// (the rest are zero, on the wire and after decoding):
-//
-//   - StatusProcessed: exactly the addressed component was stepped; Out is
-//     the output wire the token left it on.
-//   - StatusExited: Steps components were stepped; Out is the network
-//     output wire.
-//   - StatusForward: Steps components were stepped; the token is at input
-//     wire Wire of the component at Path.
-//   - StatusQueued, StatusDead: nothing was stepped.
+// ArriveRes is the reply to an Arrive: StatusProcessed with the output wire
+// Out the addressed component sent the token to, or StatusQueued or
+// StatusDead with nothing stepped (and Out zero). dist injects every token
+// through GroupArrive; the kind stays registered, and its frames decodable,
+// for the peers and probes that still speak it.
 type ArriveRes struct {
 	Status Status
 	Out    int
-	Steps  int
-	Path   string
-	Wire   int
 }
 
 // GroupArrive asks a component to accept a whole token group: token i of
@@ -302,47 +286,19 @@ var _ = register(&Codec{
 		if !ok {
 			return badBody(KindArrive, body)
 		}
-		// The three single-step outcomes keep the two-field form they have
-		// always had; only a reply that covers a chain of steps carries more.
 		e.Byte(byte(r.Status))
-		switch r.Status {
-		case StatusExited:
-			e.Int(r.Out)
-			e.Int(r.Steps)
-		case StatusForward:
-			e.Int(r.Steps)
-			e.String(r.Path)
-			e.Int(r.Wire)
-		default:
-			e.Int(r.Out)
-		}
+		e.Int(r.Out)
 		return nil
 	},
 	DecodeRes: func(d *Decoder) (any, error) {
 		var r ArriveRes
 		var err error
-		if r.Status, err = decodeStatus(d, StatusForward); err != nil {
+		// The chained forms this reply once had (statuses 4 and 5) are
+		// refused: no handler sends them any more.
+		if r.Status, err = decodeStatus(d, StatusDead); err != nil {
 			return nil, err
 		}
-		switch r.Status {
-		case StatusExited:
-			if r.Out, err = d.Int(); err != nil {
-				return nil, err
-			}
-			r.Steps, err = d.Int()
-		case StatusForward:
-			if r.Steps, err = d.Int(); err != nil {
-				return nil, err
-			}
-			// Component paths are a small closed set, like addresses.
-			if r.Path, err = d.InternedString(); err != nil {
-				return nil, err
-			}
-			r.Wire, err = d.Int()
-		default:
-			r.Out, err = d.Int()
-		}
-		if err != nil {
+		if r.Out, err = d.Int(); err != nil {
 			return nil, err
 		}
 		return r, nil
@@ -404,8 +360,8 @@ var _ = register(&Codec{
 		if err := checkSlices(KindGroupArrive, len(r.Outs), len(r.Paths), len(r.Wires), len(r.Visits)); err != nil {
 			return err
 		}
-		// Like ArriveRes: the single-visit outcomes keep the two-field form
-		// they have always had; only a chained reply carries more.
+		// The single-visit outcomes keep the two-field form they have always
+		// had, ArriveRes's; only a chained reply carries more.
 		e.Byte(byte(r.Status))
 		e.Ints(r.Outs)
 		if r.Status == StatusExited {
