@@ -38,10 +38,15 @@ multicore:
 # commit so far on >= 2 CPUs; they still run in `test` and `race`. The live
 # reconfigurations that already count exactly — BITONIC-only splits and a
 # root split/merge oscillation (TestSplitBitonicUnderLoad,
-# TestOscillateRootUnderLoad) — are not skipped.
+# TestOscillateRootUnderLoad) — are not skipped. A second pass runs the tests
+# whose tokens a frozen or retired component turns away, under -race and five
+# times at each CPU count: a batch whose every token was turned away waits for
+# the next snapshot, and that wait must not miss a publish.
 DIST_KNOWN_FLAKY = TestSplitUnderLoad|TestMergeUnderLoad|TestOscillationUnderLoad|TestAsyncAdaptiveEndToEnd
+DIST_TURNED_AWAY = Frozen|Dead|Stale|DuringReconfig|UnderFaulty
 distalone:
 	$(GO) test -count=2 -cpu 1,2,4 -skip '$(DIST_KNOWN_FLAKY)' ./internal/dist/
+	$(GO) test -race -count=5 -cpu 1,2,4 -run '$(DIST_TURNED_AWAY)' -skip '$(DIST_KNOWN_FLAKY)' ./internal/dist/
 
 # The benchmark (acnload) is a Go module of its own under benchmark/, so
 # `go test ./...` at the root does not reach its tests.
@@ -83,13 +88,13 @@ tracesmoke:
 # merged Perfetto export is then re-validated through the CLI. This is
 # the only gate that exercises real process isolation — separate dedup
 # ID spaces, readiness handshakes, the ctl protocol over real sockets.
-# It runs twice: group mode (batched RPCs), then seq mode, where each
-# token is a batch of one whose chain of co-located steps stops at a real
-# process boundary, and the token's own endpoint sends it across.
+# It runs twice: bursts of 128 tokens, then bursts of one, where each token's
+# chain of co-located steps stops at a real process boundary and its batch
+# sends it across.
 partsmoke:
-	@for mode in group seq; do \
+	@for burst in 128 1; do \
 		tmp="$$(mktemp /tmp/acn-part-XXXXXX.json)"; \
-		$(GO) run ./cmd/acnnode -coord -width 16 -level 2 -parts 2 -tokens 1024 -mode $$mode -traceevery 4 -tracefile "$$tmp" && \
+		$(GO) run ./cmd/acnnode -coord -width 16 -level 2 -parts 2 -tokens 1024 -burst $$burst -traceevery 4 -tracefile "$$tmp" && \
 		$(GO) run ./cmd/acnbench -validatetrace "$$tmp" && rm -f "$$tmp" || exit 1; \
 	done
 

@@ -18,13 +18,13 @@ step "go vet" vet
 step "go build" build
 step "go test" test
 step "go test -cpu 1,2,4 (lock-free packages)" multicore
-step "go test -cpu 1,2,4 (dist alone, minus ROADMAP item 1's known-flaky tests)" distalone
+step "go test -cpu 1,2,4 (dist alone, minus ROADMAP item 1's known-flaky tests; turned-away tests under -race)" distalone
 step "go test (benchmark module)" benchtest
 step "go test -race (concurrent packages)" race
 step "benchmark smoke (1 iteration each)" benchsmoke
 step "perf smoke (hot-path benchmarks under -race)" perfsmoke
 step "trace smoke (Perfetto export through the CLI, then validate)" tracesmoke
-step "partition smoke (2-process acnnode runs, group then seq: conservation + merged trace)" partsmoke
+step "partition smoke (2-process acnnode runs, -burst 128 then -burst 1: conservation + merged trace)" partsmoke
 step "fuzz smoke (every internal/wire fuzz target, 2 s each)" fuzzsmoke
 
 echo "OK"

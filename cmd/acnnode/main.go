@@ -18,7 +18,7 @@
 // Without -spec, coordinator mode builds an automatic topology from
 // -width/-level/-parts and the workload flags:
 //
-//	acnnode -coord -width 16 -level 2 -parts 2 -tokens 2048 -mode seq
+//	acnnode -coord -width 16 -level 2 -parts 2 -tokens 2048 -burst 1
 //
 // The coordinator exits nonzero when conservation or the step property
 // fails, or when tracing was on but no trace stitched across processes —
@@ -61,7 +61,6 @@ func run(args []string) error {
 		tokens     = fs.Int("tokens", 1024, "without -spec: total tokens to inject")
 		burst      = fs.Int("burst", 128, "without -spec: tokens per injection call")
 		senders    = fs.Int("senders", 2, "without -spec: concurrent senders per worker")
-		mode       = fs.String("mode", "group", "without -spec: injection mode (seq, group)")
 		traceEvery = fs.Int("traceevery", 16, "without -spec: sample one batch trace in every N (0 disables)")
 
 		tracefile   = fs.String("tracefile", "", "coordinator: write the merged Perfetto trace here")
@@ -77,7 +76,7 @@ func run(args []string) error {
 		return runCoord(*specPath, *tracefile, *metricsfile, *writespec, *bootWait, autoTopo{
 			width: *width, level: *level, parts: *parts,
 			tokens: *tokens, burst: *burst, senders: *senders,
-			mode: *mode, traceEvery: *traceEvery,
+			traceEvery: *traceEvery,
 		})
 	case *partition != "":
 		if *specPath == "" {
@@ -112,7 +111,6 @@ func runWorker(specPath, name string) error {
 type autoTopo struct {
 	width, level, parts    int
 	tokens, burst, senders int
-	mode                   string
 	traceEvery             int
 }
 
@@ -131,7 +129,7 @@ func runCoord(specPath, tracefile, metricsfile, writespec string, bootWait time.
 		}
 		spec.Workload = launch.Workload{
 			Tokens: auto.tokens, Burst: auto.burst,
-			Senders: auto.senders, Mode: auto.mode,
+			Senders: auto.senders,
 		}
 		spec.TraceEvery = auto.traceEvery
 		// Workers re-read the spec from disk, so an auto-built one must

@@ -13,22 +13,22 @@ import (
 )
 
 // This file is the injection path, both halves: Inject and InjectBatch, the
-// rounds a batch's endpoint runs (groupRound, groupReply), and groupArrive
-// and groupChain, the handler a component endpoint serves a group with. A
-// single token is a batch of one.
+// rounds a batch runs (groupRound, groupReply), and groupArrive and
+// groupChain, the handler a component endpoint serves a group with. A single
+// token is a batch of one.
 //
 // A token costs one message per move between fabric instances, not one per
-// component. Its first arrive is always a message, sent from its batch's own
-// endpoint — the injector is a client of the network, not one of its nodes,
-// and that one request ID, deduplicated at the incarnation it addresses, is
-// what keeps everything the handler goes on to do at-most-once. The handler
-// steps the addressed components and then, as long as the fabric says a
-// token's next component is served by this same fabric instance
-// (transport.Placer) and that component is active, steps it in place too. It
-// replies when the tokens have left the network or reached a component it
-// cannot step, and the endpoint continues from the positions the reply
-// names. A fabric that knows no placement makes every chain one visit long:
-// that is the one-message-per-hop behaviour, not a second code path.
+// component. Its first arrive is always a message, sent by its batch — the
+// injector is a client of the network, not one of its nodes, and that one
+// request ID, deduplicated at the incarnation it addresses, is what keeps
+// everything the handler goes on to do at-most-once. The handler steps the
+// addressed components and then, as long as the fabric says a token's next
+// component is served by this same fabric instance (transport.Placer) and
+// that component is active, steps it in place too. It replies when the
+// tokens have left the network or reached a component it cannot step, and
+// the batch continues from the positions the reply names. A fabric that
+// knows no placement makes every chain one visit long: that is the
+// one-message-per-hop behaviour, not a second code path.
 
 // routeLocked counts one token in on input wire w of an active component and
 // returns the output wire the component's round-robin sends it to. The
@@ -48,10 +48,9 @@ type visit struct {
 }
 
 // stray is a token whose position is a (path, wire) written down against
-// some other cut — it bounced off a dead incarnation, was released by a
-// frozen one, was left standing by a handler's chain, or a snapshot swap
-// overtook it — and has to re-enter through tree.RouteTable.Locate before
-// it can be grouped again.
+// some other cut — an incarnation that is not active turned it away, a
+// handler's chain left it standing, or a snapshot swap overtook it — and has
+// to re-enter through tree.RouteTable.Locate before it can be grouped again.
 type stray struct {
 	idx  int32
 	path tree.Path
@@ -126,10 +125,17 @@ type batchScratch struct {
 	strays []stray
 	exits  []uint64 // by network output wire: tokens that left, not yet added to cl.out
 	exited []int32  // the output wires whose exits are not zero
-	// waiting maps the sequence number of a token stored at a frozen
-	// component to its index, until its resume arrives. Made on first use:
-	// batches rarely meet a reconfiguration.
-	waiting map[uint64]int32
+	// parked holds the tokens an incarnation that is not active turned away,
+	// by position, until a snapshot newer than the one they were routed
+	// against is published; parkedAt says when each was turned away, kept
+	// only when the cluster is instrumented.
+	parked   []stray
+	parkedAt []time.Time
+
+	// from is the batch's Request.From: minted once per scratch, so it is
+	// unique among batches in flight and reused by sequential ones. Nothing
+	// is addressed to it; it names the sender to the fabric's observers.
+	from transport.Addr
 
 	reqs    []transport.Request
 	replies []any
@@ -139,11 +145,11 @@ type batchScratch struct {
 func (cl *Cluster) getScratch(tokens int) *batchScratch {
 	b, _ := cl.scratch.Get().(*batchScratch)
 	if b == nil {
-		b = &batchScratch{exits: make([]uint64, cl.w)}
+		b = &batchScratch{exits: make([]uint64, cl.w), from: transport.Addr(fmt.Sprintf("t:%d", cl.labels.Add(1)))}
 	}
 	b.reset(tokens)
-	b.strays = b.strays[:0]
-	clear(b.waiting) // a batch that failed may have left tokens waiting
+	// A batch that failed may have left tokens standing.
+	b.strays, b.parked, b.parkedAt = b.strays[:0], b.parked[:0], b.parkedAt[:0]
 	return b
 }
 
@@ -171,26 +177,11 @@ func (cl *Cluster) putScratch(b *batchScratch) {
 	cl.scratch.Put(b)
 }
 
-// takeResume returns the next resume in the endpoint's mailbox, waiting
-// for one when block is set.
-func (ep *tokenEP) takeResume(block bool) (wire.Resume, bool) {
-	if block {
-		return <-ep.resume, true
-	}
-	select {
-	case rm := <-ep.resume:
-		return rm, true
-	default:
-		return wire.Resume{}, false
-	}
-}
-
 // Inject routes one token in from network input wire in, concurrently with
 // any other tokens and any reconfiguration, and returns the output wire. It
 // is InjectBatch of one token: it pays one RPC to enter the network and one
 // more each time its path crosses to a component the serving fabric does
-// not host, and its endpoint receives the resume if a frozen component
-// stores it.
+// not host or that is not active.
 func (cl *Cluster) Inject(in int) (int, error) {
 	ins, outs := [1]int{in}, [1]int{}
 	if err := cl.injectBatch(ins[:], outs[:]); err != nil {
@@ -223,13 +214,12 @@ func (cl *Cluster) Inject(in int) (int, error) {
 // their arrival interleaving, so delivering a group in one message is
 // count-for-count the same as delivering it one message at a time.
 //
-// The batch shares one pooled token endpoint whose resume window [lo, hi]
-// covers the whole claimed sequence range: tokens stored by a frozen
-// component re-enter the round loop when their individual resume control
-// messages land. Group routing reorders token *completion* within the
-// batch (a queued token finishes after its groupmates), but per-wire
-// counts — the network's observable output — are unaffected. It returns
-// the output wire of each token.
+// A component that is not active turns tokens away; they wait in the batch
+// until the reconfiguration that froze it publishes its successor, and then
+// re-enter where they stood. Group routing reorders token *completion*
+// within the batch (a turned-away token finishes after its groupmates), but
+// per-wire counts — the network's observable output — are unaffected. It
+// returns the output wire of each token.
 func (cl *Cluster) InjectBatch(ins []int) ([]int, error) {
 	if len(ins) == 0 {
 		return nil, nil
@@ -248,10 +238,6 @@ func (cl *Cluster) injectBatch(ins, outs []int) error {
 			return fmt.Errorf("dist: input wire %d out of range [0,%d)", in, cl.w)
 		}
 	}
-	ep, err := cl.getEP()
-	if err != nil {
-		return err
-	}
 	// One sampling decision per batch: a sampled batch's root span carries
 	// every group RPC of the batch, and its context rides each group
 	// arrive so receiving fabrics stitch server-side rpc:agroup spans to
@@ -262,21 +248,14 @@ func (cl *Cluster) injectBatch(ins, outs []int) error {
 	if cl.hTok != nil {
 		begin = time.Now()
 	}
-	hi := cl.tokSeq.Add(uint64(len(ins)))
-	base := hi - uint64(len(ins)) + 1
-	// Publish the resume window: hi first, so the endpoint handler never
-	// observes a half-open window accepting seqs above hi.
-	ep.hi.Store(hi)
-	ep.lo.Store(base)
 	cl.countInjected(ins)
 
 	b := cl.getScratch(len(ins))
-	err = cl.route(b, ep, base, ins, outs, sp)
+	err := cl.route(b, ins, outs, sp)
 	// Every return of route passes here, an error's too: tokens that left the
 	// network before it did leave it.
 	cl.putScratch(b)
 	sp.Finish()
-	cl.putEP(ep) // clears the window and drains stragglers, once per batch
 	if err == nil && cl.hTok != nil {
 		// Every token of a batch returns when the call does.
 		d := time.Since(begin).Seconds()
@@ -287,9 +266,9 @@ func (cl *Cluster) injectBatch(ins, outs []int) error {
 	return err
 }
 
-// route runs a batch's rounds: the tokens ins, numbered from sequence number
-// base, on the endpoint ep, until every one has left the network.
-func (cl *Cluster) route(b *batchScratch, ep *tokenEP, base uint64, ins, outs []int, sp *obs.Span) error {
+// route runs a batch's rounds over the tokens ins until every one has left
+// the network.
+func (cl *Cluster) route(b *batchScratch, ins, outs []int, sp *obs.Span) error {
 	tp := cl.topo.Load()
 	for i, in := range ins {
 		b.pos[i] = tp.rt.Entry(in)
@@ -297,29 +276,29 @@ func (cl *Cluster) route(b *batchScratch, ep *tokenEP, base uint64, ins, outs []
 	}
 
 	var err error
-	for len(b.active) > 0 || len(b.strays) > 0 || len(b.waiting) > 0 {
-		// Move resumed tokens to the strays: always everything already
-		// buffered, and — when nothing is routable — blocking until at least
-		// one token is. Resumes outside waiting are duplicated deliveries;
-		// the window filter made them rare and this makes them inert.
-		for len(b.waiting) > 0 {
-			rm, ok := ep.takeResume(len(b.active)+len(b.strays) == 0)
-			if !ok {
-				break
-			}
-			if idx, ok := b.waiting[rm.Seq]; ok {
-				delete(b.waiting, rm.Seq)
-				b.strays = append(b.strays, stray{idx: idx, path: tree.Path(rm.Path), wire: rm.Wire})
-			}
+	for len(b.active) > 0 || len(b.strays) > 0 || len(b.parked) > 0 {
+		cur := cl.topo.Load()
+		if cur == tp && len(b.active) == 0 && len(b.strays) == 0 {
+			// Every token left was turned away by an incarnation tp still
+			// lists: wait for the reconfiguration to publish the next
+			// snapshot. publish closes tp.done after storing it, so a publish
+			// since the Load above is not missed.
+			<-tp.done
+			cur = cl.topo.Load()
 		}
 		// A reconfiguration published since the last round: every position
-		// is in terms of the old snapshot, so all of them re-enter.
-		if cur := cl.topo.Load(); cur != tp {
+		// is in terms of the old snapshot, so all of them re-enter, the
+		// parked tokens with them.
+		if cur != tp {
 			for _, idx := range b.active {
 				at := b.pos[idx]
 				b.strays = append(b.strays, stray{idx: idx, path: tp.live[at.Comp].c.Path, wire: int(at.Wire)})
 			}
-			b.active, tp = b.active[:0], cur
+			for _, at := range b.parkedAt {
+				cl.hQueue.Since(at)
+			}
+			b.strays = append(b.strays, b.parked...)
+			b.active, b.parked, b.parkedAt, tp = b.active[:0], b.parked[:0], b.parkedAt[:0], cur
 		}
 		for _, s := range b.strays {
 			if b.pos[s.idx], err = tp.rt.Locate(s.path, s.wire); err != nil {
@@ -329,7 +308,7 @@ func (cl *Cluster) route(b *batchScratch, ep *tokenEP, base uint64, ins, outs []
 		}
 		b.strays = b.strays[:0]
 
-		cl.groupRound(b, tp, ep, base)
+		cl.groupRound(b, tp)
 		var roundStart time.Time
 		if cl.hHop != nil {
 			roundStart = time.Now()
@@ -348,7 +327,7 @@ func (cl *Cluster) route(b *batchScratch, ep *tokenEP, base uint64, ins, outs []
 			if !ok {
 				return fmt.Errorf("dist: group arrive reply %T", b.replies[g])
 			}
-			if err := cl.groupReply(b, tp, visits, res, base, outs, sp); err != nil {
+			if err := cl.groupReply(b, tp, visits, res, outs, sp); err != nil {
 				return err
 			}
 		}
@@ -359,9 +338,9 @@ func (cl *Cluster) route(b *batchScratch, ep *tokenEP, base uint64, ins, outs []
 // groupReply moves the tokens of one group arrive RPC — the visits it made,
 // the reply it got — to where the reply says they are: out of the network
 // (outs), at their next component (b.active), somewhere to be located
-// (b.strays) or stored until resumed (b.waiting). A reply without a visit
-// list says the same of every visit, in its own status.
-func (cl *Cluster) groupReply(b *batchScratch, tp *topology, visits []visit, res wire.GroupArriveRes, base uint64, outs []int, sp *obs.Span) error {
+// (b.strays) or turned away until the next snapshot (b.parked). A reply
+// without a visit list says the same of every visit, in its own status.
+func (cl *Cluster) groupReply(b *batchScratch, tp *topology, visits []visit, res wire.GroupArriveRes, outs []int, sp *obs.Span) error {
 	head, first := tp.live[visits[0].comp].c, visits[0].lo
 	tokens := int(visits[len(visits)-1].hi - first)
 	if n := len(res.Visits); n > 0 && (n != len(visits) || res.Status != wire.StatusExited) {
@@ -388,23 +367,20 @@ func (cl *Cluster) groupReply(b *batchScratch, tp *topology, visits []visit, res
 		off := int(vis.lo - first) // where the visit's share of res.Outs starts
 		switch st {
 		case wire.StatusDead:
-			// The component was replaced between resolution and delivery;
-			// the whole visit re-resolves against the current cut.
+			// The incarnation is frozen or retired: the whole visit waits for
+			// a snapshot newer than tp and re-resolves against it.
 			if sp != nil {
 				sp.Event("dead", string(cm.Path), int64(len(idxs)))
 			}
-			for _, idx := range idxs {
-				b.strays = append(b.strays, stray{idx: idx, path: cm.Path, wire: int(b.pos[idx].Wire)})
-			}
-		case wire.StatusQueued:
-			if sp != nil {
-				sp.Event("queued", string(cm.Path), int64(len(idxs)))
-			}
-			if b.waiting == nil {
-				b.waiting = make(map[uint64]int32)
+			var now time.Time
+			if cl.hQueue != nil {
+				now = time.Now()
 			}
 			for _, idx := range idxs {
-				b.waiting[base+uint64(idx)] = idx
+				b.parked = append(b.parked, stray{idx: idx, path: cm.Path, wire: int(b.pos[idx].Wire)})
+				if cl.hQueue != nil {
+					b.parkedAt = append(b.parkedAt, now)
+				}
 			}
 		case wire.StatusProcessed:
 			for k, idx := range idxs {
@@ -458,7 +434,7 @@ func (cl *Cluster) groupReply(b *batchScratch, tp *topology, visits []visit, res
 // destination's tokens cut into messages of at most wire.MaxSlice. Request
 // b.reqs[g] carries the visits b.visits[b.ends[g-1]:b.ends[g]], addressed to
 // the first one's component; b.replies and b.errs are sized to match.
-func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base uint64) {
+func (cl *Cluster) groupRound(b *batchScratch, tp *topology) {
 	b.tally(len(tp.live))
 	b.dest, b.sites = b.dest[:0], b.sites[:0]
 	for k, ci := range b.touched {
@@ -480,10 +456,8 @@ func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base u
 	// on to a request after Send returns (Faulty delivers its duplicates
 	// late), so the slices a request body points into are never rewritten.
 	wires := make([]int, len(order))
-	seqs := make([]uint64, len(order))
 	for k, idx := range order {
 		wires[k] = int(b.pos[idx].Wire)
-		seqs[k] = base + uint64(idx)
 	}
 
 	// The codec bounds a message's slices at wire.MaxSlice, so a destination
@@ -513,7 +487,7 @@ func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base u
 	}
 	b.ends = append(b.ends, int32(len(b.visits)))
 
-	// The round's visit lists share one allocation, like its wires and seqs.
+	// The round's visit lists share one allocation, like its wires.
 	further := make([]wire.Visit, 0, len(b.visits)-len(b.ends))
 	var start int32
 	for _, end := range b.ends {
@@ -524,8 +498,8 @@ func (cl *Cluster) groupRound(b *batchScratch, tp *topology, ep *tokenEP, base u
 			further = append(further, wire.Visit{Addr: string(tp.live[v.comp].addr), Tokens: int(v.hi - v.lo)})
 		}
 		b.reqs = append(b.reqs, transport.Request{
-			From: ep.addr, To: tp.live[visits[0].comp].addr, Kind: kindGroupArrive,
-			Body: wire.GroupArrive{Token: string(ep.addr), Wires: wires[lo:hi:hi], Seqs: seqs[lo:hi:hi], Visits: further[listed:len(further):len(further)]},
+			From: b.from, To: tp.live[visits[0].comp].addr, Kind: kindGroupArrive,
+			Body: wire.GroupArrive{Wires: wires[lo:hi:hi], Visits: further[listed:len(further):len(further)]},
 		})
 	}
 	if cap(b.replies) < len(b.reqs) {
@@ -556,16 +530,16 @@ type served struct {
 
 // groupArrive serves one group arrive RPC addressed to cm: the group's visit
 // to cm, its further visits to the incarnations the message names by address
-// (the dead stay listed, as they stay bound), and then its tokens' visits to
-// every component after those that this fabric also serves. Once every visit
-// has been checked — an error means nothing was touched — each is served as a
-// message addressed to that incarnation alone would have been: a dead one
-// takes nothing, a frozen one stores the visit's tokens (each resumes
-// individually), an active one routes them in arrival order under one
-// acquisition of its lock, one lock at a time. Per-output-wire counts depend
-// only on how many tokens arrived, not on their interleaving, so a group
-// visit is count-for-count identical to the same tokens arriving one by one.
-// The request ID, deduplicated at cm's endpoint, keeps it all at-most-once.
+// (the retired stay listed, as they stay bound), and then its tokens' visits
+// to every component after those that this fabric also serves. Once every
+// visit has been checked — an error means nothing was touched — each is
+// served as a message addressed to that incarnation alone would have been:
+// one that is not active turns the visit's tokens away, an active one routes
+// them in arrival order under one acquisition of its lock, one lock at a
+// time. Per-output-wire counts depend only on how many tokens arrived, not on
+// their interleaving, so a group visit is count-for-count identical to the
+// same tokens arriving one by one. The request ID, deduplicated at cm's
+// endpoint, keeps it all at-most-once.
 //
 // It runs at the bottom of a fresh request goroutine, under the fabric's
 // dispatch, so its frame and groupChain's are what that goroutine's stack
@@ -588,13 +562,9 @@ func (cl *Cluster) groupArrive(cm *comp, body any) (any, error) {
 	for i := range s.visits {
 		v := &s.visits[i]
 		v.cm.mu.Lock()
-		switch v.cm.state {
-		case stateDead:
+		if v.cm.frozen {
 			v.st = wire.StatusDead
-		case stateFrozen:
-			v.st = wire.StatusQueued
-			v.cm.storeLocked(transport.Addr(ga.Token), ga.Wires[v.lo:v.hi], ga.Seqs[v.lo:v.hi])
-		default:
+		} else {
 			v.st = wire.StatusProcessed
 			if outs == nil {
 				outs = make([]int, len(ga.Wires))
@@ -615,16 +585,6 @@ func (cl *Cluster) groupArrive(cm *comp, body any) (any, error) {
 	return res, nil
 }
 
-// storeLocked records tokens arriving at a frozen component: each is
-// counted in and kept with the endpoint its resume will go to. The caller
-// holds cm.mu.
-func (cm *comp) storeLocked(tok transport.Addr, wires []int, seqs []uint64) {
-	for k, w := range wires {
-		cm.arrived[w]++
-		cm.queue = append(cm.queue, queuedToken{wire: w, tok: tok, seq: seqs[k]})
-	}
-}
-
 // checkGroup takes a group arrive body apart into ga and s.visits, checking
 // all of it: an error means nothing has been touched.
 func (cl *Cluster) checkGroup(s *chainScratch, cm *comp, body any, ga *wire.GroupArrive) error {
@@ -633,8 +593,8 @@ func (cl *Cluster) checkGroup(s *chainScratch, cm *comp, body any, ga *wire.Grou
 		return fmt.Errorf("dist: group arrive body %T", body)
 	}
 	first := len(ga.Wires) // the further visits' tokens are the last of the group
-	if first == 0 || first != len(ga.Seqs) {
-		return fmt.Errorf("%w: %d wires, %d seqs", ErrBadGroup, first, len(ga.Seqs))
+	if first == 0 {
+		return fmt.Errorf("%w: no tokens", ErrBadGroup)
 	}
 	for _, v := range ga.Visits {
 		if v.Tokens <= 0 || v.Tokens >= first {
@@ -672,14 +632,13 @@ func (cl *Cluster) checkGroup(s *chainScratch, cm *comp, body any, ga *wire.Grou
 // one placement question, one acquisition of its lock for all of its tokens
 // — so the cost of a chain is per visit, not per token. It routes by the
 // current snapshot's table and holds one lock at a time, never two, and no
-// token is ever stored here: between visits the group is in flight exactly
-// as it is between two messages, so a freeze or a kill can land between any
-// two visits and the merge drain sees it by the same conservation count.
-// The tokens standing at a component that is served elsewhere or is not
-// active — frozen, dead, replaced since the snapshot was taken — stop there
-// and are reported by position, to arrive by a message from their own
-// endpoint like any first hop, so a frozen one stores them under the
-// address their resume must go to.
+// token is ever held here: between visits the group is in flight exactly as
+// it is between two messages, so a freeze can land between any two visits
+// and the merge drain sees it by the same conservation count. The tokens
+// standing at a component that is served elsewhere or is not active —
+// frozen, or replaced since the snapshot was taken — stop there and are
+// reported by position, to arrive by a message from their batch like any
+// first hop, and one that is not active turns them away like any other.
 //
 // A visit's tokens keep the reply the handler has always given, their
 // component's output wires (the sender's table knows where they lead), when
@@ -717,14 +676,14 @@ func (cl *Cluster) groupChain(s *chainScratch, res *wire.GroupArriveRes) {
 					continue
 				}
 				next.mu.Lock()
-				active := next.state == stateActive
-				if active {
+				frozen := next.frozen
+				if !frozen {
 					for _, i := range visit {
 						s.pos[i].Wire = int32(next.routeLocked(int(s.pos[i].Wire)))
 					}
 				}
 				next.mu.Unlock()
-				if !active {
+				if frozen {
 					continue
 				}
 				res.Steps += len(visit)

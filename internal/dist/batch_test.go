@@ -230,7 +230,7 @@ func TestBurstPaysCrossings(t *testing.T) {
 
 // sendSeam hides every optional capability of the fabric it wraps — as a
 // wrapper that interposes on Send does — and checks that the Sends issued
-// from one token endpoint never overlap in time.
+// by one batch never overlap in time.
 type sendSeam struct {
 	transport.Transport
 	mu       sync.Mutex
@@ -306,10 +306,10 @@ func TestBatchSendsSequentialWithoutCapability(t *testing.T) {
 // was an RPC, and 15 when every entry component was). What is left is per
 // RPC or per round, not per token: the one group RPC boxes its request body,
 // and its handler allocates the reply's output-wire slice and visit list and
-// boxes the reply (4); the one round allocates its three payload slices —
-// wires, sequence numbers, further visits — which must stay untouched after
-// the round because a fabric may keep a request (3); and the batch returns
-// one result slice.
+// boxes the reply (4); the one round allocates its two payload slices —
+// wires and further visits — which must stay untouched after the round
+// because a fabric may keep a request (2); and the batch returns one result
+// slice.
 func TestInjectBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -319,7 +319,7 @@ func TestInjectBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins := randomWires(3, 128, 64)
-	for i := 0; i < 4; i++ { // warm the endpoint and scratch pools
+	for i := 0; i < 4; i++ { // warm the scratch pools
 		if _, err := cl.InjectBatch(ins); err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestInjectBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8 {
-		t.Fatalf("a warm 128-token batch allocates %.0f times, pinned at 8", allocs)
+	if allocs > 7 {
+		t.Fatalf("a warm 128-token batch allocates %.0f times, pinned at 7", allocs)
 	}
 }

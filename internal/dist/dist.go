@@ -3,36 +3,43 @@
 // components, and splits and merges run the paper's freeze protocol
 // (Section 2.2) against live traffic instead of stopping the world:
 //
-//   - Split: the component is frozen (arrivals are stored), its per-wire
-//     arrival history initializes the children, the children replace it,
-//     and the stored tokens are forwarded to the children.
+//   - Split: the component is frozen, its per-wire history of routed tokens
+//     initializes the children, and a snapshot with the children in its
+//     place is published.
 //   - Merge: the assembly's entry children are frozen, the internal
 //     in-flight tokens drain (detected by the conservation invariant:
 //     every stage has processed the same number of tokens), the children's
-//     states combine into the parent, and stored tokens are forwarded to
-//     the parent.
+//     states combine into the parent, and a snapshot with the parent in
+//     their place is published.
+//
+// A component that is not active — frozen for a reconfiguration, or retired
+// by one — turns tokens away: it steps nothing, stores nothing and replies
+// StatusDead. The token waits at its sender, not at the component: the
+// sender keeps its position (path, wire) and, once a snapshot newer than the
+// one it routed against is published, re-enters it there through
+// tree.RouteTable.Locate, which descends into a split component's children
+// and ascends into a merged parent. The paper stores the token at the frozen
+// component and releases it afterwards; waiting at the sender is the same
+// re-entry at the same (path, wire), and the children, built from the routed
+// history alone, never count a turned-away token either way.
 //
 // Every cross-component interaction is a message on an internal/transport
 // fabric: tokens travel in group arrive RPCs, one path for a burst and for a
 // single token alike (Inject is InjectBatch of one), and a hop between two
 // components the same fabric instance serves is a hand-over inside the
 // serving handler, not a message, as the paper charges only node-to-node
-// moves; the freeze protocol's freeze / total / kill exchanges are control
-// RPCs, and a frozen component releases its stored tokens by sending each
-// one a "resume" control message. On the default ideal in-memory fabric
-// this is exactly as deterministic as the old direct calls; built over
-// transport.Faulty (WithTransport), every hop is a message again and every
-// one of those messages can be delayed, lost, duplicated or reordered, and
-// the retry + at-most-once layer must keep counting exact (experiment E24).
+// moves; the freeze protocol's freeze and total exchanges are control RPCs.
+// On the default ideal in-memory fabric this is exactly as deterministic as
+// direct calls; built over transport.Faulty (WithTransport), every hop is a
+// message again and every one of those messages can be delayed, lost,
+// duplicated or reordered, and the retry + at-most-once layer must keep
+// counting exact (experiment E24).
 //
 // Each component incarnation binds its own transport address ("c:<path>#
-// <generation>"), and dead incarnations stay bound: a straggling retry of
-// a message that the dead incarnation already executed is answered from
+// <generation>"), and retired incarnations stay bound: a straggling retry of
+// a message that the retired incarnation already executed is answered from
 // its dedup cache instead of leaking into a successor component, which is
-// what preserves exactly-once effects across reconfigurations. Late
-// messages addressed to replaced components are re-resolved against the
-// current cut: descending through input maps after a split, ascending
-// through the entry-child inverse after a merge.
+// what preserves exactly-once effects across reconfigurations.
 //
 // Compared to internal/core (the metered structural simulator), this
 // package trades instrumentation for real concurrency; internal/core
@@ -43,7 +50,7 @@ package dist
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,17 +64,7 @@ import (
 	"repro/internal/wire"
 )
 
-// compState is the lifecycle of a live component.
-type compState uint8
-
-const (
-	stateActive compState = iota + 1
-	stateFrozen
-	stateDead
-)
-
-// The message kinds and payload types on the component and token endpoints
-// are owned by internal/wire (kindGroupArrive = wire.KindGroupArrive and so
+// The message kinds and payload types on the component endpoints are owned by internal/wire (kindGroupArrive = wire.KindGroupArrive and so
 // on): every body dist sends or serves is a wire codec type, so the same
 // protocol runs unchanged over the in-memory switch (bodies pass by value)
 // and over tcpnet (bodies pass through the binary codec).
@@ -75,38 +72,20 @@ const (
 	kindGroupArrive = wire.KindGroupArrive // token delivery, one RPC per round and fabric a batch visits
 	kindFreeze      = wire.KindFreeze      // control: stop processing, snapshot state
 	kindTotal       = wire.KindTotal       // control: report the processed-token total
-	kindKill        = wire.KindKill        // control: die and release stored tokens
-	kindResume      = wire.KindResume      // control: stored token's continuation target
 )
-
-// queuedToken is a token stored at a frozen component.
-type queuedToken struct {
-	wire int
-	tok  transport.Addr
-	seq  uint64
-}
 
 // comp is a live component incarnation plus its protocol state.
 type comp struct {
 	c    tree.Component
 	addr transport.Addr
 
-	mu      sync.Mutex
-	state   compState
+	mu sync.Mutex
+	// frozen is set by a reconfiguration's freeze and never cleared: a
+	// frozen incarnation turns tokens away whether or not the snapshot that
+	// retires it has been published yet.
+	frozen  bool
 	total   uint64
-	arrived []uint64 // cumulative arrivals per input wire (processed + queued)
-	queue   []queuedToken
-}
-
-// processedPerWireLocked returns arrivals minus queued, per wire: the
-// tokens this component has actually routed, broken down by input wire.
-func (c *comp) processedPerWireLocked() []uint64 {
-	out := make([]uint64, len(c.arrived))
-	copy(out, c.arrived)
-	for _, q := range c.queue {
-		out[q.wire]--
-	}
-	return out
+	arrived []uint64 // tokens routed per input wire
 }
 
 // Cluster is a counting network under the asynchronous engine.
@@ -123,18 +102,13 @@ type Cluster struct {
 	place transport.Placer
 
 	// comps is every incarnation ever bound, by address — like their
-	// endpoints, dead ones stay: a group arrive names the further
+	// endpoints, retired ones stay: a group arrive names the further
 	// incarnations it visits by address (see groupArrive).
 	compMu sync.RWMutex
 	comps  map[transport.Addr]*comp
 
 	gen    atomic.Uint64 // component incarnation counter (address suffix)
-	tokSeq atomic.Uint64 // token endpoint counter
-
-	// tokPrefix is the token endpoint address prefix: "t:" alone, or
-	// "t:<ns>:" under WithNamespace so partitioned processes mint
-	// disjoint, routable token addresses.
-	tokPrefix string
+	labels atomic.Uint64 // batch scratch counter (see batchScratch.from)
 
 	// Observability handles (nil when uninstrumented). Instrument and
 	// Trace must be called before traffic or reconfigurations start; the
@@ -143,7 +117,7 @@ type Cluster struct {
 	reg    *obs.Registry
 	hTok   *obs.Hist // per-token seconds: the duration of the call that returned it
 	hHop   *obs.Hist // seconds per round of a batch (one round trip of its group RPCs)
-	hQueue *obs.Hist // freeze-queue wait seconds (stored token until resume)
+	hQueue *obs.Hist // seconds a turned-away token waited for the next snapshot
 	hDrain *obs.Hist // merge phase-2 drain-wait seconds
 	hSplit *obs.Hist // split reconfiguration seconds
 	hMerge *obs.Hist // merge reconfiguration seconds
@@ -159,20 +133,12 @@ type Cluster struct {
 	// atomic pointer. Tokens route against whatever snapshot is current when
 	// they look — no read lock, no blocking on an in-flight Split/Merge.
 	// Reconfigurations (serialized by reconfig) build a new snapshot and
-	// publish it; the freeze protocol already handles tokens that routed
-	// against the older one (the dead incarnation answers statusDead and the
-	// token re-resolves).
+	// publish it; a token that routed against the older one is turned away
+	// by the retired incarnation and re-resolves against the newer.
 	topo atomic.Pointer[topology]
 
 	out      []atomic.Uint64 // per-output-wire emission counters
 	injected []atomic.Uint64 // per-input-wire injection counters
-
-	// eps is a bounded free-list of token endpoints. Binding a fresh
-	// endpoint per token costs an address allocation plus a map insert and
-	// delete in the fabric's switch under its lock; pooling amortizes that
-	// across tokens. A channel (not sync.Pool) so endpoints are never
-	// dropped by GC while still bound in the fabric.
-	eps chan *tokenEP
 
 	// scratch recycles InjectBatch's per-batch working memory, chains a group
 	// arrive handler's (groupChain).
@@ -182,22 +148,9 @@ type Cluster struct {
 	reconfig sync.Mutex // serializes Split/Merge against each other only
 }
 
-// tokenEP is a pooled token endpoint: a bound transport address plus the
-// resume mailbox. [lo, hi] is the sequence window of the batch currently
-// using the endpoint (lo = 0 means idle): its whole claimed range, lo = hi
-// for a single token. The endpoint handler and the resume receive paths
-// both discard messages whose Seq is outside the window, so a straggling or
-// duplicated resume for a previous occupant is inert.
-type tokenEP struct {
-	addr   transport.Addr
-	resume chan wire.Resume
-	lo, hi atomic.Uint64
-}
-
 // New creates a cluster implementing BITONIC[w] with the given cut. With no
 // options it runs over an ideal (reliable, zero-latency) in-memory fabric;
-// options select other fabrics, retry policies, observability and
-// namespacing.
+// options select other fabrics, retry policies and observability.
 func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 	var o options
 	for _, opt := range opts {
@@ -205,9 +158,6 @@ func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 	}
 	if o.tr == nil {
 		o.tr = transport.NewMem()
-	}
-	if strings.Contains(o.ns, ":") {
-		return nil, fmt.Errorf("dist: namespace %q contains ':'", o.ns)
 	}
 	if err := cut.Validate(w); err != nil {
 		return nil, err
@@ -222,20 +172,14 @@ func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 	if d, ok := o.tr.(transport.Redeliverer); ok && d.CanRedeliver() {
 		d.EnableDedup()
 	}
-	tokPrefix := "t:"
-	if o.ns != "" {
-		tokPrefix = "t:" + o.ns + ":"
-	}
 	cl := &Cluster{
-		w:         w,
-		tr:        o.tr,
-		rc:        transport.NewClient(o.tr, o.retry),
-		tokPrefix: tokPrefix,
-		drainCh:   make(chan struct{}, 1),
-		out:       make([]atomic.Uint64, w),
-		injected:  make([]atomic.Uint64, w),
-		eps:       make(chan *tokenEP, 256),
-		comps:     make(map[transport.Addr]*comp),
+		w:        w,
+		tr:       o.tr,
+		rc:       transport.NewClient(o.tr, o.retry),
+		drainCh:  make(chan struct{}, 1),
+		out:      make([]atomic.Uint64, w),
+		injected: make([]atomic.Uint64, w),
+		comps:    make(map[transport.Addr]*comp),
 	}
 	cl.place, _ = o.tr.(transport.Placer)
 	comps, err := cut.Components(w)
@@ -244,7 +188,7 @@ func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 	}
 	live := make([]*comp, len(comps))
 	for i, c := range comps {
-		live[i] = &comp{c: c, state: stateActive, arrived: make([]uint64, c.Width)}
+		live[i] = &comp{c: c, arrived: make([]uint64, c.Width)}
 		if err := cl.bind(live[i]); err != nil {
 			return nil, err
 		}
@@ -270,7 +214,7 @@ func NewRootOnly(w int) (*Cluster, error) {
 	return New(w, tree.RootCut())
 }
 
-// bind gives a fresh incarnation its own endpoint. Dead incarnations stay
+// bind gives a fresh incarnation its own endpoint. Retired incarnations stay
 // bound for the cluster's lifetime so straggling retries are answered from
 // their dedup state rather than reaching a successor incarnation.
 func (cl *Cluster) bind(cm *comp) error {
@@ -300,33 +244,12 @@ func (cl *Cluster) control(cm *comp, kind string) (any, error) {
 	case kindFreeze:
 		cm.mu.Lock()
 		defer cm.mu.Unlock()
-		if cm.state == stateDead {
-			return nil, fmt.Errorf("dist: freeze: %v is dead", cm.c)
-		}
-		cm.state = stateFrozen
-		return wire.FreezeRes{Total: cm.total, Processed: cm.processedPerWireLocked()}, nil
+		cm.frozen = true
+		return wire.FreezeRes{Total: cm.total, Processed: slices.Clone(cm.arrived)}, nil
 	case kindTotal:
 		cm.mu.Lock()
 		defer cm.mu.Unlock()
 		return cm.total, nil
-	case kindKill:
-		cm.mu.Lock()
-		cm.state = stateDead
-		queue := cm.queue
-		cm.queue = nil
-		cm.mu.Unlock()
-		// Release stored tokens: each gets a resume control message telling
-		// it to re-enter at this component's position; delivery is async so
-		// a slow token endpoint cannot stall the kill reply.
-		for _, q := range queue {
-			q := q
-			go func() {
-				// ErrUnreachable means the token already finished (its
-				// endpoint unbound) — only possible for duplicates.
-				_, _ = cl.rc.Call(cm.addr, q.tok, kindResume, wire.Resume{Path: string(cm.c.Path), Wire: q.wire, Seq: q.seq})
-			}()
-		}
-		return len(queue), nil
 	default:
 		return nil, fmt.Errorf("dist: unknown RPC kind %q", kind)
 	}
@@ -365,13 +288,15 @@ func (cl *Cluster) NetStats() (transport.Stats, transport.ClientStats) {
 }
 
 // Instrument routes the engine's latency distributions — per-token and
-// per-round seconds, freeze-queue and merge-drain waits, reconfiguration
+// per-round seconds, turned-away and merge-drain waits, reconfiguration
 // timing — into reg, along with the reliability client's RTT and retry
 // distributions. dist.token.seconds gets one sample per token an Inject or
 // InjectBatch returns, valued at that call's duration (a burst's tokens all
 // return together); dist.hop.seconds gets one per round of a batch, the
-// round trip of its group arrive RPCs. Call it before issuing traffic; the
-// handles are read without synchronization afterwards.
+// round trip of its group arrive RPCs; dist.queue.wait.seconds gets one per
+// token a component turned away, the seconds from the reply that turned it
+// away until its batch saw the next snapshot. Call it before issuing
+// traffic; the handles are read without synchronization afterwards.
 func (cl *Cluster) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -418,54 +343,6 @@ func (cl *Cluster) InstrumentRPC(o *obs.RPCObs) bool {
 	return ok
 }
 
-// getEP takes a token endpoint from the free-list, binding a fresh one
-// when the list is empty.
-func (cl *Cluster) getEP() (*tokenEP, error) {
-	select {
-	case ep := <-cl.eps:
-		return ep, nil
-	default:
-	}
-	ep := &tokenEP{
-		addr:   transport.Addr(fmt.Sprintf("%s%d", cl.tokPrefix, cl.tokSeq.Add(1))),
-		resume: make(chan wire.Resume, 8),
-	}
-	if err := cl.tr.Bind(ep.addr, func(req transport.Request) (any, error) {
-		rm, ok := req.Body.(wire.Resume)
-		if !ok {
-			return nil, fmt.Errorf("dist: resume body %T", req.Body)
-		}
-		if lo := ep.lo.Load(); lo != 0 && rm.Seq >= lo && rm.Seq <= ep.hi.Load() {
-			ep.resume <- rm
-		}
-		return true, nil
-	}); err != nil {
-		return nil, err
-	}
-	return ep, nil
-}
-
-// putEP returns an endpoint to the free-list, unbinding it when the list
-// is full. Stale resumes buffered by a straggler are drained first so the
-// next occupant starts with an empty mailbox.
-func (cl *Cluster) putEP(ep *tokenEP) {
-	ep.lo.Store(0)
-	ep.hi.Store(0)
-	for {
-		select {
-		case <-ep.resume:
-			continue
-		default:
-		}
-		break
-	}
-	select {
-	case cl.eps <- ep:
-	default:
-		cl.tr.Unbind(ep.addr)
-	}
-}
-
 // OutCounts returns the per-output-wire emission counts.
 func (cl *Cluster) OutCounts() balancer.Seq {
 	s := make(balancer.Seq, cl.w)
@@ -499,7 +376,7 @@ func (cl *Cluster) CheckStep() error {
 
 // ctl issues one control RPC from the reconfiguration coordinator. The
 // span (nil when the reconfiguration is unsampled) propagates so the
-// receiving fabric's freeze/total/kill spans stitch to the
+// receiving fabric's freeze/total spans stitch to the
 // reconfiguration's trace.
 func (cl *Cluster) ctl(cm *comp, kind string, sp *obs.Span) (any, error) {
 	reply, err := cl.rc.CallSpan("ctl", cm.addr, kind, nil, sp)
@@ -511,8 +388,9 @@ func (cl *Cluster) ctl(cm *comp, kind string, sp *obs.Span) (any, error) {
 
 // Split replaces the component at path p by its children while traffic
 // flows: freeze (a control RPC returning the frozen per-wire history),
-// initialize children from it, swap, and kill the old incarnation, which
-// releases its stored tokens via resume messages.
+// initialize children from it, and publish them in its place. Tokens the
+// frozen incarnation turned away re-enter at (p, wire) once the snapshot is
+// out, and tree.RouteTable.Locate descends into the children.
 func (cl *Cluster) Split(p tree.Path) error {
 	cl.reconfig.Lock()
 	defer cl.reconfig.Unlock()
@@ -532,13 +410,13 @@ func (cl *Cluster) Split(p tree.Path) error {
 		return fmt.Errorf("dist: split: %v is an individual balancer", cm.c)
 	}
 	cm.mu.Lock()
-	active := cm.state == stateActive
+	frozen := cm.frozen
 	cm.mu.Unlock()
-	if !active {
+	if frozen {
 		return fmt.Errorf("dist: split: %v is not active", cm.c)
 	}
 
-	// Freeze and snapshot the processed-per-wire history.
+	// Freeze and snapshot the routed-per-wire history.
 	reply, err := cl.ctl(cm, kindFreeze, sp)
 	if err != nil {
 		return err
@@ -555,31 +433,20 @@ func (cl *Cluster) Split(p tree.Path) error {
 	children := cm.c.Children()
 	newComps := make([]*comp, len(children))
 	for i, child := range children {
-		newComps[i] = &comp{c: child, state: stateActive, total: totals[i], arrived: flows[i]}
+		newComps[i] = &comp{c: child, total: totals[i], arrived: flows[i]}
 		if err := cl.bind(newComps[i]); err != nil {
 			return err
 		}
 	}
 
 	// Publish a fresh snapshot with the children in place of the parent.
-	// In-flight tokens holding the old snapshot hit the dead incarnation
-	// and re-resolve; tokens resolving from here on see the children.
+	// Tokens the frozen incarnation turned away, and in-flight tokens holding
+	// the old snapshot, re-resolve into the children.
 	if err := cl.publish([]*comp{cm}, newComps); err != nil {
 		return err
 	}
-
 	if sp != nil {
 		sp.Event("publish", string(p), int64(len(children)))
-	}
-	// Kill the old incarnation; its stored tokens re-enter at (p, wire) and
-	// tree.RouteTable.Locate descends into the children.
-	reply, err = cl.ctl(cm, kindKill, sp)
-	if err != nil {
-		return err
-	}
-	if sp != nil {
-		released, _ := reply.(int)
-		sp.Event("kill", string(p), int64(released))
 	}
 	cl.hSplit.Since(begin)
 	return nil
@@ -632,16 +499,16 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 		}
 	}
 
-	// Phase 1: freeze the entry children; external arrivals are stored.
+	// Phase 1: freeze the entry children; external arrivals are turned away.
 	// Their freeze snapshots are final: a frozen component's total and
 	// processed history no longer change.
 	deg := len(cms)
 	entrySnaps := make([]wire.FreezeRes, 2)
 	for i, cm := range cms[:2] {
 		cm.mu.Lock()
-		active := cm.state == stateActive
+		frozen := cm.frozen
 		cm.mu.Unlock()
-		if !active {
+		if frozen {
 			return fmt.Errorf("dist: merge: entry child %v is not active", cm.c)
 		}
 		reply, err := cl.ctl(cm, kindFreeze, sp)
@@ -709,31 +576,19 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 	if err != nil {
 		return err
 	}
-	merged := &comp{c: parent, state: stateActive, total: total, arrived: arrived}
+	merged := &comp{c: parent, total: total, arrived: arrived}
 	if err := cl.bind(merged); err != nil {
 		return err
 	}
 
 	// Phase 4: publish a fresh snapshot with the parent in place of the
-	// children.
+	// children. Tokens the entry children turned away re-enter at (child,
+	// wire), and tree.RouteTable.Locate ascends into the merged parent.
 	if err := cl.publish(cms, []*comp{merged}); err != nil {
 		return err
 	}
-
 	if sp != nil {
 		sp.Event("publish", string(p), int64(len(children)))
-	}
-	// Phase 5: kill the children; their stored tokens re-enter at
-	// (child, wire) and tree.RouteTable.Locate ascends into the merged parent.
-	for _, cm := range cms {
-		reply, err := cl.ctl(cm, kindKill, sp)
-		if err != nil {
-			return err
-		}
-		if sp != nil {
-			released, _ := reply.(int)
-			sp.Event("kill", string(cm.c.Path), int64(released))
-		}
 	}
 	cl.hMerge.Since(begin)
 	return nil

@@ -436,51 +436,57 @@ func TestFindLiveDescendsAfterSplit(t *testing.T) {
 	}
 }
 
-// TestArriveOnDeadComponent: a single token's arrive at a dead incarnation
-// is answered with statusDead so the sender re-resolves.
+// TestArriveOnDeadComponent: a token's arrive at an incarnation a published
+// snapshot has retired is answered with StatusDead, nothing stepped, so the
+// sender re-resolves.
 func TestArriveOnDeadComponent(t *testing.T) {
 	cl, err := NewRootOnly(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := &comp{c: tree.MustRoot(4), state: stateDead, arrived: make([]uint64, 4)}
-	reply, err := cl.compRPC(cm, transport.Request{Kind: kindGroupArrive, Body: wire.GroupArrive{Token: "t:test", Wires: []int{0}, Seqs: []uint64{1}}})
+	cm := cl.topo.Load().at("")
+	if err := cl.Split(""); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := cl.compRPC(cm, transport.Request{Kind: kindGroupArrive, Body: wire.GroupArrive{Wires: []int{0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res := reply.(wire.GroupArriveRes); res.Status != wire.StatusDead {
-		t.Fatalf("status = %v, want statusDead", res.Status)
+		t.Fatalf("status = %v, want StatusDead", res.Status)
 	}
-	if cm.arrived[0] != 0 {
-		t.Fatal("dead component recorded an arrival")
+	if cm.arrived[0] != 0 || cm.total != 0 {
+		t.Fatal("retired component recorded an arrival")
 	}
 }
 
-// TestArriveOnFrozenComponentQueues: a single token's arrive at a frozen
-// component is stored with the token's endpoint, to be released by a resume
-// message.
+// TestArriveOnFrozenComponentQueues: a token's arrive at a frozen component
+// is turned away exactly like one at a retired incarnation — StatusDead,
+// nothing counted and nothing kept — so the token waits at its sender, not
+// in a queue at the component, and the frozen history the children are built
+// from is the routed history alone.
 func TestArriveOnFrozenComponentQueues(t *testing.T) {
 	cl, err := NewRootOnly(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := &comp{c: tree.MustRoot(4), state: stateFrozen, arrived: make([]uint64, 4)}
-	reply, err := cl.compRPC(cm, transport.Request{Kind: kindGroupArrive, Body: wire.GroupArrive{Token: "t:test", Wires: []int{2}, Seqs: []uint64{1}}})
+	cm := &comp{c: tree.MustRoot(4), frozen: true, total: 3, arrived: []uint64{1, 0, 2, 0}}
+	reply, err := cl.compRPC(cm, transport.Request{Kind: kindGroupArrive, Body: wire.GroupArrive{Wires: []int{2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := reply.(wire.GroupArriveRes); res.Status != wire.StatusQueued {
-		t.Fatalf("status = %v, want statusQueued", res.Status)
+	if res := reply.(wire.GroupArriveRes); res.Status != wire.StatusDead || res.Outs != nil {
+		t.Fatalf("reply %+v, want StatusDead with nothing stepped", res)
 	}
-	if cm.arrived[2] != 1 || len(cm.queue) != 1 {
-		t.Fatalf("arrival not recorded: %+v", cm)
+	if cm.total != 3 || !slices.Equal(cm.arrived, []uint64{1, 0, 2, 0}) {
+		t.Fatalf("frozen component counted a turned-away token: total %d, arrived %v", cm.total, cm.arrived)
 	}
-	if q := cm.queue[0]; q.wire != 2 || q.tok != "t:test" || q.seq != 1 {
-		t.Fatalf("queued token = %+v", q)
+	reply, err = cl.control(cm, kindFreeze)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The stored token does not count as processed.
-	if p := cm.processedPerWireLocked(); p[2] != 0 {
-		t.Fatalf("processed = %v, want stored token excluded", p)
+	if snap := reply.(wire.FreezeRes); snap.Total != 3 || !slices.Equal(snap.Processed, []uint64{1, 0, 2, 0}) {
+		t.Fatalf("freeze snapshot %+v, want the routed history", snap)
 	}
 }
 
@@ -583,7 +589,7 @@ func TestInstrumentedUnderReconfig(t *testing.T) {
 			switch e.Kind {
 			case "group":
 				groups++
-			case "inject", "queued", "dead", "retry":
+			case "inject", "dead", "retry":
 			default:
 				t.Fatalf("unexpected event kind %q", e.Kind)
 			}

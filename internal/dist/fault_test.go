@@ -73,7 +73,7 @@ func TestCountingUnderFaultyTransport(t *testing.T) {
 }
 
 // TestReconfigUnderFaultyTransport: the freeze protocol's control messages
-// (freeze, total polls, kill, resume) ride the same lossy fabric as token
+// (freeze, total polls) ride the same lossy fabric as token
 // traffic, concurrently with injections, and the network still neither
 // loses nor double-counts a token across split/merge cycles.
 func TestReconfigUnderFaultyTransport(t *testing.T) {

@@ -3,7 +3,6 @@ package dist
 import (
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +14,8 @@ import (
 	"repro/internal/wire"
 )
 
-// The group analogues of arrive_test.go's chain tests: a group handler's
-// chain against a frozen component, against one killed between two of its
+// The group analogues of inject_test.go's chain tests: a group handler's
+// chain against a frozen component, against one retired between two of its
 // visits, at a stale incarnation, under retries, and against the two
 // oracles (a fabric without placement knowledge, and the sequential path).
 
@@ -58,9 +57,9 @@ func requireSameTotals(t *testing.T, cl, ref *Cluster) {
 // TestGroupChainStopsAtFrozen: a burst's chains meet a frozen component in
 // the third layer. Round 1 steps every token up to it or out of the network
 // and reports the ones standing at it by position; round 2 is their own
-// message to the frozen component, which stores them under the batch
-// endpoint's address; once the component is replaced and killed the resumes
-// bring them back and they run out the rest of their paths.
+// message to the frozen component, which turns them all away; once a
+// replacement is published they re-enter there and run out the rest of
+// their paths in one more round.
 func TestGroupChainStopsAtFrozen(t *testing.T) {
 	const w, tokens = 64, 128
 	cut := mustCut(t, w, 2)
@@ -72,7 +71,8 @@ func TestGroupChainStopsAtFrozen(t *testing.T) {
 	if _, err := ref.InjectBatch(ins); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := New(w, cut)
+	fabric := &repliedMem{Net: transport.NewMem()}
+	cl, err := New(w, cut, WithTransport(fabric))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +90,12 @@ func TestGroupChainStopsAtFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reply.(wire.FreezeRes)
+	turned := make(chan struct{})
+	fabric.replied = func(req transport.Request) {
+		if req.To == frozen.addr {
+			close(turned)
+		}
+	}
 
 	_, before := cl.NetStats()
 	done := make(chan error, 1)
@@ -97,40 +103,28 @@ func TestGroupChainStopsAtFrozen(t *testing.T) {
 		_, err := cl.InjectBatch(ins)
 		done <- err
 	}()
-	var queue []queuedToken
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
-		frozen.mu.Lock()
-		queue = append(queue[:0], frozen.queue...)
-		frozen.mu.Unlock()
-		if len(queue) == stopped {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d tokens stored at the frozen component, want %d", len(queue), stopped)
-		}
+	select {
+	case <-turned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the burst never reached the frozen component")
 	}
 	if _, mid := cl.NetStats(); mid.Sub(before).Calls != 2 {
-		t.Fatalf("%d RPCs until the tokens were stored, want 2: one fabric, so one message a round (the burst, then the group it was told to send)", mid.Sub(before).Calls)
+		t.Fatalf("%d RPCs until the tokens were turned away, want 2: one fabric, so one message a round (the burst, then the group it was told to send)", mid.Sub(before).Calls)
 	}
-	for _, q := range queue {
-		if !strings.HasPrefix(string(q.tok), "t:") || q.tok != queue[0].tok {
-			t.Fatalf("stored %+v, want every token under the batch endpoint's address", q)
-		}
-	}
-	if frozen.total != 0 {
-		t.Fatalf("the frozen component stepped %d tokens", frozen.total)
+	frozen.mu.Lock()
+	total, arrived := frozen.total, slices.Clone(frozen.arrived)
+	frozen.mu.Unlock()
+	if total != 0 || !slices.Equal(arrived, snap.Processed) {
+		t.Fatalf("the frozen component counted tokens: total %d, arrived %v", total, arrived)
 	}
 
-	// Replace the frozen incarnation by a fresh one built from its freeze
-	// snapshot, then kill it: the stored tokens are released to the endpoint.
-	repl := &comp{c: frozen.c, state: stateActive, total: snap.Total, arrived: snap.Processed}
+	// Publish a fresh incarnation built from the freeze snapshot in its place:
+	// the waiting tokens re-enter there.
+	repl := &comp{c: frozen.c, total: snap.Total, arrived: snap.Processed}
 	if err := cl.bind(repl); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.publish([]*comp{frozen}, []*comp{repl}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.ctl(frozen, kindKill, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -139,28 +133,21 @@ func TestGroupChainStopsAtFrozen(t *testing.T) {
 
 	// Events: the burst, its one message whose chain steps 6 components for
 	// a token that misses the frozen one and 2 for one that meets it, the
-	// group stored whole, then the resumed tokens — in as many groups as
-	// their resumes happened to arrive in — stepping the 4 components left.
-	evs := batchEvents(t, tr)
+	// group turned away whole, then the same group stepping the 4 components
+	// left.
 	p := string(frozen.c.Path)
-	if len(evs) < 4 || evs[0].Kind != "inject" || evs[0].V != tokens {
+	evs := batchEvents(t, tr)
+	if len(evs) != 4 || evs[0].Kind != "inject" || evs[0].V != tokens {
 		t.Fatalf("batch span events %+v", evs)
 	}
-	var late int64
 	if e, want := evs[1], int64(6*(tokens-stopped)+2*stopped); e.Kind != "group" || e.Detail == p || e.V != want {
 		t.Fatalf("event %+v, want the burst's message stepping %d components", e, want)
 	}
-	if e := evs[2]; e.Kind != "queued" || e.Detail != p || e.V != int64(stopped) {
-		t.Fatalf("event %+v, want %d tokens queued at %q", e, stopped, p)
+	if e := evs[2]; e.Kind != "dead" || e.Detail != p || e.V != int64(stopped) {
+		t.Fatalf("event %+v, want %d tokens turned away at %q", e, stopped, p)
 	}
-	for _, e := range evs[3:] {
-		if e.Kind != "group" || e.Detail != p {
-			t.Fatalf("event %+v, want a group of resumed tokens at %q", e, p)
-		}
-		late += e.V
-	}
-	if late != int64(4*stopped) {
-		t.Fatalf("the resumed tokens stepped %d components, want %d", late, 4*stopped)
+	if e := evs[3]; e.Kind != "group" || e.Detail != p || e.V != int64(4*stopped) {
+		t.Fatalf("event %+v, want the turned-away tokens stepping %d components from %q", e, 4*stopped, p)
 	}
 	requireSameTotals(t, cl, ref)
 	if got, want := cl.OutCounts(), ref.OutCounts(); !slices.Equal(got, want) {
@@ -172,10 +159,10 @@ func TestGroupChainStopsAtFrozen(t *testing.T) {
 }
 
 // TestGroupChainStopsAtDead: a third-layer component is split — frozen,
-// replaced by its children in a published snapshot, killed — between two
+// then replaced by its children in a published snapshot — between two
 // visits of a chain that routes by the older snapshot. The chain finds it
-// dead and reports the tokens standing at it by position; their endpoint
-// descends from there into the children. Nothing is sent to the dead
+// retired and reports the tokens standing at it by position; their batch
+// descends from there into the children. Nothing is sent to the retired
 // incarnation, so nothing bounces.
 func TestGroupChainStopsAtDead(t *testing.T) {
 	const w, tokens = 64, 128
@@ -263,7 +250,7 @@ func TestGroupChainStaleIncarnationOneStep(t *testing.T) {
 	tp := cl.topo.Load()
 	at := tp.rt.Entry(13)
 	stale := tp.live[at.Comp]
-	cur := &comp{c: stale.c, state: stateActive, arrived: make([]uint64, stale.c.Width)}
+	cur := &comp{c: stale.c, arrived: make([]uint64, stale.c.Width)}
 	if err := cl.bind(cur); err != nil {
 		t.Fatal(err)
 	}

@@ -119,9 +119,10 @@ func TestTokenPaysCrossings(t *testing.T) {
 // TestChainStopsAtFrozen: a single token's chain meets a frozen component
 // mid-path. RPC 1 steps exactly the components before it and reports the
 // token's position; RPC 2 is the token's own message to the frozen
-// component, which stores it under the token's endpoint address; after the
-// component is replaced and killed the resume brings the token back and it
-// runs out the rest of its path in one more RPC.
+// component, which turns it away, counting nothing. The token waits at its
+// sender until a replacement is published, then runs out the rest of its
+// path in one more RPC. No message goes to the token: every message the
+// fabric delivers is one the client sent.
 func TestChainStopsAtFrozen(t *testing.T) {
 	const w, in = 64, 13
 	cut := mustCut(t, w, 2)
@@ -133,12 +134,14 @@ func TestChainStopsAtFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := New(w, cut)
+	fabric := &repliedMem{Net: transport.NewMem()}
+	reg := obs.NewRegistry()
+	cl, err := New(w, cut, WithTransport(fabric), WithObs(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := cl.Trace(1, 16)
-	path, wires := tokenPath(cl, in)
+	path, _ := tokenPath(cl, in)
 	if len(path) != 6 {
 		t.Fatalf("path of %d components, want 6", len(path))
 	}
@@ -148,8 +151,14 @@ func TestChainStopsAtFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reply.(wire.FreezeRes)
+	turned := make(chan struct{})
+	fabric.replied = func(req transport.Request) {
+		if req.To == frozen.addr {
+			close(turned)
+		}
+	}
 
-	_, before := cl.NetStats()
+	before, cbefore := cl.NetStats()
 	done := make(chan int, 1)
 	go func() {
 		out, err := cl.Inject(in)
@@ -158,26 +167,19 @@ func TestChainStopsAtFrozen(t *testing.T) {
 		}
 		done <- out
 	}()
-	var q queuedToken
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
-		frozen.mu.Lock()
-		n := len(frozen.queue)
-		if n > 0 {
-			q = frozen.queue[0]
-		}
-		frozen.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the token never reached the frozen component")
-		}
+	select {
+	case <-turned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the token never reached the frozen component")
 	}
-	if _, mid := cl.NetStats(); mid.Sub(before).Calls != 2 {
-		t.Fatalf("%d RPCs until the token was stored, want 2 (the chain, then the arrive it was told to send)", mid.Sub(before).Calls)
+	if _, mid := cl.NetStats(); mid.Sub(cbefore).Calls != 2 {
+		t.Fatalf("%d RPCs until the token was turned away, want 2 (the chain, then the arrive it was told to send)", mid.Sub(cbefore).Calls)
 	}
-	if !strings.HasPrefix(string(q.tok), "t:") || q.wire != wires[2] {
-		t.Fatalf("stored %+v, want the token's endpoint address and wire %d", q, wires[2])
+	frozen.mu.Lock()
+	total, arrived := frozen.total, slices.Clone(frozen.arrived)
+	frozen.mu.Unlock()
+	if total != snap.Total || !slices.Equal(arrived, snap.Processed) {
+		t.Fatalf("the frozen component counted the token: total %d, arrived %v; at the freeze %d, %v", total, arrived, snap.Total, snap.Processed)
 	}
 	for i, cm := range path {
 		cm.mu.Lock()
@@ -191,17 +193,19 @@ func TestChainStopsAtFrozen(t *testing.T) {
 			t.Fatalf("component %d of the path (%v) has total %d after the chain stopped at component 2", i, cm.c, total)
 		}
 	}
+	select {
+	case out := <-done:
+		t.Fatalf("the token left on wire %d before a replacement was published", out)
+	case <-time.After(20 * time.Millisecond):
+	}
 
-	// Replace the frozen incarnation by a fresh one built from its freeze
-	// snapshot, then kill it: the stored token is released to its endpoint.
-	repl := &comp{c: frozen.c, state: stateActive, total: snap.Total, arrived: snap.Processed}
+	// Publish a fresh incarnation built from the freeze snapshot in its place:
+	// the waiting token re-enters there.
+	repl := &comp{c: frozen.c, total: snap.Total, arrived: snap.Processed}
 	if err := cl.bind(repl); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.publish([]*comp{frozen}, []*comp{repl}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.ctl(frozen, kindKill, nil); err != nil {
 		t.Fatal(err)
 	}
 	if out := <-done; out != want {
@@ -211,12 +215,34 @@ func TestChainStopsAtFrozen(t *testing.T) {
 	requireEvents(t, batchEvents(t, tr),
 		obs.Event{Kind: "inject", V: 1},
 		obs.Event{Kind: "group", Detail: string(path[0].c.Path), V: 2},
-		obs.Event{Kind: "queued", Detail: p, V: 1},
+		obs.Event{Kind: "dead", Detail: p, V: 1},
 		obs.Event{Kind: "group", Detail: p, V: 4},
 	)
+	after, cafter := cl.NetStats()
+	if got, calls := after.Sub(before).Delivered, cafter.Sub(cbefore).Calls; calls != 3 || got != calls {
+		t.Fatalf("%d messages delivered for %d client calls, want 3 each", got, calls)
+	}
+	if n := reg.Snapshot().Histograms["dist.queue.wait.seconds"].Count; n != 1 {
+		t.Fatalf("dist.queue.wait.seconds holds %d samples, want 1", n)
+	}
 	if err := cl.CheckStep(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// repliedMem is the in-memory switch with a hook after every Send: where a
+// test learns that a reply is on its way back to its sender.
+type repliedMem struct {
+	*transport.Net
+	replied func(transport.Request)
+}
+
+func (r *repliedMem) Send(req transport.Request, timeout time.Duration) (any, error) {
+	reply, err := r.Net.Send(req, timeout)
+	if r.replied != nil {
+		r.replied(req)
+	}
+	return reply, err
 }
 
 // gatedMem is the in-memory switch with a hook on the placement question,
@@ -234,11 +260,11 @@ func (g *gatedMem) Site(a transport.Addr) string {
 	return g.Net.Site(a)
 }
 
-// TestChainStopsAtDead: a component mid-path is split — frozen, replaced by
-// its children in a published snapshot, killed — while a single token's
-// chain that routes by the older snapshot is two steps in. The chain finds it dead, reports
-// the token's position, and the token's endpoint descends from there into
-// the children: two RPCs, no bounce off the dead incarnation.
+// TestChainStopsAtDead: a component mid-path is split — frozen, then
+// replaced by its children in a published snapshot — while a single token's
+// chain that routes by the older snapshot is two steps in. The chain finds it
+// retired, reports the token's position, and the token descends from there
+// into the children: two RPCs, no bounce off the retired incarnation.
 func TestChainStopsAtDead(t *testing.T) {
 	const w, in = 64, 13
 	cut := mustCut(t, w, 2)
@@ -324,7 +350,7 @@ func TestChainStaleIncarnationOneStep(t *testing.T) {
 	tp := cl.topo.Load()
 	at := tp.rt.Entry(in)
 	stale := tp.live[at.Comp]
-	cur := &comp{c: stale.c, state: stateActive, arrived: make([]uint64, stale.c.Width)}
+	cur := &comp{c: stale.c, arrived: make([]uint64, stale.c.Width)}
 	if err := cl.bind(cur); err != nil {
 		t.Fatal(err)
 	}
@@ -439,10 +465,10 @@ func TestChainAtMostOnceOverTCP(t *testing.T) {
 
 // TestInjectAllocs pins what a warm single-token Inject allocates over the
 // ideal fabric at the level-2 cut of BITONIC[64], where it is one group
-// arrive RPC: the request's wire and sequence-number slices and its boxed
-// body (payloads are never recycled: a fabric may hold a request after Send
-// returns), and the handler's output-wire slice and boxed reply (the dedup
-// table may keep a reply). Its input and output wires live on its stack.
+// arrive RPC: the request's wire slice and its boxed body (payloads are
+// never recycled: a fabric may hold a request after Send returns), and the
+// handler's output-wire slice and boxed reply (the dedup table may keep a
+// reply). Its input and output wires live on its stack.
 func TestInjectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -452,7 +478,7 @@ func TestInjectAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins := randomWires(9, 256, 64)
-	for _, in := range ins { // warm the endpoint pool
+	for _, in := range ins { // warm the scratch pools
 		if _, err := cl.Inject(in); err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +490,7 @@ func TestInjectAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if allocs > 5 {
-		t.Fatalf("a warm Inject allocates %.1f times, pinned at 5", allocs)
+	if allocs > 4 {
+		t.Fatalf("a warm Inject allocates %.1f times, pinned at 4", allocs)
 	}
 }

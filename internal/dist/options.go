@@ -16,7 +16,6 @@ type options struct {
 	tr          transport.Transport
 	retry       transport.RetryConfig
 	reg         *obs.Registry
-	ns          string
 	traceEvery  int
 	traceRetain int
 }
@@ -48,16 +47,4 @@ func WithObs(reg *obs.Registry) Option {
 // the spans through the registry's trace sources.
 func WithTrace(every, retain int) Option {
 	return func(o *options) { o.traceEvery, o.traceRetain = every, retain }
-}
-
-// WithNamespace tags the cluster's token endpoint addresses: "t:<n>"
-// becomes "t:<ns>:<n>". In a partitioned run every process builds the
-// same cluster, so without a namespace two processes would mint
-// identical token addresses and a resume routed across the partition
-// boundary could land on the wrong process's endpoint. The trailing
-// separator keeps namespaces prefix-disjoint ("p1" never captures
-// "p10"), so "t:<ns>:" is a safe Route prefix. The namespace must not
-// contain ':'.
-func WithNamespace(ns string) Option {
-	return func(o *options) { o.ns = ns }
 }

@@ -8,9 +8,13 @@ import "repro/internal/tree"
 // is keyed to the snapshot, not to the cluster, because it is only true of
 // this cut; a Split or Merge publishes a new snapshot with a new table.
 // live[i] is the incarnation of rt.Components()[i].
+//
+// done is closed once the next snapshot has been published: a batch whose
+// every remaining token was turned away waits on it (see route).
 type topology struct {
 	rt   *tree.RouteTable
 	live []*comp
+	done chan struct{}
 }
 
 // newTopology compiles the routing of the cut formed by comps.
@@ -23,7 +27,7 @@ func newTopology(w int, comps []*comp) (*topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	tp := &topology{rt: rt, live: make([]*comp, len(comps))}
+	tp := &topology{rt: rt, live: make([]*comp, len(comps)), done: make(chan struct{})}
 	for _, cm := range comps {
 		i, _ := rt.Index(cm.c.Path)
 		tp.live[i] = cm
@@ -41,7 +45,8 @@ func (tp *topology) at(p tree.Path) *comp {
 
 // publish installs a new snapshot: the current live set without drop, plus
 // add. Only reconfigurations call it (serialized by reconfig), so
-// copy-and-swap cannot lose concurrent updates.
+// copy-and-swap cannot lose concurrent updates. It closes the old snapshot's
+// done after the Store, so whoever sees done closed loads the new one.
 func (cl *Cluster) publish(drop, add []*comp) error {
 	old := cl.topo.Load()
 	comps := make([]*comp, 0, len(old.live)-len(drop)+len(add))
@@ -59,5 +64,6 @@ func (cl *Cluster) publish(drop, add []*comp) error {
 		return err
 	}
 	cl.topo.Store(tp)
+	close(old.done)
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -31,7 +30,6 @@ func entryVisits(cl *Cluster, ins []int) (to *comp, ga wire.GroupArrive, visited
 		byComp[at.Comp] = append(byComp[at.Comp], int(at.Wire))
 	}
 	slices.Sort(seen)
-	ga.Token = "t:test"
 	for k, ci := range seen {
 		cm := tp.live[ci]
 		visited = append(visited, cm)
@@ -39,9 +37,6 @@ func entryVisits(cl *Cluster, ins []int) (to *comp, ga wire.GroupArrive, visited
 		if k > 0 {
 			ga.Visits = append(ga.Visits, wire.Visit{Addr: string(cm.addr), Tokens: len(byComp[ci])})
 		}
-	}
-	for i := range ga.Wires {
-		ga.Seqs = append(ga.Seqs, uint64(i+1))
 	}
 	return visited[0], ga, visited
 }
@@ -54,18 +49,19 @@ func counts(cl *Cluster) map[transport.Addr][]uint64 {
 	all := make(map[transport.Addr][]uint64, len(cl.comps))
 	for addr, cm := range cl.comps {
 		cm.mu.Lock()
-		all[addr] = append(slices.Clone(cm.arrived), cm.total, uint64(len(cm.queue)))
+		all[addr] = append(slices.Clone(cm.arrived), cm.total)
 		cm.mu.Unlock()
 	}
 	return all
 }
 
 // TestGroupVisitsMeetActiveFrozenDead: one message whose four visits meet
-// two active incarnations, a frozen one and a dead one. The active ones'
-// tokens are stepped and chained on, the frozen one's are stored under the
-// batch endpoint's address and come back one by one once it is replaced and
-// killed, the dead one's re-resolve into its children — all from the one
-// reply — and the count is exact at quiescence.
+// two active incarnations, a frozen one and a retired one. The active ones'
+// tokens are stepped and chained on; the frozen and the retired one turn
+// theirs away — all from the one reply. The retired one's re-resolve into
+// its children at once, the snapshot that retired it being out; the frozen
+// one's wait until a replacement is published. The count is exact at
+// quiescence.
 func TestGroupVisitsMeetActiveFrozenDead(t *testing.T) {
 	const w, tokens = 64, 128
 	cut := mustCut(t, w, 2)
@@ -81,7 +77,7 @@ func TestGroupVisitsMeetActiveFrozenDead(t *testing.T) {
 		t.Fatalf("the burst enters at %d components, want 4", len(visited))
 	}
 	frozen, victim := visited[1], visited[2]
-	stored, bounced := ga.Visits[0].Tokens, ga.Visits[1].Tokens
+	waiting, bounced := ga.Visits[0].Tokens, ga.Visits[1].Tokens
 
 	ref, err := New(w, cut)
 	if err != nil {
@@ -101,7 +97,7 @@ func TestGroupVisitsMeetActiveFrozenDead(t *testing.T) {
 	snap := reply.(wire.FreezeRes)
 	// Hold the round between resolving its tokens against the snapshot and
 	// sending: the split lands in between, so the message goes out naming an
-	// incarnation that has died.
+	// incarnation that has been retired.
 	asked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	fabric.gate = func(transport.Addr) {
@@ -122,49 +118,28 @@ func TestGroupVisitsMeetActiveFrozenDead(t *testing.T) {
 	}
 	close(release)
 
-	var queue []queuedToken
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
-		frozen.mu.Lock()
-		queue = append(queue[:0], frozen.queue...)
-		frozen.mu.Unlock()
-		if len(queue) == stored {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d tokens stored at the frozen component, want %d", len(queue), stored)
-		}
-	}
-	for _, q := range queue {
-		if q.tok != queue[0].tok || q.tok == "" {
-			t.Fatalf("stored %+v, want every token under the batch endpoint's address", q)
-		}
-	}
-	if frozen.total != 0 || victim.total != 0 {
-		t.Fatalf("the frozen incarnation stepped %d tokens, the dead one %d", frozen.total, victim.total)
-	}
-	repl := &comp{c: frozen.c, state: stateActive, total: snap.Total, arrived: snap.Processed}
+	repl := &comp{c: frozen.c, total: snap.Total, arrived: slices.Clone(snap.Processed)}
 	if err := cl.bind(repl); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.publish([]*comp{frozen}, []*comp{repl}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.ctl(frozen, kindKill, nil); err != nil {
-		t.Fatal(err)
-	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	if frozen.total != 0 || victim.total != 0 || !slices.Equal(frozen.arrived, snap.Processed) {
+		t.Fatalf("the frozen incarnation stepped %d tokens, the retired one %d", frozen.total, victim.total)
+	}
 
 	// The first message's events: its group event, then one per visit that
-	// was not stepped, in visit order. Two RPCs had gone out by the time the
-	// tokens were stored at the latest: that message and the bounced tokens'.
+	// was not stepped, in visit order.
 	evs := batchEvents(t, tr)
 	if len(evs) < 5 || evs[1].Kind != "group" || evs[1].Detail != string(visited[0].c.Path) {
 		t.Fatalf("batch span events %+v, want the burst's one message first", evs)
 	}
-	if e := evs[2]; e.Kind != "queued" || e.Detail != string(frozen.c.Path) || e.V != int64(stored) {
-		t.Fatalf("event %+v, want %d tokens queued at %q", e, stored, frozen.c.Path)
+	if e := evs[2]; e.Kind != "dead" || e.Detail != string(frozen.c.Path) || e.V != int64(waiting) {
+		t.Fatalf("event %+v, want %d tokens turned away at %q", e, waiting, frozen.c.Path)
 	}
 	if e := evs[3]; e.Kind != "dead" || e.Detail != string(victim.c.Path) || e.V != int64(bounced) {
 		t.Fatalf("event %+v, want %d tokens bounced off %q", e, bounced, victim.c.Path)
@@ -183,7 +158,7 @@ func TestGroupVisitsMeetActiveFrozenDead(t *testing.T) {
 		t.Fatalf("the burst's group events step %d components, its tokens' paths hold %d", steps, want)
 	}
 	if _, after := cl.NetStats(); after.Sub(before).Calls < 3 {
-		t.Fatalf("%d RPCs, want at least the message, the bounced tokens' and the resumed tokens'", after.Sub(before).Calls)
+		t.Fatalf("%d RPCs, want at least the message, the bounced tokens' and the waiting tokens'", after.Sub(before).Calls)
 	}
 	requireSameTotals(t, cl, ref)
 	if got, want := cl.OutCounts(), ref.OutCounts(); !slices.Equal(got, want) {
@@ -266,7 +241,7 @@ func TestGroupArriveRefusesWholeMessage(t *testing.T) {
 			ga.Visits = ga.Visits[:1]
 			ga.Visits[0].Tokens = len(ga.Wires)
 		},
-		"wires and seqs do not pair up": func(ga *wire.GroupArrive) { ga.Seqs = ga.Seqs[1:] },
+		"no tokens": func(ga *wire.GroupArrive) { ga.Wires, ga.Visits = nil, nil },
 	} {
 		ga := good
 		ga.Wires, ga.Visits = slices.Clone(good.Wires), slices.Clone(good.Visits)
@@ -288,20 +263,18 @@ func TestGroupArriveRefusesWholeMessage(t *testing.T) {
 	refused("address routed to another fabric", good)
 }
 
-// TestGroupVisitsNothingStepped: the replies to a message none of whose
-// visits could be stepped, over the socket so the codec vets them. A frozen
-// and a dead incarnation: the chained form with a visit list and a zero per
-// token; two dead ones: the short form, one status for both.
+// TestGroupVisitsNothingStepped: the replies to a message some or all of
+// whose visits could not be stepped, over the socket so the codec vets them.
+// A frozen incarnation beside an active one: the chained form with a visit
+// list and a zero for each turned-away token; two frozen ones: the short
+// form, one status for both, nothing stepped, nothing counted.
 func TestGroupVisitsNothingStepped(t *testing.T) {
 	const w = 64
 	cl, _ := tcpCluster(t, w, mustCut(t, w, 2), 0)
 	to, ga, visited := entryVisits(cl, randomWires(13, 128, w))
 	first := len(ga.Wires) - ga.Visits[0].Tokens - ga.Visits[1].Tokens - ga.Visits[2].Tokens
-	ga.Wires, ga.Seqs, ga.Visits = ga.Wires[:first+ga.Visits[0].Tokens], ga.Seqs[:first+ga.Visits[0].Tokens], ga.Visits[:1]
+	ga.Wires, ga.Visits = ga.Wires[:first+ga.Visits[0].Tokens], ga.Visits[:1]
 	if _, err := cl.ctl(to, kindFreeze, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.ctl(visited[1], kindKill, nil); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := cl.rc.Call("t:test", to.addr, kindGroupArrive, ga)
@@ -309,24 +282,26 @@ func TestGroupVisitsNothingStepped(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := reply.(wire.GroupArriveRes)
-	want := []wire.Status{wire.StatusQueued, wire.StatusDead}
-	if res.Status != wire.StatusExited || !slices.Equal(res.Visits, want) || !slices.Equal(res.Outs, make([]int, len(ga.Wires))) || res.Steps != 0 {
-		t.Fatalf("reply %+v, want visits %+v and a zero for every token", res, want)
+	want := []wire.Status{wire.StatusDead, wire.StatusExited}
+	if res.Status != wire.StatusExited || !slices.Equal(res.Visits, want) || !slices.Equal(res.Outs[:first], make([]int, first)) || res.Steps != 6*ga.Visits[0].Tokens {
+		t.Fatalf("reply %+v, want visits %+v, a zero for every turned-away token and the others stepped to their exits", res, want)
 	}
-	after := counts(cl) // arrivals per wire, then total and stored tokens
-	if got := after[to.addr][to.c.Width:]; !slices.Equal(got, []uint64{0, uint64(first)}) {
-		t.Fatalf("the frozen incarnation: total and stored tokens %v, want 0 and %d", got, first)
+	if got := counts(cl)[to.addr]; !slices.Equal(got, make([]uint64, len(got))) {
+		t.Fatalf("the frozen incarnation counted %v", got)
 	}
-	if got := after[visited[1].addr]; !slices.Equal(got, make([]uint64, len(got))) {
-		t.Fatalf("the dead incarnation counted %v", got)
-	}
-	if _, err := cl.ctl(to, kindKill, nil); err != nil {
+	if _, err := cl.ctl(visited[1], kindFreeze, nil); err != nil {
 		t.Fatal(err)
 	}
+	before := counts(cl)
 	if reply, err = cl.rc.Call("t:test", to.addr, kindGroupArrive, ga); err != nil {
 		t.Fatal(err)
 	}
 	if res := reply.(wire.GroupArriveRes); res.Status != wire.StatusDead || res.Outs != nil || res.Visits != nil {
-		t.Fatalf("reply %+v, want the short form: both visits found a dead incarnation", res)
+		t.Fatalf("reply %+v, want the short form: both visits found a frozen incarnation", res)
+	}
+	for addr, now := range counts(cl) {
+		if !slices.Equal(now, before[addr]) {
+			t.Fatalf("%q counted %v before the message, %v after", addr, before[addr], now)
+		}
 	}
 }

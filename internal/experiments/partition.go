@@ -17,14 +17,15 @@ import (
 // worker runtime on its own fabric and every cross-partition component
 // visit is a routed RPC (internal/launch — exactly what cmd/acnnode runs
 // as separate processes, here in-process so the experiment stays
-// hermetic). Each topology runs sequential and group-batched injection. Counting must stay exact in every cell: partitioning moves
+// hermetic). Each topology runs token-by-token injection (bursts of one) and
+// full bursts. Counting must stay exact in every cell: partitioning moves
 // components between owners but never changes what the network counts.
 func E32Partitioned(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E32",
 		Title: "Partitioned multi-process runtime vs single-process (mem and tcp)",
-		Claim: "spreading the cut across partitioned worker runtimes preserves exact counting and the step property; cross-partition routing is the dominant cost and group batching pays it once per group",
-		Headers: []string{"topology", "mode", "tokens", "ms", "us/tok",
+		Claim: "spreading the cut across partitioned worker runtimes preserves exact counting and the step property; cross-partition routing is the dominant cost and a burst pays it once per round and destination",
+		Headers: []string{"topology", "burst", "tokens", "ms", "us/tok",
 			"rpc/burst", "wire KB", "conserved", "step"},
 	}
 	const (
@@ -34,11 +35,11 @@ func E32Partitioned(opts Options) (*Table, error) {
 	)
 	tokens, burst := 2048, 128
 	partsSweep := []int{2, 4}
-	modes := []string{"seq", "group"}
 	if opts.Quick {
 		tokens, burst = 512, 64
 		partsSweep = []int{2}
 	}
+	bursts := []int{1, burst}
 
 	ins := make([]int, tokens)
 	for i := range ins {
@@ -57,14 +58,17 @@ func E32Partitioned(opts Options) (*Table, error) {
 		BackoffCap: 2 * time.Millisecond,
 	}
 	for _, fabric := range []string{"mem", "tcp"} {
-		for _, mode := range modes {
+		for _, burst := range bursts {
 			env, err := buildCluster(clusterCell{
 				Fabric: fabric, Width: w, Cut: cut, Retry: retry, Obs: opts.Obs,
 			})
 			if err != nil {
 				return nil, err
 			}
-			ms, err := workload.InjectShares(launch.InjectPath(env.Cluster, mode), ins, burst, senders)
+			ms, err := workload.InjectShares(func(batch []int) error {
+				_, err := env.Cluster.InjectBatch(batch)
+				return err
+			}, ins, burst, senders)
 			if err != nil {
 				return nil, err
 			}
@@ -75,7 +79,7 @@ func E32Partitioned(opts Options) (*Table, error) {
 			conserved := env.Cluster.OutCounts().Total() == env.Cluster.InCounts().Total()
 			stepErr := env.Cluster.CheckStep()
 			_, cs := env.Cluster.NetStats()
-			t.AddRow("1proc/"+fabric, mode, tokens, ms, ms*1000/float64(tokens),
+			t.AddRow("1proc/"+fabric, burst, tokens, ms, ms*1000/float64(tokens),
 				float64(cs.Calls)*float64(burst)/float64(tokens), wireKB, conserved, stepErr == nil)
 			if err := env.Close(); err != nil {
 				return nil, err
@@ -87,14 +91,14 @@ func E32Partitioned(opts Options) (*Table, error) {
 	// round-robin over N workers; the coordinator drives the identical
 	// arrival sequence through the ctl plane.
 	for _, parts := range partsSweep {
-		for _, mode := range modes {
+		for _, burst := range bursts {
 			spec, err := launch.AutoSpec(w, level, parts)
 			if err != nil {
 				return nil, err
 			}
 			spec.Retry = retry
 			spec.Workload = launch.Workload{
-				Tokens: tokens, Burst: burst, Senders: senders, Mode: mode,
+				Tokens: tokens, Burst: burst, Senders: senders,
 			}
 			coord, workers, err := launch.StartInProc(spec)
 			if err != nil {
@@ -129,13 +133,13 @@ func E32Partitioned(opts Options) (*Table, error) {
 			for _, rep := range res.Parts {
 				wireBytes += rep.Wire.BytesIn + rep.Wire.BytesOut
 			}
-			t.AddRow(fmt.Sprintf("%dproc/tcp", parts), mode, tokens, ms,
+			t.AddRow(fmt.Sprintf("%dproc/tcp", parts), burst, tokens, ms,
 				ms*1000/float64(tokens), float64(calls)*float64(burst)/float64(tokens),
 				fmt.Sprintf("%.1f", float64(wireBytes)/1024), res.Conserved, res.StepOK)
 		}
 	}
-	t.Note("every cell drives the identical %d-token arrival sequence through the same level-%d cut (%d components) with %d senders in %d-token bursts; the Nproc rows run the real partitioned worker runtime (per-partition fabrics, namespaced token endpoints, routed cross-partition visits) in one process — the same code path cmd/acnnode runs as separate OS processes", tokens, level, len(cut), senders, burst)
-	t.Note("rpc/burst is the group arrive RPCs the injecting clusters issued, per %d tokens: a group burst pays one per round and destination fabric, a sequential one (a batch of one token at a time) 1 + crossings per token", burst)
+	t.Note("every cell drives the identical %d-token arrival sequence through the same level-%d cut (%d components) with %d senders in bursts of the row's size; the Nproc rows run the real partitioned worker runtime (per-partition fabrics, routed cross-partition visits) in one process — the same code path cmd/acnnode runs as separate OS processes", tokens, level, len(cut), senders)
+	t.Note("rpc/burst is the group arrive RPCs the injecting clusters issued, per burst of the row's size: a burst pays one per round and destination fabric, so a burst of one token 1 + crossings")
 	t.Note("wire KB for Nproc rows sums every partition's fabric bytes, so it includes the coordinator's control plane; the mem baseline has no wire at all")
 	return t, nil
 }

@@ -156,7 +156,7 @@ func (c *Coordinator) Ping() error {
 }
 
 // Wire pushes the peer address map to every worker, which installs the
-// cross-partition component, token-namespace and ctl routes.
+// cross-partition component and ctl routes.
 func (c *Coordinator) Wire() error {
 	_, err := c.broadcast(func(*Partition, int) *ctlReq {
 		return &ctlReq{Op: "wire", Peers: c.addrs}
@@ -185,7 +185,7 @@ func (c *Coordinator) Run() (float64, error) {
 		if lo >= hi {
 			return nil
 		}
-		return &ctlReq{Op: "run", Tokens: ins[lo:hi], Burst: wl.Burst, Senders: wl.Senders, Mode: wl.Mode}
+		return &ctlReq{Op: "run", Tokens: ins[lo:hi], Burst: wl.Burst, Senders: wl.Senders}
 	})
 	if err != nil {
 		return 0, err

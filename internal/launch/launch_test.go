@@ -52,7 +52,7 @@ func TestSpecSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Workload = Workload{Tokens: 256, Mode: "group"}
+	s.Workload = Workload{Tokens: 256}
 	path := filepath.Join(t.TempDir(), "spec.json")
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestTwoPartitionConservation(t *testing.T) {
 	}
 	spec.TraceEvery = 1
 	spec.TraceRetain = 4096
-	spec.Workload = Workload{Tokens: 512, Burst: 64, Senders: 4, Mode: "group"}
+	spec.Workload = Workload{Tokens: 512, Burst: 64, Senders: 4}
 
 	coord, workers, err := StartInProc(spec)
 	if err != nil {
@@ -176,17 +176,15 @@ func TestTwoPartitionConservation(t *testing.T) {
 	}
 }
 
-// TestSeqAndAdaptiveModes drives the seq injection path through a small
-// 2-partition launch, which must conserve, and checks that a spec asking for
-// the retired adaptive mode is refused by Validate, which names the modes
-// there are.
+// TestSeqAndAdaptiveModes drives token-by-token injection (bursts of one)
+// through a small 2-partition launch, which must conserve.
 func TestSeqAndAdaptiveModes(t *testing.T) {
 	t.Run("seq", func(t *testing.T) {
 		spec, err := AutoSpec(8, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec.Workload = Workload{Tokens: 128, Burst: 32, Senders: 2, Mode: "seq"}
+		spec.Workload = Workload{Tokens: 128, Burst: 1, Senders: 2}
 		coord, workers, err := StartInProc(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -211,20 +209,10 @@ func TestSeqAndAdaptiveModes(t *testing.T) {
 			t.Fatalf("step property violated: %v", res.Out)
 		}
 	})
-	t.Run("adaptive", func(t *testing.T) {
-		spec, err := AutoSpec(8, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Workload = Workload{Tokens: 128, Burst: 32, Senders: 2, Mode: "adaptive"}
-		want := `launch: workload mode "adaptive" (want seq or group)`
-		if err := spec.Validate(); err == nil || err.Error() != want {
-			t.Fatalf("Validate = %v, want %q", err, want)
-		}
-	})
 }
 
-// TestSeqModePaysCrossings: in a partitioned run a token costs its entry
+// TestSeqModePaysCrossings: in a partitioned run injecting token by token
+// (bursts of one), a token costs its entry
 // message plus one message each time its path moves to a component another
 // worker owns — a run of consecutive components on one worker is stepped
 // inside one handler. The expected total is computed here from the spec's
@@ -237,7 +225,7 @@ func TestSeqModePaysCrossings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Workload = Workload{Tokens: 384, Burst: 32, Senders: 2, Mode: "seq"}
+	spec.Workload = Workload{Tokens: 384, Burst: 1, Senders: 2}
 	coord, workers, err := StartInProc(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -311,8 +299,8 @@ func TestSeqModePaysCrossings(t *testing.T) {
 	}
 }
 
-// TestGroupModePaysCrossings is TestSeqModePaysCrossings for group
-// injection: a burst costs one group RPC per worker that owns a component
+// TestGroupModePaysCrossings is TestSeqModePaysCrossings for bursts: one
+// costs one group RPC per worker that owns a component
 // its tokens stand at when a round starts, and as many rounds as 1 + the
 // most partition crossings on any of its tokens' paths — a handler serves
 // the message's visit to each of those components, steps the whole group on
@@ -335,7 +323,7 @@ func TestGroupModePaysCrossings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Workload = Workload{Tokens: 2 * bursts * burst, Burst: burst, Senders: 1, Mode: "group"}
+	spec.Workload = Workload{Tokens: 2 * bursts * burst, Burst: burst, Senders: 1}
 	coord, workers, err := StartInProc(spec)
 	if err != nil {
 		t.Fatal(err)

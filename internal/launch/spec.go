@@ -8,11 +8,12 @@
 // across processes byte for byte). Each worker owns a subset of the cut;
 // for every component it does not own it installs a Route sending that
 // component's address prefix to the owner's listener, so its local copy
-// is shadowed and the owner's copy is the single authority. Token
-// endpoint addresses are namespaced per partition (dist.WithNamespace),
-// and each partition's retry client draws request IDs from a disjoint
-// range (transport.RetryConfig.IDBase) so receiver dedup tables never
-// alias calls from different processes.
+// is shadowed and the owner's copy is the single authority. Nothing is
+// ever addressed to a token: a worker's batches send group arrives and
+// read the replies, so only component and control addresses are routed.
+// Each partition's retry client draws request IDs from a disjoint range
+// (transport.RetryConfig.IDBase) so receiver dedup tables never alias
+// calls from different processes.
 //
 // A coordinator process reads the same Spec, bootstraps the workers
 // (readiness handshake, graceful shutdown), drives the workload over a
@@ -43,19 +44,15 @@ type Workload struct {
 	// Senders is the number of concurrent injecting goroutines per
 	// partition. Zero means 1.
 	Senders int `json:"senders"`
-	// Mode selects the injection path: "seq" (token by token: one arrive
-	// RPC per run of consecutive components on one worker) or "group"
-	// (group-batched RPCs, the default).
-	Mode string `json:"mode"`
 }
 
 // Partition assigns one worker process its identity: a unique name, a
 // listen address, and the component paths it owns.
 type Partition struct {
-	// Name is the partition's identity: it namespaces the worker's token
-	// endpoints and names its Perfetto process row. Must be unique, must
-	// not contain ':', and no name may be a prefix of another (names are
-	// used as route prefixes).
+	// Name is the partition's identity: it names the worker's control
+	// endpoint and its Perfetto process row. Must be unique, must not
+	// contain ':', and no name may be a prefix of another (names are used
+	// as route prefixes).
 	Name string `json:"name"`
 	// Listen is the worker's host:port; empty means "127.0.0.1:0"
 	// (loopback, kernel-assigned port — the coordinator learns the real
@@ -146,8 +143,8 @@ func (s *Spec) Validate() error {
 			owned[path] = p.Name
 		}
 	}
-	// Prefix-free names keep "t:<name>:" and "ctl:<name>" unambiguous as
-	// route prefixes even before longest-prefix resolution breaks ties.
+	// Prefix-free names keep "ctl:<name>" unambiguous as a route prefix
+	// even before longest-prefix resolution breaks ties.
 	for a := range names {
 		for b := range names {
 			if a != b && strings.HasPrefix(b, a) {
@@ -162,9 +159,6 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
-	if w := s.Workload; w.Mode != "" && w.Mode != "seq" && w.Mode != "group" {
-		return fmt.Errorf("launch: workload mode %q (want seq or group)", w.Mode)
-	}
 	return nil
 }
 
@@ -178,9 +172,6 @@ func (w Workload) withDefaults() Workload {
 	}
 	if w.Senders <= 0 {
 		w.Senders = 1
-	}
-	if w.Mode == "" {
-		w.Mode = "group"
 	}
 	return w
 }

@@ -36,10 +36,9 @@ type ctlReq struct {
 	Peers map[string]string `json:"peers,omitempty"`
 
 	// Workload share (op "run").
-	Tokens  []int  `json:"tokens,omitempty"`
-	Burst   int    `json:"burst,omitempty"`
-	Senders int    `json:"senders,omitempty"`
-	Mode    string `json:"mode,omitempty"`
+	Tokens  []int `json:"tokens,omitempty"`
+	Burst   int   `json:"burst,omitempty"`
+	Senders int   `json:"senders,omitempty"`
 
 	// Span page (op "spans"): a report's trace spans are pulled in
 	// bounded pages so no single reply outgrows a wire frame.
@@ -91,8 +90,8 @@ type Worker struct {
 }
 
 // StartWorker builds and starts the named partition from spec: fabric
-// listening on the partition's address, full cluster with namespaced
-// token endpoints and a disjoint request-ID space, observability
+// listening on the partition's address, full cluster with a disjoint
+// request-ID space, observability
 // (registry, tracer, server-side RPC spans), and the bound control
 // endpoint. The worker serves remote traffic immediately; cross-partition
 // routes are installed later by the coordinator's "wire" command, after
@@ -121,7 +120,6 @@ func StartWorker(spec *Spec, name string) (*Worker, error) {
 	opts := []dist.Option{
 		dist.WithTransport(tn),
 		dist.WithRetry(retry),
-		dist.WithNamespace(name),
 		dist.WithObs(reg),
 	}
 	if spec.TraceEvery > 0 {
@@ -233,8 +231,8 @@ func (w *Worker) serve(c *ctlReq) *ctlRes {
 
 // wirePeers installs the cross-partition routes: every peer's owned
 // component prefixes point at the peer's listener (shadowing this
-// worker's local copies), and the peer's token-endpoint namespace routes
-// back for resume traffic. Re-wiring with the same map is idempotent.
+// worker's local copies), and so does the peer's control endpoint.
+// Re-wiring with the same map is idempotent.
 func (w *Worker) wirePeers(peers map[string]string) error {
 	for _, p := range w.spec.Partitions {
 		if p.Name == w.Name {
@@ -252,9 +250,6 @@ func (w *Worker) wirePeers(peers map[string]string) error {
 				return err
 			}
 		}
-		if err := w.Net.Route("t:"+p.Name+":", addr); err != nil {
-			return err
-		}
 		if err := w.Net.Route(string(ctlAddr(p.Name)), addr); err != nil {
 			return err
 		}
@@ -263,11 +258,10 @@ func (w *Worker) wirePeers(peers map[string]string) error {
 }
 
 // run injects this worker's token share: Senders goroutines over
-// contiguous sub-shares, Burst tokens per injection call, through the
-// path Mode selects. It returns the wall-clock milliseconds of the
-// injection phase. When run returns, every injected token has exited the
-// network (the inject paths are synchronous), so a subsequent report op
-// carries settled counts.
+// contiguous sub-shares, Burst tokens per InjectBatch call. It returns the
+// wall-clock milliseconds of the injection phase. When run returns, every
+// injected token has exited the network (InjectBatch is synchronous), so a
+// subsequent report op carries settled counts.
 func (w *Worker) run(c *ctlReq) (float64, error) {
 	burst := c.Burst
 	if burst <= 0 {
@@ -277,27 +271,10 @@ func (w *Worker) run(c *ctlReq) (float64, error) {
 	if senders <= 0 {
 		senders = 1
 	}
-	return workload.InjectShares(InjectPath(w.Cluster, c.Mode), c.Tokens, burst, senders)
-}
-
-// InjectPath returns the injection call for a workload mode: "seq" routes
-// a burst token by token through Cluster.Inject, any other mode hands it
-// to Cluster.InjectBatch whole. Both count the same tokens the same way.
-func InjectPath(cl *dist.Cluster, mode string) workload.Inject {
-	if mode == "seq" {
-		return func(ins []int) error {
-			for _, in := range ins {
-				if _, err := cl.Inject(in); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	return func(ins []int) error {
-		_, err := cl.InjectBatch(ins)
+	return workload.InjectShares(func(ins []int) error {
+		_, err := w.Cluster.InjectBatch(ins)
 		return err
-	}
+	}, c.Tokens, burst, senders)
 }
 
 // report snapshots this worker's observable state (spans travel

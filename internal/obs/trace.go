@@ -190,7 +190,7 @@ func (t *Tracer) WriteSpans(w io.Writer, max int) error {
 // a DHT lookup, a retry, a queue/drain wait.
 type Event struct {
 	At     time.Duration `json:"at"`   // offset from the span's Begin
-	Kind   string        `json:"kind"` // "comp", "lookup", "entry-try", "queued", ...
+	Kind   string        `json:"kind"` // "comp", "lookup", "entry-try", "dead", ...
 	Detail string        `json:"detail,omitempty"`
 	V      int64         `json:"v,omitempty"` // numeric payload (hop count, wire, ...)
 }

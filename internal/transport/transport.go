@@ -32,8 +32,9 @@ import (
 )
 
 // Addr is a transport endpoint address. Conventional namespaces: "n:<id>"
-// for overlay nodes, "c:<path>" for live components, "t:<id>" for in-flight
-// tokens, "ctl" for reconfiguration coordinators.
+// for overlay nodes, "c:<path>#<gen>" for component incarnations, "ctl" for
+// reconfiguration coordinators. "t:<n>" names a dist batch in Request.From
+// and is never bound: nothing is sent to a token.
 type Addr string
 
 // Request is one transport-level message: a request that expects a reply.

@@ -122,14 +122,12 @@ var kindCases = []struct {
 	body  any
 	reply any
 }{
-	{KindArrive, Arrive{Wire: -3, Token: "t:12#4", Seq: 1 << 40}, ArriveRes{Status: StatusQueued, Out: 7}},
+	{KindArrive, Arrive{Wire: -3, Token: "t:12#4", Seq: 1 << 40}, ArriveRes{Status: StatusDead, Out: 7}},
 	{KindGroupArrive,
 		GroupArrive{Token: "t:9", Wires: []int{0, 5, -1}, Seqs: []uint64{3, 4, 1 << 60}},
 		GroupArriveRes{Status: StatusProcessed, Outs: []int{2, 0, 9}}},
 	{KindFreeze, nil, FreezeRes{Total: 99, Processed: []uint64{0, 1, 1 << 33}}},
 	{KindTotal, nil, uint64(1<<64 - 1)},
-	{KindKill, nil, int(-17)},
-	{KindResume, Resume{Path: "0110", Wire: 3, Seq: 8}, true},
 	{KindCPF, uint64(0xdead), uint64(0xbeef)},
 	{KindProbe, uint64(41), uint64(42)},
 	{KindCtl, Blob(`{"op":"run","tokens":64}`), Blob(`{"ok":true}`)},
@@ -137,7 +135,7 @@ var kindCases = []struct {
 
 func TestRegistry(t *testing.T) {
 	want := []string{KindArrive, KindGroupArrive, KindFreeze, KindTotal,
-		KindKill, KindResume, KindCPF, KindProbe, KindCtl}
+		KindCPF, KindProbe, KindCtl}
 	if got := Kinds(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Kinds() = %v, want %v", got, want)
 	}
@@ -160,6 +158,11 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByCode(200); ok {
 		t.Fatal("ByCode accepted code 200")
 	}
+	for _, code := range []byte{5, 6} { // kill and resume, retired
+		if _, ok := ByCode(code); ok {
+			t.Fatalf("ByCode accepted the retired code %d", code)
+		}
+	}
 }
 
 func TestRoundTripAllKinds(t *testing.T) {
@@ -173,6 +176,8 @@ func TestRoundTripAllKinds(t *testing.T) {
 	for i, reply := range groupChainReplies {
 		roundTripEnvelopes(t, KindGroupArrive, uint64(10+i), GroupArrive{Token: "t:1", Wires: []int{0, 1, 2}, Seqs: []uint64{7, 8, 9}}, reply)
 	}
+	// A group without sequence numbers, as dist sends it.
+	roundTripEnvelopes(t, KindGroupArrive, 3, GroupArrive{Wires: []int{4, 0}}, GroupArriveRes{Status: StatusProcessed, Outs: []int{1, 2}})
 	// A message of three visits, and the replies to one.
 	visits := GroupArrive{Token: "t:1", Wires: []int{0, 1, 2, 0, 5, 5}, Seqs: []uint64{7, 8, 9, 10, 11, 12},
 		Visits: []Visit{{Addr: "c:01#3", Tokens: 1}, {Addr: "c:2#9", Tokens: 3}}}
@@ -182,11 +187,12 @@ func TestRoundTripAllKinds(t *testing.T) {
 }
 
 // groupVisitReplies are replies to a group arrive whose three visits fared
-// differently: one stepped and not chained beside one stored and one dead;
-// none stepped; forwards on both sides of a visit that was not stepped.
+// differently: one stepped and not chained before two turned away; the last
+// one stepped after two turned away; forwards on both sides of a visit that
+// was not stepped.
 var groupVisitReplies = []GroupArriveRes{
-	{Status: StatusExited, Outs: []int{1, 0, 0, 0, 0, 0}, Steps: 2, Visits: []Status{StatusProcessed, StatusQueued, StatusDead}},
-	{Status: StatusExited, Outs: []int{0, 0, 0, 0, 0, 0}, Visits: []Status{StatusDead, StatusQueued, StatusQueued}},
+	{Status: StatusExited, Outs: []int{1, 0, 0, 0, 0, 0}, Steps: 2, Visits: []Status{StatusProcessed, StatusDead, StatusDead}},
+	{Status: StatusExited, Outs: []int{0, 0, 0, 0, 3, 1}, Steps: 3, Visits: []Status{StatusDead, StatusDead, StatusProcessed}},
 	{Status: StatusExited, Outs: []int{-1, -2, 0, -1, 3, -2}, Steps: 9, Paths: []string{"13", ""}, Wires: []int{1, 0, 1, 2},
 		Visits: []Status{StatusExited, StatusDead, StatusExited}},
 }
@@ -216,7 +222,8 @@ func TestGroupChainReplyRejectsImpossible(t *testing.T) {
 		"visit with status 5":           {Status: StatusExited, Outs: []int{3, 4}, Steps: 2, Visits: []Status{StatusExited, 5}},
 		"visit with status 0":           {Status: StatusExited, Outs: []int{3, 4}, Steps: 2, Visits: []Status{StatusExited, 0}},
 		"negative steps":                {Status: StatusExited, Outs: []int{3, 0}, Steps: -1, Visits: []Status{StatusExited, StatusDead}},
-		"forwards short across visits":  {Status: StatusExited, Outs: []int{-1, 0, -1}, Steps: 2, Paths: []string{"1"}, Wires: []int{0}, Visits: []Status{StatusExited, StatusQueued, StatusExited}},
+		"forwards short across visits":  {Status: StatusExited, Outs: []int{-1, 0, -1}, Steps: 2, Paths: []string{"1"}, Wires: []int{0}, Visits: []Status{StatusExited, StatusDead, StatusExited}},
+		"visit with status 2":           {Status: StatusExited, Outs: []int{3, 4}, Steps: 2, Visits: []Status{StatusExited, 2}},
 	} {
 		e := NewEncoder(32)
 		if err := c.EncodeRes(e, r); err != nil {
@@ -384,17 +391,17 @@ var retiredArriveReplies = [][]byte{
 	{5, 2, 0, 0},
 }
 
-// TestArriveResKeepsItsShortForm pins the wire format of the three
+// TestArriveResKeepsItsShortForm pins the wire format of the two
 // outcomes at what it has always been: status byte then output wire,
 // nothing after, so every frame written by or for an older peer — and
 // every such frame in the fuzz corpus — decodes to the value it always has.
-// The chained forms the reply once had (statuses 4 and 5) are refused. The
-// group reply is held to the same rule: status byte then the output wires
-// for its three single-visit outcomes, status 4 for its chained form, and
-// status 5 refused.
+// The chained forms the reply once had (statuses 4 and 5) and the stored
+// outcome (status 2) are refused. The group reply is held to the same rule:
+// status byte then the output wires for its two single-visit outcomes,
+// status 4 for its chained form, and statuses 2 and 5 refused.
 func TestArriveResKeepsItsShortForm(t *testing.T) {
 	c, _ := ByKind(KindArrive)
-	for _, st := range []Status{StatusProcessed, StatusQueued, StatusDead} {
+	for _, st := range []Status{StatusProcessed, StatusDead} {
 		e := NewEncoder(8)
 		if err := c.EncodeRes(e, ArriveRes{Status: st, Out: -3}); err != nil {
 			t.Fatal(err)
@@ -408,7 +415,7 @@ func TestArriveResKeepsItsShortForm(t *testing.T) {
 		}
 	}
 	gc, _ := ByKind(KindGroupArrive)
-	for _, st := range []Status{StatusProcessed, StatusQueued, StatusDead} {
+	for _, st := range []Status{StatusProcessed, StatusDead} {
 		e := NewEncoder(8)
 		if err := gc.EncodeRes(e, GroupArriveRes{Status: st, Outs: []int{-3, 1}, Steps: 9, Paths: []string{"1"}, Wires: []int{2}}); err != nil {
 			t.Fatal(err)
@@ -421,12 +428,12 @@ func TestArriveResKeepsItsShortForm(t *testing.T) {
 			t.Fatalf("group status %d decodes as (%#v, %v)", st, got, err)
 		}
 	}
-	for _, st := range []Status{5, 6} {
+	for _, st := range []Status{2, 5, 6} {
 		if _, err := gc.DecodeRes(NewDecoder([]byte{byte(st), 0})); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("group reply with status %d: %v, want ErrCorrupt", st, err)
 		}
 	}
-	for _, body := range append(retiredArriveReplies, []byte{6, 0}) {
+	for _, body := range append(retiredArriveReplies, []byte{2, 14}, []byte{6, 0}) {
 		if _, err := c.DecodeRes(NewDecoder(body)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("arrive reply %v: %v, want ErrCorrupt", body, err)
 		}
@@ -494,8 +501,11 @@ func TestEncodeRejectsWrongBody(t *testing.T) {
 		t.Fatalf("EncodeReply(unknown code) = %v, want ErrUnknownKind", err)
 	}
 	gc, _ := ByKind(KindGroupArrive)
-	if err := gc.EncodeReq(e, GroupArrive{Wires: []int{1}, Seqs: nil}); err == nil {
+	if err := gc.EncodeReq(e, GroupArrive{Wires: []int{1, 2}, Seqs: []uint64{7}}); err == nil {
 		t.Fatal("EncodeReq accepted group with mismatched wires/seqs")
+	}
+	if err := gc.EncodeReq(e, GroupArrive{Wires: []int{1, 2}}); err != nil {
+		t.Fatalf("EncodeReq refused a group without seqs: %v", err)
 	}
 }
 
@@ -657,15 +667,15 @@ func TestCorruptFramesAreTyped(t *testing.T) {
 			e.Uint64s([]uint64{5})
 			return e.Bytes()
 		}(), ErrCorrupt},
-		{"bool byte 2 in resume reply", func() []byte {
+		{"retired resume reply", func() []byte {
 			e := NewEncoder(8)
 			e.Byte(frameReply)
 			e.Uvarint(1)
 			e.Byte(byte(ReplyOK))
-			e.Byte(6) // KindResume code
-			e.Byte(2)
+			e.Byte(6) // the retired resume code
+			e.Bool(true)
 			return e.Bytes()
-		}(), ErrCorrupt},
+		}(), ErrUnknownKind},
 		{"trailing garbage", func() []byte {
 			e := NewEncoder(16)
 			if err := EncodeReply(e, 1, 4, ReplyOK, uint64(7), ""); err != nil {
@@ -798,7 +808,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 		t.Fatalf("error reply decode: %#v", rep)
 	}
 	e.Reset()
-	if err := EncodeReply(e, 2, c.Code, ReplyOK, ArriveRes{Status: StatusQueued}, ""); err != nil {
+	if err := EncodeReply(e, 2, c.Code, ReplyOK, ArriveRes{Status: StatusDead}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := DecodeReplyFrame(e.Bytes(), &rep); err != nil {
@@ -807,7 +817,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 	if rep.ErrText != "" {
 		t.Fatalf("reused reply leaked ErrText %q", rep.ErrText)
 	}
-	if rep.Body != (ArriveRes{Status: StatusQueued}) {
+	if rep.Body != (ArriveRes{Status: StatusDead}) {
 		t.Fatalf("reused reply body: %#v", rep.Body)
 	}
 	e.Reset()

@@ -30,13 +30,21 @@ func clampToken(s string) string {
 	return s
 }
 
+// shortStatus picks one of the two single-visit outcomes a reply may carry.
+func shortStatus(v uint) Status {
+	if v%2 == 0 {
+		return StatusProcessed
+	}
+	return StatusDead
+}
+
 func FuzzArrive(f *testing.F) {
 	f.Add(0, "t:1", uint64(1), byte(1), 0)
 	f.Add(-3, "t:12#4", uint64(1)<<40, byte(2), 7)
 	f.Add(1<<20, "", uint64(0), byte(3), -1)
 	f.Fuzz(func(t *testing.T, w int, token string, seq uint64, status byte, out int) {
 		body := Arrive{Wire: w, Token: clampToken(token), Seq: seq}
-		reply := ArriveRes{Status: StatusProcessed + Status(status)%3, Out: out}
+		reply := ArriveRes{Status: shortStatus(uint(status)), Out: out}
 		roundTripEnvelopes(t, KindArrive, seq^uint64(status), body, reply)
 	})
 }
@@ -66,7 +74,7 @@ func FuzzArriveRes(f *testing.F) {
 		if _, err := c.DecodeRes(NewDecoder(e.Bytes())); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("retired arrive reply %v decodes with err=%v, want ErrCorrupt", e.Bytes(), err)
 		}
-		reply := ArriveRes{Status: StatusProcessed + Status(uint(steps)%3), Out: out}
+		reply := ArriveRes{Status: shortStatus(uint(steps)), Out: out}
 		roundTripEnvelopes(t, KindArrive, uint64(uint(steps)), Arrive{Wire: w, Token: "t:1", Seq: 1}, reply)
 	})
 }
@@ -118,7 +126,7 @@ func FuzzGroupArrive(f *testing.F) {
 			valid = valid && v.Tokens > 0 && v.Tokens < left
 			left -= v.Tokens
 		}
-		reply := GroupArriveRes{Status: StatusProcessed + Status(status)%3, Outs: outs}
+		reply := GroupArriveRes{Status: shortStatus(uint(status)), Outs: outs}
 		if valid {
 			roundTripEnvelopes(t, KindGroupArrive, uint64(len(raw)), body, reply)
 			return
@@ -142,6 +150,10 @@ func FuzzGroupArrive(f *testing.F) {
 // has no visit tail, as in the seeds that predate it) and steps/4000 what
 // became of each, two bits a visit; the tokens are dealt out evenly, and
 // those of a visit that was stepped once or not at all say so.
+// visitStatus maps two fuzzed bits to a visit's status: processed, dead
+// twice (the retired status 2 stands in as dead), exited.
+var visitStatus = [4]Status{StatusProcessed, StatusDead, StatusDead, StatusExited}
+
 func FuzzGroupArriveRes(f *testing.F) {
 	f.Add(true, []byte{0x10, 0x22, 0x7e}, 18, "")
 	f.Add(true, []byte{0x03, 0x18, 0x05, 0x07}, 9, "201")
@@ -157,7 +169,7 @@ func FuzzGroupArriveRes(f *testing.F) {
 			reply.Steps = len(raw) + int(uint(steps)%1000)
 			if n := int(uint(steps) / 1000 % 4); n >= 2 && len(raw) >= n {
 				for v, how := 0, uint(steps)/4000; v < n; v, how = v+1, how>>2 {
-					reply.Visits = append(reply.Visits, StatusProcessed+Status(how%4))
+					reply.Visits = append(reply.Visits, visitStatus[how%4])
 				}
 			}
 		}
@@ -170,7 +182,7 @@ func FuzzGroupArriveRes(f *testing.F) {
 				st = reply.Visits[min(i/(len(raw)/n), n-1)]
 			}
 			switch {
-			case st == StatusQueued || st == StatusDead:
+			case st == StatusDead:
 				reply.Outs = append(reply.Outs, 0)
 				continue
 			case st == StatusProcessed || b&1 == 0:
@@ -214,12 +226,15 @@ func FuzzTotal(f *testing.F) {
 	})
 }
 
+// FuzzKill and FuzzResume hold the two retired kinds refused: a kill
+// request or reply (code 5) and a resume request or reply (code 6), written
+// as their encoders wrote them, must fail with ErrUnknownKind.
 func FuzzKill(f *testing.F) {
 	f.Add(0)
 	f.Add(-17)
 	f.Add(1 << 30)
 	f.Fuzz(func(t *testing.T, n int) {
-		roundTripEnvelopes(t, KindKill, uint64(uint(n)), nil, n)
+		requireRetired(t, 5, uint64(uint(n)), func(*Encoder) {}, func(e *Encoder) { e.Int(n) })
 	})
 }
 
@@ -228,9 +243,46 @@ func FuzzResume(f *testing.F) {
 	f.Add("0110", 3, uint64(8), true)
 	f.Add("1", -2, uint64(1)<<50, true)
 	f.Fuzz(func(t *testing.T, path string, w int, seq uint64, ok bool) {
-		body := Resume{Path: clampToken(path), Wire: w, Seq: seq}
-		roundTripEnvelopes(t, KindResume, seq, body, ok)
+		requireRetired(t, 6, seq, func(e *Encoder) {
+			e.String(clampToken(path))
+			e.Int(w)
+			e.Uvarint(seq)
+		}, func(e *Encoder) { e.Bool(ok) })
 	})
+}
+
+// requireRetired requires both retiredFrames of a kind code refused as of an
+// unknown kind.
+func requireRetired(t *testing.T, code byte, id uint64, req, res func(*Encoder)) {
+	t.Helper()
+	for _, frame := range retiredFrames(code, id, req, res) {
+		if _, err := decodeFrame(frame); !errors.Is(err, ErrUnknownKind) {
+			t.Fatalf("frame %q of retired kind code %d decodes with err=%v, want ErrUnknownKind", frame, code, err)
+		}
+	}
+}
+
+// retiredFrames writes a request and a reply of the retired kind code, the
+// bodies by req and res.
+func retiredFrames(code byte, id uint64, req, res func(*Encoder)) [2][]byte {
+	e := NewEncoder(32)
+	e.Byte(frameRequest)
+	e.Uvarint(1)
+	e.Uvarint(id)
+	e.String("ctl")
+	e.String("c:0#1")
+	e.Uvarint(0) // trace id (unsampled)
+	e.Uvarint(0) // span id
+	e.Byte(code)
+	req(e)
+	request := append([]byte(nil), e.Bytes()...)
+	e.Reset()
+	e.Byte(frameReply)
+	e.Uvarint(1)
+	e.Byte(byte(ReplyOK))
+	e.Byte(code)
+	res(e)
+	return [2][]byte{request, append([]byte(nil), e.Bytes()...)}
 }
 
 func FuzzCPF(f *testing.F) {
@@ -271,6 +323,19 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(append([]byte(nil), e.Bytes()...))
+	}
+	// The retired kill and resume kinds, a request and a reply each as their
+	// encoders wrote them: refused as unknown kinds.
+	for _, frames := range [][2][]byte{
+		retiredFrames(5, 4, func(*Encoder) {}, func(e *Encoder) { e.Int(-17) }),
+		retiredFrames(6, 4, func(e *Encoder) {
+			e.String("0110")
+			e.Int(3)
+			e.Uvarint(8)
+		}, func(e *Encoder) { e.Bool(true) }),
+	} {
+		f.Add(frames[0])
+		f.Add(frames[1])
 	}
 	e := NewEncoder(32)
 	if err := EncodeReply(e, 9, 0, ReplyAppError, nil, "boom"); err != nil {

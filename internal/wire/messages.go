@@ -11,10 +11,9 @@ const (
 	// Body: Arrive. Reply: ArriveRes.
 	KindArrive = "arrive"
 	// KindGroupArrive delivers a whole token group in one message: k tokens,
-	// each with its own input wire and sequence number, sharing one sender
-	// endpoint, to the addressed component and any further ones the body
-	// lists. This is the batched dist wire format: one RPC per round and
-	// destination fabric instead of one per token.
+	// each with its own input wire, to the addressed component and any
+	// further ones the body lists. This is the batched dist wire format:
+	// one RPC per round and destination fabric instead of one per token.
 	// Body: GroupArrive. Reply: GroupArriveRes.
 	KindGroupArrive = "agroup"
 	// KindFreeze tells a component to stop routing and snapshot state.
@@ -23,12 +22,6 @@ const (
 	// KindTotal polls a component's processed-token total.
 	// Body: none. Reply: uint64.
 	KindTotal = "total"
-	// KindKill tells a frozen component to die and release stored tokens.
-	// Body: none. Reply: int (number of released tokens).
-	KindKill = "kill"
-	// KindResume tells a stored token where to re-enter the network.
-	// Body: Resume. Reply: bool.
-	KindResume = "resume"
 	// KindCPF is Chord's closest-preceding-finger query.
 	// Body: uint64 (key). Reply: uint64 (node ID).
 	KindCPF = "cpf"
@@ -51,11 +44,12 @@ const (
 	// reply carries that component's output wires, which the sender maps
 	// onward with its own routing table.
 	StatusProcessed Status = 1
-	// StatusQueued: the component is frozen; the token(s) are stored and
-	// will be released by resume messages.
-	StatusQueued Status = 2
-	// StatusDead: the component incarnation was replaced; re-resolve
-	// against the current cut and retry.
+	// Status 2 (tokens stored at a frozen component) is retired; decoders
+	// refuse it.
+	//
+	// StatusDead: the component incarnation is not active — frozen for a
+	// reconfiguration, or retired by one; nothing was stepped or kept. The
+	// sender re-resolves against a snapshot newer than the one it routed by.
 	StatusDead Status = 3
 	// StatusExited (group arrive only): the chained reply form, in which the
 	// receiver stepped the tokens on through further components it serves
@@ -64,22 +58,22 @@ const (
 	StatusExited Status = 4
 )
 
-// decodeStatus consumes a status byte in [StatusProcessed, max].
+// decodeStatus consumes a status byte in [StatusProcessed, max], the
+// retired status 2 excepted.
 func decodeStatus(d *Decoder, max Status) (Status, error) {
 	b, err := d.Byte()
 	if err != nil {
 		return 0, err
 	}
 	s := Status(b)
-	if s < StatusProcessed || s > max {
+	if s < StatusProcessed || s > max || s == 2 {
 		return 0, fmt.Errorf("%w: arrive status %d", ErrCorrupt, b)
 	}
 	return s, nil
 }
 
-// Arrive asks a component to accept one token on an input wire. Token is
-// the sender's endpoint address (where a resume goes if the component is
-// frozen); Seq identifies which token currently owns that endpoint.
+// Arrive asks a component to accept one token on an input wire. Token and
+// Seq are carried for the peers that still set them and mean nothing.
 type Arrive struct {
 	Wire  int
 	Token string
@@ -87,19 +81,19 @@ type Arrive struct {
 }
 
 // ArriveRes is the reply to an Arrive: StatusProcessed with the output wire
-// Out the addressed component sent the token to, or StatusQueued or
-// StatusDead with nothing stepped (and Out zero). dist injects every token
-// through GroupArrive; the kind stays registered, and its frames decodable,
-// for the peers and probes that still speak it.
+// Out the addressed component sent the token to, or StatusDead with nothing
+// stepped (and Out zero). dist injects every token through GroupArrive; the
+// kind stays registered, and its frames decodable, for the peers and probes
+// that still speak it.
 type ArriveRes struct {
 	Status Status
 	Out    int
 }
 
 // GroupArrive asks a component to accept a whole token group: token i of
-// the group arrives on Wires[i] with sequence number Seqs[i]. All tokens
-// share the sender endpoint Token. len(Wires) == len(Seqs) is a decode
-// invariant.
+// the group arrives on Wires[i]. dist sends neither Token nor Seqs; they are
+// carried for the peers that still set them and mean nothing. Seqs is empty
+// or as long as Wires (a decode invariant).
 //
 // Visits hands the tail of the group to further incarnations the addressed
 // one's fabric serves: the last run of tokens to the last visit, and so on
@@ -136,14 +130,13 @@ type Visit struct {
 //     sender must deliver it there. Paths lists each such component once,
 //     however many tokens stand at it; Wires holds the input wires the
 //     forwarded tokens stand at, one per forwarded token, in token order.
-//   - StatusQueued: every token was stored; resumes follow individually.
 //   - StatusDead: nothing was stepped; re-resolve the whole group.
 //
 // When a message's visits fared differently the reply is in the chained
 // form and adds Visits, an optional tail on the wire: the status a reply to
 // each visit alone would have had, the addressed component's first, by
-// which that visit's share of Outs is read as above (a stored or dead
-// visit's says nothing); Steps, Paths and Wires are the message's.
+// which that visit's share of Outs is read as above (a dead visit's says
+// nothing); Steps, Paths and Wires are the message's.
 type GroupArriveRes struct {
 	Status Status
 	Outs   []int
@@ -163,13 +156,6 @@ type FreezeRes struct {
 // whatever the application layer agreed on (launch uses JSON); the codec
 // only length-prefixes them.
 type Blob []byte
-
-// Resume tells a stored token where to re-enter the network.
-type Resume struct {
-	Path string
-	Wire int
-	Seq  uint64
-}
 
 // Codec is one registered message kind: its wire code, its kind string,
 // and typed encode/decode for the request body and the reply body. Encode
@@ -217,7 +203,8 @@ func encUint64(kind string) func(*Encoder, any) error {
 func decUint64(d *Decoder) (any, error) { return d.Uvarint() }
 
 // registry holds every message kind, indexed by code and by kind string.
-// Codes are wire format: they never change meaning, only grow.
+// Codes are wire format: they never change meaning, only grow. Codes 5 and
+// 6 (kill, resume) are retired and never reused: decoders refuse them.
 var (
 	byCode [256]*Codec
 	byKind = map[string]*Codec{}
@@ -312,7 +299,7 @@ var _ = register(&Codec{
 		if !ok {
 			return badBody(KindGroupArrive, body)
 		}
-		if len(g.Wires) != len(g.Seqs) {
+		if len(g.Seqs) != 0 && len(g.Seqs) != len(g.Wires) {
 			return fmt.Errorf("wire: %s: %d wires, %d seqs", KindGroupArrive, len(g.Wires), len(g.Seqs))
 		}
 		if err := checkSlices(KindGroupArrive, len(g.Wires), len(g.Visits)); err != nil {
@@ -342,7 +329,7 @@ var _ = register(&Codec{
 		if g.Seqs, err = d.Uint64s(); err != nil {
 			return nil, err
 		}
-		if len(g.Wires) != len(g.Seqs) {
+		if len(g.Seqs) != 0 && len(g.Seqs) != len(g.Wires) {
 			return nil, fmt.Errorf("%w: group with %d wires, %d seqs", ErrCorrupt, len(g.Wires), len(g.Seqs))
 		}
 		if d.Remaining() > 0 {
@@ -537,58 +524,6 @@ var _ = register(&Codec{
 	DecodeReq: decNone,
 	EncodeRes: encUint64(KindTotal),
 	DecodeRes: decUint64,
-})
-
-var _ = register(&Codec{
-	Code: 5, Kind: KindKill,
-	EncodeReq: encNone(KindKill),
-	DecodeReq: decNone,
-	EncodeRes: func(e *Encoder, body any) error {
-		n, ok := body.(int)
-		if !ok {
-			return badBody(KindKill, body)
-		}
-		e.Int(n)
-		return nil
-	},
-	DecodeRes: func(d *Decoder) (any, error) { return d.Int() },
-})
-
-var _ = register(&Codec{
-	Code: 6, Kind: KindResume,
-	EncodeReq: func(e *Encoder, body any) error {
-		r, ok := body.(Resume)
-		if !ok {
-			return badBody(KindResume, body)
-		}
-		e.String(r.Path)
-		e.Int(r.Wire)
-		e.Uvarint(r.Seq)
-		return nil
-	},
-	DecodeReq: func(d *Decoder) (any, error) {
-		var r Resume
-		var err error
-		if r.Path, err = d.String(); err != nil {
-			return nil, err
-		}
-		if r.Wire, err = d.Int(); err != nil {
-			return nil, err
-		}
-		if r.Seq, err = d.Uvarint(); err != nil {
-			return nil, err
-		}
-		return r, nil
-	},
-	EncodeRes: func(e *Encoder, body any) error {
-		b, ok := body.(bool)
-		if !ok {
-			return badBody(KindResume, body)
-		}
-		e.Bool(b)
-		return nil
-	},
-	DecodeRes: func(d *Decoder) (any, error) { return d.Bool() },
 })
 
 var _ = register(&Codec{

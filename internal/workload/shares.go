@@ -17,9 +17,9 @@ func (e *SizeError) Error() string {
 	return fmt.Sprintf("%s: invalid size %d (must be >= 1)", e.Op, e.Size)
 }
 
-// Inject is one burst-injection call into a counting engine — typically
-// launch.InjectPath's closure over a dist.Cluster. It is kept
-// as a plain function type so this package stays engine-agnostic.
+// Inject is one burst-injection call into a counting engine — typically a
+// closure over a dist.Cluster's InjectBatch. It is kept as a plain function
+// type so this package stays engine-agnostic.
 type Inject func(ins []int) error
 
 // InjectShares drives ins through fn concurrently: senders goroutines
