@@ -33,20 +33,15 @@ multicore:
 	$(GO) test -run '^$$' -bench TryStep -benchtime 1000x -cpu 1,2,4 ./internal/component/
 
 # dist on its own, so that the other packages' tests do not starve it down to
-# one CPU and hide a failure (ROADMAP item 1e). The four skipped tests are
-# the live-reconfiguration miscount of ROADMAP item 1, which fails at every
-# commit so far on >= 2 CPUs; they still run in `test` and `race`. The live
-# reconfigurations that already count exactly — BITONIC-only splits and a
-# root split/merge oscillation (TestSplitBitonicUnderLoad,
-# TestOscillateRootUnderLoad) — are not skipped. A second pass runs the tests
-# whose tokens a frozen or retired component turns away, under -race and five
-# times at each CPU count: a batch whose every token was turned away waits for
-# the next snapshot, and that wait must not miss a publish.
-DIST_KNOWN_FLAKY = TestSplitUnderLoad|TestMergeUnderLoad|TestOscillationUnderLoad|TestAsyncAdaptiveEndToEnd
+# one CPU and hide a failure: its live splits and merges must count exactly
+# under real parallelism. A second pass runs the tests whose tokens a frozen
+# or retired component turns away, under -race and five times at each CPU
+# count: a batch whose every token was turned away waits for the next
+# snapshot, and that wait must not miss a publish.
 DIST_TURNED_AWAY = Frozen|Dead|Stale|DuringReconfig|UnderFaulty
 distalone:
-	$(GO) test -count=2 -cpu 1,2,4 -skip '$(DIST_KNOWN_FLAKY)' ./internal/dist/
-	$(GO) test -race -count=5 -cpu 1,2,4 -run '$(DIST_TURNED_AWAY)' -skip '$(DIST_KNOWN_FLAKY)' ./internal/dist/
+	$(GO) test -count=2 -cpu 1,2,4 ./internal/dist/
+	$(GO) test -race -count=5 -cpu 1,2,4 -run '$(DIST_TURNED_AWAY)' ./internal/dist/
 
 # The benchmark (acnload) is a Go module of its own under benchmark/, so
 # `go test ./...` at the root does not reach its tests.

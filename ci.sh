@@ -18,7 +18,7 @@ step "go vet" vet
 step "go build" build
 step "go test" test
 step "go test -cpu 1,2,4 (lock-free packages)" multicore
-step "go test -cpu 1,2,4 (dist alone, minus ROADMAP item 1's known-flaky tests; turned-away tests under -race)" distalone
+step "go test -cpu 1,2,4 (dist alone; turned-away tests under -race)" distalone
 step "go test (benchmark module)" benchtest
 step "go test -race (concurrent packages)" race
 step "benchmark smoke (1 iteration each)" benchsmoke

@@ -324,3 +324,47 @@ func CheckConservation(c tree.Component, childTotals []uint64) error {
 	}
 	return nil
 }
+
+// Imbalance measures how far an assembly of c's children with the given
+// totals, in quiescence, is from c itself with the same total: the number of
+// tokens its exit children have emitted on another output wire of c than c
+// — one round-robin counter, whose output history is the step sequence of
+// the tokens that entered it — would have. A split or merge between c and
+// its children is exact only when it is 0: for a BITONIC the children form
+// a counting network for any input, so it always is, but a MERGER's or
+// MIX's children count correctly only from step-shaped inputs, and a
+// component frozen while tokens are in flight towards it may have seen
+// others.
+func Imbalance(c tree.Component, childTotals []uint64) (uint64, error) {
+	deg := tree.Degree(c.Kind)
+	if len(childTotals) != deg {
+		return 0, fmt.Errorf("component: imbalance of %v needs %d child totals, got %d", c, deg, len(childTotals))
+	}
+	h := uint64(c.Width / 2)
+	emitted := make([]uint64, c.Width)
+	for j, total := range childTotals {
+		for o := uint64(0); o < h; o++ {
+			d := tree.ChildNext(c.Kind, c.Width, j, int(o))
+			if d.ToChild {
+				continue
+			}
+			emitted[d.ParentOut] += total / h
+			if o < total%h {
+				emitted[d.ParentOut]++
+			}
+		}
+	}
+	w := uint64(c.Width)
+	total := childTotals[0] + childTotals[1]
+	var misplaced uint64
+	for o, got := range emitted {
+		want := total / w
+		if uint64(o) < total%w {
+			want++
+		}
+		if got > want {
+			misplaced += got - want
+		}
+	}
+	return misplaced, nil
+}

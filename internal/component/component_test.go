@@ -345,3 +345,50 @@ func TestSplitTotalsFromInputsArity(t *testing.T) {
 		t.Fatal("wrong input arity should fail")
 	}
 }
+
+// TestImbalance: a BITONIC's children replay any input history into exactly
+// the parent's output history, a MERGER's do from step-shaped input halves,
+// and a MIX's can misplace a token: one token on the bottom half of X8 leaves
+// its bottom child on wire 4, where X8 itself emits it on wire 0.
+func TestImbalance(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bitonic := tree.Component{Kind: tree.KindBitonic, Width: 16}
+	merger := tree.Component{Kind: tree.KindMerger, Width: 16}
+	for trial := 0; trial < 200; trial++ {
+		inputs := make([]uint64, 16)
+		for i := range inputs {
+			inputs[i] = uint64(rng.Intn(5))
+		}
+		if e := imbalanceOf(t, bitonic, inputs); e != 0 {
+			t.Fatalf("%v from %v: imbalance %d, want 0", bitonic, inputs, e)
+		}
+		top, bottom := rng.Intn(40), rng.Intn(40)
+		for i := 0; i < 8; i++ {
+			inputs[i] = uint64((top + 7 - i) / 8)
+			inputs[8+i] = uint64((bottom + 7 - i) / 8)
+		}
+		if e := imbalanceOf(t, merger, inputs); e != 0 {
+			t.Fatalf("%v from step halves %v: imbalance %d, want 0", merger, inputs, e)
+		}
+	}
+	mix := tree.Component{Kind: tree.KindMix, Width: 8}
+	if e := imbalanceOf(t, mix, []uint64{0, 0, 0, 0, 1, 0, 0, 0}); e != 1 {
+		t.Fatalf("%v: imbalance %d, want 1", mix, e)
+	}
+	if _, err := Imbalance(mix, []uint64{1}); err == nil {
+		t.Fatal("wrong child count should fail")
+	}
+}
+
+func imbalanceOf(t *testing.T, c tree.Component, inputs []uint64) uint64 {
+	t.Helper()
+	totals, err := SplitTotalsFromInputs(c, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Imbalance(c, totals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}

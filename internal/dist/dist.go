@@ -12,6 +12,14 @@
 //     states combine into the parent, and a snapshot with the parent in
 //     their place is published.
 //
+// Either is exact only if the children have emitted what the parent would
+// have (component.Imbalance is 0). A BITONIC's children always have; a
+// MERGER's or MIX's count correctly only from step-shaped inputs, which a
+// component frozen while tokens are in flight towards it may not have seen.
+// Then the freeze is undone — the frozen incarnations are made active and
+// the same cut is republished — and taken again once more tokens have
+// reached them; in quiescence every component's inputs are exact ones.
+//
 // A component that is not active — frozen for a reconfiguration, or retired
 // by one — turns tokens away: it steps nothing, stores nothing and replies
 // StatusDead. The token waits at its sender, not at the component: the
@@ -80,9 +88,9 @@ type comp struct {
 	addr transport.Addr
 
 	mu sync.Mutex
-	// frozen is set by a reconfiguration's freeze and never cleared: a
-	// frozen incarnation turns tokens away whether or not the snapshot that
-	// retires it has been published yet.
+	// frozen is set by a reconfiguration's freeze and cleared only by its
+	// thaw (see Cluster.thaw): a frozen incarnation turns tokens away whether
+	// or not the snapshot that retires it has been published yet.
 	frozen  bool
 	total   uint64
 	arrived []uint64 // tokens routed per input wire
@@ -388,7 +396,9 @@ func (cl *Cluster) ctl(cm *comp, kind string, sp *obs.Span) (any, error) {
 
 // Split replaces the component at path p by its children while traffic
 // flows: freeze (a control RPC returning the frozen per-wire history),
-// initialize children from it, and publish them in its place. Tokens the
+// initialize children from it — thawing and freezing again while that
+// history is one the children would have counted differently — and publish
+// them in its place. Tokens the
 // frozen incarnation turned away re-enter at (p, wire) once the snapshot is
 // out, and tree.RouteTable.Locate descends into the children.
 func (cl *Cluster) Split(p tree.Path) error {
@@ -416,19 +426,36 @@ func (cl *Cluster) Split(p tree.Path) error {
 		return fmt.Errorf("dist: split: %v is not active", cm.c)
 	}
 
-	// Freeze and snapshot the routed-per-wire history.
-	reply, err := cl.ctl(cm, kindFreeze, sp)
-	if err != nil {
-		return err
-	}
-	snap := reply.(wire.FreezeRes)
-	if sp != nil {
-		sp.Event("freeze", string(p), int64(snap.Total))
-	}
-
-	totals, flows, err := component.SplitFlows(cm.c, snap.Processed)
-	if err != nil {
-		return err
+	// Freeze and snapshot the routed-per-wire history, and replay it through
+	// the children. The replay is exact only if the children then have
+	// emitted what the parent did (component.Imbalance): a MERGER or MIX
+	// frozen while tokens were in flight towards it may have routed inputs
+	// its children would have counted differently. Then it is thawed and
+	// frozen again once more of those tokens have reached it.
+	var totals []uint64
+	var flows [][]uint64
+	for {
+		reply, err := cl.ctl(cm, kindFreeze, sp)
+		if err != nil {
+			return err
+		}
+		snap := reply.(wire.FreezeRes)
+		if sp != nil {
+			sp.Event("freeze", string(p), int64(snap.Total))
+		}
+		if totals, flows, err = component.SplitFlows(cm.c, snap.Processed); err != nil {
+			return err
+		}
+		e, err := component.Imbalance(cm.c, totals)
+		if err != nil {
+			return err
+		}
+		if e == 0 {
+			break
+		}
+		if err := cl.thaw([]*comp{cm}, snap.Total, e, sp); err != nil {
+			return err
+		}
 	}
 	children := cm.c.Children()
 	newComps := make([]*comp, len(children))
@@ -499,56 +526,74 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 		}
 	}
 
-	// Phase 1: freeze the entry children; external arrivals are turned away.
-	// Their freeze snapshots are final: a frozen component's total and
-	// processed history no longer change.
+	// Phases 1 and 2 repeat until the children's drained state is exactly
+	// that of the parent (component.Imbalance): the entry children of a
+	// MERGER or MIX frozen while tokens were in flight towards them may
+	// have routed inputs the parent would have counted differently. Then
+	// they are thawed and frozen again once more of those tokens have
+	// reached them.
 	deg := len(cms)
 	entrySnaps := make([]wire.FreezeRes, 2)
-	for i, cm := range cms[:2] {
-		cm.mu.Lock()
-		frozen := cm.frozen
-		cm.mu.Unlock()
-		if frozen {
-			return fmt.Errorf("dist: merge: entry child %v is not active", cm.c)
-		}
-		reply, err := cl.ctl(cm, kindFreeze, sp)
-		if err != nil {
-			return err
-		}
-		entrySnaps[i] = reply.(wire.FreezeRes)
-		if sp != nil {
-			sp.Event("freeze", string(cm.c.Path), int64(entrySnaps[i].Total))
-		}
-	}
-
-	// Phase 2: wait for internal in-flight tokens to drain, detected by
-	// the conservation invariant (all stages saw equally many tokens). The
-	// totals are polled with control RPCs; between polls the coordinator
-	// blocks on drainCh, which every processed token signals — no
-	// busy-wait.
-	var drainStart time.Time
-	if cl.hDrain != nil {
-		drainStart = time.Now()
-	}
 	for {
-		totals := make([]uint64, deg)
-		totals[0], totals[1] = entrySnaps[0].Total, entrySnaps[1].Total
-		for i, cm := range cms[2:] {
-			reply, err := cl.ctl(cm, kindTotal, sp)
+		// Phase 1: freeze the entry children; external arrivals are turned
+		// away. Their freeze snapshots are final: a frozen component's total
+		// and processed history no longer change.
+		for i, cm := range cms[:2] {
+			cm.mu.Lock()
+			frozen := cm.frozen
+			cm.mu.Unlock()
+			if frozen {
+				return fmt.Errorf("dist: merge: entry child %v is not active", cm.c)
+			}
+			reply, err := cl.ctl(cm, kindFreeze, sp)
 			if err != nil {
 				return err
 			}
-			totals[2+i] = reply.(uint64)
+			entrySnaps[i] = reply.(wire.FreezeRes)
+			if sp != nil {
+				sp.Event("freeze", string(cm.c.Path), int64(entrySnaps[i].Total))
+			}
 		}
-		if component.CheckConservation(parent, totals) == nil {
+
+		// Phase 2: wait for internal in-flight tokens to drain, detected by
+		// the conservation invariant (all stages saw equally many tokens).
+		// The totals are polled with control RPCs; between polls the
+		// coordinator blocks on drainCh, which every processed token signals
+		// — no busy-wait.
+		var drainStart time.Time
+		if cl.hDrain != nil {
+			drainStart = time.Now()
+		}
+		totals := make([]uint64, deg)
+		for {
+			totals[0], totals[1] = entrySnaps[0].Total, entrySnaps[1].Total
+			for i, cm := range cms[2:] {
+				reply, err := cl.ctl(cm, kindTotal, sp)
+				if err != nil {
+					return err
+				}
+				totals[2+i] = reply.(uint64)
+			}
+			if component.CheckConservation(parent, totals) == nil {
+				break
+			}
+			// Conservation not yet reached, so a token is in flight inside
+			// the assembly; its next group arrive will signal. A stale or
+			// unrelated signal just costs one extra poll.
+			<-cl.drainCh
+		}
+		cl.hDrain.Since(drainStart)
+		e, err := component.Imbalance(parent, totals)
+		if err != nil {
+			return err
+		}
+		if e == 0 {
 			break
 		}
-		// Conservation not yet reached, so a token is in flight inside the
-		// assembly; its next group arrive will signal. A stale or unrelated
-		// signal just costs one extra poll.
-		<-cl.drainCh
+		if err := cl.thaw(cms[:2], totals[0]+totals[1], e, sp); err != nil {
+			return err
+		}
 	}
-	cl.hDrain.Since(drainStart)
 	if sp != nil {
 		sp.Event("drained", string(p), 0)
 	}
@@ -592,6 +637,43 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 	}
 	cl.hMerge.Since(begin)
 	return nil
+}
+
+// thaw undoes the freeze of cms, which left a split or merge imbalanced by
+// e tokens, and returns once they have stepped more than seen tokens
+// between them. Republishing the same cut lets the tokens they turned away
+// meanwhile re-enter them. The imbalance means tokens are still in flight
+// towards them — in quiescence every component's inputs are ones its
+// children count exactly as it does — so a later freeze sees their inputs
+// further along, and in quiescence, exact.
+func (cl *Cluster) thaw(cms []*comp, seen, e uint64, sp *obs.Span) error {
+	if sp != nil {
+		sp.Event("thaw", string(cms[0].c.Path), int64(e))
+	}
+	for _, cm := range cms {
+		cm.mu.Lock()
+		cm.frozen = false
+		cm.mu.Unlock()
+	}
+	if err := cl.publish(nil, nil); err != nil {
+		return err
+	}
+	for {
+		var total uint64
+		for _, cm := range cms {
+			reply, err := cl.ctl(cm, kindTotal, sp)
+			if err != nil {
+				return err
+			}
+			total += reply.(uint64)
+		}
+		if total > seen {
+			return nil
+		}
+		// Every group arrive that steps a token signals drainCh after it,
+		// so one that steps here since the poll above is not missed.
+		<-cl.drainCh
+	}
 }
 
 // EffectiveWidth computes Definition 1.1 for the cluster's current cut.

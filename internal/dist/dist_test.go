@@ -197,6 +197,127 @@ func TestSplitUnderLoad(t *testing.T) {
 	}
 }
 
+// TestReconfigThawsImbalancedFreeze pins the exactness check of a live
+// split and merge. At the level-1 cut of BITONIC[8], one token has passed
+// through; a second is held by the fabric just before X4@4 while a third
+// overtakes it there. Frozen now, X4@4 (or, for the merge, the two halves
+// it was split into) has routed a history its replacement would not have
+// emitted the same way: one token misplaced. The reconfiguration thaws —
+// republishes the same incarnations, active again — and waits; once the
+// held token has gone through, it freezes again, finds the history exact,
+// and publishes. Without the check the count ends wrong.
+func TestReconfigThawsImbalancedFreeze(t *testing.T) {
+	const w = 8
+	for _, merge := range []bool{false, true} {
+		name := "split"
+		if merge {
+			name = "merge"
+		}
+		t.Run(name, func(t *testing.T) {
+			fabric := &gatedMem{Net: transport.NewMem()}
+			cl, err := New(w, mustCut(t, w, 1), WithTransport(fabric))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if merge {
+				if err := cl.Split("4"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr := cl.Trace(1, 16)
+			if _, err := cl.Inject(0); err != nil {
+				t.Fatal(err)
+			}
+			path, _ := tokenPath(cl, 0)
+			held := path[len(path)-1]
+			if p := held.c.Path; p != "4" && p != "40" && p != "41" {
+				t.Fatalf("wire 0's last component is %v, want X4@4 or one of its halves", held.c)
+			}
+			gated := make(map[transport.Addr]bool)
+			for _, cm := range cl.topo.Load().live {
+				gated[cm.addr] = cm.c.Path[0] == '4'
+			}
+			var holding atomic.Bool
+			asked, release := make(chan struct{}), make(chan struct{})
+			fabric.gate = func(a transport.Addr) {
+				if gated[a] && holding.CompareAndSwap(false, true) {
+					close(asked)
+					<-release
+				}
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := cl.Inject(0)
+				done <- err
+			}()
+			<-asked
+			if _, err := cl.Inject(0); err != nil {
+				t.Fatal(err)
+			}
+
+			before := cl.topo.Load()
+			reconf := make(chan error, 1)
+			go func() {
+				if merge {
+					reconf <- cl.Merge("4")
+				} else {
+					reconf <- cl.Split("4")
+				}
+			}()
+			for cl.topo.Load() == before {
+				time.Sleep(time.Millisecond)
+			}
+			if !slices.Equal(cl.topo.Load().live, before.live) {
+				t.Fatal("the first snapshot after the freeze replaced incarnations: the imbalanced history went unnoticed")
+			}
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-reconf; err != nil {
+				t.Fatal(err)
+			}
+			if got := cl.topo.Load().at("4") != nil; got != merge {
+				t.Fatalf("X4@4 live = %v after the %s", got, name)
+			}
+			if err := cl.CheckStep(); err != nil {
+				t.Fatal(err)
+			}
+			var kinds []string
+			for _, s := range tr.Spans() {
+				if s.Name != name {
+					continue
+				}
+				for _, e := range s.Events {
+					if e.Kind == "thaw" && e.V != 1 {
+						t.Fatalf("thaw event %+v, want one misplaced token", e)
+					}
+					kinds = append(kinds, e.Kind)
+				}
+			}
+			freezes := 2 // the entry children
+			if !merge {
+				freezes = 1
+			}
+			want := []string{"target"}
+			for range freezes {
+				want = append(want, "freeze")
+			}
+			want = append(want, "thaw")
+			for range freezes {
+				want = append(want, "freeze")
+			}
+			if merge {
+				want = append(want, "drained")
+			}
+			want = append(want, "publish")
+			if !slices.Equal(kinds, want) {
+				t.Fatalf("%s events %v, want %v", name, kinds, want)
+			}
+		})
+	}
+}
+
 // TestMergeUnderLoad: the freeze protocol merges a live network back to a
 // single component without losing tokens.
 func TestMergeUnderLoad(t *testing.T) {
