@@ -3,9 +3,9 @@ GO ?= go
 # get a second pass under the race detector.
 RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/tree/... ./internal/cutnet/... ./internal/obs/... ./internal/match/... ./internal/launch/... .
 
-.PHONY: check fmt vet build test multicore distalone benchtest race bench benchsmoke perfsmoke tracesmoke partsmoke fuzzsmoke
+.PHONY: check fmt vet build test multicore distalone benchtest race bench benchsmoke perfsmoke tracesmoke partsmoke fuzzsmoke examplesmoke
 
-check: fmt vet build test multicore distalone benchtest race benchsmoke perfsmoke tracesmoke partsmoke fuzzsmoke
+check: fmt vet build test multicore distalone benchtest race benchsmoke perfsmoke tracesmoke partsmoke fuzzsmoke examplesmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -26,10 +26,16 @@ test:
 # again at GOMAXPROCS 1, 2 and 4, twice each — and with them tree, whose
 # chain walks every structural operation and cold hop of core now goes
 # through, cutnet, whose Inject is a CAS walk through tree's route table,
-# and component, whose CAS word is the one line a warm token shares per hop;
-# its contended/private step probes (BenchmarkTryStep*) run there too.
+# component, whose CAS word is the one line a warm token shares per hop (its
+# contended/private step probes, BenchmarkTryStep*, run there too), and the
+# transport fabrics and launch's in-process workers, whose reader, dedup and
+# handler goroutines serve many callers at once. Those two run one package
+# at a time: launch's workers keep transport's default 2 ms reply timeout,
+# and beside tcpnet's socket tests on a 2-CPU host a group arrive can run
+# out of retries (ROADMAP item 1(e)).
 multicore:
 	$(GO) test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/ ./internal/tree/ ./internal/cutnet/ ./internal/component/
+	$(GO) test -count=2 -cpu 1,2,4 -p 1 ./internal/transport/... ./internal/launch/
 	$(GO) test -run '^$$' -bench TryStep -benchtime 1000x -cpu 1,2,4 ./internal/component/
 
 # dist on its own, so that the other packages' tests do not starve it down to
@@ -99,4 +105,12 @@ partsmoke:
 fuzzsmoke:
 	@for f in $$($(GO) test -list '^Fuzz' ./internal/wire/ | grep '^Fuzz'); do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 2s ./internal/wire/ || exit 1; \
+	done
+
+# Each examples/ program run to completion, one after another, with a time
+# limit: `build` only compiles them, and an example that errors or hangs is
+# a broken piece of documentation.
+examplesmoke:
+	@for e in examples/*/; do \
+		timeout 120 $(GO) run "./$$e" > /dev/null || { echo "example $$e failed"; exit 1; }; \
 	done

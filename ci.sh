@@ -17,7 +17,7 @@ step "gofmt" fmt
 step "go vet" vet
 step "go build" build
 step "go test" test
-step "go test -cpu 1,2,4 (lock-free packages)" multicore
+step "go test -cpu 1,2,4 (lock-free packages, transport, launch)" multicore
 step "go test -cpu 1,2,4 (dist alone; turned-away tests under -race)" distalone
 step "go test (benchmark module)" benchtest
 step "go test -race (concurrent packages)" race
@@ -26,5 +26,6 @@ step "perf smoke (hot-path benchmarks under -race)" perfsmoke
 step "trace smoke (Perfetto export through the CLI, then validate)" tracesmoke
 step "partition smoke (2-process acnnode runs, -burst 128 then -burst 1: conservation + merged trace)" partsmoke
 step "fuzz smoke (every internal/wire fuzz target, 2 s each)" fuzzsmoke
+step "example smoke (every examples/ program run to completion)" examplesmoke
 
 echo "OK"

@@ -264,9 +264,19 @@ type liveComp struct {
 	// of Network.hop — no map, no lock, no tree algebra. The array is
 	// allocated by the first token that leaves the component, so splits and
 	// merges do not pay for wires no token uses, and dropped together with
-	// nbrs when the component is removed, so a stale memo retains one dead
-	// component, never a chain.
+	// row and nbrs when the component is removed, so a stale memo retains
+	// one dead component, never a chain.
 	slots atomic.Pointer[[]atomic.Pointer[nbrAddr]]
+
+	// row is where every output wire leads in the wire algebra: the exit,
+	// or the sibling subtree and input wire its climb enters
+	// (tree.Chain.OutRow). The first cold hop out of the component builds
+	// it, under the structural lock's read mode, and installs it by CAS;
+	// every later cold hop reads it, and a resolved neighbor record is
+	// memoized through it on all the wires that lead to that neighbor
+	// (liveComp.fill), so a component pays one resolution per out-neighbor,
+	// not one per wire.
+	row atomic.Pointer[tree.Row]
 
 	// nbrs is the out-neighbor address cache (Section 3.5: "the addresses
 	// of the out-neighbors can be cached"): one record per out-neighbor
@@ -293,8 +303,8 @@ type nbrAddr struct {
 	netOut int
 }
 
-// memoize publishes where output wire o of lc leads.
-func (lc *liveComp) memoize(o int, m *nbrAddr) {
+// slotArray returns lc's memo slots, allocating them on first use.
+func (lc *liveComp) slotArray() []atomic.Pointer[nbrAddr] {
 	slots := lc.slots.Load()
 	if slots == nil {
 		fresh := make([]atomic.Pointer[nbrAddr], lc.st.Comp.Width)
@@ -304,7 +314,7 @@ func (lc *liveComp) memoize(o int, m *nbrAddr) {
 			slots = lc.slots.Load() // a concurrent token installed the array
 		}
 	}
-	(*slots)[o].Store(m)
+	return *slots
 }
 
 // nodeInfo is the per-node view: structural state, written only under the
@@ -393,6 +403,11 @@ type Network struct {
 	// holds the same slice for its striped read mode.
 	stripes    []tokenStripe
 	nextStripe atomic.Uint32 // deals stripes to new clients
+
+	// coldResolves counts the hops and entries a token had to resolve
+	// rather than follow a memo (resolveNext and findEntry calls): the cold
+	// path's work, which is not a protocol meter.
+	coldResolves atomic.Uint64
 }
 
 // New creates an adaptive network of the given width with
@@ -436,7 +451,7 @@ func New(cfg Config) (*Network, error) {
 	n.entryLeaf = make([]tree.Path, cfg.Width)
 	var buf [tree.MaxPathLen]byte
 	for in := range n.entryLeaf {
-		n.entryLeaf[in] = tree.Path(tree.InputLeaf(cfg.Width, in, buf[:]))
+		n.entryLeaf[in] = tree.Path(root.InputLeaf(in, buf[:]))
 	}
 	if reg := cfg.Obs; reg != nil {
 		n.ring.Instrument(reg)
@@ -631,6 +646,7 @@ func (n *Network) removeCompLocked(p tree.Path) {
 	n.compsChanged = true
 	lc.removed = true
 	lc.slots.Store(nil)
+	lc.row.Store(nil)
 	lc.nbrs = nil
 }
 

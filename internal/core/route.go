@@ -193,7 +193,10 @@ func (c *Client) reattach() error {
 // lookup cache would answer for it), and it sits at the level this client
 // would try first — exactly the case in which findEntry would spend one try
 // and one lookup-cache hit, which is how the memo hit is metered. Anything
-// else is findEntry's metered search, whose result refreshes the memo.
+// else is findEntry's metered search, whose result refreshes the memo of
+// every input wire the found component covers: the memo check above holds
+// for each of them exactly when findEntry, starting from that wire, would
+// also have spent one try and one lookup-cache hit on the same name.
 func (n *Network) enter(t *topology, c *Client, in int, tr *TokenTrace, sp *obs.Span) (*liveComp, error) {
 	if n.entry == nil {
 		return n.findEntry(t, c, in, tr, sp)
@@ -222,7 +225,11 @@ func (n *Network) enter(t *topology, c *Client, in int, tr *TokenTrace, sp *obs.
 		lc.resolvedAt.Store(v)
 	}
 	if m != lc {
-		n.entry[in].Store(lc)
+		for j := range lc.st.Comp.Width {
+			if netIn, ok := lc.st.Comp.NetInput(j); ok {
+				n.entry[netIn].Store(lc)
+			}
+		}
 	}
 	return lc, nil
 }
@@ -268,6 +275,7 @@ func (n *Network) lookup(t *topology, at chord.NodeID, p tree.Path, tr *TokenTra
 // trying names on the input balancer's ancestor chain (Section 3.5 bounds
 // this by the chain length).
 func (n *Network) findEntry(t *topology, c *Client, in int, tr *TokenTrace, sp *obs.Span) (*liveComp, error) {
+	n.coldResolves.Add(1)
 	// The input balancer for wire in is a pure function of the width,
 	// precomputed at construction.
 	leaf := n.entryLeaf[in]
@@ -354,34 +362,59 @@ func (n *Network) hop(t *topology, lc *liveComp, o int, tr *TokenTrace, sp *obs.
 // wire algebra and lc's out-neighbor address cache, and memoizes the
 // answer.
 //
-// The wire algebra (climbing out of parents, descending into the sibling
-// subtree: tree.Chain) is pure local computation on a stack buffer; the DHT
-// is needed only to learn which component of the candidate chain is live
-// and where it is hosted. A cached neighbor on the chain therefore forwards
+// The wire algebra is lc's row (tree.Chain.OutRow: where each wire climbs
+// out to), built by the first cold hop out of lc; the DHT is needed only to
+// learn which component below the sibling the wire enters is live and where
+// it is hosted. A cached neighbor on the wire's chain therefore forwards
 // with zero lookups; a stale entry bounces (metered as a cache miss) and
 // triggers a fresh resolution.
 func (n *Network) resolveNext(t *topology, lc *liveComp, o int, tr *TokenTrace, sp *obs.Span) (next *liveComp, netOut int, err error) {
-	var ch tree.Chain
-	if err := ch.Resolve(n.cfg.Width, lc.st.Comp.Path); err != nil {
-		return nil, 0, err
-	}
-	var buf [tree.MaxPathLen]byte
-	leaf, top, exit, netOut := ch.OutChain(o, buf[:])
-	if exit {
-		if !n.cfg.DisableCache {
-			lc.memoize(o, &n.exits[netOut])
+	n.coldResolves.Add(1)
+	row := lc.row.Load()
+	if row == nil {
+		if row, err = n.buildRow(lc); err != nil {
+			return nil, 0, err
 		}
-		return nil, netOut, nil
 	}
-	return n.descendToLive(t, lc, o, leaf, top, tr, sp)
+	h := row.Next[o]
+	if h.Exited() { // memoized by buildRow
+		return nil, int(h.Wire), nil
+	}
+	return n.descendToLive(t, lc, row, h, tr, sp)
 }
 
-// descendToLive finds the live component on the candidate chain leaf[:top],
-// ..., leaf (see tree.Chain.OutChain) of output wire o of lc, consulting the
-// sender's neighbor cache before issuing DHT lookups, and memoizes it. The
+// buildRow resolves lc's row and installs it; when a concurrent token
+// installed one first, both use that one. It memoizes every exit wire at
+// once: an exit is pure wire algebra, never stale and never metered.
+func (n *Network) buildRow(lc *liveComp) (*tree.Row, error) {
+	var ch tree.Chain
+	if err := ch.Resolve(n.cfg.Width, lc.st.Comp.Path); err != nil {
+		return nil, err
+	}
+	row := ch.OutRow()
+	if !lc.row.CompareAndSwap(nil, &row) {
+		return lc.row.Load(), nil
+	}
+	if !n.cfg.DisableCache {
+		slots := lc.slotArray()
+		for o, h := range row.Next {
+			if h.Exited() {
+				slots[o].Store(&n.exits[h.Wire])
+			}
+		}
+	}
+	return &row, nil
+}
+
+// descendToLive finds the live component on the chain of a wire of lc that
+// enters row sibling h.Comp on its input wire h.Wire — the sibling and its
+// entry descendants along that wire, of which the cut holds one —
+// consulting the sender's neighbor cache before issuing DHT lookups, and
+// memoizes the record it ends at on every wire of lc that leads to it. The
 // neighbor cache is guarded by the sending component's own mutex (lock
 // striping): tokens leaving different components never contend.
-func (n *Network) descendToLive(t *topology, lc *liveComp, o int, leaf []byte, top int, tr *TokenTrace, sp *obs.Span) (*liveComp, int, error) {
+func (n *Network) descendToLive(t *topology, lc *liveComp, row *tree.Row, h tree.Hop, tr *TokenTrace, sp *obs.Span) (*liveComp, int, error) {
+	sib, in := row.Sibs[h.Comp], int(h.Wire)
 	// moved is the record of a neighbor that is live but no longer where
 	// lc remembers it; re-resolving it rewrites the record in place.
 	var moved *nbrAddr
@@ -389,8 +422,8 @@ func (n *Network) descendToLive(t *topology, lc *liveComp, o int, leaf []byte, t
 		lc.nbrsMu.Lock()
 		// Try the records on the chain from the top down, as a probe of
 		// every chain level would meet them.
-		for from := top; ; {
-			i := lc.nbrOnChainLocked(leaf, from)
+		for from := len(sib.Path); ; {
+			i := lc.nbrOnChainLocked(sib, in, from)
 			if i < 0 {
 				break
 			}
@@ -407,7 +440,7 @@ func (n *Network) descendToLive(t *topology, lc *liveComp, o int, leaf []byte, t
 				if sp != nil {
 					sp.Event("cache-hit", string(p), 0)
 				}
-				lc.memoize(o, m)
+				lc.fill(row, h.Comp, m)
 				return got, 0, nil
 			}
 			// Stale: the direct send bounces; re-resolve below.
@@ -428,8 +461,9 @@ func (n *Network) descendToLive(t *topology, lc *liveComp, o int, leaf []byte, t
 
 	// Cold or stale: walk the chain with metered DHT lookups. The lookup
 	// cache keeps the keys it is given, so the chain becomes a string here.
-	chain := tree.Path(leaf)
-	for k := top; k <= len(chain); k++ {
+	var buf [tree.MaxPathLen]byte
+	chain := tree.Path(sib.InputLeaf(in, buf[:]))
+	for k := len(sib.Path); k <= len(chain); k++ {
 		got, err := n.lookup(t, lc.host, chain[:k], tr, sp)
 		if err != nil {
 			return nil, 0, err
@@ -447,21 +481,38 @@ func (n *Network) descendToLive(t *topology, lc *liveComp, o int, leaf []byte, t
 			lc.nbrsMu.Lock()
 			lc.setNbrLocked(m)
 			lc.nbrsMu.Unlock()
-			lc.memoize(o, m)
+			lc.fill(row, h.Comp, m)
 		}
 		return got, 0, nil
 	}
-	return nil, 0, fmt.Errorf("core: no live component covers %q", chain[:top])
+	return nil, 0, fmt.Errorf("core: no live component covers %v wire %d", sib, in)
+}
+
+// fill memoizes m on every output wire of lc whose climb enters row
+// sibling sib and whose chain holds m's component. These are the wires a
+// later cold hop would resolve to m with one cache hit, which is what a
+// memo hit meters, so the fill moves no meter: the chains of all of them
+// start at the same sibling, and the records the resolution just bounced
+// above m are exactly the ones each of them would have met first.
+func (lc *liveComp) fill(row *tree.Row, sib int32, m *nbrAddr) {
+	slots := lc.slotArray()
+	s, p := row.Sibs[sib], m.next.st.Comp.Path
+	whole := p == s.Path // every wire into the sibling reaches it
+	for o, h := range row.Next {
+		if h.Comp == sib && (whole || s.Reaches(int(h.Wire), p)) {
+			slots[o].Store(m)
+		}
+	}
 }
 
 // nbrOnChainLocked returns the index in lc.nbrs of the record of the
-// shallowest component on the chain leaf[:from], ..., leaf, or -1 if lc
-// remembers none of them.
-func (lc *liveComp) nbrOnChainLocked(leaf []byte, from int) int {
-	best, bestLen := -1, len(leaf)+1
+// shallowest component at level from or deeper on the chain of input wire
+// in of sib, or -1 if lc remembers none of them.
+func (lc *liveComp) nbrOnChainLocked(sib tree.Component, in, from int) int {
+	best, bestLen := -1, tree.MaxPathLen+1
 	for i, m := range lc.nbrs {
 		p := m.next.st.Comp.Path
-		if from <= len(p) && len(p) < bestLen && string(leaf[:len(p)]) == string(p) {
+		if from <= len(p) && len(p) < bestLen && sib.Reaches(in, p) {
 			best, bestLen = i, len(p)
 		}
 	}

@@ -6,10 +6,11 @@ import (
 )
 
 // The wire algebra's two walks out of a component — where an output wire
-// leads (OutChain), what feeds an input wire (InputCounts) — without
-// allocating: the ancestor chain is resolved once, climbed with integers,
-// and descended into a byte buffer that callers look up with m[Path(buf)],
-// which Go compiles without a conversion.
+// leads (OutChain, and OutRow for all of them at once), what feeds an input
+// wire (InputCounts) — without allocating per wire: the ancestor chain is
+// resolved once, climbed with integers, and descended into a byte buffer
+// that callers look up with m[Path(buf)], which Go compiles without a
+// conversion.
 
 // MaxPathLen bounds a component path: one byte per level, and levels are
 // < 64 for any realizable width.
@@ -71,10 +72,99 @@ func (ch *Chain) OutChain(out int, buf []byte) (leaf []byte, top int, exit bool,
 	return nil, 0, true, wire
 }
 
-// InputLeaf returns (built in buf) the path of the input balancer that
-// network input wire in of T_w enters; its prefixes can receive the wire.
-func InputLeaf(w, in int, buf []byte) []byte {
-	return descendInputs(buf[:0], KindBitonic, w, in)
+// Row is where every output wire of one component leads (Chain.OutRow):
+// Next[out] is input wire Wire of the sibling subtree Sibs[Comp] that the
+// wire's climb enters, or, when Comp is Exit, network output wire Wire.
+// A component's wires enter at most two siblings, so Sibs is short; which
+// member of a cut below a sibling receives the wire is what
+// Component.Reaches answers, one candidate at a time.
+type Row struct {
+	Sibs []Component
+	Next []Hop
+}
+
+// OutRow resolves where every output wire of the chain's component leads,
+// in one pass over its wires. Unlike OutChain it stops where a wire enters
+// its sibling subtree and does not descend to the balancer the wire
+// reaches: a caller with a cut member in mind checks it with Reaches, which
+// descends only as deep as that member.
+//
+// The climb is found once, not per wire: a child hands either all of its
+// output wires to its parent's outputs (the last two children, in order:
+// ParentOut is the wire plus a constant) or all of them to siblings, so
+// every wire leaves the same ancestor, shifted by the same amount.
+func (ch *Chain) OutRow() Row {
+	row := Row{Next: make([]Hop, ch.w>>len(ch.path))}
+	l, shift := len(ch.path), 0
+	for ; l > 0; l-- {
+		d := ChildNext(ch.kinds[l-1], ch.w>>(l-1), int(ch.path[l-1]-'0'), 0)
+		if d.ToChild {
+			break
+		}
+		shift += d.ParentOut
+	}
+	if l == 0 {
+		for out := range row.Next {
+			row.Next[out] = Hop{Comp: Exit, Wire: int32(out + shift)}
+		}
+		return row
+	}
+	kind, width, idx := ch.kinds[l-1], ch.w>>(l-1), int(ch.path[l-1]-'0')
+	var sibs [6]int32 // by child index, +1
+	for out := range row.Next {
+		d := ChildNext(kind, width, idx, out+shift)
+		if sibs[d.Child] == 0 {
+			row.Sibs = append(row.Sibs, Component{
+				Kind:  childKinds(kind)[d.Child],
+				Width: width / 2,
+				Path:  ch.path[:l-1] + Path([]byte{byte('0' + d.Child)}),
+			})
+			sibs[d.Child] = int32(len(row.Sibs))
+		}
+		row.Next[out] = Hop{Comp: sibs[d.Child] - 1, Wire: int32(d.ChildIn)}
+	}
+	return row
+}
+
+// Reaches reports whether input wire in of c enters the component at path
+// p: whether p is c itself or one of the entry descendants of c that the
+// wire passes on its way down to a balancer. It descends only as deep as
+// p.
+func (c Component) Reaches(in int, p Path) bool {
+	if len(p) < len(c.Path) || p[:len(c.Path)] != c.Path {
+		return false
+	}
+	for i, width := len(c.Path), c.Width; i < len(p); i, width = i+1, width/2 {
+		if width == 2 {
+			return false
+		}
+		var ci int
+		if ci, in = ChildInput(c.Kind, width, in); p[i] != byte('0'+ci) {
+			return false
+		}
+	}
+	return true
+}
+
+// InputLeaf returns (built in buf) the path of the balancer that input wire
+// in of c reaches; its prefixes from c's path down can receive the wire.
+func (c Component) InputLeaf(in int, buf []byte) []byte {
+	return descendInputs(append(buf[:0], c.Path...), c.Kind, c.Width, in)
+}
+
+// NetInput returns the network input wire that feeds input wire in of c,
+// or ok == false when c's inputs come from a sibling at some level. Only
+// components whose every step from the root is an entry child (0 or 1) are
+// fed by the network, and those are all BITONIC.
+func (c Component) NetInput(in int) (netIn int, ok bool) {
+	width := c.Width
+	for l := len(c.Path); l > 0; l-- {
+		width *= 2
+		if in, ok = InvChildInput(KindBitonic, width, int(c.Path[l-1]-'0'), in); !ok {
+			return 0, false
+		}
+	}
+	return in, true
 }
 
 // descendInputs extends path, which names a component of the given kind

@@ -165,7 +165,7 @@ func TestOutChainMatchesClimb(t *testing.T) {
 			}
 		}
 		for in := 0; in < w; in++ {
-			if got, want := Path(InputLeaf(w, in, buf[:])), descend(MustRoot(w), in); got != want {
+			if got, want := Path(MustRoot(w).InputLeaf(in, buf[:])), descend(MustRoot(w), in); got != want {
 				t.Fatalf("w=%d input %d: InputLeaf %q, descent %q", w, in, got, want)
 			}
 		}
@@ -212,6 +212,100 @@ func TestInputCountsAllocatesPerCall(t *testing.T) {
 		// The scratch path (it is handed to member) and the two closures.
 		if allocs > 3 {
 			t.Fatalf("InputCounts(%q) over %d wires allocates %.0f objects", p, len(inputs), allocs)
+		}
+	}
+}
+
+// TestOutRowMatchesOutChain: the row kernel answers, wire for wire, what a
+// per-wire OutChain answers — the network exit wire, or the sibling
+// OutChain's chain starts at and, below it, the balancer the wire reaches —
+// for every component of T_w up to w = 64 (the members of every uniform
+// cut) and the members of random cuts up to w = 256. Reaches holds exactly
+// on each wire's chain, and NetInput agrees with SourceOf.
+func TestOutRowMatchesOutChain(t *testing.T) {
+	check := func(w int, c Component) {
+		t.Helper()
+		var ch Chain
+		if err := ch.Resolve(w, c.Path); err != nil {
+			t.Fatal(err)
+		}
+		row := ch.OutRow()
+		if len(row.Next) != c.Width {
+			t.Fatalf("%v: row of %d wires", c, len(row.Next))
+		}
+		for i, s := range row.Sibs {
+			if want, err := ComponentAt(w, s.Path); err != nil || want != s {
+				t.Fatalf("%v: sibling %d is %v, tree has %v (%v)", c, i, s, want, err)
+			}
+			for _, o := range row.Sibs[:i] {
+				if o.Path == s.Path {
+					t.Fatalf("%v: sibling %v listed twice", c, s)
+				}
+			}
+		}
+		var buf, lbuf [MaxPathLen]byte
+		for out, h := range row.Next {
+			leaf, top, exit, netOut := ch.OutChain(out, buf[:])
+			if h.Exited() != exit || exit && int(h.Wire) != netOut {
+				t.Fatalf("%v out %d: row %+v, OutChain exit=%v wire %d", c, out, h, exit, netOut)
+			}
+			if exit {
+				continue
+			}
+			sib, in := row.Sibs[h.Comp], int(h.Wire)
+			if sib.Path != Path(leaf[:top]) || string(sib.InputLeaf(in, lbuf[:])) != string(leaf) {
+				t.Fatalf("%v out %d: row enters %v wire %d, OutChain %q top %d", c, out, sib, in, leaf, top)
+			}
+			if below := Path(leaf) + "0"; sib.Reaches(in, below) {
+				t.Fatalf("%v out %d: Reaches(%q) below the balancer %q", c, out, below, leaf)
+			}
+			for k := 0; k <= len(leaf); k++ {
+				if got := sib.Reaches(in, Path(leaf[:k])); got != (k >= top) {
+					t.Fatalf("%v out %d: Reaches(%q) = %v on chain %q top %d", c, out, leaf[:k], got, leaf, top)
+				}
+				if k > top {
+					off := Path(append(append([]byte(nil), leaf[:k-1]...), leaf[k-1]^1))
+					if sib.Reaches(in, off) {
+						t.Fatalf("%v out %d: Reaches(%q) off chain %q", c, out, off, leaf)
+					}
+				}
+			}
+		}
+		for in := 0; in < c.Width; in++ {
+			_, _, fromNet, netIn, err := SourceOf(w, c.Path, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := c.NetInput(in); ok != fromNet || ok && got != netIn {
+				t.Fatalf("%v in %d: NetInput %d, %v; SourceOf %d, %v", c, in, got, ok, netIn, fromNet)
+			}
+		}
+	}
+	for w := 2; w <= 64; w *= 2 {
+		for level := 0; level <= MaxLevel(w); level++ {
+			cut, err := UniformCut(w, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps, err := cut.Components(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range comps {
+				check(w, c)
+			}
+		}
+	}
+	for w := 128; w <= 256; w *= 2 {
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			comps, err := RandomCut(w, 0.3+0.15*float64(seed), rng).Components(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range comps {
+				check(w, c)
+			}
 		}
 	}
 }
