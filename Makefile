@@ -29,13 +29,13 @@ test:
 # component, whose CAS word is the one line a warm token shares per hop (its
 # contended/private step probes, BenchmarkTryStep*, run there too), and the
 # transport fabrics and launch's in-process workers, whose reader, dedup and
-# handler goroutines serve many callers at once. Those two run one package
-# at a time: launch's workers keep transport's default 2 ms reply timeout,
-# and beside tcpnet's socket tests on a 2-CPU host a group arrive can run
-# out of retries (ROADMAP item 1(e)).
+# handler goroutines serve many callers at once. Those two share a go test
+# of their own: launch's workers talk over sockets with a 50 ms reply
+# timeout (launch.SocketRetry), which tcpnet's socket tests running beside
+# them on a 2-CPU host do not exhaust (ROADMAP item 1(e)).
 multicore:
 	$(GO) test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/ ./internal/tree/ ./internal/cutnet/ ./internal/component/
-	$(GO) test -count=2 -cpu 1,2,4 -p 1 ./internal/transport/... ./internal/launch/
+	$(GO) test -count=2 -cpu 1,2,4 ./internal/transport/... ./internal/launch/
 	$(GO) test -run '^$$' -bench TryStep -benchtime 1000x -cpu 1,2,4 ./internal/component/
 
 # dist on its own, so that the other packages' tests do not starve it down to
@@ -69,9 +69,12 @@ benchsmoke:
 # b.RunParallel and the batch/pooled paths race real goroutines, so this
 # catches data races the correctness tests' schedules might miss. ColdWarmup
 # is the cold token path (entry search, chain walk, neighbor records) right
-# after a convergence; TokenFullyExpanded is cutnet's route-table walk.
+# after a convergence, for one client; CoreSetup is the core-* workloads'
+# whole set-up, whose warm-up runs two clients at once, so their cold hops
+# race each other's row installs and memo fills. TokenFullyExpanded is
+# cutnet's route-table walk.
 perfsmoke:
-	$(GO) test -race -bench 'ColdWarmup|TokenFullyExpanded|TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|ChordLookupCached|WireCodec' -benchtime 1x -run '^$$' .
+	$(GO) test -race -bench 'ColdWarmup|CoreSetup|TokenFullyExpanded|TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|ChordLookupCached|WireCodec' -benchtime 1x -run '^$$' .
 
 # End-to-end trace export: a small sim writes sampled spans as Perfetto
 # trace-event JSON, and the validator re-parses the file and checks its

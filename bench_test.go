@@ -431,6 +431,58 @@ func BenchmarkColdWarmup(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreSetup is the set-up of the acnload benchmark's core-*
+// workloads, everything before their first measured token: build a w 4096,
+// 128-node network, converge it, and warm it up with 10 000 tokens from two
+// clients at once, whose cold hops race each other's row installs and memo
+// fills. The converge sub-benchmark stops after the convergence; both
+// report allocations, so the set-up's object count is visible too.
+func BenchmarkCoreSetup(b *testing.B) {
+	const w, warmup, clients = 1 << 12, 10000, 2
+	for _, warm := range []bool{false, true} {
+		name := "converge"
+		if warm {
+			name = "warmup"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				net, err := core.New(core.Config{Width: w, Seed: int64(i), InitialNodes: 128})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := net.MaintainToFixpoint(200); err != nil {
+					b.Fatal(err)
+				}
+				if !warm {
+					continue
+				}
+				var wg sync.WaitGroup
+				errs := make([]error, clients)
+				for c := range clients {
+					client, err := net.NewClient()
+					if err != nil {
+						b.Fatal(err)
+					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for k := c; k < warmup && errs[c] == nil; k += clients {
+							_, errs[c] = client.InjectAt(k * 2654435761 % w)
+						}
+					}()
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkEffectiveWidth(b *testing.B) {
 	net, err := core.New(core.Config{Width: 1 << 12, Seed: 5, InitialNodes: 128})
 	if err != nil {

@@ -23,7 +23,6 @@ package chord
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -99,9 +98,18 @@ func NewRingOn(seed int64, tr transport.Transport, retry transport.RetryConfig) 
 	}
 }
 
-// nodeAddr is the transport address of a ring member.
+// nodeAddr is the transport address of a ring member, "n:" and the id in
+// 16 lower-case hex digits. Every succ_k probe and lookup hop names two
+// members, so it is formatted by hand: one allocation, no fmt.
 func nodeAddr(id NodeID) transport.Addr {
-	return transport.Addr(fmt.Sprintf("n:%016x", uint64(id)))
+	const digits = "0123456789abcdef"
+	var b [18]byte
+	b[0], b[1] = 'n', ':'
+	for i := len(b) - 1; i >= 2; i-- {
+		b[i] = digits[id&0xf]
+		id >>= 4
+	}
+	return transport.Addr(b[:])
 }
 
 // bindNode registers a node's RPC endpoint: "cpf" answers the
@@ -271,7 +279,7 @@ func (r *Ring) SuccK(v NodeID, k int) (NodeID, error) {
 // Dist returns the clockwise distance from u to v as a fraction of the
 // ring circumference (the paper's d(u, v) with unit circumference).
 func (r *Ring) Dist(u, v NodeID) float64 {
-	return float64(uint64(v-u)) / math.Exp2(64)
+	return float64(uint64(v-u)) / (1 << 64)
 }
 
 // Owner returns the node responsible for the named object under the

@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -114,6 +115,26 @@ func TestDist(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("ring distances sum to %v, want 1", sum)
+	}
+}
+
+// TestNodeAddrAndDistFormulas holds the hand-written address formatter to
+// fmt's %016x and Dist's constant divisor to math.Exp2(64), bit for bit.
+func TestNodeAddrAndDistFormulas(t *testing.T) {
+	r := NewRing(9)
+	rng := rand.New(rand.NewSource(9))
+	ids := []NodeID{0, 1, 0xf, 0x10, 1 << 63, ^NodeID(0)}
+	for range 1000 {
+		ids = append(ids, NodeID(rng.Uint64()))
+	}
+	for i, id := range ids {
+		if got, want := string(nodeAddr(id)), fmt.Sprintf("n:%016x", uint64(id)); got != want {
+			t.Fatalf("nodeAddr(%d) = %q, want %q", uint64(id), got, want)
+		}
+		v := ids[(i+1)%len(ids)]
+		if got, want := r.Dist(id, v), float64(uint64(v-id))/math.Exp2(64); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Dist(%d, %d) = %v, want %v", uint64(id), uint64(v), got, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/component"
 	"repro/internal/tree"
 )
 
@@ -176,6 +177,101 @@ func nbrOnLeafLocked(lc *liveComp, leaf []byte, from int) int {
 	return best
 }
 
+// scanFill is liveComp.fill as a scan of every output wire of lc, walking
+// each one that enters the sibling down to m's component
+// (tree.Component.Reaches): the twin the fill kernel is held to.
+func scanFill(lc *liveComp, row *tree.Row, sib int32, m *nbrAddr) {
+	slots := lc.slotArray()
+	s, p := row.Sibs[sib], m.next.st.Comp.Path
+	for o, h := range row.Next {
+		if h.Comp == sib && s.Reaches(int(h.Wire), p) {
+			slots[o].Store(m)
+		}
+	}
+}
+
+// TestFillMatchesScan: for every member of every uniform cut up to w 256
+// and of random cuts up to w 1024, every sibling its row enters and every
+// record it could hold below that sibling, fill (run twice: the second
+// finds every slot already holding the record) memoizes the record on
+// exactly the wires scanFill does.
+func TestFillMatchesScan(t *testing.T) {
+	reached, unreached := 0, 0 // records some wire of the component reaches, and the others
+	check := func(w int, c tree.Component) {
+		t.Helper()
+		var ch tree.Chain
+		if err := ch.Resolve(w, c.Path); err != nil {
+			t.Fatal(err)
+		}
+		row := ch.OutRow()
+		for sib, s := range row.Sibs {
+			// s and every component an input wire of s can enter below it.
+			recs := []tree.Component{s}
+			for i := 0; i < len(recs); i++ {
+				if d := recs[i]; !d.IsLeaf() {
+					for ci := range 2 {
+						recs = append(recs, tree.Component{Kind: d.Kind, Width: d.Width / 2, Path: d.Path.Child(ci)})
+					}
+				}
+			}
+			// Each record is a fresh pointer, so the slots that hold it are
+			// the ones its fill wrote, whatever earlier records left.
+			lc, twin := &liveComp{st: component.New(c)}, &liveComp{st: component.New(c)}
+			for _, d := range recs {
+				m := newNbrAddr(&liveComp{st: component.New(d)})
+				lc.fill(&row, int32(sib), m)
+				lc.fill(&row, int32(sib), m)
+				scanFill(twin, &row, int32(sib), m)
+				filled := 0
+				for o := range c.Width {
+					got, want := lc.slotArray()[o].Load() == m, twin.slotArray()[o].Load() == m
+					if got != want {
+						t.Fatalf("w=%d %v: record %v under %v: wire %d memoized %v, by the scan %v", w, c, d, s, o, got, want)
+					}
+					if got {
+						filled++
+					}
+				}
+				if filled == 0 {
+					unreached++
+				} else {
+					reached++
+				}
+			}
+		}
+	}
+	for w := 2; w <= 256; w *= 2 {
+		for level := 0; level <= tree.MaxLevel(w); level++ {
+			cut, err := tree.UniformCut(w, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range cut.Paths() {
+				c, err := tree.ComponentAt(w, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(w, c)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		w := 256 << (seed % 3)
+		rng := rand.New(rand.NewSource(seed))
+		for p := range tree.RandomCut(w, 0.3, rng) {
+			c, err := tree.ComponentAt(w, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(w, c)
+		}
+	}
+	if reached == 0 || unreached == 0 {
+		t.Fatalf("%d records reached, %d not", reached, unreached)
+	}
+	t.Logf("%d records reached, %d not", reached, unreached)
+}
+
 // lockstep injects the same wires through a network (InjectAt) and its
 // per-wire twin (perWireInject), client by client, and fails on the first
 // token whose trace differs in any field.
@@ -283,7 +379,7 @@ func TestColdBudget(t *testing.T) {
 		name string
 		do   func(n *Network) error
 	}{
-		{"split", func(n *Network) error { return n.splitLocked(x) }},
+		{"split", func(n *Network) error { return n.splitLocked(x, false) }},
 		{"merge", func(n *Network) error { return n.mergeLocked(x) }},
 	} {
 		var gone []*liveComp
@@ -368,7 +464,7 @@ func TestRowsMatchPerWireTwin(t *testing.T) {
 						_, err = nn.MaintainToFixpoint(100)
 					case 4:
 						if !nn.comps[pick].st.Comp.IsLeaf() {
-							err = structural(nn, func() error { return nn.splitLocked(pick) })
+							err = structural(nn, func() error { return nn.splitLocked(pick, false) })
 						}
 					case 5:
 						if parent, _, ok := pick.Parent(); ok {

@@ -345,11 +345,13 @@ type Network struct {
 	ring   *chord.Ring
 	lcache *chord.LookupCache // nil when disabled
 
-	// entryLeaf[in] is the leaf path of the input balancer covering
-	// network input wire `in`: the descent from the root is a pure
-	// function of the width, so it is precomputed once instead of being
-	// re-derived (with per-level path allocations) on every injection.
-	entryLeaf []tree.Path
+	// entryLeaves holds the leaf path of the input balancer covering each
+	// network input wire, leafDepth bytes per wire (Network.entryLeaf): the
+	// descent from the root is a pure function of the width, so it is
+	// precomputed once instead of being re-derived on every injection, and
+	// every leaf has the same depth, so all of them share one string.
+	entryLeaves string
+	leafDepth   int
 	// entry[in] memoizes the component input wire `in` last entered
 	// through (see Network.enter); nil when the lookup cache is disabled.
 	entry []atomic.Pointer[liveComp]
@@ -404,6 +406,14 @@ type Network struct {
 	stripes    []tokenStripe
 	nextStripe atomic.Uint32 // deals stripes to new clients
 
+	// faulted is set, under the exclusive structural lock, by the first
+	// InjectFault and never cleared: from then on no split takes the
+	// pristine shortcut (pristineLocked).
+	faulted bool
+	// reconstructions counts inputCountsLocked calls: the per-input-wire
+	// reconstructions splits, repairs and audits pay. Not a protocol meter.
+	reconstructions atomic.Uint64
+
 	// coldResolves counts the hops and entries a token had to resolve
 	// rather than follow a memo (resolveNext and findEntry calls): the cold
 	// path's work, which is not a protocol meter.
@@ -448,10 +458,8 @@ func New(cfg Config) (*Network, error) {
 			n.exits[j].netOut = j
 		}
 	}
-	n.entryLeaf = make([]tree.Path, cfg.Width)
-	var buf [tree.MaxPathLen]byte
-	for in := range n.entryLeaf {
-		n.entryLeaf[in] = tree.Path(root.InputLeaf(in, buf[:]))
+	if n.entryLeaves, n.leafDepth, err = tree.EntryLeaves(cfg.Width); err != nil {
+		return nil, err
 	}
 	if reg := cfg.Obs; reg != nil {
 		n.ring.Instrument(reg)
@@ -483,6 +491,12 @@ func New(cfg Config) (*Network, error) {
 	}
 	n.publishLocked()
 	return n, nil
+}
+
+// entryLeaf returns the leaf path of the input balancer covering network
+// input wire in.
+func (n *Network) entryLeaf(in int) tree.Path {
+	return tree.Path(n.entryLeaves[in*n.leafDepth : (in+1)*n.leafDepth])
 }
 
 // lockStruct takes the structural lock exclusively for one membership,

@@ -63,6 +63,7 @@ func (n *Network) maintainLocked() (bool, error) {
 	}
 	n.metrics.maintainRuns.Add(1)
 	changed := false
+	pristine := n.pristineLocked()
 
 	// Deterministic node order keeps runs reproducible.
 	ids := make([]chord.NodeID, 0, len(n.nodes))
@@ -91,7 +92,7 @@ func (n *Network) maintainLocked() (bool, error) {
 				continue
 			}
 			if p.Level() < node.level {
-				if err := n.splitLocked(p); err != nil {
+				if err := n.splitLocked(p, pristine); err != nil {
 					return changed, err
 				}
 				changed = true
@@ -166,10 +167,31 @@ func (n *Network) coveredLocked(p tree.Path) bool {
 	}
 }
 
+// pristineLocked reports whether no token has ever entered the network and
+// no fault was ever injected into it. Then every component total, and so
+// every in-neighbour count, is zero: a token is the only thing that steps
+// a component, and a split, merge, repair or audit of all-zero state
+// produces zeros.
+func (n *Network) pristineLocked() bool {
+	if n.faulted {
+		return false
+	}
+	for i := range n.injected {
+		if n.injected[i].Load() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // splitLocked splits the component at p into its children (Section 2.2),
 // initializing them from the component's cumulative per-input-wire counts
-// and mapping each child to the owner of its name.
-func (n *Network) splitLocked(p tree.Path) error {
+// and mapping each child to the owner of its name. pristine is
+// pristineLocked's answer for the current round: then a component whose
+// total is zero splits into zero children without reconstructing its
+// inputs, which would find only zeros and pass the in-neighbour check. Any
+// other split — a nonzero total included — reconstructs and checks.
+func (n *Network) splitLocked(p tree.Path, pristine bool) error {
 	var start time.Time
 	if n.hSplit != nil {
 		start = time.Now()
@@ -182,24 +204,29 @@ func (n *Network) splitLocked(p tree.Path) error {
 	if c.IsLeaf() {
 		return fmt.Errorf("core: split: %v is an individual balancer", c)
 	}
-	inputs, err := n.inputCountsLocked(c)
-	if err != nil {
-		return err
-	}
-	var sum uint64
-	for _, cnt := range inputs {
-		sum += cnt
-	}
-	if sum != lc.st.Total() {
-		return fmt.Errorf("core: split: %v in-neighbor counts %d != processed %d", c, sum, lc.st.Total())
-	}
-	totals, err := component.SplitTotalsFromInputs(c, inputs)
-	if err != nil {
-		return err
+	children := c.Children()
+	var totals []uint64
+	if pristine && lc.st.Total() == 0 {
+		totals = make([]uint64, len(children))
+	} else {
+		inputs, err := n.inputCountsLocked(c)
+		if err != nil {
+			return err
+		}
+		var sum uint64
+		for _, cnt := range inputs {
+			sum += cnt
+		}
+		if sum != lc.st.Total() {
+			return fmt.Errorf("core: split: %v in-neighbor counts %d != processed %d", c, sum, lc.st.Total())
+		}
+		if totals, err = component.SplitTotalsFromInputs(c, inputs); err != nil {
+			return err
+		}
 	}
 	n.removeCompLocked(p)
 	n.inner[p] = lc.hash
-	for i, child := range c.Children() {
+	for i, child := range children {
 		if err := n.placeLocked(component.NewWithTotal(child, totals[i])); err != nil {
 			return err
 		}
@@ -262,6 +289,7 @@ func (n *Network) mergeLocked(p tree.Path) error {
 // live directory. A wire whose producer was lost to a crash is an error
 // wrapping tree.ErrNoProducer.
 func (n *Network) inputCountsLocked(c tree.Component) ([]uint64, error) {
+	n.reconstructions.Add(1)
 	inputs := make([]uint64, c.Width)
 	err := tree.InputCounts(n.cfg.Width, c.Path, inputs,
 		func(netIn int) uint64 { return n.injected[netIn].Load() },

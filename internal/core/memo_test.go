@@ -31,7 +31,7 @@ func memoTwins(t *testing.T, width, nodes, level int, seed int64) (memo, ref *Ne
 					return nil
 				}
 				for _, p := range shallow {
-					if err := n.splitLocked(p); err != nil {
+					if err := n.splitLocked(p, false); err != nil {
 						return err
 					}
 				}
@@ -137,7 +137,7 @@ func TestMemoStaleness(t *testing.T) {
 		do      func(n *Network, p tree.Path, host chord.NodeID) error
 	}{
 		{"split", true, func(n *Network, p tree.Path, _ chord.NodeID) error {
-			return structural(n, func() error { return n.splitLocked(p) })
+			return structural(n, func() error { return n.splitLocked(p, false) })
 		}},
 		{"merge away", true, func(n *Network, p tree.Path, _ chord.NodeID) error {
 			parent, _, _ := p.Parent()
@@ -155,7 +155,7 @@ func TestMemoStaleness(t *testing.T) {
 		}},
 		{"split then merge back", true, func(n *Network, p tree.Path, _ chord.NodeID) error {
 			return structural(n, func() error {
-				if err := n.splitLocked(p); err != nil {
+				if err := n.splitLocked(p, false); err != nil {
 					return err
 				}
 				return n.mergeLocked(p)

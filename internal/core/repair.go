@@ -86,6 +86,7 @@ func (n *Network) InjectFault(p tree.Path, total uint64) error {
 		return fmt.Errorf("core: no live component at %q", p)
 	}
 	lc.setTotalLocked(total)
+	n.faulted = true
 	return nil
 }
 

@@ -278,7 +278,7 @@ func (n *Network) findEntry(t *topology, c *Client, in int, tr *TokenTrace, sp *
 	n.coldResolves.Add(1)
 	// The input balancer for wire in is a pure function of the width,
 	// precomputed at construction.
-	leaf := n.entryLeaf[in]
+	leaf := n.entryLeaf(in)
 	maxLevel := len(leaf)
 
 	try := func(lvl int) (*liveComp, error) {
@@ -494,15 +494,17 @@ func (n *Network) descendToLive(t *topology, lc *liveComp, row *tree.Row, h tree
 // memo hit meters, so the fill moves no meter: the chains of all of them
 // start at the same sibling, and the records the resolution just bounced
 // above m are exactly the ones each of them would have met first.
+//
+// It finds them from m's side, by inverting the wiring from m's input
+// wires (tree.Row.Feeders), so a fill visits only the wires it memoizes. A
+// slot that already holds m is not written again.
 func (lc *liveComp) fill(row *tree.Row, sib int32, m *nbrAddr) {
 	slots := lc.slotArray()
-	s, p := row.Sibs[sib], m.next.st.Comp.Path
-	whole := p == s.Path // every wire into the sibling reaches it
-	for o, h := range row.Next {
-		if h.Comp == sib && (whole || s.Reaches(int(h.Wire), p)) {
+	row.Feeders(sib, m.next.st.Comp, func(o int) {
+		if slots[o].Load() != m {
 			slots[o].Store(m)
 		}
-	}
+	})
 }
 
 // nbrOnChainLocked returns the index in lc.nbrs of the record of the

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/launch"
-	"repro/internal/transport"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
@@ -51,16 +49,10 @@ func E32Partitioned(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	retry := transport.RetryConfig{
-		Timeout:    50 * time.Millisecond,
-		MaxRetries: 8,
-		Backoff:    100 * time.Microsecond,
-		BackoffCap: 2 * time.Millisecond,
-	}
 	for _, fabric := range []string{"mem", "tcp"} {
 		for _, burst := range bursts {
 			env, err := buildCluster(clusterCell{
-				Fabric: fabric, Width: w, Cut: cut, Retry: retry, Obs: opts.Obs,
+				Fabric: fabric, Width: w, Cut: cut, Retry: launch.SocketRetry(), Obs: opts.Obs,
 			})
 			if err != nil {
 				return nil, err
@@ -96,7 +88,6 @@ func E32Partitioned(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			spec.Retry = retry
 			spec.Workload = launch.Workload{
 				Tokens: tokens, Burst: burst, Senders: senders,
 			}

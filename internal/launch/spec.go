@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/transport"
 	"repro/internal/tree"
@@ -74,9 +75,10 @@ type Spec struct {
 	Level int `json:"level"`
 	// Partitions maps workers to the components they own.
 	Partitions []Partition `json:"partitions"`
-	// Retry is the per-worker retry policy for token traffic (zero
-	// fields take transport.DefaultRetry values; IDBase is overridden
-	// per partition by the launcher and need not be set).
+	// Retry is the per-worker retry policy for token traffic. Left zero,
+	// it is SocketRetry; otherwise its zero fields take
+	// transport.DefaultRetry values. IDBase is overridden per partition by
+	// the launcher and need not be set.
 	Retry transport.RetryConfig `json:"retry,omitempty"`
 	// TraceEvery samples one batch trace in every TraceEvery (0 disables
 	// tracing, 1 traces everything); TraceRetain bounds retained spans.
@@ -84,6 +86,20 @@ type Spec struct {
 	TraceRetain int `json:"trace_retain,omitempty"`
 	// Workload is what the coordinator injects.
 	Workload Workload `json:"workload"`
+}
+
+// SocketRetry is the retry policy of token traffic between workers whose
+// Spec leaves Retry zero. Workers talk over real sockets, where on
+// a loaded host a reply can wait on the scheduler far longer than
+// transport.DefaultRetry's 2 ms timeout, which is tuned for the in-memory
+// fault injector, allows.
+func SocketRetry() transport.RetryConfig {
+	return transport.RetryConfig{
+		Timeout:    50 * time.Millisecond,
+		MaxRetries: 8,
+		Backoff:    100 * time.Microsecond,
+		BackoffCap: 2 * time.Millisecond,
+	}
 }
 
 // Cut derives the spec's decomposition cut.

@@ -116,6 +116,10 @@ func StartWorker(spec *Spec, name string) (*Worker, error) {
 	tn.Instrument(reg)
 
 	retry := spec.Retry
+	retry.IDBase = 0 // set per partition below
+	if retry == (transport.RetryConfig{}) {
+		retry = SocketRetry()
+	}
 	retry.IDBase = uint64(idx+1) << idSpaceBits
 	opts := []dist.Option{
 		dist.WithTransport(tn),

@@ -545,3 +545,46 @@ func TestPoolHealthStats(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkEcho is the fabric's floor under a tcp-token token: one
+// one-token group arrive over loopback to a handler that answers at once,
+// as the component it stands for would, one caller at a time. The dedup
+// sub-benchmark adds the at-most-once table every dist cluster enables on
+// a fabric that can redeliver. What a dist token pays beyond this
+// (BenchmarkTokenDistTCP at the repository root) is the cluster's.
+func BenchmarkEcho(b *testing.B) {
+	for _, dedup := range []bool{false, true} {
+		name := "nodedup"
+		if dedup {
+			name = "dedup"
+		}
+		b.Run(name, func(b *testing.B) {
+			n, err := New(Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer n.Close()
+			if dedup {
+				n.EnableDedup()
+			}
+			if err := n.Bind("c:echo", func(req transport.Request) (any, error) {
+				g := req.Body.(wire.GroupArrive)
+				return wire.GroupArriveRes{Status: wire.StatusProcessed, Outs: []int{g.Wires[0]}}, nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				body := wire.GroupArrive{Wires: []int{i & 63}}
+				reply, err := n.Send(transport.Request{ID: uint64(i + 1), From: "t:1", To: "c:echo", Kind: wire.KindGroupArrive, Body: body}, time.Second)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out := reply.(wire.GroupArriveRes).Outs; len(out) != 1 || out[0] != i&63 {
+					b.Fatalf("echo of wire %d: %v", i&63, out)
+				}
+			}
+		})
+	}
+}

@@ -3,11 +3,14 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"strings"
 )
 
 // The wire algebra's two walks out of a component — where an output wire
-// leads (OutChain, and OutRow for all of them at once), what feeds an input
-// wire (InputCounts) — without allocating per wire: the ancestor chain is
+// leads (OutChain, and OutRow for all of them at once, with Row.Feeders
+// for the way back), what feeds an input wire (InputCounts) — without
+// allocating per wire: the ancestor chain is
 // resolved once, climbed with integers, and descended into a byte buffer
 // that callers look up with m[Path(buf)], which Go compiles without a
 // conversion.
@@ -77,10 +80,17 @@ func (ch *Chain) OutChain(out int, buf []byte) (leaf []byte, top int, exit bool,
 // wire's climb enters, or, when Comp is Exit, network output wire Wire.
 // A component's wires enter at most two siblings, so Sibs is short; which
 // member of a cut below a sibling receives the wire is what
-// Component.Reaches answers, one candidate at a time.
+// Component.Reaches answers, one candidate at a time, and which wires
+// reach a given member is what Feeders answers.
 type Row struct {
 	Sibs []Component
 	Next []Hop
+	// The ancestor whose children the wires cross between: its kind and
+	// width, the index of the child the component lies under, and the
+	// shift its climb adds to every wire (zero values in a row of exits).
+	kind         Kind
+	width, child int
+	shift        int
 }
 
 // OutRow resolves where every output wire of the chain's component leads,
@@ -110,6 +120,7 @@ func (ch *Chain) OutRow() Row {
 		return row
 	}
 	kind, width, idx := ch.kinds[l-1], ch.w>>(l-1), int(ch.path[l-1]-'0')
+	row.kind, row.width, row.child, row.shift = kind, width, idx, shift
 	var sibs [6]int32 // by child index, +1
 	for out := range row.Next {
 		d := ChildNext(kind, width, idx, out+shift)
@@ -124,6 +135,70 @@ func (ch *Chain) OutRow() Row {
 		row.Next[out] = Hop{Comp: sibs[d.Child] - 1, Wire: int32(d.ChildIn)}
 	}
 	return row
+}
+
+// Feeders calls yield(out) once for every output wire out of the row's
+// component that feeds an input wire of d, where d is the sibling
+// Sibs[sib] or an entry descendant of it: the wires whose chains hold d.
+// It is the inverse of Next and Reaches together, and it pays for the
+// wires it yields, not for d's width or the component's.
+//
+// An input wire of d is carried to the component by lifting it to the
+// sibling through the entry edges between them (InvChildInput) and across
+// the ancestor's wiring (InvChildNext), then down the component's climb
+// (the row's shift). Entry edges keep d's top and bottom halves in the
+// sibling's top and bottom halves, each mapped with a constant stride,
+// and the ancestor's wiring sends a wire by its parity or its half, each
+// class with a constant stride. So on each parity class of each half of
+// d's inputs the wire comes from one child and its output wire is affine
+// and rising (every map on the way is increasing): two evaluations give
+// the class's line, and the wires on it that fall inside the component are
+// a run of it.
+func (r *Row) Feeders(sib int32, d Component, yield func(out int)) {
+	half := d.Width / 2
+	for lo := 0; lo < d.Width; lo += half {
+		for i0 := lo; i0 < lo+min(2, half); i0++ {
+			from, o0, ok := r.cross(sib, d, i0)
+			if !ok || from != r.child {
+				continue
+			}
+			n, step := (lo+half-i0+1)/2, 0 // the class is i0, i0+2, ... < lo+half
+			if n > 1 {
+				_, o1, _ := r.cross(sib, d, i0+2)
+				step = o1 - o0
+			}
+			k := 0
+			if o0 < 0 {
+				if step <= 0 {
+					continue
+				}
+				k = (step - 1 - o0) / step
+			}
+			for ; k < n; k++ {
+				o := o0 + step*k
+				if o >= len(r.Next) {
+					break
+				}
+				yield(o)
+			}
+		}
+	}
+}
+
+// cross carries input wire in of d (as in Feeders) to the ancestor: the
+// child whose output feeds it, and that output wire less the row's shift,
+// which is the component's output wire if the child is the one the
+// component lies under and the wire falls inside it.
+func (r *Row) cross(sib int32, d Component, in int) (from, out int, ok bool) {
+	s := r.Sibs[sib]
+	for l, width := len(d.Path), d.Width; l > len(s.Path); l-- {
+		width *= 2
+		if in, ok = InvChildInput(s.Kind, width, int(d.Path[l-1]-'0'), in); !ok {
+			return 0, 0, false
+		}
+	}
+	from, out, ok = InvChildNext(r.kind, r.width, int(s.Path[len(s.Path)-1]-'0'), in)
+	return from, out - r.shift, ok
 }
 
 // Reaches reports whether input wire in of c enters the component at path
@@ -150,6 +225,31 @@ func (c Component) Reaches(in int, p Path) bool {
 // in of c reaches; its prefixes from c's path down can receive the wire.
 func (c Component) InputLeaf(in int, buf []byte) []byte {
 	return descendInputs(append(buf[:0], c.Path...), c.Kind, c.Width, in)
+}
+
+// EntryLeaves returns the path of the balancer that every network input
+// wire of T_w reaches (the root's InputLeaf), all of them in one string:
+// wire in's is leaves[in*depth : (in+1)*depth]. The root is BITONIC, whose
+// input wires feed its two BITONIC entry children by halves, so a wire's
+// path spells its bits, most significant first, without the last one.
+func EntryLeaves(w int) (leaves string, depth int, err error) {
+	if _, err := Root(w); err != nil {
+		return "", 0, err
+	}
+	depth = bits.Len(uint(w)) - 2
+	var (
+		b    strings.Builder
+		leaf [MaxPathLen]byte
+	)
+	b.Grow(w * depth)
+	for in := 0; in < w; in += 2 { // wires 2i and 2i+1 share a balancer
+		for k := range depth {
+			leaf[k] = byte('0' + in>>(depth-k)&1)
+		}
+		b.Write(leaf[:depth])
+		b.Write(leaf[:depth])
+	}
+	return b.String(), depth, nil
 }
 
 // NetInput returns the network input wire that feeds input wire in of c,

@@ -309,3 +309,93 @@ func TestOutRowMatchesOutChain(t *testing.T) {
 		}
 	}
 }
+
+// TestFeedersInvertRow holds the row's per-sibling inverse to the wiring,
+// for every component of T_w up to w 256 and the members of random cuts
+// up to w 1024: cross carries every input wire of every sibling back to
+// the child and output wire that ChildNext sends to it, and Feeders of
+// the sibling itself yields each wire the row sends into it once, and no
+// other. (Feeders of the components below a sibling is held to Reaches in
+// core's fill test.)
+func TestFeedersInvertRow(t *testing.T) {
+	check := func(w int, c Component) {
+		t.Helper()
+		var ch Chain
+		if err := ch.Resolve(w, c.Path); err != nil {
+			t.Fatal(err)
+		}
+		row := ch.OutRow()
+		for sib, s := range row.Sibs {
+			child := int(s.Path[len(s.Path)-1] - '0')
+			for in := 0; in < s.Width; in++ {
+				from, out, ok := row.cross(int32(sib), s, in)
+				if d := ChildNext(row.kind, row.width, from, out+row.shift); !ok || d != (Dest{ToChild: true, Child: child, ChildIn: in}) {
+					t.Fatalf("%v: input %d of %v comes from child %d output %d (%v), which leads to %+v",
+						c, in, s, from, out+row.shift, ok, d)
+				}
+			}
+			yielded := map[int]bool{}
+			row.Feeders(int32(sib), s, func(o int) {
+				if h := row.Next[o]; h.Comp != int32(sib) || yielded[o] {
+					t.Fatalf("%v: Feeders of %v yields wire %d (again: %v), which enters %+v", c, s, o, yielded[o], h)
+				}
+				yielded[o] = true
+			})
+			into := 0
+			for _, h := range row.Next {
+				if h.Comp == int32(sib) {
+					into++
+				}
+			}
+			if len(yielded) != into {
+				t.Fatalf("%v: Feeders of %v yields %d wires, %d enter it", c, s, len(yielded), into)
+			}
+		}
+	}
+	for w := 2; w <= 256; w *= 2 {
+		for level := 0; level <= MaxLevel(w); level++ {
+			cut, err := UniformCut(w, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps, err := cut.Components(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range comps {
+				check(w, c)
+			}
+		}
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		comps, err := RandomCut(1024, 0.3+0.15*float64(seed), rng).Components(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range comps {
+			check(1024, c)
+		}
+	}
+}
+
+func TestEntryLeavesMatchInputLeaf(t *testing.T) {
+	var buf [MaxPathLen]byte
+	for w := 2; w <= 1<<12; w *= 2 {
+		leaves, depth, err := EntryLeaves(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(leaves) != w*depth {
+			t.Fatalf("w=%d: %d bytes of leaves at depth %d", w, len(leaves), depth)
+		}
+		for in := 0; in < w; in++ {
+			if got, want := leaves[in*depth:(in+1)*depth], string(MustRoot(w).InputLeaf(in, buf[:])); got != want {
+				t.Fatalf("w=%d input %d: EntryLeaves %q, InputLeaf %q", w, in, got, want)
+			}
+		}
+	}
+	if _, _, err := EntryLeaves(12); err == nil {
+		t.Fatal("EntryLeaves(12) did not fail")
+	}
+}
