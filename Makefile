@@ -72,7 +72,10 @@ benchsmoke:
 # after a convergence, for one client; CoreSetup is the core-* workloads'
 # whole set-up, whose warm-up runs two clients at once, so their cold hops
 # race each other's row installs and memo fills. TokenFullyExpanded is
-# cutnet's route-table walk.
+# cutnet's route-table walk. The unanchored TokenDist also runs
+# TokenDistTCPBurst, the tcp-burst shape: two callers' 128-token bursts, so
+# two group arrive handlers' chains and the reused serve goroutines of
+# tcpnet race each other.
 perfsmoke:
 	$(GO) test -race -bench 'ColdWarmup|CoreSetup|TokenFullyExpanded|TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|ChordLookupCached|WireCodec' -benchtime 1x -run '^$$' .
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -664,6 +665,70 @@ func BenchmarkTokenDistTCPCallers(b *testing.B) {
 			b.ReportMetric(float64(lats[len(lats)*95/100].Nanoseconds())/1e3, "p95-us")
 		})
 	}
+}
+
+// BenchmarkTokenDistTCPBurst is the tcp-burst workload's shape in process:
+// two closed-loop callers inject 128-token bursts into the level-2 cut of
+// BITONIC[64] on one TCP fabric, each burst one group arrive whose handler
+// steps it through every component. b.N counts bursts; ns/token is per token
+// over both callers, allocs/burst every object the process allocated (both
+// sides of the socket) per burst, counted by runtime.MemStats. An untimed
+// warm-up of 16 bursts per caller fills the pools and parks the serve
+// goroutines, and makes a -benchtime 1x run under -race still run two
+// handlers' chains and the reused serve goroutines against each other.
+func BenchmarkTokenDistTCPBurst(b *testing.B) {
+	const w, burst, callers = 64, 128, 2
+	tn, err := tcpnet.New(tcpnet.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = tn.Close() })
+	cut, err := tree.UniformCut(w, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := dist.New(w, cut, dist.WithTransport(tn), dist.WithRetry(transport.RetryConfig{
+		Timeout:    50 * time.Millisecond,
+		MaxRetries: 8,
+		Backoff:    100 * time.Microsecond,
+		BackoffCap: 2 * time.Millisecond,
+	}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// run injects bursts bursts from the callers, which claim them until
+	// none are left.
+	run := func(bursts int) {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				ins := make([]int, burst)
+				for next.Add(1) <= int64(bursts) {
+					for i := range ins {
+						ins[i] = rng.Intn(w)
+					}
+					if _, err := cl.InjectBatch(ins); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(int64(g + 1))
+		}
+		wg.Wait()
+	}
+	run(16 * callers)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	run(b.N)
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/token")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/burst")
 }
 
 // BenchmarkTokenDistTCPBatch drives the same TCP fabric through the group

@@ -57,13 +57,12 @@ type stray struct {
 	wire int
 }
 
-// groupSort is the working memory both halves of the batch path order
-// tokens by component with: the injector once per round (groupRound), a
-// handler once per wave of its chain (groupChain). Token i of the batch, or
-// of the group, is known by its index throughout.
+// groupSort is the working memory the injector orders a round's tokens by
+// component with (groupRound). Token i of the batch is known by its index
+// throughout.
 type groupSort struct {
 	pos     []tree.Hop // by token: where it stands in the snapshot being routed against
-	active  []int32    // the tokens to sort: routable this round, or still moving in the chain
+	active  []int32    // the tokens to sort: routable this round
 	order   []int32    // active, stably sorted by component (counting sort)
 	count   []int32    // by component index; all zero between sorts
 	touched []int32    // components with tokens, first-seen order
@@ -514,10 +513,17 @@ func (cl *Cluster) groupRound(b *batchScratch, tp *topology) {
 var ErrBadGroup = errors.New("dist: malformed group arrive")
 
 // chainScratch is the working memory of one group arrive handler, recycled
-// through Cluster.chains: the chain's sort, and the message's visits.
+// through Cluster.chains: the message's visits, and the chain's positions and
+// per-component token lists.
 type chainScratch struct {
-	groupSort
 	visits []served
+	pos    []tree.Hop // by token of the group: where it stands in the chain's snapshot
+	// The tokens standing at component ci are a list: head[ci] is the first
+	// one plus one (zero: none, so heads are all zero between chains),
+	// link[i] the one after token i plus one.
+	head  []int32
+	link  []int32
+	stops []int32 // the components forwarded to, in the order of the reply's Paths
 }
 
 // served is one visit: the tokens ga.Wires[lo:hi] at the incarnation cm.
@@ -541,10 +547,8 @@ type served struct {
 // same tokens arriving one by one. The request ID, deduplicated at cm's
 // endpoint, keeps it all at-most-once.
 //
-// It runs at the bottom of a fresh request goroutine, under the fabric's
-// dispatch, so its frame and groupChain's are what that goroutine's stack
-// grows by: the validation and its error formatting live in checkGroup, off
-// this frame.
+// ga.Wires and ga.Visits may point into the fabric's decode memory, which is
+// reused once the handler returns: nothing here keeps them.
 func (cl *Cluster) groupArrive(cm *comp, body any) (any, error) {
 	s, _ := cl.chains.Get().(*chainScratch)
 	if s == nil {
@@ -555,10 +559,23 @@ func (cl *Cluster) groupArrive(cm *comp, body any) (any, error) {
 		cl.chains.Put(s)
 		return nil, err
 	}
-	// The reply's slices belong to whoever receives it — the endpoint's dedup
-	// table keeps the reply for retries — so they are never pooled.
-	var outs []int
-	stepped := 0
+	res := serveVisits(s, ga.Wires)
+	stepped := res.Steps
+	cl.groupChain(s, &res)
+	cl.chains.Put(s)
+	if stepped > 0 {
+		cl.signalDrain()
+	}
+	return res, nil
+}
+
+// serveVisits steps the tokens of each checked visit of s through its
+// component, token i arriving on wires[i], and returns the reply so far: the
+// output wires the active components sent them to, and the steps taken. The
+// reply's slices belong to whoever receives it — the endpoint's dedup table
+// keeps the reply for retries — so they are never pooled.
+func serveVisits(s *chainScratch, wires []int) wire.GroupArriveRes {
+	var res wire.GroupArriveRes
 	for i := range s.visits {
 		v := &s.visits[i]
 		v.cm.mu.Lock()
@@ -566,23 +583,17 @@ func (cl *Cluster) groupArrive(cm *comp, body any) (any, error) {
 			v.st = wire.StatusDead
 		} else {
 			v.st = wire.StatusProcessed
-			if outs == nil {
-				outs = make([]int, len(ga.Wires))
+			if res.Outs == nil {
+				res.Outs = make([]int, len(wires))
 			}
 			for k := v.lo; k < v.hi; k++ {
-				outs[k] = v.cm.routeLocked(ga.Wires[k])
+				res.Outs[k] = v.cm.routeLocked(wires[k])
 			}
-			stepped += int(v.hi - v.lo)
+			res.Steps += int(v.hi - v.lo)
 		}
 		v.cm.mu.Unlock()
 	}
-	res := wire.GroupArriveRes{Outs: outs, Steps: stepped}
-	cl.groupChain(s, &res)
-	cl.chains.Put(s)
-	if stepped > 0 {
-		cl.signalDrain()
-	}
-	return res, nil
+	return res
 }
 
 // checkGroup takes a group arrive body apart into ga and s.visits, checking
@@ -627,10 +638,12 @@ func (cl *Cluster) checkGroup(s *chainScratch, cm *comp, body any, ga *wire.Grou
 // i having just left its visit's component on output wire res.Outs[i] —
 // through the components that follow for as long as they are served by this
 // fabric and active, and completes res as the group arrive reply. It moves
-// them all together, one wave at a time: the tokens still moving are sorted
-// by the component they stand at, and each such component gets one visit —
-// one placement question, one acquisition of its lock for all of its tokens
-// — so the cost of a chain is per visit, not per token. It routes by the
+// them all together in one ascending pass over the snapshot's members: the
+// table numbers them topologically (every hop leads to a member above), so
+// by the time the pass reaches a component every token of the group that
+// will stand there already does, and each component gets one visit — one
+// placement question, one acquisition of its lock for all of its tokens — so
+// the cost of a chain is per component, not per token. It routes by the
 // current snapshot's table and holds one lock at a time, never two, and no
 // token is ever held here: between visits the group is in flight exactly as
 // it is between two messages, so a freeze can land between any two visits
@@ -649,7 +662,8 @@ func (cl *Cluster) groupChain(s *chainScratch, res *wire.GroupArriveRes) {
 	outs, stepped := res.Outs, res.Steps
 	if cl.place != nil && stepped > 0 {
 		tp := cl.topo.Load()
-		s.reset(len(outs))
+		s.start(len(outs), len(tp.live))
+		lo, hi := int32(len(tp.live)), int32(-1) // the components that may hold tokens
 		for v := range s.visits {
 			vis := &s.visits[v]
 			ci, ok := tp.rt.Index(vis.cm.c.Path)
@@ -659,45 +673,42 @@ func (cl *Cluster) groupChain(s *chainScratch, res *wire.GroupArriveRes) {
 			vis.ci = ci
 			for i := vis.lo; i < vis.hi; i++ {
 				if s.pos[i] = tp.rt.Next(ci, outs[i]); !s.pos[i].Exited() {
-					s.active = append(s.active, i)
+					s.push(i)
+					lo, hi = min(lo, s.pos[i].Comp), max(hi, s.pos[i].Comp)
 				}
 			}
 		}
-		for len(s.active) > 0 {
-			s.tally(len(tp.live))
-			order := s.place()
-			s.active = s.active[:0]
-			var lo int32
-			for _, ci := range s.touched {
-				visit := order[lo:s.count[ci]]
-				lo, s.count[ci] = s.count[ci], 0
-				next := tp.live[ci]
-				if cl.place.Site(next.addr) != "" {
-					continue
-				}
-				next.mu.Lock()
-				frozen := next.frozen
-				if !frozen {
-					for _, i := range visit {
-						s.pos[i].Wire = int32(next.routeLocked(int(s.pos[i].Wire)))
-					}
-				}
-				next.mu.Unlock()
-				if frozen {
-					continue
-				}
-				res.Steps += len(visit)
-				for _, i := range visit {
-					if s.pos[i] = tp.rt.Next(ci, int(s.pos[i].Wire)); !s.pos[i].Exited() {
-						s.active = append(s.active, i)
-					}
-				}
+		for ci := lo; ci <= hi; ci++ {
+			first := s.head[ci] - 1
+			if first < 0 {
+				continue
 			}
+			s.head[ci] = 0
+			next := tp.live[ci]
+			if cl.place.Site(next.addr) != "" {
+				continue // the tokens stop here, at (ci, their wire)
+			}
+			next.mu.Lock()
+			if next.frozen {
+				next.mu.Unlock()
+				continue
+			}
+			for i := first; i >= 0; {
+				after := s.link[i] - 1
+				s.pos[i] = tp.rt.Next(ci, next.routeLocked(int(s.pos[i].Wire)))
+				if !s.pos[i].Exited() {
+					s.push(i)
+					hi = max(hi, s.pos[i].Comp)
+				}
+				res.Steps++
+				i = after
+			}
+			next.mu.Unlock()
 		}
 		// Forwards are positions, not indices into this snapshot's table: the
-		// sender may route by another snapshot. s.touched lists the components
+		// sender may route by another snapshot. s.stops lists the components
 		// forwarded to, in the order of res.Paths; they are few.
-		s.touched = s.touched[:0]
+		s.stops = s.stops[:0]
 		for v := range s.visits {
 			vis := &s.visits[v]
 			if vis.ci < 0 || res.Steps == stepped {
@@ -710,9 +721,9 @@ func (cl *Cluster) groupChain(s *chainScratch, res *wire.GroupArriveRes) {
 					outs[i] = int(at.Wire)
 					continue
 				}
-				stop := slices.Index(s.touched, at.Comp)
+				stop := slices.Index(s.stops, at.Comp)
 				if stop < 0 {
-					stop, s.touched = len(s.touched), append(s.touched, at.Comp)
+					stop, s.stops = len(s.stops), append(s.stops, at.Comp)
 					res.Paths = append(res.Paths, string(tp.live[at.Comp].c.Path))
 				}
 				outs[i] = -1 - stop
@@ -737,6 +748,24 @@ func (cl *Cluster) groupChain(s *chainScratch, res *wire.GroupArriveRes) {
 	case res.Status != wire.StatusExited:
 		res.Steps = 0 // the short forms do not carry it
 	}
+}
+
+// start readies s for a chain of tokens over a snapshot of comps members.
+func (s *chainScratch) start(tokens, comps int) {
+	if cap(s.pos) < tokens {
+		s.pos = make([]tree.Hop, tokens)
+		s.link = make([]int32, tokens)
+	}
+	s.pos, s.link = s.pos[:tokens], s.link[:tokens]
+	if len(s.head) < comps {
+		s.head = make([]int32, comps)
+	}
+}
+
+// push puts token i on the list of the component it stands at.
+func (s *chainScratch) push(i int32) {
+	ci := s.pos[i].Comp
+	s.link[i], s.head[ci] = s.head[ci], i+1
 }
 
 // countInjected adds a batch to the per-input-wire injection counters, one

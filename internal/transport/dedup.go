@@ -25,8 +25,8 @@ const DefaultDedupCap = DedupShards * 1024
 // and the retirement ring of completed request IDs (oldest first).
 type dedupShard struct {
 	mu    sync.Mutex
-	calls map[uint64]*call // by request ID
-	hits  atomic.Uint64    // duplicates served from this stripe
+	calls map[uint64]call // by request ID
+	hits  atomic.Uint64   // duplicates served from this stripe
 
 	// done is the capped FIFO of completed request IDs awaiting
 	// retirement: head indexes the oldest entry still cached. In-flight
@@ -36,16 +36,26 @@ type dedupShard struct {
 	head int
 }
 
-// call is one executed (or executing) request. All fields are guarded by
-// the owning stripe's mutex; done is created lazily by the first duplicate
-// that arrives mid-execution (the overwhelmingly common case — no
-// duplicate at all — never pays for the channel), and waiters read
-// reply/err only after its close, which the close itself orders.
+// call is one executed (or executing) request, kept in its stripe's map by
+// value and guarded by the stripe's mutex. wait is created lazily by the
+// first duplicate that arrives mid-execution (the overwhelmingly common case
+// — no duplicate at all — never pays for it).
 type call struct {
-	done      chan struct{} // nil until a duplicate needs to wait
+	wait      *inflightWait // nil until a duplicate needs to wait
 	completed bool
 	reply     any
 	err       error
+}
+
+// inflightWait is what the duplicates of an executing call wait on: the
+// original stores its result here and closes done, and waiters read
+// reply/err only after the close, which the close itself orders. It lives
+// apart from the call so that a waiter still finds the result once the
+// call has been retired from the map.
+type inflightWait struct {
+	done  chan struct{}
+	reply any
+	err   error
 }
 
 // DedupTable is a striped receiver-side at-most-once cache: each endpoint
@@ -80,7 +90,7 @@ func NewDedupTable(capTotal int) *DedupTable {
 	}
 	t := &DedupTable{capShard: capShard}
 	for i := range t.shards {
-		t.shards[i].calls = make(map[uint64]*call)
+		t.shards[i].calls = make(map[uint64]call)
 	}
 	return t
 }
@@ -106,17 +116,17 @@ func (t *DedupTable) Do(id uint64, fn func() (any, error)) (reply any, err error
 			sh.hits.Add(1)
 			return reply, err, true
 		}
-		if c.done == nil {
-			c.done = make(chan struct{})
+		if c.wait == nil {
+			c.wait = &inflightWait{done: make(chan struct{})}
+			sh.calls[id] = c
 		}
-		done := c.done
+		w := c.wait
 		sh.mu.Unlock()
 		sh.hits.Add(1)
-		<-done
-		return c.reply, c.err, true
+		<-w.done
+		return w.reply, w.err, true
 	}
-	c := &call{}
-	sh.calls[id] = c
+	sh.calls[id] = call{}
 	sh.mu.Unlock()
 
 	reply, err = fn()
@@ -124,11 +134,12 @@ func (t *DedupTable) Do(id uint64, fn func() (any, error)) (reply any, err error
 	// Retire: the completed ID joins the ring; past the cap, the oldest
 	// completed entry (never an in-flight one) leaves the cache.
 	sh.mu.Lock()
-	c.reply, c.err = reply, err
-	c.completed = true
-	if c.done != nil {
-		close(c.done)
+	c := sh.calls[id]
+	if c.wait != nil {
+		c.wait.reply, c.wait.err = reply, err
+		close(c.wait.done)
 	}
+	sh.calls[id] = call{completed: true, reply: reply, err: err}
 	sh.done = append(sh.done, id)
 	for len(sh.done)-sh.head > t.capShard {
 		delete(sh.calls, sh.done[sh.head])

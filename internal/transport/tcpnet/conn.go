@@ -196,7 +196,7 @@ func (cn *conn) setWriteDeadline(timeout time.Duration) {
 }
 
 // readLoop decodes frames until the connection dies. Replies release their
-// pending callers; each request runs on a goroutine of its own, so a slow
+// pending callers; each request is handed to a serve goroutine, so a slow
 // handler never blocks the demultiplexer. Decoded envelopes come from and
 // return to the message pools: the read loop hands each reply payload's
 // decoded form to exactly one consumer, which recycles it.
@@ -247,12 +247,21 @@ func (cn *conn) readLoop() {
 	}
 }
 
-// serveRequest runs one inbound request on a goroutine of its own, which
-// writes the reply; Close waits for it. The goroutines are bounded by the
-// peers' calls in flight. Requests arriving after Close has begun are
-// dropped (the peer's retry will fail on the closed listener), which is what
-// lets Close wait for a quiesced in-flight set.
+// serveJob is one inbound request and the connection its reply goes out on.
+type serveJob struct {
+	cn  *conn
+	req *wire.Request
+}
+
+// serveRequest hands one inbound request to a serve goroutine, which writes
+// the reply; Close waits for it. The goroutine that went idle last takes it,
+// and a new one starts only when none is idle, so the serve goroutines are
+// bounded by the most calls the peers have had in flight at once. Requests
+// arriving after Close has begun are dropped (the peer's retry will fail on
+// the closed listener), which is what lets Close wait for a quiesced
+// in-flight set.
 func (n *Net) serveRequest(cn *conn, req *wire.Request) {
+	j := serveJob{cn: cn, req: req}
 	n.flightMu.Lock()
 	if n.closed.Load() {
 		n.flightMu.Unlock()
@@ -260,18 +269,61 @@ func (n *Net) serveRequest(cn *conn, req *wire.Request) {
 		return
 	}
 	n.inflight.Add(1)
+	if k := len(n.idle) - 1; k >= 0 {
+		jobs := n.idle[k]
+		n.idle[k] = nil
+		n.idle = n.idle[:k]
+		n.flightMu.Unlock()
+		jobs <- j // buffered: the goroutine need not have reached its receive
+		return
+	}
+	n.serving++
+	n.servers.Add(1)
 	n.flightMu.Unlock()
-	go n.serve(cn, req)
+	go n.serveLoop(j)
+}
+
+// serveLoop is a serve goroutine: it serves j, then parks until it is handed
+// the next request or Close releases it.
+func (n *Net) serveLoop(j serveJob) {
+	defer n.servers.Done()
+	jobs := make(chan serveJob, 1)
+	for ok := true; ok; j, ok = <-jobs {
+		n.serve(j.cn, j.req)
+		n.flightMu.Lock()
+		if n.closed.Load() {
+			// No request is handed out any more; Close may already have
+			// released the idle goroutines.
+			n.serving--
+			n.flightMu.Unlock()
+			n.inflight.Done()
+			return
+		}
+		n.idle = append(n.idle, jobs)
+		n.flightMu.Unlock()
+		n.inflight.Done()
+	}
+}
+
+// releaseIdle ends the parked serve goroutines; Close calls it once no
+// request can be handed out any more.
+func (n *Net) releaseIdle() {
+	n.flightMu.Lock()
+	for _, jobs := range n.idle {
+		close(jobs)
+	}
+	n.serving -= len(n.idle)
+	n.idle = nil
+	n.flightMu.Unlock()
 }
 
 // serve dispatches one inbound request and writes its reply frame on cn.
-// The pooled request is recycled as soon as its fields are consumed.
+// The pooled request is recycled once the reply is encoded: the handler's
+// reply may not point into it, but the encoder is the last reader either way.
 func (n *Net) serve(cn *conn, req *wire.Request) {
-	defer n.inflight.Done()
 	status, body, errText := n.dispatch(req.Req)
 	mux := req.Mux
 	codec, _ := wire.ByKind(req.Req.Kind)
-	requests.Put(req)
 
 	ins := n.ins()
 	var encStart time.Time
@@ -287,6 +339,7 @@ func (n *Net) serve(cn *conn, req *wire.Request) {
 		enc.Pad(wire.FrameOverhead)
 		_ = wire.EncodeReply(enc, mux, codec.Code, wire.ReplyBadRequest, nil, err.Error())
 	}
+	requests.Put(req)
 	frame, err := wire.FinishFrame(enc.Bytes())
 	ins.hEnc.Since(encStart)
 	if err != nil {

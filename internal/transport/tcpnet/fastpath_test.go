@@ -447,8 +447,9 @@ func TestPendingReleasedOnDie(t *testing.T) {
 }
 
 // TestRequestsLiveBehindWedgedHandlers: every inbound request runs on a
-// goroutine of its own, so 64 requests wedged in a slow handler at once
-// neither bound the fabric's concurrency nor delay a fast call behind them.
+// serve goroutine of its own while it is served, so 64 requests wedged in a
+// slow handler at once neither bound the fabric's concurrency nor delay a
+// fast call behind them.
 func TestRequestsLiveBehindWedgedHandlers(t *testing.T) {
 	a, b := newNet(t), newNet(t)
 	routeTo(t, a, b, "slow", "fast")
@@ -495,6 +496,102 @@ func TestRequestsLiveBehindWedgedHandlers(t *testing.T) {
 	}
 	release()
 	wg.Wait()
+}
+
+// servePark returns how many serve goroutines b has and how many of them are
+// parked idle.
+func servePark(b *Net) (serving, idle int) {
+	b.flightMu.Lock()
+	defer b.flightMu.Unlock()
+	return b.serving, len(b.idle)
+}
+
+// waitParked waits until every serve goroutine of b is parked and returns
+// how many there are.
+func waitParked(t *testing.T, b *Net) int {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		serving, idle := servePark(b)
+		if serving == idle {
+			return serving
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d serve goroutines, %d of them parked", serving, idle)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServeGoroutinesReusedAndReleased: the serve goroutines are bounded by
+// the calls ever in flight at once and reused. 64 wedged calls need 64 of
+// them; once released, 1 000 sequential calls start no further one; and
+// Close ends them all, so the process is back to the goroutines it had
+// before the fabrics were made.
+func TestServeGoroutinesReusedAndReleased(t *testing.T) {
+	before := runtime.NumGoroutine()
+	a, b := newNet(t), newNet(t)
+	routeTo(t, a, b, "slow", "fast")
+	const wedged = 64
+	started, held := make(chan struct{}, wedged), make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	t.Cleanup(release)
+	if err := b.Bind("slow", func(req transport.Request) (any, error) {
+		started <- struct{}{}
+		<-held
+		return uint64(0), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Bind("fast", func(req transport.Request) (any, error) { return uint64(1), nil }); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < wedged; i++ {
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			if _, err := a.Send(transport.Request{ID: id, To: "slow", Kind: wire.KindTotal}, time.Minute); err != nil {
+				t.Error(err)
+			}
+		}(uint64(i + 1))
+	}
+	for i := 0; i < wedged; i++ {
+		<-started
+	}
+	release()
+	wg.Wait()
+	servers := waitParked(t, b)
+	if servers < wedged {
+		t.Fatalf("%d wedged calls were served by %d goroutines", wedged, servers)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := a.Send(transport.Request{ID: uint64(1000 + i), To: "fast", Kind: wire.KindTotal}, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := waitParked(t, b); after != servers {
+		t.Fatalf("1 000 sequential calls with %d serve goroutines parked took them to %d", servers, after)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		_ = a.Close()
+		_ = b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: the parked serve goroutines were not released")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the fabrics were made", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestUnsampledRequestPathAllocs pins the zero-alloc budget end to end: an

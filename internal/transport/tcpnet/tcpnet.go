@@ -25,9 +25,14 @@
 //     uses, keyed per endpoint, so retries and wire-level duplicates keep
 //     handler effects at-most-once (the E24 exactness property) over a
 //     real socket.
+//   - Each inbound request is served on a goroutine of its own while it
+//     runs, so a slow handler delays nobody else; the goroutine then parks
+//     and serves a later request, so the serve goroutines are as many as
+//     the calls ever in flight at once, not one per request.
 //   - Close is graceful: the listener stops accepting, in-flight handlers
 //     run to completion and their replies are flushed before connections
-//     die; only then do pending callers see errors.
+//     die; only then do pending callers see errors, and the parked serve
+//     goroutines end.
 package tcpnet
 
 import (
@@ -121,6 +126,13 @@ type Net struct {
 	// starts after Close has begun waiting.
 	flightMu sync.Mutex
 	inflight sync.WaitGroup
+	// idle holds the job channels of the serve goroutines parked between
+	// requests, the last to park last; serving counts the serve goroutines
+	// alive, busy or idle. Both are guarded by flightMu. servers counts them
+	// for Close, which waits for every one to end.
+	idle    []chan serveJob
+	serving int
+	servers sync.WaitGroup
 	// outcalls counts Sends in progress; Close waits on it after the
 	// handler drain so replies already flushed to the kernel are consumed
 	// by their callers before the pooled conns die.
@@ -572,8 +584,9 @@ func (n *Net) DedupEntries() int {
 }
 
 // Close shuts the fabric down gracefully: stop accepting, let in-flight
-// handlers finish and their replies flush, then close every connection.
-// Sends issued after Close fail with ErrUnreachable.
+// handlers finish and their replies flush, end the parked serve goroutines,
+// then close every connection. It returns once every goroutine the fabric
+// started has ended. Sends issued after Close fail with ErrUnreachable.
 func (n *Net) Close() error {
 	n.flightMu.Lock()
 	already := !n.closed.CompareAndSwap(false, true)
@@ -588,6 +601,7 @@ func (n *Net) Close() error {
 	// write their replies, and Sends in progress consume those replies (or
 	// hit their own deadlines), before the conns go away.
 	n.inflight.Wait()
+	n.releaseIdle()
 	n.outcalls.Wait()
 	n.poolMu.Lock()
 	pools := make([]*pool, 0, len(n.pools))
@@ -604,5 +618,6 @@ func (n *Net) Close() error {
 		c.die()
 	}
 	n.loops.Wait()
+	n.servers.Wait()
 	return err
 }

@@ -59,6 +59,11 @@ type Request struct {
 // Handler serves requests addressed to one endpoint. The returned value is
 // the reply payload; a returned error is an application error, delivered to
 // the caller without retries (the request WAS delivered).
+//
+// The slices of req.Body belong to the fabric and are valid only until the
+// handler returns: a socket fabric decodes them into memory it reuses for a
+// later request. A handler must not keep them, nor return them in its reply
+// (a dedup table keeps replies for retries); it copies what it needs.
 type Handler func(req Request) (any, error)
 
 // Transport moves requests between endpoints.

@@ -64,8 +64,12 @@ func (h Hop) Exited() bool { return h.Comp == Exit }
 // RouteTable is the routing of one cut of T_w, resolved ahead of time:
 // where every network input wire enters the cut and where every output
 // wire of every cut member leads, so stepping a token is an array lookup.
-// Cut members are numbered in sorted path order. A table is immutable and
-// describes exactly the cut it was compiled from.
+// Cut members are numbered in sorted path order, and that order is
+// topological: every output wire of member i leaves the network or leads to
+// a member j > i, so one ascending pass over the members steps a group of
+// tokens through all of them (CompileRoutes refuses a table that breaks the
+// order). A table is immutable and describes exactly the cut it was
+// compiled from.
 type RouteTable struct {
 	w     int
 	comps []Component
@@ -81,7 +85,8 @@ type RouteTable struct {
 // wires, and every internal node joins its children's reports with
 // ChildInput and ChildNext. The work is proportional to the wires above
 // and at the cut, with no per-wire climb. A cut that leaves a wire
-// uncovered, or has a member below another member, is an error.
+// uncovered, or has a member below another member, is an error, and so is
+// a table whose member order is not topological.
 func CompileRoutes(w int, cut Cut) (*RouteTable, error) {
 	comps, err := cut.Components(w)
 	if err != nil {
@@ -157,7 +162,23 @@ func CompileRoutes(w int, cut Cut) (*RouteTable, error) {
 	for k, from := range outs {
 		t.next[from] = Hop{Comp: Exit, Wire: int32(k)}
 	}
+	if err := t.checkOrder(); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// checkOrder returns an error naming the first member output wire that
+// leads to a member numbered at or below its own.
+func (t *RouteTable) checkOrder() error {
+	for i, c := range t.comps {
+		for out, h := range t.next[t.off[i] : int(t.off[i])+c.Width] {
+			if !h.Exited() && h.Comp <= int32(i) {
+				return fmt.Errorf("tree: member %d %v output wire %d leads back to member %d %v", i, c, out, h.Comp, t.comps[h.Comp])
+			}
+		}
+	}
+	return nil
 }
 
 // Width returns the network width w.

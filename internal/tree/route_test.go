@@ -235,3 +235,73 @@ func TestCompileRoutesRejectsInvalidCut(t *testing.T) {
 		t.Fatal("a cut naming no component of T_8 compiled")
 	}
 }
+
+// TestRouteOrderIsTopological holds the member numbering to what the
+// one-pass handler chain relies on: every output wire of member i leaves
+// the network or leads to a member above i. Every uniform cut up to w 1024,
+// seeded random cuts at every width and the leaf cuts.
+func TestRouteOrderIsTopological(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	check := func(w int, what string, cut Cut) {
+		t.Helper()
+		rt, err := CompileRoutes(w, cut)
+		if err != nil {
+			t.Fatalf("w=%d %s: %v", w, what, err)
+		}
+		for i, c := range rt.Components() {
+			for out := 0; out < c.Width; out++ {
+				if h := rt.Next(int32(i), out); !h.Exited() && h.Comp <= int32(i) {
+					t.Fatalf("w=%d %s: member %d %v output %d leads to member %d", w, what, i, c.Path, out, h.Comp)
+				}
+			}
+		}
+	}
+	randomCuts := 200
+	if testing.Short() {
+		randomCuts = 20
+	}
+	for w := 2; w <= 1024; w *= 2 {
+		for level := 0; level <= MaxLevel(w); level++ {
+			cut, err := UniformCut(w, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(w, fmt.Sprintf("level %d", level), cut)
+		}
+		for k := 0; k < randomCuts; k++ {
+			check(w, fmt.Sprintf("random cut %d", k), RandomCut(w, rng.Float64(), rng))
+		}
+		check(w, "leaf cut", LeafCut(w))
+	}
+}
+
+// TestCompileRoutesRefusesBackwardHop breaks the order in a compiled table
+// and requires the check CompileRoutes ends with to refuse it.
+func TestCompileRoutesRefusesBackwardHop(t *testing.T) {
+	cut, err := UniformCut(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := mustCompile(t, 8, cut)
+	if err := rt.checkOrder(); err != nil {
+		t.Fatalf("a compiled table fails its own order check: %v", err)
+	}
+	for i := range rt.Components() {
+		for out := 0; out < rt.Components()[i].Width; out++ {
+			k := int(rt.off[i]) + out
+			if h := rt.next[k]; h.Exited() {
+				continue
+			}
+			saved := rt.next[k]
+			rt.next[k] = Hop{Comp: int32(i), Wire: 0} // back into itself
+			if err := rt.checkOrder(); err == nil {
+				t.Fatalf("member %d output %d looping back passes the order check", i, out)
+			}
+			rt.next[k] = Hop{Comp: 0, Wire: saved.Wire}
+			if err := rt.checkOrder(); err == nil {
+				t.Fatalf("member %d output %d led back to member 0 passes the order check", i, out)
+			}
+			rt.next[k] = saved
+		}
+	}
+}

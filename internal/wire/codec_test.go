@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -950,5 +952,125 @@ func TestDecoderPrimitives(t *testing.T) {
 	}
 	if _, err := d.Byte(); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("Byte past end = %v, want ErrTruncated", err)
+	}
+}
+
+// TestIntsRunsAndLongValues round-trips integer slices through the decode
+// loop's two paths — runs of one-byte values read straight off the buffer,
+// and longer varints through Int — in every mix, and requires every strict
+// prefix of each encoding to fail typed, never to panic.
+func TestIntsRunsAndLongValues(t *testing.T) {
+	for _, vs := range [][]int{
+		{0},
+		{-64, 63, 0, -1, 1},                 // the one-byte extremes
+		{64, -65, 1 << 20, -1 << 40},        // every value multi-byte
+		{1, 2, 3, 300, 4, 5, -300, 6, 7},    // runs broken by long values
+		{-1000, 1, 2, 3},                    // a long value first
+		{1, 2, 3, math.MaxInt},              // a long value last
+		{math.MinInt, -64, math.MaxInt, 63}, // the int extremes
+	} {
+		e := NewEncoder(64)
+		e.Ints(vs)
+		d := NewDecoder(e.Bytes())
+		got, err := d.Ints()
+		if err != nil || !reflect.DeepEqual(got, vs) || d.Finish() != nil {
+			t.Fatalf("Ints(%v) decoded %v, %v", vs, got, err)
+		}
+		for n := 0; n < e.Len(); n++ {
+			d := NewDecoder(e.Bytes()[:n])
+			if got, err := d.Ints(); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("Ints(%v) cut to %d of %d bytes decoded %v, %v; want ErrTruncated", vs, n, e.Len(), got, err)
+			}
+		}
+	}
+}
+
+// TestHugeSliceCountOnShortFrame sends a group frame that announces
+// MaxSlice wires but carries 3 bytes of them: the decoder must refuse it as
+// truncated before it allocates for the count, on the request path (into a
+// Request's decode memory) and through the codec alone.
+func TestHugeSliceCountOnShortFrame(t *testing.T) {
+	e := NewEncoder(64)
+	e.Byte(frameRequest)
+	e.Uvarint(1) // mux
+	e.Uvarint(2) // call ID
+	e.String("t:a")
+	e.String("c:b")
+	e.Uvarint(0) // trace ID
+	e.Uvarint(0) // span ID
+	c, _ := ByKind(KindGroupArrive)
+	e.Byte(c.Code)
+	body := e.Len()
+	e.String("") // token
+	e.Uvarint(MaxSlice)
+	e.Byte(2)
+	e.Byte(4)
+	e.Byte(6)
+	frame := e.Bytes()
+	for what, decode := range map[string]func() error{
+		"DecodeRequestFrame": func() error { return DecodeRequestFrame(frame, new(Request)) },
+		"DecodeReq": func() error {
+			_, err := c.DecodeReq(NewDecoder(frame[body:]))
+			return err
+		},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: %d wires announced in 3 bytes: %v, want ErrTruncated", what, MaxSlice, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+			t.Fatalf("%s: refusing a 3-byte slice of %d allocated %d bytes", what, MaxSlice, alloc)
+		}
+	}
+}
+
+// TestRequestSlicesDecodeIntoRequestMemory: a group arrive decoded into a
+// Request it has been decoded into before takes its Wires and Visits from
+// the Request's memory, so only the boxed body allocates; a group past the
+// bound a Request keeps between decodes still decodes whole, and is let go.
+func TestRequestSlicesDecodeIntoRequestMemory(t *testing.T) {
+	frameOf := func(tokens int) []byte {
+		wires := make([]int, tokens)
+		for i := range wires {
+			wires[i] = i * 7 % 64
+		}
+		e := NewEncoder(64)
+		if err := EncodeRequest(e, 1, transport.Request{ID: 2, From: "t:a", To: "c:b", Kind: KindGroupArrive,
+			Body: GroupArrive{Wires: wires, Visits: []Visit{{"c:c", 2}, {"c:d", 3}}}}); err != nil {
+			t.Fatal(err)
+		}
+		return e.Bytes()
+	}
+	var req Request
+	group := frameOf(128)
+	decode := func() {
+		if err := DecodeRequestFrame(group, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(100, decode); allocs > 1 {
+		t.Fatalf("a group arrive decoded into a used Request allocates %.1f objects, want the boxed body alone", allocs)
+	}
+	ga := req.Req.Body.(GroupArrive)
+	if len(ga.Wires) != 128 || ga.Wires[127] != 127*7%64 || len(ga.Visits) != 2 || ga.Visits[1] != (Visit{"c:d", 3}) {
+		t.Fatalf("decoded %d wires, visits %v", len(ga.Wires), ga.Visits)
+	}
+	if cap(ga.Wires) != len(ga.Wires) || cap(ga.Visits) != len(ga.Visits) {
+		t.Fatal("a decoded slice can be appended to over the Request's memory")
+	}
+	huge := frameOf(memKeep + 1)
+	if err := DecodeRequestFrame(huge, &req); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(req.Req.Body.(GroupArrive).Wires); n != memKeep+1 {
+		t.Fatalf("decoded %d wires of %d", n, memKeep+1)
+	}
+	decode()
+	if cap(req.mem.intBlk) > memKeep {
+		t.Fatalf("a Request keeps %d ints between decodes, past the bound %d", cap(req.mem.intBlk), memKeep)
 	}
 }

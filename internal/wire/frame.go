@@ -39,9 +39,15 @@ const (
 // plus the connection-multiplexing ID that pairs it with its reply frame.
 // Mux is per-attempt (a retry of the same logical call gets a fresh Mux but
 // reuses Req.ID, which is what receiver-side dedup keys on).
+//
+// The slices of a decoded body (a group arrive's Wires and Visits) point
+// into memory the Request owns, which the next decode into the same Request
+// reuses: they are valid until then, and a pooled Request must not go back
+// to its pool while anything still reads them.
 type Request struct {
 	Mux uint64
 	Req transport.Request
+	mem decodeMem
 }
 
 // Reply is the decoded form of a reply envelope.
@@ -118,6 +124,8 @@ var decoders = sync.Pool{New: func() any { return new(Decoder) }}
 func DecodeRequestFrame(payload []byte, r *Request) error {
 	d := decoders.Get().(*Decoder)
 	d.Reset(payload)
+	r.mem.reset()
+	d.mem = &r.mem
 	err := decodeRequestFrame(d, r)
 	d.Reset(nil)
 	decoders.Put(d)

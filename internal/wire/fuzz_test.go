@@ -105,6 +105,11 @@ func FuzzGroupArrive(f *testing.F) {
 	f.Add("t:1", []byte{1, 2, 3, 4, 5, 6}, byte(1<<2), []byte{0xfd})          // a visit of -3
 	f.Add("t:max", maxGroup, byte(3<<2), []byte{100, 27, 1})                  // a full group, four visits
 	f.Add("t:1", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, byte(3<<2), []byte{2, 6}) // counts reused: 2 + 6 + 2 > 9
+	// Wires are raw-128: bytes 64..191 are one-byte varints, the rest two
+	// bytes, so these mix the decode loop's runs with long and negative values.
+	f.Add("t:mix", []byte{128, 129, 127, 0, 130, 131, 255, 126, 64, 191, 63, 192, 128}, byte(0), []byte{1, 200})
+	f.Add("t:mix", []byte{0, 128, 255, 128, 1, 254, 130, 2}, byte(1<<2), []byte{3})
+	f.Add("t:mix", []byte{100, 101, 102, 103, 104, 105, 106, 107, 0}, byte(0), []byte{})
 	f.Fuzz(func(t *testing.T, token string, raw []byte, status byte, rawOut []byte) {
 		// Derive the parallel wires/seqs slices from one byte string so the
 		// decode invariant len(Wires) == len(Seqs) holds by construction.
@@ -162,6 +167,9 @@ func FuzzGroupArriveRes(f *testing.F) {
 	f.Add(true, []byte{0x03, 0x18, 0x05, 0x07, 0x11, 0x20, 0x09}, 3000+4000*0b110100+11, "20")  // stepped once, stored, chained
 	f.Add(true, []byte{0x03, 0x18, 0x05, 0x07, 0x11, 0x20}, 2000+4000*0b1001, "")               // stored, dead: nothing stepped
 	f.Add(true, []byte{0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07}, 3000+4000*0b111011, "") // forwards either side of a dead visit
+	// Output wires past 63 take two bytes, forwards are negative: runs broken both ways.
+	f.Add(false, []byte{0x02, 0x04, 0xfe, 0x06, 0x80, 0x08, 0x7e, 0x0a}, 0, "")
+	f.Add(true, []byte{0x02, 0xfe, 0x03, 0x04, 0x81, 0x06, 0xff, 0x80}, 3000+4000*0b111111+9, "01")
 	f.Fuzz(func(t *testing.T, chained bool, raw []byte, steps int, path string) {
 		reply := GroupArriveRes{Status: StatusProcessed}
 		if chained {
@@ -376,6 +384,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	if err := EncodeRequest(e, 3, transport.Request{
 		ID: 4, From: "t:a", To: "c:00#1", Kind: KindGroupArrive,
 		Body: GroupArrive{Token: "t:a", Wires: []int{0, 1, 1, 0}, Seqs: []uint64{5, 6, 7, 8}, Visits: []Visit{{"c:01#2", 1}, {"c:10#3", 2}}},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), e.Bytes()...))
+	// A group whose wires mix one-byte runs with long and negative values.
+	e.Reset()
+	if err := EncodeRequest(e, 3, transport.Request{
+		ID: 4, From: "t:a", To: "c:00#1", Kind: KindGroupArrive,
+		Body: GroupArrive{Wires: []int{1, 2, 3, -70, 4, 5, 1 << 40, -1, 63, -64, 64, 7}, Visits: []Visit{{"c:01#2", 3}}},
 	}); err != nil {
 		f.Fatal(err)
 	}

@@ -421,7 +421,7 @@ func decodeVisits(d *Decoder, tokens int) ([]Visit, error) {
 	if err != nil {
 		return nil, err
 	}
-	visits := make([]Visit, n)
+	visits := d.mem.visits(n)
 	for i := range visits {
 		v := &visits[i]
 		// Component addresses are a small closed set, like To and From.

@@ -183,6 +183,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 type Decoder struct {
 	buf []byte
 	off int
+	mem *decodeMem // where slices decode to; nil: fresh allocations
 }
 
 // NewDecoder returns a decoder over buf. The decoder does not copy buf.
@@ -193,6 +194,63 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 func (d *Decoder) Reset(buf []byte) {
 	d.buf = buf
 	d.off = 0
+	d.mem = nil
+}
+
+// decodeMem is the memory a Request's body slices decode into, kept with
+// the Request and reused by the next decode into it: a group arrive's Wires
+// and Visits cost no allocation once a pooled Request has seen a group as
+// large. Slices are handed out one after another from a block, so those of
+// one decode never overlap; a block too small is replaced, not grown, so
+// the slices already handed out keep theirs.
+type decodeMem struct {
+	intBlk   []int
+	visitBlk []Visit
+}
+
+// memKeep bounds the elements of each block a Request keeps between
+// decodes: a rare huge group does not stay pinned in the request pool.
+const memKeep = 1 << 12
+
+// reset starts a decode: every block is free again.
+func (m *decodeMem) reset() {
+	m.intBlk = keep(m.intBlk)
+	m.visitBlk = keep(m.visitBlk)
+}
+
+func keep[T any](blk []T) []T {
+	if cap(blk) > memKeep {
+		return nil
+	}
+	return blk[:0]
+}
+
+// take returns the next n elements of *blk, replacing it with a block of at
+// least n and twice its old capacity when too few are left.
+func take[T any](blk *[]T, n int) []T {
+	b := *blk
+	if cap(b)-len(b) < n {
+		b = make([]T, 0, max(n, 2*cap(b)))
+	}
+	lo := len(b)
+	*blk = b[:lo+n]
+	return b[lo : lo+n : lo+n]
+}
+
+// ints returns n ints to decode into: from m when set, fresh otherwise.
+func (m *decodeMem) ints(n int) []int {
+	if m == nil {
+		return make([]int, n)
+	}
+	return take(&m.intBlk, n)
+}
+
+// visits is ints for a group's visit list.
+func (m *decodeMem) visits(n int) []Visit {
+	if m == nil {
+		return make([]Visit, n)
+	}
+	return take(&m.visitBlk, n)
 }
 
 // Remaining returns the number of unconsumed bytes.
@@ -361,17 +419,36 @@ func (d *Decoder) Uint64s() ([]uint64, error) {
 }
 
 // Ints consumes a length-prefixed slice of signed varints bounded by
-// MaxSlice.
+// MaxSlice. A run of one-byte values — every wire and output wire below 64
+// — is read straight off the buffer, with no call per value; a longer
+// varint goes through Int. The slice is fresh, or taken from the decode
+// memory of the Request being decoded (DecodeRequestFrame).
 func (d *Decoder) Ints() ([]int, error) {
 	n, err := d.sliceLen()
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	vs := make([]int, n)
-	for i := range vs {
+	vs := d.mem.ints(n)
+	for i := 0; i < n; {
+		// sliceLen saw at least one byte per value, but a multi-byte value
+		// spends more than its share, so the run is bounded by both.
+		run := d.buf[d.off:]
+		if len(run) > n-i {
+			run = run[:n-i]
+		}
+		k := 0
+		for ; k < len(run) && run[k] < 0x80; k++ {
+			b := int(run[k])
+			vs[i+k] = b>>1 ^ -(b & 1) // unzigzag of a one-byte varint
+		}
+		i, d.off = i+k, d.off+k
+		if i == n {
+			break
+		}
 		if vs[i], err = d.Int(); err != nil {
 			return nil, err
 		}
+		i++
 	}
 	return vs, nil
 }
