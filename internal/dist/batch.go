@@ -23,12 +23,12 @@ import (
 // request ID, deduplicated at the incarnation it addresses, is what keeps
 // everything the handler goes on to do at-most-once. The handler steps the
 // addressed components and then, as long as the fabric says a token's next
-// component is served by this same fabric instance (transport.Placer) and
-// that component is active, steps it in place too. It replies when the
-// tokens have left the network or reached a component it cannot step, and
-// the batch continues from the positions the reply names. A fabric that
-// knows no placement makes every chain one visit long: that is the
-// one-message-per-hop behaviour, not a second code path.
+// component is served by this same fabric instance (Transport.Site answers
+// "") and that component is active, steps it in place too. It replies when
+// the tokens have left the network or reached a component it cannot step,
+// and the batch continues from the positions the reply names. A fabric that
+// places every address apart (Faulty) makes every chain one visit long:
+// that is the one-message-per-hop behaviour, not a second code path.
 
 // routeLocked counts one token in on input wire w of an active component and
 // returns the output wire the component's round-robin sends it to. The
@@ -199,10 +199,10 @@ func (cl *Cluster) Inject(in int) (int, error) {
 // with the position it could not step it past. A batch therefore costs one
 // round trip per fabric its tokens visit — one on a single fabric, 1 +
 // crossings across partitions — and in each round one RPC per fabric its
-// tokens are bound for; on a fabric that knows no placement every component
-// is a destination of its own and every chain one visit long: one RPC per
-// component visit, in as many rounds as the cut is deep. The messages of a
-// round are independent of each other, so they go out through
+// tokens are bound for; on a fabric that places every address apart every
+// component is a destination of its own and every chain one visit long: one
+// RPC per component visit, in as many rounds as the cut is deep. The
+// messages of a round are independent of each other, so they go out through
 // transport.Client.CallBatch: all of them leave before any reply is awaited
 // on a fabric that can batch, one Send after another on one that cannot.
 // A destination with more tokens than one message may carry (wire.MaxSlice)
@@ -429,7 +429,7 @@ func (cl *Cluster) groupReply(b *batchScratch, tp *topology, visits []visit, res
 
 // groupRound turns the round's routable tokens into group arrive requests:
 // sorted by component, components by destination (the fabric that serves
-// them; each its own on a fabric that knows no placement), each
+// them; each its own on a fabric that places every address apart), each
 // destination's tokens cut into messages of at most wire.MaxSlice. Request
 // b.reqs[g] carries the visits b.visits[b.ends[g-1]:b.ends[g]], addressed to
 // the first one's component; b.replies and b.errs are sized to match.
@@ -438,8 +438,8 @@ func (cl *Cluster) groupRound(b *batchScratch, tp *topology) {
 	b.dest, b.sites = b.dest[:0], b.sites[:0]
 	for k, ci := range b.touched {
 		d := k
-		if cl.place != nil && len(b.touched) > 1 { // one component is one destination
-			site := cl.place.Site(tp.live[ci].addr)
+		if len(b.touched) > 1 { // one component is one destination
+			site := cl.tr.Site(tp.live[ci].addr)
 			if d = slices.Index(b.sites, site); d < 0 {
 				d, b.sites = len(b.sites), append(b.sites, site)
 			}
@@ -622,7 +622,7 @@ func (cl *Cluster) checkGroup(s *chainScratch, cm *comp, body any, ga *wire.Grou
 	cl.compMu.RUnlock()
 	for i, v := range s.visits {
 		// The fabric vouches for cm; a listed address is the sender's word.
-		if i > 0 && (v.cm == nil || cl.place != nil && cl.place.Site(v.cm.addr) != "") {
+		if i > 0 && (v.cm == nil || cl.tr.Site(v.cm.addr) != "") {
 			return fmt.Errorf("%w: visit to %q, which is not served here", ErrBadGroup, ga.Visits[i-1].Addr)
 		}
 		for _, w := range ga.Wires[v.lo:v.hi] {
@@ -655,12 +655,12 @@ func (cl *Cluster) checkGroup(s *chainScratch, cm *comp, body any, ga *wire.Grou
 //
 // A visit's tokens keep the reply the handler has always given, their
 // component's output wires (the sender's table knows where they lead), when
-// the chain stepped nothing further — so on a fabric without placement
-// knowledge — and when the snapshot no longer holds their component. The
+// the chain stepped nothing further — so on a fabric that places every
+// address apart — and when the snapshot no longer holds their component. The
 // reply lists what became of each visit only when they fared differently.
 func (cl *Cluster) groupChain(s *chainScratch, res *wire.GroupArriveRes) {
 	outs, stepped := res.Outs, res.Steps
-	if cl.place != nil && stepped > 0 {
+	if stepped > 0 {
 		tp := cl.topo.Load()
 		s.start(len(outs), len(tp.live))
 		lo, hi := int32(len(tp.live)), int32(-1) // the components that may hold tokens
@@ -685,7 +685,7 @@ func (cl *Cluster) groupChain(s *chainScratch, res *wire.GroupArriveRes) {
 			}
 			s.head[ci] = 0
 			next := tp.live[ci]
-			if cl.place.Site(next.addr) != "" {
+			if cl.tr.Site(next.addr) != "" {
 				continue // the tokens stop here, at (ci, their wire)
 			}
 			next.mu.Lock()

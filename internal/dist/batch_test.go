@@ -167,11 +167,11 @@ func TestBatchCutAtMaxSlice(t *testing.T) {
 	}
 }
 
-// noPlacement is a batch-capable fabric that answers no placement question:
-// it forwards BatchSender and hides Placer, so a round's groups still
-// leave in one SendBatch but every group handler's chain is one step long.
-type noPlacement struct {
-	transport.Transport
+// apartBatcher is a batch-capable fabric that places every address apart:
+// it forwards BatchSender, so a round's groups still leave in one
+// SendBatch, but every group handler's chain is one step long.
+type apartBatcher struct {
+	apart
 	transport.BatchSender
 }
 
@@ -179,18 +179,18 @@ type noPlacement struct {
 // burst on the level-2 cut of BITONIC[64] enters at 4 components, all of
 // them served by the one fabric, and that fabric is all it pays: 1 group
 // RPC in 1 flush, whose handler visits the 4 and steps the whole burst
-// through the other 5 layers in place. On a fabric that knows no placement
-// every component visit is a message again: 24 RPCs, and 6 flushes, the
+// through the other 5 layers in place. On a fabric that places every
+// address apart every component visit is a message again: 24 RPCs, and 6 flushes, the
 // cut's effective depth (Definition 1.2). The sibling of
 // TestTokenPaysCrossings.
 func TestBurstPaysCrossings(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
-		hide           bool
+		apart          bool
 		calls, flushes int64
 	}{
 		{"one fabric", false, 1, 1},
-		{"placement hidden", true, 24, 6},
+		{"every address apart", true, 24, 6},
 	} {
 		tn, err := tcpnet.New(tcpnet.Config{})
 		if err != nil {
@@ -199,10 +199,10 @@ func TestBurstPaysCrossings(t *testing.T) {
 		t.Cleanup(func() { _ = tn.Close() })
 		fc := &flushCounter{Net: tn}
 		var fabric transport.Transport = fc
-		if tc.hide {
-			fabric = noPlacement{Transport: fc, BatchSender: fc}
-			if _, ok := fabric.(transport.Placer); ok {
-				t.Fatal("the wrapper forwards Placer; it is meant to hide it")
+		if tc.apart {
+			fabric = apartBatcher{apart: apart{fc}, BatchSender: fc}
+			if fabric.Site("c:0#1") == "" {
+				t.Fatal("the wrapper places an address here; it is meant to place every address apart")
 			}
 		}
 		cl, err := New(64, mustCut(t, 64, 2), WithTransport(fabric), WithRetry(patient))
@@ -228,9 +228,83 @@ func TestBurstPaysCrossings(t *testing.T) {
 	}
 }
 
-// sendSeam hides every optional capability of the fabric it wraps — as a
-// wrapper that interposes on Send does — and checks that the Sends issued
-// by one batch never overlap in time.
+// spanSeam is shaped like a tracing wrapper: it embeds the fabric and
+// overrides only Send and Bind, counting the Sends it sees and the handler
+// runs they cause. Everything else — placement, RPC observation — is the
+// wrapped fabric's, promoted.
+type spanSeam struct {
+	transport.Transport
+	sends, handled atomic.Int64
+}
+
+func (s *spanSeam) Send(req transport.Request, timeout time.Duration) (any, error) {
+	s.sends.Add(1)
+	return s.Transport.Send(req, timeout)
+}
+
+func (s *spanSeam) Bind(a transport.Addr, h transport.Handler) error {
+	return s.Transport.Bind(a, func(req transport.Request) (any, error) {
+		s.handled.Add(1)
+		return h(req)
+	})
+}
+
+// TestTracingWrapperTakesProductionPath: a wrapper that overrides only Send
+// and Bind, as the benchmark's span tracer does, costs what the bare fabric
+// costs. Over tcpnet at the level-2 cut of BITONIC[64] that is one RPC per
+// single token and one per 128-token burst; a wrapper that dropped the
+// fabric's placement would cost 6 and 24 (TestTokenPaysCrossings,
+// TestBurstPaysCrossings).
+func TestTracingWrapperTakesProductionPath(t *testing.T) {
+	for _, wrapped := range []bool{false, true} {
+		tn, err := tcpnet.New(tcpnet.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = tn.Close() })
+		var fabric transport.Transport = tn
+		seam := &spanSeam{Transport: tn}
+		if wrapped {
+			fabric = seam
+		}
+		cl, err := New(64, mustCut(t, 64, 2), WithTransport(fabric), WithRetry(patient))
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := func() uint64 {
+			_, cs := cl.NetStats()
+			return cs.Calls
+		}
+		for i, in := range randomWires(19, 20, 64) {
+			before := calls()
+			if _, err := cl.Inject(in); err != nil {
+				t.Fatal(err)
+			}
+			if got := calls() - before; got != 1 {
+				t.Fatalf("wrapped %v: token %d cost %d RPCs, want 1", wrapped, i, got)
+			}
+		}
+		for round := int64(1); round <= 3; round++ {
+			before := calls()
+			if _, err := cl.InjectBatch(randomWires(round, 128, 64)); err != nil {
+				t.Fatal(err)
+			}
+			if got := calls() - before; got != 1 {
+				t.Fatalf("wrapped %v: burst %d cost %d RPCs, want 1", wrapped, round, got)
+			}
+		}
+		if err := cl.CheckStep(); err != nil {
+			t.Fatal(err)
+		}
+		if _, cs := cl.NetStats(); wrapped && (seam.sends.Load() != int64(cs.Calls+cs.Retries) || seam.handled.Load() != seam.sends.Load()) {
+			t.Fatalf("the wrapper saw %d Sends and %d handler runs for %+v", seam.sends.Load(), seam.handled.Load(), cs)
+		}
+	}
+}
+
+// sendSeam interposes on Send, as a wrapper that observes it does, so it
+// hides BatchSender; it places every address apart, so a round has many
+// Sends. It checks that the Sends issued by one batch never overlap in time.
 type sendSeam struct {
 	transport.Transport
 	mu       sync.Mutex
@@ -238,6 +312,8 @@ type sendSeam struct {
 	overlaps int
 	sends    int
 }
+
+func (s *sendSeam) Site(a transport.Addr) string { return string(a) }
 
 func (s *sendSeam) Send(req transport.Request, timeout time.Duration) (any, error) {
 	s.mu.Lock()

@@ -34,14 +34,19 @@
 // Every cross-component interaction is a message on an internal/transport
 // fabric: tokens travel in group arrive RPCs, one path for a burst and for a
 // single token alike (Inject is InjectBatch of one), and a hop between two
-// components the same fabric instance serves is a hand-over inside the
-// serving handler, not a message, as the paper charges only node-to-node
-// moves; the freeze protocol's freeze and total exchanges are control RPCs.
-// On the default ideal in-memory fabric this is exactly as deterministic as
-// direct calls; built over transport.Faulty (WithTransport), every hop is a
-// message again and every one of those messages can be delayed, lost,
-// duplicated or reordered, and the retry + at-most-once layer must keep
-// counting exact (experiment E24).
+// components the same fabric instance serves (transport.Transport's Site) is
+// a hand-over inside the serving handler, not a message, as the paper
+// charges only node-to-node moves; the freeze protocol's freeze and total
+// exchanges are control RPCs. On the default ideal in-memory fabric this is
+// exactly as deterministic as direct calls; built over transport.Faulty
+// (WithTransport), which places every address apart, every hop is a message
+// again and every one of those messages can be delayed, lost, duplicated or
+// reordered, and the retry + at-most-once layer must keep counting exact
+// (experiment E24). At-most-once is the fabric's: a fabric that can deliver
+// a call whose reply then misses its deadline (tcpnet, or Faulty, which
+// switches on the in-memory switch's dedup) deduplicates its endpoints by
+// request ID; the ideal switch runs handlers inline and never times out, so
+// the retry client never re-sends there.
 //
 // Each component incarnation binds its own transport address ("c:<path>#
 // <generation>"), and retired incarnations stay bound: a straggling retry of
@@ -101,13 +106,6 @@ type Cluster struct {
 	w  int
 	tr transport.Transport
 	rc *transport.Client
-	// place is the fabric's placement knowledge, nil when it offers none: a
-	// round sends the tokens bound for components place puts on one fabric
-	// in one message (see groupRound), and the handler steps them on through
-	// the components place says are served by that same fabric, replying
-	// only for the tokens whose next component is served elsewhere (see
-	// groupChain). Nil means every hop is a message of its own.
-	place transport.Placer
 
 	// comps is every incarnation ever bound, by address — like their
 	// endpoints, retired ones stay: a group arrive names the further
@@ -170,16 +168,6 @@ func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 	if err := cut.Validate(w); err != nil {
 		return nil, err
 	}
-	// The retry client's correctness contract is at-most-once delivery: a
-	// reply that misses the retry deadline triggers a re-send, and without
-	// receiver-side dedup the re-executed handler double-counts the token
-	// (or re-freezes a component), permanently breaking the conservation
-	// invariant merges drain on. Only fabrics that can actually time out a
-	// delivered call need this — the ideal in-memory switch runs handlers
-	// inline and never retries, so taxing it with dedup would be waste.
-	if d, ok := o.tr.(transport.Redeliverer); ok && d.CanRedeliver() {
-		d.EnableDedup()
-	}
 	cl := &Cluster{
 		w:        w,
 		tr:       o.tr,
@@ -189,7 +177,6 @@ func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 		injected: make([]atomic.Uint64, w),
 		comps:    make(map[transport.Addr]*comp),
 	}
-	cl.place, _ = o.tr.(transport.Placer)
 	comps, err := cut.Components(w)
 	if err != nil {
 		return nil, err
@@ -341,15 +328,7 @@ func (cl *Cluster) Tracer() *obs.Tracer { return cl.tracer }
 // InstrumentRPC installs server-side RPC observation — per-kind handler
 // latency histograms, child spans stitched to wire-propagated trace
 // contexts, slow-RPC log and flight recorder — on the cluster's fabric.
-// Returns false when the fabric cannot observe dispatch (only the
-// in-memory Net, tcpnet.Net and Faulty wrappers over them can).
-func (cl *Cluster) InstrumentRPC(o *obs.RPCObs) bool {
-	ri, ok := cl.tr.(transport.RPCInstrumenter)
-	if ok {
-		ri.InstrumentRPC(o)
-	}
-	return ok
-}
+func (cl *Cluster) InstrumentRPC(o *obs.RPCObs) { cl.tr.InstrumentRPC(o) }
 
 // OutCounts returns the per-output-wire emission counts.
 func (cl *Cluster) OutCounts() balancer.Seq {

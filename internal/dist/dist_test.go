@@ -503,10 +503,10 @@ func TestSequentialAcrossReconfig(t *testing.T) {
 	}
 }
 
-// TestFindLiveAscendAfterMerge: a token addressed to a merged-away child
+// TestLocateAscendsAfterMerge: a token addressed to a merged-away child
 // resolves upward through the entry-child inverse to the merged parent in
 // the cluster's current snapshot.
-func TestFindLiveAscendAfterMerge(t *testing.T) {
+func TestLocateAscendsAfterMerge(t *testing.T) {
 	w := 8
 	cl, err := New(w, tree.LeafCut(w))
 	if err != nil {
@@ -534,10 +534,10 @@ func TestFindLiveAscendAfterMerge(t *testing.T) {
 	}
 }
 
-// TestFindLiveDescendsAfterSplit: a token addressed to a split-away parent
+// TestLocateDescendsAfterSplit: a token addressed to a split-away parent
 // resolves downward through the input maps in the cluster's current
 // snapshot.
-func TestFindLiveDescendsAfterSplit(t *testing.T) {
+func TestLocateDescendsAfterSplit(t *testing.T) {
 	w := 8
 	cl, err := NewRootOnly(w)
 	if err != nil {
@@ -581,12 +581,12 @@ func TestArriveOnDeadComponent(t *testing.T) {
 	}
 }
 
-// TestArriveOnFrozenComponentQueues: a token's arrive at a frozen component
+// TestArriveOnFrozenComponentTurnsAway: a token's arrive at a frozen component
 // is turned away exactly like one at a retired incarnation — StatusDead,
 // nothing counted and nothing kept — so the token waits at its sender, not
 // in a queue at the component, and the frozen history the children are built
 // from is the routed history alone.
-func TestArriveOnFrozenComponentQueues(t *testing.T) {
+func TestArriveOnFrozenComponentTurnsAway(t *testing.T) {
 	cl, err := NewRootOnly(4)
 	if err != nil {
 		t.Fatal(err)

@@ -10,11 +10,10 @@ import (
 	"repro/internal/tree"
 )
 
-// faultyCluster builds a cluster over a lossy, jittery fabric with a retry
-// budget that makes per-call failure negligible at the configured loss.
-func faultyCluster(t *testing.T, w int, cut tree.Cut, drop float64) *Cluster {
-	t.Helper()
-	f := transport.NewFaulty(transport.NewMem(), transport.FaultConfig{
+// faultyFabric is the in-memory switch behind a lossy, jittery fault
+// injector.
+func faultyFabric(drop float64) *transport.Faulty {
+	return transport.NewFaulty(transport.NewMem(), transport.FaultConfig{
 		Seed:          13,
 		DropRate:      drop,
 		DupRate:       drop,
@@ -22,12 +21,21 @@ func faultyCluster(t *testing.T, w int, cut tree.Cut, drop float64) *Cluster {
 		LatencyBase:   time.Microsecond,
 		LatencyJitter: 10 * time.Microsecond,
 	})
-	cl, err := New(w, cut, WithTransport(f), WithRetry(transport.RetryConfig{
-		Timeout:    500 * time.Microsecond,
-		MaxRetries: 16,
-		Backoff:    20 * time.Microsecond,
-		BackoffCap: 200 * time.Microsecond,
-	}))
+}
+
+// faultyRetry is a retry budget that makes per-call failure negligible at
+// the losses the fault tests configure.
+var faultyRetry = transport.RetryConfig{
+	Timeout:    500 * time.Microsecond,
+	MaxRetries: 16,
+	Backoff:    20 * time.Microsecond,
+	BackoffCap: 200 * time.Microsecond,
+}
+
+// faultyCluster builds a cluster over faultyFabric with faultyRetry.
+func faultyCluster(t *testing.T, w int, cut tree.Cut, drop float64) *Cluster {
+	t.Helper()
+	cl, err := New(w, cut, WithTransport(faultyFabric(drop)), WithRetry(faultyRetry))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestGroupBatchMatchesSequentialCounts(t *testing.T) {
 // exactly ONE group arrive RPC — not one per token. On a finer cut over one
 // fabric it is still one: the message visits every component the batch
 // enters at and its handler steps the group on in place. Behind a wrapper
-// that hides the fabric's placement knowledge every component is a
+// that places every address apart every component is a
 // destination of its own, and it is one per component visited.
 func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 	w := 8
@@ -105,7 +105,7 @@ func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hidden, err := New(w, tree.LeafCut(w), WithTransport(hideCaps{transport.NewMem()}))
+	hidden, err := New(w, tree.LeafCut(w), WithTransport(apart{transport.NewMem()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestGroupBatchOneRPCPerComponentVisit(t *testing.T) {
 	}
 	_, after = hidden.NetStats()
 	if got := after.Sub(before).Calls; got != uint64(hidden.Size()) {
-		t.Fatalf("group batch issued %d RPCs with placement hidden on a leaf cut of %d balancers, want one per component visit", got, hidden.Size())
+		t.Fatalf("group batch issued %d RPCs with every address apart on a leaf cut of %d balancers, want one per component visit", got, hidden.Size())
 	}
 
 	_, before = seq.NetStats()
@@ -311,14 +311,15 @@ func TestCountingOverTCP(t *testing.T) {
 	}
 }
 
-// TestNewEnablesDedup pins the at-most-once wiring: New must switch on
-// receiver-side dedup when the fabric can time out a delivered call
-// (transport.Redeliverer), because the retry client re-sends past its
-// deadline and a re-executed arrive handler double-counts the token — a
-// conservation break that wedges the next merge's drain phase forever.
-// (Observed as a rare TestCountingOverTCP hang under -race, where handler
-// latency can exceed the 25ms retry deadline.) The in-memory fabric is
-// deliberately exempt: its Send never times out, so retries cannot occur.
+// TestNewEnablesDedup pins the at-most-once wiring: a cluster built over
+// tcpnet has its endpoints deduplicated without asking for it, because the
+// retry client re-sends past its deadline and over a socket the original
+// may still have been delivered — a re-executed arrive handler
+// double-counts the token, a conservation break that wedges the next
+// merge's drain phase forever. (Observed as a rare TestCountingOverTCP hang
+// under -race, where handler latency can exceed the 25ms retry deadline.)
+// tcpnet dedups every endpoint it binds; the in-memory fabric need not: its
+// Send never times out, so retries cannot occur.
 func TestNewEnablesDedup(t *testing.T) {
 	w := 8
 	cl, tn := tcpCluster(t, w, tree.RootCut(), 0)

@@ -17,7 +17,8 @@ import (
 // The group analogues of inject_test.go's chain tests: a group handler's
 // chain against a frozen component, against one retired between two of its
 // visits, at a stale incarnation, under retries, and against the two
-// oracles (a fabric without placement knowledge, and the sequential path).
+// oracles (a fabric that places every address apart, and the sequential
+// path).
 
 // batchEvents returns the events of the one batch span tr retains.
 func batchEvents(t *testing.T, tr *obs.Tracer) []obs.Event {
@@ -309,8 +310,8 @@ func TestGroupChainAtMostOnceOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = tn.Close() })
 	fabric := &slowArrive{Net: tn, delay: 5 * timeout / 2}
-	if _, ok := transport.Transport(fabric).(transport.Placer); !ok {
-		t.Fatal("the slow fabric lost the placement capability; the test would not chain")
+	if fabric.Site("c:0#1") != "" {
+		t.Fatal("the slow fabric places its own addresses elsewhere; the test would not chain")
 	}
 	cl, err := New(w, cut, WithTransport(fabric), WithRetry(transport.RetryConfig{
 		Timeout: timeout, MaxRetries: 10, Backoff: time.Millisecond, BackoffCap: 5 * time.Millisecond,
@@ -353,7 +354,7 @@ func TestGroupChainAtMostOnceOverTCP(t *testing.T) {
 // TestGroupChainMatchesOracles is the differential test of the chained batch
 // path: the same seeded bursts through a cluster on the bare in-memory
 // switch (chains as long as the cut is deep), through one behind a wrapper
-// that hides the fabric's placement knowledge (every chain one visit long)
+// that places every address apart (every chain one visit long)
 // and through the sequential path leave the same count on every output wire
 // and the same total at every component, on the uniform cuts and on 20
 // random ones. On the uniform cuts and four of the random ones a last burst
@@ -377,7 +378,7 @@ func TestGroupChainMatchesOracles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perVisit, err := New(w, cut, WithTransport(hideCaps{transport.NewMem()}))
+		perVisit, err := New(w, cut, WithTransport(apart{transport.NewMem()}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +413,7 @@ func TestGroupChainMatchesOracles(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		for oracle, ref := range map[string]*Cluster{"placement hidden": perVisit, "sequential": seq} {
+		for oracle, ref := range map[string]*Cluster{"every address apart": perVisit, "sequential": seq} {
 			if got, want := chained.OutCounts(), ref.OutCounts(); !slices.Equal(got, want) {
 				t.Fatalf("%s: output counts %v chained, %v %s", name, got, want, oracle)
 			}
@@ -434,8 +435,8 @@ func TestGroupChainMatchesOracles(t *testing.T) {
 // so a burst's group events always sum to the components on its tokens'
 // paths — 128 x 6 at the level-2 cut of BITONIC[64]. On one fabric that is
 // 1 event of 768 (and 1 server-side rpc:agroup span); behind a wrapper that
-// hides the fabric's placement knowledge it is one event per component
-// visit, each of the size of its group.
+// places every address apart, as the fault injector does, it is one event
+// per component visit, each of the size of its group.
 func TestGroupHopEventsSumToDepth(t *testing.T) {
 	const w, tokens = 64, 128
 	cut := mustCut(t, w, 2)
@@ -445,15 +446,16 @@ func TestGroupHopEventsSumToDepth(t *testing.T) {
 		rpcs int
 	}{
 		{"one fabric", nil, 1},
-		{"placement hidden", []Option{WithTransport(hideCaps{transport.NewMem()})}, 24},
+		{"every address apart", []Option{WithTransport(apart{transport.NewMem()})}, 24},
+		{"behind the fault injector", []Option{WithTransport(transport.NewFaulty(transport.NewMem(), transport.FaultConfig{}))}, 24},
 	} {
 		cl, err := New(w, cut, tc.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := cl.Trace(1, 64)
-		if tc.opts == nil && !cl.InstrumentRPC(obs.NewRPCObs(obs.RPCObsConfig{Tracer: tr})) {
-			t.Fatal("fabric does not support InstrumentRPC")
+		if tc.opts == nil {
+			cl.InstrumentRPC(obs.NewRPCObs(obs.RPCObsConfig{Tracer: tr}))
 		}
 		if _, err := cl.InjectBatch(randomWires(23, tokens, w)); err != nil {
 			t.Fatal(err)

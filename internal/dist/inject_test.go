@@ -16,10 +16,26 @@ import (
 	"repro/internal/wire"
 )
 
-// hideCaps wraps a fabric the way a wrapper that only interposes on the
-// Transport methods does: none of the optional capabilities — Placer among
-// them — is forwarded, so every hop behind it is a message.
-type hideCaps struct{ transport.Transport }
+// apart wraps a fabric and answers the placement question the way the fault
+// injector does: every address is a site of its own, so every hop behind it
+// is a message.
+type apart struct{ transport.Transport }
+
+func (apart) Site(a transport.Addr) string { return string(a) }
+
+// sites wraps a fabric and serves the addresses here reports here, placing
+// every other address apart.
+type sites struct {
+	transport.Transport
+	here func(transport.Addr) bool
+}
+
+func (s sites) Site(a transport.Addr) string {
+	if s.here(a) {
+		return ""
+	}
+	return string(a)
+}
 
 // tokenPath predicts the components the next token injected on wire in
 // visits, and the input wire it arrives on at each, from the quiescent
@@ -53,7 +69,7 @@ func requireEvents(t *testing.T, got []obs.Event, want ...obs.Event) {
 // TestTokenPaysCrossings is the PR's headline as a count, and the
 // differential oracle for the chained path: the same arrival sequence
 // through a cluster on the bare in-memory switch and through one behind a
-// wrapper that hides the fabric's placement knowledge leaves every token on
+// wrapper that places every address apart leaves every token on
 // the same output wire, for one RPC per token on the first (one fabric, no
 // crossings) and one per component on the second (effective depth: 6 at the
 // level-2 cut of BITONIC[64]). The sibling of TestBurstPaysCrossings.
@@ -71,7 +87,7 @@ func TestTokenPaysCrossings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perHop, err := New(w, tc.cut, WithTransport(hideCaps{transport.NewMem()}))
+		perHop, err := New(w, tc.cut, WithTransport(apart{transport.NewMem()}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,8 +432,8 @@ func TestChainAtMostOnceOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = tn.Close() })
 	fabric := &slowArrive{Net: tn, delay: 5 * timeout / 2}
-	if _, ok := transport.Transport(fabric).(transport.Placer); !ok {
-		t.Fatal("the slow fabric lost the placement capability; the test would not chain")
+	if fabric.Site("c:0#1") != "" {
+		t.Fatal("the slow fabric places its own addresses elsewhere; the test would not chain")
 	}
 	cl, err := New(w, cut, WithTransport(fabric), WithRetry(transport.RetryConfig{
 		Timeout: timeout, MaxRetries: 10, Backoff: time.Millisecond, BackoffCap: 5 * time.Millisecond,

@@ -20,13 +20,11 @@ func traceObserved(t *testing.T, cl *Cluster) (*obs.Tracer, *obs.Registry, *obs.
 	tr := cl.Trace(1, 256)
 	fr := obs.NewFlightRecorder(32)
 	reg.AddFlightRecorder(fr)
-	if !cl.InstrumentRPC(obs.NewRPCObs(obs.RPCObsConfig{
+	cl.InstrumentRPC(obs.NewRPCObs(obs.RPCObsConfig{
 		Tracer:   tr,
 		Registry: reg,
 		Flight:   fr,
-	})) {
-		t.Fatal("fabric does not support InstrumentRPC")
-	}
+	}))
 	return tr, reg, fr
 }
 
@@ -169,7 +167,7 @@ func TestBatchTraceStitchingOverTCP(t *testing.T) {
 // RPC stepped, so a token's group events always sum to the components on its
 // path. On one fabric that is a single event of 6 (and one server-side
 // rpc:agroup span) at the level-2 cut of BITONIC[64]; behind a wrapper that
-// hides the fabric's placement knowledge it is six events of 1.
+// places every address apart it is six events of 1.
 func TestHopEventsSumToDepth(t *testing.T) {
 	const w, tokens = 64, 40
 	cut := mustCut(t, w, 2)
@@ -179,15 +177,15 @@ func TestHopEventsSumToDepth(t *testing.T) {
 		rpcs int // per token
 	}{
 		{"one fabric", nil, 1},
-		{"placement hidden", []Option{WithTransport(hideCaps{transport.NewMem()})}, 6},
+		{"every address apart", []Option{WithTransport(apart{transport.NewMem()})}, 6},
 	} {
 		cl, err := New(w, cut, tc.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := cl.Trace(1, 8*tokens)
-		if tc.opts == nil && !cl.InstrumentRPC(obs.NewRPCObs(obs.RPCObsConfig{Tracer: tr})) {
-			t.Fatal("fabric does not support InstrumentRPC")
+		if tc.opts == nil {
+			cl.InstrumentRPC(obs.NewRPCObs(obs.RPCObsConfig{Tracer: tr}))
 		}
 		for _, in := range randomWires(23, tokens, w) {
 			if _, err := cl.Inject(in); err != nil {

@@ -173,12 +173,22 @@ func TestGroupVisitsMeetActiveFrozenDead(t *testing.T) {
 // request, deduplicated at the endpoint it is addressed to. With every leg
 // at risk of loss and every request of duplication, each message's visits
 // are served once: every visited component ends with exactly the tokens the
-// messages brought it, and no other component with any (behind the fault
-// injector no handler chains).
+// messages brought it, and no other component with any. The fault injector
+// places every address apart; the wrapper over it serves the visited
+// components together, so the message may visit them all, and the rest
+// apart, so no handler chains past them.
 func TestGroupVisitsAtMostOnceUnderFaults(t *testing.T) {
 	const w, messages = 64, 40
-	cl := faultyCluster(t, w, mustCut(t, w, 2), 0.2)
+	entries := map[transport.Addr]bool{}
+	f := sites{faultyFabric(0.2), func(a transport.Addr) bool { return entries[a] }}
+	cl, err := New(w, mustCut(t, w, 2), WithTransport(f), WithRetry(faultyRetry))
+	if err != nil {
+		t.Fatal(err)
+	}
 	to, ga, visited := entryVisits(cl, randomWires(7, 128, w))
+	for _, cm := range visited {
+		entries[cm.addr] = true
+	}
 	if len(visited) != 4 {
 		t.Fatalf("the message visits %d components, want 4", len(visited))
 	}

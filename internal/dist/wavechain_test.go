@@ -17,7 +17,7 @@ import (
 // moves. It is kept here as the oracle groupChain is held to.
 func (cl *Cluster) waveChain(s *chainScratch, res *wire.GroupArriveRes) {
 	outs, stepped := res.Outs, res.Steps
-	if cl.place != nil && stepped > 0 {
+	if stepped > 0 {
 		tp := cl.topo.Load()
 		var g groupSort
 		g.reset(len(outs))
@@ -43,7 +43,7 @@ func (cl *Cluster) waveChain(s *chainScratch, res *wire.GroupArriveRes) {
 				visit := order[lo:g.count[ci]]
 				lo, g.count[ci] = g.count[ci], 0
 				next := tp.live[ci]
-				if cl.place.Site(next.addr) != "" {
+				if cl.tr.Site(next.addr) != "" {
 					continue
 				}
 				next.mu.Lock()
@@ -107,17 +107,6 @@ func (cl *Cluster) waveChain(s *chainScratch, res *wire.GroupArriveRes) {
 	}
 }
 
-// sites is a Placer that puts the listed addresses on another fabric and
-// everything else on this one.
-type sites map[transport.Addr]bool
-
-func (s sites) Site(a transport.Addr) string {
-	if s[a] {
-		return "elsewhere"
-	}
-	return ""
-}
-
 // replyOutcome is what a group arrive reply says became of its tokens, as a
 // sorted list: per visit status, and for each stepped token its component's
 // output wire or its network output wire (forwardedPositions has the rest).
@@ -149,7 +138,7 @@ func replyOutcome(res wire.GroupArriveRes, visits []served) []string {
 
 // TestOnePassChainMatchesWaveChain holds groupChain to the wave chain it
 // replaced: over random cuts and random groups, with frozen members and a
-// Placer that puts some members on another fabric, both leave every
+// fabric that places some members on another one, both leave every
 // component with the same per-input-wire counts and give the same Steps,
 // the same per-visit statuses, and the same output wires, network exits and
 // forwarded positions (as multisets).
@@ -164,15 +153,15 @@ func TestOnePassChainMatchesWaveChain(t *testing.T) {
 		w := 4 << rng.Intn(5) // 4 .. 64
 		cut := tree.RandomCut(w, rng.Float64(), rng)
 		var cls [2]*Cluster
+		elsewhere := [2]map[transport.Addr]bool{{}, {}}
 		for k := range cls {
-			cl, err := New(w, cut)
+			cl, err := New(w, cut, WithTransport(sites{transport.NewMem(), func(a transport.Addr) bool { return !elsewhere[k][a] }}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			cls[k] = cl
 		}
 		live := [2][]*comp{cls[0].topo.Load().live, cls[1].topo.Load().live}
-		elsewhere := [2]sites{{}, {}}
 		var here []int // the members this fabric serves
 		for i := range live[0] {
 			switch r := rng.Intn(8); {
@@ -188,9 +177,6 @@ func TestOnePassChainMatchesWaveChain(t *testing.T) {
 			default:
 				here = append(here, i)
 			}
-		}
-		for k := range cls {
-			cls[k].place = elsewhere[k]
 		}
 		if len(here) == 0 {
 			continue

@@ -177,31 +177,20 @@ func (t *DedupTable) ShardHits() [DedupShards]uint64 {
 	return hits
 }
 
-// Hits returns the total duplicate count across stripes.
-func (t *DedupTable) Hits() uint64 {
-	var n uint64
-	for i := range t.shards {
-		n += t.shards[i].hits.Load()
-	}
-	return n
-}
-
-// Deduper is implemented by fabrics that support receiver-side
-// at-most-once dedup. Faulty switches it on for its inner fabric, because
-// under retries and injected duplicates receivers must remember executed
-// request IDs.
+// Deduper is implemented by fabrics whose receiver-side at-most-once dedup
+// is switched on from outside: the in-memory Net, which leaves it off
+// because its Send runs the handler inline and never times out. Faulty
+// switches it on, because under retries and injected duplicates receivers
+// must remember executed request IDs. tcpnet, which can time out a
+// delivered call, dedups every endpoint it binds and has no switch.
 type Deduper interface {
 	EnableDedup()
 }
 
-// Redeliverer is implemented by fabrics whose Send can return ErrTimeout
-// for a request that was nevertheless delivered — a real socket where the
-// reply is merely late. On such a fabric the retry client's re-sends reach
-// the handler a second time, so any reliability layer built over it must
-// EnableDedup to keep handler effects at-most-once. The ideal in-memory
-// switch deliberately does not implement this: its Send runs the handler
-// inline and never times out, so retries cannot occur and dedup there
-// would be pure per-call overhead.
+// Redeliverer names a fabric whose Send can return ErrTimeout for a request
+// that was nevertheless delivered, so a retry reaches the handler a second
+// time. The module asks for it nowhere, since such a fabric dedups its own
+// endpoints; it stays because tools built on the module name it.
 type Redeliverer interface {
 	Deduper
 	// CanRedeliver reports whether a timed-out call may still have been

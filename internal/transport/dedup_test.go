@@ -48,7 +48,7 @@ func TestStripedDedupConcurrentRetries(t *testing.T) {
 	if got := runs.Load(); got != workers*perWorker {
 		t.Fatalf("handler ran %d times for %d logical calls (at-most-once violated)", got, workers*perWorker)
 	}
-	hits := mem.DedupShardHits()
+	hits := mem.dedupShardHits()
 	var sum uint64
 	var used int
 	for _, h := range hits {

@@ -51,10 +51,10 @@ const maxLatencySamples = 1 << 18
 
 // NewFaulty wraps inner with fault injection. Any fabric works — the
 // in-memory switch or a tcpnet socket fabric — because the faults are
-// injected around inner.Send; if the fabric supports receiver-side dedup
-// (Deduper), it is switched on, since retries and injected duplicates make
-// at-most-once delivery depend on receivers remembering executed request
-// IDs.
+// injected around inner.Send; if the fabric's receiver-side dedup has a
+// switch (Deduper), it is switched on, since retries and injected
+// duplicates make at-most-once delivery depend on receivers remembering
+// executed request IDs.
 func NewFaulty(inner Transport, cfg FaultConfig) *Faulty {
 	if d, ok := inner.(Deduper); ok {
 		d.EnableDedup()
@@ -67,14 +67,15 @@ func NewFaulty(inner Transport, cfg FaultConfig) *Faulty {
 	}
 }
 
-// InstrumentRPC forwards server-side RPC observation to the inner fabric
-// when it supports it (faults are injected around Send; handler execution
-// still happens inside the inner fabric).
-func (f *Faulty) InstrumentRPC(o *obs.RPCObs) {
-	if ri, ok := f.inner.(RPCInstrumenter); ok {
-		ri.InstrumentRPC(o)
-	}
-}
+// InstrumentRPC implements Transport by forwarding to the inner fabric:
+// faults are injected around Send, and handlers still run inside it.
+func (f *Faulty) InstrumentRPC(o *obs.RPCObs) { f.inner.InstrumentRPC(o) }
+
+// Site implements Transport: every address is a site of its own, whatever
+// the inner fabric knows. A fault injector exists to put every message at
+// risk, so no handler behind it hands a token on in place: every hop stays
+// a message.
+func (f *Faulty) Site(a Addr) string { return string(a) }
 
 // Bind implements Transport.
 func (f *Faulty) Bind(a Addr, h Handler) error { return f.inner.Bind(a, h) }

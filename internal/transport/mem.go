@@ -90,8 +90,8 @@ func (n *Net) Unbind(a Addr) {
 	delete(n.eps, a)
 }
 
-// Site implements Placer: the switch is one fabric instance, so whatever is
-// bound at a is served here, in the caller's own goroutine. It does not
+// Site implements Transport: the switch is one fabric instance, so whatever
+// is bound at a is served here, in the caller's own goroutine. It does not
 // look a up: the question is where a request to a would be served, not
 // whether anything is bound there, and a handler asks it once per component
 // it steps.
@@ -124,10 +124,9 @@ func (n *Net) Send(req Request, timeout time.Duration) (any, error) {
 	return reply, err
 }
 
-// InstrumentRPC installs server-side RPC observation: every handler
-// execution is timed into per-kind latency histograms, and sampled
-// requests get a child span stitched to the wire-propagated trace
-// context. Passing nil uninstalls. Safe to call on a live switch.
+// InstrumentRPC implements Transport: every handler execution is timed into
+// per-kind latency histograms, and sampled requests get a child span
+// stitched to the trace context.
 func (n *Net) InstrumentRPC(o *obs.RPCObs) {
 	n.rpc.Store(o)
 }
@@ -145,11 +144,11 @@ func (n *Net) serve(ep *endpoint, req Request) (any, error) {
 	return reply, err
 }
 
-// DedupShardHits returns the per-stripe duplicate counts summed across all
+// dedupShardHits returns the per-stripe duplicate counts summed across all
 // bound endpoints (index i is stripe i of every endpoint's table). The sum
 // over the slice equals Stats().DedupHits; the spread across entries shows
 // how well the shard hash distributes retried request IDs.
-func (n *Net) DedupShardHits() [DedupShards]uint64 {
+func (n *Net) dedupShardHits() [DedupShards]uint64 {
 	var hits [DedupShards]uint64
 	n.mu.RLock()
 	defer n.mu.RUnlock()

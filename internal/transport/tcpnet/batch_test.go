@@ -96,7 +96,6 @@ func TestSendBatchSendsBeforeWaiting(t *testing.T) {
 // that were answered in time are not retried at all.
 func TestCallBatchRetriesTimedOutAlone(t *testing.T) {
 	n := newNet(t)
-	n.EnableDedup()
 	const timeout = 40 * time.Millisecond
 	var mu sync.Mutex
 	runs := make(map[uint64]int) // request ID -> handler executions

@@ -350,8 +350,8 @@ func (n *Net) serve(cn *conn, req *wire.Request) {
 	_ = cn.send(outFrame{enc: enc, b: frame}, replyWriteTimeout)
 }
 
-// dispatch executes a request against the local endpoint table, applying
-// receiver-side dedup when enabled.
+// dispatch executes a request against the local endpoint table, at most
+// once per request ID and endpoint.
 func (n *Net) dispatch(req transport.Request) (wire.ReplyStatus, any, string) {
 	n.mu.RLock()
 	ep := n.eps[req.To]
@@ -359,19 +359,9 @@ func (n *Net) dispatch(req transport.Request) (wire.ReplyStatus, any, string) {
 	if ep == nil {
 		return wire.ReplyUnreachable, nil, string(req.To)
 	}
-	var reply any
-	var err error
-	if tbl := ep.dedup.Load(); tbl != nil {
-		var hit bool
-		reply, err, hit = tbl.Do(req.ID, func() (any, error) { return n.runHandler(ep, req) })
-		if hit {
-			n.dedupHits.Add(1)
-		}
-	} else {
-		// No dedup: call the handler directly, without the closure the
-		// dedup path needs — the unsampled undeduped request path must not
-		// allocate.
-		reply, err = n.runHandler(ep, req)
+	reply, err, hit := ep.dedup.Do(req.ID, func() (any, error) { return n.runHandler(ep, req) })
+	if hit {
+		n.dedupHits.Add(1)
 	}
 	if err != nil {
 		return wire.ReplyAppError, nil, err.Error()

@@ -161,7 +161,7 @@ func TestCheckoutByIdleness(t *testing.T) {
 	before := map[*conn]uint64{}
 	used := func() *conn {
 		t.Helper()
-		if _, err := a.Send(transport.Request{To: "echo", Kind: wire.KindTotal}, 5*time.Second); err != nil {
+		if _, err := a.Send(transport.Request{ID: nextID(), To: "echo", Kind: wire.KindTotal}, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		var hit *conn
@@ -205,7 +205,7 @@ func TestCheckoutByIdleness(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := a.Send(transport.Request{To: "hold", Kind: wire.KindTotal}, time.Minute); err != nil {
+			if _, err := a.Send(transport.Request{ID: nextID(), To: "hold", Kind: wire.KindTotal}, time.Minute); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -234,7 +234,7 @@ func TestCheckoutByIdleness(t *testing.T) {
 // flight behind.
 func TestInflightZeroAfterFailures(t *testing.T) {
 	a, started, _ := holdNet(t, 1)
-	_, err := a.Send(transport.Request{To: "hold", Kind: wire.KindTotal}, 20*time.Millisecond)
+	_, err := a.Send(transport.Request{ID: nextID(), To: "hold", Kind: wire.KindTotal}, 20*time.Millisecond)
 	if !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("call into a wedged handler: %v, want ErrTimeout", err)
 	}
@@ -244,7 +244,7 @@ func TestInflightZeroAfterFailures(t *testing.T) {
 	// Send's write-failure path, step by step: register, lose the socket,
 	// fail the write, reclaim.
 	c := pooledConns(a)[0]
-	of, mux, ch, err := a.frameRequest(c, transport.Request{To: "echo", Kind: wire.KindTotal})
+	of, mux, ch, err := a.frameRequest(c, transport.Request{ID: nextID(), To: "echo", Kind: wire.KindTotal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,9 +595,11 @@ func TestServeGoroutinesReusedAndReleased(t *testing.T) {
 }
 
 // TestUnsampledRequestPathAllocs pins the zero-alloc budget end to end: an
-// uninstrumented, undeduped request/reply round trip — client encode,
-// socket, server decode, dispatch, reply encode, socket, reply decode —
-// stays within 2 allocations per op (target 0), using only the pools.
+// uninstrumented request/reply round trip — client encode, socket, server
+// decode, deduplicated dispatch, reply encode, socket, reply decode — stays
+// within 2 allocations per op (target 0), using only the pools. Every
+// request gets a fresh ID, as transport.Client gives it, so each one runs
+// its handler.
 func TestUnsampledRequestPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats the allocation optimizations this test pins")
@@ -608,12 +610,15 @@ func TestUnsampledRequestPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := transport.Request{To: "t", Kind: wire.KindTotal}
-	for i := 0; i < 100; i++ { // warm the conn pools and sync.Pools
+	for i := 0; i < 100; i++ { // warm the conn pools, sync.Pools and dedup table
+		req.ID = nextID()
 		if _, err := a.Send(req, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
+	runs := b.Stats().Delivered
 	avg := testing.AllocsPerRun(300, func() {
+		req.ID = nextID()
 		reply, err := a.Send(req, time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -624,6 +629,9 @@ func TestUnsampledRequestPathAllocs(t *testing.T) {
 	})
 	if avg > 2 {
 		t.Fatalf("unsampled request path allocates %.2f/op, budget is 2", avg)
+	}
+	if got := b.Stats().Delivered - runs; got != 301 { // AllocsPerRun adds a warm-up run
+		t.Fatalf("%d handler runs for 301 requests of distinct IDs", got)
 	}
 	t.Logf("unsampled request path: %.2f allocs/op", avg)
 }

@@ -95,7 +95,7 @@ func TestRoutePrecedence(t *testing.T) {
 // moves the addresses under its prefix elsewhere, longest prefix first.
 func TestSiteFollowsRoutes(t *testing.T) {
 	a, b, c := newNet(t), newNet(t), newNet(t)
-	var pl transport.Placer = a
+	var pl transport.Transport = a
 	for _, addr := range []transport.Addr{"c:01#3", "c:2#7", "t:p0:1"} {
 		if pl.Site(addr) != "" {
 			t.Fatalf("%q not served here on a fabric with no routes", addr)

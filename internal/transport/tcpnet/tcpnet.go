@@ -21,10 +21,12 @@
 //     unresolvable or undialable destination is ErrUnreachable (not
 //     retried; the caller re-resolves), and a handler-side "no endpoint
 //     bound" reply is ErrUnreachable too, exactly like the memory switch.
-//   - Receiver-side dedup is the same bounded DedupTable the memory switch
-//     uses, keyed per endpoint, so retries and wire-level duplicates keep
-//     handler effects at-most-once (the E24 exactness property) over a
-//     real socket.
+//   - Every endpoint is deduplicated: a call that misses its reply deadline
+//     over a socket may still have been delivered, so this fabric is the
+//     one that can redeliver, and it keeps the same bounded DedupTable the
+//     memory switch uses per endpoint, always on. Retries and wire-level
+//     duplicates therefore keep handler effects at-most-once (the E24
+//     exactness property) over a real socket, whoever builds on it.
 //   - Each inbound request is served on a goroutine of its own while it
 //     runs, so a slow handler delays nobody else; the goroutine then parks
 //     and serves a later request, so the serve goroutines are as many as
@@ -78,7 +80,7 @@ func (c Config) withDefaults() Config {
 // endpoint is one bound address on the receiving side.
 type endpoint struct {
 	h     transport.Handler
-	dedup atomic.Pointer[transport.DedupTable] // nil until dedup enabled
+	dedup *transport.DedupTable
 }
 
 // WireStats are the byte- and connection-level counters a socket fabric
@@ -97,15 +99,14 @@ type WireStats struct {
 }
 
 // Net is a TCP fabric. It implements transport.Transport and
-// transport.Deduper.
+// transport.BatchSender.
 type Net struct {
 	cfg  Config
 	ln   net.Listener
 	addr string
 
-	mu    sync.RWMutex
-	eps   map[transport.Addr]*endpoint
-	dedup bool
+	mu  sync.RWMutex
+	eps map[transport.Addr]*endpoint
 
 	// routes is the current routing snapshot. Every Send, every SendBatch
 	// request and every step of a dist handler chain resolves against it, so
@@ -261,7 +262,7 @@ func (n *Net) resolve(a transport.Addr) string {
 	return n.addr
 }
 
-// Site implements transport.Placer: a is served by the fabric its route
+// Site implements transport.Transport: a is served by the fabric its route
 // resolves to, which is this one ("") when that is its own listener. Read
 // per call, because routes are installed after construction (launch wires
 // them once every listener's address is known).
@@ -294,33 +295,16 @@ func (n *Net) Instrument(reg *obs.Registry) {
 	})
 }
 
-// InstrumentRPC installs server-side RPC observation on this fabric's
-// dispatch path: handler latency per message kind, child spans for
-// sampled wire-propagated trace contexts, and the observer's slow-RPC /
-// flight-recorder policies. Passing nil uninstalls. Safe to call while
-// traffic flows.
+// InstrumentRPC implements transport.Transport on this fabric's dispatch
+// path: handler latency per message kind, child spans for sampled
+// wire-propagated trace contexts, and the observer's slow-RPC /
+// flight-recorder policies.
 func (n *Net) InstrumentRPC(o *obs.RPCObs) {
 	n.rpc.Store(o)
 }
 
-// CanRedeliver implements transport.Redeliverer: a call that misses its
-// reply deadline over a real socket may still have been delivered and
-// executed, so retries over this fabric re-execute handlers unless dedup
-// is on.
-func (n *Net) CanRedeliver() bool { return true }
-
-// EnableDedup implements transport.Deduper: every current and future
-// endpoint gets a bounded at-most-once call cache.
-func (n *Net) EnableDedup() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dedup = true
-	for _, ep := range n.eps {
-		ep.dedup.CompareAndSwap(nil, transport.NewDedupTable(0))
-	}
-}
-
-// Bind implements transport.Transport.
+// Bind implements transport.Transport. The endpoint gets its bounded
+// at-most-once call cache from the start (see the package comment).
 func (n *Net) Bind(a transport.Addr, h transport.Handler) error {
 	if h == nil {
 		return fmt.Errorf("tcpnet: nil handler for %q", a)
@@ -330,11 +314,7 @@ func (n *Net) Bind(a transport.Addr, h transport.Handler) error {
 	if _, ok := n.eps[a]; ok {
 		return fmt.Errorf("tcpnet: address %q already bound", a)
 	}
-	ep := &endpoint{h: h}
-	if n.dedup {
-		ep.dedup.Store(transport.NewDedupTable(0))
-	}
-	n.eps[a] = ep
+	n.eps[a] = &endpoint{h: h, dedup: transport.NewDedupTable(0)}
 	return nil
 }
 
@@ -576,9 +556,7 @@ func (n *Net) DedupEntries() int {
 	defer n.mu.RUnlock()
 	total := 0
 	for _, ep := range n.eps {
-		if tbl := ep.dedup.Load(); tbl != nil {
-			total += tbl.Len()
-		}
+		total += ep.dedup.Len()
 	}
 	return total
 }

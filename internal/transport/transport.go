@@ -14,9 +14,10 @@
 //     ErrTimeout after the caller's deadline.
 //   - Client, the reliability layer: per-call message IDs, per-attempt
 //     timeouts and capped exponential backoff retries. Together with the
-//     receiver-side dedup cache (enabled by Faulty) this gives at-most-once
-//     handler execution with at-least-once delivery attempts — the
-//     combination that keeps counting exact under message loss (E24).
+//     receiver-side dedup cache (switched on by Faulty over Net, always on
+//     in the socket fabric tcpnet) this gives at-most-once handler
+//     execution with at-least-once delivery attempts — the combination
+//     that keeps counting exact under message loss (E24).
 //
 // The design follows the pluggable in-memory transport idiom of gossip
 // implementations (e.g. brahms' MemNetTransport): tests and experiments
@@ -66,7 +67,10 @@ type Request struct {
 // (a dedup table keeps replies for retries); it copies what it needs.
 type Handler func(req Request) (any, error)
 
-// Transport moves requests between endpoints.
+// Transport moves requests between endpoints. It states everything a
+// caller relies on, so a wrapper that embeds a Transport forwards all of it
+// and cannot silently drop a part. Only BatchSender, whose absence costs
+// speed and never correctness, stays optional (see there).
 type Transport interface {
 	// Bind registers the handler for an address. Binding an already-bound
 	// address is an error.
@@ -77,45 +81,40 @@ type Transport interface {
 	// reply. timeout bounds the wait: a transport that loses or delays the
 	// request or the reply returns ErrTimeout once the deadline passes.
 	Send(req Request, timeout time.Duration) (any, error)
+	// Site names the fabric instance a request addressed to a would be
+	// served by. The empty string is this same instance, with no socket or
+	// process in between (Mem: always; tcpnet: when its routes resolve a to
+	// its own listener) — a handler may then hand work to the endpoint at a
+	// directly instead of sending it a message. Two addresses with the same
+	// Site are served by the same instance, so work for both can travel
+	// there in one message. Callers read it per request, since routes can be
+	// installed after construction. Faulty answers every address with the
+	// address itself, so every hop behind it stays a message at risk.
+	Site(a Addr) string
+	// InstrumentRPC installs server-side observation of handler execution:
+	// per-kind latency histograms, child spans stitched to the request's
+	// trace context, and the observer's slow-RPC / flight-recorder
+	// policies. Passing nil uninstalls. Safe to call while traffic flows.
+	InstrumentRPC(o *obs.RPCObs)
 	// Stats returns a snapshot of the per-message counters.
 	Stats() Stats
 }
 
-// RPCInstrumenter is implemented by fabrics that can observe server-side
-// handler execution (the in-memory Net and tcpnet.Net): per-kind latency
-// histograms, child spans stitched to the request's trace context, and
-// the observer's slow-RPC / flight-recorder policies.
-type RPCInstrumenter interface {
-	InstrumentRPC(*obs.RPCObs)
-}
-
 // BatchSender is implemented by fabrics that can put several independent
-// requests on the wire together (tcpnet: one vectored write per
-// destination) and wait for their replies under one deadline. SendBatch
-// is len(reqs) Sends issued at once: replies[i] and errs[i] receive what
-// Send(reqs[i], timeout) would have returned, a late reply is that
-// request's ErrTimeout alone, and the slices all have the same length.
-// Client.CallBatch uses it when present and falls back to sequential
-// Sends otherwise, so wrappers need not forward it.
+// requests on the wire together (tcpnet) and wait for their replies under
+// one deadline. SendBatch is len(reqs) Sends issued at once: replies[i] and
+// errs[i] receive what Send(reqs[i], timeout) would have returned, a late
+// reply is that request's ErrTimeout alone, and the slices all have the
+// same length. Client.CallBatch uses it when present and falls back to
+// sequential Sends otherwise.
+//
+// It stays optional, unlike the methods of Transport, because a wrapper
+// that overrides Send to observe it (the benchmark's span tracer) would have
+// a promoted SendBatch bypass its Send: the requests of a multi-destination
+// round would leave without their spans. Without it they leave one Send
+// after another.
 type BatchSender interface {
 	SendBatch(reqs []Request, timeout time.Duration, replies []any, errs []error)
-}
-
-// Placer is implemented by fabrics that know placement: Site names the
-// fabric instance a request addressed to a would be served by. The empty
-// string is this same instance, with no socket or process in between (the
-// in-memory switch: always; tcpnet: when its routes resolve a to its own
-// listener) — a handler may then hand work to the endpoint at a directly
-// instead of sending it a message. Two addresses with the same Site are
-// served by the same instance, so work for both can travel there in one
-// message. The answer is read per request, since routes can be installed
-// after construction. A fabric or wrapper without the capability answers
-// nothing, which callers must take as "each address is served somewhere
-// else again": hiding it can cost speed, never correctness. Faulty
-// deliberately does not forward it — a fault injector exists to put every
-// message at risk.
-type Placer interface {
-	Site(a Addr) string
 }
 
 // ErrTimeout is returned by Send when no reply arrived within the deadline

@@ -228,17 +228,18 @@ func TestFaultDecisionsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlacerIsOptIn: the in-memory switch answers the placement question;
-// the fault injector does not forward it, so everything built over Faulty
-// keeps every hop a message that can be lost.
+// TestPlacerIsOptIn: the in-memory switch answers the placement question
+// with "served here"; the fault injector answers every address with a site
+// of its own, so everything built over Faulty keeps every hop a message
+// that can be lost.
 func TestPlacerIsOptIn(t *testing.T) {
 	var mem Transport = NewMem()
-	if p, ok := mem.(Placer); !ok || p.Site("c:0#1") != "" {
+	if mem.Site("c:0#1") != "" {
 		t.Fatal("the in-memory switch does not report its addresses as served here")
 	}
 	var faulty Transport = NewFaulty(NewMem(), FaultConfig{})
-	if _, ok := faulty.(Placer); ok {
-		t.Fatal("Faulty forwards Placer: hops behind the fault injector would stop being messages")
+	if a, b := faulty.Site("c:0#1"), faulty.Site("c:1#2"); a == "" || b == "" || a == b {
+		t.Fatalf("Faulty places c:0#1 at %q and c:1#2 at %q: hops behind the fault injector would stop being messages", a, b)
 	}
 }
 
