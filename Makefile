@@ -3,9 +3,9 @@ GO ?= go
 # get a second pass under the race detector.
 RACE_PKGS = ./internal/wire/... ./internal/transport/... ./internal/dist/... ./internal/chord/... ./internal/core/... ./internal/tree/... ./internal/cutnet/... ./internal/obs/... ./internal/match/... ./internal/launch/... .
 
-.PHONY: check fmt vet build test multicore distalone benchtest race bench benchsmoke perfsmoke tracesmoke partsmoke fuzzsmoke examplesmoke
+.PHONY: check fmt vet build test multicore distalone synctest benchtest race bench benchsmoke perfsmoke tracesmoke partsmoke fuzzsmoke examplesmoke
 
-check: fmt vet build test multicore distalone benchtest race benchsmoke perfsmoke tracesmoke partsmoke fuzzsmoke examplesmoke
+check: fmt vet build test multicore distalone synctest benchtest race benchsmoke perfsmoke tracesmoke partsmoke fuzzsmoke examplesmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -48,6 +48,13 @@ DIST_TURNED_AWAY = Frozen|Dead|Stale|DuringReconfig|UnderFaulty
 distalone:
 	$(GO) test -count=2 -cpu 1,2,4 ./internal/dist/
 	$(GO) test -race -count=5 -cpu 1,2,4 -run '$(DIST_TURNED_AWAY)' ./internal/dist/
+
+# dist's bubbled tests (TestBubble*), on the fake clock of testing/synctest,
+# which go 1.24 ships only behind GOEXPERIMENT=synctest: a wait that can
+# never end fails in milliseconds as the bubble's deadlock report instead of
+# hanging until go test's timeout. Plain `go test` builds without them.
+synctest:
+	GOEXPERIMENT=synctest $(GO) test -count=3 -cpu 1,2,4 -run '^TestBubble' ./internal/dist/
 
 # The benchmark (acnload) is a Go module of its own under benchmark/, so
 # `go test ./...` at the root does not reach its tests.

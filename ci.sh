@@ -19,6 +19,7 @@ step "go build" build
 step "go test" test
 step "go test -cpu 1,2,4 (lock-free packages, transport, launch)" multicore
 step "go test -cpu 1,2,4 (dist alone; turned-away tests under -race)" distalone
+step "go test, GOEXPERIMENT=synctest (dist's bubbled tests)" synctest
 step "go test (benchmark module)" benchtest
 step "go test -race (concurrent packages)" race
 step "benchmark smoke (1 iteration each)" benchsmoke

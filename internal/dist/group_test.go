@@ -311,16 +311,16 @@ func TestCountingOverTCP(t *testing.T) {
 	}
 }
 
-// TestNewEnablesDedup pins the at-most-once wiring: a cluster built over
-// tcpnet has its endpoints deduplicated without asking for it, because the
-// retry client re-sends past its deadline and over a socket the original
-// may still have been delivered — a re-executed arrive handler
+// TestTCPClusterIsDeduplicated pins the at-most-once wiring: a cluster
+// built over tcpnet has its endpoints deduplicated without asking for it,
+// because the retry client re-sends past its deadline and over a socket the
+// original may still have been delivered — a re-executed arrive handler
 // double-counts the token, a conservation break that wedges the next
 // merge's drain phase forever. (Observed as a rare TestCountingOverTCP hang
 // under -race, where handler latency can exceed the 25ms retry deadline.)
 // tcpnet dedups every endpoint it binds; the in-memory fabric need not: its
 // Send never times out, so retries cannot occur.
-func TestNewEnablesDedup(t *testing.T) {
+func TestTCPClusterIsDeduplicated(t *testing.T) {
 	w := 8
 	cl, tn := tcpCluster(t, w, tree.RootCut(), 0)
 	if _, err := cl.Inject(3); err != nil {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // TestAllExperimentsQuick runs every registered experiment in quick mode
@@ -160,6 +162,42 @@ func TestTableFormatting(t *testing.T) {
 	for _, want := range []string{"2.5", "yes", "no", "note: n=7", "1.5"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestE25HopsFollowBinomial holds Chord's lookup hop counts to idealised
+// Chord's model, Binomial(log2 N, 1/2) + 1, by total-variation distance:
+// at most hopModelTolerance (0.15) for each of seeds 1–5, and at most 0.10
+// for the five seeds' lookups pooled, at N = 256 and N = 1024. Both bounds
+// were set before the test was first run.
+func TestE25HopsFollowBinomial(t *testing.T) {
+	const pooledTolerance = 0.10
+	for _, n := range []int{256, 1024} {
+		var pooled *stats.Histogram
+		for seed := int64(1); seed <= 5; seed++ {
+			r, err := lookupHops(seed+int64(n), n, 1200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tv := totalVariation(hopPMF(r.hops), hopModel(n))
+			t.Logf("N=%d seed %d: %d lookups, TV %.3f", n, seed, r.hops.Count(), tv)
+			if r.hops.Count() < minModelLookups {
+				t.Errorf("N=%d seed %d: %d lookups, too few to test the model", n, seed, r.hops.Count())
+			}
+			if tv > hopModelTolerance {
+				t.Errorf("N=%d seed %d: TV %.3f > %.2f", n, seed, tv, hopModelTolerance)
+			}
+			if pooled == nil {
+				pooled = r.hops
+			} else if err := pooled.Merge(r.hops); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tv := totalVariation(hopPMF(pooled), hopModel(n))
+		t.Logf("N=%d pooled: %d lookups, TV %.3f", n, pooled.Count(), tv)
+		if tv > pooledTolerance {
+			t.Errorf("N=%d pooled: TV %.3f > %.2f", n, tv, pooledTolerance)
 		}
 	}
 }

@@ -557,12 +557,7 @@ func BenchmarkEcho(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer n.Close()
-	if err := n.Bind("c:echo", func(req transport.Request) (any, error) {
-		g := req.Body.(wire.GroupArrive)
-		return wire.GroupArriveRes{Status: wire.StatusProcessed, Outs: []int{g.Wires[0]}}, nil
-	}); err != nil {
-		b.Fatal(err)
-	}
+	bindEcho(b, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -574,5 +569,17 @@ func BenchmarkEcho(b *testing.B) {
 		if out := reply.(wire.GroupArriveRes).Outs; len(out) != 1 || out[0] != i&63 {
 			b.Fatalf("echo of wire %d: %v", i&63, out)
 		}
+	}
+}
+
+// bindEcho binds c:echo on n to a handler that answers a group arrive at
+// once, as the component it stands for would.
+func bindEcho(b *testing.B, n *Net) {
+	b.Helper()
+	if err := n.Bind("c:echo", func(req transport.Request) (any, error) {
+		g := req.Body.(wire.GroupArrive)
+		return wire.GroupArriveRes{Status: wire.StatusProcessed, Outs: []int{g.Wires[0]}}, nil
+	}); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -228,11 +228,11 @@ func TestFaultDecisionsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlacerIsOptIn: the in-memory switch answers the placement question
-// with "served here"; the fault injector answers every address with a site
-// of its own, so everything built over Faulty keeps every hop a message
-// that can be lost.
-func TestPlacerIsOptIn(t *testing.T) {
+// TestSiteAnswersPlacement: the in-memory switch answers the placement
+// question with "served here"; the fault injector answers every address
+// with a site of its own, so everything built over Faulty keeps every hop a
+// message that can be lost.
+func TestSiteAnswersPlacement(t *testing.T) {
 	var mem Transport = NewMem()
 	if mem.Site("c:0#1") != "" {
 		t.Fatal("the in-memory switch does not report its addresses as served here")
