@@ -84,7 +84,7 @@ benchsmoke:
 # two group arrive handlers' chains and the reused serve goroutines of
 # tcpnet race each other.
 perfsmoke:
-	$(GO) test -race -bench 'ColdWarmup|CoreSetup|TokenFullyExpanded|TokenAdaptive$$|TokenAdaptiveParallel|TokenAdaptiveBatch|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|ChordLookupCached|WireCodec' -benchtime 1x -run '^$$' .
+	$(GO) test -race -bench 'ColdWarmup|CoreSetup|TokenFullyExpanded|TokenAdaptive$$|TokenAdaptiveParallel|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|ChordLookupCached|WireCodec' -benchtime 1x -run '^$$' .
 
 # End-to-end trace export: a small sim writes sampled spans as Perfetto
 # trace-event JSON, and the validator re-parses the file and checks its

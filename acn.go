@@ -21,7 +21,6 @@
 //	net.MaintainToFixpoint(100)       // nodes split components to match
 //	client, err := net.NewClient()
 //	tr, err := client.Inject()        // tr.Value is the next counter value
-//	bt, err := client.InjectBatch(ws) // a burst of tokens, one per input wire
 //
 // The package also exposes the substrates and baselines used by the
 // experiment harness: classical balancer-level networks (Bitonic,
@@ -61,12 +60,6 @@ type Client = core.Client
 
 // TokenTrace reports a token's counter value and per-token protocol costs.
 type TokenTrace = core.TokenTrace
-
-// BatchTrace reports the aggregate protocol costs of one Client.InjectBatch
-// call: the whole burst routes against one topology snapshot, moving as
-// coalescing token groups that pay component resolution and cache probes
-// once per group instead of once per token.
-type BatchTrace = core.BatchTrace
 
 // Metrics are the Network's cumulative protocol counters.
 type Metrics = core.Metrics

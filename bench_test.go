@@ -125,93 +125,6 @@ func BenchmarkTokenAdaptive(b *testing.B) {
 	}
 }
 
-// BenchmarkTokenAdaptiveBatch injects bursts of 128 tokens per
-// Client.InjectBatch call, the burst landing on one input wire per batch
-// (the workload generators' bursty arrival shape, rotating wires across
-// batches). One op is one token, so ns/op compares directly against
-// BenchmarkTokenAdaptive: the gap is the snapshot/entry/group
-// amortization of the batched pipeline.
-func BenchmarkTokenAdaptiveBatch(b *testing.B) {
-	for _, nodes := range []int{16, 128} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			net, err := core.New(core.Config{Width: 1 << 12, Seed: 1, InitialNodes: nodes})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := net.MaintainToFixpoint(200); err != nil {
-				b.Fatal(err)
-			}
-			client, err := net.NewClient()
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(2))
-			const batch = 128
-			ins := make([]int, batch)
-			b.ResetTimer()
-			for done := 0; done < b.N; done += batch {
-				n := batch
-				if left := b.N - done; left < n {
-					n = left
-				}
-				wire := rng.Intn(1 << 12)
-				for i := 0; i < n; i++ {
-					ins[i] = wire
-				}
-				if _, err := client.InjectBatch(ins[:n]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTokenAdaptiveBatchParallel runs batched injection from
-// concurrent clients: the lock-free group claims (TryStepN) mean
-// concurrent batches contend only on the atomic component words, one CAS
-// per group instead of one per token. One op is one token.
-func BenchmarkTokenAdaptiveBatchParallel(b *testing.B) {
-	for _, nodes := range []int{16, 128} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			net, err := core.New(core.Config{Width: 1 << 12, Seed: 1, InitialNodes: nodes})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := net.MaintainToFixpoint(200); err != nil {
-				b.Fatal(err)
-			}
-			var gid atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				client, err := net.NewClient()
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				rng := rand.New(rand.NewSource(100 + gid.Add(1)))
-				const batch = 128
-				ins := make([]int, batch)
-				for pb.Next() {
-					// pb.Next counts single tokens; fill the batch and charge
-					// the remaining 127 against the loop.
-					n := 1
-					for n < batch && pb.Next() {
-						n++
-					}
-					wire := rng.Intn(1 << 12)
-					for i := 0; i < n; i++ {
-						ins[i] = wire
-					}
-					if _, err := client.InjectBatch(ins[:n]); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkTokenAdaptiveParallel injects from concurrent clients (one per
 // worker goroutine), exercising the lock-free balancer fetch-add, the
 // epoch-snapshot topology, and the lookup/neighbor caches under
@@ -510,8 +423,6 @@ func BenchmarkE24FaultyTransport(b *testing.B) { benchExperiment(b, "E24") }
 
 func BenchmarkE26Multicore(b *testing.B) { benchExperiment(b, "E26") }
 
-func BenchmarkE30RPCFastPath(b *testing.B) { benchExperiment(b, "E30") }
-
 func BenchmarkE32Partitioned(b *testing.B) { benchExperiment(b, "E32") }
 
 // BenchmarkE25Observability prints its table unconditionally (not just
@@ -625,9 +536,9 @@ func BenchmarkTokenDistTCPParallel(b *testing.B) {
 // BenchmarkTokenDistTCPCallers is BenchmarkTokenDistTCP with 1, 2 and 4
 // closed-loop callers on one fabric — the benchmark's tcp-token shape. Each
 // token is one RPC to the same destination, so with more callers than
-// pooled connections (PoolSize 2) calls share a socket; p95-us is the
-// per-token tail that sharing costs, which ns/op (a mean over all callers)
-// does not show. An untimed warm-up of 64 tokens per caller fills the pool,
+// pooled connections (two per destination) calls share a socket; p95-us is
+// the per-token tail that sharing costs, which ns/op (a mean over all
+// callers) does not show. An untimed warm-up of 64 tokens per caller fills the pool,
 // and makes a -benchtime 1x run under -race still cross the shared path.
 func BenchmarkTokenDistTCPCallers(b *testing.B) {
 	for _, callers := range []int{1, 2, 4} {

@@ -16,8 +16,8 @@
 // With -http, harness-level metrics (experiments completed, per-experiment
 // wall time) are served for the duration of the run, alongside the expvar
 // and pprof endpoints — attach a profiler to a long sweep by pointing it at
-// the printed address. Experiments that build a real TCP fabric (E30, E32)
-// instrument it into the same registry, so tcpnet byte counters and
+// the printed address. An experiment that builds a real TCP fabric (E32)
+// instruments it into the same registry, so tcpnet byte counters and
 // pool-health gauges (tcpnet.pool.dialing, tcpnet.pool.cooldown,
 // tcpnet.conns.open) are live on /metrics and /debug/vars while they run.
 //

@@ -96,8 +96,8 @@ func (n *Network) NodeLevels() ([]int, error) {
 	return out, nil
 }
 
-// SizeEstimates returns every node's current size estimate n_v.
-func (n *Network) SizeEstimates() ([]float64, error) {
+// sizeEstimates returns every node's current size estimate n_v.
+func (n *Network) sizeEstimates() ([]float64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if err := n.refreshEstimatesLocked(); err != nil {

@@ -45,7 +45,7 @@ func perWireInject(c *Client, in int) (TokenTrace, error) {
 			tr.OutWire = netOut
 			m := n.out[netOut].Add(1) - 1
 			tr.Value = m*uint64(n.cfg.Width) + uint64(netOut)
-			c.stripe.add(1, &tr)
+			c.stripe.add(&tr)
 			return tr, nil
 		}
 		lc = next

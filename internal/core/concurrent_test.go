@@ -77,7 +77,7 @@ func TestConcurrentInjectionDuringMaintain(t *testing.T) {
 	}
 	const workers = 6
 	const per = 1500
-	startEpoch := n.TopologyEpoch()
+	startEpoch := n.topologyEpoch()
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		client, err := n.NewClient()
@@ -102,7 +102,7 @@ func TestConcurrentInjectionDuringMaintain(t *testing.T) {
 		defer close(done)
 		var added []int64
 		for i := 0; i < 6; i++ {
-			id := n.AddNode()
+			id := n.addNode()
 			added = append(added, int64(id))
 			if _, err := n.MaintainToFixpoint(100); err != nil {
 				t.Error(err)
@@ -128,7 +128,7 @@ func TestConcurrentInjectionDuringMaintain(t *testing.T) {
 	if got := n.Metrics().Tokens; got != workers*per {
 		t.Fatalf("metrics counted %d tokens, want %d", got, workers*per)
 	}
-	if n.TopologyEpoch() == startEpoch {
+	if n.topologyEpoch() == startEpoch {
 		t.Fatal("structural churn published no new topology epoch")
 	}
 	if n.Metrics().Splits == 0 {
@@ -171,7 +171,7 @@ func TestLookupCacheInvalidationOnChurn(t *testing.T) {
 		desc string
 		do   func() error
 	}{
-		{"join", func() error { n.AddNode(); return nil }},
+		{"join", func() error { n.addNode(); return nil }},
 		{"leave", func() error { _, err := n.RemoveRandomNode(); return err }},
 		{"crash", func() error {
 			if _, err := n.CrashRandomNode(); err != nil {

@@ -221,9 +221,9 @@ type tokenStripe struct {
 	_             [128 - 11*8]byte
 }
 
-// add folds the costs tr sums over tokens tokens into the stripe.
-func (s *tokenStripe) add(tokens int, tr *TokenTrace) {
-	addNonZero(&s.tokens, tokens)
+// add folds one token's costs into the stripe.
+func (s *tokenStripe) add(tr *TokenTrace) {
+	s.tokens.Add(1)
 	addNonZero(&s.wireHops, tr.WireHops)
 	addNonZero(&s.nameLookups, tr.NameLookups)
 	addNonZero(&s.lookupHops, tr.LookupHops)
@@ -361,17 +361,15 @@ type Network struct {
 
 	// Observability handles, fixed at construction (nil when cfg.Obs is
 	// nil); safe to read without the lock.
-	tracer    *obs.Tracer
-	hTokE2E   *obs.Hist // per-token injection-to-exit seconds
-	hBatchSec *obs.Hist // per-InjectBatch wall seconds
-	hBatchTok *obs.Hist // per-InjectBatch token counts
-	hTokWire  *obs.Hist // per-token wire hops (components traversed)
-	hTokLook  *obs.Hist // per-token DHT lookups
-	hTokTry   *obs.Hist // per-token entry tries
-	hSplit    *obs.Hist // per-split seconds
-	hMerge    *obs.Hist // per-merge seconds
-	hRepair   *obs.Hist // per-component repair seconds
-	hHold     *obs.Hist // per-structural-operation exclusive hold seconds
+	tracer   *obs.Tracer
+	hTokE2E  *obs.Hist // per-token injection-to-exit seconds
+	hTokWire *obs.Hist // per-token wire hops (components traversed)
+	hTokLook *obs.Hist // per-token DHT lookups
+	hTokTry  *obs.Hist // per-token entry tries
+	hSplit   *obs.Hist // per-split seconds
+	hMerge   *obs.Hist // per-merge seconds
+	hRepair  *obs.Hist // per-component repair seconds
+	hHold    *obs.Hist // per-structural-operation exclusive hold seconds
 	// cLCHits is the registry's chord.lcache.hits counter, so entry-memo
 	// hits show where the LookupCache's own hits do.
 	cLCHits *obs.Counter
@@ -466,8 +464,6 @@ func New(cfg Config) (*Network, error) {
 		n.lcache.Instrument(reg)
 		n.cLCHits = reg.Counter("chord.lcache.hits")
 		n.hTokE2E = reg.Histogram("core.token.seconds", 0, 0.01, 1000)
-		n.hBatchSec = reg.Histogram("core.batch.seconds", 0, 0.05, 500)
-		n.hBatchTok = reg.Histogram("core.batch.tokens", 0, 1024, 256)
 		n.hTokWire = reg.Histogram("core.token.wirehops", 0, 128, 128)
 		n.hTokLook = reg.Histogram("core.token.lookups", 0, 64, 64)
 		n.hTokTry = reg.Histogram("core.token.entrytries", 0, 32, 32)
@@ -543,11 +539,11 @@ func (n *Network) publishLocked() {
 	n.topo.Store(t)
 }
 
-// TopologyEpoch returns the current snapshot epoch: it increases by one
+// topologyEpoch returns the current snapshot epoch: it increases by one
 // per structural operation — one epoch per batch, however many nodes an
 // AddNodes joined or rounds a MaintainToFixpoint ran — and is the version
 // the routing path resolves against.
-func (n *Network) TopologyEpoch() uint64 {
+func (n *Network) topologyEpoch() uint64 {
 	return n.topo.Load().epoch
 }
 
@@ -664,10 +660,10 @@ func (n *Network) removeCompLocked(p tree.Path) {
 	lc.nbrs = nil
 }
 
-// AddNode joins one node to the overlay and migrates the components whose
+// addNode joins one node to the overlay and migrates the components whose
 // names it now owns (standard Chord key hand-off; the counting network
 // state itself needs no change, Section 3.4).
-func (n *Network) AddNode() chord.NodeID {
+func (n *Network) addNode() chord.NodeID {
 	return n.AddNodes(1)[0]
 }
 

@@ -322,13 +322,13 @@ func TestMaintainRefusesWithLostComponents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := n.Maintain(); err == nil {
-		t.Fatal("Maintain should refuse while components are lost")
+	if _, err := n.maintain(); err == nil {
+		t.Fatal("maintain should refuse while components are lost")
 	}
 	if _, err := n.Stabilize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Maintain(); err != nil {
+	if _, err := n.maintain(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -550,7 +550,7 @@ func TestAccessors(t *testing.T) {
 	if total != n.Metrics().WireHops {
 		t.Fatalf("per-node loads sum %d != wire hops %d", total, n.Metrics().WireHops)
 	}
-	ests, err := n.SizeEstimates()
+	ests, err := n.sizeEstimates()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,8 @@ func TestAccessors(t *testing.T) {
 // TestTokenLoadSumsToWireHops pins TokenLoadPerNode as exact although no
 // token counts it: read off the component totals, the per-node loads sum to
 // the wire hops the tokens metered across joins (moves), splits, a merge
-// and both injection paths, and a fault and its repair add no load.
+// and tokens on random and on chosen wires, and a fault and its repair add
+// no load.
 func TestTokenLoadSumsToWireHops(t *testing.T) {
 	n := mustNew(t, Config{Width: 64, Seed: 31, InitialNodes: 2})
 	c := mustClient(t, n)
@@ -583,15 +584,13 @@ func TestTokenLoadSumsToWireHops(t *testing.T) {
 	}
 	inject := func(when string) {
 		t.Helper()
-		ins := make([]int, 100)
-		for i := range ins {
+		for i := 0; i < 100; i++ {
 			if _, err := c.Inject(); err != nil {
 				t.Fatal(err)
 			}
-			ins[i] = 7 * i % 64
-		}
-		if _, err := c.InjectBatch(ins); err != nil {
-			t.Fatal(err)
+			if _, err := c.InjectAt(7 * i % 64); err != nil {
+				t.Fatal(err)
+			}
 		}
 		check(when)
 	}
@@ -652,7 +651,7 @@ func TestWidthExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Further maintenance is a no-op.
-	changed, err := n.Maintain()
+	changed, err := n.maintain()
 	if err != nil {
 		t.Fatal(err)
 	}

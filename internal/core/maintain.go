@@ -26,11 +26,11 @@ func (n *Network) refreshEstimatesLocked() error {
 	return nil
 }
 
-// Maintain runs one decentralized maintenance round: every node refreshes
+// maintain runs one decentralized maintenance round: every node refreshes
 // its level estimate and applies the splitting and merging rules of
 // Section 3.2 to the components it is responsible for. It reports whether
 // any structural change happened.
-func (n *Network) Maintain() (bool, error) {
+func (n *Network) maintain() (bool, error) {
 	defer n.unlockStruct(n.lockStruct())
 	defer n.publishLocked()
 	return n.maintainLocked()

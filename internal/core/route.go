@@ -149,7 +149,7 @@ func (c *Client) InjectAt(in int) (TokenTrace, error) {
 			tr.OutWire = netOut
 			m := n.out[netOut].Add(1) - 1
 			tr.Value = m*uint64(n.cfg.Width) + uint64(netOut)
-			c.stripe.add(1, &tr)
+			c.stripe.add(&tr)
 			if n.hTokE2E != nil {
 				n.hTokE2E.Observe(time.Since(start).Seconds())
 				n.hTokWire.Observe(float64(tr.WireHops))
@@ -330,7 +330,7 @@ func (n *Network) findEntry(t *topology, c *Client, in int, tr *TokenTrace, sp *
 
 // hop resolves where a token leaving component lc on output wire o goes:
 // the next live component, or (next == nil) the network exit wire netOut.
-// It is the one forwarding step of both InjectAt and InjectBatch.
+// It is the one forwarding step of InjectAt.
 //
 // Warm, it is the Section 3.5 direct send: the wire's memo is lc's address
 // record of the next component, and the send succeeds if that component is

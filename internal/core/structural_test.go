@@ -32,7 +32,7 @@ func (n *Network) reconcileFullSweepLocked() {
 	}
 }
 
-// addNodeFullSweep is AddNode with the full sweep.
+// addNodeFullSweep is addNode with the full sweep.
 func addNodeFullSweep(n *Network) (id chord.NodeID) {
 	_ = structural(n, func() error {
 		id = n.ring.Join()
@@ -187,7 +187,7 @@ func TestLocalReconcileMatchesFullSweep(t *testing.T) {
 					if sweep {
 						addNodeFullSweep(net)
 					} else {
-						net.AddNode()
+						net.addNode()
 					}
 					return nil
 				})
@@ -226,7 +226,7 @@ func TestLocalReconcileMatchesFullSweep(t *testing.T) {
 					both(step, what, func(net *Network, _ bool) error { _, err := net.Stabilize(); return err })
 				}
 				what += " maintain"
-				both(step, what, func(net *Network, _ bool) error { _, err := net.Maintain(); return err })
+				both(step, what, func(net *Network, _ bool) error { _, err := net.maintain(); return err })
 			}
 			if err := checkPlacement(n); err != nil {
 				t.Fatalf("seed %d step %d after %s: %v", seed, step, what, err)
@@ -281,19 +281,19 @@ func TestAddNodesIsOneOperation(t *testing.T) {
 	nc, tc := mustClient(t, n), mustClient(t, twin)
 	injectBoth(t, nc, tc, 4, "before the joins")
 
-	m0, e0 := n.Metrics(), n.TopologyEpoch()
+	m0, e0 := n.Metrics(), n.topologyEpoch()
 	batch := n.AddNodes(16)
-	if m := n.Metrics().Sub(m0); m.StructHolds != 1 || n.TopologyEpoch() != e0+1 {
-		t.Fatalf("AddNodes(16) took %d exclusive acquisitions and %d epochs, want 1 and 1", m.StructHolds, n.TopologyEpoch()-e0)
+	if m := n.Metrics().Sub(m0); m.StructHolds != 1 || n.topologyEpoch() != e0+1 {
+		t.Fatalf("AddNodes(16) took %d exclusive acquisitions and %d epochs, want 1 and 1", m.StructHolds, n.topologyEpoch()-e0)
 	}
-	m0, e0 = twin.Metrics(), twin.TopologyEpoch()
+	m0, e0 = twin.Metrics(), twin.topologyEpoch()
 	for i, want := range batch {
-		if got := twin.AddNode(); got != want {
+		if got := twin.addNode(); got != want {
 			t.Fatalf("join %d: batch made node %d, one by one %d", i, want, got)
 		}
 	}
-	if m := twin.Metrics().Sub(m0); m.StructHolds != 16 || twin.TopologyEpoch() != e0+16 || m.Moves == 0 {
-		t.Fatalf("16 x AddNode took %d acquisitions, %d epochs, %d moves", m.StructHolds, twin.TopologyEpoch()-e0, m.Moves)
+	if m := twin.Metrics().Sub(m0); m.StructHolds != 16 || twin.topologyEpoch() != e0+16 || m.Moves == 0 {
+		t.Fatalf("16 x addNode took %d acquisitions, %d epochs, %d moves", m.StructHolds, twin.topologyEpoch()-e0, m.Moves)
 	}
 	if err := samePlacement(n, twin); err != nil {
 		t.Fatalf("batch against one by one: %v", err)
@@ -361,8 +361,8 @@ func TestStructHoldAccounting(t *testing.T) {
 		}
 		op("MaintainToFixpoint", func() error { _, err := n.MaintainToFixpoint(32); return err })
 		op("AddNodes", func() error { n.AddNodes(3); return nil })
-		op("AddNode", func() error { n.AddNode(); return nil })
-		op("Maintain", func() error { _, err := n.Maintain(); return err })
+		op("addNode", func() error { n.addNode(); return nil })
+		op("maintain", func() error { _, err := n.maintain(); return err })
 		op("RemoveRandomNode", func() error { _, err := n.RemoveRandomNode(); return err })
 		op("CrashRandomNode", func() error { _, err := n.CrashRandomNode(); return err })
 		op("Stabilize", func() error { _, err := n.Stabilize(); return err })
@@ -435,7 +435,7 @@ func TestProtocolMetersPinned(t *testing.T) {
 	}
 	fix()
 	inject(1500)
-	n.AddNode() // a join on its own: moves, no maintenance
+	n.addNode() // a join on its own: moves, no maintenance
 	inject(1000)
 	if err := n.CheckStep(); err != nil {
 		t.Fatal(err)

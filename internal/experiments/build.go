@@ -11,10 +11,10 @@ import (
 )
 
 // clusterCell describes one experiment cell's fabric and cluster; the
-// zero Fabric is "mem". Every dist-over-a-fabric experiment (E24, E30,
-// E32) builds its cells through buildCluster so the
-// mem/tcp/faulty setup — construction order, instrumentation, teardown —
-// is one shared path instead of a switch block per experiment.
+// zero Fabric is "mem". Every dist-over-a-fabric experiment (E24, E32)
+// builds its cells through buildCluster so the mem/tcp/faulty setup —
+// construction order, instrumentation, teardown — is one shared path
+// instead of a switch block per experiment.
 type clusterCell struct {
 	Fabric string // "mem" (default), "tcp", "faulty"
 	Width  int
@@ -22,7 +22,6 @@ type clusterCell struct {
 	Retry  transport.RetryConfig
 	Fault  transport.FaultConfig // knobs for the "faulty" fabric
 	Obs    *obs.Registry         // instruments a tcp fabric when non-nil
-	Pool   int                   // tcp fabric's PoolSize; 0 = its default
 }
 
 // fabricEnv is a built cell: the cluster plus whichever concrete fabric
@@ -62,7 +61,7 @@ func buildCluster(c clusterCell) (*fabricEnv, error) {
 	case "", "mem":
 		tr = transport.NewMem()
 	case "tcp":
-		tn, err := tcpnet.New(tcpnet.Config{PoolSize: c.Pool})
+		tn, err := tcpnet.New(tcpnet.Config{})
 		if err != nil {
 			return nil, err
 		}

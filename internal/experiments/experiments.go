@@ -154,7 +154,6 @@ func registerAll() map[string]Func {
 		"E24": E24FaultyTransport,
 		"E25": E25Observability,
 		"E26": E26MulticoreScaling,
-		"E30": E30RPCFastPath,
 		"E32": E32Partitioned,
 	}
 }
@@ -180,18 +179,4 @@ func Run(id string, opts Options) (*Table, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
 	return f(opts)
-}
-
-// RunAll executes every experiment in order, writing tables to w.
-func RunAll(w io.Writer, opts Options) error {
-	for _, id := range IDs() {
-		t, err := Run(id, opts)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		if _, err := t.WriteTo(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -14,13 +14,13 @@ import (
 // converged network per system size N is built with an obs.Registry and
 // token tracing attached, a seeded token load is driven through it, and the
 // row reports the empirical lookup hop-count distribution (from the chord
-// layer's histogram) and per-token latency percentiles (from wall-clock
-// samples). The hop counts are checked against idealised Chord's model,
-// Binomial(log2 N, 1/2) + 1 (one hop per differing bit of a uniform
-// distance, plus the final hop to the owner that Ring.Lookup counts), by
-// total-variation distance; the injection-phase deltas come from
-// Metrics.Sub so convergence-time maintenance does not pollute the
-// steady-state numbers.
+// layer's histogram on an uncached twin, see lookupHops) and per-token
+// latency percentiles (from wall-clock samples). The hop counts are checked
+// against idealised Chord's model, Binomial(log2 N, 1/2) + 1 (one hop per
+// differing bit of a uniform distance, plus the final hop to the owner that
+// Ring.Lookup counts), by total-variation distance; the injection-phase
+// deltas come from Metrics.Sub so convergence-time maintenance does not
+// pollute the steady-state numbers.
 func E25Observability(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E25",
@@ -63,7 +63,7 @@ func E25Observability(opts Options) (*Table, error) {
 				n, hopBuckets(hops))
 		}
 	}
-	t.Note("hop counts come from the chord layer's registry histogram, latencies from per-token wall samples; spans = tokens sampled by the 1-in-32 tracer")
+	t.Note("hop counts come from the chord layer's registry histogram on an uncached twin of each row's network (DisableCache, as many tokens); latencies, lookups/tok and spans from the cached network, spans = tokens sampled by the 1-in-32 tracer")
 	t.Note("model: Binomial(log2 N, 1/2) + 1, idealised Chord with the final hop to the owner counted; TV = total-variation distance from it")
 	return t, nil
 }
@@ -84,31 +84,22 @@ type hopRun struct {
 }
 
 // lookupHops builds and converges a width-1024 network of n nodes, injects
-// tokens from one client, and returns the injection phase's lookup hop
-// histogram and per-token latencies.
+// tokens from one client, and returns the injection phase's per-token
+// latencies, metrics and sampled spans. Its lookup hop histogram comes from
+// an uncached twin, the same network with DisableCache driven by as many
+// tokens: on the cached network the memos answer nearly every hop, which
+// leaves too few lookups at small N to test a distribution.
 func lookupHops(seed int64, n, tokens int) (hopRun, error) {
-	const w = 1 << 10
 	reg := obs.NewRegistry()
-	net, err := core.New(core.Config{
-		Width: w, Seed: seed, InitialNodes: n,
-		Obs: reg, TraceEvery: 32, TraceRetain: 64,
+	net, client, err := convergedClient(core.Config{
+		Seed: seed, InitialNodes: n, Obs: reg, TraceEvery: 32, TraceRetain: 64,
 	})
 	if err != nil {
 		return hopRun{}, err
 	}
-	if _, err := net.MaintainToFixpoint(200); err != nil {
-		return hopRun{}, err
-	}
-	client, err := net.NewClient()
-	if err != nil {
-		return hopRun{}, err
-	}
-
 	// Convergence issued estimate probes and splits; snapshot so the
 	// run's numbers cover the injection phase only.
 	pre := net.Metrics()
-	preHops := reg.Histogram("chord.lookup.hops", 0, 64, 64).Snapshot()
-
 	lats := make([]float64, 0, tokens)
 	for i := 0; i < tokens; i++ {
 		start := time.Now()
@@ -118,11 +109,40 @@ func lookupHops(seed int64, n, tokens int) (hopRun, error) {
 		lats = append(lats, time.Since(start).Seconds())
 	}
 
-	hops := reg.Histogram("chord.lookup.hops", 0, 64, 64).Snapshot()
+	twinReg := obs.NewRegistry()
+	_, twin, err := convergedClient(core.Config{
+		Seed: seed, InitialNodes: n, Obs: twinReg, DisableCache: true,
+	})
+	if err != nil {
+		return hopRun{}, err
+	}
+	hist := func() *stats.Histogram { return twinReg.Histogram("chord.lookup.hops", 0, 64, 64).Snapshot() }
+	preHops := hist()
+	for i := 0; i < tokens; i++ {
+		if _, err := twin.Inject(); err != nil {
+			return hopRun{}, err
+		}
+	}
+	hops := hist()
 	if err := hops.Merge(negate(preHops)); err != nil {
 		return hopRun{}, err
 	}
 	return hopRun{hops, lats, net.Metrics().Sub(pre), net.Tracer().Sampled()}, nil
+}
+
+// convergedClient builds a width-1024 network per cfg, runs maintenance to
+// its fixpoint and returns it with a client.
+func convergedClient(cfg core.Config) (*core.Network, *core.Client, error) {
+	cfg.Width = 1 << 10
+	net, err := core.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := net.MaintainToFixpoint(200); err != nil {
+		return nil, nil, err
+	}
+	client, err := net.NewClient()
+	return net, client, err
 }
 
 // hopPMF is the empirical distribution of an integer-valued histogram with

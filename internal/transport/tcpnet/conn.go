@@ -422,7 +422,7 @@ const (
 	dialAttempts   = 3
 )
 
-// pool is the per-destination connection set: up to cfg.PoolSize conns,
+// pool is the per-destination connection set: up to Net.poolSize conns,
 // dialed on demand, checked out by idleness, with exponential backoff after
 // dial failures (a destination that refused recently fails fast instead of
 // hammering).
@@ -458,7 +458,7 @@ func (n *Net) pool(target string) *pool {
 // before the caller's request registers, so two racing callers may still
 // pick one conn; the rotation starts them at different ones. Dials in
 // progress hold pool slots, so concurrent first callers cannot race the pool
-// past PoolSize; callers finding every slot mid-dial wait for one to
+// past poolSize; callers finding every slot mid-dial wait for one to
 // resolve. Within a post-failure cooldown window the pool fails fast with
 // ErrUnreachable rather than re-dialing a destination that just refused.
 func (p *pool) conn() (*conn, error) {
@@ -482,7 +482,7 @@ func (p *pool) conn() (*conn, error) {
 			p.coolDown = time.Time{}
 			p.n.ins().gCooling.Add(-1)
 		}
-		if len(p.conns) > 0 && (len(p.conns)+p.dialing >= p.n.cfg.PoolSize || cooling) {
+		if len(p.conns) > 0 && (len(p.conns)+p.dialing >= p.n.poolSize || cooling) {
 			p.rr++
 			c := p.conns[p.rr%uint64(len(p.conns))]
 			load := c.inflight.Load()
@@ -503,7 +503,7 @@ func (p *pool) conn() (*conn, error) {
 			p.mu.Unlock()
 			return nil, fmt.Errorf("%w: %s dial cooling down", transport.ErrUnreachable, p.target)
 		}
-		if len(p.conns)+p.dialing < p.n.cfg.PoolSize {
+		if len(p.conns)+p.dialing < p.n.poolSize {
 			p.dialing++
 			p.n.ins().gDialing.Add(1)
 			p.mu.Unlock()

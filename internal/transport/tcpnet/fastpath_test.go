@@ -85,7 +85,7 @@ func pooledConns(n *Net) []*conn {
 
 // checkInflight asserts, at a quiescent point, that every pooled conn's
 // in-flight count equals len(pending) and that they sum to want — in the
-// conns themselves and in PoolStats. It returns the per-conn loads, sorted.
+// conns themselves and in poolStats. It returns the per-conn loads, sorted.
 func checkInflight(t *testing.T, n *Net, want int) []int {
 	t.Helper()
 	var loads []int
@@ -100,8 +100,8 @@ func checkInflight(t *testing.T, n *Net, want int) []int {
 		loads = append(loads, pend)
 		sum += pend
 	}
-	if got := n.PoolStats().InFlight; sum != want || got != want {
-		t.Fatalf("in flight: %d pending over the conns, PoolStats %d, want %d", sum, got, want)
+	if got := n.poolStats().InFlight; sum != want || got != want {
+		t.Fatalf("in flight: %d pending over the conns, poolStats %d, want %d", sum, got, want)
 	}
 	slices.Sort(loads)
 	return loads
@@ -117,16 +117,14 @@ func routeTo(t *testing.T, a, b *Net, prefixes ...string) {
 	}
 }
 
-// holdNet returns a fabric a with the given PoolSize whose addresses "hold"
-// and "echo" are served by b, where "hold" blocks until release is called
-// (announcing each entry on started) and "echo" answers at once.
-func holdNet(t *testing.T, poolSize int) (a *Net, started chan struct{}, release func()) {
+// holdNet returns a fabric a keeping size conns per destination whose
+// addresses "hold" and "echo" are served by b, where "hold" blocks until
+// release is called (announcing each entry on started) and "echo" answers at
+// once.
+func holdNet(t *testing.T, size int) (a *Net, started chan struct{}, release func()) {
 	t.Helper()
-	a, err := New(Config{PoolSize: poolSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = a.Close() })
+	a = newNet(t)
+	a.poolSize = size
 	b := newNet(t)
 	routeTo(t, a, b, "hold", "echo")
 	started = make(chan struct{}, 64)
@@ -148,7 +146,7 @@ func holdNet(t *testing.T, poolSize int) (a *Net, started chan struct{}, release
 
 // TestCheckoutByIdleness pins the pool's selection rule. A lone sequential
 // caller rotates over the pool (ties break by rotation, and the pool fills
-// to PoolSize before any conn is reused); k <= PoolSize concurrent calls
+// to poolSize before any conn is reused); k <= poolSize concurrent calls
 // occupy k distinct conns and none counts as Shared; every further call
 // shares the least-loaded conn and counts; the in-flight counts return to 0
 // once the replies are in.
@@ -641,11 +639,8 @@ func TestUnsampledRequestPathAllocs(t *testing.T) {
 // one write per frame it sends — a request each on the caller's side, a
 // reply each on the server's.
 func TestOneWritePerFrame(t *testing.T) {
-	a, err := New(Config{PoolSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = a.Close() })
+	a := newNet(t)
+	a.poolSize = 1
 	b := newNet(t)
 	routeTo(t, a, b, "t")
 	if err := b.Bind("t", func(req transport.Request) (any, error) { return req.Body, nil }); err != nil {

@@ -156,7 +156,7 @@ func TestErrorMapping(t *testing.T) {
 
 // TestConcurrentMux drives many concurrent calls through the small conn
 // pool: replies must come back matched to their callers (the mux IDs), and
-// the pool must stay at PoolSize conns rather than one per call.
+// the pool must stay at poolSize conns rather than one per call.
 func TestConcurrentMux(t *testing.T) {
 	n := newNet(t)
 	if err := n.Bind("n:echo", func(req transport.Request) (any, error) {
@@ -186,9 +186,9 @@ func TestConcurrentMux(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// PoolSize outbound conns + the same number accepted back on the
+	// poolSize outbound conns + the same number accepted back on the
 	// listener side.
-	if open := n.WireStats().ConnsOpen; open > int64(2*n.cfg.PoolSize) {
+	if open := n.WireStats().ConnsOpen; open > int64(2*n.poolSize) {
 		t.Fatalf("%d conns open for %d concurrent callers; pooling broken", open, workers)
 	}
 }
@@ -446,7 +446,7 @@ func TestDedupBoundOverSocket(t *testing.T) {
 	}
 }
 
-// TestPoolHealthStats: PoolStats is an exact walk of the outbound pools,
+// TestPoolHealthStats: poolStats is an exact walk of the outbound pools,
 // and the tcpnet.pool.* gauges surface the same health transitions —
 // live conns after traffic, calls in flight and calls that had to share a
 // busy conn, a cooldown entry after a dead dial.
@@ -460,13 +460,13 @@ func TestPoolHealthStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if ps := n.PoolStats(); ps != (PoolStats{}) {
+	if ps := n.poolStats(); ps != (poolSnapshot{}) {
 		t.Fatalf("idle fabric has pool stats %+v", ps)
 	}
 	if _, err := n.Send(transport.Request{ID: nextID(), To: "n:echo", Kind: wire.KindCPF, Body: uint64(1)}, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	ps := n.PoolStats()
+	ps := n.poolStats()
 	if ps.Pools != 1 || ps.Conns < 1 {
 		t.Fatalf("after one call: %+v, want 1 pool with a live conn", ps)
 	}
@@ -477,8 +477,8 @@ func TestPoolHealthStats(t *testing.T) {
 		t.Fatalf("pool.dialing gauge %d after dial completed", v)
 	}
 
-	// "Is my pool too small?": PoolSize+1 calls held in their handlers are
-	// all in flight, and exactly the one past PoolSize had to share a conn.
+	// "Is my pool too small?": poolSize+1 calls held in their handlers are
+	// all in flight, and exactly the one past poolSize had to share a conn.
 	started, held := make(chan struct{}), make(chan struct{})
 	release := sync.OnceFunc(func() { close(held) })
 	t.Cleanup(release) // a failure below must not leave Close waiting on held handlers
@@ -489,7 +489,7 @@ func TestPoolHealthStats(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	calls := n.cfg.PoolSize + 1
+	calls := n.poolSize + 1
 	var wg sync.WaitGroup
 	for i := 0; i < calls; i++ {
 		wg.Add(1)
@@ -501,7 +501,7 @@ func TestPoolHealthStats(t *testing.T) {
 		}()
 		<-started
 	}
-	if ps := n.PoolStats(); ps.InFlight != calls || ps.Conns != n.cfg.PoolSize {
+	if ps := n.poolStats(); ps.InFlight != calls || ps.Conns != n.poolSize {
 		t.Fatalf("with %d calls held: %+v", calls, ps)
 	}
 	if v := reg.Gauge("tcpnet.pool.inflight").Value(); v != int64(calls) {
@@ -512,7 +512,7 @@ func TestPoolHealthStats(t *testing.T) {
 	}
 	release()
 	wg.Wait()
-	if ps, v := n.PoolStats(), reg.Gauge("tcpnet.pool.inflight").Value(); ps.InFlight != 0 || v != 0 {
+	if ps, v := n.poolStats(), reg.Gauge("tcpnet.pool.inflight").Value(); ps.InFlight != 0 || v != 0 {
 		t.Fatalf("after the replies: %+v, pool.inflight gauge %d", ps, v)
 	}
 
@@ -526,7 +526,7 @@ func TestPoolHealthStats(t *testing.T) {
 	if _, err := n.Send(transport.Request{ID: nextID(), To: "x:gone", Kind: wire.KindProbe, Body: uint64(0)}, time.Second); !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("dead dial: %v, want ErrUnreachable", err)
 	}
-	if ps := n.PoolStats(); ps.Pools != 2 {
+	if ps := n.poolStats(); ps.Pools != 2 {
 		t.Fatalf("after dead dial: %+v, want 2 pools", ps)
 	}
 	dead := n.pool("127.0.0.1:1")
@@ -582,4 +582,46 @@ func bindEcho(b *testing.B, n *Net) {
 	}); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// poolSnapshot is an exact point-in-time snapshot of the outbound
+// connection pools: the ground truth the tcpnet.pool.* gauges are checked
+// against.
+type poolSnapshot struct {
+	Pools    int // destinations with a pool
+	Conns    int // live pooled outbound connections
+	Dialing  int // dial slots currently held by in-progress dials
+	Cooling  int // pools inside a post-failure dial cooldown window
+	InFlight int // calls awaiting a reply on those connections
+}
+
+// poolStats walks every destination pool and returns exact counts (the
+// gauges are transition-maintained; this is the ground truth).
+func (n *Net) poolStats() poolSnapshot {
+	n.poolMu.Lock()
+	pools := make([]*pool, 0, len(n.pools))
+	for _, p := range n.pools {
+		pools = append(pools, p)
+	}
+	n.poolMu.Unlock()
+	var ps poolSnapshot
+	ps.Pools = len(pools)
+	now := time.Now()
+	for _, p := range pools {
+		p.mu.Lock()
+		for _, c := range p.conns {
+			select {
+			case <-c.dead:
+			default:
+				ps.Conns++
+				ps.InFlight += int(c.inflight.Load())
+			}
+		}
+		ps.Dialing += p.dialing
+		if !p.coolDown.IsZero() && now.Before(p.coolDown) {
+			ps.Cooling++
+		}
+		p.mu.Unlock()
+	}
+	return ps
 }

@@ -102,13 +102,13 @@ func TestRunErrorsCarryEventIndex(t *testing.T) {
 	n, c := newNet(t, 7, 1)
 	// Removing the last node is illegal; the runner must surface core's
 	// error with the event index.
-	_, err := Run(n, c, []Event{{Kind: EventInject, Count: 1}, {Kind: EventLeave, Count: 1}}, &SingleWire{})
+	_, err := Run(n, c, []Event{{Kind: EventInject, Count: 1}, {Kind: EventLeave, Count: 1}}, &singleWire{})
 	if err == nil || !strings.Contains(err.Error(), "event 1") {
 		t.Fatalf("err = %v, want event-1 leave failure", err)
 	}
 
 	n2, c2 := newNet(t, 7, 1)
-	_, err = Run(n2, c2, []Event{{Kind: EventKind(99)}}, &SingleWire{})
+	_, err = Run(n2, c2, []Event{{Kind: EventKind(99)}}, &singleWire{})
 	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("err = %v, want unknown-kind failure", err)
 	}

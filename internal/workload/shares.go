@@ -30,9 +30,8 @@ type Inject func(ins []int) error
 // wins. Returns the injection wall-clock in milliseconds.
 //
 // This is the shared injection loop of the partitioned worker runtime
-// (launch.Worker), the coordinator's single-process baselines and the
-// E30-E32 experiment cells. burst < 1 or senders < 1 is rejected with an
-// *SizeError.
+// (launch.Worker) and of E32's single-process cells. burst < 1 or
+// senders < 1 is rejected with an *SizeError.
 func InjectShares(fn Inject, ins []int, burst, senders int) (float64, error) {
 	if burst < 1 {
 		return 0, &SizeError{Op: "workload: InjectShares burst", Size: burst}

@@ -1,12 +1,10 @@
 // Package workload generates token-arrival patterns and membership-churn
 // traces for the experiment harness.
 //
-// Arrival generators pick network input wires: the paper's guarantees hold
-// for arbitrary input distributions, so the experiments exercise uniform,
-// single-wire and bursty patterns. Churn traces are sequences
-// of membership events (grow, shrink, flash crowd, oscillation) that the
-// harness applies to an adaptive network, interleaved with maintenance and
-// token batches.
+// Arrival generators pick network input wires; the paper's guarantees hold
+// for any input distribution. Churn traces are sequences of membership
+// events (grow, shrink, flash crowd, oscillation) that the harness applies
+// to an adaptive network, interleaved with maintenance and token batches.
 package workload
 
 import (
@@ -33,40 +31,6 @@ func NewUniform(w int, seed int64) *Uniform {
 
 // Next implements Arrivals.
 func (u *Uniform) Next() int { return u.rng.Intn(u.w) }
-
-// SingleWire hammers one input wire (the fully contended case).
-type SingleWire struct {
-	Wire int
-}
-
-// Next implements Arrivals.
-func (s *SingleWire) Next() int { return s.Wire }
-
-// Bursty alternates between hammering a random wire for a burst and
-// scattering uniformly.
-type Bursty struct {
-	w         int
-	burstLen  int
-	remaining int
-	wire      int
-	rng       *rand.Rand
-}
-
-// NewBursty creates a bursty generator: bursts of burstLen tokens on a
-// single random wire, separated by single uniform tokens.
-func NewBursty(w, burstLen int, seed int64) *Bursty {
-	return &Bursty{w: w, burstLen: burstLen, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next implements Arrivals.
-func (b *Bursty) Next() int {
-	if b.remaining == 0 {
-		b.wire = b.rng.Intn(b.w)
-		b.remaining = b.burstLen
-	}
-	b.remaining--
-	return b.wire
-}
 
 // EventKind identifies a churn-trace event.
 type EventKind uint8

@@ -16,20 +16,10 @@ func TestUniformRange(t *testing.T) {
 }
 
 func TestSingleWire(t *testing.T) {
-	s := &SingleWire{Wire: 3}
+	s := &singleWire{wire: 3}
 	for i := 0; i < 5; i++ {
 		if s.Next() != 3 {
 			t.Fatal("single wire moved")
-		}
-	}
-}
-
-func TestBurstyRepeats(t *testing.T) {
-	b := NewBursty(8, 5, 2)
-	first := b.Next()
-	for i := 0; i < 4; i++ {
-		if b.Next() != first {
-			t.Fatal("burst broke early")
 		}
 	}
 }
@@ -130,3 +120,11 @@ func TestRunUnknownEvent(t *testing.T) {
 		t.Fatal("unknown event accepted")
 	}
 }
+
+// singleWire hammers one input wire (the fully contended case).
+type singleWire struct {
+	wire int
+}
+
+// Next implements Arrivals.
+func (s *singleWire) Next() int { return s.wire }
