@@ -27,7 +27,7 @@ test:
 # chain walks every structural operation and cold hop of core now goes
 # through, cutnet, whose Inject is a CAS walk through tree's route table,
 # component, whose CAS word is the one line a warm token shares per hop (its
-# contended/private step probes, BenchmarkTryStep*, run there too), and the
+# contended/private step probes, BenchmarkStep*, run there too), and the
 # transport fabrics and launch's in-process workers, whose reader, dedup and
 # handler goroutines serve many callers at once. Those two share a go test
 # of their own: launch's workers talk over sockets with a 50 ms reply
@@ -36,7 +36,7 @@ test:
 multicore:
 	$(GO) test -count=2 -cpu 1,2,4 ./internal/core/ ./internal/chord/ ./internal/tree/ ./internal/cutnet/ ./internal/component/
 	$(GO) test -count=2 -cpu 1,2,4 ./internal/transport/... ./internal/launch/
-	$(GO) test -run '^$$' -bench TryStep -benchtime 1000x -cpu 1,2,4 ./internal/component/
+	$(GO) test -run '^$$' -bench 'Step(Contended|Private)' -benchtime 1000x -cpu 1,2,4 ./internal/component/
 
 # dist on its own, so that the other packages' tests do not starve it down to
 # one CPU and hide a failure: its live splits and merges must count exactly

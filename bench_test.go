@@ -31,7 +31,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Run(id, experiments.Options{Seed: 1, Quick: true})
+		t, err := experiments.Run(id, experiments.Options{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -430,7 +430,7 @@ func BenchmarkE32Partitioned(b *testing.B) { benchExperiment(b, "E32") }
 // percentiles across N are the observability layer's acceptance output.
 func BenchmarkE25Observability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Run("E25", experiments.Options{Seed: 1, Quick: true})
+		t, err := experiments.Run("E25", experiments.Options{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

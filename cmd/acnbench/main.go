@@ -6,7 +6,6 @@
 //
 //	acnbench                 # run everything
 //	acnbench -run E11,E15    # run selected experiments
-//	acnbench -quick          # smaller sweeps
 //	acnbench -seed 7         # different deterministic seed
 //	acnbench -http :8080     # also serve /metrics, /debug/vars, /debug/pprof
 //	acnbench -cpuprofile cpu.out -run E26   # write a pprof CPU profile
@@ -65,7 +64,6 @@ func run(args []string) error {
 	var (
 		runIDs   = fs.String("run", "", "comma-separated experiment IDs (default: all)")
 		seed     = fs.Int64("seed", 1, "deterministic seed")
-		quick    = fs.Bool("quick", false, "smaller sweeps")
 		list     = fs.Bool("list", false, "list experiment IDs and exit")
 		httpAddr = fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -130,7 +128,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "acnbench: serving metrics on http://%s/metrics\n", bound)
 	}
 
-	opts := experiments.Options{Seed: *seed, Quick: *quick, Obs: reg}
+	opts := experiments.Options{Seed: *seed, Obs: reg}
 	ids := experiments.IDs()
 	if *runIDs != "" {
 		ids = ids[:0]

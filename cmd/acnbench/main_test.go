@@ -16,13 +16,13 @@ func TestRunList(t *testing.T) {
 }
 
 func TestRunSelected(t *testing.T) {
-	if err := run([]string{"-run", "E2,E3", "-quick"}); err != nil {
+	if err := run([]string{"-run", "E2,E3"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSelectedWithSpacesAndEmpties(t *testing.T) {
-	if err := run([]string{"-run", " E2 ,, E3 ", "-quick", "-seed", "5"}); err != nil {
+	if err := run([]string{"-run", " E2 ,, E3 ", "-seed", "5"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -34,7 +34,7 @@ func TestRunUnknownID(t *testing.T) {
 }
 
 func TestRunWithHTTP(t *testing.T) {
-	if err := run([]string{"-run", "E2", "-quick", "-http", "127.0.0.1:0"}); err != nil {
+	if err := run([]string{"-run", "E2", "-http", "127.0.0.1:0"}); err != nil {
 		t.Fatal(err)
 	}
 }

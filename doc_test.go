@@ -89,7 +89,7 @@ func TestDocCheckCatchesFaults(t *testing.T) {
 	}
 	good := strings.Join([]string{
 		"`tree.RouteTable.Locate`, `wire.(*Decoder).Ints`, `Row.Feeders`,",
-		"`TestEnginesAgree`, `BenchmarkTryStep{Contended,Private}`,",
+		"`TestEnginesAgree`, `BenchmarkStep{Contended,Private}`,",
 		"`TestCountingUnderFaulty*`, `dist/batch.go`, `route.go`.",
 		fmt.Sprintf("`tree.CompileRoutes` is at `tree/route.go:%d`.", routeLine),
 		"See DESIGN.md, \"Freeze protocol\", and DESIGN.md's \"Heading one\".",
@@ -114,7 +114,7 @@ func TestDocCheckCatchesFaults(t *testing.T) {
 		"`tree.RouteTable.NoSuchMethod`",
 		"`RouteTable.NoSuchMethod`",
 		"`TestNoSuchTest`",
-		"`BenchmarkTryStep{Contended,Nope}`",
+		"`BenchmarkStep{Contended,Nope}`",
 		"`nosuch/route.go`",
 		"`nosuch.go`",
 		fmt.Sprintf("`tree/route.go:%d`", routeLine),

@@ -10,44 +10,31 @@
 // detector for assemblies (tokens entered == tokens exited).
 //
 // The paper's pitch is that this single variable is uncontended enough to
-// scale: State implements it as a lock-free atomic word, not a mutex. The
-// low 63 bits hold the token total and the top bit is a freeze flag, so one
-// compare-and-swap both checks the freeze flag and claims the next output
-// wire. Freezing (the split/merge state capture of Section 2.2) atomically
-// sets the flag; from that instant the total is immutable and every
-// concurrent TryStep fails, telling the token to re-resolve against the
-// new topology. This replaces the per-token mutex acquisition that
-// serialized all traffic through a component.
+// scale: State implements it as one lock-free atomic word holding the token
+// total, and a token claims its output wire with one compare-and-swap.
 //
 // Split-state initialization (the paper leaves this "appropriate"
-// initialization unspecified): a component with counter x is replaced by
-// children whose state is obtained by replaying x virtual tokens,
-// sequentially, into the fresh child assembly on input wires 0..x-1. A
-// counting network fed sequentially emits token t on wire t, so the replay
-// reproduces exactly the output history the parent has already produced.
+// initialization unspecified): the children's states are computed from the
+// component's cumulative per-input-wire arrival counts
+// (SplitTotalsFromInputs), not from its counter. Replaying the counter's x
+// tokens sequentially into the child assembly, which is what the paper's
+// prose suggests, is wrong for skewed input histories; it survives as
+// SplitTotalsSequential for the E17 experiment that shows the difference.
 package component
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/tree"
 )
 
-// frozenBit marks a frozen component; the remaining 63 bits are the token
-// total. 2^63 tokens is out of reach, so the flag never collides with a
-// real count.
-const frozenBit = uint64(1) << 63
-
 // State is the runtime state of one live component. It is safe for
-// concurrent use; Step and TryStep are lock-free.
+// concurrent use; Step and TryStepN are lock-free.
 type State struct {
 	Comp tree.Component
 
-	// state packs the token total (low 63 bits) with the freeze flag (top
-	// bit) so wire assignment and freeze detection are one atomic op.
-	state atomic.Uint64
+	total atomic.Uint64
 }
 
 // New creates a component with zero state.
@@ -59,29 +46,23 @@ func New(c tree.Component) *State {
 // already passed through it.
 func NewWithTotal(c tree.Component, total uint64) *State {
 	s := &State{Comp: c}
-	s.state.Store(total)
+	s.total.Store(total)
 	return s
 }
 
-// TryStep routes one token through the component and returns the output
-// wire it leaves on. It fails (ok == false) when the component is frozen
-// for a split or merge: the caller must re-resolve the token's position
-// against the current topology, because this incarnation's state has been
-// captured and is being replaced.
-func (s *State) TryStep() (out int, ok bool) {
+// Step routes one token through the component and returns the output wire
+// it leaves on.
+func (s *State) Step() int {
 	// Every width in T_w is a power of two, so "mod k" is a mask: a 64-bit
 	// divide would sit on the critical path behind every CAS result.
 	mask := uint64(s.Comp.Width - 1)
 	for {
-		cur := s.state.Load()
-		if cur&frozenBit != 0 {
-			return 0, false
-		}
+		cur := s.total.Load()
 		// The CAS is the paper's "x := x+1 mod k" fetch-add; retrying only
 		// races other tokens on the same component, never a lock holder.
 		// (A hardware fetch-and-add measured slower: see DESIGN.md.)
-		if s.state.CompareAndSwap(cur, cur+1) {
-			return int(cur & mask), true
+		if s.total.CompareAndSwap(cur, cur+1) {
+			return int(cur & mask)
 		}
 	}
 }
@@ -89,66 +70,28 @@ func (s *State) TryStep() (out int, ok bool) {
 // TryStepN routes n tokens through the component with one atomic claim and
 // returns the total before the claim: token i of the batch (0 <= i < n)
 // leaves on wire (base+i) mod width. Claiming n consecutive slots is
-// indistinguishable from n sequential TryStep calls that happened to run
+// indistinguishable from n sequential Step calls that happened to run
 // back-to-back — a counting network admits every interleaving — so batched
-// engines pay one CAS per component visit instead of one per token. Like
-// TryStep it fails when the component is frozen, and the freeze flag makes
-// the claim all-or-nothing: no token of the batch received a wire.
+// engines pay one CAS per component visit instead of one per token. ok is
+// always true: a State cannot refuse a claim.
 func (s *State) TryStepN(n uint64) (base uint64, ok bool) {
 	for {
-		cur := s.state.Load()
-		if cur&frozenBit != 0 {
-			return 0, false
-		}
-		if s.state.CompareAndSwap(cur, cur+n) {
+		cur := s.total.Load()
+		if s.total.CompareAndSwap(cur, cur+n) {
 			return cur, true
 		}
 	}
 }
 
-// Step routes one token through the component and returns the output wire
-// it leaves on, spinning across a concurrent freeze. Engines that replace
-// frozen components (internal/core's concurrent router) should use TryStep
-// and re-resolve instead; Step is for single-engine networks (internal/
-// cutnet) where a frozen component is always unfrozen or replaced promptly.
-func (s *State) Step() int {
-	for {
-		if out, ok := s.TryStep(); ok {
-			return out
-		}
-		runtime.Gosched()
-	}
-}
-
-// Freeze atomically sets the freeze flag and returns the captured total.
-// From the linearization point of the Freeze, no TryStep succeeds, so the
-// returned total is exact and final: every token counted in it received a
-// wire assignment, every later token is refused. Freezing an already-frozen
-// component returns the same captured total (idempotent under retries).
-func (s *State) Freeze() uint64 {
-	return s.state.Or(frozenBit) &^ frozenBit
-}
-
-// Frozen reports whether the component is frozen.
-func (s *State) Frozen() bool {
-	return s.state.Load()&frozenBit != 0
-}
-
 // Total returns the number of tokens the component has processed.
 func (s *State) Total() uint64 {
-	return s.state.Load() &^ frozenBit
-}
-
-// Counter returns the paper's local variable x: the wire the next token
-// will leave on.
-func (s *State) Counter() int {
-	return int(s.Total() % uint64(s.Comp.Width))
+	return s.total.Load()
 }
 
 // SetTotal overwrites the component's state (used by the self-stabilization
-// repair actions). It also clears the freeze flag.
+// repair actions).
 func (s *State) SetTotal(total uint64) {
-	s.state.Store(total)
+	s.total.Store(total)
 }
 
 // EmittedOn returns the number of tokens emitted so far on output wire out:

@@ -20,9 +20,6 @@ func TestStepRoundRobin(t *testing.T) {
 	if s.Total() != 10 {
 		t.Fatalf("total = %d, want 10", s.Total())
 	}
-	if s.Counter() != 10%4 {
-		t.Fatalf("counter = %d, want 2", s.Counter())
-	}
 }
 
 func TestNewWithTotalContinues(t *testing.T) {
@@ -35,8 +32,8 @@ func TestNewWithTotalContinues(t *testing.T) {
 func TestSetTotal(t *testing.T) {
 	s := New(tree.MustRoot(4))
 	s.SetTotal(7)
-	if s.Total() != 7 || s.Counter() != 3 {
-		t.Fatalf("total/counter = %d/%d", s.Total(), s.Counter())
+	if got := s.Step(); s.Total() != 8 || got != 3 {
+		t.Fatalf("after SetTotal(7): step wire %d, total %d; want 3, 8", got, s.Total())
 	}
 }
 

@@ -33,10 +33,7 @@ func perWireInject(c *Client, in int) (TokenTrace, error) {
 	n.injected[in].Add(1)
 	for {
 		tr.WireHops++
-		o, ok := lc.st.TryStep()
-		if !ok {
-			return TokenTrace{}, fmt.Errorf("component %v frozen mid-route", lc.st.Comp)
-		}
+		o := lc.st.Step()
 		next, netOut, err := perWireHop(n, t, lc, o, &tr)
 		if err != nil {
 			return TokenTrace{}, err

@@ -132,12 +132,7 @@ func (c *Client) InjectAt(in int) (TokenTrace, error) {
 
 	for {
 		tr.WireHops++
-		o, ok := lc.st.TryStep()
-		if !ok {
-			// Unreachable: core freezes components only under the exclusive
-			// structural lock, which cannot be held while tokens traverse.
-			return TokenTrace{}, fmt.Errorf("core: component %v frozen mid-route", lc.st.Comp)
-		}
+		o := lc.st.Step()
 		if sp != nil {
 			sp.Event("comp", string(lc.st.Comp.Path), int64(o))
 		}

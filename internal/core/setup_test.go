@@ -79,7 +79,7 @@ func TestFaultOnFreshNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.injected[0].Add(1)
-	coveringInput(n, 0).st.TryStep()
+	coveringInput(n, 0).st.Step()
 	n.AddNodes(200)
 	_, err = n.MaintainToFixpoint(100)
 	if want := "core: split: M16@02 in-neighbor counts 1 != processed 0"; err == nil || err.Error() != want {

@@ -25,7 +25,7 @@ import (
 type Net struct {
 	width int
 
-	mu     sync.RWMutex // Inject reads; Split, Merge and Restore write
+	mu     sync.RWMutex // Inject reads; Split and Merge write
 	rt     *tree.RouteTable
 	live   []*component.State // live[i] is the state of rt.Components()[i]
 	splits int64

@@ -3,6 +3,7 @@
 package dist
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,8 +21,9 @@ import (
 // once the wait has a deadline (ROADMAP item 7), Split returns an error
 // instead and this test changes with it.
 func TestBubbleLostTokenSplitHangs(t *testing.T) {
-	const w = 8
+	const w, waitFn = 8, "repro/internal/dist.(*Cluster).thaw"
 	var reached, returned atomic.Bool
+	waiting := blockedIn(waitFn)
 	start := time.Now()
 	deadlock := bubble(t, func() {
 		fabric := &gatedMem{Net: transport.NewMem()}
@@ -67,6 +69,123 @@ func TestBubbleLostTokenSplitHangs(t *testing.T) {
 	}
 	if returned.Load() || deadlock == "" {
 		t.Fatalf("Split returned (deadlock report %q): the lost token's hang is gone; turn this test into the deadline's test", deadlock)
+	}
+	if blockedIn(waitFn) <= waiting {
+		t.Fatal("the bubble hung, but not in the thaw's progress wait")
+	}
+	if took > time.Second {
+		t.Fatalf("the hang took %v of wall time to report, want under 1s", took)
+	}
+	t.Logf("%s after %v", deadlock, took)
+}
+
+// TestBubbleLostTokenMergeHangs pins a known defect: a merge waits on the
+// drain signal until every token inside the assembly has reached its exit
+// children, and if a token that stepped an entry child is lost on its way
+// to a later child, that wait never ends. Once the wait has a deadline
+// (ROADMAP item 7), Merge returns an error instead and this test changes
+// with it.
+func TestBubbleLostTokenMergeHangs(t *testing.T) {
+	const w, waitFn = 8, "repro/internal/dist.(*Cluster).mergeLocked"
+	var reached, returned atomic.Bool
+	waiting := blockedIn(waitFn)
+	start := time.Now()
+	deadlock := bubble(t, func() {
+		fabric := &gatedMem{Net: transport.NewMem()}
+		cl, err := New(w, mustCut(t, w, 1), WithTransport(fabric))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// Children 0 and 1 of the root are the assembly's entry; a token
+		// asking for any later child has stepped one of them.
+		gated := make(map[transport.Addr]bool)
+		for _, cm := range cl.topo.Load().live {
+			gated[cm.addr] = cm.c.Path[0] >= '2'
+		}
+		var holding atomic.Bool
+		asked, lost := make(chan struct{}), make(chan struct{})
+		fabric.gate = func(a transport.Addr) {
+			if gated[a] && holding.CompareAndSwap(false, true) {
+				close(asked)
+				<-lost // never closed: the token is lost in flight
+			}
+		}
+		go cl.Inject(0)
+		<-asked
+		reached.Store(true)
+		cl.Merge("")
+		returned.Store(true)
+	})
+	took := time.Since(start)
+	if !reached.Load() {
+		t.Fatal("the set-up did not reach the merge")
+	}
+	if returned.Load() || deadlock == "" {
+		t.Fatalf("Merge returned (deadlock report %q): the lost token's hang is gone; turn this test into the deadline's test", deadlock)
+	}
+	if blockedIn(waitFn) <= waiting {
+		t.Fatal("the bubble hung, but not in the merge's drain wait")
+	}
+	if took > time.Second {
+		t.Fatalf("the hang took %v of wall time to report, want under 1s", took)
+	}
+	t.Logf("%s after %v", deadlock, took)
+}
+
+// refusingMem is the in-memory switch with Bind turned off on demand.
+type refusingMem struct {
+	*transport.Net
+	refuse atomic.Bool
+}
+
+func (r *refusingMem) Bind(a transport.Addr, h transport.Handler) error {
+	if r.refuse.Load() {
+		return fmt.Errorf("bind %s refused", a)
+	}
+	return r.Net.Bind(a, h)
+}
+
+// TestBubbleFailedSplitParksBatch pins a known defect: a split that cannot
+// bind its children returns the error after its freeze, leaving the
+// component frozen and no newer snapshot published, so the next token it
+// turns away parks its batch for good. Once a failed split thaws what it
+// froze, or the park has a deadline (ROADMAP item 7), the Inject returns
+// and this test changes with it.
+func TestBubbleFailedSplitParksBatch(t *testing.T) {
+	const w, waitFn = 8, "repro/internal/dist.(*Cluster).route"
+	var reached, returned atomic.Bool
+	waiting := blockedIn(waitFn)
+	start := time.Now()
+	deadlock := bubble(t, func() {
+		fabric := &refusingMem{Net: transport.NewMem()}
+		cl, err := New(w, tree.RootCut(), WithTransport(fabric))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := cl.Inject(0); err != nil {
+			t.Error(err)
+			return
+		}
+		fabric.refuse.Store(true)
+		if err := cl.Split(""); err == nil {
+			t.Error("the split bound its children on a fabric that refuses every bind")
+			return
+		}
+		reached.Store(true)
+		cl.Inject(0)
+		returned.Store(true)
+	})
+	took := time.Since(start)
+	if !reached.Load() {
+		t.Fatal("the set-up did not reach the inject")
+	}
+	if returned.Load() || deadlock == "" {
+		t.Fatalf("Inject returned (deadlock report %q): the parked batch's hang is gone; turn this test into the fix's test", deadlock)
+	}
+	if blockedIn(waitFn) <= waiting {
+		t.Fatal("the bubble hung, but not in a parked batch's wait")
 	}
 	if took > time.Second {
 		t.Fatalf("the hang took %v of wall time to report, want under 1s", took)

@@ -22,9 +22,9 @@ func converged(width, n int, seed int64) (*core.Network, error) {
 	return net, nil
 }
 
-// E9ComponentLevels (Lemma 3.4): after convergence, every component's
+// e9ComponentLevels (Lemma 3.4): after convergence, every component's
 // level lies within the range of the nodes' level estimates.
-func E9ComponentLevels(opts Options) (*Table, error) {
+func e9ComponentLevels(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E9",
 		Title: "Component levels track node level estimates",
@@ -33,9 +33,6 @@ func E9ComponentLevels(opts Options) (*Table, error) {
 			"components", "within range"},
 	}
 	sizes := []int{16, 64, 256, 1024}
-	if opts.Quick {
-		sizes = []int{16, 64}
-	}
 	w := 1 << 16
 	for _, n := range sizes {
 		net, err := converged(w, n, opts.Seed+int64(n))
@@ -55,10 +52,10 @@ func E9ComponentLevels(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E10ComponentsPerNode (Lemma 3.5): the total number of components is
+// e10ComponentsPerNode (Lemma 3.5): the total number of components is
 // Theta(N); the expected number per node is O(1); the maximum per node is
 // O(log N / log log N).
-func E10ComponentsPerNode(opts Options) (*Table, error) {
+func e10ComponentsPerNode(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E10",
 		Title: "Component population and distribution over nodes",
@@ -67,9 +64,6 @@ func E10ComponentsPerNode(opts Options) (*Table, error) {
 			"log N/log log N"},
 	}
 	sizes := []int{32, 64, 128, 256, 512, 1024}
-	if opts.Quick {
-		sizes = []int{32, 128}
-	}
 	w := 1 << 16
 	for _, n := range sizes {
 		net, err := converged(w, n, opts.Seed+3*int64(n))
@@ -86,9 +80,9 @@ func E10ComponentsPerNode(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E11WidthDepthScaling (Theorem 3.6): effective depth O(log^2 N),
+// e11WidthDepthScaling (Theorem 3.6): effective depth O(log^2 N),
 // effective width Omega(N/log^2 N).
-func E11WidthDepthScaling(opts Options) (*Table, error) {
+func e11WidthDepthScaling(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
 		Title: "Effective width and depth scaling",
@@ -97,9 +91,6 @@ func E11WidthDepthScaling(opts Options) (*Table, error) {
 			"width*log^2 N/N", "2^(l*-4) lower bound ok"},
 	}
 	sizes := []int{16, 32, 64, 128, 256, 512, 1024}
-	if opts.Quick {
-		sizes = []int{16, 64}
-	}
 	w := 1 << 16
 	for _, n := range sizes {
 		net, err := converged(w, n, opts.Seed+5*int64(n))
@@ -127,9 +118,9 @@ func E11WidthDepthScaling(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E12Churn (Section 3.4): the network adapts to growth, shrink, flash
+// e12Churn (Section 3.4): the network adapts to growth, shrink, flash
 // crowds and crashes, preserving the counter throughout.
-func E12Churn(opts Options) (*Table, error) {
+func e12Churn(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E12",
 		Title: "Adaptation under churn",
@@ -168,9 +159,6 @@ func E12Churn(opts Options) (*Table, error) {
 
 	grow := 255
 	batch := 200
-	if opts.Quick {
-		grow, batch = 63, 50
-	}
 	phases := []struct {
 		name  string
 		trace []workload.Event
@@ -197,10 +185,10 @@ func E12Churn(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E18AblationNoMerge: with the merge rule disabled, the component
+// e18AblationNoMerge: with the merge rule disabled, the component
 // population never shrinks after churn subsides, inflating depth and
 // routing state (what Section 3.2's merge rule exists to prevent).
-func E18AblationNoMerge(opts Options) (*Table, error) {
+func e18AblationNoMerge(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E18",
 		Title: "Ablation: merge rule disabled",
@@ -211,9 +199,6 @@ func E18AblationNoMerge(opts Options) (*Table, error) {
 	w := 1 << 14
 	grow, shrink := 255, 252
 	batch := 100
-	if opts.Quick {
-		grow, shrink, batch = 63, 60, 25
-	}
 	for _, disable := range []bool{false, true} {
 		net, err := core.New(core.Config{Width: w, Seed: opts.Seed, DisableMerge: disable})
 		if err != nil {

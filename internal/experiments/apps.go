@@ -11,10 +11,10 @@ func newRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// E16Matching (Section 1.1): producer-consumer matching with two
+// e16Matching (Section 1.1): producer-consumer matching with two
 // back-to-back counting networks pairs every request with exactly one
 // supply.
-func E16Matching(opts Options) (*Table, error) {
+func e16Matching(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "E16",
 		Title:   "Producer-consumer matching",
@@ -22,9 +22,6 @@ func E16Matching(opts Options) (*Table, error) {
 		Headers: []string{"scenario", "producers", "consumers", "matched", "left pending", "bijective"},
 	}
 	pairs := 2000
-	if opts.Quick {
-		pairs = 200
-	}
 
 	// Balanced concurrent load.
 	m, err := match.New[int, int](16, opts.Seed)
@@ -79,9 +76,6 @@ func E16Matching(opts Options) (*Table, error) {
 		return nil, err
 	}
 	prod, cons := 60, 40
-	if opts.Quick {
-		prod, cons = 12, 8
-	}
 	for i := 0; i < prod; i++ {
 		if _, err := m2.Produce(i); err != nil {
 			return nil, err

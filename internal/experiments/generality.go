@@ -7,7 +7,7 @@ import (
 	"repro/internal/bitonic"
 )
 
-// E21Generality probes the paper's closing claim that "our technique could
+// e21Generality probes the paper's closing claim that "our technique could
 // be applied to build an adaptive implementation of any distributed data
 // structure which can be decomposed in a recursive way", using the
 // periodic counting network as the subject. The technique replaces a
@@ -17,7 +17,7 @@ import (
 // where it holds for the periodic network's natural recursive
 // decomposition (whole blocks; the mirror layer and the half-blocks inside
 // a block).
-func E21Generality(opts Options) (*Table, error) {
+func e21Generality(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "E21",
 		Title:   "Generality probe: counter-components inside the periodic network",
@@ -26,10 +26,6 @@ func E21Generality(opts Options) (*Table, error) {
 	}
 	widths := []int{8, 16, 32}
 	trials := 80
-	if opts.Quick {
-		widths = []int{8, 16}
-		trials = 20
-	}
 	for _, w := range widths {
 		sched, err := bitonic.PeriodicSchedule(w)
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/core"
 )
 
-// E26MulticoreScaling measures parallel token throughput of the adaptive
+// e26MulticoreScaling measures parallel token throughput of the adaptive
 // network against the centralized counter and the static balancer-per-
 // object network across GOMAXPROCS = 1..NumCPU. Sections 1 and 2 argue
 // that a counting network's throughput scales with its width because
@@ -24,7 +24,7 @@ import (
 //
 // On a single-core host the sweep degenerates to GOMAXPROCS=1 and the
 // table still records the per-engine serial throughput baseline.
-func E26MulticoreScaling(opts Options) (*Table, error) {
+func e26MulticoreScaling(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "E26",
 		Title:   "Multicore throughput scaling (adaptive vs static vs central)",
@@ -34,9 +34,6 @@ func E26MulticoreScaling(opts Options) (*Table, error) {
 	const w = 64
 	nodes := 16
 	tokens := 120000
-	if opts.Quick {
-		tokens = 12000
-	}
 
 	// GOMAXPROCS sweep: powers of two up to NumCPU, always including
 	// NumCPU itself.

@@ -10,7 +10,7 @@ import (
 	"repro/internal/stats"
 )
 
-// E25Observability exercises the unified metrics layer end to end: a
+// e25Observability exercises the unified metrics layer end to end: a
 // converged network per system size N is built with an obs.Registry and
 // token tracing attached, a seeded token load is driven through it, and the
 // row reports the empirical lookup hop-count distribution (from the chord
@@ -21,7 +21,7 @@ import (
 // Ring.Lookup counts), by total-variation distance; the injection-phase
 // deltas come from Metrics.Sub so convergence-time maintenance does not
 // pollute the steady-state numbers.
-func E25Observability(opts Options) (*Table, error) {
+func e25Observability(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E25",
 		Title: "Token-level observability: lookup hops and latency percentiles",
@@ -32,9 +32,6 @@ func E25Observability(opts Options) (*Table, error) {
 	}
 	sizes := []int{1 << 4, 1 << 6, 1 << 8, 1 << 10}
 	tokens := 1200
-	if opts.Quick {
-		tokens = 150
-	}
 
 	for _, n := range sizes {
 		r, err := lookupHops(opts.Seed+int64(n), n, tokens)

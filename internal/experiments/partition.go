@@ -8,7 +8,7 @@ import (
 	"repro/internal/workload"
 )
 
-// E32Partitioned prices partitioning the cluster across OS-process-style
+// e32Partitioned prices partitioning the cluster across OS-process-style
 // boundaries: the same arrival sequence driven through one cluster on
 // the in-process fabric, one cluster on a TCP loopback fabric, and
 // 2-way / 4-way partitioned launches where each partition is a full
@@ -18,7 +18,7 @@ import (
 // hermetic). Each topology runs token-by-token injection (bursts of one) and
 // full bursts. Counting must stay exact in every cell: partitioning moves
 // components between owners but never changes what the network counts.
-func E32Partitioned(opts Options) (*Table, error) {
+func e32Partitioned(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E32",
 		Title: "Partitioned multi-process runtime vs single-process (mem and tcp)",
@@ -33,10 +33,6 @@ func E32Partitioned(opts Options) (*Table, error) {
 	)
 	tokens, burst := 2048, 128
 	partsSweep := []int{2, 4}
-	if opts.Quick {
-		tokens, burst = 512, 64
-		partsSweep = []int{2}
-	}
 	bursts := []int{1, burst}
 
 	ins := make([]int, tokens)

@@ -5,13 +5,13 @@ import (
 	"repro/internal/core"
 )
 
-// E22AdaptivityAxes contrasts what the two adaptive structures of the
+// e22AdaptivityAxes contrasts what the two adaptive structures of the
 // paper's related work discussion (Section 1.3) react to: the adaptive
 // counting network resizes with the *system size* and is indifferent to
 // offered load; the reactive diffracting tree resizes with the *load* and
 // is indifferent to system size. Both keep their counter sequences
 // gap-free across every reconfiguration.
-func E22AdaptivityAxes(opts Options) (*Table, error) {
+func e22AdaptivityAxes(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E22",
 		Title: "Adaptivity axes: counting network (size) vs reactive tree (load)",
@@ -22,10 +22,6 @@ func E22AdaptivityAxes(opts Options) (*Table, error) {
 	w := 1 << 12
 	lowLoad, highLoad := 200, 4000
 	nodesSmall, nodesBig := 8, 256
-	if opts.Quick {
-		lowLoad, highLoad = 50, 1000
-		nodesBig = 64
-	}
 
 	// --- Adaptive counting network ---
 	// Stimulus 1: load ramp at fixed size.

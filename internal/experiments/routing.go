@@ -7,9 +7,9 @@ import (
 	"repro/internal/stats"
 )
 
-// E13RoutingEfficiency (Section 3.5): components have O(1) out-neighbors,
+// e13RoutingEfficiency (Section 3.5): components have O(1) out-neighbors,
 // and out-neighbor address caching removes per-token DHT lookups.
-func E13RoutingEfficiency(opts Options) (*Table, error) {
+func e13RoutingEfficiency(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E13",
 		Title: "Routing state and address caching",
@@ -19,10 +19,6 @@ func E13RoutingEfficiency(opts Options) (*Table, error) {
 	}
 	sizes := []int{64, 256}
 	tokens := 2000
-	if opts.Quick {
-		sizes = []int{64}
-		tokens = 300
-	}
 	w := 1 << 12
 	for _, n := range sizes {
 		for _, disable := range []bool{false, true} {
@@ -66,9 +62,9 @@ func E13RoutingEfficiency(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E14InputLookup (Section 3.5): a client finds a live input component in
+// e14InputLookup (Section 3.5): a client finds a live input component in
 // at most log(w)-1 name tries, and typically one with memoization.
-func E14InputLookup(opts Options) (*Table, error) {
+func e14InputLookup(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E14",
 		Title: "Finding an input component",
@@ -79,10 +75,6 @@ func E14InputLookup(opts Options) (*Table, error) {
 	w := 1 << 10
 	sizes := []int{16, 256}
 	tokens := 600
-	if opts.Quick {
-		sizes = []int{16}
-		tokens = 150
-	}
 	logw := 10
 	for _, n := range sizes {
 		net, err := converged(w, n, opts.Seed+11*int64(n))
@@ -125,13 +117,13 @@ func E14InputLookup(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E15Comparison (Sections 1-2 motivation): the adaptive network against
+// e15Comparison (Sections 1-2 motivation): the adaptive network against
 // the static balancer-per-object network and a centralized counter, across
 // system sizes. The shapes to reproduce: the static network pays its full
 // object count at every N; the centralized counter concentrates all load
 // on one node; the adaptive network tracks N in both object count and
 // per-node load while keeping per-token cost polylogarithmic.
-func E15Comparison(opts Options) (*Table, error) {
+func e15Comparison(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E15",
 		Title: "Adaptive vs static-width vs centralized",
@@ -142,10 +134,6 @@ func E15Comparison(opts Options) (*Table, error) {
 	w := 256
 	sizes := []int{2, 8, 32, 128, 512}
 	tokens := 1500
-	if opts.Quick {
-		sizes = []int{2, 32}
-		tokens = 300
-	}
 	for _, n := range sizes {
 		seed := opts.Seed + 17*int64(n)
 

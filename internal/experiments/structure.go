@@ -10,10 +10,10 @@ import (
 	"repro/internal/tree"
 )
 
-// E1FullExpansion (Figure 1, Section 2.1): fully expanding the
+// e1FullExpansion (Figure 1, Section 2.1): fully expanding the
 // decomposition tree T_w yields a network that behaves exactly like the
 // classical AHS94 Bitonic[w] at balancer granularity.
-func E1FullExpansion(opts Options) (*Table, error) {
+func e1FullExpansion(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E1",
 		Title: "Full expansion of T_w reproduces the classical Bitonic[w]",
@@ -22,9 +22,6 @@ func E1FullExpansion(opts Options) (*Table, error) {
 			"tokens", "outputs identical", "hops=depth"},
 	}
 	widths := []int{4, 8, 16, 32, 64}
-	if opts.Quick {
-		widths = []int{4, 16}
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for _, w := range widths {
 		net, err := cutnet.New(w, tree.LeafCut(w))
@@ -60,9 +57,9 @@ func E1FullExpansion(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E2PhiAndCuts (Figure 2, Fact 1): phi(0)=1, phi(1)=6, phi(2)=24, and
+// e2PhiAndCuts (Figure 2, Fact 1): phi(0)=1, phi(1)=6, phi(2)=24, and
 // 2*phi(k) <= phi(k+1) <= 6*phi(k); random prunings of T_w are valid cuts.
-func E2PhiAndCuts(opts Options) (*Table, error) {
+func e2PhiAndCuts(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "E2",
 		Title:   "Decomposition-tree component counts and cut validity",
@@ -70,9 +67,6 @@ func E2PhiAndCuts(opts Options) (*Table, error) {
 		Headers: []string{"level", "phi(level)", "ratio to previous", "within [2,6]"},
 	}
 	levels := 12
-	if opts.Quick {
-		levels = 6
-	}
 	prev := int64(0)
 	for l := 0; l <= levels; l++ {
 		phi := tree.Phi(l)
@@ -86,9 +80,6 @@ func E2PhiAndCuts(opts Options) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	trials := 200
-	if opts.Quick {
-		trials = 20
-	}
 	valid := 0
 	for i := 0; i < trials; i++ {
 		w := 4 << rng.Intn(5)
@@ -101,9 +92,9 @@ func E2PhiAndCuts(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E3Figure3: the example cut of Figure 3 (root of T_8 split, then the top
+// e3Figure3: the example cut of Figure 3 (root of T_8 split, then the top
 // BITONIC[4]) has effective width 2 and effective depth 5.
-func E3Figure3(Options) (*Table, error) {
+func e3Figure3(Options) (*Table, error) {
 	t := &Table{
 		ID:      "E3",
 		Title:   "Figure 3: example implementation from cut1 of T_8",
@@ -150,9 +141,9 @@ func E3Figure3(Options) (*Table, error) {
 	return t, nil
 }
 
-// E4EveryCutCounts (Theorem 2.1): a network built from any cut of T_w is a
+// e4EveryCutCounts (Theorem 2.1): a network built from any cut of T_w is a
 // counting network of width w.
-func E4EveryCutCounts(opts Options) (*Table, error) {
+func e4EveryCutCounts(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "E4",
 		Title:   "Every cut of T_w counts",
@@ -162,10 +153,6 @@ func E4EveryCutCounts(opts Options) (*Table, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	widths := []int{4, 8, 16, 32, 64}
 	cutsPer := 12
-	if opts.Quick {
-		widths = []int{8, 16}
-		cutsPer = 4
-	}
 	for _, w := range widths {
 		cuts := []tree.Cut{tree.RootCut(), tree.LeafCut(w)}
 		for i := 0; i < cutsPer; i++ {
@@ -197,9 +184,9 @@ func E4EveryCutCounts(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E5DepthBound (Lemma 2.2): if every cut leaf is at level <= k, the
+// e5DepthBound (Lemma 2.2): if every cut leaf is at level <= k, the
 // effective depth is at most (k+1)(k+2)/2, with equality on uniform cuts.
-func E5DepthBound(opts Options) (*Table, error) {
+func e5DepthBound(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "E5",
 		Title:   "Effective depth bound",
@@ -208,9 +195,6 @@ func E5DepthBound(opts Options) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	widths := []int{16, 64}
-	if opts.Quick {
-		widths = []int{16}
-	}
 	for _, w := range widths {
 		for k := 0; k <= tree.MaxLevel(w); k++ {
 			cut, err := tree.UniformCut(w, k)
@@ -252,9 +236,9 @@ func E5DepthBound(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E6WidthBound (Lemma 2.3): if every cut leaf is at level >= k, the
+// e6WidthBound (Lemma 2.3): if every cut leaf is at level >= k, the
 // effective width is at least 2^k.
-func E6WidthBound(opts Options) (*Table, error) {
+func e6WidthBound(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "E6",
 		Title:   "Effective width bound",
@@ -263,9 +247,6 @@ func E6WidthBound(opts Options) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	widths := []int{16, 64}
-	if opts.Quick {
-		widths = []int{16}
-	}
 	for _, w := range widths {
 		for k := 0; k <= tree.MaxLevel(w); k++ {
 			cut, err := tree.UniformCut(w, k)
@@ -299,12 +280,12 @@ func E6WidthBound(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// E17Erratum: the literal prose wiring of Section 2.1 violates the step
+// e17Erratum: the literal prose wiring of Section 2.1 violates the step
 // property, and the paper's state-only split initialization is
 // insufficient for skewed input histories; the implemented fixes (AHS94
 // cross wiring; per-input-wire initialization from in-neighbor states) do
 // not.
-func E17Erratum(opts Options) (*Table, error) {
+func e17Erratum(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "E17",
 		Title:   "Paper errata: prose wiring and state-only split initialization",

@@ -8,13 +8,13 @@ import (
 	"repro/internal/tree"
 )
 
-// E23Saturation turns the paper's structural claims into time using the
+// e23Saturation turns the paper's structural claims into time using the
 // discrete-event simulator: effective depth sets the unloaded latency and
 // effective width sets the capacity. A centralized counter saturates at
 // one node's service rate regardless of offered load; the adaptive
 // network's converged cut for N nodes sustains loads far beyond it, paying
 // a depth's worth of latency per token.
-func E23Saturation(opts Options) (*Table, error) {
+func e23Saturation(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "E23",
 		Title:   "Latency/throughput saturation (discrete-event simulation)",
@@ -29,10 +29,6 @@ func E23Saturation(opts Options) (*Table, error) {
 	)
 	tokens := 4000
 	loads := []float64{0.5, 1, 2, 4}
-	if opts.Quick {
-		tokens = 800
-		loads = []float64{0.5, 2}
-	}
 	// The cut the maintenance rules converge to for this system size.
 	level := estimate.IdealLevel(nodes, w)
 	cut, err := tree.UniformCut(w, level)

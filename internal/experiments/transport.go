@@ -12,14 +12,14 @@ import (
 	"repro/internal/tree"
 )
 
-// E24FaultyTransport runs the asynchronous engine over a fault-injecting
+// e24FaultyTransport runs the asynchronous engine over a fault-injecting
 // message fabric: every token hop and every freeze-protocol control
 // message can be dropped, duplicated or delayed, and the reliability layer
 // (timeouts, capped-backoff retries, receiver-side dedup) must keep the
 // count exact. The sweep quantifies what that reliability costs — extra
 // messages, retries and latency — against the lossless rows, across
 // system sizes N whose converged cuts the cluster instantiates.
-func E24FaultyTransport(opts Options) (*Table, error) {
+func e24FaultyTransport(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E24",
 		Title: "Exact counting over a lossy transport",
@@ -31,11 +31,6 @@ func E24FaultyTransport(opts Options) (*Table, error) {
 	ns := []int{1 << 4, 1 << 6, 1 << 8, 1 << 10}
 	losses := []float64{0, 0.01, 0.05}
 	tokens := 384
-	if opts.Quick {
-		ns = []int{1 << 4, 1 << 6}
-		losses = []float64{0, 0.02}
-		tokens = 96
-	}
 
 	for _, n := range ns {
 		level := estimate.IdealLevel(n, w)
