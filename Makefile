@@ -52,9 +52,12 @@ distalone:
 # dist's bubbled tests (TestBubble*), on the fake clock of testing/synctest,
 # which go 1.24 ships only behind GOEXPERIMENT=synctest: a wait that can
 # never end fails in milliseconds as the bubble's deadlock report instead of
-# hanging until go test's timeout. Plain `go test` builds without them.
+# hanging until go test's timeout. Plain `go test` builds without them. They
+# run once plain and once under -race (the race build of the experiment's
+# standard library takes about 25 s the first time, the run about 1.3 s).
 synctest:
 	GOEXPERIMENT=synctest $(GO) test -count=3 -cpu 1,2,4 -run '^TestBubble' ./internal/dist/
+	GOEXPERIMENT=synctest $(GO) test -race -count=3 -cpu 1,2,4 -run '^TestBubble' ./internal/dist/
 
 # The benchmark (acnload) is a Go module of its own under benchmark/, so
 # `go test ./...` at the root does not reach its tests.

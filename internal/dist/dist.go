@@ -1,16 +1,17 @@
 // Package dist is the asynchronous, message-level engine for the adaptive
 // counting network: tokens are concurrent goroutines hopping between
 // components, and splits and merges run the paper's freeze protocol
-// (Section 2.2) against live traffic instead of stopping the world:
+// (Section 2.2) against live traffic instead of stopping the world. Split
+// and Merge validate their target and hand it to one routine
+// (Cluster.reconfigure) that freezes the entries, lets the tokens in flight
+// settle, builds the replacement from the frozen state and publishes it:
 //
-//   - Split: the component is frozen, its per-wire history of routed tokens
-//     initializes the children, and a snapshot with the children in its
-//     place is published.
+//   - Split: the component is frozen, and its per-wire history of routed
+//     tokens initializes the children.
 //   - Merge: the assembly's entry children are frozen, the internal
 //     in-flight tokens drain (detected by the conservation invariant:
-//     every stage has processed the same number of tokens), the children's
-//     states combine into the parent, and a snapshot with the parent in
-//     their place is published.
+//     every stage has processed the same number of tokens), and the
+//     children's states combine into the parent.
 //
 // Either is exact only if the children have emitted what the parent would
 // have (component.Imbalance is 0). A BITONIC's children always have; a
@@ -18,7 +19,9 @@
 // component frozen while tokens are in flight towards it may not have seen.
 // Then the freeze is undone — the frozen incarnations are made active and
 // the same cut is republished — and taken again once more tokens have
-// reached them; in quiescence every component's inputs are exact ones.
+// reached them; in quiescence every component's inputs are exact ones. A
+// reconfiguration that fails undoes its freeze the same way, after
+// unbinding any replacement it bound, so the old cut stays live.
 //
 // A component that is not active — frozen for a reconfiguration, or retired
 // by one — turns tokens away: it steps nothing, stores nothing and replies
@@ -62,6 +65,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -94,8 +98,8 @@ type comp struct {
 
 	mu sync.Mutex
 	// frozen is set by a reconfiguration's freeze and cleared only by its
-	// thaw (see Cluster.thaw): a frozen incarnation turns tokens away whether
-	// or not the snapshot that retires it has been published yet.
+	// thaw (see Cluster.reconfigure): a frozen incarnation turns tokens away
+	// whether or not the snapshot that retires it has been published yet.
 	frozen  bool
 	total   uint64
 	arrived []uint64 // tokens routed per input wire
@@ -107,9 +111,10 @@ type Cluster struct {
 	tr transport.Transport
 	rc *transport.Client
 
-	// comps is every incarnation ever bound, by address — like their
-	// endpoints, retired ones stay: a group arrive names the further
-	// incarnations it visits by address (see groupArrive).
+	// comps is every incarnation bound, by address, except an aborted
+	// reconfiguration's replacement (see unbind) — like their endpoints,
+	// retired ones stay: a group arrive names the further incarnations it
+	// visits by address (see groupArrive).
 	compMu sync.RWMutex
 	comps  map[transport.Addr]*comp
 
@@ -127,11 +132,12 @@ type Cluster struct {
 	hDrain *obs.Hist // merge phase-2 drain-wait seconds
 	hSplit *obs.Hist // split reconfiguration seconds
 	hMerge *obs.Hist // merge reconfiguration seconds
+	hThaws *obs.Hist // thaws per completed split or merge
 
-	// drainCh wakes a merge waiting for its assembly to drain; any group
-	// arrive that processes a token signals it (capacity 1, lossy send): the
-	// waiter re-checks conservation on every wakeup, so a coalesced or
-	// stale signal costs one extra check, never a missed one.
+	// drainCh wakes a reconfiguration waiting on traffic (see await); any
+	// group arrive that processes a token signals it (capacity 1, lossy
+	// send): the waiter re-polls on every wakeup, so a coalesced or stale
+	// signal costs one extra poll, never a missed one.
 	drainCh chan struct{}
 
 	// topo is the epoch-snapshot topology: the live incarnations of the
@@ -214,12 +220,24 @@ func NewRootOnly(w int) (*Cluster, error) {
 // their dedup state rather than reaching a successor incarnation.
 func (cl *Cluster) bind(cm *comp) error {
 	cm.addr = transport.Addr(fmt.Sprintf("c:%s#%d", cm.c.Path, cl.gen.Add(1)))
+	if err := cl.tr.Bind(cm.addr, func(req transport.Request) (any, error) {
+		return cl.compRPC(cm, req)
+	}); err != nil {
+		return err
+	}
 	cl.compMu.Lock()
 	cl.comps[cm.addr] = cm
 	cl.compMu.Unlock()
-	return cl.tr.Bind(cm.addr, func(req transport.Request) (any, error) {
-		return cl.compRPC(cm, req)
-	})
+	return nil
+}
+
+// unbind takes back the endpoint of an aborted reconfiguration's
+// replacement. No published snapshot ever held it, so nothing addresses it.
+func (cl *Cluster) unbind(cm *comp) {
+	cl.tr.Unbind(cm.addr)
+	cl.compMu.Lock()
+	delete(cl.comps, cm.addr)
+	cl.compMu.Unlock()
 }
 
 // compRPC serves one component endpoint: token delivery, or the freeze
@@ -250,7 +268,7 @@ func (cl *Cluster) control(cm *comp, kind string) (any, error) {
 	}
 }
 
-// signalDrain wakes a merge waiting on the conservation invariant.
+// signalDrain wakes a reconfiguration waiting on traffic (see await).
 func (cl *Cluster) signalDrain() {
 	select {
 	case cl.drainCh <- struct{}{}:
@@ -284,14 +302,16 @@ func (cl *Cluster) NetStats() (transport.Stats, transport.ClientStats) {
 
 // Instrument routes the engine's latency distributions — per-token and
 // per-round seconds, turned-away and merge-drain waits, reconfiguration
-// timing — into reg, along with the reliability client's RTT and retry
-// distributions. dist.token.seconds gets one sample per token an Inject or
-// InjectBatch returns, valued at that call's duration (a burst's tokens all
-// return together); dist.hop.seconds gets one per round of a batch, the
-// round trip of its group arrive RPCs; dist.queue.wait.seconds gets one per
-// token a component turned away, the seconds from the reply that turned it
-// away until its batch saw the next snapshot. Call it before issuing
-// traffic; the handles are read without synchronization afterwards.
+// timing and thaws — into reg, along with the reliability client's RTT and
+// retry distributions. dist.token.seconds gets one sample per token an
+// Inject or InjectBatch returns, valued at that call's duration (a burst's
+// tokens all return together); dist.hop.seconds gets one per round of a
+// batch, the round trip of its group arrive RPCs; dist.queue.wait.seconds
+// gets one per token a component turned away, the seconds from the reply
+// that turned it away until its batch saw the next snapshot;
+// dist.reconfig.thaws gets one per completed split or merge, valued at the
+// thaws it took. Call it before issuing traffic; the handles are read
+// without synchronization afterwards.
 func (cl *Cluster) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -302,6 +322,7 @@ func (cl *Cluster) Instrument(reg *obs.Registry) {
 	cl.hDrain = reg.Histogram("dist.merge.drain.seconds", 0, 0.05, 500)
 	cl.hSplit = reg.Histogram("dist.split.seconds", 0, 0.05, 500)
 	cl.hMerge = reg.Histogram("dist.merge.seconds", 0, 0.05, 500)
+	cl.hThaws = reg.Histogram("dist.reconfig.thaws", 0, 256, 256)
 	cl.rc.Instrument(reg)
 	cl.reg = reg
 	if cl.tracer != nil {
@@ -374,19 +395,13 @@ func (cl *Cluster) ctl(cm *comp, kind string, sp *obs.Span) (any, error) {
 }
 
 // Split replaces the component at path p by its children while traffic
-// flows: freeze (a control RPC returning the frozen per-wire history),
-// initialize children from it — thawing and freezing again while that
-// history is one the children would have counted differently — and publish
-// them in its place. Tokens the
-// frozen incarnation turned away re-enter at (p, wire) once the snapshot is
-// out, and tree.RouteTable.Locate descends into the children.
+// flows (see reconfigure). Tokens the frozen incarnation turned away
+// re-enter at (p, wire) once the snapshot is out, and
+// tree.RouteTable.Locate descends into the children.
 func (cl *Cluster) Split(p tree.Path) error {
 	cl.reconfig.Lock()
 	defer cl.reconfig.Unlock()
-	var begin time.Time
-	if cl.hSplit != nil {
-		begin = time.Now()
-	}
+	begin := time.Now()
 	sp := cl.tracer.Start("split")
 	defer sp.Finish()
 	sp.Event("target", string(p), 0)
@@ -398,61 +413,8 @@ func (cl *Cluster) Split(p tree.Path) error {
 	if cm.c.IsLeaf() {
 		return fmt.Errorf("dist: split: %v is an individual balancer", cm.c)
 	}
-	cm.mu.Lock()
-	frozen := cm.frozen
-	cm.mu.Unlock()
-	if frozen {
-		return fmt.Errorf("dist: split: %v is not active", cm.c)
-	}
-
-	// Freeze and snapshot the routed-per-wire history, and replay it through
-	// the children. The replay is exact only if the children then have
-	// emitted what the parent did (component.Imbalance): a MERGER or MIX
-	// frozen while tokens were in flight towards it may have routed inputs
-	// its children would have counted differently. Then it is thawed and
-	// frozen again once more of those tokens have reached it.
-	var totals []uint64
-	var flows [][]uint64
-	for {
-		reply, err := cl.ctl(cm, kindFreeze, sp)
-		if err != nil {
-			return err
-		}
-		snap := reply.(wire.FreezeRes)
-		if sp != nil {
-			sp.Event("freeze", string(p), int64(snap.Total))
-		}
-		if totals, flows, err = component.SplitFlows(cm.c, snap.Processed); err != nil {
-			return err
-		}
-		e, err := component.Imbalance(cm.c, totals)
-		if err != nil {
-			return err
-		}
-		if e == 0 {
-			break
-		}
-		if err := cl.thaw([]*comp{cm}, snap.Total, e, sp); err != nil {
-			return err
-		}
-	}
-	children := cm.c.Children()
-	newComps := make([]*comp, len(children))
-	for i, child := range children {
-		newComps[i] = &comp{c: child, total: totals[i], arrived: flows[i]}
-		if err := cl.bind(newComps[i]); err != nil {
-			return err
-		}
-	}
-
-	// Publish a fresh snapshot with the children in place of the parent.
-	// Tokens the frozen incarnation turned away, and in-flight tokens holding
-	// the old snapshot, re-resolve into the children.
-	if err := cl.publish([]*comp{cm}, newComps); err != nil {
+	if err := cl.reconfigure(cm.c, []*comp{cm}, sp); err != nil {
 		return err
-	}
-	if sp != nil {
-		sp.Event("publish", string(p), int64(len(children)))
 	}
 	cl.hSplit.Since(begin)
 	return nil
@@ -467,10 +429,7 @@ func (cl *Cluster) Merge(p tree.Path) error {
 }
 
 func (cl *Cluster) mergeLocked(p tree.Path) error {
-	var begin time.Time
-	if cl.hMerge != nil {
-		begin = time.Now()
-	}
+	begin := time.Now()
 	sp := cl.tracer.Start("merge")
 	defer sp.Finish()
 	sp.Event("target", string(p), 0)
@@ -486,82 +445,109 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 		return fmt.Errorf("dist: merge: %v has no children", parent)
 	}
 	children := parent.Children()
-
-	// Recursively merge children that are split further.
-	for _, child := range children {
+	cms := make([]*comp, len(children))
+	for i, child := range children {
 		if cl.topo.Load().at(child.Path) == nil {
 			if err := cl.mergeLocked(child.Path); err != nil {
 				return fmt.Errorf("dist: recursive merge of %v: %w", child, err)
 			}
 		}
-	}
-	cms := make([]*comp, len(children))
-	for i, child := range children {
-		cms[i] = cl.topo.Load().at(child.Path)
-	}
-	for i, cm := range cms {
-		if cm == nil {
-			return fmt.Errorf("dist: merge: child %v missing", children[i])
+		if cms[i] = cl.topo.Load().at(child.Path); cms[i] == nil {
+			return fmt.Errorf("dist: merge: child %v missing", child)
 		}
 	}
+	if err := cl.reconfigure(parent, cms, sp); err != nil {
+		return err
+	}
+	cl.hMerge.Since(begin)
+	return nil
+}
 
-	// Phases 1 and 2 repeat until the children's drained state is exactly
-	// that of the parent (component.Imbalance): the entry children of a
-	// MERGER or MIX frozen while tokens were in flight towards them may
-	// have routed inputs the parent would have counted differently. Then
-	// they are thawed and frozen again once more of those tokens have
-	// reached them.
-	deg := len(cms)
-	entrySnaps := make([]wire.FreezeRes, 2)
-	for {
-		// Phase 1: freeze the entry children; external arrivals are turned
-		// away. Their freeze snapshots are final: a frozen component's total
-		// and processed history no longer change.
-		for i, cm := range cms[:2] {
+// reconfigure runs the freeze protocol (Section 2.2) that replaces old —
+// the live incarnation of parent for a split, those of its children for a
+// merge — while traffic flows:
+//
+//  1. Freeze old's entries (the parent, or the two entry children): they
+//     turn external arrivals away, and their freeze snapshots are final.
+//  2. Settle: a split replays the parent's routed-per-wire history through
+//     its children (component.SplitFlows); a merge waits until the tokens
+//     inside the assembly have drained, which the conservation invariant
+//     detects (every stage has processed equally many tokens).
+//  3. The result is exact only if the children have emitted what the
+//     parent would have (component.Imbalance is 0): a MERGER's or MIX's
+//     entries frozen while tokens were in flight towards them may have
+//     routed inputs the parent would have counted differently. Then the
+//     entries are thawed, and frozen again from 1 once they have stepped
+//     more tokens.
+//  4. Freeze the rest of old, bind the replacement and publish it.
+//
+// Any error aborts: a replacement already bound is unbound, and every
+// incarnation a freeze was sent to — whether or not its reply arrived — is
+// thawed, so the old cut stays live.
+func (cl *Cluster) reconfigure(parent tree.Component, old []*comp, sp *obs.Span) (err error) {
+	split := old[0].c.Path == parent.Path
+	entries := old
+	if !split {
+		entries = old[:2]
+	}
+	// unfreeze thaws cms: it makes them active again and republishes the
+	// same cut, so the tokens they turned away meanwhile re-enter them.
+	unfreeze := func(cms []*comp) error {
+		for _, cm := range cms {
 			cm.mu.Lock()
-			frozen := cm.frozen
+			cm.frozen = false
 			cm.mu.Unlock()
-			if frozen {
-				return fmt.Errorf("dist: merge: entry child %v is not active", cm.c)
+		}
+		return cl.publish(nil, nil)
+	}
+	var sent, bound []*comp // incarnations a freeze was sent to; replacements bound
+	defer func() {
+		if err != nil {
+			for _, cm := range bound {
+				cl.unbind(cm)
 			}
-			reply, err := cl.ctl(cm, kindFreeze, sp)
-			if err != nil {
+			if terr := unfreeze(sent); terr != nil {
+				err = errors.Join(err, terr)
+			}
+		}
+	}()
+	freeze := func(cm *comp) (wire.FreezeRes, error) {
+		sent = append(sent, cm)
+		reply, err := cl.ctl(cm, kindFreeze, sp)
+		if err != nil {
+			return wire.FreezeRes{}, err
+		}
+		return reply.(wire.FreezeRes), nil
+	}
+
+	children := parent.Children()
+	snaps := make([]wire.FreezeRes, len(entries))
+	totals := make([]uint64, len(children))
+	var flows [][]uint64
+	thaws := 0
+	for {
+		var seen uint64
+		for i, cm := range entries {
+			if snaps[i], err = freeze(cm); err != nil {
 				return err
 			}
-			entrySnaps[i] = reply.(wire.FreezeRes)
-			if sp != nil {
-				sp.Event("freeze", string(cm.c.Path), int64(entrySnaps[i].Total))
-			}
+			seen += snaps[i].Total
+			sp.Event("freeze", string(cm.c.Path), int64(snaps[i].Total))
 		}
-
-		// Phase 2: wait for internal in-flight tokens to drain, detected by
-		// the conservation invariant (all stages saw equally many tokens).
-		// The totals are polled with control RPCs; between polls the
-		// coordinator blocks on drainCh, which every processed token signals
-		// — no busy-wait.
-		var drainStart time.Time
-		if cl.hDrain != nil {
-			drainStart = time.Now()
-		}
-		totals := make([]uint64, deg)
-		for {
-			totals[0], totals[1] = entrySnaps[0].Total, entrySnaps[1].Total
-			for i, cm := range cms[2:] {
-				reply, err := cl.ctl(cm, kindTotal, sp)
-				if err != nil {
-					return err
-				}
-				totals[2+i] = reply.(uint64)
+		if split {
+			if totals, flows, err = component.SplitFlows(parent, snaps[0].Processed); err != nil {
+				return err
 			}
-			if component.CheckConservation(parent, totals) == nil {
-				break
+		} else {
+			drainStart := time.Now()
+			totals[0], totals[1] = snaps[0].Total, snaps[1].Total
+			if err := cl.await(old[2:], totals[2:], func() bool {
+				return component.CheckConservation(parent, totals) == nil
+			}, sp); err != nil {
+				return err
 			}
-			// Conservation not yet reached, so a token is in flight inside
-			// the assembly; its next group arrive will signal. A stale or
-			// unrelated signal just costs one extra poll.
-			<-cl.drainCh
+			cl.hDrain.Since(drainStart)
 		}
-		cl.hDrain.Since(drainStart)
 		e, err := component.Imbalance(parent, totals)
 		if err != nil {
 			return err
@@ -569,88 +555,91 @@ func (cl *Cluster) mergeLocked(p tree.Path) error {
 		if e == 0 {
 			break
 		}
-		if err := cl.thaw(cms[:2], totals[0]+totals[1], e, sp); err != nil {
+		// The imbalance means tokens are still in flight towards the
+		// entries — in quiescence every component's inputs are ones its
+		// children count exactly as it does — so a later freeze sees their
+		// inputs further along, and in quiescence, exact.
+		thaws++
+		sp.Event("thaw", string(entries[0].c.Path), int64(e))
+		if err := unfreeze(entries); err != nil {
+			return err
+		}
+		stepped := make([]uint64, len(entries))
+		if err := cl.await(entries, stepped, func() bool {
+			var sum uint64
+			for _, t := range stepped {
+				sum += t
+			}
+			return sum > seen
+		}, sp); err != nil {
 			return err
 		}
 	}
-	if sp != nil {
-		sp.Event("drained", string(p), 0)
+	if !split {
+		sp.Event("drained", string(parent.Path), 0)
 	}
 
-	// Phase 3: freeze the remaining (now idle) children and combine state.
-	totals := make([]uint64, deg)
-	totals[0], totals[1] = entrySnaps[0].Total, entrySnaps[1].Total
-	for i, cm := range cms[2:] {
-		reply, err := cl.ctl(cm, kindFreeze, sp)
+	var repl []*comp
+	if split {
+		for i, child := range children {
+			repl = append(repl, &comp{c: child, total: totals[i], arrived: flows[i]})
+		}
+	} else {
+		// The exit children are idle now; freeze them for their final totals.
+		for i, cm := range old[2:] {
+			snap, err := freeze(cm)
+			if err != nil {
+				return err
+			}
+			totals[2+i] = snap.Total
+		}
+		arrived := make([]uint64, parent.Width)
+		for i, snap := range snaps {
+			for w, cnt := range snap.Processed {
+				if pin, ok := tree.InvChildInput(parent.Kind, parent.Width, i, w); ok {
+					arrived[pin] += cnt
+				}
+			}
+		}
+		total, err := component.MergeTotal(parent, totals)
 		if err != nil {
 			return err
 		}
-		totals[2+i] = reply.(wire.FreezeRes).Total
+		repl = []*comp{{c: parent, total: total, arrived: arrived}}
 	}
-	arrived := make([]uint64, parent.Width)
-	for i := 0; i < 2; i++ {
-		for wire, cnt := range entrySnaps[i].Processed {
-			pin, ok := tree.InvChildInput(parent.Kind, parent.Width, i, wire)
-			if ok {
-				arrived[pin] += cnt
-			}
+	for _, cm := range repl {
+		if err := cl.bind(cm); err != nil {
+			return err
 		}
+		bound = append(bound, cm)
 	}
-	total, err := component.MergeTotal(parent, totals)
-	if err != nil {
+	// Tokens the frozen entries turned away, and in-flight tokens holding
+	// the old snapshot, re-resolve into the replacement.
+	if err := cl.publish(old, repl); err != nil {
 		return err
 	}
-	merged := &comp{c: parent, total: total, arrived: arrived}
-	if err := cl.bind(merged); err != nil {
-		return err
-	}
-
-	// Phase 4: publish a fresh snapshot with the parent in place of the
-	// children. Tokens the entry children turned away re-enter at (child,
-	// wire), and tree.RouteTable.Locate ascends into the merged parent.
-	if err := cl.publish(cms, []*comp{merged}); err != nil {
-		return err
-	}
-	if sp != nil {
-		sp.Event("publish", string(p), int64(len(children)))
-	}
-	cl.hMerge.Since(begin)
+	sp.Event("publish", string(parent.Path), int64(len(children)))
+	cl.hThaws.Observe(float64(thaws))
 	return nil
 }
 
-// thaw undoes the freeze of cms, which left a split or merge imbalanced by
-// e tokens, and returns once they have stepped more than seen tokens
-// between them. Republishing the same cut lets the tokens they turned away
-// meanwhile re-enter them. The imbalance means tokens are still in flight
-// towards them — in quiescence every component's inputs are ones its
-// children count exactly as it does — so a later freeze sees their inputs
-// further along, and in quiescence, exact.
-func (cl *Cluster) thaw(cms []*comp, seen, e uint64, sp *obs.Span) error {
-	if sp != nil {
-		sp.Event("thaw", string(cms[0].c.Path), int64(e))
-	}
-	for _, cm := range cms {
-		cm.mu.Lock()
-		cm.frozen = false
-		cm.mu.Unlock()
-	}
-	if err := cl.publish(nil, nil); err != nil {
-		return err
-	}
+// await polls the processed-token totals of cms into totals until done
+// holds. Between polls it blocks on drainCh, which every group arrive that
+// steps a token signals after it: a token stepped since the last poll is
+// never missed, and a stale or unrelated signal costs one extra poll. It is
+// the coordinator's one wait on traffic.
+func (cl *Cluster) await(cms []*comp, totals []uint64, done func() bool, sp *obs.Span) error {
 	for {
-		var total uint64
-		for _, cm := range cms {
+		for i, cm := range cms {
 			reply, err := cl.ctl(cm, kindTotal, sp)
 			if err != nil {
 				return err
 			}
-			total += reply.(uint64)
+			totals[i] = reply.(uint64)
 		}
-		if total > seen {
+		if done() {
 			return nil
 		}
-		// Every group arrive that steps a token signals drainCh after it,
-		// so one that steps here since the poll above is not missed.
 		<-cl.drainCh
 	}
 }

@@ -205,7 +205,8 @@ func TestSplitUnderLoad(t *testing.T) {
 // emitted the same way: one token misplaced. The reconfiguration thaws —
 // republishes the same incarnations, active again — and waits; once the
 // held token has gone through, it freezes again, finds the history exact,
-// and publishes. Without the check the count ends wrong.
+// and publishes, having thawed once (dist.reconfig.thaws). Without the
+// check the count ends wrong.
 func TestReconfigThawsImbalancedFreeze(t *testing.T) {
 	const w = 8
 	for _, merge := range []bool{false, true} {
@@ -225,6 +226,8 @@ func TestReconfigThawsImbalancedFreeze(t *testing.T) {
 				}
 			}
 			tr := cl.Trace(1, 16)
+			reg := obs.NewRegistry()
+			cl.Instrument(reg)
 			if _, err := cl.Inject(0); err != nil {
 				t.Fatal(err)
 			}
@@ -313,6 +316,9 @@ func TestReconfigThawsImbalancedFreeze(t *testing.T) {
 			want = append(want, "publish")
 			if !slices.Equal(kinds, want) {
 				t.Fatalf("%s events %v, want %v", name, kinds, want)
+			}
+			if h := reg.Snapshot().Histograms["dist.reconfig.thaws"]; h.Count != 1 || h.Mean != 1 {
+				t.Fatalf("dist.reconfig.thaws %+v, want one observation of 1", h)
 			}
 		})
 	}

@@ -4,6 +4,8 @@ package dist
 
 import (
 	"fmt"
+	"maps"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,15 +15,15 @@ import (
 )
 
 // TestBubbleLostTokenSplitHangs pins a known defect: a split whose freeze
-// is imbalanced thaws and waits for the frozen component to step more
-// tokens, and if the token in flight towards it is lost, that wait never
-// ends. The set-up is TestReconfigThawsImbalancedFreeze's on the in-memory
-// fabric, except that the held token is never released. Inside a bubble
+// is imbalanced thaws and waits (in await) for the frozen component to step
+// more tokens, and if the token in flight towards it is lost, that wait
+// never ends. The set-up is TestReconfigThawsImbalancedFreeze's on the
+// in-memory fabric, except that the held token is never released. Inside a bubble
 // the hang surfaces as the runtime's deadlock report within a second;
 // once the wait has a deadline (ROADMAP item 7), Split returns an error
 // instead and this test changes with it.
 func TestBubbleLostTokenSplitHangs(t *testing.T) {
-	const w, waitFn = 8, "repro/internal/dist.(*Cluster).thaw"
+	const w, waitFn = 8, "repro/internal/dist.(*Cluster).await"
 	var reached, returned atomic.Bool
 	waiting := blockedIn(waitFn)
 	start := time.Now()
@@ -79,14 +81,14 @@ func TestBubbleLostTokenSplitHangs(t *testing.T) {
 	t.Logf("%s after %v", deadlock, took)
 }
 
-// TestBubbleLostTokenMergeHangs pins a known defect: a merge waits on the
-// drain signal until every token inside the assembly has reached its exit
-// children, and if a token that stepped an entry child is lost on its way
-// to a later child, that wait never ends. Once the wait has a deadline
-// (ROADMAP item 7), Merge returns an error instead and this test changes
-// with it.
+// TestBubbleLostTokenMergeHangs pins a known defect: a merge waits (in
+// await, the same wait as the split's) until every token inside the
+// assembly has reached its exit children, and if a token that stepped an
+// entry child is lost on its way to a later child, that wait never ends.
+// Once the wait has a deadline (ROADMAP item 7), Merge returns an error
+// instead and this test changes with it.
 func TestBubbleLostTokenMergeHangs(t *testing.T) {
-	const w, waitFn = 8, "repro/internal/dist.(*Cluster).mergeLocked"
+	const w, waitFn = 8, "repro/internal/dist.(*Cluster).await"
 	var reached, returned atomic.Bool
 	waiting := blockedIn(waitFn)
 	start := time.Now()
@@ -133,64 +135,146 @@ func TestBubbleLostTokenMergeHangs(t *testing.T) {
 	t.Logf("%s after %v", deadlock, took)
 }
 
-// refusingMem is the in-memory switch with Bind turned off on demand.
+// refusingMem is the in-memory switch with Bind turned off on demand: while
+// refuse is set, grant more binds succeed and the rest are refused.
 type refusingMem struct {
 	*transport.Net
 	refuse atomic.Bool
+	grant  atomic.Int32
 }
 
 func (r *refusingMem) Bind(a transport.Addr, h transport.Handler) error {
-	if r.refuse.Load() {
+	if r.refuse.Load() && r.grant.Add(-1) < 0 {
 		return fmt.Errorf("bind %s refused", a)
 	}
 	return r.Net.Bind(a, h)
 }
 
-// TestBubbleFailedSplitParksBatch pins a known defect: a split that cannot
-// bind its children returns the error after its freeze, leaving the
-// component frozen and no newer snapshot published, so the next token it
-// turns away parks its batch for good. Once a failed split thaws what it
-// froze, or the park has a deadline (ROADMAP item 7), the Inject returns
-// and this test changes with it.
-func TestBubbleFailedSplitParksBatch(t *testing.T) {
-	const w, waitFn = 8, "repro/internal/dist.(*Cluster).route"
-	var reached, returned atomic.Bool
-	waiting := blockedIn(waitFn)
-	start := time.Now()
-	deadlock := bubble(t, func() {
-		fabric := &refusingMem{Net: transport.NewMem()}
-		cl, err := New(w, tree.RootCut(), WithTransport(fabric))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := cl.Inject(0); err != nil {
-			t.Error(err)
-			return
-		}
-		fabric.refuse.Store(true)
-		if err := cl.Split(""); err == nil {
-			t.Error("the split bound its children on a fabric that refuses every bind")
-			return
-		}
-		reached.Store(true)
-		cl.Inject(0)
-		returned.Store(true)
-	})
-	took := time.Since(start)
-	if !reached.Load() {
-		t.Fatal("the set-up did not reach the inject")
+// losingMem is the in-memory switch that, while lose is set, delivers every
+// control call of the freeze protocol and runs its handler, but loses the
+// reply, so the caller times out. Token deliveries are untouched.
+type losingMem struct {
+	*transport.Net
+	lose atomic.Bool
+}
+
+func (l *losingMem) Send(req transport.Request, timeout time.Duration) (any, error) {
+	reply, err := l.Net.Send(req, timeout)
+	if l.lose.Load() && req.Kind != kindGroupArrive {
+		return nil, transport.ErrTimeout
 	}
-	if returned.Load() || deadlock == "" {
-		t.Fatalf("Inject returned (deadlock report %q): the parked batch's hang is gone; turn this test into the fix's test", deadlock)
+	return reply, err
+}
+
+// TestBubbleFailedReconfigThaws: a split or merge that fails after its
+// freeze — a replacement's Bind refused, or every reply to the freeze lost
+// — returns the error, unbinds what it bound and thaws what it froze, so
+// the old cut stays live: injectors running meanwhile never park for good,
+// and the count stays exact. Once the fabric behaves, the same operation
+// succeeds.
+func TestBubbleFailedReconfigThaws(t *testing.T) {
+	const w, injectors, tokens = 8, 3, 40
+	cases := []struct {
+		name   string
+		level  int // of the starting cut
+		op     func(*Cluster) error
+		fabric func() (tr transport.Transport, broken func(bool))
+	}{
+		{"split, second child's bind refused", 0, func(cl *Cluster) error { return cl.Split("") },
+			func() (transport.Transport, func(bool)) {
+				f := &refusingMem{Net: transport.NewMem()}
+				return f, func(on bool) { f.grant.Store(1); f.refuse.Store(on) }
+			}},
+		{"merge, parent's bind refused", 1, func(cl *Cluster) error { return cl.Merge("") },
+			func() (transport.Transport, func(bool)) {
+				f := &refusingMem{Net: transport.NewMem()}
+				return f, f.refuse.Store
+			}},
+		{"split, freeze replies lost", 0, func(cl *Cluster) error { return cl.Split("") },
+			func() (transport.Transport, func(bool)) {
+				f := &losingMem{Net: transport.NewMem()}
+				return f, f.lose.Store
+			}},
 	}
-	if blockedIn(waitFn) <= waiting {
-		t.Fatal("the bubble hung, but not in a parked batch's wait")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			deadlock := bubble(t, func() {
+				tr, broken := c.fabric()
+				cl, err := New(w, mustCut(t, w, c.level), WithTransport(tr))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				comps := func() int {
+					cl.compMu.RLock()
+					defer cl.compMu.RUnlock()
+					return len(cl.comps)
+				}
+				// load runs the injectors; the returned wait blocks until
+				// every one of their Injects has returned.
+				load := func() (wait func()) {
+					var wg sync.WaitGroup
+					for i := range injectors {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for k := range tokens {
+								if _, err := cl.Inject((5*i + 3*k) % w); err != nil {
+									t.Error(err)
+								}
+							}
+						}()
+					}
+					return wg.Wait
+				}
+				cut, bound := cl.Cut(), comps()
+
+				broken(true)
+				wait := load()
+				err = c.op(cl)
+				wait()
+				if err == nil {
+					t.Error("the reconfiguration succeeded on a broken fabric")
+					return
+				}
+				t.Logf("failed as it should: %v", err)
+				if !maps.Equal(cl.Cut(), cut) {
+					t.Errorf("cut %v after the failure, want %v", cl.Cut(), cut)
+				}
+				if got := comps(); got != bound {
+					t.Errorf("%d incarnations bound after the failure, want %d", got, bound)
+				}
+				for in := range w {
+					if _, err := cl.Inject(in); err != nil {
+						t.Error(err)
+					}
+				}
+				settle()
+				if err := cl.CheckStep(); err != nil {
+					t.Errorf("after the failure: %v", err)
+				}
+
+				broken(false)
+				wait = load()
+				err = c.op(cl)
+				wait()
+				if err != nil {
+					t.Errorf("once the fabric behaves: %v", err)
+					return
+				}
+				if maps.Equal(cl.Cut(), cut) {
+					t.Error("the cut is unchanged after the reconfiguration succeeded")
+				}
+				settle()
+				if err := cl.CheckStep(); err != nil {
+					t.Errorf("after the reconfiguration: %v", err)
+				}
+			})
+			if deadlock != "" {
+				t.Fatalf("the bubble deadlocked: %s", deadlock)
+			}
+		})
 	}
-	if took > time.Second {
-		t.Fatalf("the hang took %v of wall time to report, want under 1s", took)
-	}
-	t.Logf("%s after %v", deadlock, took)
 }
 
 // TestBubbleReconfigKeepsInvariants is the healthy twin: 4 injectors of
