@@ -85,9 +85,12 @@ benchsmoke:
 # cutnet's route-table walk. The unanchored TokenDist also runs
 # TokenDistTCPBurst, the tcp-burst shape: two callers' 128-token bursts, so
 # two group arrive handlers' chains and the reused serve goroutines of
-# tcpnet race each other.
+# tcpnet race each other. EchoFloor, once and without the race detector,
+# keeps tcpnet's floor probe (its echo beside a bare socket echo) building
+# and running, and this pattern holds its name.
 perfsmoke:
 	$(GO) test -race -bench 'ColdWarmup|CoreSetup|TokenFullyExpanded|TokenAdaptive$$|TokenAdaptiveParallel|TokenDist|TokenDistBatch$$|TokenDistTCPBatch$$|TokenDistTCPCallers|TransportDedupParallel|ChordLookupCached|WireCodec' -benchtime 1x -run '^$$' .
+	$(GO) test -run '^$$' -bench EchoFloor -benchtime 1x ./internal/transport/tcpnet/
 
 # End-to-end trace export: a small sim writes sampled spans as Perfetto
 # trace-event JSON, and the validator re-parses the file and checks its

@@ -511,10 +511,10 @@ func BenchmarkTokenDistTCP(b *testing.B) {
 
 // BenchmarkTokenDistTCPParallel is BenchmarkTokenDistTCP with many
 // concurrent senders: 8x GOMAXPROCS injector goroutines share the same
-// pooled TCP fabric, so connection write contention, reply demultiplexing
-// and handler dispatch are all on the measured path — the workload the
-// pooled-frame fast path and idle-socket checkout exist for. ns/op is per
-// token across all senders.
+// pooled TCP fabric, each call on a connection of its own, so dialing,
+// connection checkout and handler dispatch are all on the measured path —
+// the workload the pooled-frame fast path exists for. ns/op is per token
+// across all senders.
 func BenchmarkTokenDistTCPParallel(b *testing.B) {
 	w := 64
 	cl := distClusterTCP(b, w)
@@ -535,11 +535,11 @@ func BenchmarkTokenDistTCPParallel(b *testing.B) {
 
 // BenchmarkTokenDistTCPCallers is BenchmarkTokenDistTCP with 1, 2 and 4
 // closed-loop callers on one fabric — the benchmark's tcp-token shape. Each
-// token is one RPC to the same destination, so with more callers than
-// pooled connections (two per destination) calls share a socket; p95-us is
-// the per-token tail that sharing costs, which ns/op (a mean over all
-// callers) does not show. An untimed warm-up of 64 tokens per caller fills the pool,
-// and makes a -benchtime 1x run under -race still cross the shared path.
+// token is one RPC to the same destination, each on a connection of its
+// own; p95-us is the per-token tail that concurrent callers cost, which
+// ns/op (a mean over all callers) does not show. An untimed warm-up of 64
+// tokens per caller fills the pool, and makes a -benchtime 1x run under
+// -race still run the callers' calls against each other.
 func BenchmarkTokenDistTCPCallers(b *testing.B) {
 	for _, callers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {

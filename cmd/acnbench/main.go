@@ -17,8 +17,8 @@
 // and pprof endpoints — attach a profiler to a long sweep by pointing it at
 // the printed address. An experiment that builds a real TCP fabric (E32)
 // instruments it into the same registry, so tcpnet byte counters and
-// pool-health gauges (tcpnet.pool.dialing, tcpnet.pool.cooldown,
-// tcpnet.conns.open) are live on /metrics and /debug/vars while they run.
+// health gauges (tcpnet.pool.cooldown, tcpnet.conns.open) are live on
+// /metrics and /debug/vars while they run.
 //
 // Performance comparisons between two commits are acnload's job (the
 // benchmark module under benchmark/), not this command's.

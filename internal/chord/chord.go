@@ -87,8 +87,8 @@ func NewRing(seed int64) *Ring {
 // queries, succ_k probes) travel over tr with the given retry policy. Pass
 // a transport.Faulty to expose lookups and estimate probes to message
 // loss, delay, duplication and partitions. It is the ring constructor for
-// callers that hold a transport: core builds its ring with it from
-// Config.Transport, and the acn facade's NewRing with WithTransport.
+// callers that hold a transport: the acn facade's NewRing with
+// WithTransport.
 func NewRingOn(seed int64, tr transport.Transport, retry transport.RetryConfig) *Ring {
 	return &Ring{
 		rng: rand.New(rand.NewSource(seed)),

@@ -56,7 +56,6 @@ import (
 	"repro/internal/chord"
 	"repro/internal/component"
 	"repro/internal/obs"
-	"repro/internal/transport"
 	"repro/internal/tree"
 )
 
@@ -80,14 +79,6 @@ type Config struct {
 	// Zero means 1, the paper's initial state: the whole network on one
 	// node.
 	InitialNodes int
-	// Transport, if non-nil, carries the overlay's RPCs (per-hop finger
-	// queries, succ_k estimate probes); nil means an ideal in-memory
-	// fabric. Pass a transport.Faulty to expose the adaptive network's
-	// lookup traffic to message loss and delay.
-	Transport transport.Transport
-	// Retry shapes the reliability client for those RPCs; zero fields take
-	// the transport package defaults.
-	Retry transport.RetryConfig
 	// Obs, if non-nil, receives latency and hop-count distributions from
 	// every layer: per-token end-to-end seconds, wire hops, lookups, entry
 	// tries, split/merge/repair timing, plus the chord ring's lookup
@@ -139,14 +130,10 @@ type Metrics struct {
 	StructHolds     uint64
 	StructHoldNanos uint64
 
-	// Message-level counters from the overlay's transport fabric, filled
-	// from the ring's NetStats when the snapshot is taken. On the default
-	// ideal fabric MsgsSent tracks LookupHops + estimate probes and the
-	// fault counters stay zero.
-	MsgsSent    uint64 // messages handed to the fabric (including retries)
-	MsgsDropped uint64 // messages the fault injector lost
-	MsgsRetried uint64 // re-sends the reliability client issued
-	MsgsDeduped uint64 // duplicate deliveries absorbed by receiver dedup
+	// MsgsSent counts the messages the overlay handed to its in-memory
+	// fabric, filled from the ring's NetStats when the snapshot is taken:
+	// LookupHops plus estimate probes.
+	MsgsSent uint64
 }
 
 // Sub returns the field-wise difference m - prev: the activity between two
@@ -173,10 +160,7 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 		StructHolds:     m.StructHolds - prev.StructHolds,
 		StructHoldNanos: m.StructHoldNanos - prev.StructHoldNanos,
 
-		MsgsSent:    m.MsgsSent - prev.MsgsSent,
-		MsgsDropped: m.MsgsDropped - prev.MsgsDropped,
-		MsgsRetried: m.MsgsRetried - prev.MsgsRetried,
-		MsgsDeduped: m.MsgsDeduped - prev.MsgsDeduped,
+		MsgsSent: m.MsgsSent - prev.MsgsSent,
 	}
 }
 
@@ -430,16 +414,12 @@ func New(cfg Config) (*Network, error) {
 	if cfg.InitialNodes < 1 {
 		return nil, fmt.Errorf("core: InitialNodes %d < 1", cfg.InitialNodes)
 	}
-	tr := cfg.Transport
-	if tr == nil {
-		tr = transport.NewMem()
-	}
 	stripes := make([]tokenStripe, numStripes)
 	n := &Network{
 		mu:       structLock{stripes: stripes},
 		stripes:  stripes,
 		cfg:      cfg,
-		ring:     chord.NewRingOn(cfg.Seed, tr, cfg.Retry),
+		ring:     chord.NewRing(cfg.Seed),
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 		comps:    make(map[tree.Path]*liveComp),
 		inner:    make(map[tree.Path]chord.NodeID),
@@ -583,11 +563,8 @@ func (n *Network) Metrics() Metrics {
 		m.LCacheHits += s.lcacheHits.Load()
 		m.LCacheMisses += s.lcacheMisses.Load()
 	}
-	st, cs := n.ring.NetStats()
+	st, _ := n.ring.NetStats()
 	m.MsgsSent = st.Sent
-	m.MsgsDropped = st.Dropped
-	m.MsgsRetried = cs.Retries
-	m.MsgsDeduped = st.DedupHits
 	return m
 }
 

@@ -4,7 +4,6 @@ package dist
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/synctest"
@@ -38,30 +37,3 @@ func bubble(t *testing.T, f func()) (deadlock string) {
 // settle returns once every other goroutine of the calling bubble is
 // durably blocked.
 func settle() { synctest.Wait() }
-
-// blockedIn counts the goroutines blocked in a channel receive whose
-// innermost frame outside the runtime is the function fn (a name as a
-// stack trace prints it). A deadlocked bubble's goroutines stay blocked
-// for the life of the test binary, so a test compares the count before
-// and after its bubble to name the wait its own bubble hung in.
-func blockedIn(fn string) int {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	n := 0
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		header, frames, _ := strings.Cut(g, "\n")
-		if !strings.Contains(header, "[chan receive") {
-			continue
-		}
-		for _, l := range strings.Split(frames, "\n") {
-			if strings.HasPrefix(l, "\t") || strings.HasPrefix(l, "runtime.") {
-				continue
-			}
-			if strings.HasPrefix(l, fn+"(") {
-				n++
-			}
-			break
-		}
-	}
-	return n
-}

@@ -21,7 +21,9 @@
 // the same cut is republished — and taken again once more tokens have
 // reached them; in quiescence every component's inputs are exact ones. A
 // reconfiguration that fails undoes its freeze the same way, after
-// unbinding any replacement it bound, so the old cut stays live.
+// unbinding any replacement it bound, so the old cut stays live; one whose
+// wait on traffic sees no total move for one retry budget of the cluster's
+// client has lost a token it waits for, and fails with ErrStalled.
 //
 // A component that is not active — frozen for a reconfiguration, or retired
 // by one — turns tokens away: it steps nothing, stores nothing and replies
@@ -137,8 +139,10 @@ type Cluster struct {
 	// drainCh wakes a reconfiguration waiting on traffic (see await); any
 	// group arrive that processes a token signals it (capacity 1, lossy
 	// send): the waiter re-polls on every wakeup, so a coalesced or stale
-	// signal costs one extra poll, never a missed one.
+	// signal costs one extra poll, never a missed one. The wait gives up
+	// once no total it polls has moved for stall, rc's retry budget.
 	drainCh chan struct{}
+	stall   time.Duration
 
 	// topo is the epoch-snapshot topology: the live incarnations of the
 	// current cut and its compiled routing (see topology), published via
@@ -179,6 +183,7 @@ func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 		tr:       o.tr,
 		rc:       transport.NewClient(o.tr, o.retry),
 		drainCh:  make(chan struct{}, 1),
+		stall:    retryBudget(o.retry),
 		out:      make([]atomic.Uint64, w),
 		injected: make([]atomic.Uint64, w),
 		comps:    make(map[transport.Addr]*comp),
@@ -209,6 +214,34 @@ func New(w int, cut tree.Cut, opts ...Option) (*Cluster, error) {
 	}
 	return cl, nil
 }
+
+// retryBudget is the longest one call of a transport.Client with retry
+// policy rc takes to fail: every attempt's timeout plus every backoff, with
+// zero fields filled as NewClient fills them.
+func retryBudget(rc transport.RetryConfig) time.Duration {
+	d := transport.DefaultRetry()
+	if rc.Timeout <= 0 {
+		rc.Timeout = d.Timeout
+	}
+	if rc.MaxRetries <= 0 {
+		rc.MaxRetries = d.MaxRetries
+	}
+	if rc.Backoff <= 0 {
+		rc.Backoff = d.Backoff
+	}
+	budget, backoff := rc.Timeout, rc.Backoff
+	for range rc.MaxRetries {
+		budget += backoff + rc.Timeout
+		backoff = min(2*backoff, max(rc.BackoffCap, rc.Backoff))
+	}
+	return budget
+}
+
+// ErrStalled is a split or merge that gave up waiting on traffic: no total
+// it polled moved for one retry budget of the cluster's client, so a token
+// it waited for was lost. It comes wrapped with the stage (drain or thaw)
+// and the component whose total is short, and the old cut is live again.
+var ErrStalled = errors.New("dist: reconfiguration stalled")
 
 // NewRootOnly creates a cluster whose network is a single root component.
 func NewRootOnly(w int) (*Cluster, error) {
@@ -541,8 +574,8 @@ func (cl *Cluster) reconfigure(parent tree.Component, old []*comp, sp *obs.Span)
 		} else {
 			drainStart := time.Now()
 			totals[0], totals[1] = snaps[0].Total, snaps[1].Total
-			if err := cl.await(old[2:], totals[2:], func() bool {
-				return component.CheckConservation(parent, totals) == nil
+			if err := cl.await("drain", old[2:], totals[2:], func() error {
+				return component.CheckConservation(parent, totals)
 			}, sp); err != nil {
 				return err
 			}
@@ -565,12 +598,15 @@ func (cl *Cluster) reconfigure(parent tree.Component, old []*comp, sp *obs.Span)
 			return err
 		}
 		stepped := make([]uint64, len(entries))
-		if err := cl.await(entries, stepped, func() bool {
+		if err := cl.await("thaw", entries, stepped, func() error {
 			var sum uint64
 			for _, t := range stepped {
 				sum += t
 			}
-			return sum > seen
+			if sum > seen {
+				return nil
+			}
+			return fmt.Errorf("the entries of %v stepped %d tokens, none since the freeze", parent, sum)
 		}, sp); err != nil {
 			return err
 		}
@@ -624,23 +660,43 @@ func (cl *Cluster) reconfigure(parent tree.Component, old []*comp, sp *obs.Span)
 }
 
 // await polls the processed-token totals of cms into totals until done
-// holds. Between polls it blocks on drainCh, which every group arrive that
-// steps a token signals after it: a token stepped since the last poll is
-// never missed, and a stale or unrelated signal costs one extra poll. It is
-// the coordinator's one wait on traffic.
-func (cl *Cluster) await(cms []*comp, totals []uint64, done func() bool, sp *obs.Span) error {
+// reports nil. Between polls it blocks on drainCh, which every group arrive
+// that steps a token signals after it: a token stepped since the last poll
+// is never missed, and a stale or unrelated signal costs one extra poll. It
+// is the coordinator's one wait on traffic, and it ends with ErrStalled,
+// wrapped with stage and done's last report, once a poll after cl.stall
+// without a moved total still finds none: every call that could move one
+// has been delivered or has failed by then.
+func (cl *Cluster) await(stage string, cms []*comp, totals []uint64, done func() error, sp *obs.Span) error {
+	stall := time.NewTimer(cl.stall)
+	defer stall.Stop()
+	expired := false
 	for {
+		moved := false
 		for i, cm := range cms {
 			reply, err := cl.ctl(cm, kindTotal, sp)
 			if err != nil {
 				return err
 			}
-			totals[i] = reply.(uint64)
+			if t := reply.(uint64); t != totals[i] {
+				totals[i], moved = t, true
+			}
 		}
-		if done() {
+		short := done()
+		switch {
+		case short == nil:
 			return nil
+		case moved:
+			stall.Reset(cl.stall)
+			expired = false
+		case expired:
+			return fmt.Errorf("%w: %s: no total moved in %v: %v", ErrStalled, stage, cl.stall, short)
 		}
-		<-cl.drainCh
+		select {
+		case <-cl.drainCh:
+		case <-stall.C:
+			expired = true
+		}
 	}
 }
 

@@ -3,8 +3,10 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,84 +16,32 @@ import (
 	"repro/internal/tree"
 )
 
-// TestBubbleLostTokenSplitHangs pins a known defect: a split whose freeze
-// is imbalanced thaws and waits (in await) for the frozen component to step
-// more tokens, and if the token in flight towards it is lost, that wait
-// never ends. The set-up is TestReconfigThawsImbalancedFreeze's on the
-// in-memory fabric, except that the held token is never released. Inside a bubble
-// the hang surfaces as the runtime's deadlock report within a second;
-// once the wait has a deadline (ROADMAP item 7), Split returns an error
-// instead and this test changes with it.
-func TestBubbleLostTokenSplitHangs(t *testing.T) {
-	const w, waitFn = 8, "repro/internal/dist.(*Cluster).await"
-	var reached, returned atomic.Bool
-	waiting := blockedIn(waitFn)
-	start := time.Now()
-	deadlock := bubble(t, func() {
-		fabric := &gatedMem{Net: transport.NewMem()}
-		cl, err := New(w, mustCut(t, w, 1), WithTransport(fabric))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := cl.Inject(0); err != nil {
-			t.Error(err)
-			return
-		}
-		path, _ := tokenPath(cl, 0)
-		if p := path[len(path)-1].c.Path; p != "4" {
-			t.Errorf("wire 0's last component is at %q, want X4@4", p)
-			return
-		}
-		gated := make(map[transport.Addr]bool)
-		for _, cm := range cl.topo.Load().live {
-			gated[cm.addr] = cm.c.Path[0] == '4'
-		}
-		var holding atomic.Bool
-		asked, lost := make(chan struct{}), make(chan struct{})
-		fabric.gate = func(a transport.Addr) {
-			if gated[a] && holding.CompareAndSwap(false, true) {
-				close(asked)
-				<-lost // never closed: the token is lost in flight
-			}
-		}
-		go cl.Inject(0)
-		<-asked
-		if _, err := cl.Inject(0); err != nil {
-			t.Error(err)
-			return
-		}
-		reached.Store(true)
-		cl.Split("4")
-		returned.Store(true)
-	})
-	took := time.Since(start)
-	if !reached.Load() {
-		t.Fatal("the set-up did not reach the split")
-	}
-	if returned.Load() || deadlock == "" {
-		t.Fatalf("Split returned (deadlock report %q): the lost token's hang is gone; turn this test into the deadline's test", deadlock)
-	}
-	if blockedIn(waitFn) <= waiting {
-		t.Fatal("the bubble hung, but not in the thaw's progress wait")
-	}
-	if took > time.Second {
-		t.Fatalf("the hang took %v of wall time to report, want under 1s", took)
-	}
-	t.Logf("%s after %v", deadlock, took)
+// TestBubbleLostTokenSplitAborts: a split whose freeze is imbalanced thaws
+// and waits (in await) for the frozen component to step more tokens. The
+// set-up is TestReconfigThawsImbalancedFreeze's, except that the held
+// token is lost: the wait gives up after one retry budget of fake time.
+func TestBubbleLostTokenSplitAborts(t *testing.T) {
+	lostTokenAborts(t, "thaw", "4", func(p tree.Path) bool { return p[0] == '4' },
+		func(cl *Cluster) error { return cl.Split("4") })
 }
 
-// TestBubbleLostTokenMergeHangs pins a known defect: a merge waits (in
-// await, the same wait as the split's) until every token inside the
-// assembly has reached its exit children, and if a token that stepped an
-// entry child is lost on its way to a later child, that wait never ends.
-// Once the wait has a deadline (ROADMAP item 7), Merge returns an error
-// instead and this test changes with it.
-func TestBubbleLostTokenMergeHangs(t *testing.T) {
-	const w, waitFn = 8, "repro/internal/dist.(*Cluster).await"
-	var reached, returned atomic.Bool
-	waiting := blockedIn(waitFn)
-	start := time.Now()
+// TestBubbleLostTokenMergeAborts: a merge waits (in await, the same wait
+// as the split's) until every token inside the assembly has reached its
+// exit children. A token that stepped an entry child is lost on its way to
+// a later child: the drain gives up after one retry budget of fake time.
+func TestBubbleLostTokenMergeAborts(t *testing.T) {
+	lostTokenAborts(t, "drain", "", func(p tree.Path) bool { return p[0] >= '2' },
+		func(cl *Cluster) error { return cl.Merge("") })
+}
+
+// lostTokenAborts runs op on a width-8 level-1 cut after three tokens
+// entered at wire 0, the second of which is held on its way into the first
+// component gated selects. op must fail with ErrStalled naming stage and
+// the component at short, no sooner than one retry budget, and leave the
+// cut and the bound incarnations as they were; once the held token is
+// released, it and every later token leave, and the step property holds.
+func lostTokenAborts(t *testing.T, stage string, short tree.Path, gated func(tree.Path) bool, op func(*Cluster) error) {
+	const w = 8
 	deadlock := bubble(t, func() {
 		fabric := &gatedMem{Net: transport.NewMem()}
 		cl, err := New(w, mustCut(t, w, 1), WithTransport(fabric))
@@ -99,40 +49,73 @@ func TestBubbleLostTokenMergeHangs(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// Children 0 and 1 of the root are the assembly's entry; a token
-		// asking for any later child has stepped one of them.
-		gated := make(map[transport.Addr]bool)
+		if _, err := cl.Inject(0); err != nil {
+			t.Error(err)
+			return
+		}
+		gate := make(map[transport.Addr]bool)
 		for _, cm := range cl.topo.Load().live {
-			gated[cm.addr] = cm.c.Path[0] >= '2'
+			gate[cm.addr] = gated(cm.c.Path)
 		}
 		var holding atomic.Bool
 		asked, lost := make(chan struct{}), make(chan struct{})
 		fabric.gate = func(a transport.Addr) {
-			if gated[a] && holding.CompareAndSwap(false, true) {
+			if gate[a] && holding.CompareAndSwap(false, true) {
 				close(asked)
-				<-lost // never closed: the token is lost in flight
+				<-lost
 			}
 		}
-		go cl.Inject(0)
+		held := make(chan error, 1)
+		go func() {
+			_, err := cl.Inject(0)
+			held <- err
+		}()
 		<-asked
-		reached.Store(true)
-		cl.Merge("")
-		returned.Store(true)
+		if _, err := cl.Inject(0); err != nil {
+			t.Error(err)
+			return
+		}
+		comps := func() int {
+			cl.compMu.RLock()
+			defer cl.compMu.RUnlock()
+			return len(cl.comps)
+		}
+		cut, bound := cl.Cut(), comps()
+		start := time.Now()
+		err = op(cl)
+		if !errors.Is(err, ErrStalled) {
+			t.Errorf("with a token lost: %v, want ErrStalled", err)
+		}
+		if c, _ := tree.ComponentAt(w, short); err == nil || !strings.Contains(err.Error(), stage) || !strings.Contains(err.Error(), c.Name()) {
+			t.Errorf("error %q names neither the %s nor %v", err, stage, c)
+		}
+		if took := time.Since(start); took < cl.stall {
+			t.Errorf("gave up after %v, under one retry budget of %v", took, cl.stall)
+		}
+		if !maps.Equal(cl.Cut(), cut) {
+			t.Errorf("cut %v after the failure, want %v", cl.Cut(), cut)
+		}
+		if got := comps(); got != bound {
+			t.Errorf("%d incarnations bound after the failure, want %d", got, bound)
+		}
+		close(lost)
+		if err := <-held; err != nil {
+			t.Errorf("the released token: %v", err)
+		}
+		for in := range w {
+			if _, err := cl.Inject(in); err != nil {
+				t.Error(err)
+			}
+		}
+		settle()
+		if err := cl.CheckStep(); err != nil {
+			t.Error(err)
+		}
+		t.Logf("failed as it should: %v", err)
 	})
-	took := time.Since(start)
-	if !reached.Load() {
-		t.Fatal("the set-up did not reach the merge")
+	if deadlock != "" {
+		t.Fatalf("the bubble deadlocked: %s", deadlock)
 	}
-	if returned.Load() || deadlock == "" {
-		t.Fatalf("Merge returned (deadlock report %q): the lost token's hang is gone; turn this test into the deadline's test", deadlock)
-	}
-	if blockedIn(waitFn) <= waiting {
-		t.Fatal("the bubble hung, but not in the merge's drain wait")
-	}
-	if took > time.Second {
-		t.Fatalf("the hang took %v of wall time to report, want under 1s", took)
-	}
-	t.Logf("%s after %v", deadlock, took)
 }
 
 // refusingMem is the in-memory switch with Bind turned off on demand: while

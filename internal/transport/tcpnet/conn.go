@@ -2,10 +2,11 @@ package tcpnet
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/transport"
@@ -24,10 +25,11 @@ type outFrame struct {
 	b   []byte
 }
 
-// conn is one TCP connection, usable in both roles at once: the read loop
-// dispatches reply frames to this side's pending calls and serves request
-// frames with this side's handlers. Every frame, request or reply, is
-// written whole by the goroutine that has it, under wmu.
+// conn is one TCP connection in one role. A dialed conn carries one call at
+// a time, and the caller holding it reads the reply itself (reply); an
+// accepted conn's read loop serves the requests that arrive on it. Every
+// frame, request or reply, is written whole by the goroutine that has it,
+// under wmu.
 type conn struct {
 	n *Net
 	c net.Conn
@@ -35,120 +37,98 @@ type conn struct {
 	wmu sync.Mutex
 	wdl time.Time // write deadline armed on the socket; owned by wmu
 
-	pmu     sync.Mutex
-	pending map[uint64]chan *wire.Reply
-	pdead   bool // die ran; no new pending entries may be added
-	// inflight mirrors len(pending) for the pool's checkout, which holds no pmu.
-	inflight atomic.Int64
-	nextMux  atomic.Uint64
-
-	dead     chan struct{}
-	dieOnce  sync.Once
-	retireFn func() // removes the conn from its pool, nil for accepted conns
+	dead    chan struct{}
+	dieOnce sync.Once
 
 	// ins is the handle set current at creation; die decrements the same
 	// gauge newConn incremented even if Instrument swapped handles since.
 	ins *instruments
+
+	// The dialed side, owned by the caller holding the conn: its pool, the
+	// reader and buffer replies arrive through, the envelope they decode
+	// into, and the mux ID of the call in flight. nil for accepted conns.
+	p    *pool
+	br   *bufio.Reader
+	rbuf []byte
+	rep  wire.Reply
+	mux  uint64
 }
 
-// newConn wraps a socket. The caller wires retireFn (if any) and then
-// calls start; nothing reads the conn before start, so the wiring is
-// race-free.
+// newConn wraps a socket; nothing reads it until its owner does.
 func (n *Net) newConn(c net.Conn) *conn {
 	cn := &conn{
-		n:       n,
-		c:       c,
-		pending: make(map[uint64]chan *wire.Reply),
-		dead:    make(chan struct{}),
-		ins:     n.ins(),
+		n:    n,
+		c:    c,
+		dead: make(chan struct{}),
+		ins:  n.ins(),
 	}
 	n.connsOpen.Add(1)
 	cn.ins.gConn.Add(1)
 	return cn
 }
 
-// start launches the read loop.
-func (cn *conn) start() {
-	cn.n.loops.Add(1)
-	go cn.readLoop()
-}
-
-// die closes the connection once: socket closed, every pending caller
-// released with a nil deposit, pool membership retired. Depositing (rather
-// than broadcasting on a channel) keeps the slot ownership protocol
-// uniform: whoever deletes a pending entry deposits exactly once, so the
-// reply channels are provably empty when they return to the pool.
+// die closes the connection once, and leaves its pool's count of open
+// conns.
 func (cn *conn) die() {
 	cn.dieOnce.Do(func() {
 		close(cn.dead)
 		_ = cn.c.Close()
-		cn.pmu.Lock()
-		cn.pdead = true
-		pend := cn.pending
-		cn.pending = nil
-		cn.noteInflight(-int64(len(pend)))
-		cn.pmu.Unlock()
-		for _, ch := range pend {
-			ch <- nil // buffered and empty: entry present means no deposit yet
-		}
 		cn.n.connsOpen.Add(-1)
 		cn.ins.gConn.Add(-1)
-		if cn.retireFn != nil {
-			cn.retireFn()
+		if p := cn.p; p != nil {
+			p.mu.Lock()
+			p.open--
+			p.mu.Unlock()
 		}
 	})
 }
 
-// addPending registers a reply waiter. It reports false when the conn has
-// already died — the caller's reply can never arrive, and die's sweep has
-// already passed, so registering would leak the slot.
-func (cn *conn) addPending(mux uint64, ch chan *wire.Reply) bool {
-	cn.pmu.Lock()
-	if cn.pdead {
-		cn.pmu.Unlock()
-		return false
+// reply reads the reply to the call cn carries, by deadline, and hands cn
+// back to its pool. A call that timed out or broke closes cn instead, so a
+// late reply is never read as a later call's; a break that is not the
+// deadline also closes the pool's idle conns, which share the peer's fate.
+// Both failures are the retryable ErrTimeout, as a lost reply leg is.
+func (cn *conn) reply(deadline time.Time) (any, error) {
+	rep, err := cn.readReply(deadline)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		cn.die()
+		return nil, transport.ErrTimeout
 	}
-	cn.pending[mux] = ch
-	cn.noteInflight(1)
-	cn.pmu.Unlock()
-	return true
+	if err != nil {
+		cn.p.fail(cn)
+		return nil, fmt.Errorf("%w: connection lost: %v", transport.ErrTimeout, err)
+	}
+	v, err := replyValue(rep)
+	cn.p.put(cn)
+	return v, err
 }
 
-// noteInflight moves len(pending)'s mirror and its gauge; caller holds pmu.
-func (cn *conn) noteInflight(d int64) {
-	cn.inflight.Add(d)
-	cn.ins.gFlight.Add(d)
-}
-
-// takePending removes and returns mux's waiter, or nil when another party
-// (die, or the waiter itself reclaiming on timeout) already took it.
-// Whoever takes the entry owes its channel exactly one deposit — except
-// the owning Send reclaiming its own slot, which deposits nothing.
-func (cn *conn) takePending(mux uint64) chan *wire.Reply {
-	cn.pmu.Lock()
-	ch := cn.pending[mux]
-	if ch != nil {
-		delete(cn.pending, mux)
-		cn.noteInflight(-1)
+// readReply reads and decodes one reply frame, which must answer the call
+// in flight.
+func (cn *conn) readReply(deadline time.Time) (*wire.Reply, error) {
+	if err := cn.c.SetReadDeadline(deadline); err != nil {
+		return nil, err
 	}
-	cn.pmu.Unlock()
-	return ch
-}
-
-// reclaim returns a Send's reply slot to the pool after a timeout or write
-// failure. If the entry is still in the map nobody deposited, so the
-// channel is empty and pools as-is; otherwise a deposit happened (or is
-// nanoseconds away), so consume it first — the channel must be provably
-// empty before reuse.
-func (cn *conn) reclaim(mux uint64, ch chan *wire.Reply) {
-	if cn.takePending(mux) != nil {
-		callSlots.Put(ch)
-		return
+	payload, err := wire.ReadFrame(cn.br, cn.rbuf)
+	if err != nil {
+		return nil, err
 	}
-	if rep := <-ch; rep != nil {
-		replies.Put(rep)
+	cn.rbuf = payload[:0]
+	ins := cn.n.ins()
+	cn.n.bytesIn.Add(uint64(len(payload)))
+	ins.cIn.Add(uint64(len(payload)))
+	var decStart time.Time
+	if ins.hDec != nil {
+		decStart = time.Now()
 	}
-	callSlots.Put(ch)
+	if err := wire.DecodeReplyFrame(payload, &cn.rep); err != nil {
+		return nil, err
+	}
+	ins.hDec.Since(decStart)
+	if cn.rep.Mux != cn.mux {
+		return nil, fmt.Errorf("%w: reply to mux %d on a call of mux %d", wire.ErrCorrupt, cn.rep.Mux, cn.mux)
+	}
+	return &cn.rep, nil
 }
 
 // send writes one framed message whole under the connection's write mutex
@@ -195,20 +175,21 @@ func (cn *conn) setWriteDeadline(timeout time.Duration) {
 	}
 }
 
-// readLoop decodes frames until the connection dies. Replies release their
-// pending callers; each request is handed to a serve goroutine, so a slow
-// handler never blocks the demultiplexer. Decoded envelopes come from and
-// return to the message pools: the read loop hands each reply payload's
-// decoded form to exactly one consumer, which recycles it.
+// readLoop serves the requests that arrive on an accepted conn until it
+// dies, handing each to a serve goroutine so that a slow handler never
+// blocks the next request. Decoded envelopes come from and return to the
+// request pool. A frame that does not decode as a request poisons the
+// stream's framing trust and drops the conn.
 func (cn *conn) readLoop() {
 	defer cn.n.loops.Done()
+	defer cn.n.forget(cn)
 	defer cn.die()
 	br := bufio.NewReaderSize(cn.c, 32*1024)
 	var buf []byte
 	for {
 		payload, err := wire.ReadFrame(br, buf)
 		if err != nil {
-			return // conn closed or broken; pending callers released by die
+			return // conn closed or broken
 		}
 		buf = payload[:0]
 		ins := cn.n.ins()
@@ -219,32 +200,21 @@ func (cn *conn) readLoop() {
 		if ins.hDec != nil {
 			decStart = time.Now()
 		}
-		if wire.IsReply(payload) {
-			rep := replies.Get().(*wire.Reply)
-			err := wire.DecodeReplyFrame(payload, rep)
-			ins.hDec.Since(decStart)
-			if err != nil {
-				// A frame that does not decode poisons the stream's framing
-				// trust; drop the connection and let senders retry elsewhere.
-				replies.Put(rep)
-				return
-			}
-			if ch := cn.takePending(rep.Mux); ch != nil {
-				ch <- rep // buffered; the waiter recycles rep after reading it
-			} else {
-				replies.Put(rep) // caller timed out and reclaimed the slot
-			}
-		} else {
-			req := requests.Get().(*wire.Request)
-			err := wire.DecodeRequestFrame(payload, req)
-			ins.hDec.Since(decStart)
-			if err != nil {
-				requests.Put(req)
-				return
-			}
-			cn.n.serveRequest(cn, req)
+		req := requests.Get().(*wire.Request)
+		if err := wire.DecodeRequestFrame(payload, req); err != nil {
+			requests.Put(req)
+			return
 		}
+		ins.hDec.Since(decStart)
+		cn.n.serveRequest(cn, req)
 	}
+}
+
+// forget drops a dead accepted conn from the set Close closes.
+func (n *Net) forget(cn *conn) {
+	n.poolMu.Lock()
+	delete(n.accepted, cn)
+	n.poolMu.Unlock()
 }
 
 // serveJob is one inbound request and the connection its reply goes out on.
@@ -396,11 +366,18 @@ func (n *Net) acceptLoop() {
 		}
 		setNoDelay(c)
 		cn := n.newConn(c)
-		// Accepted conns die with the fabric: register for Close.
+		// Accepted conns die with the fabric: register for Close, unless
+		// Close has begun and may have taken the set already.
 		n.poolMu.Lock()
-		n.accepted = append(n.accepted, cn)
+		if n.closed.Load() {
+			n.poolMu.Unlock()
+			cn.die()
+			continue
+		}
+		n.accepted[cn] = struct{}{}
 		n.poolMu.Unlock()
-		cn.start()
+		n.loops.Add(1)
+		go cn.readLoop()
 	}
 }
 
@@ -422,19 +399,18 @@ const (
 	dialAttempts   = 3
 )
 
-// pool is the per-destination connection set: up to Net.poolSize conns,
-// dialed on demand, checked out by idleness, with exponential backoff after
-// dial failures (a destination that refused recently fails fast instead of
-// hammering).
+// pool is the per-destination connection set: the idle dialed conns, the
+// one that went idle last on top, dialed on demand with exponential
+// backoff after dial failures (a destination that refused recently fails
+// fast instead of hammering). It keeps every conn handed back, so it holds
+// as many as the calls ever in flight to its destination at once.
 type pool struct {
 	n      *Net
 	target string
 
 	mu       sync.Mutex
-	cond     *sync.Cond // lazily created; signals dial completion
-	conns    []*conn
-	dialing  int    // dials in progress, holding pool slots
-	rr       uint64 // rotation point: breaks ties between equally loaded conns
+	idle     []*conn
+	open     int // dialed conns not yet closed: idle, or carrying a call
 	backoff  time.Duration
 	coolDown time.Time
 }
@@ -450,85 +426,44 @@ func (n *Net) pool(target string) *pool {
 	return p
 }
 
-// conn returns a healthy pooled connection, dialing when the pool is not
-// full. A full pool hands out the live conn with the fewest calls in flight,
-// rotating among equals: a call gets a socket nobody else is using when one
-// exists, a lone sequential caller still spreads over the pool, and calls
-// multiplex only when every conn is busy (WireStats.Shared). The load is read
-// before the caller's request registers, so two racing callers may still
-// pick one conn; the rotation starts them at different ones. Dials in
-// progress hold pool slots, so concurrent first callers cannot race the pool
-// past poolSize; callers finding every slot mid-dial wait for one to
-// resolve. Within a post-failure cooldown window the pool fails fast with
-// ErrUnreachable rather than re-dialing a destination that just refused.
+// conn checks out the conn that went idle last, or dials a new one when
+// none is idle. Within a post-failure cooldown window the pool fails fast
+// with ErrUnreachable rather than re-dialing a destination that just
+// refused.
 func (p *pool) conn() (*conn, error) {
 	p.mu.Lock()
-	for {
-		// Sweep dead conns so the checkout only sees live ones (die() retires
-		// asynchronously; a conn can break between retirement and this pick).
-		live := p.conns[:0]
-		for _, c := range p.conns {
-			select {
-			case <-c.dead:
-			default:
-				live = append(live, c)
-			}
-		}
-		p.conns = live
-		cooling := !p.coolDown.IsZero() && time.Now().Before(p.coolDown)
-		if !cooling && !p.coolDown.IsZero() {
-			// Cooldown expired: clear it so the gauge reflects only pools
-			// still refusing dials.
-			p.coolDown = time.Time{}
-			p.n.ins().gCooling.Add(-1)
-		}
-		if len(p.conns) > 0 && (len(p.conns)+p.dialing >= p.n.poolSize || cooling) {
-			p.rr++
-			c := p.conns[p.rr%uint64(len(p.conns))]
-			load := c.inflight.Load()
-			for i := 1; i < len(p.conns) && load > 0; i++ {
-				o := p.conns[(p.rr+uint64(i))%uint64(len(p.conns))]
-				if l := o.inflight.Load(); l < load {
-					c, load = o, l
-				}
-			}
-			p.mu.Unlock()
-			if load > 0 {
-				p.n.shared.Add(1)
-				p.n.ins().cShared.Inc()
-			}
-			return c, nil
-		}
-		if cooling {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s dial cooling down", transport.ErrUnreachable, p.target)
-		}
-		if len(p.conns)+p.dialing < p.n.poolSize {
-			p.dialing++
-			p.n.ins().gDialing.Add(1)
-			p.mu.Unlock()
-			c, err := p.dial()
-			p.mu.Lock()
-			p.dialing--
-			p.n.ins().gDialing.Add(-1)
-			if p.cond != nil {
-				p.cond.Broadcast()
-			}
-			if err != nil {
-				p.mu.Unlock()
-				return nil, err
-			}
-			p.conns = append(p.conns, c)
-			p.mu.Unlock()
-			return c, nil
-		}
-		// No live conn and every slot is mid-dial: wait for one to resolve,
-		// then re-evaluate.
-		if p.cond == nil {
-			p.cond = sync.NewCond(&p.mu)
-		}
-		p.cond.Wait()
+	if k := len(p.idle) - 1; k >= 0 {
+		c := p.idle[k]
+		p.idle[k] = nil
+		p.idle = p.idle[:k]
+		p.mu.Unlock()
+		return c, nil
 	}
+	cooling := !p.coolDown.IsZero() && time.Now().Before(p.coolDown)
+	if !cooling && !p.coolDown.IsZero() {
+		// Cooldown expired: clear it so the gauge reflects only pools
+		// still refusing dials.
+		p.coolDown = time.Time{}
+		p.n.ins().gCooling.Add(-1)
+	}
+	p.mu.Unlock()
+	if cooling {
+		return nil, fmt.Errorf("%w: %s dial cooling down", transport.ErrUnreachable, p.target)
+	}
+	return p.dial()
+}
+
+// put hands back a conn whose call has completed.
+func (p *pool) put(c *conn) {
+	p.mu.Lock()
+	p.idle = append(p.idle, c)
+	p.mu.Unlock()
+}
+
+// fail closes a conn whose call broke, and the idle ones with it.
+func (p *pool) fail(c *conn) {
+	c.die()
+	p.close()
 }
 
 // dial attempts to connect with exponential backoff between attempts.
@@ -546,16 +481,16 @@ func (p *pool) dial() (*conn, error) {
 		if err == nil {
 			p.n.dials.Add(1)
 			setNoDelay(c)
+			cn := p.n.newConn(c)
+			cn.p, cn.br = p, bufio.NewReader(c)
 			p.mu.Lock()
+			p.open++
 			p.backoff = dialBackoff
 			if !p.coolDown.IsZero() {
 				p.coolDown = time.Time{}
 				p.n.ins().gCooling.Add(-1)
 			}
 			p.mu.Unlock()
-			cn := p.n.newConn(c)
-			cn.retireFn = func() { p.retire(cn) }
-			cn.start()
 			return cn, nil
 		}
 		lastErr = err
@@ -573,25 +508,13 @@ func (p *pool) dial() (*conn, error) {
 	return nil, fmt.Errorf("%w: dial %s: %v", transport.ErrUnreachable, p.target, lastErr)
 }
 
-// retire removes a dead connection from the pool.
-func (p *pool) retire(dead *conn) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, c := range p.conns {
-		if c == dead {
-			p.conns = append(p.conns[:i], p.conns[i+1:]...)
-			return
-		}
-	}
-}
-
-// close kills every pooled connection.
+// close kills every idle connection.
 func (p *pool) close() {
 	p.mu.Lock()
-	conns := append([]*conn(nil), p.conns...)
-	p.conns = nil
+	idle := p.idle
+	p.idle = nil
 	p.mu.Unlock()
-	for _, c := range conns {
+	for _, c := range idle {
 		c.die()
 	}
 }

@@ -11,11 +11,14 @@
 //     host:port (its own listener by default, or per-prefix routes added
 //     with Route for multi-fabric topologies) and issues the call over a
 //     pooled connection.
-//   - Connections multiplex: every request frame carries a per-attempt mux
-//     ID, replies come back tagged with it, so many concurrent calls share
-//     a few connections in both directions. A small per-destination pool
-//     (poolSize conns, dialed on demand with backoff, idlest one first) keeps
-//     head-of-line blocking bounded without a conn per call.
+//   - A dialed connection carries one call at a time: the caller checks out
+//     the connection that went idle last (or dials one), writes its request
+//     frame, reads the reply itself under the call's deadline and returns
+//     the connection to the pool. No socket is ever shared, so no reply
+//     waits behind another call's, and a pool is as many connections as the
+//     calls ever in flight to its destination at once. A connection whose
+//     call timed out or broke is closed, never reused, so a late reply can
+//     never answer a retry.
 //   - Per-call deadlines map to the transport error vocabulary: no reply
 //     within the timeout is ErrTimeout (retried by Client), an
 //     unresolvable or undialable destination is ErrUnreachable (not
@@ -32,9 +35,9 @@
 //     and serves a later request, so the serve goroutines are as many as
 //     the calls ever in flight at once, not one per request.
 //   - Close is graceful: the listener stops accepting, in-flight handlers
-//     run to completion and their replies are flushed before connections
-//     die; only then do pending callers see errors, and the parked serve
-//     goroutines end.
+//     run to completion and their replies are flushed, callers read them
+//     (or reach their deadlines), and only then do the connections and the
+//     parked serve goroutines end.
 package tcpnet
 
 import (
@@ -61,15 +64,6 @@ type Config struct {
 	Listen string
 }
 
-// poolSize is the number of connections kept per destination. One is enough
-// for correctness; a second keeps a large group message from head-of-line
-// blocking small control traffic. A call takes the idlest connection, so
-// only calls beyond poolSize concurrent ones to a destination share a socket
-// (WireStats.Shared counts them). No pool size measured faster on a
-// 2-vCPU host: 22.2, 24.3, 23.6 and 28.3 µs per token at 1, 2, 4 and 8
-// connections, two senders.
-const poolSize = 2
-
 // endpoint is one bound address on the receiving side.
 type endpoint struct {
 	h     transport.Handler
@@ -86,9 +80,6 @@ type WireStats struct {
 	ConnsOpen int64  // currently open connections (both directions)
 	Writes    uint64 // write syscalls issued, one per frame
 	Frames    uint64 // frames written: always equal to Writes
-	// Shared counts calls handed a connection already carrying one (its whole
-	// pool was busy): against Sent, whether poolSize covers the concurrency.
-	Shared uint64
 }
 
 // Net is a TCP fabric. It implements transport.Transport and
@@ -96,9 +87,6 @@ type WireStats struct {
 type Net struct {
 	ln   net.Listener
 	addr string
-	// poolSize is the connections kept per destination: the constant
-	// poolSize, unless a test sets it before the first Send.
-	poolSize int
 
 	mu  sync.RWMutex
 	eps map[transport.Addr]*endpoint
@@ -112,10 +100,9 @@ type Net struct {
 
 	poolMu   sync.Mutex
 	pools    map[string]*pool
-	accepted []*conn // inbound conns, closed with the fabric
+	accepted map[*conn]struct{} // live inbound conns, closed with the fabric
 
-	closed  atomic.Bool
-	closeCh chan struct{}
+	closed atomic.Bool
 	// inflight counts handler executions plus their reply writes; Close
 	// waits on it so accepted requests always get their reply flushed.
 	// flightMu orders the closed check against inflight.Add so no handler
@@ -133,7 +120,7 @@ type Net struct {
 	// handler drain so replies already flushed to the kernel are consumed
 	// by their callers before the pooled conns die.
 	outcalls sync.WaitGroup
-	// loops counts the accept loop and per-connection read loops.
+	// loops counts the accept loop and the accepted conns' read loops.
 	loops sync.WaitGroup
 
 	sent      atomic.Uint64
@@ -145,10 +132,9 @@ type Net struct {
 	dialFails atomic.Uint64
 	connsOpen atomic.Int64
 	writes    atomic.Uint64
-	shared    atomic.Uint64
 
 	// Observability handles, swapped in atomically by Instrument (the
-	// accept and read loops are already running by then). All handles are
+	// accept loop is already running by then). All handles are
 	// nil until instrumented; obs instruments no-op on nil receivers.
 	instr atomic.Pointer[instruments]
 
@@ -166,10 +152,7 @@ type instruments struct {
 	cIn      *obs.Counter
 	cOut     *obs.Counter
 	gConn    *obs.Gauge
-	gDialing *obs.Gauge   // dial slots currently held by in-progress dials
-	gCooling *obs.Gauge   // destination pools inside a post-failure cooldown
-	gFlight  *obs.Gauge   // calls awaiting a reply on conns opened under this handle set
-	cShared  *obs.Counter // calls handed an already busy conn
+	gCooling *obs.Gauge // destination pools inside a post-failure cooldown
 }
 
 var noInstr = &instruments{}
@@ -199,10 +182,9 @@ func New(cfg Config) (*Net, error) {
 	n := &Net{
 		ln:       ln,
 		addr:     ln.Addr().String(),
-		poolSize: poolSize,
 		eps:      make(map[transport.Addr]*endpoint),
 		pools:    make(map[string]*pool),
-		closeCh:  make(chan struct{}),
+		accepted: make(map[*conn]struct{}),
 	}
 	n.routes.Store(new([]route))
 	n.loops.Add(1)
@@ -285,10 +267,7 @@ func (n *Net) Instrument(reg *obs.Registry) {
 		cIn:      reg.Counter("tcpnet.bytes.in"),
 		cOut:     reg.Counter("tcpnet.bytes.out"),
 		gConn:    reg.Gauge("tcpnet.conns.open"),
-		gDialing: reg.Gauge("tcpnet.pool.dialing"),
 		gCooling: reg.Gauge("tcpnet.pool.cooldown"),
-		gFlight:  reg.Gauge("tcpnet.pool.inflight"),
-		cShared:  reg.Counter("tcpnet.pool.shared"),
 	})
 }
 
@@ -323,111 +302,82 @@ func (n *Net) Unbind(a transport.Addr) {
 }
 
 // Send implements transport.Transport: encode the request with the wire
-// codec, ship it over a pooled connection to the destination fabric, and
-// wait for the matching reply frame no longer than timeout. The fast path
-// is allocation-free: the frame builds in a pooled encoder (framed in
-// place via the FrameOverhead reserve), the reply waiter is a pooled
-// channel slot, the timer and the decoded reply envelope are pooled too.
+// codec, write it on a connection of its own to the destination fabric,
+// and read the reply there no longer than timeout. The fast path is
+// allocation-free: the frame builds in a pooled encoder (framed in place
+// via the FrameOverhead reserve), and the reply decodes into the
+// connection's own envelope.
 func (n *Net) Send(req transport.Request, timeout time.Duration) (any, error) {
 	n.sent.Add(1)
-	n.flightMu.Lock()
-	if n.closed.Load() {
-		n.flightMu.Unlock()
-		return nil, fmt.Errorf("%w: fabric closed", transport.ErrUnreachable)
+	if !n.enter() {
+		return nil, errClosed
 	}
-	n.outcalls.Add(1)
-	n.flightMu.Unlock()
 	defer n.outcalls.Done()
-	pc, err := n.issue(req, timeout)
+	c, err := n.issue(req, timeout)
 	if err != nil {
 		return nil, err
 	}
-	t := getTimer(timeout)
-	select {
-	case rep := <-pc.ch:
-		putTimer(t)
-		callSlots.Put(pc.ch)
-		return takeReply(rep)
-	case <-t.C:
-		putTimer(t)
-		pc.c.reclaim(pc.mux, pc.ch)
-		return nil, transport.ErrTimeout
-	}
+	return c.reply(time.Now().Add(timeout))
 }
 
-// pendingCall is a request that has left on c and awaits its reply in ch
-// under mux.
-type pendingCall struct {
-	c   *conn
-	mux uint64
-	ch  chan *wire.Reply
+var errClosed = fmt.Errorf("%w: fabric closed", transport.ErrUnreachable)
+
+// enter counts an outbound call in for Close to wait on; it reports false
+// once the fabric is closed.
+func (n *Net) enter() bool {
+	n.flightMu.Lock()
+	defer n.flightMu.Unlock()
+	if n.closed.Load() {
+		return false
+	}
+	n.outcalls.Add(1)
+	return true
 }
 
 // issue checks out a connection to req's destination, frames req on it and
-// writes it with the caller's deadline. On error nothing is left registered.
-func (n *Net) issue(req transport.Request, timeout time.Duration) (pendingCall, error) {
+// writes it with the caller's deadline. The returned conn carries the call:
+// its reply is the caller's to read. On error no conn is held.
+func (n *Net) issue(req transport.Request, timeout time.Duration) (*conn, error) {
 	c, err := n.pool(n.resolve(req.To)).conn()
 	if err != nil {
-		return pendingCall{}, err
+		return nil, err
 	}
-	of, mux, ch, err := n.frameRequest(c, req)
+	of, err := n.frameRequest(c, req)
 	if err != nil {
-		return pendingCall{}, err
+		c.p.put(c)
+		return nil, err
 	}
 	if err := c.send(of, timeout); err != nil {
-		// The conn died under us (die has already swept pending, depositing
-		// into our slot); it is already retired from the pool. The request
-		// may or may not have left — indistinguishable from a lost leg, so
-		// surface the retryable class.
-		c.reclaim(mux, ch)
-		return pendingCall{}, fmt.Errorf("%w: %v", transport.ErrTimeout, err)
+		// The request may or may not have left — indistinguishable from a
+		// lost leg, so surface the retryable class.
+		c.p.fail(c)
+		return nil, fmt.Errorf("%w: %v", transport.ErrTimeout, err)
 	}
-	return pendingCall{c: c, mux: mux, ch: ch}, nil
+	return c, nil
 }
 
-// frameRequest encodes req into a pooled frame for conn c and registers
-// the pooled slot its reply will be deposited in under a fresh mux ID. On
-// error nothing is left registered or checked out.
-func (n *Net) frameRequest(c *conn, req transport.Request) (of outFrame, mux uint64, ch chan *wire.Reply, err error) {
+// frameRequest encodes req into a pooled frame for conn c under a fresh
+// mux ID.
+func (n *Net) frameRequest(c *conn, req transport.Request) (outFrame, error) {
 	ins := n.ins()
 	var encStart time.Time
 	if ins.hEnc != nil {
 		encStart = time.Now()
 	}
-	mux = c.nextMux.Add(1)
+	c.mux++
 	enc := getEncoder()
 	enc.Pad(wire.FrameOverhead)
-	if err := wire.EncodeRequest(enc, mux, req); err != nil {
+	if err := wire.EncodeRequest(enc, c.mux, req); err != nil {
 		putEncoder(enc)
-		return outFrame{}, 0, nil, err
+		return outFrame{}, err
 	}
 	frame, err := wire.FinishFrame(enc.Bytes())
 	if err != nil {
 		putEncoder(enc)
-		return outFrame{}, 0, nil, err
+		return outFrame{}, err
 	}
 	ins.hEnc.Since(encStart)
-
-	ch = callSlots.Get().(chan *wire.Reply)
-	if !c.addPending(mux, ch) {
-		putEncoder(enc)
-		callSlots.Put(ch)
-		return outFrame{}, 0, nil, fmt.Errorf("%w: connection lost", transport.ErrTimeout)
-	}
-	return outFrame{enc: enc, b: frame}, mux, ch, nil
-}
-
-// takeReply turns what a reply slot held into the Send return contract and
-// recycles the envelope. A nil deposit is die's: the connection failed
-// while the call waited and its reply can never arrive — retryable, same
-// as a lost reply leg.
-func takeReply(rep *wire.Reply) (any, error) {
-	if rep == nil {
-		return nil, fmt.Errorf("%w: connection lost", transport.ErrTimeout)
-	}
-	v, err := replyValue(rep)
-	replies.Put(rep)
-	return v, err
+	return outFrame{enc: enc, b: frame}, nil
 }
 
 // replyValue maps a decoded reply envelope to the Send return contract.
@@ -444,17 +394,13 @@ func replyValue(rep *wire.Reply) (any, error) {
 	}
 }
 
-// The fast-path pools. One RPC touches, and recycles, one of each: an
-// encoder (whose buffer IS the frame buffer, via the FrameOverhead
-// reserve), a reply-waiter channel, a decoded reply envelope, and a
-// timer; the receiving side adds a decoded request envelope. Encoders are
-// Reset at put, so Get returns an empty, ready buffer.
+// The fast-path pools: a call recycles an encoder (whose buffer IS the
+// frame buffer, via the FrameOverhead reserve), and the receiving side a
+// decoded request envelope. Encoders are Reset at put, so Get returns an
+// empty, ready buffer.
 var (
-	encoders  = sync.Pool{New: func() any { return wire.NewEncoder(256) }}
-	callSlots = sync.Pool{New: func() any { return make(chan *wire.Reply, 1) }}
-	replies   = sync.Pool{New: func() any { return new(wire.Reply) }}
-	requests  = sync.Pool{New: func() any { return new(wire.Request) }}
-	timers    sync.Pool // *time.Timer; nil New — getTimer handles the miss
+	encoders = sync.Pool{New: func() any { return wire.NewEncoder(256) }}
+	requests = sync.Pool{New: func() any { return new(wire.Request) }}
 )
 
 func getEncoder() *wire.Encoder { return encoders.Get().(*wire.Encoder) }
@@ -462,22 +408,6 @@ func getEncoder() *wire.Encoder { return encoders.Get().(*wire.Encoder) }
 func putEncoder(e *wire.Encoder) {
 	e.Reset()
 	encoders.Put(e)
-}
-
-// getTimer returns a pooled timer armed for d. Timers from the pool were
-// Stopped at put; Reset after Stop without a drain is correct under the
-// Go 1.23 timer semantics this module requires.
-func getTimer(d time.Duration) *time.Timer {
-	if t, _ := timers.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(t *time.Timer) {
-	t.Stop()
-	timers.Put(t)
 }
 
 // Stats implements transport.Transport.
@@ -500,7 +430,6 @@ func (n *Net) WireStats() WireStats {
 		ConnsOpen: n.connsOpen.Load(),
 		Writes:    writes,
 		Frames:    writes,
-		Shared:    n.shared.Load(),
 	}
 }
 
@@ -527,7 +456,6 @@ func (n *Net) Close() error {
 	if already {
 		return nil
 	}
-	close(n.closeCh)
 	err := n.ln.Close()
 	// The flightMu barrier above guarantees no serveRequest starts a request
 	// after this point. Drain: handlers that already accepted a request run to completion and
@@ -547,7 +475,7 @@ func (n *Net) Close() error {
 	for _, p := range pools {
 		p.close()
 	}
-	for _, c := range accepted {
+	for c := range accepted {
 		c.die()
 	}
 	n.loops.Wait()

@@ -154,9 +154,8 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
-// TestConcurrentMux drives many concurrent calls through the small conn
-// pool: replies must come back matched to their callers (the mux IDs), and
-// the pool must stay at poolSize conns rather than one per call.
+// TestConcurrentMux drives many concurrent calls through the conn pool:
+// replies must come back matched to their callers.
 func TestConcurrentMux(t *testing.T) {
 	n := newNet(t)
 	if err := n.Bind("n:echo", func(req transport.Request) (any, error) {
@@ -186,11 +185,6 @@ func TestConcurrentMux(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// poolSize outbound conns + the same number accepted back on the
-	// listener side.
-	if open := n.WireStats().ConnsOpen; open > int64(2*n.poolSize) {
-		t.Fatalf("%d conns open for %d concurrent callers; pooling broken", open, workers)
-	}
 }
 
 // TestGracefulClose: a handler running at Close time finishes and its
@@ -447,9 +441,9 @@ func TestDedupBoundOverSocket(t *testing.T) {
 }
 
 // TestPoolHealthStats: poolStats is an exact walk of the outbound pools,
-// and the tcpnet.pool.* gauges surface the same health transitions —
-// live conns after traffic, calls in flight and calls that had to share a
-// busy conn, a cooldown entry after a dead dial.
+// and the tcpnet.pool.cooldown gauge surfaces the same health transition —
+// a live conn after traffic, one conn per call held in its handler, a
+// cooldown entry after a dead dial.
 func TestPoolHealthStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	n := newNet(t)
@@ -467,18 +461,14 @@ func TestPoolHealthStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := n.poolStats()
-	if ps.Pools != 1 || ps.Conns < 1 {
-		t.Fatalf("after one call: %+v, want 1 pool with a live conn", ps)
+	if ps.Pools != 1 || ps.Conns != 1 || ps.InFlight != 0 {
+		t.Fatalf("after one call: %+v, want 1 pool with one idle conn", ps)
 	}
-	if ps.Dialing != 0 || ps.Cooling != 0 {
-		t.Fatalf("healthy pool reports dialing/cooling: %+v", ps)
-	}
-	if v := reg.Gauge("tcpnet.pool.dialing").Value(); v != 0 {
-		t.Fatalf("pool.dialing gauge %d after dial completed", v)
+	if ps.Cooling != 0 {
+		t.Fatalf("healthy pool reports cooling: %+v", ps)
 	}
 
-	// "Is my pool too small?": poolSize+1 calls held in their handlers are
-	// all in flight, and exactly the one past poolSize had to share a conn.
+	// Calls held in their handlers each hold a conn of their own.
 	started, held := make(chan struct{}), make(chan struct{})
 	release := sync.OnceFunc(func() { close(held) })
 	t.Cleanup(release) // a failure below must not leave Close waiting on held handlers
@@ -489,7 +479,7 @@ func TestPoolHealthStats(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	calls := n.poolSize + 1
+	const calls = 3
 	var wg sync.WaitGroup
 	for i := 0; i < calls; i++ {
 		wg.Add(1)
@@ -501,19 +491,13 @@ func TestPoolHealthStats(t *testing.T) {
 		}()
 		<-started
 	}
-	if ps := n.poolStats(); ps.InFlight != calls || ps.Conns != n.poolSize {
+	if ps := n.poolStats(); ps.InFlight != calls || ps.Conns != calls {
 		t.Fatalf("with %d calls held: %+v", calls, ps)
-	}
-	if v := reg.Gauge("tcpnet.pool.inflight").Value(); v != int64(calls) {
-		t.Fatalf("pool.inflight gauge %d, want %d", v, calls)
-	}
-	if ws, c := n.WireStats(), reg.Counter("tcpnet.pool.shared").Value(); ws.Shared != 1 || c != 1 {
-		t.Fatalf("Shared = %d, pool.shared counter %d, want 1 and 1", ws.Shared, c)
 	}
 	release()
 	wg.Wait()
-	if ps, v := n.poolStats(), reg.Gauge("tcpnet.pool.inflight").Value(); ps.InFlight != 0 || v != 0 {
-		t.Fatalf("after the replies: %+v, pool.inflight gauge %d", ps, v)
+	if ps := n.poolStats(); ps.InFlight != 0 || ps.Conns != calls {
+		t.Fatalf("after the replies: %+v", ps)
 	}
 
 	// A dead destination fails its dial attempts and leaves its pool with a
@@ -585,18 +569,15 @@ func bindEcho(b *testing.B, n *Net) {
 }
 
 // poolSnapshot is an exact point-in-time snapshot of the outbound
-// connection pools: the ground truth the tcpnet.pool.* gauges are checked
-// against.
+// connection pools.
 type poolSnapshot struct {
 	Pools    int // destinations with a pool
-	Conns    int // live pooled outbound connections
-	Dialing  int // dial slots currently held by in-progress dials
+	Conns    int // dialed conns not yet closed, idle or carrying a call
 	Cooling  int // pools inside a post-failure dial cooldown window
-	InFlight int // calls awaiting a reply on those connections
+	InFlight int // calls holding one of those conns
 }
 
-// poolStats walks every destination pool and returns exact counts (the
-// gauges are transition-maintained; this is the ground truth).
+// poolStats walks every destination pool and returns exact counts.
 func (n *Net) poolStats() poolSnapshot {
 	n.poolMu.Lock()
 	pools := make([]*pool, 0, len(n.pools))
@@ -609,15 +590,8 @@ func (n *Net) poolStats() poolSnapshot {
 	now := time.Now()
 	for _, p := range pools {
 		p.mu.Lock()
-		for _, c := range p.conns {
-			select {
-			case <-c.dead:
-			default:
-				ps.Conns++
-				ps.InFlight += int(c.inflight.Load())
-			}
-		}
-		ps.Dialing += p.dialing
+		ps.Conns += p.open
+		ps.InFlight += p.open - len(p.idle)
 		if !p.coolDown.IsZero() && now.Before(p.coolDown) {
 			ps.Cooling++
 		}
